@@ -7,7 +7,7 @@ PY := PYTHONPATH=src python
 # the measured floor; raise it when coverage grows, never lower it.
 COV_FLOOR := 85
 
-.PHONY: test test-cov chaos bench bench-quick bench-diff serve-bench serve-bench-quick serve-bench-diff dist-bench dist-bench-quick dist-bench-diff fault-bench fault-bench-quick fault-bench-diff gateway-bench gateway-bench-quick gateway-bench-diff gateway-chaos-bench-quick elastic-bench elastic-bench-quick elastic-bench-diff
+.PHONY: test test-cov chaos bench bench-quick bench-diff serve-bench serve-bench-quick serve-bench-diff dist-bench dist-bench-quick dist-bench-diff fault-bench fault-bench-quick fault-bench-diff gateway-bench gateway-bench-quick gateway-bench-diff gateway-chaos-bench-quick elastic-bench elastic-bench-quick elastic-bench-diff bench-e2e bench-e2e-quick bench-e2e-compare
 
 test:                       ## tier-1: full unit + benchmark-shape suite
 	$(PY) -m pytest -x -q
@@ -92,3 +92,15 @@ elastic-bench-quick:        ## CI smoke: tiny elastic suite to /tmp, gated
 # usage: make elastic-bench-diff OLD=BENCH_9.json NEW=BENCH_10.json
 elastic-bench-diff:
 	$(PY) -m benchmarks.elastic_bench --diff $(OLD) $(NEW)
+
+# The one benchmark the pipeline runs (BENCHMARK.json); it sets its own
+# PYTHONPATH, so these are plain wrappers.
+bench-e2e:                  ## end-to-end benchmark: four workloads, every check
+	python3 benchmarks/e2e/run.py $(if $(OUT),--out $(OUT))
+
+bench-e2e-quick:            ## CI smoke: 2 short segments per workload
+	python3 benchmarks/e2e/run.py --quick --out /tmp/bench-e2e.json
+
+# usage: make bench-e2e-compare A=parent.json B=change.json
+bench-e2e-compare:
+	python3 benchmarks/e2e/run.py --compare $(A) $(B)

@@ -5,10 +5,13 @@ code the autograd layer ran before ``repro.kernels`` existed (scipy's
 ``csr_matvecs`` C kernel into caller buffers, rotating ping/pong hop
 scratch), moved verbatim so the default path stays byte-for-byte
 identical across the refactor.  The fused-GRU methods are vectorised
-references: the GRU cells only route through them on backends that set
-``fused_gru`` (this one does not — the cells keep their original op
-composition), but they define the semantics the compiled backend must
-match and give the parity tests a target that runs everywhere.
+references: ``gru_cell_step`` routes through them only on backends that
+set ``fused_gru`` (this one does not — batch-major cells keep their
+original op composition), and ``DCGRUCell.step`` runs its elementwise
+tail as in-place NumPy on every backend (each of these kernels writes a
+full-width ``dpre``, so sharing them would add two half-zero passes and a
+sum per step).  They define the semantics the compiled backend must match
+and give the parity tests a target that runs everywhere.
 """
 
 from __future__ import annotations

@@ -11,13 +11,24 @@ concatenated blocks is ``1 + S*K`` (identity hop counted once).
 
 Two execution paths compute identical math:
 
-- the **fused** path (default) records a single autograd node per call.
-  Hops are written straight into slices of one node-major
-  ``[nodes, batch, num_matrices * in_dim]`` block (no Python list, no
-  ``concat``, no split-copy backward), sparse products run through the
-  prepared-CSR kernel into rotating scratch buffers that persist across
-  steps, and the backward scatters gradients through per-hop views of the
-  same block.
+- the **fused** path (default) works **node-major**: ``[nodes, batch, F]``
+  is the layout in which one CSR product covers the whole batch and the
+  hop block is a plain 2-D GEMM operand, so the work lives in a
+  node-major core (``_hops_gemm`` / ``_gemm_hops_backward``) that writes
+  hops straight into slices of one ``[nodes, batch, num_matrices *
+  in_dim]`` block and runs sparse products through the prepared-CSR
+  kernel into scratch that persists across steps.  The core has two thin
+  entry points: :meth:`DiffusionConv.forward` (batch-major in and out,
+  one transposed copy each way, one autograd node) and
+  :meth:`repro.models.dcrnn.DCGRUCell.step` (already node-major, no
+  copies, both convolutions inside one node).  Backward owns only the hop
+  block of its call (it is the GEMM input whose transpose gives the
+  weight gradient); every gradient buffer is per-layer scratch, valid
+  until that layer's next backward, so callers accumulate from it before
+  returning.  Within one backward the weight gradient accumulates before
+  the bias gradient, and a caller decides where the input gradient goes:
+  the order of those ``_accumulate`` calls is part of the fixed-seed
+  curves.
 - the **naive** path composes the public autograd ops exactly as the seed
   implementation did.  It exists as the parity reference: tests assert
   both paths agree to float tolerance in both dtypes.
@@ -55,6 +66,17 @@ class _Scratch:
         self.gw = np.empty((m * f, o), dtype)
         self.gb = np.empty((o,), dtype)
         self.cat_eval = None                      # lazy: no-grad forward only
+
+
+def cached_scratch(cache: dict, b: int, dtype: np.dtype, make):
+    """``cache[(batch, dtype)]``, built by ``make()`` on a miss; bounded."""
+    key = (b, dtype.str)
+    scr = cache.get(key)
+    if scr is None:
+        if len(cache) > 8:  # distinct batch sizes are rare
+            cache.clear()
+        scr = cache[key] = make()
+    return scr
 
 
 class DiffusionConv(Module):
@@ -109,79 +131,101 @@ class DiffusionConv(Module):
 
     # ------------------------------------------------------------------
     def _get_scratch(self, b: int, dtype: np.dtype) -> _Scratch:
-        key = (b, dtype.str)
-        scr = self._scratch.get(key)
-        if scr is None:
-            if len(self._scratch) > 8:  # distinct batch sizes are rare
-                self._scratch.clear()
-            scr = _Scratch(self.num_nodes, b, self.in_dim,
-                           self.num_matrices, self.out_dim, dtype)
-            self._scratch[key] = scr
-        return scr
+        return cached_scratch(
+            self._scratch, b, dtype,
+            lambda: _Scratch(self.num_nodes, b, self.in_dim,
+                             self.num_matrices, self.out_dim, dtype))
 
-    def _forward_fused(self, x: Tensor) -> Tensor:
-        b, n, f = x.shape
+    def _hops_gemm(self, scr: _Scratch, x0: np.ndarray,
+                   own_cat: bool) -> tuple[np.ndarray, np.ndarray]:
+        """Node-major core, forward: hops of ``x0`` + one GEMM + bias.
+
+        ``x0`` is the contiguous ``[nodes, batch, in_dim]`` hop-0 input
+        (normally ``scr.x0``, already filled by the caller).  Returns the
+        flattened hop block and the freshly allocated ``[nodes*batch,
+        out_dim]`` output.  The hop block is the GEMM input whose
+        transpose yields the weight gradient, so it is owned per call when
+        backward will run (``own_cat``); without gradients one persistent
+        block is reused.
+        """
+        n, b, f = x0.shape
         m, o, k = self.num_matrices, self.out_dim, self.k_hops
-        dtype = x.dtype
-        prepared = [prepared_csr(s, dtype) for s in self.supports]
-        scr = self._get_scratch(b, dtype)
-        rg = is_grad_enabled() and (x.requires_grad or
-                                    self.weight.requires_grad or
-                                    self.bias.requires_grad)
-
-        # The hop block is consumed by backward (it is the GEMM input whose
-        # transpose produces the weight gradient), so it must be owned per
-        # call when gradients are on; in no-grad mode one persistent buffer
-        # is reused instead.
-        if rg:
+        dtype = x0.dtype
+        if own_cat:
             cat = np.empty((n, b, m * f), dtype)
         else:
             if scr.cat_eval is None:
                 scr.cat_eval = np.empty((n, b, m * f), dtype)
             cat = scr.cat_eval
-
-        backend = kernels.active_backend()
-        np.copyto(scr.x0, x.data.transpose(1, 0, 2))
-        cat[:, :, :f] = scr.x0
-        x0_flat = scr.x0.reshape(n, b * f)
-        col = f
+        cat[:, :, :f] = x0
         if k:
-            for P in prepared:
-                backend.diffusion_hops(P, x0_flat, cat, col, f, k,
-                                       scr.ping, scr.pong)
+            backend = kernels.active_backend()
+            x0_flat = x0.reshape(n, b * f)
+            col = f
+            for support in self.supports:
+                backend.diffusion_hops(prepared_csr(support, dtype), x0_flat,
+                                       cat, col, f, k, scr.ping, scr.pong)
                 col += k * f
-
         cat2 = cat.reshape(n * b, m * f)
         out2 = np.empty((n * b, o), dtype)
         np.matmul(cat2, self.weight.data, out=out2)
         out2 += self.bias.data
-        out = x._make(out2.reshape(n, b, o).transpose(1, 0, 2),
+        return cat2, out2
+
+    def _gemm_hops_backward(self, scr: _Scratch, cat2: np.ndarray,
+                            g2: np.ndarray,
+                            input_grad: bool) -> np.ndarray | None:
+        """Node-major core, backward, for ``g2 = d out2`` (contiguous).
+
+        Accumulates the weight then the bias gradient, and when
+        ``input_grad`` returns the hop-0 input gradient as ``scr.gx``
+        (``[nodes, batch, in_dim]``, valid until this layer's next
+        backward).
+        """
+        weight, bias = self.weight, self.bias
+        if weight.requires_grad:
+            np.matmul(cat2.T, g2, out=scr.gw)
+            weight._accumulate(scr.gw)
+        if bias.requires_grad:
+            np.sum(g2, axis=0, out=scr.gb)
+            bias._accumulate(scr.gb)
+        if not input_grad:
+            return None
+        f, k = self.in_dim, self.k_hops
+        gcat = scr.gcat
+        np.matmul(g2, weight.data.T, out=gcat.reshape(cat2.shape))
+        np.copyto(scr.gx, gcat[:, :, :f])  # identity hop
+        if k:
+            backend = kernels.active_backend()
+            col = f
+            for support in self.supports:
+                # Chain the per-hop gradients back down:
+                # acc_k = g_k;  acc_{j} = P^T acc_{j+1} + g_j;
+                # input grad += P^T acc_1.
+                backend.diffusion_backward(
+                    prepared_csr(support, g2.dtype).T, gcat, col, f, k,
+                    scr.gx, scr.ping, scr.pong)
+                col += k * f
+        return scr.gx
+
+    def _forward_fused(self, x: Tensor) -> Tensor:
+        b, n, _ = x.shape
+        scr = self._get_scratch(b, x.dtype)
+        rg = is_grad_enabled() and (x.requires_grad or
+                                    self.weight.requires_grad or
+                                    self.bias.requires_grad)
+        np.copyto(scr.x0, x.data.transpose(1, 0, 2))
+        cat2, out2 = self._hops_gemm(scr, scr.x0, rg)
+        out = x._make(out2.reshape(n, b, -1).transpose(1, 0, 2),
                       (x, self.weight, self.bias))
         if out.requires_grad:
-            weight, bias = self.weight, self.bias
 
             def _bw(g: np.ndarray) -> None:
                 np.copyto(scr.gout, g.transpose(1, 0, 2))
-                g2 = scr.gout.reshape(n * b, o)
-                if weight.requires_grad:
-                    np.matmul(cat2.T, g2, out=scr.gw)
-                    weight._accumulate(scr.gw)
-                if bias.requires_grad:
-                    np.sum(g2, axis=0, out=scr.gb)
-                    bias._accumulate(scr.gb)
-                if x.requires_grad:
-                    gcat = scr.gcat
-                    np.matmul(g2, weight.data.T, out=gcat.reshape(n * b, m * f))
-                    np.copyto(scr.gx, gcat[:, :, :f])  # identity hop
-                    col = f
-                    for P in (prepared if k else ()):
-                        # Chain the per-hop gradients back down:
-                        # acc_k = g_k;  acc_{j} = P^T acc_{j+1} + g_j;
-                        # input grad += P^T acc_1.
-                        backend.diffusion_backward(P.T, gcat, col, f, k,
-                                                   scr.gx, scr.ping, scr.pong)
-                        col += k * f
-                    x._accumulate(scr.gx.transpose(1, 0, 2))
+                gx = self._gemm_hops_backward(
+                    scr, cat2, scr.gout.reshape(out2.shape), x.requires_grad)
+                if gx is not None:
+                    x._accumulate(gx.transpose(1, 0, 2))
 
             out._backward = _bw
         return out

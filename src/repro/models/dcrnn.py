@@ -5,6 +5,37 @@ matmuls are replaced by diffusion convolutions (:class:`DCGRUCell`), wired
 as a sequence-to-sequence encoder-decoder.  The decoder rolls forward with
 scheduled sampling during training (probability of using the ground truth
 decays with global step) and feeds back its own predictions at inference.
+
+:class:`DCGRUCell` has two entry points onto the same arithmetic:
+
+- ``forward(x, h)`` is batch-major (``[B, N, dim]``) and composes public
+  autograd ops through the shared ``gru_cell_step``.  It is what
+  :class:`DCRNN` calls and the reference ``step`` is tested against.
+- ``step(x_t, h)`` is **node-major**: the state is ``[N, B, H]`` for the
+  whole sequence because that is the layout
+  :class:`~repro.models.dconv.DiffusionConv` computes in, so the
+  recurrence needs no concat, no transposed copies and no slice
+  scatters, and one autograd node replaces thirteen.
+
+What ``step``'s backward owns, per call: the two hop blocks (GEMM inputs),
+the gate activations ``s = [r | u]`` and the candidate ``c`` (each the
+in-place result on a GEMM output that was allocated for that call), and
+the previous state's data.  ``1 - u`` and ``1 - c*c`` are recomputed.
+Everything else is per-``(batch, dtype)`` scratch on the cell and its two
+convolutions, used only while one call runs, never handed to a caller, and
+never module-global -- replicas, forked ranks, rank threads and
+``deepcopy``'d deployments each have their own.
+
+**Accumulation-order contract.**  Float addition does not associate, and
+the fixed-seed curves (``tests/test_fabric.py::PINNED_2EP`` and every
+cross-transport parity) are compared bit for bit, so ``step`` keeps not
+just each operation's operand order but the order in which gradients meet:
+``h_{t-1}.grad`` receives the output projection's term first (those nodes
+sort ahead of the recurrence), then from ``step``'s backward, as three
+separate ``_accumulate`` calls, ``G*u`` (blend), ``g_rh*r`` (reset
+product) and the gates convolution's input-gradient slice; summing the
+three first changes the bits.  Weight and bias gradients accumulate
+candidate before gates within a step, steps in reverse time.
 """
 
 from __future__ import annotations
@@ -13,17 +44,46 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.autograd import functional as F
+from repro.autograd.grad_mode import is_grad_enabled
 from repro.autograd.tensor import Tensor
 from repro.models.base import STModel
-from repro.models.dconv import DiffusionConv
+from repro.models.dconv import DiffusionConv, cached_scratch
 from repro.nn.layers import Linear
 from repro.nn.module import Module
 from repro.nn.rnn import gru_cell_step
 from repro.utils.seeding import new_rng
 
 
+class _StepScratch:
+    """Per-(batch, dtype) elementwise temporaries of :meth:`DCGRUCell.step`."""
+
+    __slots__ = ("t", "den", "tmp")
+
+    def __init__(self, n: int, b: int, hid: int, dtype):
+        self.t = np.empty((n, b, 2 * hid), dtype)
+        self.den = np.empty((n, b, 2 * hid), dtype)
+        self.tmp = np.empty((n, b, hid), dtype)
+
+
+def _sigmoid_(x: np.ndarray, t: np.ndarray, den: np.ndarray) -> None:
+    """In-place ``Tensor.sigmoid`` numerics: ``t / (t + 1)`` with
+    ``t = exp(-|x|)`` and the numerator set to 1 where ``x >= 0``.
+
+    ``t <= 1``, so ``max(t, [x >= 0])`` is that numerator; it costs a
+    quarter of a masked copy.
+    """
+    np.abs(x, out=t)
+    np.negative(t, out=t)
+    np.exp(t, out=t)
+    np.add(t, 1.0, out=den)
+    np.greater_equal(x, 0, out=x)
+    np.maximum(t, x, out=t)
+    np.divide(t, den, out=x)
+
+
 class DCGRUCell(Module):
-    """GRU cell with diffusion-convolution gates over ``[B, N, dim]`` states."""
+    """GRU cell with diffusion-convolution gates: ``forward`` over
+    ``[B, N, dim]`` states, ``step`` over ``[N, B, dim]`` ones."""
 
     def __init__(self, supports: list[sp.spmatrix], in_dim: int,
                  hidden_dim: int, k_hops: int = 2, *, seed_name: str = "dcgru"):
@@ -38,10 +98,87 @@ class DCGRUCell(Module):
         self.candidate = DiffusionConv(supports, in_dim + hidden_dim,
                                        hidden_dim, k_hops,
                                        seed_name=f"{seed_name}.cand")
+        self._scratch: dict[tuple, _StepScratch] = {}
 
     def forward(self, x: Tensor, h: Tensor) -> Tensor:
         return gru_cell_step(self.gates, self.candidate, x, h,
                              self.hidden_dim)
+
+    def step(self, x_t: np.ndarray, h: Tensor) -> Tensor:
+        """One node-major recurrence as a single autograd node.
+
+        ``x_t`` is a contiguous ``[N, B, in]`` array (no gradient flows to
+        it), ``h`` a Tensor whose data is ``[N, B, H]``; returns ``h_t``
+        in the same layout, freshly allocated.  Same float operations in
+        the same order as :meth:`forward` (see the module docstring).
+        """
+        n, b, fin = x_t.shape
+        hid = self.hidden_dim
+        gates, cand = self.gates, self.candidate
+        dtype = x_t.dtype
+        sg = gates._get_scratch(b, dtype)
+        sc = cand._get_scratch(b, dtype)
+        scr = cached_scratch(
+            self._scratch, b, dtype,
+            lambda: _StepScratch(n, b, hid, dtype))
+        hd = h.data
+        params = (cand.weight, cand.bias, gates.weight, gates.bias)
+        rg = is_grad_enabled() and (h.requires_grad or
+                                    any(p.requires_grad for p in params))
+
+        # [x_t | h] -> gates; sigmoid in place on the GEMM output.
+        x0 = sg.x0
+        x0[:, :, :fin] = x_t
+        x0[:, :, fin:] = hd
+        cat_g, s2 = gates._hops_gemm(sg, x0, rg)
+        s = s2.reshape(n, b, 2 * hid)
+        _sigmoid_(s, scr.t, scr.den)
+        r, u = s[:, :, :hid], s[:, :, hid:]
+
+        # [x_t | r*h] -> candidate (same input buffer); tanh in place.
+        np.multiply(r, hd, out=x0[:, :, fin:])
+        cat_c, c2 = cand._hops_gemm(sc, x0, rg)
+        c = c2.reshape(n, b, hid)
+        np.tanh(c, out=c)
+
+        h_new = np.empty((n, b, hid), dtype)
+        tmp = scr.tmp
+        np.multiply(u, hd, out=h_new)
+        np.subtract(1.0, u, out=tmp)
+        tmp *= c
+        h_new += tmp
+        out = h._make(h_new, (h,) + params)
+        if out.requires_grad:
+
+            def _bw(G: np.ndarray) -> None:
+                dpre = sg.gout                    # d gates pre-activation
+                dpre_r, dpre_u = dpre[:, :, :hid], dpre[:, :, hid:]
+                np.multiply(G, hd, out=dpre_u)    # d u = G*h - G*c
+                np.multiply(G, c, out=tmp)
+                dpre_u -= tmp
+                np.multiply(G, u, out=tmp)
+                h._accumulate(tmp)                # blend: after proj's
+                dc = sc.gout                      # d candidate pre-act.
+                np.subtract(1.0, u, out=dc)
+                np.multiply(G, dc, out=dc)
+                np.multiply(c, c, out=tmp)
+                np.subtract(1.0, tmp, out=tmp)
+                dc *= tmp
+                g_rh = cand._gemm_hops_backward(
+                    sc, cat_c, dc.reshape(c2.shape), True)[:, :, fin:]
+                np.multiply(g_rh, hd, out=dpre_r)  # d r
+                np.multiply(g_rh, r, out=tmp)
+                h._accumulate(tmp)                # reset product
+                dpre *= s                         # sigmoid': (g*s)*(1-s)
+                np.subtract(1.0, s, out=scr.t)
+                dpre *= scr.t
+                gx = gates._gemm_hops_backward(
+                    sg, cat_g, dpre.reshape(s2.shape), h.requires_grad)
+                if gx is not None:
+                    h._accumulate(gx[:, :, fin:])  # gates input gradient
+
+            out._backward = _bw
+        return out
 
     def init_hidden(self, batch: int) -> Tensor:
         return Tensor(np.zeros((batch, self.num_nodes, self.hidden_dim),

@@ -7,6 +7,17 @@ input sequence and emits an output at every step, "producing a prediction
 sequence of equal length to the input".  No encoder-decoder, no scheduled
 sampling — that is exactly why it is ~15x faster than the full DCRNN while
 remaining a faithful diffusion-convolution model.
+
+The hidden state is carried **node-major** (``[N, B, H]``) across the
+sequence: the input window is transposed once to ``[T, N, B, F]`` and each
+step is one :meth:`~repro.models.dcrnn.DCGRUCell.step` node.  Only the
+output projection sees batch-major data, through one contiguous copy of
+``h_t`` per step, so ``Linear``'s reduction order and the loss's summation
+order -- and with them the fixed-seed curves -- are those of the
+batch-major recurrence (the accumulation-order contract is in
+:mod:`repro.models.dcrnn`).  That copy node's backward is also what puts
+the projection's gradient into ``h_t.grad`` before the recurrence adds
+its own.  Every array a caller receives is freshly allocated.
 """
 
 from __future__ import annotations
@@ -15,10 +26,23 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.autograd import functional as F
+from repro.autograd.grad_mode import is_grad_enabled
 from repro.autograd.tensor import Tensor
 from repro.models.base import STModel
 from repro.models.dcrnn import DCGRUCell
 from repro.nn.layers import Linear
+
+
+def _batch_major(h: Tensor) -> Tensor:
+    """Contiguous ``[B, N, H]`` copy of a node-major ``[N, B, H]`` state."""
+    out = h._make(np.ascontiguousarray(h.data.transpose(1, 0, 2)), (h,))
+    if out.requires_grad:
+
+        def _bw(g: np.ndarray) -> None:
+            h._accumulate(g.transpose(1, 0, 2))
+
+        out._backward = _bw
+    return out
 
 
 class PGTDCRNN(STModel):
@@ -38,12 +62,17 @@ class PGTDCRNN(STModel):
 
     def forward(self, x: Tensor) -> Tensor:
         self.check_input(x)
+        if x.requires_grad and is_grad_enabled():
+            raise NotImplementedError(
+                "PGTDCRNN does not propagate gradients to its input window")
         batch = x.shape[0]
-        h = self.cell.init_hidden(batch)
+        xs = np.ascontiguousarray(x.data.transpose(1, 2, 0, 3))  # [T,N,B,F]
+        h = Tensor(np.zeros((self.num_nodes, batch, self.hidden_dim),
+                            dtype=xs.dtype))
         outputs = []
         for t in range(self.horizon):
-            h = self.cell(x[:, t], h)
-            outputs.append(self.proj(h))
+            h = self.cell.step(xs[t], h)
+            outputs.append(self.proj(_batch_major(h)))
         return F.stack(outputs, axis=1)
 
     def flops_per_snapshot(self) -> float:

@@ -78,3 +78,36 @@ def test_example_runs(name, capsys):
         module.main(**EXAMPLE_ARGS[name])
     out = capsys.readouterr().out
     assert out.strip(), f"example {name!r} printed nothing"
+
+
+def test_readme_gateway_snippet_runs(tmp_path, monkeypatch, capsys):
+    """The README's gateway walkthrough, executed verbatim: only the names
+    it leaves to the reader (two checkpoint files, a sensor row and a
+    window) are supplied here."""
+    import re
+
+    import numpy as np
+
+    from repro.api import RunSpec, run
+    from repro.training.checkpoint import save_checkpoint
+
+    readme = (EXAMPLES_DIR.parent / "README.md").read_text()
+    section = readme.split("## Multi-tenant gateway", 1)[1]
+    snippet = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+
+    spec = RunSpec(dataset="pems-bay", model="pgt-dcrnn", scale="tiny",
+                   epochs=1)
+    result = run(spec)
+    monkeypatch.chdir(tmp_path)
+    for name in ("lite.npz", "bay-v2.npz"):
+        save_checkpoint(name, result.artifacts.model, epoch=1, spec=spec,
+                        scaler=result.artifacts.loaders.scaler)
+    window = result.artifacts.loaders.test.batch_at(np.arange(1))[0][0].copy()
+    names = dict(window=window, sensor_row=window[-1, :, :1],
+                 timestamp_minutes=0.0)
+    with alarm(TIMEOUT_SECONDS, "README gateway snippet"):
+        exec(compile(snippet, "README.md#multi-tenant-gateway", "exec"),
+             names)
+    assert names["key"] == "key-ops"
+    assert names["fc"].forecast.predictions.shape == window.shape[:2]
+    assert "'version': 'v2'" in capsys.readouterr().out

@@ -103,6 +103,83 @@ class TestGRUUpdateFused:
 
 
 # ---------------------------------------------------------------------------
+# Node-major DCGRU step vs the op-by-op recurrence
+# ---------------------------------------------------------------------------
+def _reference_forward(model, x: Tensor) -> Tensor:
+    """``PGTDCRNN.forward`` as it was before ``DCGRUCell.step``: batch-major
+    state, one public autograd op at a time through ``DCGRUCell.forward``."""
+    h = model.cell.init_hidden(x.shape[0])
+    outputs = []
+    for t in range(model.horizon):
+        h = model.cell(x[:, t], h)
+        outputs.append(model.proj(h))
+    return F.stack(outputs, axis=1)
+
+
+class TestDCGRUStepParity:
+    ITERS = 3
+
+    def _models(self, nodes, horizon, hidden, k_hops):
+        from repro.models import PGTDCRNN
+
+        g = random_sensor_network(nodes, seed=2)
+        supports = dual_random_walk_supports(g.weights)
+        return [PGTDCRNN(supports, horizon, 2, hidden_dim=hidden,
+                         k_hops=k_hops, seed=3) for _ in range(2)]
+
+    def _compare(self, nodes, batch, horizon, hidden, *, dtype=np.float32,
+                 k_hops=2, check=np.testing.assert_array_equal):
+        from repro.autograd import no_grad
+        from repro.optim import l1_loss
+
+        step, ref = self._models(nodes, horizon, hidden, k_hops)
+        rng = np.random.default_rng(0)
+        for _ in range(self.ITERS):
+            x = rng.standard_normal((batch, horizon, nodes, 2)).astype(dtype)
+            y = rng.standard_normal((batch, horizon, nodes, 1)).astype(dtype)
+            with no_grad():
+                check(step(Tensor(x)).data,
+                      _reference_forward(ref, Tensor(x)).data)
+            out_s, out_r = step(Tensor(x)), _reference_forward(ref, Tensor(x))
+            check(out_s.data, out_r.data)
+            loss_s, loss_r = l1_loss(out_s, y), l1_loss(out_r, y)
+            check(loss_s.data, loss_r.data)
+            step.zero_grad()
+            ref.zero_grad()
+            loss_s.backward()
+            loss_r.backward()
+            for (name, ps), (_, pr) in zip(step.named_parameters(),
+                                           ref.named_parameters()):
+                check(ps.grad, pr.grad, err_msg=name)
+                ps.data -= 0.05 * ps.grad      # SGD: next iteration starts
+                pr.data -= 0.05 * pr.grad      # from the updated weights
+
+    @pytest.mark.parametrize("nodes,batch,horizon,hidden", [
+        (8, 8, 4, 8),          # the shape PINNED_2EP trains
+        (24, 8, 12, 16),       # benchmark ddp_index_w2
+        (64, 32, 12, 32),      # benchmark train_index
+    ])
+    def test_bitwise_float32(self, nodes, batch, horizon, hidden):
+        self._compare(nodes, batch, horizon, hidden)
+
+    @pytest.mark.parametrize("dtype,k_hops", [(np.float64, 2),
+                                              (np.float32, 0),
+                                              (np.float32, 1)])
+    def test_other_dtype_and_hops(self, dtype, k_hops):
+        def close(a, b, err_msg=""):
+            np.testing.assert_allclose(a, b, rtol=1e-5, atol=1e-6,
+                                       err_msg=err_msg)
+
+        self._compare(8, 4, 4, 8, dtype=dtype, k_hops=k_hops, check=close)
+
+    def test_input_gradient_is_refused(self):
+        step, _ = self._models(8, 4, 8, 2)
+        x = Tensor(np.zeros((2, 4, 8, 2), np.float32), requires_grad=True)
+        with pytest.raises(NotImplementedError, match="input"):
+            step(x)
+
+
+# ---------------------------------------------------------------------------
 # Loader buffer reuse + loader parity
 # ---------------------------------------------------------------------------
 class TestLoaderBuffers:

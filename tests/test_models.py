@@ -139,6 +139,56 @@ class TestAllModels:
         assert loss.item() < 0.5 * first
 
 
+class TestStepBufferOwnership:
+    """``DCGRUCell.step`` reuses per-(batch, dtype) scratch on the module;
+    nothing a caller receives may alias it."""
+
+    def test_predictions_are_owned(self, supports):
+        model = PGTDCRNN(supports, H, F_IN, hidden_dim=8)
+        first = model.predict(_x(seed=1))
+        kept = first.copy()
+        second = model.predict(_x(seed=2))
+        assert not np.shares_memory(first, second)
+        np.testing.assert_array_equal(first, kept)
+
+    def test_scratch_keyed_by_batch_and_survives_training(self, supports):
+        used = PGTDCRNN(supports, H, F_IN, hidden_dim=8)
+
+        def fresh(x):
+            model = PGTDCRNN(supports, H, F_IN, hidden_dim=8)
+            model.load_state_dict(used.state_dict())
+            return model.predict(x)
+
+        for batch in (1, 8, 1):
+            x = _x(batch=batch, seed=batch)
+            np.testing.assert_array_equal(used.predict(x), fresh(x))
+        opt = Adam(used.parameters(), lr=0.01)
+        loss = l1_loss(used(Tensor(_x(seed=7))), _y(seed=8))
+        opt.zero_grad()
+        loss.backward()
+        opt.step()
+        np.testing.assert_array_equal(used.predict(_x()), fresh(_x()))
+
+    def test_deepcopy_shares_no_scratch(self, supports):
+        import copy
+
+        def scratch_arrays(model):
+            return [buf for m in model.modules()
+                    for scr in getattr(m, "_scratch", {}).values()
+                    for buf in (getattr(scr, name) for name in scr.__slots__)
+                    if isinstance(buf, np.ndarray)]
+
+        model = PGTDCRNN(supports, H, F_IN, hidden_dim=8)
+        l1_loss(model(Tensor(_x())), _y()).backward()
+        expected = model.predict(_x())
+        clone = copy.deepcopy(model)
+        mine, theirs = scratch_arrays(model), scratch_arrays(clone)
+        assert mine and len(mine) == len(theirs)
+        assert not any(np.shares_memory(a, b) for a in mine for b in theirs)
+        clone.predict(_x(seed=9))       # scribbles only on its own buffers
+        np.testing.assert_array_equal(model.predict(_x()), expected)
+
+
 class TestDCRNN:
     def test_teacher_forcing_prob_decays(self, supports):
         model = DCRNN(supports, H, F_IN, hidden_dim=8, cl_decay_steps=10)
