@@ -1,2 +1,2 @@
-"""Benchmarks package: pytest-benchmark paper artifacts plus the
-``python -m benchmarks.run_bench`` measured-perf snapshot CLI."""
+"""Benchmarks package: the paper's table/figure shape tests
+(pytest-benchmark) and the end-to-end benchmark under ``e2e/``."""

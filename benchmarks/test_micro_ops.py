@@ -10,9 +10,9 @@ import pytest
 
 from repro.autograd import Tensor, functional as F
 from repro.datasets import load_dataset
-from repro.distributed import SimCommunicator
 from repro.graph import dual_random_walk_supports, random_sensor_network
 from repro.preprocessing import IndexDataset, standard_preprocess
+from repro.runtime import ProcessGroup
 
 
 @pytest.fixture(scope="module")
@@ -60,7 +60,7 @@ def test_sparse_diffusion_propagation(benchmark):
 
 def test_gradient_allreduce(benchmark):
     """Ring all-reduce of a PGT-DCRNN-sized gradient across 8 ranks."""
-    comm = SimCommunicator(8)
+    comm = ProcessGroup.sim(8)
     grads = [np.random.default_rng(r).standard_normal(63_617).astype(
         np.float32) for r in range(8)]
 

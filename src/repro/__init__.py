@@ -15,8 +15,7 @@ library.  It provides:
   memory spaces, interconnects) modeled on ALCF Polaris.
 - ``repro.runtime``: the distributed execution layer — pluggable transports
   (simulated ranks or real threads), one collectives implementation,
-  gradient bucketing and the ``ProcessGroup`` facade (``repro.distributed``
-  remains as a deprecated shim over it).
+  gradient bucketing and the ``ProcessGroup`` facade.
 - ``repro.models``: DCRNN, PGT-DCRNN, TGCN, A3T-GCN and ST-LLM.
 - ``repro.training``: single-device and DDP trainers implementing
   index-batching, GPU-index-batching, distributed-index-batching and

@@ -237,8 +237,7 @@ def _run_with_faults(spec: RunSpec, ctx: ModelContext, bundle: LoaderBundle,
     survives) and hands the relaunch loop to
     :func:`~repro.training.recovery.train_with_recovery`.  Checkpoints
     land in a private temp directory, every step — maximal coverage for
-    the tiny scales ``run`` executes at; cadence-sensitive recovery
-    costs are the fault benchmark's job.
+    the tiny scales ``run`` executes at.
     """
     plan = FaultPlan.from_spec(spec.faults, seed=spec.seed)
     ckpt_dir = tempfile.mkdtemp(prefix="repro-faults-")

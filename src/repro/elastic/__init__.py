@@ -8,7 +8,7 @@ change size *while holding their determinism contracts*:
   matches a fresh run at the new world where the data strategy allows.
 - :mod:`repro.elastic.autoscaler` — a p99-SLO control loop over
   :meth:`~repro.serving.sharding.ShardedSession.scale_to`, plus the
-  deterministic trace runner the elastic bench drives.
+  deterministic trace runner the elastic tests drive.
 - :mod:`repro.elastic.planner` — capacity plans (world and shard
   counts) from the analytic perf/cost models, feeding the autoscaler
   its setpoints.

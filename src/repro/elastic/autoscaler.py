@@ -7,8 +7,7 @@ input is a :class:`~repro.serving.loadgen.LoadReport` measured on the
 service's :class:`~repro.serving.service.ManualClock`, every action is a
 :meth:`~repro.serving.sharding.ShardedSession.scale_to` call, and the
 whole trace (latencies, decisions, membership changes) is a pure
-function of (seed, policy, traffic), so tests and the elastic bench can
-pin it bit-for-bit.
+function of (seed, policy, traffic), so tests can pin it bit-for-bit.
 
 Control theory in one paragraph: the watched signal is the last tick's
 p99 latency relative to the SLO.  Above ``scale_up_at`` x SLO the fleet
@@ -155,7 +154,7 @@ def shard_scaled_service_time(session: Any, *, base: float,
     num_shards`` seconds.  The closure reads ``session.num_shards`` at
     every dispatch, so an autoscaler resize changes service times from
     the next batch on — deterministically, which is what lets the
-    elastic bench pin whole scale-up/down traces bitwise."""
+    elastic tests pin whole scale-up/down traces bitwise."""
     def service_time(n: int) -> float:
         return (base + per_item * n) / max(int(session.num_shards), 1)
     return service_time
@@ -223,7 +222,7 @@ def run_autoscaled_trace(service: ForecastService, windows: np.ndarray,
     Convergence accounting: for every autoscale event, the report
     records the clock time from the resize to the end of the first
     subsequent tick whose p99 meets the SLO (``inf`` if the trace ends
-    first) — the bench's scale-up/scale-down convergence numbers.
+    first) — the scale-up/scale-down convergence numbers.
     """
     if deadline is None:
         deadline = autoscaler.policy.slo_p99

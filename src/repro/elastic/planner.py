@@ -15,8 +15,8 @@ partitioner's constraint, and the autoscaler's double/halve steps) and
 return the *smallest* size that meets the budget, because the cost axis
 (:func:`~repro.cluster.costmodel.gpu_seconds`) always grows with size
 while the benefit saturates at the scaling knee the paper measures.
-Every candidate's numbers ride along in ``sweep`` so a caller (or the
-elastic bench) can audit the choice.
+Every candidate's numbers ride along in ``sweep`` so a caller can audit
+the choice.
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ hardware behaviour: byte-exact memory accounting with OOM faults, and
 latency/bandwidth cost models for host-device transfers.
 :func:`usable_cores` is the one exception — it introspects the machine
 the code is *actually* running on, for transport pool sizing and the
-distributed benchmark's speedup gates.
+end-to-end benchmark's machine report.
 """
 
 from repro.hardware.cores import usable_cores

@@ -2,8 +2,8 @@
 
 Everything else in :mod:`repro.hardware` models the *paper's* hardware
 (simulated Polaris nodes); this module asks about the machine the code
-is actually running on, which the parallel transports and the
-distributed benchmark need to size pools and interpret speedups.
+is actually running on, which the parallel transports need to size
+pools and the end-to-end benchmark reports beside its speedups.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.hardware.memory import MemorySpace
-from repro.profiling.clock import SimClock
+from repro.profiling.clock import ManualClock
 
 
 @dataclass
@@ -39,7 +39,7 @@ class Device:
     def __init__(self, name: str, kind: str, memory: MemorySpace,
                  flops: float, mem_bw: float,
                  link_to_host: TransferLink | None = None,
-                 clock: SimClock | None = None):
+                 clock: ManualClock | None = None):
         if kind not in ("cpu", "gpu"):
             raise ValueError(f"unknown device kind {kind!r}")
         self.name = name
@@ -48,7 +48,7 @@ class Device:
         self.flops = flops
         self.mem_bw = mem_bw
         self.link_to_host = link_to_host
-        self.clock = clock or memory.clock or SimClock()
+        self.clock = clock or memory.clock or ManualClock()
 
     def compute_time(self, flops: float, efficiency: float = 0.25) -> float:
         """Seconds to execute ``flops`` floating-point operations."""

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from repro.profiling.clock import SimClock
+from repro.profiling.clock import ManualClock
 from repro.utils.errors import OutOfMemoryError
 from repro.utils.sizes import format_bytes
 
@@ -50,7 +50,7 @@ class MemorySpace:
     """
 
     def __init__(self, name: str, capacity: int | None = None,
-                 clock: SimClock | None = None, baseline: int = 0):
+                 clock: ManualClock | None = None, baseline: int = 0):
         if capacity is not None and capacity <= 0:
             raise ValueError("capacity must be positive or None")
         if baseline < 0 or (capacity is not None and baseline > capacity):

@@ -11,8 +11,8 @@ registry so they can be swapped wholesale:
 - the **numba** backend (auto-detected at import) compiles the same math
   into fused, node-parallel loops: one kernel call per diffusion-hop
   chain and per GRU gate/blend block instead of a dispatch per op.
-  Parity with the numpy backend is gated at 1e-6 by the benchmark
-  harness and the hypothesis property tests.
+  Parity with the numpy backend is gated at 1e-6 by the hypothesis
+  property tests.
 
 Selection, in priority order:
 

@@ -1,7 +1,6 @@
-"""Simulated clocks, timers, run reports, and the measured-perf harness."""
+"""Manual clocks and run reports."""
 
-from repro.profiling.clock import SimClock
+from repro.profiling.clock import ManualClock
 from repro.profiling.report import RunReport, format_table
 
-__all__ = ["SimClock", "RunReport", "format_table"]
-# repro.profiling.bench is imported lazily (it pulls in the api layer).
+__all__ = ["ManualClock", "RunReport", "format_table"]

@@ -14,7 +14,7 @@ Layering (bottom up):
   trainers, serving and the performance model consume.
 - :mod:`repro.runtime.faults` — deterministic fault injection
   (:class:`FaultPlan` schedules, :class:`FaultyTransport` wrapper) for
-  the chaos test tier and recovery benchmarks.
+  the chaos test tier.
 """
 
 from repro.runtime.buckets import BucketLayout, BucketSlot, GradientBucketer

@@ -7,9 +7,7 @@ traffic accounting by category — while the transport behind it decides
 whether ranks are simulated (:meth:`ProcessGroup.sim`), real threads
 (:meth:`ProcessGroup.threads`), forked processes on a shared-memory
 data plane (:meth:`ProcessGroup.processes`) or forked processes over
-TCP (:meth:`ProcessGroup.sockets`).  Method names match the historical
-``SimCommunicator`` surface, so the deprecated shim in
-:mod:`repro.distributed.comm` is nothing but a constructor.
+TCP (:meth:`ProcessGroup.sockets`).
 """
 
 from __future__ import annotations
@@ -150,8 +148,7 @@ class ProcessGroup:
 def as_process_group(comm, *, world_size: int | None = None) -> ProcessGroup:
     """Normalise anything comm-like into a :class:`ProcessGroup`.
 
-    Accepts a ``ProcessGroup`` (returned as-is, including the deprecated
-    ``SimCommunicator`` subclass), any object satisfying the
+    Accepts a ``ProcessGroup`` (returned as-is), any object satisfying the
     :class:`Transport` protocol — third-party fabrics plug in here — or
     ``None`` with an explicit ``world_size`` (builds the default
     simulated group).

@@ -11,9 +11,8 @@ A :class:`Transport` answers two questions for the layers above it:
    transfers are *charged* through :meth:`Transport.collective` /
    :meth:`Transport.p2p`: :class:`SimTransport` prices them with the
    :mod:`repro.cluster` alpha-beta cost models on per-rank
-   :class:`~repro.profiling.clock.SimClock`\\ s (exactly the semantics the
-   old ``SimCommunicator`` had), while :class:`ThreadTransport` records
-   measured wall seconds.
+   :class:`~repro.profiling.clock.ManualClock`\\ s, while
+   :class:`ThreadTransport` records measured wall seconds.
 
 The numeric *data movement* of a collective lives one layer up, in
 :mod:`repro.runtime.collectives`, implemented once against this protocol;
@@ -32,7 +31,7 @@ import numpy as np
 
 from repro.cluster.costmodel import CommCostModel
 from repro.cluster.topology import ClusterTopology
-from repro.profiling.clock import SimClock
+from repro.profiling.clock import ManualClock
 from repro.utils.errors import CommunicatorError
 
 #: Collective kinds a transport knows how to price.
@@ -108,8 +107,7 @@ def _check_rank(world_size: int, rank: int) -> None:
 class SimTransport:
     """Simulated fabric: per-rank clocks + alpha-beta cost models.
 
-    Preserves the original ``SimCommunicator`` semantics exactly: a
-    collective synchronises every participant to ``max(rank clocks) +
+    A collective synchronises every participant to ``max(rank clocks) +
     op_time`` (the straggler semantics of a blocking collective), and
     every charge records bytes per traffic category.
     """
@@ -125,7 +123,7 @@ class SimTransport:
             raise CommunicatorError(
                 "cost model topology does not match world size")
         self.cost = cost_model or CommCostModel(self.topology)
-        self.clocks = [SimClock() for _ in range(world_size)]
+        self.clocks = [ManualClock() for _ in range(world_size)]
         self.stats = CommStats()
         # Per-rank cumulative time attribution.
         self.compute_time = np.zeros(world_size)

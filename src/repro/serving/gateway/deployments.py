@@ -16,8 +16,8 @@ untouched), the blue queue is then drained — every in-flight request
 completes against the version it was admitted under — and only then does
 the service pointer flip.  Zero requests are dropped; the drained
 forecasts are returned so the caller can deliver them, and every swap is
-recorded as a :class:`SwapRecord` (``gateway_bench`` gates on the
-zero-drop invariant).
+recorded as a :class:`SwapRecord` (the gateway tests pin the zero-drop
+invariant).
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ version must produce bitwise-identical predictions.  The cache exploits
 that purity — entries are keyed on ``(deployment, version, sensor-set,
 window hash)`` and a hit returns a copy of the stored prediction array,
 **bitwise equal** to what recomputation would have produced (the gateway
-tests and ``gateway_bench`` both pin this).
+tests pin this).
 
 Time is the gateway's clock (simulated or wall), so TTL expiry is exactly
 as reproducible as the request schedule that drives it.  Capacity is

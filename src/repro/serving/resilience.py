@@ -17,7 +17,7 @@ the request schedule that caused it:
   stays open for ``reset_timeout`` clock seconds, then admits exactly
   one probe; a healthy probe closes it, anything else re-opens it.
   Every transition is recorded as a :class:`CircuitTransition` (the
-  chaos bench pins the full transition list bit-for-bit across reruns).
+  chaos tests pin the full transition list bit-for-bit across reruns).
 - :class:`ResiliencePolicy` bundles the knobs, including the graceful
   degradation ladder the gateway walks when a deployment is down:
   serve a stale-but-fingerprint-matching result-cache entry, fall back
@@ -438,7 +438,7 @@ class GatewayResilience:
     def transitions(self, deployment: str | None = None) -> list[dict]:
         """All recorded circuit transitions (one deployment's, or every
         deployment's merged in time order) as plain dicts — the chaos
-        bench's determinism pin."""
+        tests' determinism pin."""
         if deployment is not None:
             return [t.to_dict()
                     for t in self.breaker(deployment).transitions]

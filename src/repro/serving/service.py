@@ -22,29 +22,9 @@ from typing import Any, Callable
 
 import numpy as np
 
+from repro.profiling.clock import ManualClock
 from repro.serving.queue import ForecastRequest, MicroBatchQueue
 from repro.utils.errors import SessionFailure, ShapeError
-
-
-class ManualClock:
-    """An explicitly-advanced clock (seconds).  Callable like
-    ``time.perf_counter`` so queues and services share it."""
-
-    def __init__(self, start: float = 0.0):
-        self.now = float(start)
-
-    def __call__(self) -> float:
-        return self.now
-
-    def advance(self, seconds: float) -> float:
-        if seconds < 0:
-            raise ValueError("clock cannot run backwards")
-        self.now += seconds
-        return self.now
-
-    def advance_to(self, t: float) -> float:
-        self.now = max(self.now, float(t))
-        return self.now
 
 
 @dataclass

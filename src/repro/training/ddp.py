@@ -106,8 +106,7 @@ class DDPTrainer:
         Parameters
         ----------
         comm: a :class:`ProcessGroup` (``ProcessGroup.sim(world)`` /
-            ``ProcessGroup.threads(world)``), a bare transport, or the
-            deprecated ``SimCommunicator``.
+            ``ProcessGroup.threads(world)``) or a bare transport.
         step_time_fn: maps microbatch size -> simulated compute seconds
             (defaults to the model's analytic flop model on an A100).
         batch_bytes_fn: maps microbatch size -> bytes a worker must pull

@@ -138,6 +138,7 @@ class TestChaosUnderLoad:
         assert report.failed == 0
         assert report.deadline_misses == 0
         assert report.degraded > 0          # the chaos actually bit
+        assert gw.resilience.restarts >= 1  # the probe revived the session
         assert gw.stats.completed == gw.stats.admitted
         assert not gw._pending
 

@@ -11,7 +11,7 @@ from repro.hardware import (
     polaris_gpu,
     polaris_host,
 )
-from repro.profiling import SimClock
+from repro.profiling import ManualClock
 from repro.utils.errors import OutOfMemoryError
 from repro.utils.sizes import GB, format_bytes
 
@@ -77,7 +77,7 @@ class TestMemorySpace:
         assert m.in_use == 40
 
     def test_events_timeline_with_clock(self):
-        clock = SimClock()
+        clock = ManualClock()
         m = MemorySpace("m", clock=clock)
         m.allocate("x", 10)
         clock.advance(5.0)

@@ -9,12 +9,12 @@ import pytest
 
 from repro.batching import IndexBatchLoader, StandardBatchLoader
 from repro.datasets import load_dataset
-from repro.distributed import SimCommunicator
 from repro.graph import dual_random_walk_supports
 from repro.hardware.memory import MemorySpace
 from repro.models import PGTDCRNN, TGCN
 from repro.optim import Adam, MultiStepLR
 from repro.preprocessing import IndexDataset, standard_preprocess
+from repro.runtime import ProcessGroup
 from repro.training import (
     DDPStrategy,
     DDPTrainer,
@@ -103,7 +103,7 @@ class TestDistributedWorkflowWithMemoryAccounting:
         supports = dual_random_walk_supports(ds.graph.weights)
         model = PGTDCRNN(supports, 4, 2, hidden_dim=8, seed=5)
         trainer = DDPTrainer(
-            model, Adam(model.parameters(), lr=0.01), SimCommunicator(world),
+            model, Adam(model.parameters(), lr=0.01), ProcessGroup.sim(world),
             IndexBatchLoader(replicas[0], "train", 8),
             IndexBatchLoader(replicas[0], "val", 8),
             strategy=DDPStrategy.DIST_INDEX, scaler=replicas[0].scaler,

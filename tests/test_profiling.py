@@ -2,28 +2,28 @@
 
 import pytest
 
-from repro.profiling import RunReport, SimClock, format_table
+from repro.profiling import ManualClock, RunReport, format_table
 
 
-class TestSimClock:
+class TestManualClock:
     def test_advance(self):
-        c = SimClock()
+        c = ManualClock()
         assert c.advance(2.5) == 2.5
-        assert c.now == 2.5
+        assert c.now == c() == 2.5      # callable like time.perf_counter
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            SimClock().advance(-1.0)
+            ManualClock().advance(-1.0)
 
     def test_advance_to_only_forward(self):
-        c = SimClock(10.0)
+        c = ManualClock(10.0)
         c.advance_to(5.0)
         assert c.now == 10.0
         c.advance_to(15.0)
         assert c.now == 15.0
 
     def test_repr(self):
-        assert "now=" in repr(SimClock(1.0))
+        assert "now=" in repr(ManualClock(1.0))
 
 
 class TestFormatTable:

@@ -5,10 +5,10 @@ import pytest
 
 from repro.batching import IndexBatchLoader
 from repro.datasets import load_dataset
-from repro.distributed import SimCommunicator
 from repro.graph import dual_random_walk_supports
 from repro.models import PGTDCRNN
 from repro.preprocessing import IndexDataset
+from repro.runtime import ProcessGroup
 from repro.training.replicated import ReplicatedDDPTrainer
 from repro.utils.errors import CommunicatorError
 
@@ -29,7 +29,7 @@ class TestReplicatedDDP:
     def test_replicas_stay_in_sync_through_training(self, setup):
         idx, factory = setup
         trainer = ReplicatedDDPTrainer(
-            factory, SimCommunicator(4),
+            factory, ProcessGroup.sim(4),
             IndexBatchLoader(idx, "train", 8), seed=0, sync_check=True)
         loss = trainer.train_epoch(0)
         assert np.isfinite(loss)
@@ -43,7 +43,7 @@ class TestReplicatedDDP:
 
         idx, factory = setup
         rep = ReplicatedDDPTrainer(
-            factory, SimCommunicator(4),
+            factory, ProcessGroup.sim(4),
             IndexBatchLoader(idx, "train", 8), lr=0.01, seed=11,
             sync_check=False)
         rep.train_epoch(0)
@@ -51,7 +51,7 @@ class TestReplicatedDDP:
         shared_model = factory()
         shared = DDPTrainer(
             shared_model, Adam(shared_model.parameters(), lr=0.01),
-            SimCommunicator(4), IndexBatchLoader(idx, "train", 8),
+            ProcessGroup.sim(4), IndexBatchLoader(idx, "train", 8),
             shuffle="global", seed=11, clip_norm=0.0)
         shared.train_epoch(0)
 
@@ -71,13 +71,13 @@ class TestReplicatedDDP:
             return PGTDCRNN(supports, 4, 2, hidden_dim=8, seed=counter["n"])
 
         with pytest.raises(CommunicatorError):
-            ReplicatedDDPTrainer(bad_factory, SimCommunicator(2),
+            ReplicatedDDPTrainer(bad_factory, ProcessGroup.sim(2),
                                  IndexBatchLoader(idx, "train", 8))
 
     def test_sync_assert_catches_drift(self, setup):
         idx, factory = setup
         trainer = ReplicatedDDPTrainer(
-            factory, SimCommunicator(2),
+            factory, ProcessGroup.sim(2),
             IndexBatchLoader(idx, "train", 8), sync_check=False)
         trainer.replicas[1].proj.weight.data += 1.0  # inject drift
         with pytest.raises(CommunicatorError):

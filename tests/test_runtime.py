@@ -6,8 +6,8 @@ facade — and the two refactor guarantees this layer was built under:
 
 - **Behavior preservation**: fixed-seed ``DDPTrainer`` loss curves and
   per-category byte counts under ``SimTransport`` are pinned to the
-  values the pre-refactor ``SimCommunicator`` produced (captured at the
-  parent commit with the same data/model/seed).
+  values the pre-refactor simulated communicator produced (captured at
+  the parent commit with the same data/model/seed).
 - **Cross-transport equivalence**: ``SimTransport`` and
   ``ThreadTransport`` produce bitwise-identical fixed-seed training for
   all three DDP strategies.
@@ -414,7 +414,7 @@ def _fit_ddp(idx, supports, strategy, pg, *, epochs=3, model_factory=None,
 
 
 #: Fixed-seed baselines captured at the parent commit with the original
-#: ``SimCommunicator`` (world 4, 3 epochs, pems-bay nodes=8 entries=220
+#: simulated communicator (world 4, 3 epochs, pems-bay nodes=8 entries=220
 #: seed=3, PGT-DCRNN hidden 8, Adam lr 0.01, batch 8).
 PRE_REFACTOR = {
     DDPStrategy.BASELINE_DDP: (
@@ -505,6 +505,10 @@ class TestCrossTransportEquivalence:
         assert (tr1.comm.stats.bytes_by_category["gradient"]
                 == tr2.comm.stats.bytes_by_category["gradient"])
         assert tr2.comm.stats.ops > tr1.comm.stats.ops
+        # ...and pays ring latency per tensor instead of per bucket (the
+        # bandwidth terms are equal, so a rounding-only gap does not count).
+        assert tr2.comm.now > tr1.comm.now
+        assert tr2.comm.now != pytest.approx(tr1.comm.now)
 
     def test_mismatched_factory_rejected(self, tiny_setup):
         idx, supports = tiny_setup

@@ -500,19 +500,3 @@ class TestLoadGenerator:
     def test_rejects_bad_pool(self, trained):
         with pytest.raises(ShapeError):
             LoadGenerator(synthetic_service(trained), np.zeros((4, 8, 2)))
-
-
-class TestServeBenchHarness:
-    def test_quick_suite_writes_valid_section(self, tmp_path):
-        from benchmarks.serve_bench import (
-            collect_serving, diff_serving, merge_into_snapshot,
-            validate_serving)
-        section = collect_serving(quick=True)
-        validate_serving(section)
-        target = tmp_path / "BENCH_T.json"
-        merge_into_snapshot(section, target)
-        merged = __import__("json").loads(target.read_text())
-        assert merged["serving"]["scenarios"].keys() == \
-            section["scenarios"].keys()
-        d = diff_serving(merged, merged)
-        assert all(v["qps_speedup"] == 1.0 for v in d.values())

@@ -5,11 +5,11 @@ import pytest
 
 from repro.batching import IndexBatchLoader
 from repro.datasets import load_dataset
-from repro.distributed import SimCommunicator
 from repro.graph import dual_random_walk_supports
 from repro.models import PGTDCRNN
 from repro.optim import Adam
 from repro.preprocessing import IndexDataset
+from repro.runtime import ProcessGroup
 from repro.training import (
     DDPStrategy,
     DDPTrainer,
@@ -108,7 +108,7 @@ class TestDDPTrainer:
         ds, idx, supports = tiny_setup
         model = _model(supports, seed=seed)
         opt = Adam(model.parameters(), lr=0.01)
-        comm = SimCommunicator(world)
+        comm = ProcessGroup.sim(world)
         return DDPTrainer(
             model, opt, comm,
             IndexBatchLoader(idx, "train", 8),
@@ -196,7 +196,7 @@ class TestDDPEquivalence:
         def run(world, batch):
             model = _model(supports, seed=42)
             opt = Adam(model.parameters(), lr=0.01)
-            comm = SimCommunicator(world)
+            comm = ProcessGroup.sim(world)
             tr = DDPTrainer(model, opt, comm,
                             IndexBatchLoader(idx, "train", batch),
                             shuffle="global", seed=7, clip_norm=0.0)
