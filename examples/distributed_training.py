@@ -11,9 +11,8 @@ each — the small-scale analogue of Figures 7 and 9.  Each strategy is one
 ``RunSpec``; the ``ProcessGroup.stats`` traffic accounting comes from the
 run's artifacts.  The last run repeats dist-index on a second fabric
 (``--transport``: ``thread`` = one real thread per rank, ``process`` =
-one forked interpreter per rank over shared memory, ``socket`` = forked
-ranks over TCP frames) to show the same fixed-seed loss curve training
-on a different fabric.
+one forked interpreter per rank over shared memory) to show the same
+fixed-seed loss curve training on a different fabric.
 
 Run:  python examples/distributed_training.py [--transport process]
 """
@@ -43,8 +42,7 @@ def run_strategy(strategy: str, scale: str, world: int, epochs: int,
               f"(tiny model on simulated A100s)")
     else:
         kind = {"thread": "rank threads",
-                "process": "forked rank processes",
-                "socket": "rank processes over TCP"}[transport]
+                "process": "forked rank processes"}[transport]
         print(f"  measured wall     : {comm.now * 1e3:.1f} ms "
               f"({world} {kind})")
     print(f"  comm breakdown    : {traffic}")

@@ -18,7 +18,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro import kernels
 from repro.api.builders import LoaderBundle, ModelContext, default_in_features
 from repro.api.registry import BATCHINGS, DATASETS, MODELS, OPTIMIZERS
 from repro.api.scales import Scale, get_scale
@@ -30,7 +29,6 @@ from repro.runtime import (
     ProcessGroup,
     ProcessTransport,
     SimTransport,
-    SocketTransport,
     ThreadTransport,
 )
 from repro.training.ddp import DDPStrategy, DDPTrainer
@@ -149,31 +147,27 @@ def run(spec: RunSpec, *, scale: Scale | None = None,
                        hidden_dim=scale.hidden_dim, seed=spec.seed)
     epochs = spec.epochs if spec.epochs is not None else scale.epochs
     restarts = 0
-    # Model construction and training dispatch through the kernel backend
-    # the spec names ("auto" keeps the process default, i.e. numpy unless
-    # REPRO_KERNEL_BACKEND overrides it).
-    with kernels.use_backend(spec.backend):
-        if spec.strategy == "single":
-            model = MODELS.get(spec.model)(ctx)
-            trainable = [p for p in model.parameters() if p.requires_grad]
-            optimizer = OPTIMIZERS.get(spec.optimizer)(trainable, spec.lr)
-            trainer = Trainer(model, optimizer, bundle.train, bundle.val,
-                              scaler=bundle.scaler, seed=spec.seed)
-            history = trainer.fit(epochs, verbose=verbose)
-        elif spec.faults:
-            # Chaos scenario: inject the scheduled faults through a
-            # FaultyTransport and train with checkpoint/restart recovery.
-            # Every restart rebuilds model + optimizer from the seed and
-            # resumes from the last per-step checkpoint, so the finished
-            # curve is bitwise identical to a fault-free run.
-            trainer, history, report = _run_with_faults(
-                spec, ctx, bundle, epochs, verbose=verbose)
-            model, optimizer = trainer.model, trainer.optimizer
-            restarts = report.restarts
-        else:
-            trainer = _build_ddp_trainer(spec, ctx, bundle)
-            model, optimizer = trainer.model, trainer.optimizer
-            history = trainer.fit(epochs, verbose=verbose)
+    if spec.strategy == "single":
+        model = MODELS.get(spec.model)(ctx)
+        trainable = [p for p in model.parameters() if p.requires_grad]
+        optimizer = OPTIMIZERS.get(spec.optimizer)(trainable, spec.lr)
+        trainer = Trainer(model, optimizer, bundle.train, bundle.val,
+                          scaler=bundle.scaler, seed=spec.seed)
+        history = trainer.fit(epochs, verbose=verbose)
+    elif spec.faults:
+        # Chaos scenario: inject the scheduled faults through a
+        # FaultyTransport and train with checkpoint/restart recovery.
+        # Every restart rebuilds model + optimizer from the seed and
+        # resumes from the last per-step checkpoint, so the finished
+        # curve is bitwise identical to a fault-free run.
+        trainer, history, report = _run_with_faults(
+            spec, ctx, bundle, epochs, verbose=verbose)
+        model, optimizer = trainer.model, trainer.optimizer
+        restarts = report.restarts
+    else:
+        trainer = _build_ddp_trainer(spec, ctx, bundle)
+        model, optimizer = trainer.model, trainer.optimizer
+        history = trainer.fit(epochs, verbose=verbose)
     runtime = time.perf_counter() - t0
 
     return RunResult(
@@ -201,9 +195,9 @@ def _build_ddp_trainer(spec: RunSpec, ctx: ModelContext,
     seed, the transport chosen by ``spec.transport`` ('sim' = sequential
     ranks with simulated cost accounting; 'thread' = one real thread per
     rank on per-rank replicas — the model builder is deterministic in
-    the seed, so replicas initialise identically; 'process' / 'socket' =
-    one forked interpreter per rank, where the fork snapshot is the
-    replica), optionally wrapped in a :class:`FaultyTransport` and
+    the seed, so replicas initialise identically; 'process' = one forked
+    interpreter per rank, where the fork snapshot is the replica),
+    optionally wrapped in a :class:`FaultyTransport` and
     configured for per-step checkpointing.
     """
     model = MODELS.get(spec.model)(ctx)
@@ -215,8 +209,6 @@ def _build_ddp_trainer(spec: RunSpec, ctx: ModelContext,
         factory = lambda: MODELS.get(spec.model)(ctx)  # noqa: E731
     elif spec.transport == "process":
         base = ProcessTransport(spec.world_size)
-    elif spec.transport == "socket":
-        base = SocketTransport(spec.world_size)
     else:
         base = SimTransport(spec.world_size)
     transport = base if plan is None else FaultyTransport(base, plan)

@@ -34,10 +34,9 @@ SHUFFLES = ("global", "local", "batch")
 #: Rank-execution transports for distributed strategies: ``sim`` runs
 #: ranks sequentially with simulated time and byte accounting;
 #: ``thread`` runs one real thread per rank; ``process`` forks one real
-#: interpreter per rank with a zero-copy shared-memory data plane;
-#: ``socket`` forks ranks that report over TCP length-prefixed frames.
-#: All four train bitwise-identical curves.
-TRANSPORTS = ("sim", "thread", "process", "socket")
+#: interpreter per rank with a zero-copy shared-memory data plane.
+#: All three train bitwise-identical curves.
+TRANSPORTS = ("sim", "thread", "process")
 
 
 @dataclass(frozen=True)
@@ -63,19 +62,11 @@ class RunSpec:
         one of :data:`TRANSPORTS`; how distributed ranks execute
         (``sim`` = sequential + simulated cost accounting, ``thread`` =
         one real thread per rank, ``process`` = forked interpreters over
-        shared memory, ``socket`` = forked interpreters over TCP).  Must
-        stay ``sim`` for ``single``.
+        shared memory).  Must stay ``sim`` for ``single``.
     shuffle:
         DDP shuffle mode override (``None`` = the strategy's default).
     epochs:
         override of the scale preset's epoch budget (``None`` = preset).
-    backend:
-        compute-kernel backend for the training hot path: ``"auto"``
-        (the process default — numpy unless ``REPRO_KERNEL_BACKEND``
-        says otherwise) or a name from
-        :func:`repro.kernels.available_backends`.  The numpy backend is
-        bit-exact with the seed implementation; compiled backends are
-        parity-gated at 1e-6.
     faults:
         optional chaos schedule: a tuple of encoded
         :class:`~repro.runtime.faults.FaultEvent` strings (e.g.
@@ -85,6 +76,8 @@ class RunSpec:
         :class:`~repro.runtime.faults.FaultyTransport` and trains with
         checkpoint/restart recovery, so the run completes with the same
         curve as a fault-free run.  Requires a distributed strategy.
+        An empty schedule is the same experiment as no schedule and is
+        stored as ``None``.
     """
 
     dataset: str
@@ -100,7 +93,6 @@ class RunSpec:
     epochs: int | None = None
     transport: str = "sim"
     faults: tuple | None = None
-    backend: str = "auto"
 
     # ------------------------------------------------------------------
     def __post_init__(self):
@@ -144,17 +136,15 @@ class RunSpec:
         if self.strategy == "single" and self.transport != "sim":
             raise ValueError("strategy 'single' has no rank execution to "
                              "distribute; transport must stay 'sim'")
-        if self.backend != "auto":
-            from repro import kernels
-
-            kernels.get_backend(self.backend)  # loud on unknown/unavailable
+        # Normalise: JSON round-trips tuples as lists, and an empty
+        # schedule is no schedule.
+        faults = None if self.faults is None else tuple(self.faults)
+        object.__setattr__(self, "faults", faults or None)
         if self.faults is not None:
-            # Normalise (JSON round-trips tuples as lists) then validate
-            # by actually parsing the plan — a typo'd event fails here,
-            # before any data is generated.
+            # Validate by actually parsing the plan — a typo'd event fails
+            # here, before any data is generated.
             from repro.runtime.faults import FaultPlan
 
-            object.__setattr__(self, "faults", tuple(self.faults))
             if self.strategy == "single":
                 raise ValueError(
                     "fault injection rides on the DDP recovery path; pick "

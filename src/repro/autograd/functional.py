@@ -12,7 +12,6 @@ from typing import Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from repro import kernels
 from repro.autograd.buffers import GRAD_POOL
 from repro.autograd.sparse_kernels import prepared_csr
 from repro.autograd.tensor import Tensor, as_tensor, unbroadcast
@@ -248,91 +247,6 @@ def gru_update(u: Tensor, h: Tensor, cand: Tensor) -> Tensor:
             u._accumulate(unbroadcast(gu, ud.shape))
             h._accumulate(unbroadcast(g * ud, hd.shape))
             cand._accumulate(unbroadcast(g * one_minus_u, cd.shape))
-
-        out._backward = _bw
-    return out
-
-
-def gru_gates(pre: Tensor, h: Tensor) -> tuple[Tensor, Tensor]:
-    """Fused GRU gate block: one backend kernel instead of four ops.
-
-    ``pre`` holds both gate pre-activations ``[..., 2*H]`` (reset gate in
-    the first half, update gate in the second, matching the cells' weight
-    layout); ``h`` is the previous state ``[..., H]``.  Returns
-    ``(r * h, u)`` where ``r``/``u`` are the sigmoid halves — exactly the
-    two values the GRU recurrence consumes.  The whole
-    sigmoid/slice/multiply chain runs as a single pass on backends that
-    provide it; the numpy backend's reference implementation defines the
-    semantics (and the stable-sigmoid numerics) compiled kernels must
-    match.
-    """
-    pre = as_tensor(pre)
-    h = as_tensor(h, like=pre)
-    hidden = h.shape[-1]
-    if pre.shape != h.shape[:-1] + (2 * hidden,):
-        raise ShapeError(f"gru_gates expects pre [..., {2 * hidden}] matching "
-                         f"h {h.shape}, got {pre.shape}")
-    backend = kernels.active_backend()
-    s = np.empty(pre.shape, pre.dtype)       # both activations, kept for bwd
-    rh_data = np.empty(h.shape, pre.dtype)
-    backend.gru_gates_fwd(pre.data, h.data, s, rh_data)
-    rh = pre._make(rh_data, (pre, h))
-    u = pre._make(s[..., hidden:], (pre,))
-    if rh.requires_grad:
-
-        def _bw_rh(g: np.ndarray) -> None:
-            dpre = _pooled_empty(pre.shape, pre.dtype)
-            dh = _pooled_empty(h.shape, h.dtype)
-            backend.gru_gates_bwd_rh(g, s, h.data, dpre, dh)
-            pre._accumulate(dpre)
-            h._accumulate(dh)
-            GRAD_POOL.give(dpre)
-            GRAD_POOL.give(dh)
-
-        rh._backward = _bw_rh
-    if u.requires_grad:
-
-        def _bw_u(g: np.ndarray) -> None:
-            dpre = _pooled_empty(pre.shape, pre.dtype)
-            backend.gru_gates_bwd_u(g, s, dpre)
-            pre._accumulate(dpre)
-            GRAD_POOL.give(dpre)
-
-        u._backward = _bw_u
-    return rh, u
-
-
-def gru_blend(u: Tensor, h: Tensor, cand_pre: Tensor) -> Tensor:
-    """Fused GRU candidate + state update: ``u*h + (1-u)*tanh(cand_pre)``.
-
-    Folds the candidate tanh into the blend so the whole cell tail is one
-    graph node.  All three inputs share the state shape ``[..., H]``; the
-    tanh output is retained for the backward pass (``1 - c**2``).
-    """
-    u = as_tensor(u)
-    h = as_tensor(h, like=u)
-    cand_pre = as_tensor(cand_pre, like=u)
-    if not (u.shape == h.shape == cand_pre.shape):
-        raise ShapeError(f"gru_blend expects matching shapes, got "
-                         f"{u.shape}/{h.shape}/{cand_pre.shape}")
-    backend = kernels.active_backend()
-    c = np.empty(u.shape, u.dtype)           # tanh(cand_pre), kept for bwd
-    data = np.empty(u.shape, u.dtype)
-    backend.gru_blend_fwd(u.data, h.data, cand_pre.data, c, data)
-    out = u._make(data, (u, h, cand_pre))
-    if out.requires_grad:
-
-        def _bw(g: np.ndarray) -> None:
-            du = _pooled_empty(u.shape, u.dtype)
-            dh = _pooled_empty(h.shape, h.dtype)
-            dcpre = _pooled_empty(cand_pre.shape, cand_pre.dtype)
-            backend.gru_blend_bwd(g, u.data, h.data, c, du, dh, dcpre)
-            u._accumulate(du)
-            h._accumulate(dh)
-            cand_pre._accumulate(dcpre)
-            GRAD_POOL.give(du)
-            GRAD_POOL.give(dh)
-            GRAD_POOL.give(dcpre)
 
         out._backward = _bw
     return out

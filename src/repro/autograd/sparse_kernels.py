@@ -8,10 +8,8 @@ every backward — which profiling shows dominates small-scale training.
 
 This module keeps a bounded cache of *prepared* supports: the CSR arrays
 cast to the compute dtype plus the precomputed CSR transpose.  The actual
-product is dispatched through :mod:`repro.kernels` — the numpy backend
-runs scipy's C kernel (``csr_matvecs``) directly into a caller-provided
-output buffer, and compiled backends substitute their own node-parallel
-kernels with identical accumulation order.
+product lives in :mod:`repro.kernels`, which runs scipy's C kernel
+(``csr_matvecs``) directly into a caller-provided output buffer.
 
 The cache is bounded on two axes: at most ``_PREPARED_MAX`` distinct
 support matrices (FIFO, like the api-layer caches), and at most
@@ -57,8 +55,7 @@ class PreparedCSR:
         """``out[:] = A @ x`` for C-contiguous 2-D ``x``; no allocation.
 
         ``x`` is ``[n, v]``, ``out`` is ``[m, v]``; both must match the
-        prepared dtype (the kernels are monomorphic).  Dispatches to the
-        active :mod:`repro.kernels` backend.
+        prepared dtype (the kernel is monomorphic).
         """
         return kernels.active_backend().csr_matmul_out(self, x, out)
 

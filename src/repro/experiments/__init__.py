@@ -14,7 +14,3 @@ Two execution modes appear:
   performance model at full PeMS scale (runtime/memory results:
   Tables 1/2/4, Figures 2/3/6/7/9/10).
 """
-
-from repro.experiments import config
-
-__all__ = ["config"]

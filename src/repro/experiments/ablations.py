@@ -21,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.api.scales import Scale, get_scale
 from repro.batching import IndexBatchLoader
 from repro.datasets import get_spec, load_dataset
-from repro.experiments.config import Scale, get_scale
 from repro.graph import dual_random_walk_supports, partition_graph
 from repro.models import PGTDCRNN
 from repro.optim import Adam

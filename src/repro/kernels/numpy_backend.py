@@ -1,17 +1,15 @@
-"""The always-available NumPy/SciPy backend — the reference numerics.
+"""The NumPy/SciPy kernels: the reference numerics of the hot path.
 
-The CSR product and the diffusion hop/backward chains here are the exact
-code the autograd layer ran before ``repro.kernels`` existed (scipy's
-``csr_matvecs`` C kernel into caller buffers, rotating ping/pong hop
-scratch), moved verbatim so the default path stays byte-for-byte
-identical across the refactor.  The fused-GRU methods are vectorised
-references: ``gru_cell_step`` routes through them only on backends that
-set ``fused_gru`` (this one does not — batch-major cells keep their
-original op composition), and ``DCGRUCell.step`` runs its elementwise
-tail as in-place NumPy on every backend (each of these kernels writes a
-full-width ``dpre``, so sharing them would add two half-zero passes and a
-sum per step).  They define the semantics the compiled backend must match
-and give the parity tests a target that runs everywhere.
+The CSR product and the diffusion hop/backward chains run scipy's
+``csr_matvecs`` C kernel into caller buffers with rotating ping/pong hop
+scratch; every fixed-seed curve in the test suite is pinned to their
+accumulation order.
+
+``gru_gates_fwd`` is the one GRU kernel here.  No model calls it: the
+batch-major cells compose Tensor ops (``nn.rnn.gru_cell_step``) and
+``DCGRUCell.step`` runs its elementwise tail as in-place NumPy.  It stays
+because the end-to-end benchmark's per-layer probe ``kernels.gru_gates_ms``
+times it at each workload's shapes.
 """
 
 from __future__ import annotations
@@ -34,12 +32,9 @@ def stable_sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 class NumpyBackend:
-    """Pure NumPy/SciPy kernels; the bit-exact default everywhere."""
+    """Pure NumPy/SciPy kernels; the bit-exact reference."""
 
     name = "numpy"
-    compiled = False
-    #: The GRU cells keep the seed op composition on this backend.
-    fused_gru = False
 
     # -- sparse ---------------------------------------------------------
     def csr_matmul_out(self, prep, x: np.ndarray,
@@ -100,46 +95,10 @@ class NumpyBackend:
         self.csr_matmul_out(prep_t, acc.reshape(n, -1), nxt.reshape(n, -1))
         gx += nxt
 
-    # -- fused GRU ------------------------------------------------------
+    # -- GRU gates (benchmark probe) ----------------------------------
     def gru_gates_fwd(self, pre: np.ndarray, h: np.ndarray, s: np.ndarray,
                       rh: np.ndarray) -> None:
         """``s = sigmoid(pre)`` (both gates), ``rh = s[..., :H] * h``."""
         hidden = h.shape[-1]
         s[...] = stable_sigmoid(pre)
         np.multiply(s[..., :hidden], h, out=rh)
-
-    def gru_gates_bwd_rh(self, g: np.ndarray, s: np.ndarray, h: np.ndarray,
-                         dpre: np.ndarray, dh: np.ndarray) -> None:
-        """Backward of the ``rh`` output w.r.t. ``pre`` (reset half) and ``h``."""
-        hidden = h.shape[-1]
-        r = s[..., :hidden]
-        dpre[..., :hidden] = g * h * r * (1.0 - r)
-        dpre[..., hidden:] = 0.0
-        np.multiply(g, r, out=dh)
-
-    def gru_gates_bwd_u(self, g: np.ndarray, s: np.ndarray,
-                        dpre: np.ndarray) -> None:
-        """Backward of the ``u`` output w.r.t. ``pre`` (update half)."""
-        hidden = g.shape[-1]
-        u = s[..., hidden:]
-        dpre[..., :hidden] = 0.0
-        dpre[..., hidden:] = g * u * (1.0 - u)
-
-    def gru_blend_fwd(self, u: np.ndarray, h: np.ndarray,
-                      cand_pre: np.ndarray, c: np.ndarray,
-                      out: np.ndarray) -> None:
-        """``c = tanh(cand_pre)``; ``out = u*h + (1-u)*c`` in one pass."""
-        np.tanh(cand_pre, out=c)
-        np.multiply(u, h, out=out)
-        out += (1.0 - u) * c
-
-    def gru_blend_bwd(self, g: np.ndarray, u: np.ndarray, h: np.ndarray,
-                      c: np.ndarray, du: np.ndarray, dh: np.ndarray,
-                      dcpre: np.ndarray) -> None:
-        """Gradients of the blend w.r.t. ``u``, ``h`` and ``cand_pre``."""
-        np.subtract(h, c, out=du)
-        du *= g
-        np.multiply(g, u, out=dh)
-        np.subtract(1.0, u, out=dcpre)
-        dcpre *= g
-        dcpre *= 1.0 - c * c

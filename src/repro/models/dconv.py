@@ -9,29 +9,26 @@ i.e. features are propagated 0..K hops along each diffusion direction and
 the concatenated hop features are mixed by a dense map.  The number of
 concatenated blocks is ``1 + S*K`` (identity hop counted once).
 
-Two execution paths compute identical math:
+The layer works **node-major**: ``[nodes, batch, F]`` is the layout in
+which one CSR product covers the whole batch and the hop block is a plain
+2-D GEMM operand, so the work lives in a node-major core (``_hops_gemm`` /
+``_gemm_hops_backward``) that writes hops straight into slices of one
+``[nodes, batch, num_matrices * in_dim]`` block and runs sparse products
+through the prepared-CSR kernel into scratch that persists across steps.
+The core has two thin entry points: :meth:`DiffusionConv.forward`
+(batch-major in and out, one transposed copy each way, one autograd node)
+and :meth:`repro.models.dcrnn.DCGRUCell.step` (already node-major, no
+copies, both convolutions inside one node).  Backward owns only the hop
+block of its call (it is the GEMM input whose transpose gives the weight
+gradient); every gradient buffer is per-layer scratch, valid until that
+layer's next backward, so callers accumulate from it before returning.
+Within one backward the weight gradient accumulates before the bias
+gradient, and a caller decides where the input gradient goes: the order
+of those ``_accumulate`` calls is part of the fixed-seed curves.
 
-- the **fused** path (default) works **node-major**: ``[nodes, batch, F]``
-  is the layout in which one CSR product covers the whole batch and the
-  hop block is a plain 2-D GEMM operand, so the work lives in a
-  node-major core (``_hops_gemm`` / ``_gemm_hops_backward``) that writes
-  hops straight into slices of one ``[nodes, batch, num_matrices *
-  in_dim]`` block and runs sparse products through the prepared-CSR
-  kernel into scratch that persists across steps.  The core has two thin
-  entry points: :meth:`DiffusionConv.forward` (batch-major in and out,
-  one transposed copy each way, one autograd node) and
-  :meth:`repro.models.dcrnn.DCGRUCell.step` (already node-major, no
-  copies, both convolutions inside one node).  Backward owns only the hop
-  block of its call (it is the GEMM input whose transpose gives the
-  weight gradient); every gradient buffer is per-layer scratch, valid
-  until that layer's next backward, so callers accumulate from it before
-  returning.  Within one backward the weight gradient accumulates before
-  the bias gradient, and a caller decides where the input gradient goes:
-  the order of those ``_accumulate`` calls is part of the fixed-seed
-  curves.
-- the **naive** path composes the public autograd ops exactly as the seed
-  implementation did.  It exists as the parity reference: tests assert
-  both paths agree to float tolerance in both dtypes.
+:meth:`DiffusionConv._forward_naive` composes the public autograd ops
+hop by hop.  No model calls it; it is the parity reference the tests
+compare ``forward`` against, to float tolerance in both dtypes.
 """
 
 from __future__ import annotations
@@ -82,12 +79,8 @@ def cached_scratch(cache: dict, b: int, dtype: np.dtype, make):
 class DiffusionConv(Module):
     """K-hop diffusion convolution over ``[batch, nodes, in_dim]`` inputs."""
 
-    #: Class-wide switch so tests can force the naive reference path.
-    fused_default: bool = True
-
     def __init__(self, supports: list[sp.spmatrix], in_dim: int, out_dim: int,
-                 k_hops: int = 2, *, seed_name: str = "dconv",
-                 fused: bool | None = None):
+                 k_hops: int = 2, *, seed_name: str = "dconv"):
         super().__init__()
         if k_hops < 0:
             raise ValueError("k_hops must be >= 0")
@@ -102,7 +95,6 @@ class DiffusionConv(Module):
         self.in_dim = in_dim
         self.out_dim = out_dim
         self.k_hops = k_hops
-        self.fused = fused
         self.num_matrices = 1 + len(self.supports) * k_hops
         rng = new_rng("nn", seed_name, in_dim, out_dim, k_hops)
         self.weight = Parameter(
@@ -111,15 +103,8 @@ class DiffusionConv(Module):
         self._scratch: dict[tuple, _Scratch] = {}
 
     # ------------------------------------------------------------------
-    def forward(self, x: Tensor) -> Tensor:
-        if x.ndim != 3 or x.shape[1] != self.num_nodes or x.shape[2] != self.in_dim:
-            raise ShapeError(f"expected [batch, {self.num_nodes}, {self.in_dim}], "
-                             f"got {x.shape}")
-        fused = self.fused if self.fused is not None else self.fused_default
-        return self._forward_fused(x) if fused else self._forward_naive(x)
-
     def _forward_naive(self, x: Tensor) -> Tensor:
-        """Reference composition of public autograd ops (seed semantics)."""
+        """Parity reference: the same math as public autograd ops."""
         hops = [x]
         for support in self.supports:
             xk = x
@@ -208,7 +193,10 @@ class DiffusionConv(Module):
                 col += k * f
         return scr.gx
 
-    def _forward_fused(self, x: Tensor) -> Tensor:
+    def forward(self, x: Tensor) -> Tensor:
+        if x.ndim != 3 or x.shape[1] != self.num_nodes or x.shape[2] != self.in_dim:
+            raise ShapeError(f"expected [batch, {self.num_nodes}, {self.in_dim}], "
+                             f"got {x.shape}")
         b, n, _ = x.shape
         scr = self._get_scratch(b, x.dtype)
         rg = is_grad_enabled() and (x.requires_grad or

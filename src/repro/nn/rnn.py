@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import kernels
 from repro.autograd import functional as F
 from repro.autograd.tensor import Tensor
 from repro.nn.init import glorot_uniform, zeros_
@@ -24,18 +23,8 @@ def gru_cell_step(gates, candidate, x: Tensor, h: Tensor,
     ``gates`` / ``candidate`` map a concatenated input to pre-activations
     (``2*hidden`` and ``hidden`` wide respectively) — a dense affine map
     for the plain cell, diffusion/graph convolutions for the ST variants.
-
-    On backends advertising ``fused_gru`` the sigmoid/slice/tanh/blend
-    elementwise tail runs through the fused kernel ops
-    (:func:`repro.autograd.functional.gru_gates` /
-    :func:`~repro.autograd.functional.gru_blend`); otherwise the original
-    op composition is used, keeping the default NumPy path byte-for-byte
-    identical to the seed semantics.
     """
     xh = F.concat([x, h], axis=-1)
-    if kernels.active_backend().fused_gru:
-        rh, u = F.gru_gates(gates(xh), h)
-        return F.gru_blend(u, h, candidate(F.concat([x, rh], axis=-1)))
     g = gates(xh).sigmoid()
     r = g[..., :hidden_size]
     u = g[..., hidden_size:]

@@ -4,9 +4,9 @@ Layering (bottom up):
 
 - :mod:`repro.runtime.transport` — where ranks run and what
   communication costs (``SimTransport`` / ``ThreadTransport``).
-- :mod:`repro.runtime.fabric` — real multi-interpreter fabrics:
+- :mod:`repro.runtime.fabric` — the real multi-interpreter fabric:
   ``ProcessTransport`` (forked ranks, zero-copy shared-memory data
-  plane) and ``SocketTransport`` (forked ranks over TCP frames).
+  plane).
 - :mod:`repro.runtime.collectives` — ring/tree collectives implemented
   once against the :class:`Transport` protocol.
 - :mod:`repro.runtime.buckets` — gradient bucketing for DDP all-reduce.
@@ -15,6 +15,15 @@ Layering (bottom up):
 - :mod:`repro.runtime.faults` — deterministic fault injection
   (:class:`FaultPlan` schedules, :class:`FaultyTransport` wrapper) for
   the chaos test tier.
+
+Three transports, one reason each: ``SimTransport`` is the cost model
+(simulated time and bytes, what the paper-scale tables price),
+``ProcessTransport`` is the one fabric whose ranks own an interpreter
+(no GIL sharing, real child death), and ``ThreadTransport`` is the
+fork-free one (real concurrency on platforms or in hosts where ``fork``
+is unavailable or unsafe).  Ranks are forked from the driver, so every
+fabric here is same-host; a second byte-stream protocol between one
+host's processes would duplicate ``ProcessTransport``.
 """
 
 from repro.runtime.buckets import BucketLayout, BucketSlot, GradientBucketer
@@ -32,7 +41,7 @@ from repro.runtime.collectives import (
     point_to_point,
     reduce_scatter,
 )
-from repro.runtime.fabric import ProcessTransport, SocketTransport
+from repro.runtime.fabric import ProcessTransport
 from repro.runtime.process_group import ProcessGroup, as_process_group
 from repro.runtime.transport import (
     CommStats,
@@ -48,7 +57,6 @@ __all__ = [
     "ThreadTransport",
     "MeasuredTransport",
     "ProcessTransport",
-    "SocketTransport",
     "CommStats",
     "FaultEvent",
     "FaultPlan",

@@ -2,16 +2,13 @@
 
 The :mod:`repro.runtime.transport` fabrics run every rank inside the
 driver interpreter (sequentially, or on GIL-sharing threads).  This
-package provides the two fabrics where ranks own whole processes:
+package provides the fabric where ranks own whole processes:
+:class:`ProcessTransport` — forked children with a zero-copy
+shared-memory data plane (:mod:`~repro.runtime.fabric.shm`) and a
+framed shm-ring control plane (:mod:`~repro.runtime.fabric.framing`).
 
-- :class:`ProcessTransport` — forked children with a zero-copy
-  shared-memory data plane (:mod:`~repro.runtime.fabric.shm`).
-- :class:`SocketTransport` — forked children reporting over TCP with
-  length-prefixed frames (:mod:`~repro.runtime.fabric.framing`), the
-  wire format that could span machines.
-
-Both keep collectives centralized in the driver, so training curves are
-bitwise identical to the sim/thread fabrics; both compose with
+It keeps collectives centralized in the driver, so training curves are
+bitwise identical to the sim/thread fabrics, and composes with
 :class:`~repro.runtime.faults.FaultyTransport` (an injected crash is a
 real child death).
 """
@@ -20,7 +17,6 @@ from repro.runtime.fabric import framing
 from repro.runtime.fabric.shm import RingClosed, SharedArrayPool, ShmRing
 from repro.runtime.fabric.base import CRASH_EXIT_CODE, ForkFabric
 from repro.runtime.fabric.process import ProcessTransport
-from repro.runtime.fabric.tcp import SocketTransport
 
 __all__ = [
     "framing",
@@ -30,5 +26,4 @@ __all__ = [
     "ForkFabric",
     "CRASH_EXIT_CODE",
     "ProcessTransport",
-    "SocketTransport",
 ]

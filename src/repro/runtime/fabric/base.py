@@ -1,9 +1,8 @@
-"""Shared machinery for fork-based rank fabrics.
+"""Fork-per-step rank execution, independent of the result channel.
 
-Both real fabrics (:class:`~repro.runtime.fabric.process.ProcessTransport`
-and :class:`~repro.runtime.fabric.tcp.SocketTransport`) execute a step
-the same way: **fork one child per rank**, run the rank closure in the
-child, and ship results back to the driver.  Forking per
+:class:`~repro.runtime.fabric.process.ProcessTransport` executes a step
+by **forking one child per rank**, running the rank closure in the
+child, and shipping results back to the driver.  Forking per
 :meth:`run_ranks` call — rather than keeping persistent workers — is
 what makes arbitrary closures work (nothing is pickled to start a rank)
 and what makes replicas trivial: the copy-on-write fork snapshot *is*
@@ -14,7 +13,7 @@ checkpoint/resume and transport swaps need no parameter broadcast.
 :func:`~repro.hardware.usable_cores` children in flight), child-death
 detection, and the join-then-raise-lowest-rank semantics that
 :class:`~repro.runtime.transport.ThreadTransport` established.
-Subclasses provide the channel a child reports through.
+The subclass provides the channel a child reports through.
 """
 
 from __future__ import annotations
@@ -117,7 +116,7 @@ class ForkFabric(MeasuredTransport):
             self._ctx = multiprocessing.get_context("fork")
         except ValueError as exc:  # pragma: no cover — non-POSIX
             raise CommunicatorError(
-                "process/socket fabrics need the fork start method; "
+                "the process fabric needs the fork start method; "
                 "this platform does not provide it") from exc
         self.parallel = bool(parallel)
         self.max_inflight = int(max_inflight or max(1, usable_cores()))
@@ -143,9 +142,6 @@ class ForkFabric(MeasuredTransport):
     # -- fabric hooks ---------------------------------------------------
     def _spawn(self, rank: int, fn: Callable[[int], object]) -> ChildHandle:
         raise NotImplementedError
-
-    def _poll_fabric(self) -> None:
-        """Per-iteration fabric work (e.g. accepting connections)."""
 
     # -- rank execution -------------------------------------------------
     def run_ranks(self, fn: Callable[[int], object], *,
@@ -175,7 +171,6 @@ class ForkFabric(MeasuredTransport):
                 while pending and len(inflight) < self.max_inflight:
                     rank = pending.pop(0)
                     inflight[rank] = self._spawn(rank, fn)
-                self._poll_fabric()
                 progressed = False
                 for rank, handle in list(inflight.items()):
                     handle.poll()

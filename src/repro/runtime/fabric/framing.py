@@ -1,4 +1,4 @@
-"""Wire format shared by the shared-memory and socket fabrics.
+"""Wire format of the process fabric's control plane.
 
 A *frame* is a self-describing byte string:
 
@@ -11,13 +11,13 @@ A *frame* is a self-describing byte string:
 - ``kind == OBJ``: payload is a pickle of an arbitrary Python object
   (rank results, exceptions, control messages).
 
-Streams (sockets, shm rings) carry frames behind a u64 length prefix via
-:func:`write_frame` / :func:`read_frame`.
+The shm ring carries frames behind a u64 length prefix
+(:func:`prefixed`); :class:`FrameAssembler` takes them back out of
+whatever chunks the consumer drains.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import pickle
 import struct
@@ -91,20 +91,12 @@ def decode(frame: bytes | memoryview) -> tuple[int, object]:
     raise FrameError(f"unknown frame kind 0x{kind:02x}")
 
 
-def decode_ndarray(frame: bytes | memoryview) -> np.ndarray:
-    kind, value = decode(frame)
-    if kind != KIND_NDARRAY:
-        raise FrameError("expected an ndarray frame")
-    return value  # type: ignore[return-value]
-
-
 class FrameAssembler:
     """Reassemble u64-length-prefixed frames from an arbitrary byte feed.
 
-    Both consumers of chunked transports use this: the shm ring's driver
-    side and the socket driver's non-blocking reads deliver bytes in
-    whatever pieces arrive; :meth:`feed` buffers partials and returns
-    only complete frames, in order.
+    The shm ring's driver side drains bytes in whatever pieces the
+    child has published; :meth:`feed` buffers partials and returns only
+    complete frames, in order.
     """
 
     def __init__(self):
@@ -130,31 +122,3 @@ def prefixed(frame: bytes) -> bytes:
     """One frame behind its u64 length prefix (the stream encoding)."""
     return _PREFIX.pack(len(frame)) + frame
 
-
-# -- length-prefixed streams (sockets, file-like pipes) -----------------
-
-def write_frame(stream: io.RawIOBase, frame: bytes) -> None:
-    """Write one frame behind a u64 length prefix."""
-    stream.write(_PREFIX.pack(len(frame)))
-    stream.write(frame)
-
-
-def read_exact(stream: io.RawIOBase, n: int) -> bytes:
-    """Read exactly ``n`` bytes or raise :class:`EOFError`."""
-    chunks: list[bytes] = []
-    remaining = n
-    while remaining:
-        chunk = stream.read(remaining)
-        if not chunk:
-            raise EOFError(
-                f"stream closed with {remaining} of {n} bytes unread")
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
-
-
-def read_frame(stream: io.RawIOBase) -> bytes:
-    """Read one length-prefixed frame; :class:`EOFError` on clean close."""
-    prefix = read_exact(stream, _PREFIX.size)
-    (length,) = _PREFIX.unpack(prefix)
-    return read_exact(stream, length)

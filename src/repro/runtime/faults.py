@@ -396,7 +396,7 @@ class FaultyTransport:
 
     def __getattr__(self, name: str):
         # Capability passthrough (attach_rank_buffers, isolated_ranks,
-        # address, ...): trainers probe the transport with getattr, and
+        # begin_step, ...): trainers probe the transport with getattr, and
         # the wrapper must not mask what the wrapped fabric offers.
         return getattr(self.inner, name)
 

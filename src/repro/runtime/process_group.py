@@ -5,9 +5,8 @@ Trainers, the serving shards and the performance model all talk to a
 charging, rank execution, and :class:`~repro.runtime.transport.CommStats`
 traffic accounting by category — while the transport behind it decides
 whether ranks are simulated (:meth:`ProcessGroup.sim`), real threads
-(:meth:`ProcessGroup.threads`), forked processes on a shared-memory
-data plane (:meth:`ProcessGroup.processes`) or forked processes over
-TCP (:meth:`ProcessGroup.sockets`).
+(:meth:`ProcessGroup.threads`) or forked processes on a shared-memory
+data plane (:meth:`ProcessGroup.processes`).
 """
 
 from __future__ import annotations
@@ -56,14 +55,6 @@ class ProcessGroup:
         from repro.runtime.fabric import ProcessTransport
         return cls(ProcessTransport(world_size, parallel=parallel,
                                     max_inflight=max_inflight))
-
-    @classmethod
-    def sockets(cls, world_size: int, *, parallel: bool = True,
-                host: str = "127.0.0.1", port: int = 0) -> "ProcessGroup":
-        """Ranks as forked processes reporting over TCP frames."""
-        from repro.runtime.fabric import SocketTransport
-        return cls(SocketTransport(world_size, parallel=parallel,
-                                   host=host, port=port))
 
     # -- introspection --------------------------------------------------
     @property

@@ -221,7 +221,7 @@ class SimTransport:
 class MeasuredTransport:
     """Shared accounting base for fabrics that run on real hardware.
 
-    The thread, process and socket fabrics all answer the *cost* half of
+    The thread and process fabrics both answer the *cost* half of
     the :class:`Transport` protocol the same way: communication is real
     data movement, so collectives/p2p record their bytes and measured
     wall seconds instead of simulated time, and :attr:`now` is the wall

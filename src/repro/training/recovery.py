@@ -114,7 +114,7 @@ def train_with_recovery(make_trainer: Callable[[], DDPTrainer],
             if isinstance(transport, FaultyTransport):
                 fired |= transport.fired
             # Abandoned attempts must not leak fabric resources (shm
-            # pools, listener sockets) across what may be many restarts.
+            # pools, worker threads) across what may be many restarts.
             shutdown = getattr(transport, "shutdown", None)
             if shutdown is not None:
                 shutdown()

@@ -176,7 +176,7 @@ class Trainer:
                     save_checkpoint(checkpoint_path + ".best", self.model,
                                     self.optimizer, epoch=epoch,
                                     extra={"val_mae": float(val_mae)})
-            if patience is not None and since_best > patience:
+            if patience is not None and since_best >= patience:
                 if verbose:
                     print(f"early stop at epoch {epoch} "
                           f"(no improvement for {since_best} epochs)")

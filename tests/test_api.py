@@ -1,6 +1,8 @@
 """Tests for the declarative ``repro.api`` pipeline: registries, RunSpec
 validation/round-tripping, the BatchSource protocol, and the run() executor."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -134,6 +136,20 @@ class TestRunSpec:
     def test_invalid_values_raise(self, bad):
         with pytest.raises(ValueError):
             RunSpec(**bad)
+
+    def test_backend_and_socket_are_ordinary_invalid_input(self):
+        """No selector, no special case: the dataclass, the unknown-field
+        check and the transport check reject them like any other typo."""
+        assert len(dataclasses.fields(RunSpec)) == 13
+        with pytest.raises(TypeError, match="backend"):
+            RunSpec(dataset="pems-bay", backend="numpy")
+        with pytest.raises(KeyError, match=r"unknown RunSpec fields "
+                                           r"\['backend'\]"):
+            RunSpec.from_dict({"dataset": "pems-bay", "backend": "auto"})
+        with pytest.raises(ValueError, match=r"\('sim', 'thread', "
+                                             r"'process'\), got 'socket'"):
+            RunSpec(dataset="pems-bay", strategy="dist-index", world_size=2,
+                    transport="socket")
 
 
 class TestBatchSourceProtocol:

@@ -66,8 +66,7 @@ def make_trainer(data, *, world=2, strategy=DDPStrategy.DIST_INDEX,
     model = PGTDCRNN(supports, horizon=4, in_features=2, hidden_dim=8,
                      seed=SEED)
     pg = {"sim": ProcessGroup.sim, "thread": ProcessGroup.threads,
-          "process": ProcessGroup.processes,
-          "socket": ProcessGroup.sockets}[transport](world)
+          "process": ProcessGroup.processes}[transport](world)
     return DDPTrainer(
         model, Adam(model.parameters(), lr=0.01), pg,
         IndexBatchLoader(idx, "train", batch),
@@ -234,7 +233,7 @@ class TestPartitionDependentShuffles:
 # Transports: a resharded archive is fabric-agnostic
 # ---------------------------------------------------------------------------
 class TestCrossTransport:
-    @pytest.mark.parametrize("transport", ["thread", "process", "socket"])
+    @pytest.mark.parametrize("transport", ["thread", "process"])
     def test_resharded_resume_matches_sim_bitwise(self, data, tmp_path,
                                                   transport):
         ckpt = str(tmp_path / f"{transport}.npz")

@@ -79,9 +79,12 @@ class TestEarlyStopping:
                        scaler=idx.scaler, seed=1)
 
     def test_stops_early_with_zero_patience_dead_lr(self):
-        tr = self._trainer(lr=0.0)  # no learning -> no improvement
-        tr.fit(20, patience=1)
-        assert len(tr.history) < 20
+        # No learning -> epoch 0 is the only best; training ends after
+        # exactly ``patience`` more epochs.
+        for patience in (1, 3):
+            tr = self._trainer(lr=0.0)
+            tr.fit(20, patience=patience)
+            assert len(tr.history) == 1 + patience
 
     def test_requires_val_loader(self):
         tr = self._trainer()

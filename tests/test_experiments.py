@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.experiments import config
+from repro.api.scales import SMALL, get_scale
 from repro.experiments.ablations import (
     run_partitioning_ablation,
     run_prefetch_ablation,
@@ -16,10 +16,10 @@ from repro.experiments.table3 import run_table3
 
 class TestConfig:
     def test_presets(self):
-        assert config.get_scale("tiny").name == "tiny"
-        assert config.get_scale(config.SMALL) is config.SMALL
+        assert get_scale("tiny").name == "tiny"
+        assert get_scale(SMALL) is SMALL
         with pytest.raises(KeyError):
-            config.get_scale("huge")
+            get_scale("huge")
 
 
 class TestReports:

@@ -6,12 +6,12 @@ Three layers, bottom up:
   wire format (hypothesis property over arbitrary dtypes and shapes),
   length-prefixed frame reassembly from arbitrary chunkings, and the
   shared-memory ring + array pool the process fabric is built on.
-- **Fork fabrics**: ranks really run in separate interpreters (distinct
+- **Fork fabric**: ranks really run in separate interpreters (distinct
   PIDs), errors and hard child deaths propagate with the same semantics
-  as the thread fabric, and the zero-copy / outbox data planes deliver
-  gradients home.
+  as the thread fabric, and the zero-copy data plane delivers gradients
+  home.
 - **Equivalence**: collectives and fixed-seed ``DDPTrainer`` curves are
-  bitwise identical across sim / thread / process / socket, faults
+  bitwise identical across sim / thread / process, faults
   compose (a crashed forked rank recovers to the fault-free curve), and
   checkpoints resume across a transport swap onto a forked fabric.
 """
@@ -31,7 +31,7 @@ from repro.graph import dual_random_walk_supports
 from repro.models import PGTDCRNN
 from repro.optim import Adam
 from repro.preprocessing import IndexDataset
-from repro.runtime import ProcessGroup, ProcessTransport, SocketTransport
+from repro.runtime import ProcessGroup, ProcessTransport
 from repro.runtime.fabric import SharedArrayPool, ShmRing, framing
 from repro.runtime.fabric.framing import FrameAssembler, FrameError
 from repro.runtime.faults import RankFailure
@@ -167,19 +167,14 @@ class TestSharedMemory:
 
 
 # ---------------------------------------------------------------------------
-# Fork fabrics: real child interpreters
+# Fork fabric: real child interpreters
 # ---------------------------------------------------------------------------
-def _make_transport(kind, world, **kw):
-    return (ProcessTransport(world, **kw) if kind == "process"
-            else SocketTransport(world, **kw))
-
-
-@pytest.fixture(params=["process", "socket"])
-def fabric(request):
+@pytest.fixture(params=["process"])  # the one fork fabric; ids stay [process]
+def fabric():
     made = []
 
     def make(world, **kw):
-        t = _make_transport(request.param, world, **kw)
+        t = ProcessTransport(world, **kw)
         made.append(t)
         return t
 
@@ -244,22 +239,6 @@ class TestForkFabric:
         finally:
             t.shutdown()
 
-    def test_socket_outbox_ships_arrays_home(self):
-        t = SocketTransport(2)
-        try:
-            bufs = [t.attach_rank_buffers(r, [np.zeros(3), np.zeros(2)])
-                    for r in range(2)]
-
-            def fn(rank):
-                bufs[rank][0][:] = rank + 1.0
-                bufs[rank][1][:] = 10.0 * (rank + 1)
-
-            t.run_ranks(fn)
-            np.testing.assert_array_equal(bufs[1][0], np.full(3, 2.0))
-            np.testing.assert_array_equal(bufs[1][1], np.full(2, 20.0))
-        finally:
-            t.shutdown()
-
     def test_fabrics_report_isolated_ranks(self, fabric):
         assert fabric(2).isolated_ranks
 
@@ -275,23 +254,20 @@ class TestForkFabric:
 class TestCollectiveEquivalence:
     @pytest.mark.parametrize("world", [2, 3, 4])
     def test_allreduce_mean_matches_everywhere(self, world):
-        """Small worlds: process == socket == sim == NumPy mean, bitwise
+        """Small worlds: process == sim == NumPy mean, bitwise
         (collectives are centralized, so fabrics cannot diverge)."""
         rng = np.random.default_rng(world)
         tensors = [rng.standard_normal(17) for _ in range(world)]
         reference = np.stack(tensors).mean(axis=0)
         sim = ProcessGroup.sim(world).allreduce(tensors, op="mean")
         proc_pg = ProcessGroup.processes(world)
-        sock_pg = ProcessGroup.sockets(world)
         try:
             proc = proc_pg.allreduce(tensors, op="mean")
-            sock = sock_pg.allreduce(tensors, op="mean")
         finally:
             proc_pg.transport.shutdown()
-            sock_pg.transport.shutdown()
         for r in range(world):
             np.testing.assert_array_equal(proc[r], reference)
-            assert proc[r].tobytes() == sim[r].tobytes() == sock[r].tobytes()
+            assert proc[r].tobytes() == sim[r].tobytes()
 
 
 @pytest.fixture(scope="module")
@@ -334,12 +310,6 @@ class TestTrainingEquivalence:
         _, proc = _fit_fabric(idx, supports, strategy,
                               ProcessGroup.processes(4))
         assert proc == sim == PINNED_2EP[strategy]
-
-    def test_socket_matches_pinned_bits(self, tiny_setup):
-        idx, supports = tiny_setup
-        _, sock = _fit_fabric(idx, supports, DDPStrategy.DIST_INDEX,
-                              ProcessGroup.sockets(4))
-        assert sock == PINNED_2EP[DDPStrategy.DIST_INDEX]
 
     def test_resume_swaps_onto_process_fabric(self, tiny_setup, tmp_path):
         """A sim-checkpointed run resumes on forked ranks bitwise."""

@@ -41,12 +41,12 @@ class TestDiffusionConvFused:
                                            (np.float64, 1e-12)])
     @pytest.mark.parametrize("k_hops", [0, 1, 2, 3])
     def test_matches_naive(self, supports, dtype, tol, k_hops):
-        fused = DiffusionConv(supports, 5, 7, k_hops=k_hops, fused=True)
-        naive = DiffusionConv(supports, 5, 7, k_hops=k_hops, fused=False)
+        fused = DiffusionConv(supports, 5, 7, k_hops=k_hops)
+        naive = DiffusionConv(supports, 5, 7, k_hops=k_hops)
         x = np.random.default_rng(0).standard_normal((4, 12, 5)).astype(dtype)
         xf = Tensor(x.copy(), requires_grad=True)
         xn = Tensor(x.copy(), requires_grad=True)
-        of, on = fused(xf), naive(xn)
+        of, on = fused(xf), naive._forward_naive(xn)
         np.testing.assert_allclose(of.data, on.data, atol=tol)
         g = np.random.default_rng(1).standard_normal(of.shape).astype(dtype)
         of.backward(g.copy())
@@ -59,7 +59,7 @@ class TestDiffusionConvFused:
                                    rtol=1e-4, atol=1e-4)
 
     def test_scratch_reused_across_calls(self, supports):
-        conv = DiffusionConv(supports, 5, 7, k_hops=2, fused=True)
+        conv = DiffusionConv(supports, 5, 7, k_hops=2)
         x = Tensor(np.random.default_rng(0).standard_normal(
             (4, 12, 5)).astype(np.float32), requires_grad=True)
         conv(x).backward(np.ones((4, 12, 7), np.float32))
@@ -73,7 +73,7 @@ class TestDiffusionConvFused:
         np.testing.assert_allclose(x.grad, g1, rtol=1e-6)
 
     def test_grad_accumulates_over_calls(self, supports):
-        conv = DiffusionConv(supports, 3, 4, k_hops=2, fused=True)
+        conv = DiffusionConv(supports, 3, 4, k_hops=2)
         x = Tensor(np.random.default_rng(5).standard_normal(
             (2, 12, 3)).astype(np.float32), requires_grad=True)
         g = np.ones((2, 12, 4), np.float32)

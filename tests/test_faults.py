@@ -247,6 +247,18 @@ class TestRunSpecFaults:
         assert spec.faults == ("rank_crash:step=1,rank=1",)
         assert RunSpec.from_dict(spec.to_dict()) == spec
 
+    def test_empty_schedule_on_single_is_no_schedule(self):
+        assert RunSpec("pems-bay", faults=[]).faults is None
+
+    def test_empty_schedule_equals_none_and_round_trips(self):
+        kw = dict(dataset="pems-bay", strategy="dist-index", world_size=2)
+        none = RunSpec(**kw)
+        for empty in ((), []):
+            spec = RunSpec(**kw, faults=empty)
+            assert spec == none and hash(spec) == hash(none)
+            assert spec.to_dict() == none.to_dict()
+            assert RunSpec.from_dict(spec.to_dict()) == none
+
 
 class TestRecoveryPricing:
     @pytest.fixture(scope="class")

@@ -1,10 +1,6 @@
-"""Tests for ``repro.kernels``: backend registry, fused-op parity,
-mixed-precision storage, and the PreparedCSR cache bounds.
-
-The compiled-backend parity properties run wherever numba is importable
-and are recorded-skipped elsewhere; the numpy-backend properties (fused
-GRU ops vs their unfused composition, f16-store round-trip bounds) run
-everywhere.
+"""Tests for ``repro.kernels``: the single numpy backend behind the three
+functions the end-to-end benchmark calls, mixed-precision storage, and
+the PreparedCSR cache bounds.
 """
 
 import numpy as np
@@ -12,7 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import kernels
-from repro.autograd import Tensor, functional as F
 from repro.autograd.sparse_kernels import (
     _PREPARED,
     _PREPARED_DTYPES_MAX,
@@ -20,76 +15,25 @@ from repro.autograd.sparse_kernels import (
     clear_prepared_cache,
     prepared_csr,
 )
-from repro.api import RunSpec
 from repro.graph import dual_random_walk_supports, random_sensor_network
-from repro.models.dconv import DiffusionConv
 from repro.serving.sharding import ShardedSession
-
-HAVE_NUMBA = "numba" in kernels.available_backends()
-
-needs_numba = pytest.mark.skipif(
-    not HAVE_NUMBA, reason="numba backend not importable here")
 
 
 # ---------------------------------------------------------------------------
-# Registry semantics
+# The one backend, reached by the names benchmarks/e2e calls
 # ---------------------------------------------------------------------------
 class TestRegistry:
     def test_numpy_always_first(self):
-        backends = kernels.available_backends()
-        assert backends[0] == "numpy"
-        assert set(backends) <= set(kernels.KNOWN_BACKENDS)
+        assert kernels.available_backends() == ("numpy",)
+
+    def test_set_backend_returns_the_active_numpy_backend(self):
+        backend = kernels.set_backend("numpy")
+        assert backend.name == "numpy"
+        assert backend is kernels.active_backend()
 
     def test_unknown_backend_is_loud(self):
-        with pytest.raises(KeyError, match="unknown kernel backend"):
-            kernels.get_backend("tpu")
-
-    def test_known_but_missing_names_availability(self):
-        if HAVE_NUMBA:
-            pytest.skip("numba is installed; nothing is missing")
-        with pytest.raises(KeyError, match="known but not available"):
-            kernels.get_backend("numba")
-
-    def test_use_backend_scopes_and_restores(self):
-        before = kernels.active_backend()
-        with kernels.use_backend("numpy") as b:
-            assert b is kernels.active_backend()
-            assert b.name == "numpy"
-        assert kernels.active_backend() is before
-
-    def test_use_backend_auto_is_noop(self):
-        before = kernels.active_backend()
-        for name in (None, "auto"):
-            with kernels.use_backend(name) as b:
-                assert b is before
-        assert kernels.active_backend() is before
-
-    def test_use_backend_restores_on_error(self):
-        before = kernels.active_backend()
-        with pytest.raises(RuntimeError):
-            with kernels.use_backend("numpy"):
-                raise RuntimeError("boom")
-        assert kernels.active_backend() is before
-
-    def test_env_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "numpy")
-        assert kernels._resolve_default().name == "numpy"
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "auto")
-        assert kernels._resolve_default().name == "numpy"
-        monkeypatch.delenv("REPRO_KERNEL_BACKEND")
-        assert kernels._resolve_default().name == "numpy"
-
-    def test_numpy_backend_flags(self):
-        b = kernels.get_backend("numpy")
-        assert b.compiled is False
-        assert b.fused_gru is False
-
-    def test_runspec_validates_backend(self):
-        with pytest.raises(KeyError, match="kernel backend"):
-            RunSpec(dataset="pems-bay", backend="tpu")
-        spec = RunSpec(dataset="pems-bay", backend="numpy")
-        assert RunSpec.from_dict(spec.to_dict()) == spec
-        assert RunSpec(dataset="pems-bay").backend == "auto"
+        with pytest.raises(KeyError, match=r"'cuda'.*\['numpy'\]"):
+            kernels.set_backend("cuda")
 
 
 # ---------------------------------------------------------------------------
@@ -161,131 +105,6 @@ class TestPreparedCache:
         assert len(_PREPARED) <= _PREPARED_MAX
         assert id(matrices[0]) not in _PREPARED
         assert id(matrices[-1]) in _PREPARED
-
-
-# ---------------------------------------------------------------------------
-# Fused GRU ops vs their unfused composition (every backend)
-# ---------------------------------------------------------------------------
-def _gru_unfused(pre, h, cand_pre):
-    """The pre-fusion op composition the numpy path is defined by."""
-    hidden = h.shape[-1]
-    g = pre.sigmoid()
-    r = g[..., :hidden]
-    u = g[..., hidden:]
-    rh = r * h
-    out = F.gru_update(u, h, cand_pre.tanh())
-    return rh, u, out
-
-
-@settings(max_examples=25, deadline=None)
-@given(batch=st.integers(1, 4), nodes=st.integers(1, 12),
-       hidden=st.integers(1, 8), seed=st.integers(0, 2**31 - 1))
-def test_gru_fused_matches_composition(batch, nodes, hidden, seed):
-    rng = np.random.default_rng(seed)
-    shape = (batch, nodes, hidden)
-    pre = rng.standard_normal(shape[:-1] + (2 * hidden,)).astype(np.float32)
-    hdata = rng.standard_normal(shape).astype(np.float32)
-    cand = rng.standard_normal(shape).astype(np.float32)
-    gout = rng.standard_normal(shape).astype(np.float32)
-
-    def run_fused():
-        pt = Tensor(pre, requires_grad=True)
-        ht = Tensor(hdata, requires_grad=True)
-        ct = Tensor(cand, requires_grad=True)
-        rh, u = F.gru_gates(pt, ht)
-        out = F.gru_blend(u, ht, ct)
-        (out + rh).backward(gout)
-        return out.data, pt.grad, ht.grad, ct.grad
-
-    def run_unfused():
-        pt = Tensor(pre, requires_grad=True)
-        ht = Tensor(hdata, requires_grad=True)
-        ct = Tensor(cand, requires_grad=True)
-        rh, _, out = _gru_unfused(pt, ht, ct)
-        (out + rh).backward(gout)
-        return out.data, pt.grad, ht.grad, ct.grad
-
-    for fused, ref in zip(run_fused(), run_unfused()):
-        np.testing.assert_allclose(fused, ref, rtol=0, atol=1e-6)
-
-
-@settings(max_examples=20, deadline=None)
-@given(batch=st.integers(1, 3), hidden=st.integers(1, 6),
-       seed=st.integers(0, 2**31 - 1))
-def test_gru_fused_handles_2d_inputs(batch, hidden, seed):
-    """The fused ops accept [batch, features] (no node axis) too."""
-    rng = np.random.default_rng(seed)
-    pre = Tensor(rng.standard_normal((batch, 2 * hidden)).astype(np.float32))
-    h = Tensor(rng.standard_normal((batch, hidden)).astype(np.float32))
-    cand = Tensor(rng.standard_normal((batch, hidden)).astype(np.float32))
-    rh, u = F.gru_gates(pre, h)
-    out = F.gru_blend(u, h, cand)
-    rh_ref, u_ref, out_ref = _gru_unfused(pre, h, cand)
-    np.testing.assert_allclose(rh.data, rh_ref.data, rtol=0, atol=1e-6)
-    np.testing.assert_allclose(u.data, u_ref.data, rtol=0, atol=1e-6)
-    np.testing.assert_allclose(out.data, out_ref.data, rtol=0, atol=1e-6)
-
-
-def test_gru_gates_shape_check():
-    pre = Tensor(np.zeros((2, 3, 8), np.float32))
-    h = Tensor(np.zeros((2, 3, 3), np.float32))
-    with pytest.raises(Exception, match="shape|gates"):
-        F.gru_gates(pre, h)
-
-
-# ---------------------------------------------------------------------------
-# Compiled-backend parity (recorded-skipped without numba)
-# ---------------------------------------------------------------------------
-@needs_numba
-@settings(max_examples=10, deadline=None)
-@given(batch=st.integers(1, 4), nodes=st.integers(4, 24),
-       channels=st.integers(1, 8), k_hops=st.integers(0, 3),
-       seed=st.integers(0, 2**31 - 1))
-def test_dconv_parity_numpy_vs_numba(batch, nodes, channels, k_hops, seed):
-    g = random_sensor_network(nodes, seed=seed % 997)
-    supports = dual_random_walk_supports(g.weights)
-    conv = DiffusionConv(supports, channels, channels, k_hops=k_hops)
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal((batch, nodes, channels)).astype(np.float32)
-    gout = rng.standard_normal((batch, nodes, channels)).astype(np.float32)
-
-    results = {}
-    for backend in ("numpy", "numba"):
-        with kernels.use_backend(backend):
-            xt = Tensor(x, requires_grad=True)
-            out = conv(xt)
-            out.backward(gout)
-            results[backend] = (out.data.copy(), xt.grad.copy())
-    np.testing.assert_allclose(results["numba"][0], results["numpy"][0],
-                               rtol=0, atol=1e-6)
-    np.testing.assert_allclose(results["numba"][1], results["numpy"][1],
-                               rtol=0, atol=1e-6)
-
-
-@needs_numba
-@settings(max_examples=10, deadline=None)
-@given(batch=st.integers(1, 4), nodes=st.integers(1, 16),
-       hidden=st.integers(1, 8), seed=st.integers(0, 2**31 - 1))
-def test_gru_parity_numpy_vs_numba(batch, nodes, hidden, seed):
-    rng = np.random.default_rng(seed)
-    pre = rng.standard_normal((batch, nodes, 2 * hidden)).astype(np.float32)
-    hdata = rng.standard_normal((batch, nodes, hidden)).astype(np.float32)
-    cand = rng.standard_normal((batch, nodes, hidden)).astype(np.float32)
-    gout = rng.standard_normal((batch, nodes, hidden)).astype(np.float32)
-
-    results = {}
-    for backend in ("numpy", "numba"):
-        with kernels.use_backend(backend):
-            pt = Tensor(pre, requires_grad=True)
-            ht = Tensor(hdata, requires_grad=True)
-            ct = Tensor(cand, requires_grad=True)
-            rh, u = F.gru_gates(pt, ht)
-            out = F.gru_blend(u, ht, ct)
-            (out + rh).backward(gout)
-            results[backend] = (out.data.copy(), pt.grad.copy(),
-                                ht.grad.copy(), ct.grad.copy())
-    for got, ref in zip(results["numba"], results["numpy"]):
-        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-6)
 
 
 # ---------------------------------------------------------------------------
