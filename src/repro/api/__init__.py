@@ -27,8 +27,8 @@ Loaders handed to the trainers satisfy the :class:`BatchSource` protocol
 Trained artifacts go online through :func:`serve` — a checkpoint path,
 ``RunResult`` or spec becomes a micro-batching
 :class:`~repro.serving.service.ForecastService`, with server topologies
-(``local`` / ``sharded`` / ``gateway``) resolved through the
-:data:`SERVERS` registry.  :func:`build_gateway` assembles the
+(``local`` / ``sharded``) resolved through the :data:`SERVERS`
+registry.  :func:`build_gateway` assembles the
 multi-tenant front door over several named deployments at once.
 """
 

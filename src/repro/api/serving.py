@@ -13,9 +13,9 @@ trained artifact — a **self-describing checkpoint** path, a finished
     svc = serve("ckpt.npz", server="sharded", num_shards=4)
 
 Server topologies live in the :data:`SERVERS` registry (``local`` /
-``sharded`` / ``gateway`` by default), so alternative request paths
-register exactly like models and datasets do.  The multi-deployment
-front door is :func:`build_gateway`::
+``sharded`` by default), so alternative request paths register exactly
+like models and datasets do.  The multi-tenant front door over one or
+more deployments is :func:`build_gateway`::
 
     gw = build_gateway({"bay": "ckpt_a.npz", "la": "ckpt_b.npz"},
                        tenants=["ops", "research"], cache_ttl=30.0)
@@ -24,6 +24,7 @@ front door is :func:`build_gateway`::
 
 from __future__ import annotations
 
+import inspect
 from typing import Any, Callable
 
 import numpy as np
@@ -38,6 +39,7 @@ from repro.serving.gateway import Gateway
 from repro.serving.service import ForecastService
 from repro.serving.session import ModelSession
 from repro.serving.sharding import ShardedSession
+from repro.utils.errors import ServerKeywordError
 
 #: Server topologies resolvable by ``serve(..., server=<key>)``.
 SERVERS = Registry("server")
@@ -51,8 +53,7 @@ def list_servers() -> list[str]:
 @SERVERS.register("local")
 def _build_local_session(model, scaler, dataset, spec, *, max_batch: int = 32,
                          store_capacity: int | None = None,
-                         store_dtype="float32",
-                         **_ignored) -> ModelSession:
+                         store_dtype="float32") -> ModelSession:
     """Single-worker session with an attached sliding-window store.
 
     ``store_dtype`` sets the feature-store ring precision
@@ -60,12 +61,6 @@ def _build_local_session(model, scaler, dataset, spec, *, max_batch: int = 32,
     float32 — windows materialise into the session's float32 staging
     buffers).
     """
-    # Chaos knobs only make sense with shard workers to kill; swallowing
-    # them here would report a vacuously perfect fault-free "chaos" run.
-    for knob in ("fault_plan", "num_standby"):
-        if _ignored.get(knob):
-            raise ValueError(f"{knob} requires server='sharded'; the local "
-                             f"session has no workers to fail over")
     session = ModelSession(model, scaler, spec=spec, max_batch=max_batch)
     if scaler is not None and dataset is not None:
         session.attach_store(FeatureStore.for_dataset(
@@ -81,8 +76,8 @@ def _build_sharded_session(model, scaler, dataset, spec, *,
                            receptive_hops: int | None = None,
                            store_capacity: int | None = None,
                            store_dtype="float32",
-                           num_standby: int = 0, fault_plan=None,
-                           **_ignored) -> ShardedSession:
+                           num_standby: int = 0,
+                           fault_plan=None) -> ShardedSession:
     """Partitioned multi-worker session with halo-exchange accounting.
 
     ``num_standby`` spare replicas and a ``fault_plan`` (scheduled
@@ -135,15 +130,51 @@ def restore_checkpoint(path: str) -> tuple[Any, Any, RunSpec, Any]:
     return model, read_checkpoint_scaler(path), spec, ds
 
 
+def _server_builder(server: str, server_kwargs: dict) -> Callable:
+    """The :data:`SERVERS` builder for ``server``, once ``server_kwargs``
+    are checked against the keywords it declares: a stray one fails at
+    the call that passed it, not when a lazy deployment first warms, and
+    is never swallowed (an ignored ``fault_plan`` would report a
+    vacuously perfect fault-free "chaos" run)."""
+    def declared(name: str):
+        return inspect.signature(SERVERS.get(name)).parameters
+
+    for keyword in server_kwargs:
+        if keyword not in declared(server):
+            takers = [f"server={name!r}" for name in SERVERS
+                      if keyword in declared(name)]
+            raise ServerKeywordError(
+                f"unexpected keyword argument {keyword!r} for "
+                f"server={server!r} (taken by: "
+                f"{', '.join(takers) or 'no server'})")
+    return SERVERS.get(server)
+
+
+def _resolve_artifact(source: Any) -> tuple[Any, Any, RunSpec, Any]:
+    """``(model, scaler, spec, dataset)`` from anything servable: a
+    RunSpec is trained, a RunResult hands over its artifacts, a
+    checkpoint path is restored."""
+    from repro.api.runner import RunResult, run
+
+    if isinstance(source, RunSpec):
+        source = run(source)
+    if isinstance(source, RunResult):
+        art = source.artifacts
+        if art is None:
+            raise ValueError("RunResult carries no artifacts; serve the "
+                             "checkpoint it saved instead")
+        return art.model, art.loaders.scaler, source.spec, art.dataset
+    if isinstance(source, str):
+        return restore_checkpoint(source)
+    raise TypeError(f"expected a checkpoint path, RunSpec or RunResult, got "
+                    f"{type(source).__name__}")
+
+
 def serve(source: Any, *, server: str = "local", max_batch: int = 32,
           max_wait: float = 0.005, clock: Callable[[], float] | None = None,
           service_time: Callable[[int], float] | None = None,
-          **server_kwargs) -> ForecastService | Gateway:
+          **server_kwargs) -> ForecastService:
     """Build a :class:`ForecastService` from a trained artifact.
-
-    With ``server="gateway"`` the result is a single-deployment
-    :class:`~repro.serving.gateway.Gateway` instead (which wires its own
-    queues and clock, so no ``ForecastService`` wrapper applies).
 
     Parameters
     ----------
@@ -164,76 +195,16 @@ def serve(source: Any, *, server: str = "local", max_batch: int = 32,
         measurement on a :class:`~repro.serving.service.ManualClock`).
     server_kwargs:
         extra knobs for the server builder (``num_shards``,
-        ``receptive_hops``, ``store_capacity``, ...).
+        ``receptive_hops``, ``store_capacity``, ...); one the builder
+        does not take raises
+        :class:`~repro.utils.errors.ServerKeywordError`.
     """
-    from repro.api.runner import RunResult, run
-
-    if isinstance(source, RunSpec):
-        source = run(source)
-    if isinstance(source, RunResult):
-        art = source.artifacts
-        if art is None:
-            raise ValueError("RunResult carries no artifacts; serve the "
-                             "checkpoint it saved instead")
-        model, scaler, spec, ds = (art.model, art.loaders.scaler,
-                                   source.spec, art.dataset)
-    elif isinstance(source, str):
-        model, scaler, spec, ds = restore_checkpoint(source)
-    else:
-        raise TypeError(
-            f"serve() takes a checkpoint path, RunSpec or RunResult, got "
-            f"{type(source).__name__}")
-
-    if server == "gateway":
-        # The gateway owns its own queue/clock wiring, so the knobs that
-        # would normally configure the ForecastService wrapper flow into
-        # the builder instead.
-        server_kwargs.setdefault("max_wait", max_wait)
-        server_kwargs.setdefault("clock", clock)
-        server_kwargs.setdefault("service_time", service_time)
-    built = SERVERS.get(server)(model, scaler, ds, spec,
-                                max_batch=max_batch, **server_kwargs)
-    if isinstance(built, Gateway):
-        return built
-    return ForecastService(built, max_wait=max_wait, clock=clock,
+    builder = _server_builder(server, server_kwargs)
+    model, scaler, spec, ds = _resolve_artifact(source)
+    session = builder(model, scaler, ds, spec, max_batch=max_batch,
+                      **server_kwargs)
+    return ForecastService(session, max_wait=max_wait, clock=clock,
                            service_time=service_time)
-
-
-@SERVERS.register("gateway")
-def _build_gateway_server(model, scaler, dataset, spec, *,
-                          max_batch: int = 32, max_wait: float = 0.005,
-                          clock=None, service_time=None,
-                          deployment: str = "default", version: str = "v1",
-                          tenants=None, cache_ttl: float | None = None,
-                          cache_entries: int = 1024,
-                          max_queue_depth: int = 256,
-                          ewma_alpha: float = 0.2,
-                          default_deadline: float | None = None,
-                          store_capacity: int | None = None,
-                          resilience=None, fault_plan=None,
-                          **session_kwargs) -> Gateway:
-    """Single-deployment gateway: ``serve(src, server="gateway")``.
-
-    Wraps the local session in a :class:`Gateway` with one deployment
-    (named ``deployment``, pinned at ``version``) and a ``default``
-    tenant (API key ``key-default``) unless ``tenants`` names others.
-    Multi-deployment gateways are built with :func:`build_gateway`.
-    ``resilience`` / ``fault_plan`` configure the self-healing layer —
-    gateway-kind fault events target the deployment by name.
-    """
-    session = _build_local_session(model, scaler, dataset, spec,
-                                   max_batch=max_batch, **session_kwargs)
-    gw = Gateway(clock=clock, max_batch=max_batch, max_wait=max_wait,
-                 service_time=service_time, cache_ttl=cache_ttl,
-                 cache_entries=cache_entries,
-                 max_queue_depth=max_queue_depth, ewma_alpha=ewma_alpha,
-                 default_deadline=default_deadline,
-                 store_capacity=store_capacity,
-                 resilience=resilience, fault_plan=fault_plan)
-    gw.add_deployment(deployment, session, version=version)
-    for tenant in _normalise_tenants(tenants):
-        gw.add_tenant(**tenant)
-    return gw
 
 
 def _normalise_tenants(tenants) -> list[dict]:
@@ -265,32 +236,14 @@ def session_source(source: Any, *, server: str = "local",
     deployments and blue-green :meth:`Gateway.swap` lazy: nothing is
     trained or restored until the deployment actually activates.
     """
-    if server == "gateway":
-        raise ValueError("session_source builds backend sessions; "
-                         "'gateway' is not a backend")
+    builder = _server_builder(server, server_kwargs)
 
     def build():
-        from repro.api.runner import RunResult, run
-
-        src = source
-        if hasattr(src, "predict"):       # already a live session
-            return src
-        if isinstance(src, RunSpec):
-            src = run(src)
-        if isinstance(src, RunResult):
-            art = src.artifacts
-            if art is None:
-                raise ValueError("RunResult carries no artifacts; point "
-                                 "the deployment at its checkpoint instead")
-            model, scaler, spec, ds = (art.model, art.loaders.scaler,
-                                       src.spec, art.dataset)
-        elif isinstance(src, str):
-            model, scaler, spec, ds = restore_checkpoint(src)
-        else:
-            raise TypeError(f"cannot build a session from "
-                            f"{type(src).__name__}")
-        return SERVERS.get(server)(model, scaler, ds, spec,
-                                   max_batch=max_batch, **server_kwargs)
+        if hasattr(source, "predict"):       # already a live session
+            return source
+        model, scaler, spec, ds = _resolve_artifact(source)
+        return builder(model, scaler, ds, spec, max_batch=max_batch,
+                       **server_kwargs)
 
     return build
 
@@ -300,7 +253,7 @@ def build_gateway(sources: dict[str, Any], *, tenants=None,
                   max_batch: int = 8, max_wait: float = 0.005,
                   service_time: Callable[[int], float] | None = None,
                   cache_ttl: float | None = None, cache_entries: int = 1024,
-                  max_queue_depth: int = 256, ewma_alpha: float = 0.2,
+                  max_queue_depth: int = 256,
                   default_deadline: float | None = None,
                   store_capacity: int | None = None,
                   versions: dict[str, str] | None = None,
@@ -356,7 +309,7 @@ def build_gateway(sources: dict[str, Any], *, tenants=None,
     gw = Gateway(clock=clock, max_batch=max_batch, max_wait=max_wait,
                  service_time=service_time, cache_ttl=cache_ttl,
                  cache_entries=cache_entries,
-                 max_queue_depth=max_queue_depth, ewma_alpha=ewma_alpha,
+                 max_queue_depth=max_queue_depth,
                  default_deadline=default_deadline,
                  store_capacity=store_capacity,
                  resilience=resilience, fault_plan=fault_plan)

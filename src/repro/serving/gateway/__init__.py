@@ -19,11 +19,10 @@ end over all of it:
 
 Self-healing lives in :mod:`repro.serving.resilience` (circuit breakers,
 deadline-budgeted retries, hedging, graceful degradation, canary-gated
-swaps with auto-rollback) and threads through every request the gateway
-serves.
+swaps with auto-rollback): its policy functions decide, the gateway
+executes, for every request it serves.
 
-The declarative entry point is ``repro.api.build_gateway`` (and
-``serve(..., server="gateway")`` for the single-deployment case).
+The declarative entry point is ``repro.api.build_gateway``.
 """
 
 from repro.serving.gateway.admission import AdmissionController, ShedDecision

@@ -24,13 +24,18 @@ so simulated runs shed deterministically from the first request).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
+
+#: Smoothing for the per-deployment batch-service-time estimate: each
+#: observed dispatch moves the estimate a fifth of the way to itself.
+EWMA_ALPHA = 0.2
 
 
 @dataclass(frozen=True)
 class ShedDecision:
-    """One rejected request, recorded for per-tenant accounting."""
+    """One rejected request: why, and what the projection promised."""
 
     tenant: str
     deployment: str
@@ -39,7 +44,6 @@ class ShedDecision:
     queue_depth: int
     projected_latency: float    # seconds the projection promised
     deadline_budget: float      # seconds the request allowed (inf if none)
-    retry: bool = False         # a failed-dispatch retry, not a new arrival
 
 
 class AdmissionController:
@@ -52,24 +56,20 @@ class AdmissionController:
     max_queue_depth:
         hard cap on pending requests per deployment; arrivals past it are
         shed with reason ``"capacity"`` regardless of deadlines.
-    ewma_alpha:
-        smoothing for the per-deployment batch-service-time estimate
-        (1.0 = latest observation wins, 0.0 = frozen prior).
     """
 
     def __init__(self, clock: Callable[[], float], *,
-                 max_queue_depth: int = 256, ewma_alpha: float = 0.2):
+                 max_queue_depth: int = 256):
         if max_queue_depth < 1:
             raise ValueError(f"max_queue_depth must be >= 1, "
                              f"got {max_queue_depth}")
-        if not 0.0 < ewma_alpha <= 1.0:
-            raise ValueError(f"ewma_alpha must be in (0, 1], "
-                             f"got {ewma_alpha}")
         self.clock = clock
         self.max_queue_depth = int(max_queue_depth)
-        self.ewma_alpha = float(ewma_alpha)
         self._est_batch_seconds: dict[str, float] = {}
-        self.decisions: list[ShedDecision] = []
+        # Shed requests are counted, not kept: the decision object goes
+        # back to the caller and nothing per-request outlives the call.
+        self._shed_by_tenant: Counter[str] = Counter()
+        self._shed_by_reason: Counter[str] = Counter()
 
     # ------------------------------------------------------------------
     # Service-time estimation
@@ -86,9 +86,8 @@ class AdmissionController:
         if prev is None:
             self._est_batch_seconds[deployment] = float(batch_seconds)
         else:
-            a = self.ewma_alpha
-            self._est_batch_seconds[deployment] = \
-                (1.0 - a) * prev + a * float(batch_seconds)
+            self._est_batch_seconds[deployment] = (
+                (1.0 - EWMA_ALPHA) * prev + EWMA_ALPHA * float(batch_seconds))
 
     def estimate(self, deployment: str) -> float:
         """Current per-batch service-time estimate (0.0 until anything is
@@ -111,19 +110,17 @@ class AdmissionController:
         return wait + (batches_ahead + 1) * est
 
     def admit(self, queue, *, tenant: str, deployment: str,
-              deadline: float | None,
-              retry: bool = False) -> ShedDecision | None:
-        """``None`` to admit, or the recorded :class:`ShedDecision`.
+              deadline: float | None) -> ShedDecision | None:
+        """``None`` to admit, or the counted :class:`ShedDecision`.
 
         Called with the deployment's queue *before* the request is
         enqueued; ``deadline`` is absolute clock time (``None`` = the
         request never sheds on projection, only on the depth cap).
 
-        Retries of failed dispatches come back through here with
-        ``retry=True`` and their *original* absolute deadline: the
-        remaining budget has shrunk by the failed attempt, so a retry is
-        charged against the same estimate as fresh traffic and overload
-        still sheds honestly.
+        Retries of failed dispatches come back through here with their
+        *original* absolute deadline: the remaining budget has shrunk by
+        the failed attempt, so a retry is charged against the same
+        estimate as fresh traffic and overload still sheds honestly.
         """
         now = self.clock()
         depth = len(queue)
@@ -138,19 +135,14 @@ class AdmissionController:
         decision = ShedDecision(
             tenant=str(tenant), deployment=str(deployment), reason=reason,
             at=now, queue_depth=depth, projected_latency=float(projected),
-            deadline_budget=float(budget), retry=bool(retry))
-        self.decisions.append(decision)
+            deadline_budget=float(budget))
+        self._shed_by_tenant[decision.tenant] += 1
+        self._shed_by_reason[reason] += 1
         return decision
 
     # ------------------------------------------------------------------
     def shed_by_tenant(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for d in self.decisions:
-            out[d.tenant] = out.get(d.tenant, 0) + 1
-        return out
+        return dict(self._shed_by_tenant)
 
     def shed_by_reason(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for d in self.decisions:
-            out[d.reason] = out.get(d.reason, 0) + 1
-        return out
+        return dict(self._shed_by_reason)

@@ -1,58 +1,55 @@
 """The multi-tenant serving gateway: one front door over many models.
 
-:class:`Gateway` composes the pieces of this package into the
-millions-of-users entry point the roadmap asks for:
+:class:`Gateway` composes the pieces the package docstring lists — a
+deployment registry, a tenant manager, an admission controller and an
+optional result cache — into the millions-of-users entry point the
+roadmap asks for.  Request events are counted once, on the tenant;
+:class:`GatewayStats` only sums them.
 
-- a :class:`~repro.serving.gateway.deployments.DeploymentRegistry` of
-  named, version-pinned deployments (each its own micro-batching
-  :class:`~repro.serving.service.ForecastService` on the shared clock,
-  warm or cold, blue-green swappable);
-- a :class:`~repro.serving.gateway.tenancy.TenantManager` — API-key
-  auth, token-bucket quotas, per-tenant isolated feature stores;
-- an :class:`~repro.serving.gateway.admission.AdmissionController` that
-  sheds requests whose projected completion blows their deadline;
-- an optional :class:`~repro.serving.gateway.result_cache.ResultCache`
-  whose hits are bitwise equal to recomputation.
+Every request flows ``authenticate -> quota -> cache -> circuit ->
+admission -> micro-batch queue``; each stage that refuses produces a
+terminal :class:`GatewayResponse` with an explicit status, so the load
+generator can separate goodput from shed, quota and cache traffic
+exactly.
 
-Every request flows ``authenticate -> quota -> cache -> admission ->
-micro-batch queue``; each stage that refuses produces a terminal
-:class:`GatewayResponse` with an explicit status, so the load generator
-can separate goodput from shed, quota and cache traffic exactly.
+**The seam.**  Self-healing policy is three pure functions in
+:mod:`repro.serving.resilience`, testable without a gateway; this module
+observes what they ask about and executes what they return.
+``degradation_rung`` picks stale cache, fallback deployment or explicit
+failure, and :meth:`Gateway._degrade` walks that ladder for a request
+refused at submit and one whose dispatch failed alike; ``should_retry``
+decides and :meth:`Gateway._handle_failures` requeues; ``should_hedge``
+decides and :meth:`Gateway._maybe_hedge` queues the twin.  All of them
+reach a queue through :meth:`Gateway._enqueue` (admission ->
+``service.submit`` -> cache key -> pending table), so recovery is charged
+through admission control and overload still sheds honestly.  Blue-green
+swaps run canary health checks on the green session and auto-roll back
+to blue when they fail, dropping zero requests either way.
 
 Time keeps the subsystem's clock duality: the gateway runs on a
 :class:`~repro.serving.service.ManualClock` by default (bit-reproducible
 schedules under the load generator) or on ``time.perf_counter`` for wall
 operation, where :meth:`handle_concurrent` serves requests through a
 stdlib thread pool.
-
-**Self-healing** (:mod:`repro.serving.resilience`) threads through the
-same path: every deployment carries a circuit breaker, failed dispatches
-are retried within their original deadline budget (charged through
-admission control, so overload still sheds honestly), and a deployment
-whose circuit is open degrades gracefully — stale-but-fingerprint-
-matching cache entry, then a named fallback deployment, then an explicit
-``"failed"`` response.  Blue-green swaps run canary health checks on the
-green session and auto-roll back to blue when they fail, dropping zero
-requests either way.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from threading import RLock
 from typing import Any, Callable
 
 import numpy as np
 
-from repro.serving.gateway.admission import AdmissionController
+from repro.serving.gateway.admission import AdmissionController, ShedDecision
 from repro.serving.gateway.deployments import (
     Deployment, DeploymentRegistry, SwapRecord)
 from repro.serving.gateway.result_cache import ResultCache, cache_key
 from repro.serving.gateway.tenancy import Tenant, TenantManager
 from repro.serving.resilience import (
     CLOSED, GatewayResilience, HALF_OPEN, OPEN, ResiliencePolicy,
-    RollbackRecord)
+    RollbackRecord, degradation_rung, should_hedge, should_retry)
 from repro.serving.service import Forecast, ManualClock
 from repro.utils.errors import SessionFailure, ShapeError
 
@@ -103,47 +100,77 @@ class GatewayResponse:
         return self.forecast.latency
 
 
-@dataclass
+def _tenant_total(field: str) -> property:
+    return property(lambda self: sum(getattr(t.stats, field)
+                                     for t in self._tenants))
+
+
 class GatewayStats:
-    """Aggregate request accounting across all tenants and deployments."""
+    """Aggregate request accounting across all tenants and deployments.
 
-    requests: int = 0
-    admitted: int = 0
-    completed: int = 0
-    cache_hits: int = 0
-    shed: int = 0
-    quota_rejected: int = 0
-    swaps: int = 0
-    degraded: int = 0
-    failed: int = 0
-    rollbacks: int = 0
-
-    def to_dict(self) -> dict:
-        return dict(self.__dict__)
-
-
-@dataclass
-class _PendingRecord:
-    """Gateway-side bookkeeping for one admitted request.
-
-    ``ticket`` is the (deployment, request_id) identity the caller was
-    handed at admission; retries and fallback re-routes move the request
-    between queues, but its completion always reports the original
-    ticket, so callers match responses without knowing about recovery.
+    A request event is recorded once, on its tenant; the per-request
+    totals here are read-only sums over tenants.  Only ``swaps`` and
+    ``rollbacks``, which belong to no tenant, are counted here.
     """
 
-    tenant_id: str
-    key: tuple | None           # cache key for the queue it is on now
-    window: np.ndarray | None
-    deadline: float | None      # original absolute deadline
+    requests = _tenant_total("submitted")
+    admitted = _tenant_total("admitted")
+    completed = _tenant_total("completed")
+    cache_hits = _tenant_total("cache_hits")
+    shed = _tenant_total("shed")
+    quota_rejected = _tenant_total("quota_rejected")
+    degraded = _tenant_total("degraded")
+    failed = _tenant_total("failed")
+
+    def __init__(self, tenants: TenantManager):
+        self._tenants = tenants
+        self.swaps = 0
+        self.rollbacks = 0
+
+    def to_dict(self) -> dict:
+        return {name: getattr(self, name) for name in (
+            "requests", "admitted", "completed", "cache_hits", "shed",
+            "quota_rejected", "swaps", "degraded", "failed", "rollbacks")}
+
+
+def _instant_forecast(request_id: int | None,
+                      predictions: np.ndarray) -> Forecast:
+    """A forecast answered without a dispatch (cache hit, stale entry);
+    a request that never reached a queue has no id and reports -1."""
+    return Forecast(request_id=-1 if request_id is None else request_id,
+                    predictions=predictions, latency=0.0, queue_wait=0.0,
+                    batch_size=0, deadline_missed=False)
+
+
+@dataclass(eq=False)
+class _PendingRecord:
+    """Gateway-side bookkeeping for one request.
+
+    The ticket is the (deployment, request_id) identity the caller is
+    handed at admission: the first queue the record lands on (before
+    that, the deployment asked for and no id).  Retries and fallback
+    re-routes move the request between queues, but its completion always
+    reports the original ticket, so callers match responses without
+    knowing about recovery.
+    """
+
+    tenant: Tenant
     ticket_deployment: str
     ticket_version: str
-    ticket_id: int
+    ticket_id: int | None = None
+    window: np.ndarray | None = None
+    deadline: float | None = None   # original absolute deadline
+    key: tuple | None = None        # cache key for the queue it is on now
     retries: int = 0
-    degraded_source: str = ""   # set once re-routed to a fallback
-    partner: tuple | None = field(default=None)  # hedge twin's queue key
-    canceled: bool = False      # lost a hedge race; discard on completion
-    hedge: bool = False         # this record *is* the hedged duplicate
+    degraded_source: str = ""       # set once re-routed to a fallback
+    partner: "_PendingRecord | None" = field(default=None, repr=False)
+    canceled: bool = False          # lost a hedge race; discard on completion
+
+    def response(self, status: str, **fields) -> GatewayResponse:
+        return GatewayResponse(
+            status=status, tenant=self.tenant.tenant_id,
+            deployment=self.ticket_deployment, version=self.ticket_version,
+            request_id=self.ticket_id, **fields)
 
 
 class Gateway:
@@ -185,7 +212,7 @@ class Gateway:
                  max_batch: int = 8, max_wait: float = 0.005,
                  service_time: Callable[[int], float] | None = None,
                  cache_ttl: float | None = None, cache_entries: int = 1024,
-                 max_queue_depth: int = 256, ewma_alpha: float = 0.2,
+                 max_queue_depth: int = 256,
                  default_deadline: float | None = None,
                  store_capacity: int | None = None,
                  resilience: ResiliencePolicy | None = None,
@@ -196,20 +223,20 @@ class Gateway:
             service_time=service_time)
         self.tenants = TenantManager(self.clock)
         self.admission = AdmissionController(
-            self.clock, max_queue_depth=max_queue_depth,
-            ewma_alpha=ewma_alpha)
+            self.clock, max_queue_depth=max_queue_depth)
         self.cache = (ResultCache(ttl=cache_ttl, max_entries=cache_entries,
                                   clock=self.clock)
                       if cache_ttl is not None else None)
         self.default_deadline = default_deadline
         self.store_capacity = store_capacity
-        self.stats = GatewayStats()
+        self.stats = GatewayStats(self.tenants)
         self.resilience = GatewayResilience(
             resilience if resilience is not None else ResiliencePolicy(),
             self.clock, fault_plan=fault_plan)
         #: (queue deployment, queue request_id) -> bookkeeping record
         self._pending: dict[tuple[str, int], _PendingRecord] = {}
-        self._completed: list[GatewayResponse] = []
+        #: finished responses awaiting the next poll, by ticket
+        self._completed: dict[tuple[str, int], GatewayResponse] = {}
         self._lock = RLock()
 
     # ------------------------------------------------------------------
@@ -289,50 +316,37 @@ class Gateway:
         dep = self.deployments.get(deployment).warm()
         now = self.clock()
         tenant.stats.submitted += 1
-        self.stats.requests += 1
-
-        def refuse(status: str, reason: str = "") -> GatewayResponse:
-            return GatewayResponse(status=status, tenant=tenant.tenant_id,
-                                   deployment=dep.name, version=dep.version,
-                                   reason=reason)
-
+        rec = _PendingRecord(tenant, dep.name, dep.version)
         if not tenant.try_spend_token(now):
             tenant.stats.quota_rejected += 1
-            self.stats.quota_rejected += 1
-            return refuse("rejected_quota", "token bucket empty")
-        window = (self._tenant_window(tenant, dep) if window is None
-                  else self._check_window(dep, window))
+            return rec.response("rejected_quota", reason="token bucket empty")
+        rec.window = window = (self._tenant_window(tenant, dep)
+                               if window is None
+                               else self._check_window(dep, window))
         if deadline is None and self.default_deadline is not None:
             deadline = now + self.default_deadline
+        rec.deadline = deadline
         dep.note_window(window)
 
-        key = None
         if self.cache is not None:
-            key = cache_key(dep.name, dep.version, window)
-            hit = self.cache.get(key)
+            rec.key = cache_key(dep.name, dep.version, window)
+            hit = self.cache.get(rec.key)
             if hit is not None:
                 tenant.stats.cache_hits += 1
-                self.stats.cache_hits += 1
-                fc = Forecast(request_id=-1, predictions=hit, latency=0.0,
-                              queue_wait=0.0, batch_size=0,
-                              deadline_missed=False)
-                resp = refuse("cached")
-                resp.cached, resp.forecast = True, fc
-                return resp
+                return rec.response(
+                    "cached", cached=True,
+                    forecast=_instant_forecast(rec.ticket_id, hit))
 
         # Circuit check (fresh cache hits above answer even when open).
         breaker = self.resilience.breaker(dep.name)
         state = breaker.before_request(now)
         probe = False
         if state == OPEN:
-            return self._degrade_submit(tenant, dep, window, key, deadline,
-                                        reason="circuit_open")
+            return self._degrade(dep, rec, reason="circuit_open")
         if state == HALF_OPEN:
             probe = breaker.try_probe()
             if not probe:
-                return self._degrade_submit(tenant, dep, window, key,
-                                            deadline,
-                                            reason="probe_in_flight")
+                return self._degrade(dep, rec, reason="probe_in_flight")
             # This request *is* the probe: restart a crashed session
             # first so the probe tests actual recovery.
             injector = dep.fault_injector
@@ -340,189 +354,132 @@ class Gateway:
                 dep.restart()
                 self.resilience.restarts += 1
 
-        svc = dep.service
-        decision = self.admission.admit(svc.queue, tenant=tenant.tenant_id,
-                                        deployment=dep.name,
-                                        deadline=deadline)
+        decision = self._enqueue(dep, rec)
         if decision is not None:
             if probe:
                 breaker.cancel_probe()
             tenant.stats.shed += 1
-            self.stats.shed += 1
-            return refuse("shed", decision.reason)
-        rid = svc.submit(window, deadline=deadline)
-        rec = _PendingRecord(
-            tenant_id=tenant.tenant_id, key=key, window=window,
-            deadline=deadline, ticket_deployment=dep.name,
-            ticket_version=dep.version, ticket_id=rid)
-        self._pending[(dep.name, rid)] = rec
-        tenant.stats.admitted += 1
-        self.stats.admitted += 1
+            return rec.response("shed", reason=decision.reason)
         if not probe:
-            self._maybe_hedge(tenant, dep, rec, window, deadline, now)
-        return GatewayResponse(status="admitted", tenant=tenant.tenant_id,
-                               deployment=dep.name, version=dep.version,
-                               request_id=rid)
+            self._maybe_hedge(dep, rec, now)
+        return rec.response("admitted")
+
+    def _enqueue(self, dep: Deployment, rec: _PendingRecord, *,
+                 admit: bool = True) -> ShedDecision | None:
+        """The one way onto a queue, for first submission, retry, fallback
+        re-route and hedge twin: admission -> ``service.submit`` -> cache
+        key -> pending table.  Returns the shed decision if admission
+        control refuses (nothing is queued), else ``None``.  A record's
+        first queue is its ticket and its tenant's one admission.  Only
+        the hedge twin skips admission: :func:`should_hedge` already held
+        the same projection against the budget, and a refused hedge is
+        not a refused request, so it must leave no shed count."""
+        svc = dep.service
+        if admit:
+            decision = self.admission.admit(
+                svc.queue, tenant=rec.tenant.tenant_id, deployment=dep.name,
+                deadline=rec.deadline)
+            if decision is not None:
+                return decision
+        rid = svc.submit(rec.window, deadline=rec.deadline)
+        if rec.ticket_id is None:
+            rec.ticket_deployment, rec.ticket_version = dep.name, dep.version
+            rec.ticket_id = rid
+            rec.tenant.stats.admitted += 1
+        if rec.key is None and self.cache is not None:
+            rec.key = cache_key(dep.name, dep.version, rec.window)
+        self._pending[(dep.name, rid)] = rec
+        return None
 
     # ------------------------------------------------------------------
-    # The degradation ladder
+    # Recovery: executing what repro.serving.resilience decides
     # ------------------------------------------------------------------
     def _fallback_for(self, dep: Deployment) -> Deployment | None:
         """The deployment's named fallback, warmed, if it exists, is not
-        the deployment itself, and has a closed circuit."""
-        if dep.fallback is None or dep.fallback == dep.name:
-            return None
-        if dep.fallback not in self.deployments:
+        the deployment itself, and has a closed circuit.  Looking has
+        effects (a cold fallback warms, its breaker applies its reset
+        timer), so callers look only once nothing cheaper has decided."""
+        if (dep.fallback is None or dep.fallback == dep.name
+                or dep.fallback not in self.deployments):
             return None
         fdep = self.deployments.get(dep.fallback).warm()
         if self.resilience.breaker(fdep.name).before_request() != CLOSED:
             return None
         return fdep
 
-    def _stale_answer(self, key: tuple | None) -> np.ndarray | None:
-        """A stale-but-integrity-verified cache entry, when policy and
-        cache allow it."""
-        if (not self.resilience.policy.serve_stale or self.cache is None
-                or key is None):
-            return None
-        return self.cache.get_stale(key)
-
-    def _degrade_submit(self, tenant: Tenant, dep: Deployment,
-                        window: np.ndarray, key: tuple | None,
-                        deadline: float | None, *,
-                        reason: str) -> GatewayResponse:
-        """Walk the ladder for a request whose deployment is unavailable
-        at submit time: stale cache -> fallback deployment -> failed."""
-        stale = self._stale_answer(key)
-        if stale is not None:
-            tenant.stats.degraded += 1
-            self.stats.degraded += 1
-            self.resilience.degraded_stale += 1
-            fc = Forecast(request_id=-1, predictions=stale, latency=0.0,
-                          queue_wait=0.0, batch_size=0,
-                          deadline_missed=False)
-            return GatewayResponse(
-                status="degraded", tenant=tenant.tenant_id,
-                deployment=dep.name, version=dep.version, forecast=fc,
-                reason=reason, degraded_source="stale_cache")
-        fdep = self._fallback_for(dep)
+    def _degrade(self, dep: Deployment, rec: _PendingRecord, *,
+                 reason: str) -> GatewayResponse | None:
+        """Walk the degradation ladder for a request ``dep`` cannot
+        serve: refused at submit (circuit open or probe slot taken; no
+        ticket yet) or failed in dispatch with no retry left.  Returns a
+        terminal response; or, once the request is on the fallback
+        queue, a submit-time request's ``"admitted"`` ticket and ``None``
+        for one already ticketed (its completion arrives ``"degraded"``
+        under that original ticket)."""
+        ticketed = rec.ticket_id is not None
+        stale = (self.cache.get_stale(rec.key)     # integrity-verified
+                 if self.resilience.policy.serve_stale
+                 and rec.key is not None else None)
+        fdep = self._fallback_for(dep) if stale is None else None
         if fdep is not None:
-            fsvc = fdep.service
-            decision = self.admission.admit(
-                fsvc.queue, tenant=tenant.tenant_id, deployment=fdep.name,
-                deadline=deadline)
-            if decision is None:
-                frid = fsvc.submit(window, deadline=deadline)
-                fkey = (cache_key(fdep.name, fdep.version, window)
-                        if self.cache is not None else None)
-                self._pending[(fdep.name, frid)] = _PendingRecord(
-                    tenant_id=tenant.tenant_id, key=fkey, window=window,
-                    deadline=deadline, ticket_deployment=fdep.name,
-                    ticket_version=fdep.version, ticket_id=frid,
-                    degraded_source=f"fallback:{fdep.name}")
-                tenant.stats.admitted += 1
-                self.stats.admitted += 1
-                return GatewayResponse(
-                    status="admitted", tenant=tenant.tenant_id,
-                    deployment=fdep.name, version=fdep.version,
-                    request_id=frid, reason=reason,
-                    degraded_source=f"fallback:{fdep.name}")
-        tenant.stats.failed += 1
-        self.stats.failed += 1
-        self.resilience.failed += 1
-        return GatewayResponse(status="failed", tenant=tenant.tenant_id,
-                               deployment=dep.name, version=dep.version,
-                               reason=reason)
-
-    def _maybe_hedge(self, tenant: Tenant, dep: Deployment,
-                     rec: _PendingRecord, window: np.ndarray,
-                     deadline: float | None, now: float) -> None:
-        """Hedged re-dispatch: when the primary is healthy-but-slow and
-        the deadline budget affords a duplicate, race the fallback.  The
-        probe uses the projection directly (no shed record — a refused
-        hedge is not a refused request)."""
-        policy = self.resilience.policy
-        if not policy.hedge:
-            return
-        if not self.resilience.breaker(dep.name).degraded():
-            return
-        fdep = self._fallback_for(dep)
-        if fdep is None:
-            return
-        fsvc = fdep.service
-        budget = float("inf") if deadline is None else deadline - now
-        if (len(fsvc.queue) >= self.admission.max_queue_depth
-                or self.admission.projected_latency(fsvc.queue, fdep.name)
-                > budget):
-            return
-        frid = fsvc.submit(window, deadline=deadline)
-        fkey = (cache_key(fdep.name, fdep.version, window)
-                if self.cache is not None else None)
-        twin = _PendingRecord(
-            tenant_id=rec.tenant_id, key=fkey, window=window,
-            deadline=deadline, ticket_deployment=rec.ticket_deployment,
-            ticket_version=rec.ticket_version, ticket_id=rec.ticket_id,
-            hedge=True, degraded_source=f"fallback:{fdep.name}",
-            partner=(dep.name, rec.ticket_id))
-        rec.partner = (fdep.name, frid)
-        self._pending[(fdep.name, frid)] = twin
-        self.resilience.hedges += 1
-
-    def _degrade_failed(self, tenant: Tenant, dep: Deployment,
-                        rec: _PendingRecord, *,
-                        reason: str) -> GatewayResponse | None:
-        """The ladder for an admitted request whose dispatch failed and
-        whose retries are exhausted (or blocked by an open circuit).
-        Returns a terminal response, or ``None`` when the request was
-        re-routed to the fallback queue (its completion will arrive
-        marked ``"degraded"`` under the original ticket)."""
-        stale = self._stale_answer(rec.key)
-        if stale is not None:
-            tenant.stats.degraded += 1
-            self.stats.degraded += 1
+            rec.key = None      # the primary's; _enqueue keys the fallback's
+        rerouted = fdep is not None and self._enqueue(fdep, rec) is None
+        rung = degradation_rung(stale_available=stale is not None,
+                                fallback_ready=fdep is not None,
+                                fallback_admitted=rerouted)
+        stats = rec.tenant.stats
+        if rung == "stale_cache":
+            stats.degraded += 1
             self.resilience.degraded_stale += 1
-            fc = Forecast(request_id=rec.ticket_id, predictions=stale,
-                          latency=0.0, queue_wait=0.0, batch_size=0,
-                          deadline_missed=False)
-            return GatewayResponse(
-                status="degraded", tenant=rec.tenant_id,
-                deployment=rec.ticket_deployment,
-                version=rec.ticket_version, request_id=rec.ticket_id,
-                forecast=fc, reason=reason, degraded_source="stale_cache")
-        fdep = self._fallback_for(dep)
-        if fdep is not None:
-            fsvc = fdep.service
-            decision = self.admission.admit(
-                fsvc.queue, tenant=rec.tenant_id, deployment=fdep.name,
-                deadline=rec.deadline, retry=True)
-            if decision is None:
-                frid = fsvc.submit(rec.window, deadline=rec.deadline)
-                rec.key = (cache_key(fdep.name, fdep.version, rec.window)
-                           if self.cache is not None else None)
-                rec.degraded_source = f"fallback:{fdep.name}"
-                self._pending[(fdep.name, frid)] = rec
+            return rec.response(
+                "degraded", reason=reason, degraded_source=rung,
+                forecast=_instant_forecast(rec.ticket_id, stale))
+        if rung == "fallback":
+            rec.degraded_source = f"fallback:{fdep.name}"
+            if ticketed:
                 return None
-        tenant.stats.failed += 1
-        self.stats.failed += 1
+            return rec.response("admitted", reason=reason,
+                                degraded_source=rec.degraded_source)
+        stats.failed += 1
         self.resilience.failed += 1
-        return GatewayResponse(
-            status="failed", tenant=rec.tenant_id,
-            deployment=rec.ticket_deployment, version=rec.ticket_version,
-            request_id=rec.ticket_id, reason=reason)
+        return rec.response("failed", reason=reason)
+
+    def _maybe_hedge(self, dep: Deployment, rec: _PendingRecord,
+                     now: float) -> None:
+        """Hedged re-dispatch: race a twin on the fallback when the
+        primary is healthy-but-slow and the deadline budget affords a
+        duplicate; the first completion wins."""
+        policy = self.resilience.policy
+        # Observed lazily, cheapest first: hedging is usually off, and
+        # looking at the fallback has effects (see _fallback_for).
+        slow = policy.hedge and self.resilience.breaker(dep.name).degraded()
+        fdep = self._fallback_for(dep) if slow else None
+        depth, projected = None, 0.0
+        if fdep is not None:
+            queue = fdep.service.queue
+            depth = len(queue)
+            projected = self.admission.projected_latency(queue, fdep.name)
+        if should_hedge(
+                enabled=policy.hedge, primary_degraded=slow,
+                fallback_depth=depth, projected_latency=projected,
+                max_depth=self.admission.max_queue_depth,
+                budget=(float("inf") if rec.deadline is None
+                        else rec.deadline - now)):
+            rec.partner = replace(rec, key=None, partner=rec,
+                                  degraded_source=f"fallback:{fdep.name}")
+            self._enqueue(fdep, rec.partner, admit=False)
+            self.resilience.hedges += 1
 
     def _handle_failures(self, dep: Deployment) -> None:
-        """Resolve dispatches that raised SessionFailure: per failed
-        request, retry within the original deadline budget (charged
-        through admission control), else walk the degradation ladder.
-        Nothing is ever silently dropped."""
-        svc = dep.service
-        if svc is None:
-            return
-        failed = svc.take_failed()
+        """Resolve dispatches that raised SessionFailure: each failed
+        request is retried on the same queue within its original deadline
+        budget (charged through admission control) or walks the
+        degradation ladder.  Nothing is ever silently dropped."""
+        failed = dep.service.take_failed()
         if not failed:
             return
         breaker = self.resilience.breaker(dep.name)
-        policy = self.resilience.policy
+        max_retries = self.resilience.policy.max_retries
         for reqs, _exc in failed:
             breaker.record_failure()
             for req in reqs:
@@ -532,30 +489,23 @@ class Gateway:
                 if rec.canceled:
                     self.resilience.hedges_wasted += 1
                     continue
-                if rec.partner is not None:
-                    twin = self._pending.get(rec.partner)
-                    if twin is not None and not twin.canceled:
-                        # The hedge twin is still racing; it becomes the
-                        # answer for this ticket.
-                        twin.partner = None
-                        continue
-                tenant = self.tenants.get(rec.tenant_id)
-                if (rec.retries < policy.max_retries
-                        and breaker.before_request() == CLOSED):
-                    decision = self.admission.admit(
-                        svc.queue, tenant=rec.tenant_id,
-                        deployment=dep.name, deadline=rec.deadline,
-                        retry=True)
-                    if decision is None:
-                        nrid = svc.submit(rec.window, deadline=rec.deadline)
-                        rec.retries += 1
-                        self._pending[(dep.name, nrid)] = rec
-                        self.resilience.retries += 1
-                        continue
-                resp = self._degrade_failed(tenant, dep, rec,
-                                            reason="session_failure")
+                if rec.partner is not None and not rec.partner.canceled:
+                    # The hedge twin is still racing; it becomes the
+                    # answer for this ticket.
+                    rec.partner.partner = None
+                    continue
+                # The breaker is asked only while budget remains: asking
+                # applies its reset timer, and that transition is logged.
+                state = (breaker.before_request()
+                         if rec.retries < max_retries else breaker.state)
+                if (should_retry(rec.retries, max_retries, state)
+                        and self._enqueue(dep, rec) is None):
+                    rec.retries += 1
+                    self.resilience.retries += 1
+                    continue
+                resp = self._degrade(dep, rec, reason="session_failure")
                 if resp is not None:
-                    self._completed.append(resp)
+                    self._completed[resp.deployment, resp.request_id] = resp
 
     def request(self, api_key: str, deployment: str,
                 window: np.ndarray | None = None, *,
@@ -567,32 +517,16 @@ class Gateway:
         resp = self.submit(api_key, deployment, window, deadline=deadline)
         if resp.status != "admitted":
             return resp
-        target = (resp.deployment, resp.request_id)
-
-        def find() -> GatewayResponse | None:
-            for i, r in enumerate(self._completed):
-                if (r.deployment, r.request_id) == target:
-                    return self._completed.pop(i)
-            return None
-
+        ticket = (resp.deployment, resp.request_id)
+        # Its own queue first; recovery may have bounced the request to
+        # another (retry or fallback re-route), so widen until it lands.
         self._drain_deployment(self.deployments.get(resp.deployment),
                                force=True)
-        found = find()
-        if found is not None:
-            return found
-        # Recovery may have bounced the request to another queue (retry
-        # or fallback re-route); widen the drain until it lands.
-        for _ in range(64):
-            for dep in self.deployments.deployments():
-                self._drain_deployment(dep, force=True)
-            found = find()
-            if found is not None:
-                return found
-            if not any(d.service is not None and len(d.service.queue)
-                       for d in self.deployments.deployments()):
-                break
-        raise RuntimeError(                                # pragma: no cover
-            f"request {resp.request_id} never completed")
+        found = self._completed.pop(ticket, None) or self._drain_all(ticket)
+        if found is None:
+            raise RuntimeError(                            # pragma: no cover
+                f"request {resp.request_id} never completed")
+        return found
 
     # ------------------------------------------------------------------
     # Completion plumbing
@@ -611,76 +545,92 @@ class Gateway:
                 continue
             hedged = rec.partner is not None
             if hedged:
-                twin = self._pending.get(rec.partner)
-                if twin is not None:
-                    twin.canceled = True
-            tenant = self.tenants.get(rec.tenant_id)
-            tenant.stats.completed += 1
-            tenant.stats.deadline_misses += int(fc.deadline_missed)
-            self.stats.completed += 1
+                rec.partner.canceled = True     # the race is over
+            stats = rec.tenant.stats
+            stats.completed += 1
+            stats.deadline_misses += int(fc.deadline_missed)
             if self.cache is not None and rec.key is not None:
                 self.cache.put(rec.key, fc.predictions)
-                injector = self.resilience.injector(dep.name)
-                if injector is not None:
-                    injector.maybe_corrupt(self.cache, rec.key)
-            status = "ok"
+                if dep.fault_injector is not None:
+                    dep.fault_injector.maybe_corrupt(self.cache, rec.key)
             if rec.degraded_source:
-                status = "degraded"
-                tenant.stats.degraded += 1
-                self.stats.degraded += 1
+                stats.degraded += 1
                 self.resilience.degraded_fallback += 1
-            self._completed.append(GatewayResponse(
-                status=status, tenant=rec.tenant_id,
-                deployment=rec.ticket_deployment,
-                version=rec.ticket_version, request_id=rec.ticket_id,
-                forecast=fc, degraded_source=rec.degraded_source,
-                hedged=hedged))
+            self._completed[rec.ticket_deployment, rec.ticket_id] = \
+                rec.response("degraded" if rec.degraded_source else "ok",
+                             forecast=fc, hedged=hedged,
+                             degraded_source=rec.degraded_source)
+
+    def _observed(self, dep: Deployment, dispatch: Callable[[], Any], *,
+                  feed_breaker: bool) -> Any:
+        """Run ``dispatch`` (a call that pushes batches through ``dep``'s
+        service) and feed back what it cost: the mean batch time to the
+        admission estimate and, with ``feed_breaker``, every successful
+        batch to the circuit breaker.  A queue drain feeds both; the
+        drain inside a blue-green swap has only ever fed the estimate."""
+        stats = dep.service.stats
+        batches0, busy0, failed0 = (stats.batches, stats.busy_seconds,
+                                    stats.failed_batches)
+        result = dispatch()
+        dispatched = stats.batches - batches0
+        if dispatched:
+            mean = (stats.busy_seconds - busy0) / dispatched
+            self.admission.observe(dep.name, mean)
+            if feed_breaker:
+                breaker = self.resilience.breaker(dep.name)
+                now = self.clock()
+                # Successful batches first, failures after: a crashed
+                # session stays down until restarted, so within one
+                # drain failures are always the suffix.
+                for _ in range(dispatched - (stats.failed_batches
+                                             - failed0)):
+                    breaker.record_success(mean, now)
+        return result
 
     def _drain_deployment(self, dep: Deployment, *, force: bool) -> None:
         svc = dep.service
         if svc is None:
             return
-        batches0 = svc.stats.batches
-        busy0 = svc.stats.busy_seconds
-        failed0 = svc.stats.failed_batches
-        self._absorb(dep, svc.flush() if force else svc.poll())
-        dispatched = svc.stats.batches - batches0
-        if dispatched:
-            mean = (svc.stats.busy_seconds - busy0) / dispatched
-            self.admission.observe(dep.name, mean)
-            breaker = self.resilience.breaker(dep.name)
-            now = self.clock()
-            # Successful batches first, failures after: a crashed session
-            # stays down until restarted, so within one drain failures
-            # are always the suffix.
-            for _ in range(dispatched - (svc.stats.failed_batches
-                                         - failed0)):
-                breaker.record_success(mean, now)
+        self._absorb(dep, self._observed(
+            dep, svc.flush if force else svc.poll, feed_breaker=True))
         self._handle_failures(dep)
+
+    def _drain_all(self, ticket: tuple | None = None
+                   ) -> GatewayResponse | None:
+        """Force-dispatch every deployment until every queue is empty, or
+        until ``ticket``'s response lands (it is taken and returned).
+        Failure recovery can requeue work mid-drain (retries, fallback
+        re-routes), so one pass is not enough; the loop is bounded
+        because retries are budgeted and circuits open."""
+        for _ in range(64):
+            deps = self.deployments.deployments()
+            for dep in deps:
+                self._drain_deployment(dep, force=True)
+            found = self._completed.pop(ticket, None)
+            if found is not None or not any(d.in_flight for d in deps):
+                return found
+        return None
+
+    def _dispatch_due(self) -> None:
+        for dep in self.deployments.deployments():
+            self._drain_deployment(dep, force=False)
+
+    def _take_completed(self) -> list[GatewayResponse]:
+        done = list(self._completed.values())
+        self._completed.clear()
+        return done
 
     def poll(self) -> list[GatewayResponse]:
         """Dispatch every due batch on every deployment; returns (and
         drains) newly completed responses."""
-        for dep in self.deployments.deployments():
-            self._drain_deployment(dep, force=False)
-        done, self._completed = self._completed, []
-        return done
+        self._dispatch_due()
+        return self._take_completed()
 
     def flush(self) -> list[GatewayResponse]:
-        """Force-dispatch everything pending on every deployment.
-
-        Failure recovery can requeue work mid-drain (retries, fallback
-        re-routes), so the drain loops until every queue is empty; the
-        loop is bounded because retries are budgeted and circuits open.
-        """
-        for _ in range(64):
-            for dep in self.deployments.deployments():
-                self._drain_deployment(dep, force=True)
-            if not any(d.service is not None and len(d.service.queue)
-                       for d in self.deployments.deployments()):
-                break
-        done, self._completed = self._completed, []
-        return done
+        """Force-dispatch everything pending on every deployment,
+        including what failure recovery requeues along the way."""
+        self._drain_all()
+        return self._take_completed()
 
     def time_until_ready(self) -> float | None:
         """Seconds until the earliest coalescing timer fires across all
@@ -711,16 +661,10 @@ class Gateway:
         dep = self.deployments.get(deployment).warm()
         blue_session = dep.service.session
         blue_version, blue_source = dep.version, dep.source
-        svc = dep.service
-        batches0 = svc.stats.batches
-        busy0 = svc.stats.busy_seconds
-        record, drained = dep.swap(source, version=version)
+        record, drained = self._observed(
+            dep, lambda: dep.swap(source, version=version),
+            feed_breaker=False)
         self._absorb(dep, drained)
-        svc = dep.service
-        dispatched = svc.stats.batches - batches0
-        if dispatched:
-            self.admission.observe(
-                dep.name, (svc.stats.busy_seconds - busy0) / dispatched)
         self._handle_failures(dep)
         if self.cache is not None:
             self.cache.invalidate(dep.name)
@@ -795,28 +739,23 @@ class Gateway:
         requests = list(requests)
         if isinstance(self.clock, ManualClock):
             responses = [self.submit(**kw) for kw in requests]
-            done = {(r.deployment, r.request_id): r for r in self.flush()}
-            return [done.get((r.deployment, r.request_id), r)
-                    if r.status == "admitted" else r for r in responses]
+            self._drain_all()
+            return [self._completed.pop((r.deployment, r.request_id), r)
+                    for r in responses]
 
         from concurrent.futures import ThreadPoolExecutor
-
-        ready: dict[tuple[str, int], GatewayResponse] = {}
 
         def one(kw: dict) -> GatewayResponse:
             with self._lock:
                 resp = self.submit(**kw)
             if resp.status != "admitted":
                 return resp
-            key = (resp.deployment, resp.request_id)
+            ticket = (resp.deployment, resp.request_id)
             while True:
                 with self._lock:
-                    if key in ready:
-                        return ready.pop(key)
-                    for r in self.poll():
-                        ready[(r.deployment, r.request_id)] = r
-                    if key in ready:
-                        return ready.pop(key)
+                    self._dispatch_due()
+                    if ticket in self._completed:
+                        return self._completed.pop(ticket)
                 time.sleep(1e-4)
 
         with ThreadPoolExecutor(max_workers=max_workers) as pool:

@@ -116,6 +116,9 @@ class TenantManager:
     def __len__(self) -> int:
         return len(self._by_id)
 
+    def __iter__(self):
+        return iter(self._by_id.values())
+
     def names(self) -> list[str]:
         return sorted(self._by_id)
 

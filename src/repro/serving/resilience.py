@@ -18,11 +18,12 @@ the request schedule that caused it:
   one probe; a healthy probe closes it, anything else re-opens it.
   Every transition is recorded as a :class:`CircuitTransition` (the
   chaos tests pin the full transition list bit-for-bit across reruns).
-- :class:`ResiliencePolicy` bundles the knobs, including the graceful
-  degradation ladder the gateway walks when a deployment is down:
-  serve a stale-but-fingerprint-matching result-cache entry, fall back
-  to a named fallback deployment, or fail explicitly — never hang,
-  never drop silently.
+- :class:`ResiliencePolicy` bundles the knobs; :func:`degradation_rung`,
+  :func:`should_retry` and :func:`should_hedge` are the decisions taken
+  with them, as pure functions the gateway executes.  The ladder for a
+  deployment that is down: serve a stale-but-fingerprint-matching
+  result-cache entry, fall back to a named fallback deployment, or fail
+  explicitly — never hang, never drop silently.
 - :class:`RollbackRecord` documents an automatic blue-green rollback:
   a swap whose green session fails its canary health checks is reverted
   to blue with zero dropped requests.
@@ -106,6 +107,40 @@ class ResiliencePolicy:
         if self.canary_probes < 0:
             raise ValueError(f"canary_probes must be >= 0, "
                              f"got {self.canary_probes}")
+
+
+# The recovery policy: each decision is a function of plain observed
+# values (no gateway, deployment, queue or clock; nothing is written), so
+# it is tested as a truth table.  Gateway plumbing executes the answers.
+def degradation_rung(*, stale_available: bool, fallback_ready: bool,
+                     fallback_admitted: bool) -> str:
+    """The ladder for a request its deployment cannot serve: a stale
+    cache entry, else the fallback deployment (present with a closed
+    circuit, and admission control took the request), else an explicit
+    failure: ``"stale_cache"``, ``"fallback"`` or ``"failed"``."""
+    if stale_available:
+        return "stale_cache"
+    if fallback_ready and fallback_admitted:
+        return "fallback"
+    return "failed"
+
+
+def should_retry(retries: int, max_retries: int, breaker_state: str) -> bool:
+    """A failed dispatch goes back on its own queue only within the
+    per-request budget and while the circuit is closed (an open or
+    probing circuit must not be fed retries)."""
+    return retries < max_retries and breaker_state == CLOSED
+
+
+def should_hedge(*, enabled: bool, primary_degraded: bool,
+                 fallback_depth: int | None, max_depth: int,
+                 projected_latency: float, budget: float) -> bool:
+    """Race a duplicate on the fallback when hedging is on, the primary
+    is healthy-but-slow, a usable fallback exists (``fallback_depth`` is
+    its queue depth, ``None`` without one) below the depth cap, and its
+    projected latency fits the deadline budget."""
+    return (enabled and primary_degraded and fallback_depth is not None
+            and fallback_depth < max_depth and projected_latency <= budget)
 
 
 @dataclass(frozen=True)

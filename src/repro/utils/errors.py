@@ -25,6 +25,15 @@ class OutOfMemoryError(ReproError, MemoryError):
         self.in_use = in_use
 
 
+class ServerKeywordError(ReproError, TypeError, ValueError):
+    """A serving keyword the chosen ``server`` builder does not accept.
+
+    A :class:`TypeError`, like any unexpected keyword argument; also a
+    :class:`ValueError`, because it is the value of ``server`` that makes
+    the keyword wrong (``num_standby`` is fine with ``server="sharded"``).
+    """
+
+
 class CommunicatorError(ReproError, RuntimeError):
     """A collective or point-to-point operation was used incorrectly."""
 

@@ -11,10 +11,14 @@ The load-bearing guarantees:
 - blue-green swaps drain every in-flight request (zero drops).
 """
 
+import sys
+import time
+
 import numpy as np
 import pytest
 
 from repro.api import RunSpec, build_gateway, list_servers, run, serve
+from repro.api import session_source
 from repro.serving import (
     AuthError,
     FeatureStore,
@@ -217,10 +221,26 @@ class TestAdmission:
         assert decision is not None and decision.reason == "capacity"
 
     def test_ewma_observation(self):
-        _, _, adm = self.make(ewma_alpha=0.5)
+        _, _, adm = self.make()
         adm.observe("d", 0.010)
         adm.observe("d", 0.020)
-        assert adm.estimate("d") == pytest.approx(0.015)
+        assert adm.estimate("d") == pytest.approx(0.012)
+
+    def test_shed_requests_are_counted_not_kept(self):
+        clock, queue, adm = self.make()
+        adm.seed_estimate("d", 0.010)
+        held = set(vars(adm))
+        for i in range(1000):
+            decision = adm.admit(queue, tenant=f"t{i % 2}", deployment="d",
+                                 deadline=clock() + 0.005)
+            assert decision.reason == "deadline"
+        assert adm.shed_by_reason() == {"deadline": 1000}
+        assert adm.shed_by_tenant() == {"t0": 500, "t1": 500}
+        # Nothing per-request outlives the call: the same attributes,
+        # and every container among them is keyed by tenant or reason.
+        assert set(vars(adm)) == held
+        assert all(len(v) <= 2 for v in vars(adm).values()
+                   if hasattr(v, "__len__"))
 
 
 # ---------------------------------------------------------------------------
@@ -371,6 +391,36 @@ class TestGateway:
         assert len(responses) == 6 and all(r.ok for r in responses)
         assert all(r.forecast.batch_size >= 1 for r in responses)
 
+    def test_handle_concurrent_on_real_threads(self, trained, pool):
+        """Real clock, real pool: 64 requests over 8 workers and two
+        tenants.  Every request comes back exactly once, in request
+        order, bitwise equal to a direct predict of its own window."""
+        from tests.test_examples_smoke import alarm
+
+        gw = make_gateway(trained, clock=time.perf_counter,
+                          service_time=None)
+        session = gw.deployments.get("bay").session
+        requests = [dict(api_key=("key-ops", "key-research")[i % 2],
+                         deployment="bay", window=pool[i % len(pool)])
+                    for i in range(64)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)     # interleave the workers hard
+        try:
+            with alarm(60, "handle_concurrent on real threads"):
+                responses = gw.handle_concurrent(requests, max_workers=8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(responses) == 64
+        assert [r.tenant for r in responses] == ["ops", "research"] * 32
+        assert len({(r.deployment, r.request_id) for r in responses}) == 64
+        for i, resp in enumerate(responses):
+            assert resp.status == "ok"
+            want = session.predict(pool[i % len(pool)][None])[0]
+            np.testing.assert_array_equal(resp.forecast.predictions,
+                                          session.to_original_units(want))
+        assert gw.stats.completed == gw.stats.admitted == 64
+        assert not gw._pending and gw.poll() == []
+
     def test_describe_covers_every_surface(self, trained, pool):
         gw = make_gateway(trained, cache_ttl=60.0)
         gw.request("key-ops", "bay", pool[0])
@@ -382,12 +432,14 @@ class TestGateway:
 
 
 class TestGatewayAPI:
-    def test_gateway_registered_as_server(self):
-        assert "gateway" in list_servers()
-
-    def test_serve_returns_gateway(self, trained, pool):
-        gw = serve(trained, server="gateway", clock=ManualClock(),
-                   max_batch=8)
+    def test_gateways_are_built_not_served(self, trained, pool):
+        """One spelling: ``serve`` returns services, ``build_gateway``
+        gateways; ``"gateway"`` is an unknown server like any other."""
+        assert list_servers() == ["local", "sharded"]
+        with pytest.raises(KeyError, match=r"\['local', 'sharded'\]"):
+            serve(trained, server="gateway")
+        gw = build_gateway({"default": trained}, clock=ManualClock(),
+                           max_batch=8)
         assert isinstance(gw, Gateway)
         assert gw.deployments.names() == ["default"]
         resp = gw.request("key-default", "default", pool[0])
@@ -406,6 +458,14 @@ class TestGatewayAPI:
         assert dep.state == "cold" and dep.version == "v7"
         resp = gw.request("key-default", "bay", pool[0])   # warms lazily
         assert resp.ok and dep.state == "warm"
+
+    def test_unknown_keyword_fails_at_the_call(self, trained):
+        """Not at the deployment's first warm(): cold ones included."""
+        with pytest.raises(TypeError, match="num_shardz"):
+            build_gateway({"bay": trained}, states={"bay": "cold"},
+                          num_shardz=3)
+        with pytest.raises(TypeError, match="num_shardz"):
+            session_source(trained, server="sharded", num_shardz=3)
 
     def test_build_gateway_needs_sources(self):
         with pytest.raises(ValueError, match="at least one"):

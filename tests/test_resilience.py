@@ -21,6 +21,11 @@ from repro.serving.resilience import (
     CircuitBreaker,
     ResiliencePolicy,
 )
+from repro.serving.resilience import (
+    degradation_rung,
+    should_hedge,
+    should_retry,
+)
 from repro.serving.service import ManualClock
 from repro.utils.errors import SessionFailure
 
@@ -137,6 +142,54 @@ class TestResiliencePolicy:
     def test_rejects_bad_knobs(self, kw):
         with pytest.raises(ValueError):
             ResiliencePolicy(**kw)
+
+
+class TestRecoveryPolicy:
+    """The three decisions as truth tables over plain values: no gateway,
+    deployment, queue or clock is built."""
+
+    @pytest.mark.parametrize("stale, ready, admitted, rung", [
+        (True, True, True, "stale_cache"),
+        (True, True, False, "stale_cache"),
+        (True, False, True, "stale_cache"),
+        (True, False, False, "stale_cache"),
+        (False, True, True, "fallback"),
+        (False, True, False, "failed"),      # fallback shed the request
+        (False, False, True, "failed"),      # no closed fallback to take it
+        (False, False, False, "failed"),
+    ])
+    def test_degradation_ladder(self, stale, ready, admitted, rung):
+        assert degradation_rung(stale_available=stale, fallback_ready=ready,
+                                fallback_admitted=admitted) == rung
+
+    @pytest.mark.parametrize("retries, state, retry", [
+        (0, CLOSED, True),
+        (0, OPEN, False),
+        (0, HALF_OPEN, False),
+        (1, CLOSED, False),                  # at budget
+        (1, OPEN, False),
+        (1, HALF_OPEN, False),
+    ])
+    def test_retry_decision(self, retries, state, retry):
+        assert should_retry(retries, 1, state) is retry
+
+    HEDGE = dict(enabled=True, primary_degraded=True, fallback_depth=3,
+                 max_depth=4, projected_latency=0.002, budget=0.002)
+
+    @pytest.mark.parametrize("flip", [
+        dict(enabled=False),
+        dict(primary_degraded=False),
+        dict(fallback_depth=None),           # no usable fallback
+        dict(fallback_depth=4),              # at the depth cap
+        dict(projected_latency=0.0021),      # past the deadline budget
+    ])
+    def test_hedge_decision(self, flip):
+        assert should_hedge(**self.HEDGE) is True
+        assert should_hedge(**{**self.HEDGE, **flip}) is False
+
+    def test_no_deadline_always_affords_a_hedge(self):
+        assert should_hedge(**{**self.HEDGE, "projected_latency": 1e9,
+                               "budget": float("inf")})
 
 
 class TestHealthMonitor:

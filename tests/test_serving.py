@@ -412,6 +412,19 @@ class TestServeAPI:
         with pytest.raises(KeyError, match="unknown server"):
             serve(trained, server="nope")
 
+    def test_serve_rejects_unknown_keywords(self, trained):
+        """A typo'd knob names itself at the call instead of being
+        swallowed by the server builder."""
+        with pytest.raises(TypeError, match="max_bach"):
+            serve(trained, max_bach=4, num_shards=4, stor_capacity=3)
+        with pytest.raises(TypeError, match="stor_capacity"):
+            serve(trained, server="sharded", stor_capacity=3)
+        # Right keyword, wrong server: still loud, and says where it fits.
+        with pytest.raises(TypeError, match="num_standby.*server='sharded'"):
+            serve(trained, server="local", num_standby=1)
+        svc = serve(trained, server="sharded", num_shards=2)
+        assert svc.session.num_shards == 2
+
     def test_serve_rejects_other_types(self):
         with pytest.raises(TypeError, match="checkpoint path"):
             serve(123)
