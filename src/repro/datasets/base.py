@@ -73,8 +73,9 @@ class SpatioTemporalDataset:
         """Return ``[entries, nodes, raw_features + 1]`` with time-of-day.
 
         This materialises a copy (it is the first memory-growth stage the
-        paper identifies); index-batching applies it once, the standard
-        pipeline applies it before duplicating windows.
+        paper identifies); the standard pipeline applies it before
+        duplicating windows, index-batching writes the same values block by
+        block into its one stored array instead.
         """
         tod = self.time_of_day().astype(self.signals.dtype)
         tod_channel = np.broadcast_to(tod[:, None, None],

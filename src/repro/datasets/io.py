@@ -17,7 +17,8 @@ from repro.graph.adjacency import SensorGraph
 
 
 def save_dataset(path: str, dataset: SpatioTemporalDataset) -> None:
-    """Write signals, graph and spec to one ``.npz`` archive."""
+    """Write signals, graph and spec to one ``.npz``-format archive at
+    exactly ``path``, whatever its suffix."""
     w = dataset.graph.weights.tocsr()
     spec_json = json.dumps({
         "name": dataset.spec.name,
@@ -29,15 +30,19 @@ def save_dataset(path: str, dataset: SpatioTemporalDataset) -> None:
         "horizon": dataset.spec.horizon,
         "interval_minutes": dataset.spec.interval_minutes,
     })
-    np.savez_compressed(
-        path,
-        signals=dataset.signals,
-        timestamps=dataset.timestamps,
-        coords=dataset.graph.coords,
-        adj_data=w.data, adj_indices=w.indices, adj_indptr=w.indptr,
-        adj_shape=np.array(w.shape),
-        graph_name=np.frombuffer(dataset.graph.name.encode(), dtype=np.uint8),
-        spec=np.frombuffer(spec_json.encode(), dtype=np.uint8))
+    # Through a file handle: given a path, NumPy appends ".npz" to any other
+    # suffix and load_dataset_file(path) would not find the file.
+    with open(path, "wb") as f:
+        np.savez_compressed(
+            f,
+            signals=dataset.signals,
+            timestamps=dataset.timestamps,
+            coords=dataset.graph.coords,
+            adj_data=w.data, adj_indices=w.indices, adj_indptr=w.indptr,
+            adj_shape=np.array(w.shape),
+            graph_name=np.frombuffer(dataset.graph.name.encode(),
+                                     dtype=np.uint8),
+            spec=np.frombuffer(spec_json.encode(), dtype=np.uint8))
 
 
 def load_dataset_file(path: str) -> SpatioTemporalDataset:

@@ -2,9 +2,18 @@
 
 A :class:`MemorySpace` stands in for a node's DDR4 or a GPU's HBM.  Both
 the *mechanistic* full-scale pipeline simulations (which never allocate
-real arrays) and the *real* small-scale pipelines (which do) record their
-allocations here, so one accounting layer produces the paper's memory
+real arrays) and the *real* small-scale pipelines (which do) charge the
+same sequence here, so one accounting layer produces the paper's memory
 traces (Figures 2 and 6) and peak columns (Tables 2, 3, 4).
+
+The ledger models the *paper's* pipelines; it is not a record of what this
+process allocates.  ``standard_preprocess`` does materialise the arrays it
+charges, but ``IndexDataset.from_dataset`` charges the published PGT-I
+sequence (raw + augmented copy + standardization scratch, then a storage
+cast) while standardizing block by block straight into the stored array,
+so its real peak is far lower than its charged one.  What the process
+really peaks at is measured, not charged: the end-to-end benchmark's
+``peak_rss_mb`` and ``preprocessing.traced_peak_mb``.
 """
 
 from __future__ import annotations

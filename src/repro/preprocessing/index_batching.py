@@ -14,6 +14,11 @@ Views share the base array's memory, so snapshot construction allocates
 nothing; only batch *gathering* (fancy-indexing a set of starts into a
 contiguous ``[batch, horizon, nodes, features]`` block) copies, and that
 copy is the batch the model consumes anyway.
+
+Set-up writes the standardized copy once, block by block, straight at its
+storage dtype (:meth:`IndexDataset.from_dataset`): no augmented float64
+array, no full-size ``data - mean`` temporary and no ``astype`` copy exist
+at any point, so the process peaks at raw + resident + two blocks.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ import numpy as np
 from repro.datasets.base import SpatioTemporalDataset
 from repro.hardware.memory import Allocation, MemorySpace
 from repro.kernels.precision import resolve_store_dtype
-from repro.preprocessing.scaler import StandardScaler
+from repro.preprocessing.scaler import StandardScaler, block_rows
 from repro.preprocessing.windows import num_snapshots, split_bounds, window_starts
 from repro.utils.errors import ShapeError
 
@@ -60,24 +65,40 @@ class IndexDataset:
                      ratios: tuple[float, float, float] = (0.7, 0.1, 0.2),
                      add_time_feature: bool | None = None,
                      space: MemorySpace | None = None) -> "IndexDataset":
-        """Build from a raw dataset: augment once, standardize in place.
+        """Build from a raw dataset: standardize in blocks, write once.
 
-        The peak charge against ``space`` is raw + augmented + one
-        standardization scratch copy — compare the standard pipeline, whose
-        peak includes two full window stacks (``2 * horizon`` larger).
+        The augmented float64 array is never materialised.  A row-block
+        reader fills one small ``dtype`` block from ``dataset.signals``
+        plus each entry's time-of-day value (the values of
+        ``with_time_feature()``); the scaler is fitted over those blocks
+        (two passes, see :meth:`StandardScaler.fit_entries`), and a third pass
+        standardizes each block in ``dtype`` and assigns it into the final
+        array, allocated once at the storage dtype.  The process's real
+        set-up peak is therefore raw + resident + two blocks; it is what
+        the benchmark's ``preprocessing.traced_peak_mb`` / ``peak_rss_mb``
+        measure.
 
-        ``store_dtype`` downcasts the standardized array after fitting
-        (statistics and standardization still run in ``dtype``).  Passing
-        ``np.float32`` stores the data at training dtype, so batch
-        gathering feeds the model directly with no per-batch cast and the
-        resident copy halves; the stored values are exactly the old
-        float64-standardized values rounded once to float32, i.e. bitwise
-        what the loaders used to produce per batch.  Mixed-precision
-        storage goes one step further: ``store_dtype="float16"`` (or
-        ``"bfloat16"`` with the optional ml_dtypes package) halves the
-        resident copy again while the loaders keep computing in float32 —
-        every gather lands in the loader's float32 ``out=`` buffer, so
-        only storage precision changes, never model math.
+        The charges against ``space`` are a *model*, not a record of those
+        allocations: they replay the published PGT-I pipeline (raw +
+        augmented copy + one standardization scratch copy, then an
+        ``astype`` to the storage dtype), which is the sequence
+        ``simulate_index_pipeline`` reproduces for Figure 6 / Table 4 and
+        is far above what this function now allocates.  Compare the
+        standard pipeline, whose peak includes two full window stacks
+        (``2 * horizon`` larger).
+
+        ``store_dtype`` is the dtype of the stored array (statistics and
+        standardization still run in ``dtype``).  Passing ``np.float32``
+        stores the data at training dtype, so batch gathering feeds the
+        model directly with no per-batch cast and the resident copy
+        halves; the stored values are exactly the float64-standardized
+        values rounded once to float32, i.e. bitwise what the loaders used
+        to produce per batch.  Mixed-precision storage goes one step
+        further: ``store_dtype="float16"`` (or ``"bfloat16"`` with the
+        optional ml_dtypes package) halves the resident copy again while
+        the loaders keep computing in float32 — every gather lands in the
+        loader's float32 ``out=`` buffer, so only storage precision
+        changes, never model math.
         """
         h = dataset.spec.horizon if horizon is None else int(horizon)
         if add_time_feature is None:
@@ -96,37 +117,57 @@ class IndexDataset:
                 space.free(alloc)
                 live.remove(alloc)
 
-        raw_alloc = charge("raw", dataset.signals.nbytes)
-        if add_time_feature:
-            data = dataset.with_time_feature().astype(dtype, copy=False)
-        else:
-            data = dataset.signals.astype(dtype, copy=True)
-        aug_alloc = charge("augmented", data.nbytes)
+        signals = dataset.signals
+        entries, nodes, raw_features = signals.shape
+        features = raw_features + bool(add_time_feature)
+        dtype = np.dtype(dtype)
+        store_dtype = resolve_store_dtype(store_dtype)
+        if store_dtype is None:
+            store_dtype = dtype
+        augmented_nbytes = entries * nodes * features * dtype.itemsize
 
-        entries = data.shape[0]
+        raw_alloc = charge("raw", signals.nbytes)
+        aug_alloc = charge("augmented", augmented_nbytes)
         n_snap = num_snapshots(entries, h)
         starts = window_starts(entries, h)
         idx_alloc = charge("start-indices", starts.nbytes)
-
         train_end, val_end = split_bounds(n_snap, ratios)
-        scaler = StandardScaler().fit(data[: train_end - 1 + h])
-        # In-place standardization still needs transient scratch for the
-        # subtraction's broadcasted operand in real NumPy; we charge a full
-        # scratch copy to stay conservative.  Raw stays referenced until
-        # preprocessing finishes — together these form the transient spike
-        # the paper's Figure 6 shows (~46 GB for PeMS), after which usage
-        # settles at the single augmented copy (~18 GB).
-        scratch = charge("standardize-scratch", data.nbytes)
-        scaler.transform(data, out=data)
+
+        # Same values as with_time_feature(): time-of-day is cast through
+        # the signals' dtype before it reaches `dtype`.
+        tod = (dataset.time_of_day().astype(signals.dtype)
+               if add_time_feature else None)
+        block_entries = max(1, block_rows(features) // nodes)
+        # fit_entries reads block-sized runs of rows, which can straddle two
+        # more entries.
+        block = np.empty((block_entries + 2, nodes, features), dtype)
+
+        def read(first: int, last: int) -> np.ndarray:
+            """Entries ``[first, last)`` of the augmented array, as a view
+            of ``block``."""
+            blk = block[: last - first]
+            blk[..., :raw_features] = signals[first:last]
+            if tod is not None:
+                blk[..., raw_features] = tod[first:last, None]
+            return blk
+
+        scaler = StandardScaler().fit_entries(
+            read, (min(entries, train_end - 1 + h), nodes, features))
+        # The ledger's transient spike is the one the paper's Figure 6
+        # shows (~46 GB for PeMS, settling at the single ~18 GB copy): a
+        # full scratch copy while raw is still referenced.
+        scratch = charge("standardize-scratch", augmented_nbytes)
+        data = np.empty((entries, nodes, features), store_dtype)
+        for first in range(0, entries, block_entries):
+            blk = read(first, min(first + block_entries, entries))
+            # Standardize in `dtype`, round once on assignment.
+            data[first: first + block_entries] = scaler.transform(blk, out=blk)
         uncharge(scratch)
         uncharge(raw_alloc)
-
-        store_dtype = resolve_store_dtype(store_dtype)
-        if store_dtype is not None and store_dtype != data.dtype:
-            store = data.astype(store_dtype)
-            store_alloc = charge("store-cast", store.nbytes)
+        if store_dtype != dtype:
+            store_alloc = charge("store-cast", data.nbytes)
             uncharge(aug_alloc)
-            data, aug_alloc = store, store_alloc
+            aug_alloc = store_alloc
 
         allocations = [a for a in (aug_alloc, idx_alloc) if a is not None]
         for a in allocations:
@@ -193,6 +234,11 @@ class IndexDataset:
         """
         starts = np.asarray(starts)
         h = self.horizon
+        # Fancy indexing wraps a negative start silently and np.take below
+        # clips, so neither path may see an out-of-range start.
+        if len(starts) and (int(starts.min()) < 0 or
+                            int(starts.max()) + 2 * h > len(self.data)):
+            raise IndexError("gather starts out of range")
         if self._offsets is None or len(self._offsets) != 2 * h:
             self._offsets = np.arange(2 * h)
         idx = starts[:, None] + self._offsets[None, :]
@@ -204,9 +250,6 @@ class IndexDataset:
                 raise ShapeError(
                     f"gather out buffer must be {expected} {self.data.dtype}, "
                     f"got {out.shape} {out.dtype}")
-            if len(starts) and (int(starts.min()) < 0 or
-                                int(starts.max()) + 2 * h > len(self.data)):
-                raise IndexError("gather starts out of range")
             # mode="clip" skips np.take's internal bounce buffer; the
             # bounds check above keeps out-of-range starts loud.
             np.take(self.data, idx.reshape(-1), axis=0,

@@ -145,7 +145,9 @@ def simulate_index_pipeline(spec: DatasetSpec, space: MemorySpace, *,
                             dtype=np.float64,
                             add_time_feature: bool | None = None
                             ) -> PipelineFootprint:
-    """Replay ``IndexDataset.from_dataset``'s allocation sequence."""
+    """Replay the sequence ``IndexDataset.from_dataset`` charges: the
+    published PGT-I index pipeline (Figure 6 / Table 4), not what that
+    function allocates (see :mod:`repro.hardware.memory`)."""
     h = spec.horizon if horizon is None else horizon
     if add_time_feature is None:
         add_time_feature = spec.domain == "traffic"

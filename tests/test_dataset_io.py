@@ -38,3 +38,16 @@ class TestDatasetIO:
         loaded = load_dataset_file(path)
         assert loaded.spec.domain == "epidemiological"
         np.testing.assert_array_equal(loaded.signals, ds.signals)
+
+    @pytest.mark.parametrize("name", ["ds", "ds.npz", "ds.v2.dat"])
+    def test_writes_exactly_the_path_given(self, tmp_path, name):
+        # np.savez given a *path* appends ".npz" to any other suffix, so
+        # save_dataset("x") used to write "x.npz" and load_dataset_file("x")
+        # raised FileNotFoundError.
+        ds = load_dataset("pems-bay", nodes=5, entries=60, seed=3)
+        path = str(tmp_path / name)
+        save_dataset(path, ds)
+        assert [p.name for p in tmp_path.iterdir()] == [name]
+        loaded = load_dataset_file(path)
+        np.testing.assert_array_equal(loaded.signals, ds.signals)
+        assert loaded.spec == ds.spec

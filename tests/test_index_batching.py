@@ -1,5 +1,10 @@
 """Unit tests for index-batching — the paper's core contribution."""
 
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -114,6 +119,21 @@ class TestGather:
             np.testing.assert_array_equal(x[i], xs)
             np.testing.assert_array_equal(y[i], ys)
 
+    @pytest.mark.parametrize("with_out", [False, True])
+    @pytest.mark.parametrize("bad", ["negative", "past-the-end"])
+    def test_out_of_range_start_raises_on_both_paths(self, index_ds, with_out,
+                                                     bad):
+        # Without out= a negative start used to wrap (fancy indexing) and
+        # return windows from the end of the data.
+        h = index_ds.horizon
+        last = len(index_ds.data) - 2 * h            # the last valid start
+        starts = np.array([-1 if bad == "negative" else last + 1, 3])
+        out = (np.empty((2, 2 * h) + index_ds.data.shape[1:],
+                        index_ds.data.dtype) if with_out else None)
+        with pytest.raises(IndexError):
+            index_ds.gather(starts, out=out)
+        index_ds.gather(np.array([0, last]), out=out)  # the edges are fine
+
     def test_gather_charges_transient_batch(self, dataset):
         space = MemorySpace("gpu")
         idx = IndexDataset.from_dataset(dataset)
@@ -152,3 +172,49 @@ class TestMemoryCharging:
         # Standard pipeline resident (split copies) dwarfs index resident.
         assert s1.in_use > 5 * s2.in_use
         assert s1.peak > 3 * s2.peak
+
+
+# Runs in a fresh interpreter so tracemalloc sees set-up alone.
+_SET_UP_PEAK_PROBE = """
+import json, tracemalloc
+import numpy as np
+import repro.api.builders
+from repro.api.registry import BATCHINGS
+from repro.datasets import load_dataset
+from repro.preprocessing import IndexDataset
+from repro.preprocessing.scaler import BLOCK_ELEMS
+
+ds = load_dataset("pems-bay", nodes=128, entries=6000, seed=0)
+builds = {"float32": lambda: BATCHINGS.get("index")(ds, 12, 64).train.ds,
+          "float64": lambda: IndexDataset.from_dataset(ds, 12)}
+out = {"block_nbytes": BLOCK_ELEMS * 8}
+for name, build in builds.items():
+    tracemalloc.start()
+    idx = build()
+    out[name] = {"peak": tracemalloc.get_traced_memory()[1],
+                 "resident": idx.resident_nbytes,
+                 "dtype": str(idx.data.dtype)}
+    tracemalloc.stop()
+    del idx
+print(json.dumps(out))
+"""
+
+
+class TestSetUpPeak:
+    def test_set_up_allocates_the_resident_copy_plus_a_few_blocks(self):
+        """The memory contract of blockwise, write-once standardization:
+        building the index form of 128 x 6,000 allocates its resident bytes
+        plus at most four blocks — no augmented float64 array, no full-size
+        ``data - mean`` temporary, no ``astype`` copy (together they made
+        this ~3.4x resident at the float32 store)."""
+        done = subprocess.run(
+            [sys.executable, "-c", _SET_UP_PEAK_PROBE], capture_output=True,
+            text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+        assert done.returncode == 0, done.stderr
+        probe = json.loads(done.stdout)
+        for dtype in ("float32", "float64"):
+            run = probe[dtype]
+            assert run["dtype"] == dtype
+            assert run["resident"] <= run["peak"] <= (
+                run["resident"] + 4 * probe["block_nbytes"]), (dtype, probe)

@@ -1,17 +1,22 @@
 """Unit tests for windows, scaler and the standard pipeline."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.datasets import load_dataset
 from repro.hardware.memory import MemorySpace
 from repro.preprocessing import (
+    IndexDataset,
     StandardScaler,
     num_snapshots,
     split_bounds,
     standard_preprocess,
     window_starts,
 )
+from repro.preprocessing.scaler import block_rows
 from repro.utils.errors import OutOfMemoryError
 
 
@@ -96,6 +101,132 @@ class TestScaler:
         from repro.utils.errors import ShapeError
         with pytest.raises(ShapeError):
             StandardScaler().fit(np.ones(5))
+
+
+def _numpy_statistics(a):
+    """What ``fit`` replaced: NumPy's full-array reductions."""
+    axes = tuple(range(a.ndim - 1))
+    std = a.std(axis=axes, dtype=np.float64)
+    return a.mean(axis=axes, dtype=np.float64), np.where(std > 0, std, 1.0)
+
+
+def _matrix(features, rows, layout, seed):
+    """A ``[rows, features]`` float64 matrix (or its 3-D folding) whose
+    column sums depend on the order of addition."""
+    rng = np.random.default_rng(seed)
+
+    def draw(*shape):
+        return rng.normal(40.0, 15.0, shape) * 10.0 ** rng.integers(-3, 4, shape)
+
+    if layout == "every-third-row":
+        return draw(3 * rows, features)[::3]
+    if layout == "every-other-column":
+        return draw(rows, 2 * features)[:, ::2]
+    if layout == "3d":
+        return draw(-(-rows // 7), 7, features)
+    return draw(rows, features)
+
+
+ORDER_CONTRACT = (
+    "StandardScaler.fit no longer equals NumPy {version}'s full-array "
+    "mean/std bit for bit: the block accumulation order of "
+    "preprocessing/scaler.py::_ordered_sum and NumPy's own reduction order "
+    "have diverged (a NumPy release changed how add.reduce walks an array, "
+    "or _ordered_sum was edited).  The statistics are off by ulps, not "
+    "wrong, but every stored value follows them, so fixed-seed literals "
+    "(PINNED_2EP, the [adam] curve, PRE_REFACTOR, ...) may shift: make "
+    "_ordered_sum follow the new order before re-pinning any curve.")
+
+
+class TestBlockwiseFitOrder:
+    """``fit`` reduces block by block in NumPy's own order, so blocking
+    changes no bit of ``mean_`` / ``std_``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(features=st.sampled_from([1, 2, 3]),
+           blocks=st.sampled_from([1, 2, 5]),
+           offset=st.sampled_from([-13, -8, -1, 0, 1, 5, 11]),
+           layout=st.sampled_from(["c", "every-third-row",
+                                   "every-other-column", "3d"]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_fit_equals_numpy_bitwise(self, features, blocks, offset, layout,
+                                      seed):
+        a = _matrix(features, blocks * block_rows(features) + offset, layout,
+                    seed)
+        mean, std = _numpy_statistics(a)
+        s = StandardScaler().fit(a)
+        message = ORDER_CONTRACT.format(version=np.__version__)
+        assert s.mean_.tobytes() == mean.tobytes(), message
+        assert s.std_.tobytes() == std.tobytes(), message
+
+    @pytest.mark.parametrize("features", [1, 2])
+    def test_adding_independent_block_sums_would_differ(self, features):
+        # The obvious streaming fit (reduce each block on its own, add the
+        # partial sums) is not what the property above accepts.
+        rows = 5 * block_rows(features) + 11
+        a = _matrix(features, rows, "c", seed=0)
+        partial = sum(np.add.reduce(a[lo: lo + block_rows(features)], axis=0)
+                      for lo in range(0, rows, block_rows(features)))
+        assert (partial / rows).tobytes() != _numpy_statistics(a)[0].tobytes()
+
+    def test_float32_input_is_read_as_its_float64_cast(self):
+        a = _matrix(1, 5 * block_rows(1) + 11, "c", seed=1).astype(np.float32)
+        mean, std = _numpy_statistics(a.astype(np.float64))
+        s = StandardScaler().fit(a)
+        assert s.mean_.tobytes() == mean.tobytes()
+        assert s.std_.tobytes() == std.tobytes()
+
+    @pytest.mark.parametrize("features", [1, 3])
+    def test_transposed_input_is_summed_in_logical_row_order(self, features):
+        # NumPy reduces Fortran-ordered input in memory order, fit in row
+        # order: equal to a few ulps, and to the C-ordered copy exactly.
+        a = _matrix(features, 2 * block_rows(features) + 5, "c", seed=2)
+        f = np.asfortranarray(a)
+        s = StandardScaler().fit(f)
+        mean, std = _numpy_statistics(f)
+        np.testing.assert_allclose(s.mean_, mean, rtol=1e-12)
+        np.testing.assert_allclose(s.std_, std, rtol=1e-12)
+        assert s.mean_.tobytes() == _numpy_statistics(a)[0].tobytes()
+
+
+class TestWriteOnceStandardization:
+    """``IndexDataset.from_dataset`` never builds the augmented float64
+    array, yet stores the bits the full-array formulation would."""
+
+    @staticmethod
+    def _reference(ds, store_dtype):
+        traffic = ds.spec.domain == "traffic"
+        aug = (ds.with_time_feature() if traffic
+               else ds.signals).astype(np.float64)
+        h = ds.spec.horizon
+        train_end, _ = split_bounds(num_snapshots(len(aug), h),
+                                    (0.7, 0.1, 0.2))
+        mean, std = _numpy_statistics(aug[: train_end - 1 + h])
+        return ((aug - mean) / std).astype(store_dtype), mean, std
+
+    @pytest.mark.parametrize("store_dtype", [None, np.float32, "float16"])
+    @pytest.mark.parametrize("signals", ["contiguous", "strided"])
+    @pytest.mark.parametrize("name, nodes, entries", [
+        ("pems-bay", 7, 130),               # traffic, below one block
+        ("pems-bay", 48, 1500),             # traffic, several blocks
+        ("chickenpox-hungary", 8, 100),     # single feature, below one block
+        ("windmill-large", 30, 3000),       # single feature, several blocks
+    ])
+    def test_stored_bits_equal_the_full_array_formulation(
+            self, name, nodes, entries, signals, store_dtype):
+        ds = load_dataset(name, nodes=nodes, entries=entries, seed=4)
+        if signals == "strided":
+            ds = dataclasses.replace(
+                ds, signals=np.repeat(ds.signals, 2, axis=1)[:, ::2])
+        assert ds.signals.flags.c_contiguous == (signals == "contiguous")
+        expected, mean, std = self._reference(
+            ds, np.float64 if store_dtype is None else store_dtype)
+        idx = IndexDataset.from_dataset(ds, store_dtype=store_dtype)
+        assert idx.data.dtype == expected.dtype
+        assert idx.data.flags.c_contiguous
+        assert idx.data.tobytes() == expected.tobytes()
+        assert idx.scaler.mean_.tobytes() == mean.tobytes()
+        assert idx.scaler.std_.tobytes() == std.tobytes()
 
 
 class TestStandardPreprocess:
