@@ -20,6 +20,13 @@ class SpatioTemporalDataset:
     signals:
         ``[entries, nodes, raw_features]`` array — the contents of the
         source file, before the time-of-day channel or any windowing.
+        Either an ndarray or a read-only array-like over a file
+        (:class:`repro.datasets.io.StoredArray`).  Consumers may rely on
+        ``shape / dtype / ndim / nbytes``, ``len()``, leading-axis slices
+        ``signals[first:last]`` that return ordinary ndarrays, and NumPy
+        conversion (``np.asarray`` / ``np.array(..., dtype=)``, which
+        reads the whole array); ndarray methods are not part of the
+        contract.
     graph:
         the static sensor graph (paper §2.1's "static graph with
         dynamic/temporal signal").
@@ -73,9 +80,10 @@ class SpatioTemporalDataset:
         """Return ``[entries, nodes, raw_features + 1]`` with time-of-day.
 
         This materialises a copy (it is the first memory-growth stage the
-        paper identifies); the standard pipeline applies it before
-        duplicating windows, index-batching writes the same values block by
-        block into its one stored array instead.
+        paper identifies, and reads file-backed ``signals`` whole); the
+        standard pipeline applies it before duplicating windows,
+        index-batching writes the same values block by block into its one
+        stored array instead.
         """
         tod = self.time_of_day().astype(self.signals.dtype)
         tod_channel = np.broadcast_to(tod[:, None, None],

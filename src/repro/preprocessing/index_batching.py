@@ -18,7 +18,10 @@ copy is the batch the model consumes anyway.
 Set-up writes the standardized copy once, block by block, straight at its
 storage dtype (:meth:`IndexDataset.from_dataset`): no augmented float64
 array, no full-size ``data - mean`` temporary and no ``astype`` copy exist
-at any point, so the process peaks at raw + resident + two blocks.
+at any point, so the process peaks at resident + blocks when the dataset
+is file-backed (:func:`repro.datasets.io.load_dataset_file`: each block is
+read from the file as it is needed) and at raw + resident + blocks when it
+is in memory.
 """
 
 from __future__ import annotations
@@ -73,10 +76,11 @@ class IndexDataset:
         ``with_time_feature()``); the scaler is fitted over those blocks
         (two passes, see :meth:`StandardScaler.fit_entries`), and a third pass
         standardizes each block in ``dtype`` and assigns it into the final
-        array, allocated once at the storage dtype.  The process's real
-        set-up peak is therefore raw + resident + two blocks; it is what
-        the benchmark's ``preprocessing.traced_peak_mb`` / ``peak_rss_mb``
-        measure.
+        array, allocated once at the storage dtype.  ``signals`` is only
+        ever read as ``signals[first:last]``, so the process's real set-up
+        peak is resident + blocks when the dataset is file-backed and raw +
+        resident + blocks when it is in memory; it is what the benchmark's
+        ``preprocessing.traced_peak_mb`` / ``peak_rss_mb`` measure.
 
         The charges against ``space`` are a *model*, not a record of those
         allocations: they replay the published PGT-I pipeline (raw +

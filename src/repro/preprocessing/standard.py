@@ -128,7 +128,7 @@ def standard_preprocess(dataset: SpatioTemporalDataset,
     if add_time_feature:
         data = dataset.with_time_feature().astype(dtype, copy=False)
     else:
-        data = dataset.signals.astype(dtype, copy=True)
+        data = np.array(dataset.signals, dtype=dtype)
     aug_a = ch.alloc("augmented", data.nbytes)
 
     entries = data.shape[0]

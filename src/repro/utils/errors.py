@@ -47,6 +47,16 @@ class CheckpointError(ReproError, RuntimeError):
     """
 
 
+class DatasetFileError(ReproError, RuntimeError):
+    """A saved dataset file could not be read back.
+
+    The :class:`CheckpointError` of :mod:`repro.datasets.io`: raised
+    instead of raw zipfile/zlib/NumPy internals when the archive is
+    missing, truncated, corrupted, lies about its sizes, or is not a
+    dataset archive at all; the message always names the offending path.
+    """
+
+
 class ReshardError(ReproError, ValueError):
     """A checkpoint could not be re-partitioned to a new world size.
 
