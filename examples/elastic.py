@@ -96,9 +96,9 @@ def main(*, scale: str = "tiny", epochs: int = 2, nodes: int = 10,
                           trained.artifacts.dataset.graph,
                           spec=trained.spec, num_shards=2, num_standby=2)
     svc = ForecastService(
-        sess, max_batch=8, max_wait=5e-4,
+        sess, max_batch=8,
         service_time=shard_scaled_service_time(sess, base=2e-3,
-                                               per_item=1e-3))
+                                               per_item=1.5e-3))
     policy = AutoscalerPolicy(slo_p99=4.5e-3, min_shards=2, max_shards=4,
                               scale_down_at=0.4, transition_seconds=0.02)
     autoscaler = ShardAutoscaler(sess, policy, svc.clock)

@@ -51,8 +51,7 @@ def main(*, scale: str = "tiny", epochs: int = 2, world: int = 2,
 
     plan = FaultPlan().worker_crash(shard=1, at_request=requests // 2)
     svc = serve(clean, server="sharded", num_shards=4, max_batch=8,
-                max_wait=0.002, fault_plan=plan,
-                service_time=lambda n: 0.0005 + 0.0001 * n)
+                fault_plan=plan, service_time=lambda n: 0.0005 + 0.0001 * n)
     report = LoadGenerator(svc, pool, seed=0).closed_loop(
         requests=requests, concurrency=8, scenario="failover-demo")
     parity = float(np.max(np.abs(svc.session.predict(pool) - reference)))

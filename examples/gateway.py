@@ -49,7 +49,7 @@ def main(scale: str = "tiny", epochs: int = 2, requests: int = 200) -> None:
         {"bay": result_a, "bay-lite": result_b},
         tenants=["ops", {"tenant_id": "research", "rate_qps": 200.0,
                          "burst": 8}],
-        clock=ManualClock(), max_batch=8, max_wait=0.002,
+        clock=ManualClock(), max_batch=8,
         service_time=lambda n: 4e-4 + 2e-4 * n, cache_ttl=30.0)
     print(f"gateway up: deployments {gw.deployments.names()}, "
           f"tenants ops (unlimited) + research (200 qps quota)")
@@ -103,8 +103,8 @@ def main(scale: str = "tiny", epochs: int = 2, requests: int = 200) -> None:
     # instead of collapsing.
     gw_burst = build_gateway(
         {"bay": result_a}, tenants=["ops"], clock=ManualClock(),
-        max_batch=8, max_wait=0.002,
-        service_time=lambda n: 4e-4 + 2e-4 * n, cache_ttl=None)
+        max_batch=8, service_time=lambda n: 4e-4 + 2e-4 * n,
+        cache_ttl=None)
     burst = GatewayLoadGenerator(gw_burst, pool, seed=0).open_loop([
         TenantStream(api_key="key-ops", deployment="bay",
                      rate_qps=12000.0, requests=2 * requests,

@@ -49,7 +49,7 @@ def main(scale: str = "tiny", epochs: int = 2, requests: int = 200,
 
     # 3. Serve it.  The session rebuilds model + graph from the embedded
     # spec and answers no_grad forwards through persistent buffers.
-    svc = serve(ckpt, max_batch=8, max_wait=0.002)
+    svc = serve(ckpt, max_batch=8)
     session = svc.session
     print(f"serving {type(session.model).__name__}: "
           f"{session.num_nodes} sensors, horizon {session.horizon}")
@@ -65,18 +65,19 @@ def main(scale: str = "tiny", epochs: int = 2, requests: int = 200,
           f"mean {streamed.mean():.1f} mph over the next "
           f"{session.horizon} steps x {session.num_nodes} sensors")
 
-    # A burst of concurrent requests coalesces into fused forwards.
+    # A burst of concurrent requests coalesces into one fused forward:
+    # submit everything that is due, then poll.
     window = session.current_window()
     for _ in range(8):
         svc.submit(window)
-    burst = svc.poll() + svc.flush()
+    burst = svc.poll()
     print(f"burst of 8 requests served in {svc.stats.batches} batch(es), "
           f"mean batch size {svc.stats.mean_batch_size:.1f}")
 
     # 5. The same checkpoint, sharded: partitioned sensor ownership,
     # byte-accounted halo exchange, identical predictions.
     sharded = serve(ckpt, server="sharded", num_shards=shards,
-                    max_batch=8, max_wait=0.002)
+                    max_batch=8)
     for values, ts in zip(ds.signals[-warm:], ds.timestamps[-warm:]):
         sharded.ingest(values, float(ts))
     merged = sharded.forecast_streamed()
@@ -88,7 +89,7 @@ def main(scale: str = "tiny", epochs: int = 2, requests: int = 200,
     # 6. Load test: seeded arrivals, measured service times.
     test = result.artifacts.loaders.test
     pool = test.batch_at(np.arange(test.batch_size))[0].copy()
-    bench_svc = serve(ckpt, max_batch=8, max_wait=0.002)
+    bench_svc = serve(ckpt, max_batch=8)
     gen = LoadGenerator(bench_svc, pool, seed=0)
     report = gen.closed_loop(requests=requests, concurrency=8)
     print(report.summary())

@@ -171,7 +171,7 @@ def _resolve_artifact(source: Any) -> tuple[Any, Any, RunSpec, Any]:
 
 
 def serve(source: Any, *, server: str = "local", max_batch: int = 32,
-          max_wait: float = 0.005, clock: Callable[[], float] | None = None,
+          clock: Callable[[], float] | None = None,
           service_time: Callable[[int], float] | None = None,
           **server_kwargs) -> ForecastService:
     """Build a :class:`ForecastService` from a trained artifact.
@@ -186,9 +186,11 @@ def serve(source: Any, *, server: str = "local", max_batch: int = 32,
     server:
         :data:`SERVERS` key choosing the session topology
         (``local`` / ``sharded``).
-    max_batch / max_wait:
-        micro-batching knobs: coalesce up to ``max_batch`` requests but
-        never hold one longer than ``max_wait`` seconds.
+    max_batch:
+        the micro-batching cap: ``poll`` coalesces whatever queued while
+        the previous batch ran, up to ``max_batch`` requests a forward.
+        Nothing is held back to wait for company, so ``submit`` every
+        request that is due, then ``poll``.
     clock / service_time:
         forwarded to :class:`ForecastService` (explicit simulated time and
         a synthetic service-time model; both default to honest wall-clock
@@ -203,8 +205,7 @@ def serve(source: Any, *, server: str = "local", max_batch: int = 32,
     model, scaler, spec, ds = _resolve_artifact(source)
     session = builder(model, scaler, ds, spec, max_batch=max_batch,
                       **server_kwargs)
-    return ForecastService(session, max_wait=max_wait, clock=clock,
-                           service_time=service_time)
+    return ForecastService(session, clock=clock, service_time=service_time)
 
 
 def _normalise_tenants(tenants) -> list[dict]:
@@ -292,10 +293,20 @@ def build_gateway(sources: dict[str, Any], *, tenants=None,
         ``store_corruption``) target deployments by name — the chaos
         entry point for the gateway, mirroring ``serve(...,
         server="sharded", fault_plan=...)`` for shard workers.
+    max_wait:
+        range-checked and otherwise unused.  The queue is work-conserving
+        (a batch is whatever queued while the previous one ran), so there
+        is no coalescing timer to set; the parameter survives only because
+        ``benchmarks/e2e/workloads.py`` still passes it and a PR that
+        changes ``src/`` may not edit the benchmark.  The ``benchmark`` PR
+        (ROADMAP item 10) removes that argument and this parameter
+        together.
     remaining keywords:
-        gateway knobs, forwarded to :class:`Gateway` (micro-batching,
+        gateway knobs, forwarded to :class:`Gateway` (batch cap,
         result-cache TTL, admission depth, default deadline).
     """
+    if max_wait < 0:
+        raise ValueError(f"max_wait must be >= 0, got {max_wait}")
     if not sources:
         raise ValueError("build_gateway needs at least one deployment")
     for name, target in (fallbacks or {}).items():
@@ -306,7 +317,7 @@ def build_gateway(sources: dict[str, Any], *, tenants=None,
         if name == target:
             raise ValueError(f"deployment {name!r} cannot be its own "
                              f"fallback")
-    gw = Gateway(clock=clock, max_batch=max_batch, max_wait=max_wait,
+    gw = Gateway(clock=clock, max_batch=max_batch,
                  service_time=service_time, cache_ttl=cache_ttl,
                  cache_entries=cache_entries,
                  max_queue_depth=max_queue_depth,

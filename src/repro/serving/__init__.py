@@ -6,8 +6,9 @@ Turns trained checkpoints into a queryable, instrumented service:
   persistent buffers, answering ``no_grad`` forwards.
 - :class:`~repro.serving.cache.FeatureStore` — per-sensor sliding-window
   store that standardizes streaming observations exactly once.
-- :class:`~repro.serving.queue.MicroBatchQueue` — request coalescing up
-  to ``max_batch``/``max_wait`` with deadline accounting.
+- :class:`~repro.serving.queue.MicroBatchQueue` — work-conserving
+  request coalescing (whatever is pending, up to ``max_batch``) with
+  deadline accounting.
 - :class:`~repro.serving.sharding.ShardedSession` — partitioned workers
   with owner routing and byte-accounted halo exchange.
 - :class:`~repro.serving.service.ForecastService` — the synchronous

@@ -1,25 +1,35 @@
 """Admission control: reject requests whose deadline is already lost.
 
-The :class:`~repro.serving.queue.MicroBatchQueue` embodies the Clipper
-batching/latency trade-off but never *enforces* it — under overload it
-just queues, and every latency (and deadline miss) grows without bound.
-The admission controller closes that gap at the front door: before a
-request is enqueued it **projects** the completion time from the current
-queue depth, the coalescing timer, and a running per-batch service-time
-estimate, and sheds the request when the projection blows its deadline
-(or when the queue has hit a hard depth cap).  Shedding at admission
-converts unbounded queueing collapse into bounded goodput loss — the
-requests that *are* admitted still meet their deadlines.
+The :class:`~repro.serving.queue.MicroBatchQueue` batches by backlog but
+never *bounds* the backlog: under overload it just queues, and every
+latency (and deadline miss) grows without bound.  The admission
+controller closes that gap at the front door: before a request is
+enqueued it **projects** the completion time from the current queue
+depth and a running estimate of what a full batch costs, and sheds the
+request when the projection blows its deadline (or when the queue has
+hit a hard depth cap).  Shedding at admission converts unbounded queueing
+collapse into bounded goodput loss: the requests that *are* admitted
+still meet their deadlines.
 
 The projection model (all quantities on the shared clock)::
 
     batches_ahead = floor(depth / max_batch)     # full batches before ours
-    wait          = coalescing delay of the batch we would join
-    finish        = now + wait + (batches_ahead + 1) * est_batch_seconds
+    finish        = now + (batches_ahead + 1) * est_batch_seconds
 
-``est_batch_seconds`` is an EWMA over observed dispatches (seeded from
-the service's synthetic ``service_time`` model when one is configured,
-so simulated runs shed deterministically from the first request).
+The gateway is synchronous and its queue work-conserving, so at every
+``submit`` the server is idle and the ``poll`` that follows dispatches
+the whole backlog back to back: there is no wait term.  The request's
+own batch is charged as a full one, because later arrivals of the same
+instant may still fill it.
+
+``est_batch_seconds`` estimates a **full** batch, from one observation
+per served batch (seeded from the service's synthetic ``service_time``
+model when one is configured, so simulated runs shed deterministically
+from the first request).  A full batch is a sample of it and moves an
+EWMA.  A partial batch, and every drain ends in one, costs no more than
+a full one, so it is only a lower bound: it lifts a lower estimate and
+never pulls one down.  An average over mixed sizes would under-project
+every full batch ahead, and the error multiplies with queue depth.
 """
 
 from __future__ import annotations
@@ -28,8 +38,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
 
-#: Smoothing for the per-deployment batch-service-time estimate: each
-#: observed dispatch moves the estimate a fifth of the way to itself.
+#: Smoothing for the per-deployment full-batch service-time estimate:
+#: each observed full batch moves the estimate a fifth of the way to itself.
 EWMA_ALPHA = 0.2
 
 
@@ -79,18 +89,20 @@ class AdmissionController:
         model) so projections are meaningful before the first dispatch."""
         self._est_batch_seconds[str(deployment)] = float(batch_seconds)
 
-    def observe(self, deployment: str, batch_seconds: float) -> None:
-        """Fold one measured batch dispatch into the EWMA estimate."""
-        deployment = str(deployment)
+    def observe(self, deployment: str, batch_seconds: float, *,
+                full: bool = True) -> None:
+        """Fold one served batch into the full-batch estimate: an EWMA
+        sample when the batch was ``full``, otherwise a lower bound."""
+        deployment, seconds = str(deployment), float(batch_seconds)
         prev = self._est_batch_seconds.get(deployment)
-        if prev is None:
-            self._est_batch_seconds[deployment] = float(batch_seconds)
-        else:
+        if prev is None or (not full and seconds > prev):
+            self._est_batch_seconds[deployment] = seconds
+        elif full:
             self._est_batch_seconds[deployment] = (
-                (1.0 - EWMA_ALPHA) * prev + EWMA_ALPHA * float(batch_seconds))
+                (1.0 - EWMA_ALPHA) * prev + EWMA_ALPHA * seconds)
 
     def estimate(self, deployment: str) -> float:
-        """Current per-batch service-time estimate (0.0 until anything is
+        """Current full-batch service-time estimate (0.0 until anything is
         known — an optimistic prior that never sheds blind)."""
         return self._est_batch_seconds.get(str(deployment), 0.0)
 
@@ -98,16 +110,10 @@ class AdmissionController:
     # The admission decision
     # ------------------------------------------------------------------
     def projected_latency(self, queue, deployment: str) -> float:
-        """Seconds until a request submitted *now* would complete."""
-        depth = len(queue)
-        est = self.estimate(deployment)
-        batches_ahead = depth // queue.max_batch
-        if depth + 1 >= queue.max_batch:
-            wait = 0.0          # our batch fills and fires immediately
-        else:
-            remaining = queue.time_until_ready()
-            wait = queue.max_wait if remaining is None else remaining
-        return wait + (batches_ahead + 1) * est
+        """Seconds until a request submitted *now* would complete: the
+        full batches ahead of it, then its own, back to back."""
+        return ((len(queue) // queue.max_batch + 1)
+                * self.estimate(deployment))
 
     def admit(self, queue, *, tenant: str, deployment: str,
               deadline: float | None) -> ShedDecision | None:

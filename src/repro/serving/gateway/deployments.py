@@ -67,7 +67,7 @@ class Deployment:
 
     def __init__(self, name: str, source: Any, *, version: str = "v1",
                  state: str = "warm", clock: Callable[[], float],
-                 max_batch: int = 8, max_wait: float = 0.005,
+                 max_batch: int = 8,
                  service_time: Callable[[int], float] | None = None,
                  fallback: str | None = None):
         if state not in ("warm", "cold"):
@@ -83,7 +83,6 @@ class Deployment:
         self.source = source
         self.clock = clock
         self.max_batch = int(max_batch)
-        self.max_wait = float(max_wait)
         self.service_time = service_time
         self.warm_seconds = 0.0     # wall cost of the last activation
         self.activations = 0
@@ -108,8 +107,7 @@ class Deployment:
         session = _resolve_session(self.source)
         self.service = ForecastService(
             session, max_batch=min(self.max_batch, session.max_batch),
-            max_wait=self.max_wait, clock=self.clock,
-            service_time=self.service_time)
+            clock=self.clock, service_time=self.service_time)
         self.service.fault_injector = self.fault_injector
         self.warm_seconds = time.perf_counter() - t0
         self.activations += 1
@@ -252,14 +250,12 @@ class Deployment:
 
 
 class DeploymentRegistry:
-    """Named deployments sharing one clock and default batching knobs."""
+    """Named deployments sharing one clock and a default batch cap."""
 
     def __init__(self, clock: Callable[[], float], *, max_batch: int = 8,
-                 max_wait: float = 0.005,
                  service_time: Callable[[int], float] | None = None):
         self.clock = clock
         self.max_batch = int(max_batch)
-        self.max_wait = float(max_wait)
         self.service_time = service_time
         self._deployments: dict[str, Deployment] = {}
 
@@ -274,7 +270,6 @@ class DeploymentRegistry:
 
     def register(self, name: str, source: Any, *, version: str = "v1",
                  state: str = "warm", max_batch: int | None = None,
-                 max_wait: float | None = None,
                  service_time: Callable[[int], float] | None = None,
                  fallback: str | None = None) -> Deployment:
         """Add a deployment (per-deployment knobs override the defaults)."""
@@ -285,7 +280,6 @@ class DeploymentRegistry:
         dep = Deployment(
             name, source, version=version, state=state, clock=self.clock,
             max_batch=self.max_batch if max_batch is None else max_batch,
-            max_wait=self.max_wait if max_wait is None else max_wait,
             service_time=(self.service_time if service_time is None
                           else service_time),
             fallback=fallback)

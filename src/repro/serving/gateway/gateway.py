@@ -181,9 +181,12 @@ class Gateway:
     clock:
         shared clock for queues, quotas, cache TTLs and latency stamps;
         defaults to a fresh :class:`ManualClock` (simulated time).
-    max_batch / max_wait / service_time:
-        default micro-batching knobs for deployments (overridable per
-        deployment at registration).
+    max_batch / service_time:
+        default batch cap and synthetic service-time model for
+        deployments (overridable per deployment at registration).  A
+        batch is whatever queued while the previous one ran, up to
+        ``max_batch``: callers :meth:`submit` every request that is due,
+        then :meth:`poll`.
     cache_ttl / cache_entries:
         result-cache lifetime and capacity; ``cache_ttl=None`` disables
         caching entirely.
@@ -209,7 +212,7 @@ class Gateway:
     """
 
     def __init__(self, *, clock: Callable[[], float] | None = None,
-                 max_batch: int = 8, max_wait: float = 0.005,
+                 max_batch: int = 8,
                  service_time: Callable[[int], float] | None = None,
                  cache_ttl: float | None = None, cache_entries: int = 1024,
                  max_queue_depth: int = 256,
@@ -219,8 +222,7 @@ class Gateway:
                  fault_plan: Any | None = None):
         self.clock = clock if clock is not None else ManualClock()
         self.deployments = DeploymentRegistry(
-            self.clock, max_batch=max_batch, max_wait=max_wait,
-            service_time=service_time)
+            self.clock, max_batch=max_batch, service_time=service_time)
         self.tenants = TenantManager(self.clock)
         self.admission = AdmissionController(
             self.clock, max_queue_depth=max_queue_depth)
@@ -510,8 +512,8 @@ class Gateway:
     def request(self, api_key: str, deployment: str,
                 window: np.ndarray | None = None, *,
                 deadline: float | None = None) -> GatewayResponse:
-        """Synchronous request: submit, then force the deployment's queue
-        through (coalescing with anything pending) and return this
+        """Synchronous request: submit, then dispatch the deployment's
+        queue (coalescing with anything pending) and return this
         request's completed response.  Other requests' completions stay
         buffered for :meth:`poll`/:meth:`flush`."""
         resp = self.submit(api_key, deployment, window, deadline=deadline)
@@ -520,8 +522,7 @@ class Gateway:
         ticket = (resp.deployment, resp.request_id)
         # Its own queue first; recovery may have bounced the request to
         # another (retry or fallback re-route), so widen until it lands.
-        self._drain_deployment(self.deployments.get(resp.deployment),
-                               force=True)
+        self._drain_deployment(self.deployments.get(resp.deployment))
         found = self._completed.pop(ticket, None) or self._drain_all(ticket)
         if found is None:
             raise RuntimeError(                            # pragma: no cover
@@ -563,57 +564,53 @@ class Gateway:
 
     def _observed(self, dep: Deployment, dispatch: Callable[[], Any], *,
                   feed_breaker: bool) -> Any:
-        """Run ``dispatch`` (a call that pushes batches through ``dep``'s
-        service) and feed back what it cost: the mean batch time to the
-        admission estimate and, with ``feed_breaker``, every successful
-        batch to the circuit breaker.  A queue drain feeds both; the
-        drain inside a blue-green swap has only ever fed the estimate."""
-        stats = dep.service.stats
-        batches0, busy0, failed0 = (stats.batches, stats.busy_seconds,
-                                    stats.failed_batches)
+        """Run ``dispatch`` (a call that pushes ``dep``'s queue through its
+        service) and feed back what each served batch cost: to the
+        admission estimate and, with ``feed_breaker``, to the circuit
+        breaker.  A queue drain feeds both; the drain inside a blue-green
+        swap has only ever fed the estimate.  Failed batches are fed by
+        :meth:`_handle_failures`, after these: a crashed session stays
+        down until restarted, so within one drain failures are always
+        the suffix."""
         result = dispatch()
-        dispatched = stats.batches - batches0
-        if dispatched:
-            mean = (stats.busy_seconds - busy0) / dispatched
-            self.admission.observe(dep.name, mean)
-            if feed_breaker:
-                breaker = self.resilience.breaker(dep.name)
-                now = self.clock()
-                # Successful batches first, failures after: a crashed
-                # session stays down until restarted, so within one
-                # drain failures are always the suffix.
-                for _ in range(dispatched - (stats.failed_batches
-                                             - failed0)):
-                    breaker.record_success(mean, now)
+        svc = dep.service
+        if svc.last_served:             # an idle poll has nothing to feed
+            breaker = self.resilience.breaker(dep.name)
+            now = self.clock()
+            for size, seconds in svc.last_served:
+                self.admission.observe(dep.name, seconds,
+                                       full=size == svc.queue.max_batch)
+                if feed_breaker:
+                    breaker.record_success(seconds, now)
         return result
 
-    def _drain_deployment(self, dep: Deployment, *, force: bool) -> None:
+    def _drain_deployment(self, dep: Deployment) -> None:
+        """The gateway's one dispatch site."""
         svc = dep.service
         if svc is None:
             return
-        self._absorb(dep, self._observed(
-            dep, svc.flush if force else svc.poll, feed_breaker=True))
+        self._absorb(dep, self._observed(dep, svc.poll, feed_breaker=True))
         self._handle_failures(dep)
+
+    def _dispatch_pending(self) -> None:
+        """One pass: everything pending on every deployment."""
+        for dep in self.deployments.deployments():
+            self._drain_deployment(dep)
 
     def _drain_all(self, ticket: tuple | None = None
                    ) -> GatewayResponse | None:
-        """Force-dispatch every deployment until every queue is empty, or
-        until ``ticket``'s response lands (it is taken and returned).
-        Failure recovery can requeue work mid-drain (retries, fallback
-        re-routes), so one pass is not enough; the loop is bounded
-        because retries are budgeted and circuits open."""
+        """Pass until every queue is empty, or until ``ticket``'s response
+        lands (it is taken and returned).  Failure recovery can requeue
+        work mid-pass (retries, fallback re-routes), so one pass is not
+        enough; the loop is bounded because retries are budgeted and
+        circuits open."""
         for _ in range(64):
-            deps = self.deployments.deployments()
-            for dep in deps:
-                self._drain_deployment(dep, force=True)
+            self._dispatch_pending()
             found = self._completed.pop(ticket, None)
-            if found is not None or not any(d.in_flight for d in deps):
+            if found is not None or not any(
+                    d.in_flight for d in self.deployments.deployments()):
                 return found
         return None
-
-    def _dispatch_due(self) -> None:
-        for dep in self.deployments.deployments():
-            self._drain_deployment(dep, force=False)
 
     def _take_completed(self) -> list[GatewayResponse]:
         done = list(self._completed.values())
@@ -621,26 +618,17 @@ class Gateway:
         return done
 
     def poll(self) -> list[GatewayResponse]:
-        """Dispatch every due batch on every deployment; returns (and
-        drains) newly completed responses."""
-        self._dispatch_due()
+        """Dispatch everything pending on every deployment, once; returns
+        (and drains) newly completed responses.  What failure recovery
+        requeues along the way waits for the next poll."""
+        self._dispatch_pending()
         return self._take_completed()
 
     def flush(self) -> list[GatewayResponse]:
-        """Force-dispatch everything pending on every deployment,
-        including what failure recovery requeues along the way."""
+        """:meth:`poll` until nothing is pending, including what failure
+        recovery requeues along the way."""
         self._drain_all()
         return self._take_completed()
-
-    def time_until_ready(self) -> float | None:
-        """Seconds until the earliest coalescing timer fires across all
-        deployments (0 when a batch is ready now, ``None`` when every
-        queue is empty) — the load generator's event-driven hook."""
-        times = [dep.service.queue.time_until_ready()
-                 for dep in self.deployments.deployments()
-                 if dep.service is not None]
-        times = [t for t in times if t is not None]
-        return min(times) if times else None
 
     # ------------------------------------------------------------------
     # Blue-green swap
@@ -730,8 +718,8 @@ class Gateway:
         Each element of ``requests`` is keyword arguments for
         :meth:`submit` (``api_key``, ``deployment``, optional ``window``
         and ``deadline``).  On a real clock the requests are submitted
-        from pool threads (micro-batching coalesces whatever lands in the
-        same ``max_wait``) and each thread waits for its own completion;
+        from pool threads (a batch is whatever they queued while the
+        previous one ran) and each thread waits for its own completion;
         on a :class:`ManualClock` the pool degenerates to deterministic
         submission order, since simulated time cannot advance
         concurrently.  Responses come back in request order either way.
@@ -753,7 +741,7 @@ class Gateway:
             ticket = (resp.deployment, resp.request_id)
             while True:
                 with self._lock:
-                    self._dispatch_due()
+                    self._dispatch_pending()
                     if ticket in self._completed:
                         return self._completed.pop(ticket)
                 time.sleep(1e-4)

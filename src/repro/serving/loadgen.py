@@ -11,8 +11,11 @@ Two canonical harnesses from the serving-systems literature:
 
 The generator is event-driven over the service's
 :class:`~repro.serving.service.ManualClock`: it advances simulated time
-to each arrival and to each coalescing-timer expiry, so the schedule of
-batches is an exact function of (seed, knobs, service times).  With the
+to each arrival, and every dispatch advances it by the batch's service
+time, so the schedule of batches is an exact function of (seed, knobs,
+service times).  All three loops follow the one contract a
+work-conserving queue asks of its driver (:func:`_serve_arrivals`):
+submit every arrival that is due, then poll.  With the
 service's default *measured* service times, latency percentiles are
 honest wall-clock numbers; with a synthetic ``service_time`` model the
 entire run — every latency, every batch size — is bit-reproducible,
@@ -23,7 +26,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -86,6 +89,33 @@ class LoadReport:
         return text
 
 
+def _serve_arrivals(clock: ManualClock, arrivals: list[tuple],
+                    submit: Callable[[tuple], Any],
+                    poll: Callable[[], list]) -> list:
+    """Run an arrival schedule against something with ``submit``/``poll``.
+
+    ``arrivals`` is a heap of tuples led by the scheduled time (a sorted
+    list is one; a closed loop's ``poll`` pushes follow-ups onto it).
+    Each round advances the clock to the next scheduled arrival (a clock
+    the last dispatch already carried past it stays put), submits **every**
+    arrival that is due and only then polls.  Polling after each submit
+    instead would hand a work-conserving queue one request at a time and
+    dispatch batches of one for ever, however deep the backlog.
+
+    Returns what ``submit`` answered on the spot (``None`` = queued) and
+    what ``poll`` completed, in order.
+    """
+    out: list = []
+    while arrivals:
+        clock.advance_to(arrivals[0][0])
+        while arrivals and arrivals[0][0] <= clock.now:
+            answer = submit(heapq.heappop(arrivals))
+            if answer is not None:
+                out.append(answer)
+        out.extend(poll())
+    return out
+
+
 class LoadGenerator:
     """Drives a :class:`ForecastService` with a seeded request stream.
 
@@ -122,25 +152,11 @@ class LoadGenerator:
     def _pick_window(self) -> np.ndarray:
         return self.windows[int(self.rng.integers(len(self.windows)))]
 
-    def _fire_timers_until(self, t: float, sink: list[Forecast]) -> None:
-        """Advance through every coalescing-timer expiry before time ``t``."""
-        while True:
-            remaining = self.service.queue.time_until_ready()
-            if remaining is None:
-                return
-            fire_at = self.clock.now + remaining
-            if fire_at > t:
-                return
-            self.clock.advance_to(fire_at)
-            sink.extend(self.service.poll())
-
-    def _drain(self, sink: list[Forecast]) -> None:
-        """Run out the queue through its natural timers (no force-flush,
-        so tail requests keep honest coalescing-delay latencies)."""
-        while len(self.service.queue):
-            remaining = self.service.queue.time_until_ready()
-            self.clock.advance_to(self.clock.now + (remaining or 0.0))
-            sink.extend(self.service.poll())
+    def _submit(self, deadline: float | None) -> int:
+        """Submit one seeded request, due ``deadline`` seconds from now."""
+        return self.service.submit(
+            self._pick_window(),
+            deadline=None if deadline is None else self.clock.now + deadline)
 
     def _failover_mark(self) -> int:
         """How many failovers the service has logged so far (0 for
@@ -193,44 +209,27 @@ class LoadGenerator:
         start = self.clock.now
         busy0, batches0 = svc.stats.busy_seconds, svc.stats.batches
         failover0 = self._failover_mark()
-        # (time, tiebreak, client) submission events.  The main loop always
-        # processes the earlier of {next submission, coalescing timer}, so
-        # simulated time advances monotonically through both.
+        # (time, tiebreak, client) submission events; each completion
+        # frees its client to submit again ``think_time`` later.
         scheduled = min(concurrency, requests)
         events: list[tuple[float, int, int]] = [
             (start, c, c) for c in range(scheduled)]
-        heapq.heapify(events)
         owner: dict[int, int] = {}
-        seq = scheduled
-        done: list[Forecast] = []
 
-        def collect() -> None:
-            """Record completions; each frees its client to resubmit."""
-            nonlocal seq, scheduled
-            for fc in svc.poll():
-                done.append(fc)
+        def submit(event: tuple[float, int, int]) -> None:
+            owner[self._submit(deadline)] = event[2]
+
+        def collect() -> list[Forecast]:
+            nonlocal scheduled
+            finished = svc.poll()
+            for fc in finished:
                 if scheduled < requests:
-                    heapq.heappush(events, (self.clock.now + think_time, seq,
-                                            owner[fc.request_id]))
-                    seq += 1
+                    heapq.heappush(events, (self.clock.now + think_time,
+                                            scheduled, owner[fc.request_id]))
                     scheduled += 1
+            return finished
 
-        while len(done) < requests:
-            remaining = svc.queue.time_until_ready()
-            timer_at = None if remaining is None else self.clock.now + remaining
-            if events and (timer_at is None or events[0][0] <= timer_at):
-                t, _, client = heapq.heappop(events)
-                self.clock.advance_to(t)
-                rid = svc.submit(self._pick_window(),
-                                 deadline=None if deadline is None
-                                 else self.clock.now + deadline)
-                owner[rid] = client
-                collect()
-            elif timer_at is not None:
-                self.clock.advance_to(timer_at)
-                collect()
-            else:                                  # pragma: no cover
-                raise RuntimeError("closed loop stalled: no events, no queue")
+        done = _serve_arrivals(self.clock, events, submit, collect)
         return self._report(scenario, "closed", done, start, None,
                             busy0, batches0, failover0)
 
@@ -254,16 +253,13 @@ class LoadGenerator:
         start = self.clock.now
         busy0, batches0 = svc.stats.busy_seconds, svc.stats.batches
         failover0 = self._failover_mark()
-        arrivals = start + np.cumsum(gaps)
-        done: list[Forecast] = []
-        for t in arrivals:
-            self._fire_timers_until(float(t), done)
-            self.clock.advance_to(float(t))
-            svc.submit(self._pick_window(),
-                       deadline=None if deadline is None
-                       else self.clock.now + deadline)
-            done.extend(svc.poll())
-        self._drain(done)
+
+        def submit(_event: tuple[float]) -> None:
+            self._submit(deadline)
+
+        done = _serve_arrivals(
+            self.clock, [(float(t),) for t in start + np.cumsum(gaps)],
+            submit, svc.poll)
         return self._report(scenario, "open", done, start, float(rate_qps),
                             busy0, batches0, failover0)
 
@@ -305,8 +301,8 @@ class GatewayLoadGenerator:
 
     The generator owns simulated time exactly like :class:`LoadGenerator`
     (the gateway must run on a :class:`ManualClock`): per-stream arrival
-    schedules are seeded, merged into one global timeline, and processed
-    event-by-event against every deployment's coalescing timer — so with
+    schedules are seeded, merged into one global timeline, and served
+    due-arrivals-then-poll (:func:`_serve_arrivals`) — so with
     synthetic service-time models the entire multi-tenant run is
     bit-reproducible, shed decisions included.
     """
@@ -354,28 +350,6 @@ class GatewayLoadGenerator:
         events.sort()
         return events
 
-    def _fire_timers_until(self, t: float,
-                           sink: list[Any]) -> None:
-        """Advance through every deployment's coalescing-timer expiry
-        before time ``t``, collecting completions as they happen."""
-        while True:
-            remaining = self.gateway.time_until_ready()
-            if remaining is None:
-                return
-            fire_at = self.clock.now + remaining
-            if fire_at > t:
-                return
-            self.clock.advance_to(fire_at)
-            sink.extend(self.gateway.poll())
-
-    def _drain(self, sink: list[Any]) -> None:
-        while True:
-            remaining = self.gateway.time_until_ready()
-            if remaining is None:
-                return
-            self.clock.advance_to(self.clock.now + remaining)
-            sink.extend(self.gateway.poll())
-
     # ------------------------------------------------------------------
     def open_loop(self, streams: list[TenantStream], *,
                   scenario: str = "gateway-open") -> LoadReport:
@@ -389,11 +363,10 @@ class GatewayLoadGenerator:
                     if d.service is not None)
         batches0 = sum(d.service.stats.batches for d in deps
                        if d.service is not None)
-        responses: list[Any] = []
-        for t, _, i in self._merged_arrivals(streams, start):
+
+        def submit(event: tuple[float, int, int]) -> Any:
+            t, _, i = event
             stream = streams[i]
-            self._fire_timers_until(t, responses)
-            self.clock.advance_to(t)
             # Deadlines anchor at the *scheduled* arrival, not the (possibly
             # later) clock: past capacity the service's dispatches push
             # simulated time ahead of the arrival schedule, so late requests
@@ -403,11 +376,12 @@ class GatewayLoadGenerator:
                         else t + stream.deadline)
             resp = gw.submit(stream.api_key, stream.deployment,
                              self._pick_window(), deadline=deadline)
-            if resp.status != "admitted":
-                responses.append(resp)
-            responses.extend(gw.poll())
-        self._drain(responses)
-        responses.extend(gw.flush())    # safety: nothing may stay queued
+            return None if resp.status == "admitted" else resp
+
+        responses = _serve_arrivals(
+            self.clock, self._merged_arrivals(streams, start), submit,
+            gw.poll)
+        responses.extend(gw.flush())    # what recovery requeued last
         return self._report(scenario, streams, responses, start,
                             busy0, batches0)
 

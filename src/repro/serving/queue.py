@@ -1,18 +1,25 @@
-"""Micro-batching request queue with deadline accounting.
+"""Work-conserving micro-batching request queue with deadline accounting.
 
 Online inference throughput comes from coalescing concurrent requests
 into one fused forward pass (the Clipper-style adaptive batching
 argument): a batch of 8 windows costs far less than 8 single forwards
-because the per-step Python/kernel overhead amortises.  The queue
-coalesces up to ``max_batch`` requests, but never holds a request longer
-than ``max_wait`` — the classic batching/latency trade-off, both knobs
-explicit.
+because the per-step Python/kernel overhead amortises.  The policy is
+batching by backlog: ``submit`` only enqueues, and each ``next_batch``
+pops what is pending, oldest first, up to ``max_batch``.  A batch is
+therefore exactly what arrived while the previous dispatch ran; a
+request never waits while the server is idle, and nothing is held back
+in the hope of company (Clipper ships delayed batching as an opt-in for
+the few models it helps; a synchronous server at part load is not one).
+
+The contract for whoever drives the queue is **submit every arrival that
+is due, then dispatch**: two requests due in the same instant share one
+forward only if both are enqueued before the dispatch.
 
 The queue is a pure, synchronous data structure driven by an injectable
-``clock`` (the service passes a shared one): ``submit`` stamps arrivals,
-``ready`` reports whether a batch should be dispatched *now*, and
-``next_batch`` pops it.  No threads — the serving loop and the load
-generator drive time explicitly, which keeps every schedule reproducible.
+``clock`` (the service passes a shared one): ``submit`` stamps arrivals
+and ``next_batch`` stamps dispatches.  No threads — the serving loop and
+the load generator drive time explicitly, which keeps every schedule
+reproducible.
 """
 
 from __future__ import annotations
@@ -22,12 +29,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-
-#: Wait-comparison tolerance (1 ns).  ``max_wait - oldest_wait`` can round
-#: to a sub-ulp remainder once a clock is advanced *to* the fire time, which
-#: would leave ``ready()`` false forever at an unreachable instant; one
-#: nanosecond is far below any meaningful service latency.
-_WAIT_EPS = 1e-9
 
 
 @dataclass
@@ -63,21 +64,15 @@ class ForecastRequest:
 
 
 class MicroBatchQueue:
-    """FIFO of :class:`ForecastRequest`\\ s with coalescing policy.
+    """FIFO of :class:`ForecastRequest`\\ s dispatched in chunks of at most
+    ``max_batch``; whatever is pending is ready."""
 
-    A batch is ready when ``max_batch`` requests are pending, or when the
-    oldest pending request has waited at least ``max_wait`` seconds.
-    """
-
-    def __init__(self, *, max_batch: int = 8, max_wait: float = 0.005,
+    def __init__(self, *, max_batch: int = 8,
                  clock: Callable[[], float] | None = None):
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
-        if max_wait < 0:
-            raise ValueError(f"max_wait must be >= 0, got {max_wait}")
         import time
         self.max_batch = int(max_batch)
-        self.max_wait = float(max_wait)
         self.clock = clock if clock is not None else time.perf_counter
         self._pending: deque[ForecastRequest] = deque()
         self._next_id = 0
@@ -94,39 +89,13 @@ class MicroBatchQueue:
         self._pending.append(req)
         return req
 
-    def oldest_wait(self) -> float:
-        """Seconds the head request has been pending (0 when empty)."""
-        if not self._pending:
-            return 0.0
-        return self.clock() - self._pending[0].arrival
-
-    def ready(self) -> bool:
-        """Should a batch be dispatched now?"""
-        if not self._pending:
-            return False
-        return (len(self._pending) >= self.max_batch
-                or self.oldest_wait() >= self.max_wait - _WAIT_EPS)
-
-    def time_until_ready(self) -> float | None:
-        """Seconds until the coalescing timer fires for the head request:
-        0 when a batch is ready now, ``None`` when the queue is empty.
-        Event-driven callers (the load generator) advance their clock by
-        this instead of busy-polling."""
-        if not self._pending:
-            return None
-        if len(self._pending) >= self.max_batch:
-            return 0.0
-        remaining = self.max_wait - self.oldest_wait()
-        return 0.0 if remaining <= _WAIT_EPS else remaining
-
-    def next_batch(self, *, force: bool = False) -> list[ForecastRequest]:
-        """Pop up to ``max_batch`` requests; empty unless ready (or forced).
+    def next_batch(self) -> list[ForecastRequest]:
+        """Pop the oldest pending requests, up to ``max_batch`` (empty
+        when nothing is pending).
 
         Dispatch times are stamped here; the caller stamps completion once
         the fused forward finishes.
         """
-        if not force and not self.ready():
-            return []
         now = self.clock()
         batch: list[ForecastRequest] = []
         while self._pending and len(batch) < self.max_batch:

@@ -3,9 +3,9 @@
 One object ties the serving subsystem together: a session (local
 :class:`~repro.serving.session.ModelSession` or
 :class:`~repro.serving.sharding.ShardedSession`) does the model work, a
-:class:`~repro.serving.queue.MicroBatchQueue` coalesces concurrent
-requests, and the service stamps per-request latency/deadline accounting
-on a shared clock.
+:class:`~repro.serving.queue.MicroBatchQueue` coalesces whatever is
+pending when the service next dispatches, and the service stamps
+per-request latency/deadline accounting on a shared clock.
 
 Time is explicit: the service runs on a :class:`ManualClock` by default
 (simulated request time, *measured* model-service time — every batch
@@ -63,14 +63,15 @@ class ServiceStats:
 class ForecastService:
     """Synchronous online-forecast front door.
 
-    ``forecast`` answers immediately (a batch of 1); ``submit`` +
-    ``poll``/``flush`` run the micro-batched path.  Both return
-    :class:`Forecast` records with per-request latency measured on the
-    service clock.
+    ``forecast`` answers immediately (a batch of 1 on an empty queue);
+    ``submit`` + ``poll`` run the micro-batched path: ``submit`` only
+    enqueues, ``poll`` dispatches everything pending in FIFO batches of at
+    most ``max_batch``, so callers submit every request that is due and
+    then poll.  Both return :class:`Forecast` records with per-request
+    latency measured on the service clock.
     """
 
     def __init__(self, session: Any, *, max_batch: int | None = None,
-                 max_wait: float = 0.005,
                  clock: Callable[[], float] | None = None,
                  service_time: Callable[[int], float] | None = None):
         self.session = session
@@ -84,8 +85,7 @@ class ForecastService:
             raise ValueError(
                 f"service max_batch {max_batch} exceeds the session's "
                 f"staging capacity {session.max_batch}")
-        self.queue = MicroBatchQueue(max_batch=max_batch, max_wait=max_wait,
-                                     clock=self.clock)
+        self.queue = MicroBatchQueue(max_batch=max_batch, clock=self.clock)
         self.stats = ServiceStats()
         self._completed: list[Forecast] = []
         # Resilience hooks (repro.serving.resilience): the injector fires
@@ -93,7 +93,11 @@ class ForecastService:
         # boundaries; failed batches are buffered for take_failed() so the
         # gateway can retry/degrade them — never silently dropped.
         self.fault_injector = None
-        self.last_batch_seconds = 0.0
+        #: ``(size, seconds)`` of every batch the latest ``poll`` /
+        #: ``forecast`` served, in dispatch order (failed ones are in
+        #: ``take_failed``): what the gateway feeds, one observation a
+        #: batch, to its admission estimate and circuit breaker.
+        self.last_served: list[tuple[int, float]] = []
         self._failed: list[tuple[list[ForecastRequest], SessionFailure]] = []
 
     # ------------------------------------------------------------------
@@ -127,16 +131,15 @@ class ForecastService:
     # ------------------------------------------------------------------
     def forecast(self, window: np.ndarray | None = None, *,
                  deadline: float | None = None) -> Forecast:
-        """Serve one request now: force-dispatch the queue (coalescing
-        with anything already pending) and return this request's forecast.
-        Other requests' completions stay buffered for ``poll``/``flush``.
+        """Serve one request now: dispatch the queue (coalescing with
+        anything already pending) and return this request's forecast.
+        Other requests' completions stay buffered for ``poll``.
 
         ``window=None`` forecasts from the session's current streamed
         state (requires attached feature stores).
         """
         req = self.queue.submit(self._check_window(window), deadline=deadline)
-        while len(self.queue):
-            self._dispatch(self.queue.next_batch(force=True))
+        self._dispatch_pending()
         for i, fc in enumerate(self._completed):
             if fc.request_id == req.request_id:
                 return self._completed.pop(i)
@@ -163,29 +166,29 @@ class ForecastService:
     # ------------------------------------------------------------------
     def submit(self, window: np.ndarray | None = None, *,
                deadline: float | None = None) -> int:
-        """Enqueue a request; returns its id.  Dispatches opportunistically
-        when the queue fills (results wait for the next ``poll``/``flush``)."""
-        req = self.queue.submit(self._check_window(window), deadline=deadline)
-        self._dispatch_due()
-        return req.request_id
+        """Enqueue a request; returns its id.  Never dispatches: requests
+        due in the same instant must all be queued before the ``poll``
+        that serves them, or they cannot share a forward."""
+        return self.queue.submit(self._check_window(window),
+                                 deadline=deadline).request_id
 
-    def _dispatch_due(self) -> None:
-        while self.queue.ready():
+    def _dispatch_pending(self) -> None:
+        """The one dispatch site: everything pending, oldest first, in
+        batches of at most ``max_batch``."""
+        self.last_served = []
+        while len(self.queue):
             self._dispatch(self.queue.next_batch())
 
     def poll(self) -> list[Forecast]:
-        """Dispatch every batch the coalescing policy says is due;
-        returns (and drains) newly completed forecasts."""
-        self._dispatch_due()
+        """Dispatch everything pending; returns (and drains) newly
+        completed forecasts."""
+        self._dispatch_pending()
         done, self._completed = self._completed, []
         return done
 
-    def flush(self) -> list[Forecast]:
-        """Force-dispatch everything pending and drain completions."""
-        while len(self.queue):
-            self._dispatch(self.queue.next_batch(force=True))
-        done, self._completed = self._completed, []
-        return done
+    #: Nothing is ever held back, so there is nothing to force: the name
+    #: callers use to say "and leave the queue empty".
+    flush = poll
 
     def take_failed(self) -> list[tuple[list[ForecastRequest], SessionFailure]]:
         """Drain batches whose dispatch failed, as ``(requests, failure)``
@@ -237,7 +240,6 @@ class ForecastService:
         now = self.clock()
         self.stats.busy_seconds += service_seconds
         self.stats.batches += 1
-        self.last_batch_seconds = service_seconds
         if failure is not None:
             # Charge the failed attempt honestly (the time passed, the
             # slot was burned) but buffer the requests instead of losing
@@ -263,5 +265,6 @@ class ForecastService:
             out.append(fc)
             self.stats.requests += 1
             self.stats.deadline_misses += int(req.deadline_missed)
+        self.last_served.append((len(reqs), service_seconds))
         self._completed.extend(out)
         return out

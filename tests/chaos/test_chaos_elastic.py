@@ -136,7 +136,7 @@ class TestScaleUpUnderFire:
                               num_standby=2, fault_plan=plan)
         warm(sess, trained)
         svc = ForecastService(
-            sess, max_batch=8, max_wait=5e-4,
+            sess, max_batch=8,
             service_time=shard_scaled_service_time(sess, base=2e-3,
                                                    per_item=1e-3))
         policy = AutoscalerPolicy(slo_p99=4.5e-3, min_shards=2, max_shards=4,

@@ -56,7 +56,7 @@ def make_gw(trained, *, fault_plan=None, resilience=None, fallback=True,
         sources["standby"] = trained
     return build_gateway(
         sources, tenants=[{"tenant_id": "ops", "api_key": "key-ops"}],
-        clock=ManualClock(), max_batch=4, max_wait=0.002,
+        clock=ManualClock(), max_batch=4,
         service_time=service_time, cache_ttl=cache_ttl,
         fallbacks={"bay": "standby"} if fallback else None,
         fault_plan=fault_plan, resilience=resilience, **kw)

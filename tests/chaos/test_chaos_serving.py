@@ -195,7 +195,7 @@ class TestScheduledWorkerCrash:
     def test_loadgen_records_failover(self, trained, pool):
         plan = FaultPlan().worker_crash(shard=1, at_request=20)
         svc = serve(trained, server="sharded", num_shards=4, max_batch=8,
-                    max_wait=0.002, fault_plan=plan,
+                    fault_plan=plan,
                     service_time=lambda n: 0.0005 + 0.0001 * n)
         gen = LoadGenerator(svc, pool, seed=5)
         report = gen.closed_loop(requests=60, concurrency=8,

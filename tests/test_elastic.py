@@ -717,10 +717,13 @@ class TestOverlapRegression:
 class TestAutoscaledTrace:
     def run_demo(self, trained, pool):
         sess = make_sharded(trained, num_shards=2, num_standby=2)
+        # Sized for a work-conserving queue: at 4 shards the 2200 qps
+        # phase settles at p99 2.75 ms, mid-way between the scale-down
+        # line (1.8 ms) and the SLO, so the fleet neither flaps nor misses.
         svc = ForecastService(
-            sess, max_batch=8, max_wait=5e-4,
+            sess, max_batch=8,
             service_time=shard_scaled_service_time(sess, base=2e-3,
-                                                   per_item=1e-3))
+                                                   per_item=1.5e-3))
         policy = AutoscalerPolicy(slo_p99=4.5e-3, min_shards=2, max_shards=4,
                                   scale_down_at=0.4, transition_seconds=0.02)
         auto = ShardAutoscaler(sess, policy, svc.clock)
@@ -748,8 +751,8 @@ class TestAutoscaledTrace:
         # Misses concentrate in the one overloaded tick before the
         # scale-up lands; every other tick serves inside the deadline.
         assert report.deadline_misses == report.ticks[3]["deadline_misses"] \
-            == 32
-        assert report.slo_compliance == pytest.approx(448 / 480)
+            == 36
+        assert report.slo_compliance == pytest.approx(444 / 480)
         up_conv, down_conv = report.convergence_seconds
         assert 0.0 < up_conv < 0.1                # first post-resize tick
         assert down_conv == 0.0                   # already under SLO

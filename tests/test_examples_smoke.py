@@ -71,6 +71,28 @@ def test_every_example_is_covered():
         "examples so refactors keep them runnable")
 
 
+def test_max_wait_lives_only_in_build_gateway():
+    """The serving queue is work-conserving and has no timer to set.  The
+    one ``max_wait`` left in ``src/`` is ``build_gateway``'s parameter,
+    kept (range-checked, otherwise unused) because ``benchmarks/e2e``
+    still passes it; until the ``benchmark`` PR drops both, nothing may
+    thread the knob anywhere else."""
+    import ast
+
+    src = EXAMPLES_DIR.parent / "src"
+    home = src / "repro" / "api" / "serving.py"
+    (span,) = [range(node.lineno, node.end_lineno + 1)
+               for node in ast.parse(home.read_text()).body
+               if isinstance(node, ast.FunctionDef)
+               and node.name == "build_gateway"]
+    stray = [f"{path.relative_to(src)}:{number}"
+             for path in sorted(src.rglob("*.py"))
+             for number, line in enumerate(path.read_text().splitlines(), 1)
+             if "max_wait" in line
+             and not (path == home and number in span)]
+    assert stray == []
+
+
 @pytest.mark.parametrize("name", sorted(EXAMPLE_ARGS))
 def test_example_runs(name, capsys):
     module = _load_example(name)

@@ -56,7 +56,6 @@ def pool(trained):
 def make_gateway(trained, **kw):
     kw.setdefault("clock", ManualClock())
     kw.setdefault("max_batch", 8)
-    kw.setdefault("max_wait", 0.002)
     kw.setdefault("service_time", lambda n: 4e-4 + 2e-4 * n)
     kw.setdefault("tenants", ["ops", "research"])
     return build_gateway({"bay": trained}, **kw)
@@ -174,32 +173,38 @@ class TestTenancy:
 class TestAdmission:
     def make(self, **kw):
         clock = ManualClock()
-        queue = MicroBatchQueue(max_batch=4, max_wait=0.002, clock=clock)
+        queue = MicroBatchQueue(max_batch=4, clock=clock)
         return clock, queue, AdmissionController(clock, **kw)
 
-    def test_no_estimate_projects_only_the_wait(self):
-        """Before any dispatch the service-time prior is 0: a request
-        sheds only if its budget cannot even cover the coalescing wait."""
+    def test_no_estimate_sheds_only_the_already_late(self):
+        """Before any dispatch the service-time prior is 0 and nothing is
+        held, so the projection is 0: a request sheds only if its
+        deadline has already passed."""
         clock, queue, adm = self.make()
+        clock.advance(1.0)
         assert adm.estimate("d") == 0.0
+        assert adm.projected_latency(queue, "d") == 0.0
         assert adm.admit(queue, tenant="t", deployment="d",
-                         deadline=clock() + 0.003) is None   # > max_wait
+                         deadline=clock() + 1e-9) is None
         decision = adm.admit(queue, tenant="t", deployment="d",
-                             deadline=clock() + 1e-9)        # < max_wait
+                             deadline=clock() - 1e-9)
         assert decision is not None and decision.reason == "deadline"
 
     def test_projection_math(self):
         clock, queue, adm = self.make()
         adm.seed_estimate("d", 0.010)
-        # Empty queue: coalescing wait (max_wait) + one batch.
-        assert adm.projected_latency(queue, "d") == pytest.approx(0.012)
+        # Empty queue, idle server: one batch, no wait.
+        assert adm.projected_latency(queue, "d") == pytest.approx(0.010)
         for _ in range(3):
             queue.submit(np.zeros(1))
-        # Depth 3, our request fills the batch of 4: no wait, one batch.
+        # Depth 3: ours is the fourth of the same batch of 4.
         assert adm.projected_latency(queue, "d") == pytest.approx(0.010)
         queue.submit(np.zeros(1))
-        # Depth 4: a full batch fires now, ours rides the next one.
+        # Depth 4: one full batch ahead, ours rides the next one.
         assert adm.projected_latency(queue, "d") == pytest.approx(0.020)
+        for _ in range(4):
+            queue.submit(np.zeros(1))
+        assert adm.projected_latency(queue, "d") == pytest.approx(0.030)
 
     def test_deadline_shed_recorded(self):
         clock, queue, adm = self.make()
@@ -225,6 +230,21 @@ class TestAdmission:
         adm.observe("d", 0.010)
         adm.observe("d", 0.020)
         assert adm.estimate("d") == pytest.approx(0.012)
+
+    def test_partial_batches_never_lower_the_estimate(self):
+        """The estimate is of a full batch.  Every drain ends in a partial
+        one, which costs less: folding those in would under-project every
+        full batch ahead of a request."""
+        _, _, adm = self.make()
+        adm.observe("d", 0.010)
+        adm.observe("d", 0.004, full=False)
+        assert adm.estimate("d") == 0.010
+        adm.observe("d", 0.012, full=False)     # a lower bound above it
+        assert adm.estimate("d") == 0.012
+        adm.observe("d", 0.010)
+        assert adm.estimate("d") == pytest.approx(0.0116)
+        adm.observe("e", 0.004, full=False)     # better than knowing nothing
+        assert adm.estimate("e") == 0.004
 
     def test_shed_requests_are_counted_not_kept(self):
         clock, queue, adm = self.make()
@@ -311,7 +331,7 @@ class TestGateway:
     def test_matches_direct_service_bitwise(self, trained, pool):
         """Acceptance: the gateway is pure plumbing over ForecastService."""
         gw = make_gateway(trained)
-        direct = serve(trained, max_batch=8, max_wait=0.002)
+        direct = serve(trained, max_batch=8)
         resp = gw.request("key-ops", "bay", pool[0])
         np.testing.assert_array_equal(resp.forecast.predictions,
                                       direct.forecast(pool[0]).predictions)
@@ -524,6 +544,25 @@ class TestGatewayLoadGenerator:
         assert gw.admission.shed_by_reason() == \
             {"deadline": round(report.shed_rate * 600)}
 
+    def test_every_dispatch_is_observed(self, trained, pool):
+        """Each served batch feeds the admission estimate and the breaker
+        exactly once, so under overload the estimate is the full batch's
+        cost, not whichever partial batch happened to be seen."""
+        gw = make_gateway(trained)
+        observed = []
+        observe = gw.admission.observe
+        gw.admission.observe = lambda *a, **kw: (observed.append(a[1]),
+                                                 observe(*a, **kw))
+        GatewayLoadGenerator(gw, pool, seed=7).open_loop([
+            TenantStream(api_key="key-ops", deployment="bay",
+                         rate_qps=10000.0, requests=600, deadline=0.025)])
+        stats = gw.deployments.get("bay").service.stats
+        assert stats.batches > 20 and stats.failed_batches == 0
+        assert len(observed) == stats.batches
+        assert gw.resilience.breaker("bay").monitor.successes == stats.batches
+        assert max(observed) == pytest.approx(2e-3)     # 4e-4 + 2e-4 * 8
+        assert gw.admission.estimate("bay") == pytest.approx(2e-3)
+
     def test_summary_mentions_goodput_and_shed(self, trained, pool):
         gen = GatewayLoadGenerator(make_gateway(trained), pool, seed=0)
         report = gen.open_loop([TenantStream(
@@ -564,7 +603,6 @@ class TestMembershipChurn:
                               num_standby=2)
         kw.setdefault("clock", ManualClock())
         kw.setdefault("max_batch", 8)
-        kw.setdefault("max_wait", 0.002)
         kw.setdefault("service_time", lambda n: 4e-4 + 2e-4 * n)
         kw.setdefault("tenants", ["ops", "research"])
         return sess, build_gateway({"bay": sess}, **kw)

@@ -108,7 +108,6 @@ KEY = "k-ops"
 def make_gw(*, fallback=False, scale=2.0, **kw):
     kw.setdefault("clock", ManualClock())
     kw.setdefault("max_batch", 4)
-    kw.setdefault("max_wait", 0.002)
     kw.setdefault("service_time", service_time)
     gw = Gateway(**kw)
     gw.add_deployment("a", ToySession(scale=scale),

@@ -12,8 +12,11 @@ The load-bearing guarantees:
 
 import os
 
+import heapq
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.api import RunSpec, list_servers, run, serve
 from repro.preprocessing.index_batching import IndexDataset
@@ -25,8 +28,11 @@ from repro.serving import (
     ModelSession,
     ShardedSession,
 )
+from repro.serving.loadgen import _serve_arrivals
+from repro.serving.service import ForecastService
 from repro.training.checkpoint import save_checkpoint
 from repro.utils.errors import ShapeError
+from tests.test_resilience import H, N, F, ToySession
 
 SPEC = dict(dataset="pems-bay", model="pgt-dcrnn", batching="index",
             scale="tiny", seed=0, epochs=1)
@@ -108,7 +114,7 @@ class TestMicroBatchParity:
         session = make_session(trained, max_batch=8)
         singles = np.stack([session.predict(pool[i:i + 1])[0].copy()
                             for i in range(8)])
-        svc = serve(trained, max_batch=8, max_wait=0.005)
+        svc = serve(trained, max_batch=8)
         ids = [svc.submit(pool[i]) for i in range(8)]
         done = {fc.request_id: fc for fc in svc.poll() + svc.flush()}
         assert sorted(done) == sorted(ids)
@@ -129,7 +135,7 @@ class TestMicroBatchParity:
     def test_forecast_keeps_pending_completions(self, trained, pool):
         """forecast() must not swallow other requests' results: anything
         it coalesces with stays buffered for the next poll/flush."""
-        svc = serve(trained, max_batch=8, max_wait=10.0)
+        svc = serve(trained, max_batch=8)
         pending = svc.submit(pool[0])
         fc = svc.forecast(pool[1])
         assert fc.batch_size == 2       # coalesced into one forward
@@ -143,7 +149,7 @@ class TestMicroBatchParity:
     def test_bad_window_rejected_at_submit(self, trained, pool):
         """A malformed window fails its own caller at the door; requests
         already coalesced with it are unaffected."""
-        svc = serve(trained, max_batch=8, max_wait=10.0)
+        svc = serve(trained, max_batch=8)
         ok = svc.submit(pool[0])
         with pytest.raises(ShapeError):
             svc.submit(pool[0, :2])
@@ -238,7 +244,7 @@ class TestSharding:
         ingests must not mutate it (current_window returns a copy)."""
         ds = trained.artifacts.dataset
         svc = serve(trained, server="sharded", num_shards=2,
-                    max_batch=4, max_wait=10.0)
+                    max_batch=4)
         warm = 2 * svc.session.horizon
         for values, ts in zip(ds.signals[:warm], ds.timestamps[:warm]):
             svc.ingest(values, float(ts))
@@ -330,49 +336,46 @@ class TestFeatureStore:
 class TestMicroBatchQueue:
     def test_coalesces_by_size(self):
         clock = ManualClock()
-        q = MicroBatchQueue(max_batch=3, max_wait=1.0, clock=clock)
+        q = MicroBatchQueue(max_batch=3, clock=clock)
         for i in range(3):
             q.submit(np.zeros(1))
-        assert q.ready() and q.time_until_ready() == 0.0
         batch = q.next_batch()
         assert [r.batch_size for r in batch] == [3, 3, 3]
-        assert len(q) == 0 and q.time_until_ready() is None
+        assert len(q) == 0 and q.next_batch() == []
 
-    def test_coalesces_by_time(self):
-        clock = ManualClock()
-        q = MicroBatchQueue(max_batch=8, max_wait=0.010, clock=clock)
-        q.submit(np.zeros(1))
-        assert not q.ready()
-        assert q.time_until_ready() == pytest.approx(0.010)
-        clock.advance(0.004)
-        assert q.time_until_ready() == pytest.approx(0.006)
-        clock.advance(0.006)
-        assert q.ready()
-        assert q.next_batch()[0].batch_size == 1
+    def test_partial_batch_leaves_at_once(self):
+        """Whatever is pending is ready: nothing is held back to wait for
+        company, however far below ``max_batch`` the backlog is."""
+        clock = ManualClock(start=1.0)
+        q = MicroBatchQueue(max_batch=8, clock=clock)
+        for _ in range(3):
+            q.submit(np.zeros(1))
+        batch = q.next_batch()
+        assert [r.batch_size for r in batch] == [3, 3, 3]
+        assert [r.queue_wait for r in batch] == [0.0, 0.0, 0.0]
+        assert len(q) == 0
+
+    def test_backlog_leaves_in_fifo_chunks(self):
+        q = MicroBatchQueue(max_batch=4, clock=ManualClock())
+        for _ in range(11):
+            q.submit(np.zeros(1))
+        chunks = [q.next_batch() for _ in range(3)]
+        assert [len(c) for c in chunks] == [4, 4, 3]
+        assert [r.request_id for c in chunks for r in c] == list(range(11))
+        assert len(q) == 0
 
     def test_deadline_accounting(self, trained, pool):
-        svc = serve(trained, max_batch=4, max_wait=0.0,
-                    service_time=lambda n: 0.010)
+        svc = serve(trained, max_batch=4, service_time=lambda n: 0.010)
         ok = svc.forecast(pool[0], deadline=svc.clock() + 1.0)
         late = svc.forecast(pool[0], deadline=svc.clock() + 0.001)
         assert not ok.deadline_missed and late.deadline_missed
         assert svc.stats.deadline_misses == 1
 
-    def test_zero_max_wait_is_batch_of_one(self):
-        """max_wait=0: every submit is immediately dispatchable — the
-        no-coalescing limit of the batching/latency trade-off."""
-        clock = ManualClock()
-        q = MicroBatchQueue(max_batch=8, max_wait=0.0, clock=clock)
-        q.submit(np.zeros(1))
-        assert q.ready() and q.time_until_ready() == 0.0
-        assert q.next_batch()[0].batch_size == 1
-        assert q.time_until_ready() is None
-
     def test_deadline_expired_at_submit_still_queues(self):
         """A request whose deadline already passed is queued and served
         (and counted as a miss at completion), never silently dropped."""
         clock = ManualClock(start=10.0)
-        q = MicroBatchQueue(max_batch=2, max_wait=1.0, clock=clock)
+        q = MicroBatchQueue(max_batch=2, clock=clock)
         req = q.submit(np.zeros(1), deadline=5.0)
         assert len(q) == 1
         q.submit(np.zeros(1))
@@ -381,21 +384,10 @@ class TestMicroBatchQueue:
         req.completed = clock()
         assert req.deadline_missed
 
-    def test_forced_flush_of_partial_batch(self):
-        clock = ManualClock()
-        q = MicroBatchQueue(max_batch=8, max_wait=1.0, clock=clock)
-        for _ in range(3):
-            q.submit(np.zeros(1))
-        assert not q.ready() and q.next_batch() == []
-        batch = q.next_batch(force=True)
-        assert [r.batch_size for r in batch] == [3, 3, 3]
-        assert len(q) == 0
-
     def test_service_stats_count_expired_at_submit(self, trained, pool):
         """ServiceStats.deadline_misses includes requests that were
         already hopeless when submitted."""
-        svc = serve(trained, max_batch=4, max_wait=0.002,
-                    service_time=lambda n: 0.001)
+        svc = serve(trained, max_batch=4, service_time=lambda n: 0.001)
         svc.submit(pool[0], deadline=svc.clock() - 1.0)   # born expired
         svc.submit(pool[0], deadline=svc.clock() + 10.0)
         done = svc.flush()
@@ -460,7 +452,6 @@ class TestServeAPI:
 
 def synthetic_service(trained, **kw):
     kw.setdefault("max_batch", 8)
-    kw.setdefault("max_wait", 0.002)
     return serve(trained, service_time=lambda n: 0.0005 + 0.0001 * n, **kw)
 
 
@@ -498,8 +489,7 @@ class TestLoadGenerator:
         assert report.qps == pytest.approx(800.0, rel=0.1)
 
     def test_deadlines_counted(self, trained, pool):
-        svc = serve(trained, max_batch=8, max_wait=0.002,
-                    service_time=lambda n: 0.005)
+        svc = serve(trained, max_batch=8, service_time=lambda n: 0.005)
         gen = LoadGenerator(svc, pool, seed=0)
         report = gen.open_loop(requests=50, rate_qps=1000.0, deadline=0.004)
         assert report.deadline_misses > 0
@@ -513,3 +503,133 @@ class TestLoadGenerator:
     def test_rejects_bad_pool(self, trained):
         with pytest.raises(ShapeError):
             LoadGenerator(synthetic_service(trained), np.zeros((4, 8, 2)))
+
+
+# ---------------------------------------------------------------------------
+# The batching policy, as properties
+# ---------------------------------------------------------------------------
+def batch_cost(n: int) -> float:
+    return 4e-4 + 2e-4 * n
+
+
+def poll_after_every_submit(clock, arrivals, submit, poll):
+    """The driver the work-conserving queue must not be given: it hands
+    over one request at a time, so nothing can ever share a forward."""
+    out = []
+    while arrivals:
+        clock.advance_to(arrivals[0][0])
+        submit(heapq.heappop(arrivals))
+        out.extend(poll())
+    return out
+
+
+def run_schedule(schedule, max_batch, *, drive=_serve_arrivals, hold=0.0):
+    """Serve ``schedule`` (sorted arrival times) on a toy session with a
+    fixed cost model; request ``i`` is the one scheduled at
+    ``schedule[i]``.  Returns the session, each request's arrival stamp
+    and ``(poll instant, forecasts)`` per poll.  ``hold`` delays every
+    poll: the deleted timer, as a mutant."""
+    clock = ManualClock()
+    session = ToySession(max_batch=8)
+    svc = ForecastService(session, max_batch=max_batch, clock=clock,
+                          service_time=batch_cost)
+    window = np.zeros((H, N, F))
+    stamped, polls = [], []
+
+    def submit(_event):
+        svc.submit(window)
+        stamped.append(clock.now)
+
+    def poll():
+        clock.advance(hold)
+        at = clock.now
+        done = svc.poll()
+        polls.append((at, done))
+        return done
+
+    drive(clock, [(t, i) for i, t in enumerate(schedule)], submit, poll)
+    assert len(svc.queue) == 0
+    return session, stamped, polls
+
+
+def check_work_conserving(schedule, max_batch, stamped, polls):
+    served = [fc.request_id for _, done in polls for fc in done]
+    assert served == list(range(len(schedule)))         # FIFO, each once
+    free_at = float("-inf")         # completion of the previous batch
+    for at, done in polls:
+        # Everything due when a poll begins is served by the time it ends.
+        assert done[-1].request_id + 1 == sum(t <= at for t in schedule)
+        i = 0
+        while i < len(done):
+            size = done[i].batch_size
+            batch = done[i:i + size]
+            i += size
+            assert all(fc.batch_size == size for fc in batch)
+            # Chunks of a backlog are full; only the last may be partial.
+            assert size == max_batch or (size < max_batch and i == len(done))
+            due = schedule[batch[0].request_id]
+            if due >= free_at:              # arrived at an idle server
+                assert batch[0].queue_wait == 0.0
+            # Never idle with a request pending, never two forwards at once.
+            dispatched = max(due, free_at)
+            free_at = dispatched + batch_cost(size)
+            for fc in batch:
+                arrived = stamped[fc.request_id]
+                assert arrived + fc.queue_wait == pytest.approx(
+                    dispatched, abs=1e-12)
+                assert arrived + fc.latency == pytest.approx(
+                    free_at, abs=1e-12)
+
+
+#: Arrival gaps in microseconds; 0 (same instant) is over-represented, the
+#: rest straddle the 0.6 to 2.0 ms a batch costs.
+GAPS = st.lists(st.one_of(st.just(0), st.integers(0, 3000)),
+                min_size=1, max_size=40)
+
+
+class TestWorkConservingPolicy:
+    @settings(max_examples=200, deadline=None)
+    @given(gaps=GAPS, max_batch=st.integers(1, 8))
+    def test_any_schedule_is_served_work_conserving(self, gaps, max_batch):
+        schedule = (np.cumsum(gaps) * 1e-6).tolist()
+        _, *observed = run_schedule(schedule, max_batch)
+        check_work_conserving(schedule, max_batch, *observed)
+
+    @pytest.mark.parametrize("mutant", [
+        dict(hold=1e-3),                        # the timer, re-introduced
+        dict(drive=poll_after_every_submit),    # the parent's drivers
+    ], ids=["hold", "poll_after_every_submit"])
+    def test_the_properties_bite(self, mutant):
+        schedule = [1e-3, 1e-3, 5e-3]
+        _, *observed = run_schedule(schedule, 4, **mutant)
+        with pytest.raises(AssertionError):
+            check_work_conserving(schedule, 4, *observed)
+
+    def test_same_instant_shares_one_forward(self):
+        """Two requests due in the same instant are one batch-2 forward,
+        even when two fill the queue: ``submit`` must not dispatch."""
+        session, _, polls = run_schedule([1e-3, 1e-3], 2)
+        assert session.predicts == 1
+        assert [fc.batch_size for _, done in polls for fc in done] == [2, 2]
+
+    def test_submit_never_dispatches(self):
+        session = ToySession(max_batch=8)
+        svc = ForecastService(session, max_batch=2, service_time=batch_cost)
+        for _ in range(5):
+            svc.submit(np.zeros((H, N, F)))
+        assert session.predicts == 0 and svc.stats.batches == 0
+        assert len(svc.queue) == 5
+        assert [fc.batch_size for fc in svc.poll()] == [2, 2, 2, 2, 1]
+        assert svc.flush() == [] and session.predicts == 3
+
+    def test_closed_loop_fills_the_batch(self):
+        """8 clients against ``max_batch=8``: they start together and each
+        round's completions free all 8 at once, so every batch is full
+        from the first round on."""
+        svc = ForecastService(ToySession(max_batch=8), max_batch=8,
+                              service_time=batch_cost)
+        gen = LoadGenerator(svc, np.zeros((4, H, N, F)), seed=0)
+        report = gen.closed_loop(requests=64, concurrency=8)
+        assert report.requests == 64 and report.batches == 8
+        assert report.mean_batch_size == 8.0
+        assert report.queue_wait_mean == 0.0
