@@ -9,7 +9,7 @@ COV_FLOOR := 85
 
 .PHONY: test test-cov chaos bench-e2e bench-e2e-quick bench-e2e-compare
 
-test:                       ## tier-1: full unit + benchmark-shape suite
+test:                       ## tier-1: full unit + claims-ledger suite
 	$(PY) -m pytest -x -q
 
 test-cov:                   ## tier-1 with line-coverage ratchet (needs pytest-cov)

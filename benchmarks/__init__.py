@@ -1,2 +1,3 @@
-"""Benchmarks package: the paper's table/figure shape tests
-(pytest-benchmark) and the end-to-end benchmark under ``e2e/``."""
+"""Benchmarks package: the claims-ledger checks (``test_claims.py``),
+micro-benchmarks (pytest-benchmark) and the end-to-end benchmark under
+``e2e/``."""

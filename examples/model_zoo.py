@@ -10,7 +10,7 @@ Run:  python examples/model_zoo.py
 """
 
 from repro.api import RunSpec, list_models, run
-from repro.profiling import format_table
+from repro.experiments import format_table
 from repro.utils.seeding import seed_everything
 
 

@@ -1,43 +1,39 @@
-"""Regenerate the paper's full-scale scaling study (Figure 7) and the
-single-GPU PeMS comparison (Table 4) from the calibrated performance model.
+"""Regenerate the paper's single-GPU PeMS comparison (Table 4), the
+full-scale scaling study (Figure 7) and the generalized-index comparison
+(Figure 9) from the claims ledger, with each number beside the paper's.
 
 Everything here is simulated at true PeMS scale (11,160 sensors, 105,120
-timesteps) — exactly the configuration that OOMs real machines without
-index-batching.
+timesteps) on the calibrated performance model — exactly the
+configuration that OOMs real machines without index-batching.
 
 Run:  python examples/scaling_study.py
 """
 
-from repro.experiments.figure7 import run_figure7, report as figure7_report
-from repro.experiments.figure9 import run_figure9, report as figure9_report
-from repro.experiments.table4 import report as table4_report
+from repro.experiments import CLAIMS, render
 from repro.viz import bar_chart, line_plot
 
 
-def main(epochs: int = 30) -> None:
-    print(table4_report())
-    print()
-    r7 = run_figure7(epochs=epochs)
-    print(figure7_report(r7))
-    print()
+def main() -> None:
+    results = {}
+    for artifact in ("table4", "figure7", "figure9"):
+        row = CLAIMS.get(artifact)
+        results[artifact] = row.run("tiny", 0)   # simulated: no scale/seed
+        print(render(row, results[artifact]))
+        print()
+
+    r7 = results["figure7"]
     print(line_plot(
-        {"baseline-ddp": [(p.gpus, p.total_minutes)
-                          for p in r7.points if p.strategy == "baseline-ddp"],
-         "dist-index": [(p.gpus, p.total_minutes)
-                        for p in r7.points if p.strategy == "dist-index"]},
+        {s: [(int(k.split("@")[1]), v["total_min"])
+             for k, v in r7.items() if k.startswith(s + "@")]
+         for s in ("baseline-ddp", "dist-index")},
         title="Figure 7: total runtime vs GPUs (minutes)", xlabel="GPUs"))
     print()
-    r9 = run_figure9()
-    print(figure9_report(r9))
-    print()
+    r9 = results["figure9"]
     print(bar_chart(
-        {f"{m} @{g}": {"compute": p.compute_seconds, "comm": p.comm_seconds}
-         for m in ("ddp", "index")
-         for g, p in sorted(r9.by(m).items()) if g in (4, 32, 128)},
+        {f"{m} @{g}": {"compute": r9[f"{m}@{g}"]["compute_s"],
+                       "comm": r9[f"{m}@{g}"]["comm_s"]}
+         for m in ("ddp", "index") for g in (4, 32, 128)},
         title="Figure 9: epoch time split (seconds)", unit="s"))
-    print(f"\n4-worker aggregate memory: DDP {r9.ddp_total_memory_gb:.1f} GB, "
-          f"generalized-index {r9.index_total_memory_gb:.1f} GB "
-          f"({r9.ddp_total_memory_gb / r9.index_total_memory_gb:.1f}x less)")
 
 
 if __name__ == "__main__":

@@ -20,7 +20,8 @@ library.  It provides:
 - ``repro.training``: single-device and DDP trainers implementing
   index-batching, GPU-index-batching, distributed-index-batching and
   generalized-distributed-index-batching.
-- ``repro.experiments``: one entry point per paper table and figure.
+- ``repro.experiments``: the claims ledger — every paper table and figure
+  as one row, its numbers beside the paper's with the bound each holds.
 - ``repro.api``: the declarative pipeline tying it all together —
   registries, ``RunSpec`` and the ``run(spec)`` executor.
 

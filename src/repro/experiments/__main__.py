@@ -1,10 +1,10 @@
-"""CLI: regenerate any paper table or figure.
+"""CLI: print any row of the claims ledger, or all of them.
 
 Usage::
 
     python -m repro.experiments table1
-    python -m repro.experiments figure7
-    python -m repro.experiments table3 --scale small
+    python -m repro.experiments figure6
+    python -m repro.experiments table3 --scale tiny
     python -m repro.experiments all
 """
 
@@ -14,58 +14,35 @@ import argparse
 import sys
 
 from repro.experiments import (
-    ablations,
-    figure2,
-    figure3,
-    figure7,
-    figure8,
-    figure9,
-    figure10,
-    table1,
-    table2,
-    table3,
-    table4,
-    table5,
-    table6,
+    CALIBRATION,
+    CLAIMS,
+    all_claims,
+    format_table,
+    render,
 )
-
-SIMULATED = {
-    "table1": lambda a: table1.report(),
-    "figure2": lambda a: figure2.report(),
-    "table2": lambda a: table2.report(),
-    "figure3": lambda a: figure3.report(),
-    "table4": lambda a: table4.report(),
-    "figure7": lambda a: figure7.report(),
-    "figure9": lambda a: figure9.report(),
-    "figure10": lambda a: figure10.report(),
-}
-
-REAL = {
-    "table3": lambda a: table3.report(scale=a.scale),
-    "figure5": lambda a: table3.report(scale=a.scale),  # same run as table 3
-    "figure8": lambda a: figure8.report(scale=a.scale),
-    "table5": lambda a: table5.report(scale=a.scale),
-    "table6": lambda a: table6.report(scale=a.scale),
-    "ablations": lambda a: ablations.report(scale=a.scale),
-}
-
-ALL = {**SIMULATED, **REAL}
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro.experiments",
-        description="Regenerate PGT-I paper tables and figures.")
-    parser.add_argument("experiment", choices=sorted(ALL) + ["all"],
+        description="Regenerate PGT-I paper tables and figures, each number "
+                    "beside the paper's and the bound it is held to.")
+    parser.add_argument("experiment", choices=CLAIMS.names() + ["all"],
                         help="which artifact to regenerate")
     parser.add_argument("--scale", default="small",
                         choices=["tiny", "small", "medium"],
                         help="working scale for real-training experiments")
     args = parser.parse_args(argv)
 
-    names = sorted(ALL) if args.experiment == "all" else [args.experiment]
-    for name in names:
-        print(ALL[name](args))
+    if args.experiment == "all":
+        print(format_table(
+            ["constant", "value", "fit to", "in-sample rows"],
+            [[n, v, fit, ", ".join(rows)] for n, v, fit, rows in CALIBRATION],
+            title="Calibration: every other simulated row is out-of-sample"))
+        print()
+    rows = all_claims() if args.experiment == "all" else [CLAIMS.get(args.experiment)]
+    for row in rows:
+        print(render(row, row.run(args.scale, row.seeds[0])))
         print()
     return 0
 

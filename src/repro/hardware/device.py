@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.hardware.memory import MemorySpace
-from repro.profiling.clock import ManualClock
+from repro.utils.clock import ManualClock
 
 
 @dataclass

@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from repro.profiling.clock import ManualClock
+from repro.utils.clock import ManualClock
 from repro.utils.errors import OutOfMemoryError
 from repro.utils.sizes import format_bytes
 

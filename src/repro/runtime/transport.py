@@ -11,7 +11,7 @@ A :class:`Transport` answers two questions for the layers above it:
    transfers are *charged* through :meth:`Transport.collective` /
    :meth:`Transport.p2p`: :class:`SimTransport` prices them with the
    :mod:`repro.cluster` alpha-beta cost models on per-rank
-   :class:`~repro.profiling.clock.ManualClock`\\ s, while
+   :class:`~repro.utils.clock.ManualClock`\\ s, while
    :class:`ThreadTransport` records measured wall seconds.
 
 The numeric *data movement* of a collective lives one layer up, in
@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.cluster.costmodel import CommCostModel
 from repro.cluster.topology import ClusterTopology
-from repro.profiling.clock import ManualClock
+from repro.utils.clock import ManualClock
 from repro.utils.errors import CommunicatorError
 
 #: Collective kinds a transport knows how to price.

@@ -22,8 +22,8 @@ from typing import Any, Callable
 
 import numpy as np
 
-from repro.profiling.clock import ManualClock
 from repro.serving.queue import ForecastRequest, MicroBatchQueue
+from repro.utils.clock import ManualClock
 from repro.utils.errors import SessionFailure, ShapeError
 
 

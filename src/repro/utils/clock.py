@@ -1,10 +1,9 @@
 """An explicitly-advanced clock measured in seconds.
 
-All runtime numbers in the experiment harness come from manual clocks
-advanced by the cost models (and, where real computation happens, by
-measured wall-clock scaled through a calibration factor), and the serving
-stack runs on one by default.  Using explicit clocks keeps every reported
-runtime deterministic.
+Simulated devices, memory spaces and rank transports advance manual
+clocks through the cost models, and the serving stack runs on one by
+default.  Using explicit clocks keeps every simulated runtime
+deterministic.
 """
 
 from __future__ import annotations

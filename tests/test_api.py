@@ -90,6 +90,12 @@ class TestScaleResolution:
     def test_resolving_builtin_itself_is_fine(self):
         assert api.resolve_name(api.TINY) == "tiny"
 
+    def test_presets(self):
+        assert api.get_scale("tiny").name == "tiny"
+        assert api.get_scale(api.SMALL) is api.SMALL
+        with pytest.raises(KeyError):
+            api.get_scale("huge")
+
 
 class TestRunSpec:
     def test_dict_round_trip(self):

@@ -11,7 +11,7 @@ from repro.hardware import (
     polaris_gpu,
     polaris_host,
 )
-from repro.profiling import ManualClock
+from repro.utils.clock import ManualClock
 from repro.utils.errors import OutOfMemoryError
 from repro.utils.sizes import GB, format_bytes
 
@@ -161,6 +161,27 @@ class TestFormatBytes:
     ])
     def test_formats(self, n, expected):
         assert format_bytes(n) == expected
+
+
+class TestManualClock:
+    def test_advance(self):
+        c = ManualClock()
+        assert c.advance(2.5) == 2.5
+        assert c.now == c() == 2.5      # callable like time.perf_counter
+
+    def test_negative_rejected(self):
+        with pytest.raises(ValueError):
+            ManualClock().advance(-1.0)
+
+    def test_advance_to_only_forward(self):
+        c = ManualClock(10.0)
+        c.advance_to(5.0)
+        assert c.now == 10.0
+        c.advance_to(15.0)
+        assert c.now == 15.0
+
+    def test_repr(self):
+        assert "now=" in repr(ManualClock(1.0))
 
 
 class TestUsableCores:

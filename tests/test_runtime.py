@@ -541,41 +541,45 @@ class TestCrossTransportEquivalence:
 class TestScalingTrafficBreakdown:
     """Pin the gradient/data/metric breakdown the figures now report."""
 
+    @staticmethod
+    def by_category(row, unit):
+        return {k.split(".", 1)[1]: v for k, v in row.items()
+                if k.startswith(unit + ".")}
+
     def test_figure7_breakdown_pinned(self):
-        from repro.experiments.figure7 import run_figure7
-        r = run_figure7(gpu_counts=(4, 128))
-        ddp4 = r.by("baseline-ddp")[4]
-        assert ddp4.comm_seconds_by_category["gradient"] == \
+        from repro.experiments.scaling import figure7
+        r = figure7()
+        ddp4 = r["baseline-ddp@4"]
+        assert self.by_category(ddp4, "comm_s")["gradient"] == \
             pytest.approx(0.00070956158, rel=1e-9)
-        assert ddp4.comm_seconds_by_category["data"] == \
+        assert self.by_category(ddp4, "comm_s")["data"] == \
             pytest.approx(147.7833984, rel=1e-9)
-        assert ddp4.comm_bytes_by_category == {
+        assert self.by_category(ddp4, "comm_bytes") == {
             "gradient": 73032316, "metric": 8, "data": 236453437440}
-        di128 = r.by("dist-index")[128]
-        assert "data" not in di128.comm_seconds_by_category
-        assert di128.comm_bytes_by_category == {"gradient": 2035744,
-                                                "metric": 8}
+        di128 = r["dist-index@128"]
+        assert "data" not in self.by_category(di128, "comm_s")
+        assert self.by_category(di128, "comm_bytes") == {"gradient": 2035744,
+                                                         "metric": 8}
         # The coarse split the figure has always reported is exactly the
         # sum of the public per-category stats plus framework overhead.
         from repro.training.perfmodel import EPOCH_FIXED_OVERHEAD
-        total = sum(ddp4.comm_seconds_by_category.values())
-        assert ddp4.comm_minutes == pytest.approx(
+        total = sum(self.by_category(ddp4, "comm_s").values())
+        assert ddp4["comm_min"] == pytest.approx(
             30 * (total + EPOCH_FIXED_OVERHEAD) / 60, rel=1e-12)
 
     def test_figure9_breakdown_pinned(self):
-        from repro.experiments.figure9 import run_figure9
-        r = run_figure9(gpu_counts=(8,))
-        idx8 = r.by("index")[8]
-        assert idx8.comm_seconds_by_category["gradient"] == \
+        from repro.experiments.scaling import figure9
+        idx8 = figure9()["index@8"]
+        assert self.by_category(idx8, "comm_s")["gradient"] == \
             pytest.approx(0.00655122468, rel=1e-9)
-        assert idx8.comm_seconds_by_category["data"] == \
+        assert self.by_category(idx8, "comm_s")["data"] == \
             pytest.approx(8.060081363555799, rel=1e-9)
-        assert idx8.comm_bytes_by_category == {"gradient": 36388924,
-                                               "data": 15550254720}
-        assert "metric" not in idx8.comm_seconds_by_category
+        assert self.by_category(idx8, "comm_bytes") == {"gradient": 36388924,
+                                                        "data": 15550254720}
+        assert "metric" not in self.by_category(idx8, "comm_s")
         from repro.training.perfmodel import EPOCH_FIXED_OVERHEAD
-        total = sum(idx8.comm_seconds_by_category.values())
-        assert idx8.comm_seconds == pytest.approx(
+        total = sum(self.by_category(idx8, "comm_s").values())
+        assert idx8["comm_s"] == pytest.approx(
             total + EPOCH_FIXED_OVERHEAD, rel=1e-12)
 
 
