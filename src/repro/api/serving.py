@@ -27,47 +27,25 @@ from __future__ import annotations
 import inspect
 from typing import Any, Callable
 
-import numpy as np
-
 from repro.api.builders import ModelContext, default_in_features
-from repro.kernels.precision import resolve_store_dtype
 from repro.api.registry import MODELS, Registry
 from repro.api.scales import get_scale
 from repro.api.spec import RunSpec
-from repro.serving.cache import FeatureStore
+from repro.serving.cache import has_time_feature
 from repro.serving.gateway import Gateway
 from repro.serving.service import ForecastService
-from repro.serving.session import ModelSession
+from repro.serving.session import build_local_session
 from repro.serving.sharding import ShardedSession
 from repro.utils.errors import ServerKeywordError
 
 #: Server topologies resolvable by ``serve(..., server=<key>)``.
 SERVERS = Registry("server")
+SERVERS.register("local", build_local_session)
 
 
 def list_servers() -> list[str]:
     """Keys accepted by ``serve``'s ``server`` argument."""
     return SERVERS.names()
-
-
-@SERVERS.register("local")
-def _build_local_session(model, scaler, dataset, spec, *, max_batch: int = 32,
-                         store_capacity: int | None = None,
-                         store_dtype="float32") -> ModelSession:
-    """Single-worker session with an attached sliding-window store.
-
-    ``store_dtype`` sets the feature-store ring precision
-    (``"float16"`` halves the resident serving footprint; compute stays
-    float32 — windows materialise into the session's float32 staging
-    buffers).
-    """
-    session = ModelSession(model, scaler, spec=spec, max_batch=max_batch)
-    if scaler is not None and dataset is not None:
-        session.attach_store(FeatureStore.for_dataset(
-            dataset, scaler,
-            capacity=store_capacity or 4 * session.horizon,
-            dtype=resolve_store_dtype(store_dtype) or np.float32))
-    return session
 
 
 @SERVERS.register("sharded")
@@ -94,7 +72,7 @@ def _build_sharded_session(model, scaler, dataset, spec, *,
                           store_capacity=store_capacity,
                           store_dtype=store_dtype,
                           num_standby=num_standby, fault_plan=fault_plan,
-                          add_time_feature=dataset.spec.domain == "traffic")
+                          add_time_feature=has_time_feature(dataset))
 
 
 def restore_checkpoint(path: str) -> tuple[Any, Any, RunSpec, Any]:

@@ -66,7 +66,7 @@ class SharedArrayPool:
     share a line across pool instances.
     """
 
-    def __init__(self, arrays: list[np.ndarray], *, name_hint: str = "pool"):
+    def __init__(self, arrays: list[np.ndarray]):
         offsets: list[int] = []
         size = 0
         for arr in arrays:
@@ -80,21 +80,6 @@ class SharedArrayPool:
                               buffer=self.shm.buf, offset=off)
             np.copyto(view, arr)
             self.arrays.append(view)
-
-    def seal(self) -> None:
-        """Unlink the backing name immediately, keeping the mapping.
-
-        The pool's views (and any fork children's inherited mappings)
-        stay fully usable; only the filesystem name goes away, so a pool
-        owned by a long-lived object cannot leak a ``/dev/shm`` entry if
-        its owner never reaches ``destroy()``.  Long-lived pools — e.g.
-        the sharded session's halo-window pool — seal right after
-        construction.
-        """
-        try:
-            self.shm.unlink()
-        except FileNotFoundError:
-            pass
 
     def destroy(self) -> None:
         # Views into self.arrays may still be referenced by trainer

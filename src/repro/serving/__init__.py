@@ -33,6 +33,7 @@ The declarative entry points live in ``repro.api``:
 from repro.serving.cache import FeatureStore
 from repro.serving.loadgen import (
     GatewayLoadGenerator,
+    GatewayLoadReport,
     LoadGenerator,
     LoadReport,
     TenantStream,
@@ -84,6 +85,7 @@ __all__ = [
     "ForecastService",
     "Gateway",
     "GatewayLoadGenerator",
+    "GatewayLoadReport",
     "GatewayResilience",
     "GatewayResponse",
     "HealthMonitor",

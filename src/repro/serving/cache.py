@@ -17,12 +17,24 @@ bitwise — the cache-correctness test asserts exact equality.
 
 from __future__ import annotations
 
+from typing import Any
+
 import numpy as np
 
 from repro.preprocessing.scaler import StandardScaler
 from repro.utils.errors import ShapeError
 
 MINUTES_PER_DAY = 24 * 60
+
+
+def has_time_feature(dataset: Any, in_features: int | None = None) -> bool:
+    """The one time-of-day rule.  A traffic dataset's inputs carry a
+    fraction-of-day channel, as the offline pipelines append it; without
+    the dataset, a two-channel input is read as signal + time of day, the
+    only catalog shape with two channels."""
+    if dataset is not None:
+        return dataset.spec.domain == "traffic"
+    return in_features == 2
 
 
 class FeatureStore:
@@ -75,12 +87,11 @@ class FeatureStore:
     @classmethod
     def for_dataset(cls, dataset, scaler: StandardScaler, *,
                     capacity: int, dtype=np.float32) -> "FeatureStore":
-        """A store shaped for one catalog dataset (traffic gains
-        time-of-day, matching the offline pipelines)."""
+        """A store shaped for one catalog dataset (:func:`has_time_feature`
+        decides the time-of-day channel)."""
         return cls(scaler, num_nodes=dataset.num_nodes,
                    raw_features=dataset.raw_features, capacity=capacity,
-                   add_time_feature=dataset.spec.domain == "traffic",
-                   dtype=dtype)
+                   add_time_feature=has_time_feature(dataset), dtype=dtype)
 
     # ------------------------------------------------------------------
     @property

@@ -184,22 +184,14 @@ class Deployment:
 
         Tenants stream into their own stores (never the session's), so
         per-tenant state stays isolated even when the backing session is
-        shared or sharded.
+        shared or sharded.  The session shapes it
+        (:meth:`~repro.serving.session.ModelSession.new_store`).
         """
         session = self.session
         if session.scaler is None:
             raise RuntimeError(f"deployment {self.name!r} has no scaler; "
                                f"streamed (window=None) forecasts need one")
-        add_time = getattr(session, "add_time_feature", None)
-        if add_time is None:
-            store = getattr(session, "store", None)
-            add_time = (store.add_time_feature if store is not None
-                        else session.in_features == 2)
-        return FeatureStore(
-            session.scaler, num_nodes=session.num_nodes,
-            raw_features=session.in_features - int(bool(add_time)),
-            capacity=capacity or 4 * session.horizon,
-            add_time_feature=bool(add_time))
+        return session.new_store(capacity)
 
     # ------------------------------------------------------------------
     def swap(self, source: Any, *, version: str) -> tuple[SwapRecord,
@@ -250,7 +242,8 @@ class Deployment:
 
 
 class DeploymentRegistry:
-    """Named deployments sharing one clock and a default batch cap."""
+    """Named deployments sharing one clock, batch cap and service-time
+    model."""
 
     def __init__(self, clock: Callable[[], float], *, max_batch: int = 8,
                  service_time: Callable[[int], float] | None = None):
@@ -269,19 +262,17 @@ class DeploymentRegistry:
         return sorted(self._deployments)
 
     def register(self, name: str, source: Any, *, version: str = "v1",
-                 state: str = "warm", max_batch: int | None = None,
-                 service_time: Callable[[int], float] | None = None,
+                 state: str = "warm",
                  fallback: str | None = None) -> Deployment:
-        """Add a deployment (per-deployment knobs override the defaults)."""
+        """Add a deployment on the registry's clock, batch cap and
+        service-time model."""
         name = str(name)
         if name in self._deployments:
             raise ValueError(f"deployment {name!r} already registered; use "
                              f"swap() to replace its checkpoint")
         dep = Deployment(
             name, source, version=version, state=state, clock=self.clock,
-            max_batch=self.max_batch if max_batch is None else max_batch,
-            service_time=(self.service_time if service_time is None
-                          else service_time),
+            max_batch=self.max_batch, service_time=self.service_time,
             fallback=fallback)
         self._deployments[name] = dep
         return dep

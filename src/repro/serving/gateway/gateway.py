@@ -51,7 +51,7 @@ from repro.serving.resilience import (
     CLOSED, GatewayResilience, HALF_OPEN, OPEN, ResiliencePolicy,
     RollbackRecord, degradation_rung, should_hedge, should_retry)
 from repro.serving.service import Forecast, ManualClock
-from repro.utils.errors import SessionFailure, ShapeError
+from repro.utils.errors import SessionFailure
 
 #: Terminal response statuses (everything except "admitted").
 TERMINAL_STATUSES = ("ok", "cached", "shed", "rejected_quota",
@@ -182,11 +182,10 @@ class Gateway:
         shared clock for queues, quotas, cache TTLs and latency stamps;
         defaults to a fresh :class:`ManualClock` (simulated time).
     max_batch / service_time:
-        default batch cap and synthetic service-time model for
-        deployments (overridable per deployment at registration).  A
-        batch is whatever queued while the previous one ran, up to
-        ``max_batch``: callers :meth:`submit` every request that is due,
-        then :meth:`poll`.
+        batch cap and synthetic service-time model for every
+        deployment.  A batch is whatever queued while the previous one
+        ran, up to ``max_batch``: callers :meth:`submit` every request
+        that is due, then :meth:`poll`.
     cache_ttl / cache_entries:
         result-cache lifetime and capacity; ``cache_ttl=None`` disables
         caching entirely.
@@ -245,10 +244,13 @@ class Gateway:
     # App factory: registration
     # ------------------------------------------------------------------
     def add_deployment(self, name: str, source: Any, *, version: str = "v1",
-                       state: str = "warm", **knobs) -> Deployment:
-        """Register a deployment (session, factory, or checkpoint path)."""
+                       state: str = "warm",
+                       fallback: str | None = None) -> Deployment:
+        """Register a deployment (session, factory, or checkpoint path);
+        ``fallback`` names the deployment that answers when its circuit
+        opens."""
         dep = self.deployments.register(name, source, version=version,
-                                        state=state, **knobs)
+                                        state=state, fallback=fallback)
         baseline = None
         if dep.service_time is not None:
             # A synthetic service-time model makes projections exact from
@@ -295,15 +297,6 @@ class Gateway:
     # ------------------------------------------------------------------
     # The request path
     # ------------------------------------------------------------------
-    def _check_window(self, dep: Deployment, window: np.ndarray) -> np.ndarray:
-        session = dep.session
-        window = np.asarray(window)
-        expected = (session.horizon, session.num_nodes, session.in_features)
-        if window.shape != expected:
-            raise ShapeError(f"expected a {expected} window for deployment "
-                             f"{dep.name!r}, got {window.shape}")
-        return window
-
     def submit(self, api_key: str, deployment: str,
                window: np.ndarray | None = None, *,
                deadline: float | None = None) -> GatewayResponse:
@@ -324,7 +317,7 @@ class Gateway:
             return rec.response("rejected_quota", reason="token bucket empty")
         rec.window = window = (self._tenant_window(tenant, dep)
                                if window is None
-                               else self._check_window(dep, window))
+                               else dep.service.check_window(window))
         if deadline is None and self.default_deadline is not None:
             deadline = now + self.default_deadline
         rec.deadline = deadline
@@ -679,9 +672,7 @@ class Gateway:
             try:
                 if svc.fault_injector is not None:
                     svc.fault_injector.on_dispatch(1)
-                x = svc.session.stage(1)
-                x[0] = w
-                preds = svc.session.predict(x)
+                preds = svc.session.predict(w[None])
             except SessionFailure:
                 reason = "session_failure"
             else:

@@ -36,14 +36,7 @@ from repro.utils.errors import ShapeError
 
 @dataclass
 class LoadReport:
-    """Aggregate outcome of one load-generation run.
-
-    Gateway runs (see :class:`GatewayLoadGenerator`) additionally fill
-    ``goodput_qps`` (successfully answered requests — computed or cached
-    — per second), ``shed_rate`` (admission-shed fraction of submitted
-    requests) and ``per_tenant`` (one breakdown dict per tenant); plain
-    service runs leave them ``None``.
-    """
+    """Aggregate outcome of one load-generation run against a service."""
 
     scenario: str
     mode: str                    # "closed" | "open"
@@ -64,11 +57,6 @@ class LoadReport:
     seed: int
     failovers: int = 0           # shard failovers observed during the run
     failover_p99: float = 0.0    # p99 failover rebuild latency (wall s)
-    goodput_qps: float | None = None   # gateway: good answers / duration
-    shed_rate: float | None = None     # gateway: shed / submitted
-    per_tenant: dict | None = None     # gateway: tenant -> breakdown
-    degraded: int = 0                  # gateway: stale/fallback answers
-    failed: int = 0                    # gateway: degradation exhausted
 
     def to_dict(self) -> dict:
         return {k: (v if not isinstance(v, float) else float(v))
@@ -77,16 +65,60 @@ class LoadReport:
     def summary(self) -> str:
         offered = (f" (offered {self.offered_qps:.0f} qps)"
                    if self.offered_qps else "")
-        text = (f"{self.scenario}: {self.requests} reqs in "
+        return (f"{self.scenario}: {self.requests} reqs in "
                 f"{self.duration_seconds * 1e3:.1f} ms -> "
                 f"{self.qps:.0f} qps{offered}, latency p50/p95/p99 "
                 f"{self.latency_p50 * 1e3:.2f}/{self.latency_p95 * 1e3:.2f}/"
                 f"{self.latency_p99 * 1e3:.2f} ms, mean batch "
                 f"{self.mean_batch_size:.1f}, misses {self.deadline_misses}")
-        if self.goodput_qps is not None:
-            text += (f", goodput {self.goodput_qps:.0f} qps, shed "
-                     f"{self.shed_rate:.1%}")
-        return text
+
+
+@dataclass(kw_only=True)
+class GatewayLoadReport(LoadReport):
+    """A :class:`GatewayLoadGenerator` run: the service-level report plus
+    what only a gateway produces."""
+
+    goodput_qps: float           # good answers (computed or cached) / duration
+    shed_rate: float             # admission-shed / submitted
+    per_tenant: dict             # tenant -> breakdown
+    degraded: int                # stale-cache / fallback answers
+    failed: int                  # degradation ladder exhausted
+
+    def summary(self) -> str:
+        return (f"{super().summary()}, goodput {self.goodput_qps:.0f} qps, "
+                f"shed {self.shed_rate:.1%}")
+
+
+def _arrival_gaps(rng: np.random.Generator, arrival: str, rate_qps: float,
+                  requests: int) -> np.ndarray:
+    """Seconds between ``requests`` arrivals at ``rate_qps``: seeded
+    exponential gaps (``"poisson"``) or a fixed period (``"uniform"``,
+    which draws nothing)."""
+    if arrival == "poisson":
+        return rng.exponential(1.0 / rate_qps, size=requests)
+    if arrival == "uniform":
+        return np.full(requests, 1.0 / rate_qps)
+    raise ValueError(f"arrival must be 'poisson' or 'uniform', "
+                     f"got {arrival!r}")
+
+
+def _latency_fields(latencies: list[float],
+                    computed: list[Forecast]) -> dict:
+    """The report's latency percentiles over ``latencies``, and queue
+    wait and batch size over the ``computed`` forecasts (cache hits
+    answer without either)."""
+    lat = np.array(latencies, dtype=np.float64)
+    waits = np.array([fc.queue_wait for fc in computed], dtype=np.float64)
+    sizes = np.array([fc.batch_size for fc in computed], dtype=np.float64)
+    p50, p95, p99 = (np.percentile(lat, [50, 95, 99])
+                     if len(lat) else (np.nan,) * 3)
+    return dict(
+        latency_p50=float(p50), latency_p95=float(p95),
+        latency_p99=float(p99),
+        latency_mean=float(lat.mean()) if len(lat) else float("nan"),
+        latency_max=float(lat.max()) if len(lat) else float("nan"),
+        queue_wait_mean=float(waits.mean()) if len(waits) else float("nan"),
+        mean_batch_size=float(sizes.mean()) if len(sizes) else 0.0)
 
 
 def _serve_arrivals(clock: ManualClock, arrivals: list[tuple],
@@ -116,7 +148,30 @@ def _serve_arrivals(clock: ManualClock, arrivals: list[tuple],
     return out
 
 
-class LoadGenerator:
+class _SeededLoad:
+    """What both generators share: simulated time they own, and a seeded
+    stream of request windows drawn from a pool."""
+
+    def __init__(self, target: Any, windows: np.ndarray, seed: int):
+        if not isinstance(target.clock, ManualClock):
+            raise TypeError(f"{type(self).__name__} needs a "
+                            f"{type(target).__name__} on a ManualClock; it "
+                            f"drives simulated time explicitly")
+        windows = np.asarray(windows)
+        if windows.ndim != 4 or len(windows) == 0:
+            raise ShapeError(f"windows pool must be non-empty "
+                             f"[pool, horizon, nodes, features], "
+                             f"got {windows.shape}")
+        self.clock: ManualClock = target.clock
+        self.windows = windows
+        self.seed = int(seed)
+        self.rng = np.random.default_rng(self.seed)
+
+    def _pick_window(self) -> np.ndarray:
+        return self.windows[int(self.rng.integers(len(self.windows)))]
+
+
+class LoadGenerator(_SeededLoad):
     """Drives a :class:`ForecastService` with a seeded request stream.
 
     Parameters
@@ -134,49 +189,32 @@ class LoadGenerator:
 
     def __init__(self, service: ForecastService, windows: np.ndarray, *,
                  seed: int = 0):
-        if not isinstance(service.clock, ManualClock):
-            raise TypeError("LoadGenerator needs a service on a ManualClock; "
-                            "it drives simulated time explicitly")
-        windows = np.asarray(windows)
-        if windows.ndim != 4 or len(windows) == 0:
-            raise ShapeError(f"windows pool must be non-empty "
-                             f"[pool, horizon, nodes, features], "
-                             f"got {windows.shape}")
+        super().__init__(service, windows, seed)
         self.service = service
-        self.clock: ManualClock = service.clock
-        self.windows = windows
-        self.seed = int(seed)
-        self.rng = np.random.default_rng(self.seed)
 
     # ------------------------------------------------------------------
-    def _pick_window(self) -> np.ndarray:
-        return self.windows[int(self.rng.integers(len(self.windows)))]
-
     def _submit(self, deadline: float | None) -> int:
         """Submit one seeded request, due ``deadline`` seconds from now."""
         return self.service.submit(
             self._pick_window(),
             deadline=None if deadline is None else self.clock.now + deadline)
 
-    def _failover_mark(self) -> int:
-        """How many failovers the service has logged so far (0 for
-        sessions without a failover path, e.g. ``ModelSession``)."""
-        return len(self.service.failover_events)
+    def _mark(self) -> tuple[float, int, int]:
+        """Busy seconds, batches and failovers (none for sessions without
+        a failover path) the service has logged so far."""
+        svc = self.service
+        return (svc.stats.busy_seconds, svc.stats.batches,
+                len(svc.failover_events))
 
     def _report(self, scenario: str, mode: str, done: list[Forecast],
                 start: float, offered_qps: float | None,
-                busy_before: float, batches_before: int,
-                failovers_before: int = 0) -> LoadReport:
+                mark: tuple[float, int, int]) -> LoadReport:
         duration = self.clock.now - start
+        busy_before, batches_before, failovers_before = mark
         failover_secs = np.array(
             [ev.seconds for ev in
              self.service.failover_events[failovers_before:]],
             dtype=np.float64)
-        lat = np.array([fc.latency for fc in done], dtype=np.float64)
-        waits = np.array([fc.queue_wait for fc in done], dtype=np.float64)
-        sizes = np.array([fc.batch_size for fc in done], dtype=np.float64)
-        p50, p95, p99 = (np.percentile(lat, [50, 95, 99])
-                         if len(lat) else (np.nan,) * 3)
         batches = self.service.stats.batches - batches_before
         busy = self.service.stats.busy_seconds - busy_before
         return LoadReport(
@@ -184,12 +222,7 @@ class LoadGenerator:
             duration_seconds=duration,
             qps=len(done) / duration if duration > 0 else float("inf"),
             offered_qps=offered_qps,
-            latency_p50=float(p50), latency_p95=float(p95),
-            latency_p99=float(p99),
-            latency_mean=float(lat.mean()) if len(lat) else float("nan"),
-            latency_max=float(lat.max()) if len(lat) else float("nan"),
-            queue_wait_mean=float(waits.mean()) if len(waits) else float("nan"),
-            mean_batch_size=float(sizes.mean()) if len(sizes) else 0.0,
+            **_latency_fields([fc.latency for fc in done], done),
             batches=batches,
             deadline_misses=sum(fc.deadline_missed for fc in done),
             utilization=busy / duration if duration > 0 else 0.0,
@@ -206,9 +239,7 @@ class LoadGenerator:
         if requests < 1 or concurrency < 1:
             raise ValueError("requests and concurrency must be >= 1")
         svc = self.service
-        start = self.clock.now
-        busy0, batches0 = svc.stats.busy_seconds, svc.stats.batches
-        failover0 = self._failover_mark()
+        start, mark = self.clock.now, self._mark()
         # (time, tiebreak, client) submission events; each completion
         # frees its client to submit again ``think_time`` later.
         scheduled = min(concurrency, requests)
@@ -230,8 +261,7 @@ class LoadGenerator:
             return finished
 
         done = _serve_arrivals(self.clock, events, submit, collect)
-        return self._report(scenario, "closed", done, start, None,
-                            busy0, batches0, failover0)
+        return self._report(scenario, "closed", done, start, None, mark)
 
     # ------------------------------------------------------------------
     def open_loop(self, *, requests: int, rate_qps: float,
@@ -242,17 +272,9 @@ class LoadGenerator:
             raise ValueError("requests must be >= 1")
         if rate_qps <= 0:
             raise ValueError("rate_qps must be positive")
-        if arrival == "poisson":
-            gaps = self.rng.exponential(1.0 / rate_qps, size=requests)
-        elif arrival == "uniform":
-            gaps = np.full(requests, 1.0 / rate_qps)
-        else:
-            raise ValueError(f"arrival must be 'poisson' or 'uniform', "
-                             f"got {arrival!r}")
+        gaps = _arrival_gaps(self.rng, arrival, rate_qps, requests)
         svc = self.service
-        start = self.clock.now
-        busy0, batches0 = svc.stats.busy_seconds, svc.stats.batches
-        failover0 = self._failover_mark()
+        start, mark = self.clock.now, self._mark()
 
         def submit(_event: tuple[float]) -> None:
             self._submit(deadline)
@@ -261,7 +283,7 @@ class LoadGenerator:
             self.clock, [(float(t),) for t in start + np.cumsum(gaps)],
             submit, svc.poll)
         return self._report(scenario, "open", done, start, float(rate_qps),
-                            busy0, batches0, failover0)
+                            mark)
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +316,7 @@ class TenantStream:
                              f"got {self.arrival!r}")
 
 
-class GatewayLoadGenerator:
+class GatewayLoadGenerator(_SeededLoad):
     """Drives a :class:`~repro.serving.gateway.Gateway` with per-tenant
     open-loop streams, reporting goodput, shed rate and per-tenant
     breakdowns on top of the usual latency percentiles.
@@ -308,25 +330,10 @@ class GatewayLoadGenerator:
     """
 
     def __init__(self, gateway: Any, windows: np.ndarray, *, seed: int = 0):
-        if not isinstance(gateway.clock, ManualClock):
-            raise TypeError("GatewayLoadGenerator needs a gateway on a "
-                            "ManualClock; it drives simulated time "
-                            "explicitly")
-        windows = np.asarray(windows)
-        if windows.ndim != 4 or len(windows) == 0:
-            raise ShapeError(f"windows pool must be non-empty "
-                             f"[pool, horizon, nodes, features], "
-                             f"got {windows.shape}")
+        super().__init__(gateway, windows, seed)
         self.gateway = gateway
-        self.clock: ManualClock = gateway.clock
-        self.windows = windows
-        self.seed = int(seed)
-        self.rng = np.random.default_rng(self.seed)
 
     # ------------------------------------------------------------------
-    def _pick_window(self) -> np.ndarray:
-        return self.windows[int(self.rng.integers(len(self.windows)))]
-
     def _merged_arrivals(self, streams: list[TenantStream],
                          start: float) -> list[tuple[float, int, int]]:
         """All streams' arrival times merged into one sorted timeline.
@@ -339,11 +346,8 @@ class GatewayLoadGenerator:
         events: list[tuple[float, int, int]] = []
         seq = 0
         for i, stream in enumerate(streams):
-            if stream.arrival == "poisson":
-                gaps = self.rng.exponential(1.0 / stream.rate_qps,
-                                            size=stream.requests)
-            else:
-                gaps = np.full(stream.requests, 1.0 / stream.rate_qps)
+            gaps = _arrival_gaps(self.rng, stream.arrival, stream.rate_qps,
+                                 stream.requests)
             for t in start + np.cumsum(gaps):
                 events.append((float(t), seq, i))
                 seq += 1
@@ -352,17 +356,12 @@ class GatewayLoadGenerator:
 
     # ------------------------------------------------------------------
     def open_loop(self, streams: list[TenantStream], *,
-                  scenario: str = "gateway-open") -> LoadReport:
+                  scenario: str = "gateway-open") -> GatewayLoadReport:
         """Run every stream's arrivals on one merged timeline."""
         if not streams:
             raise ValueError("need at least one TenantStream")
         gw = self.gateway
-        start = self.clock.now
-        deps = gw.deployments.deployments()
-        busy0 = sum(d.service.stats.busy_seconds for d in deps
-                    if d.service is not None)
-        batches0 = sum(d.service.stats.batches for d in deps
-                       if d.service is not None)
+        start, mark = self.clock.now, self._mark()
 
         def submit(event: tuple[float, int, int]) -> Any:
             t, _, i = event
@@ -382,31 +381,27 @@ class GatewayLoadGenerator:
             self.clock, self._merged_arrivals(streams, start), submit,
             gw.poll)
         responses.extend(gw.flush())    # what recovery requeued last
-        return self._report(scenario, streams, responses, start,
-                            busy0, batches0)
+        return self._report(scenario, streams, responses, start, mark)
 
     # ------------------------------------------------------------------
+    def _mark(self) -> tuple[float, int]:
+        """Busy seconds and batches summed over the live deployments."""
+        live = [d.service.stats for d in self.gateway.deployments.deployments()
+                if d.service is not None]
+        return (sum(s.busy_seconds for s in live),
+                sum(s.batches for s in live))
+
     def _report(self, scenario: str, streams: list[TenantStream],
-                responses: list[Any], start: float, busy0: float,
-                batches0: int) -> LoadReport:
+                responses: list[Any], start: float,
+                mark: tuple[float, int]) -> GatewayLoadReport:
         duration = self.clock.now - start
-        deps = self.gateway.deployments.deployments()
-        busy = sum(d.service.stats.busy_seconds for d in deps
-                   if d.service is not None) - busy0
-        batches = sum(d.service.stats.batches for d in deps
-                      if d.service is not None) - batches0
+        (busy_now, batches_now), (busy0, batches0) = self._mark(), mark
+        busy, batches = busy_now - busy0, batches_now - batches0
         good = [r for r in responses if r.ok]
         shed = [r for r in responses if r.status == "shed"]
         degraded = [r for r in responses if r.status == "degraded"]
         failed = [r for r in responses if r.status == "failed"]
         computed = [r for r in good if not r.cached]
-        lat = np.array([r.latency for r in good], dtype=np.float64)
-        waits = np.array([r.forecast.queue_wait for r in computed],
-                         dtype=np.float64)
-        sizes = np.array([r.forecast.batch_size for r in computed],
-                         dtype=np.float64)
-        p50, p95, p99 = (np.percentile(lat, [50, 95, 99])
-                         if len(lat) else (np.nan,) * 3)
         submitted = len(responses)
         offered = float(sum(s.rate_qps for s in streams))
 
@@ -439,17 +434,13 @@ class GatewayLoadGenerator:
             t["latency_p99"] = (float(np.percentile(lats, 99))
                                 if len(lats) else float("nan"))
 
-        return LoadReport(
+        return GatewayLoadReport(
             scenario=scenario, mode="open", requests=submitted,
             duration_seconds=duration,
             qps=len(good) / duration if duration > 0 else float("inf"),
             offered_qps=offered,
-            latency_p50=float(p50), latency_p95=float(p95),
-            latency_p99=float(p99),
-            latency_mean=float(lat.mean()) if len(lat) else float("nan"),
-            latency_max=float(lat.max()) if len(lat) else float("nan"),
-            queue_wait_mean=float(waits.mean()) if len(waits) else float("nan"),
-            mean_batch_size=float(sizes.mean()) if len(sizes) else 0.0,
+            **_latency_fields([r.latency for r in good],
+                              [r.forecast for r in computed]),
             batches=batches,
             deadline_misses=sum(
                 r.forecast.deadline_missed for r in computed),

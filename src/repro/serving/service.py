@@ -112,7 +112,7 @@ class ForecastService:
         sessions, which have no failover path)."""
         return list(getattr(self.session, "failover_events", ()))
 
-    def _check_window(self, window: np.ndarray | None) -> np.ndarray | None:
+    def check_window(self, window: np.ndarray | None) -> np.ndarray | None:
         """Reject malformed windows at the door: a bad request must fail
         its own caller, never poison the micro-batch it would have been
         coalesced into (requests popped for a failed dispatch are gone)."""
@@ -138,7 +138,7 @@ class ForecastService:
         ``window=None`` forecasts from the session's current streamed
         state (requires attached feature stores).
         """
-        req = self.queue.submit(self._check_window(window), deadline=deadline)
+        req = self.queue.submit(self.check_window(window), deadline=deadline)
         self._dispatch_pending()
         for i, fc in enumerate(self._completed):
             if fc.request_id == req.request_id:
@@ -169,7 +169,7 @@ class ForecastService:
         """Enqueue a request; returns its id.  Never dispatches: requests
         due in the same instant must all be queued before the ``poll``
         that serves them, or they cannot share a forward."""
-        return self.queue.submit(self._check_window(window),
+        return self.queue.submit(self.check_window(window),
                                  deadline=deadline).request_id
 
     def _dispatch_pending(self) -> None:

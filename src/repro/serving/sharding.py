@@ -20,6 +20,17 @@ predictions bitwise identical to single-shard inference; passing a finite
 ``receptive_hops`` truncates the halo to a k-hop neighbourhood and
 zero-fills the rest — cheaper traffic, approximate forecasts.
 
+**What runs.**  :class:`ShardedSession` is a
+:class:`~repro.serving.session.ModelSession`: staging, the gradient-free
+forward and unit inversion are inherited.  An explicit-window
+``predict`` charges the request fan-out to the group and forwards the
+staged batch **once** inline (every shard would see the same input); on
+a process-isolated group each shard's interpreter forwards it and ships
+home its owned rows.  Each shard's owned-columns window is a plain
+array, built at most once per ingest and read by peers for their halo
+columns, with the logical transfer's bytes charged to the group.  No
+workload times sharded serving, so no speed is claimed for it.
+
 **Failover.**  A :class:`ShardWorker` can die (killed explicitly via
 :meth:`ShardedSession.kill_worker`, or on schedule through a
 :class:`~repro.runtime.faults.FaultPlan` ``worker_crash`` event); its
@@ -44,15 +55,12 @@ from typing import Any
 import numpy as np
 import scipy.sparse as sp
 
-from repro.autograd.grad_mode import no_grad
-from repro.autograd.tensor import Tensor
 from repro.graph.partition import partition_graph
 from repro.kernels.precision import resolve_store_dtype
-from repro.nn.module import assert_inference_mode
 from repro.preprocessing.scaler import StandardScaler
-from repro.runtime.fabric.shm import SharedArrayPool
 from repro.runtime.process_group import ProcessGroup, as_process_group
 from repro.serving.cache import FeatureStore
+from repro.serving.session import ModelSession
 from repro.utils.errors import ShapeError
 
 
@@ -84,7 +92,7 @@ class ShardWorker:
     halo: np.ndarray            # non-owned node ids it must fetch
     store: FeatureStore | None  # owned-column observations only
     assemble: np.ndarray        # [horizon, num_nodes, features] input buffer
-    own_window: np.ndarray      # [horizon, len(owned), features] shared view
+    own_window: np.ndarray      # [horizon, len(owned), features] store window
     alive: bool = True          # dead workers trigger failover on detection
     window_version: int = -1    # session version own_window was built at
 
@@ -113,17 +121,17 @@ class ScaleEvent:
     standby_returned: int       # retired shards parked back as spares
 
 
-class ShardedSession:
+class ShardedSession(ModelSession):
     """Multi-worker serving session over a partitioned sensor graph.
 
-    Functionally mirrors :class:`~repro.serving.session.ModelSession`
-    (``predict`` / ``ingest`` / ``forecast_current`` /
-    ``to_original_units``), so the :class:`~repro.serving.service.
+    A :class:`~repro.serving.session.ModelSession` whose streamed state
+    lives in per-shard stores, so the :class:`~repro.serving.service.
     ForecastService` facade treats both interchangeably.  All shards run
     in-process and share one model instance (parameters are replicated in
     a real deployment; simulation shares memory), while data movement is
     charged to a :class:`ProcessGroup` with one rank per shard — the same
-    collectives layer the DDP trainers use.
+    collectives layer the DDP trainers use.  ``add_time_feature``
+    overrides the session's dataset-free time-of-day rule.
     """
 
     def __init__(self, model: Any, scaler: StandardScaler | None,
@@ -134,16 +142,12 @@ class ShardedSession:
                  comm: ProcessGroup | None = None,
                  add_time_feature: bool | None = None,
                  num_standby: int = 0, fault_plan: Any = None):
-        self.model = model.eval()
-        self.scaler = scaler
+        super().__init__(model, scaler, spec=spec, max_batch=max_batch)
+        if add_time_feature is not None:
+            self.add_time_feature = bool(add_time_feature)
         self.graph = graph
-        self.spec = spec
         self.num_shards = int(num_shards)
-        self.max_batch = int(max_batch)
         self.receptive_hops = receptive_hops
-        self.horizon = int(model.horizon)
-        self.num_nodes = int(model.num_nodes)
-        self.in_features = int(model.in_features)
         if graph.num_nodes != self.num_nodes:
             raise ShapeError(f"graph has {graph.num_nodes} nodes but model "
                              f"expects {self.num_nodes}")
@@ -152,11 +156,7 @@ class ShardedSession:
         if self.comm.world_size != self.num_shards:
             raise ValueError("process group world size must equal num_shards")
 
-        capacity = store_capacity or 4 * self.horizon
-        if add_time_feature is None:
-            add_time_feature = self._guess_time_feature()
-        self.add_time_feature = bool(add_time_feature)
-        self._store_capacity = capacity
+        self._store_capacity = store_capacity or 4 * self.horizon
         # Storage precision for the per-shard feature stores: windows
         # still materialise into float32 compute buffers (cast on read),
         # so "float16" halves each shard's resident ring at unchanged
@@ -172,40 +172,30 @@ class ShardedSession:
         self.failover_events: list[FailoverEvent] = []
         self.scale_events: list[ScaleEvent] = []
         self.faults_dropped: list[str] = []
-        self._ingest_log: deque = deque(maxlen=capacity)
-        self.workers: list[ShardWorker] = [
-            self._build_worker(s, np.flatnonzero(self.assignment == s))
-            for s in range(self.num_shards)]
+        self._ingest_log: deque = deque(maxlen=self._store_capacity)
+        self.workers = self._fleet(self.assignment, self.num_shards)
         self._validate_ownership(self.workers)
-        # Zero-copy halo exchange: every worker's own_window lives in one
-        # shared-memory pool, so a peer consuming halo columns reads the
-        # owner's materialised window *view* directly instead of forcing
-        # the owner to rebuild it per consumer (S materialisations per
-        # version instead of S*(S-1)).  The version counter bumps on every
-        # ingest; _fresh_own_window re-materialises at most once per bump.
-        self._window_pool: SharedArrayPool | None = None
+        # Bumped on every ingest; a worker's own_window is rebuilt at most
+        # once per bump, however many peers read it for halo columns.
+        # Fresh workers (failover, resize) start unstamped.
         self._window_version = 0
-        self._rebuild_window_pool()
-        self._in_buf = np.empty(
-            (self.max_batch, self.horizon, self.num_nodes, self.in_features),
-            dtype=np.float32)
         self._merged = np.empty((self.horizon, self.num_nodes, 1), np.float32)
         self._window_buf = np.empty(
             (self.horizon, self.num_nodes, self.in_features), np.float32)
-        self.requests_served = 0
 
     def _build_worker(self, shard_id: int, owned: np.ndarray) -> ShardWorker:
-        """One shard worker owning ``owned``, with fresh halo/store/buffers."""
+        """One shard worker owning ``owned``, with fresh halo and buffers
+        and a store warmed from the raw observation log (empty at
+        construction; replayed after a failover or resize)."""
         halo = halo_nodes(self.graph.weights, owned, self.receptive_hops,
                           self.num_nodes)
         store = None
         if self.scaler is not None:
-            store = FeatureStore(
-                self.scaler, num_nodes=len(owned),
-                raw_features=self.in_features - int(self.add_time_feature),
-                capacity=self._store_capacity,
-                add_time_feature=self.add_time_feature,
-                dtype=self.store_dtype)
+            store = self.new_store(self._store_capacity,
+                                   dtype=self.store_dtype,
+                                   num_nodes=len(owned))
+            for values, ts in self._ingest_log:
+                store.ingest(values[owned], ts)
         return ShardWorker(
             shard_id=shard_id, owned=owned, halo=halo, store=store,
             assemble=np.zeros((self.horizon, self.num_nodes,
@@ -213,42 +203,23 @@ class ShardedSession:
             own_window=np.empty((self.horizon, len(owned),
                                  self.in_features), np.float32))
 
-    def _rebuild_window_pool(self) -> None:
-        """Re-back every worker's ``own_window`` onto one shared pool.
-
-        Called at construction and after any failover that created fresh
-        workers: the pool views replace the workers' private scratch
-        arrays, cache stamps reset, and the pool is sealed immediately so
-        a session abandoned without cleanup cannot leak a shm name.
-        """
-        if self._window_pool is not None:
-            self._window_pool.destroy()
-        pool = SharedArrayPool([w.own_window for w in self.workers],
-                               name_hint="halo-windows")
-        pool.seal()
-        for w, view in zip(self.workers, pool.arrays):
-            w.own_window = view
-            w.window_version = -1
-        self._window_pool = pool
+    def _fleet(self, assignment: np.ndarray,
+               num_shards: int) -> list[ShardWorker]:
+        """One fresh worker per shard id of ``assignment``."""
+        return [self._build_worker(s, np.flatnonzero(assignment == s))
+                for s in range(num_shards)]
 
     def _fresh_own_window(self, w: ShardWorker) -> np.ndarray:
         """``w``'s owned-columns window, materialised at most once per
-        ingest version.  Peers consuming halo columns call this too and
-        get the owner's *shared view* — the zero-copy half of the halo
-        exchange (the byte accounting of the logical transfer stays with
-        the caller)."""
+        ingest version.  Peers consuming halo columns read it too (the
+        byte accounting of the logical transfer stays with the caller)."""
+        if w.store is None:
+            raise RuntimeError("sharded session built without a scaler "
+                               "has no stores to read")
         if w.window_version != self._window_version:
             w.store.window(self.horizon, out=w.own_window)
             w.window_version = self._window_version
         return w.own_window
-
-    def _guess_time_feature(self) -> bool:
-        # Fallback when the builder did not say (direct construction
-        # without ``add_time_feature=``): traffic models train on raw
-        # signal + time-of-day, which is the only catalog shape with two
-        # input channels.  ``repro.api`` always passes the dataset's
-        # domain instead of relying on this.
-        return self.in_features == 2
 
     # ------------------------------------------------------------------
     # Routing
@@ -328,10 +299,8 @@ class ShardedSession:
             self._validate_ownership(self.workers)
             self.standby -= len(dead)
             for shard_id in dead:
-                old = self.workers[shard_id]
-                fresh = self._build_worker(shard_id, old.owned)
-                self._replay_into(fresh)
-                self.workers[shard_id] = fresh
+                self.workers[shard_id] = self._build_worker(
+                    shard_id, self.workers[shard_id].owned)
             mode = "standby"
         else:
             if not alive:
@@ -342,28 +311,13 @@ class ShardedSession:
             new_num = 1 << (len(alive).bit_length() - 1)
             self.num_shards = new_num
             self.assignment = partition_graph(self.graph.weights, new_num)
-            self.workers = [
-                self._build_worker(s, np.flatnonzero(self.assignment == s))
-                for s in range(new_num)]
-            for w in self.workers:
-                self._replay_into(w)
+            self.workers = self._fleet(self.assignment, new_num)
             mode = "repartition"
         self._validate_ownership(self.workers)
-        # Fresh workers carry private scratch windows; fold them back
-        # into one shared pool (and reset every cache stamp — replay
-        # changed store contents without bumping the version).
-        self._rebuild_window_pool()
         self.failover_events.append(FailoverEvent(
             shards=dead, mode=mode, seconds=time.perf_counter() - t0,
             at_request=self.requests_served,
             num_shards_after=len(self.workers)))
-
-    def _replay_into(self, worker: ShardWorker) -> None:
-        """Warm a rebuilt worker's store from the raw observation log."""
-        if worker.store is None:
-            return
-        for values, ts in self._ingest_log:
-            worker.store.ingest(values[worker.owned], ts)
 
     @staticmethod
     def _describe_nodes(ids: np.ndarray) -> str:
@@ -451,11 +405,8 @@ class ShardedSession:
                 raise ShapeError(
                     f"assignment must map all {self.num_nodes} sensors, "
                     f"got shape {np.asarray(assignment).shape}")
-        workers = [self._build_worker(s, np.flatnonzero(new_assignment == s))
-                   for s in range(new_num)]
+        workers = self._fleet(new_assignment, new_num)
         self._validate_ownership(workers)
-        for w in workers:
-            self._replay_into(w)
         standby_used = standby_returned = 0
         if new_num > old_num:
             standby_used = min(self.standby, new_num - old_num)
@@ -473,7 +424,6 @@ class ShardedSession:
         self.workers = workers
         if self.comm.world_size != new_num:
             self.comm = as_process_group(None, world_size=new_num)
-        self._rebuild_window_pool()
         event = ScaleEvent(
             from_shards=old_num, to_shards=new_num, mode=mode,
             seconds=time.perf_counter() - t0,
@@ -496,10 +446,10 @@ class ShardedSession:
         if values.shape != (self.num_nodes, raw):
             raise ShapeError(f"expected a {(self.num_nodes, raw)} "
                              f"observation row, got {values.shape}")
+        if self.scaler is None:
+            raise RuntimeError("sharded session built without a scaler "
+                               "has no stores to ingest into")
         for w in self.workers:
-            if w.store is None:
-                raise RuntimeError("sharded session built without a scaler "
-                                   "has no stores to ingest into")
             w.store.ingest(values[w.owned], timestamp_minutes)
         # Log only rows every store accepted: a rejected malformed row
         # must fail its caller, never linger to poison a later failover
@@ -511,76 +461,41 @@ class ShardedSession:
     # ------------------------------------------------------------------
     # Inference
     # ------------------------------------------------------------------
-    def _forward(self, x: np.ndarray) -> np.ndarray:
-        with no_grad():
-            assert_inference_mode(self.model)
-            return self.model(Tensor(x)).data
-
-    def stage(self, batch: int) -> np.ndarray:
-        """A ``[batch, horizon, nodes, features]`` view of the persistent
-        staging buffer; :meth:`predict` recognises it and skips its
-        staging copy (same seam as :meth:`ModelSession.stage`)."""
-        if not 1 <= batch <= self.max_batch:
-            raise ValueError(f"batch {batch} outside [1, {self.max_batch}]")
-        return self._in_buf[:batch]
-
     def predict(self, windows: np.ndarray) -> np.ndarray:
-        """Fused forward over explicit full windows, sharded merge.
+        """Forward explicit full windows; every shard's rows, merged.
 
         The front door broadcasts the request batch to every shard (byte
-        accounted); each shard computes the forward and contributes its
-        owned rows to the merged ``[batch, horizon, nodes, 1]`` output.
-        With an exact halo every shard sees identical input, so the merge
-        is bitwise identical to unsharded inference.
+        accounted).  Every shard would forward the same input, so inline
+        the staged batch is forwarded once, bitwise equal to unsharded
+        inference.  On a process-isolated group with one rank per shard,
+        each rank's interpreter forwards it and ships home only its owned
+        rows.  (After a repartition failover the worker count can drop
+        below the fixed world size; the inline path then keeps serving.)
         """
         self._ensure_healthy()
-        windows = np.asarray(windows)
-        if windows.ndim == 3:
-            windows = windows[None]
-        expected = (self.horizon, self.num_nodes, self.in_features)
-        if windows.ndim != 4 or windows.shape[1:] != expected:
-            raise ShapeError(f"expected [batch, {expected[0]}, {expected[1]}, "
-                             f"{expected[2]}] windows, got {windows.shape}")
-        b = windows.shape[0]
-        if b > self.max_batch:
-            raise ValueError(f"batch {b} exceeds max_batch {self.max_batch}")
-        staged = self._in_buf[:b]
-        if not (windows.base is self._in_buf
-                and windows.ctypes.data == self._in_buf.ctypes.data):
-            np.copyto(staged, windows, casting="same_kind")
-        # Charge the request fan-out without materialising per-shard
-        # copies (broadcast() would allocate world_size full batches just
-        # to discard them; shards share memory in simulation anyway).
+        staged = self._staged(windows)
+        # Charge the fan-out without materialising per-shard copies.
         for w in self.workers[1:]:
             self.comm.fetch(0, w.shard_id, staged.nbytes,
                             category="serve-request")
-        out = np.empty((b, self.horizon, self.num_nodes, 1), np.float32)
         if (len(self.workers) == self.comm.world_size
                 and getattr(self.comm.transport, "isolated_ranks", False)):
-            # Process-isolated fabric with one rank per shard: forwards
-            # run in real per-shard interpreters and each rank ships home
-            # only its owned rows.  (After a repartition failover the
-            # worker count can drop below the fixed world size; the
-            # inline path below then keeps serving correct.)
             def shard_forward(rank: int) -> np.ndarray:
-                w = self.workers[rank]
-                return self._forward(staged)[:, :, w.owned]
+                return self._forward(staged)[:, :, self.workers[rank].owned]
 
-            shard_rows = self.comm.run_ranks(shard_forward)
-            for w, rows in zip(self.workers, shard_rows):
+            out = np.empty(staged.shape[:3] + (1,), np.float32)
+            for w, rows in zip(self.workers,
+                               self.comm.run_ranks(shard_forward)):
                 out[:, :, w.owned] = rows
         else:
-            for w in self.workers:
-                shard_out = self._forward(staged)
-                out[:, :, w.owned] = shard_out[:, :, w.owned]
-        self.requests_served += b
+            out = self._forward(staged)
+        self.requests_served += len(staged)
         return out
 
-    def _assemble_from_stores(self, w: ShardWorker) -> np.ndarray:
-        """Build shard ``w``'s full input window: local columns + halo
-        fetches from peer owners (byte-accounted), zero elsewhere."""
-        if w.store is None:
-            raise RuntimeError("no stores attached (session needs a scaler)")
+    def _shard_forecast(self, w: ShardWorker) -> np.ndarray:
+        """Shard ``w``'s ``[horizon, nodes, 1]`` forecast from its full
+        input window: local columns + halo fetches from peer owners
+        (byte-accounted), zero elsewhere."""
         h = self.horizon
         w.assemble[:, w.owned] = self._fresh_own_window(w)
         itemsize = w.assemble.itemsize
@@ -590,15 +505,13 @@ class ShardedSession:
             cols = peer.owned[np.isin(peer.owned, w.halo, assume_unique=True)]
             if len(cols) == 0:
                 continue
-            # Zero-copy: the peer's shared window view, materialised by
-            # its owner at most once per ingest version.
             peer_window = self._fresh_own_window(peer)
             local = np.searchsorted(peer.owned, cols)
             w.assemble[:, cols] = peer_window[:, local]
             self.comm.fetch(peer.shard_id, w.shard_id,
                             h * len(cols) * self.in_features * itemsize,
                             category="halo")
-        return w.assemble
+        return self._forward(w.assemble[None])[0]
 
     def current_window(self) -> np.ndarray:
         """The full current input window assembled from every shard's
@@ -613,9 +526,6 @@ class ShardedSession:
         self._ensure_healthy()
         out = self._window_buf
         for w in self.workers:
-            if w.store is None:
-                raise RuntimeError("sharded session built without a scaler "
-                                   "has no stores to read")
             out[:, w.owned] = self._fresh_own_window(w)
         return out.copy()
 
@@ -624,9 +534,7 @@ class ShardedSession:
         assembles its halo, forwards, and contributes its owned rows."""
         self._ensure_healthy()
         for w in self.workers:
-            x = self._assemble_from_stores(w)
-            shard_out = self._forward(x[None])[0]
-            self._merged[:, w.owned] = shard_out[:, w.owned]
+            self._merged[:, w.owned] = self._shard_forecast(w)[:, w.owned]
         self.requests_served += 1
         return self._merged
 
@@ -639,19 +547,11 @@ class ShardedSession:
         out = np.empty((self.horizon, len(nodes)), np.float32)
         involved = np.unique(self.assignment[nodes])
         for s in involved:
-            w = self.workers[int(s)]
-            x = self._assemble_from_stores(w)
-            shard_out = self._forward(x[None])[0]
+            shard_out = self._shard_forecast(self.workers[int(s)])
             mask = self.assignment[nodes] == s
             out[:, mask] = shard_out[:, nodes[mask], 0]
         self.requests_served += 1
         return out
-
-    def to_original_units(self, predictions: np.ndarray) -> np.ndarray:
-        if self.scaler is None:
-            raise RuntimeError("session has no scaler; predictions stay "
-                               "in standardized units")
-        return self.scaler.inverse_transform_channel(predictions[..., 0], 0)
 
     # ------------------------------------------------------------------
     def halo_stats(self) -> dict:
@@ -664,7 +564,6 @@ class ShardedSession:
             "store_resident_bytes": sum(
                 w.store.resident_nbytes for w in self.workers
                 if w.store is not None),
-            "window_pool_bytes": int(self._window_pool.shm.size),
             "bytes_by_category": dict(self.comm.stats.bytes_by_category),
             "ops": self.comm.stats.ops,
             "failovers": len(self.failover_events),

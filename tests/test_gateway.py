@@ -379,6 +379,12 @@ class TestGateway:
             gw.request("key-research", "bay")
         assert gw.request("key-ops", "bay").ok
 
+    def test_tenant_store_below_horizon_is_refused(self, trained):
+        gw = make_gateway(trained, store_capacity=3)
+        ds = trained.artifacts.dataset
+        with pytest.raises(ValueError, match="capacity 3 .*horizon 4"):
+            gw.ingest("key-ops", "bay", ds.signals[0], timestamp_minutes=0.0)
+
     def test_sheds_on_hopeless_deadline(self, trained, pool):
         gw = make_gateway(trained)
         resp = gw.submit("key-ops", "bay", pool[0],

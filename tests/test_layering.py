@@ -81,6 +81,15 @@ def test_nothing_in_src_imports_the_ledger():
             and package(SRC / f) != "experiments"] == []
 
 
+def test_serving_leaves_shared_memory_to_the_fabric():
+    """Serving charges bytes through ``ProcessGroup``; shared memory
+    belongs to the fork fabric."""
+    assert [f"{p.relative_to(SRC)}: {name}"
+            for p in sorted((SRC / "serving").rglob("*.py"))
+            for name, _ in imports(p)
+            if name.split(".")[:3] == ["repro", "runtime", "fabric"]] == []
+
+
 @pytest.mark.parametrize("tree", ["src", "tests", "benchmarks", "examples"])
 def test_nothing_imports_profiling(tree):
     assert [f"{p.relative_to(REPO)}: {name}"

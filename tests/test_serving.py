@@ -20,9 +20,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.api import RunSpec, list_servers, run, serve
 from repro.preprocessing.index_batching import IndexDataset
+from repro.runtime import ProcessGroup
 from repro.serving import (
     FeatureStore,
     LoadGenerator,
+    LoadReport,
     ManualClock,
     MicroBatchQueue,
     ModelSession,
@@ -180,6 +182,54 @@ class TestSharding:
             trained.artifacts.dataset.graph, num_shards=shards,
             spec=trained.spec)
         np.testing.assert_array_equal(sharded.predict(pool), local)
+
+    @pytest.mark.parametrize("shards", [1, 2, 4])
+    def test_inline_predict_forwards_once(self, trained, pool, shards,
+                                          monkeypatch):
+        """Every shard would forward the same staged batch, so the inline
+        path forwards it once, whatever the shard count."""
+        local = make_session(trained).predict(pool).copy()
+        model = trained.artifacts.model
+        sharded = ShardedSession(
+            model, trained.artifacts.loaders.scaler,
+            trained.artifacts.dataset.graph, num_shards=shards,
+            spec=trained.spec)
+        forwards = []
+        forward = model.forward
+        monkeypatch.setattr(model, "forward", lambda *a, **kw: (
+            forwards.append(1), forward(*a, **kw))[1])
+        out = sharded.predict(pool)
+        assert len(forwards) == 1
+        np.testing.assert_array_equal(out, local)
+
+    @pytest.mark.parametrize("shards", [1, 2, 4])
+    def test_forked_predict_matches_local(self, trained, pool, shards):
+        local = make_session(trained).predict(pool).copy()
+        group = ProcessGroup.processes(shards)
+        try:
+            out = ShardedSession(
+                trained.artifacts.model, trained.artifacts.loaders.scaler,
+                trained.artifacts.dataset.graph, num_shards=shards,
+                spec=trained.spec, comm=group).predict(pool)
+        finally:
+            group.transport.shutdown()
+        np.testing.assert_array_equal(out, local)
+
+    @pytest.mark.parametrize("server", ["local", "sharded"])
+    def test_store_below_horizon_fails_at_build(self, trained, server):
+        """A ring shorter than the horizon can never hold a window, so it
+        is refused when built; one horizon is enough to stream."""
+        horizon = trained.artifacts.model.horizon
+        with pytest.raises(ValueError,
+                           match=f"capacity {horizon - 1} .*horizon {horizon}"):
+            serve(trained, server=server, store_capacity=horizon - 1)
+        svc = serve(trained, server=server, store_capacity=horizon)
+        ds = trained.artifacts.dataset
+        with pytest.raises(RuntimeError, match="ingest more history"):
+            svc.forecast_streamed()
+        for values, ts in zip(ds.signals[:horizon], ds.timestamps[:horizon]):
+            svc.ingest(values, float(ts))
+        assert svc.forecast_streamed().shape == (horizon, ds.num_nodes)
 
     def test_streamed_state_matches_local(self, trained):
         ds = trained.artifacts.dataset
@@ -503,6 +553,13 @@ class TestLoadGenerator:
     def test_rejects_bad_pool(self, trained):
         with pytest.raises(ShapeError):
             LoadGenerator(synthetic_service(trained), np.zeros((4, 8, 2)))
+
+    def test_service_report_carries_no_gateway_fields(self, trained, pool):
+        report = LoadGenerator(synthetic_service(trained), pool,
+                               seed=0).closed_loop(requests=8)
+        assert type(report) is LoadReport
+        assert not hasattr(report, "goodput_qps")
+        assert "goodput" not in report.summary()
 
 
 # ---------------------------------------------------------------------------
