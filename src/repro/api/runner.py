@@ -194,19 +194,16 @@ def _build_ddp_trainer(spec: RunSpec, ctx: ModelContext,
     relaunch attempt of the fault path: model + optimizer built from the
     seed, the transport chosen by ``spec.transport`` ('sim' = sequential
     ranks with simulated cost accounting; 'thread' = one real thread per
-    rank on per-rank replicas — the model builder is deterministic in
-    the seed, so replicas initialise identically; 'process' = one forked
-    interpreter per rank, where the fork snapshot is the replica),
-    optionally wrapped in a :class:`FaultyTransport` and
-    configured for per-step checkpointing.
+    rank on replicas the trainer derives from the model; 'process' = one
+    forked interpreter per rank, where the fork snapshot is the replica),
+    optionally wrapped in a :class:`FaultyTransport` and configured for
+    per-step checkpointing.
     """
     model = MODELS.get(spec.model)(ctx)
     trainable = [p for p in model.parameters() if p.requires_grad]
     optimizer = OPTIMIZERS.get(spec.optimizer)(trainable, spec.lr)
-    factory = None
     if spec.transport == "thread":
         base = ThreadTransport(spec.world_size)
-        factory = lambda: MODELS.get(spec.model)(ctx)  # noqa: E731
     elif spec.transport == "process":
         base = ProcessTransport(spec.world_size)
     else:
@@ -215,7 +212,7 @@ def _build_ddp_trainer(spec: RunSpec, ctx: ModelContext,
     return DDPTrainer(
         model, optimizer, ProcessGroup(transport), bundle.train, bundle.val,
         strategy=_DDP_STRATEGIES[spec.strategy], shuffle=spec.shuffle,
-        scaler=bundle.scaler, seed=spec.seed, model_factory=factory,
+        scaler=bundle.scaler, seed=spec.seed,
         checkpoint_every=1 if checkpoint_path else None,
         checkpoint_path=checkpoint_path)
 

@@ -20,10 +20,15 @@ Three transports, one reason each: ``SimTransport`` is the cost model
 (simulated time and bytes, what the paper-scale tables price),
 ``ProcessTransport`` is the one fabric whose ranks own an interpreter
 (no GIL sharing, real child death), and ``ThreadTransport`` is the
-fork-free one (real concurrency on platforms or in hosts where ``fork``
-is unavailable or unsafe).  Ranks are forked from the driver, so every
-fabric here is same-host; a second byte-stream protocol between one
-host's processes would duplicate ``ProcessTransport``.
+measured-fastest one where rank steps are large: NumPy releases the GIL,
+so rank threads overlap on real cores without a fork per step.  On a
+2-core host at world 2 (64 sensors, hidden 32, batch 16 per rank, one
+BLAS thread) a step took 62 ms on threads, 85 ms forked and 108 ms
+inline; at the benchmark's 24 × 16 shape inline ranks win (13 vs 25 ms),
+and so do they when BLAS runs its own threads.  Ranks are forked from
+the driver, so every fabric here is same-host; a second byte-stream
+protocol between one host's processes would duplicate
+``ProcessTransport``.
 """
 
 from repro.runtime.buckets import BucketLayout, BucketSlot, GradientBucketer

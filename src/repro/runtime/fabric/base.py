@@ -105,12 +105,12 @@ class ForkFabric(MeasuredTransport):
     *data* movement is centralized either way.
     """
 
-    #: Ranks execute in separate address spaces, so trainers may always
-    #: run them concurrently — replicas can't race through shared state.
+    #: Ranks execute in separate address spaces, so trainers run them
+    #: concurrently on the one model: each fork snapshot is a rank's
+    #: replica, and no rank can race another through shared state.
     isolated_ranks = True
 
-    def __init__(self, world_size: int, *, parallel: bool = True,
-                 max_inflight: int | None = None):
+    def __init__(self, world_size: int, *, parallel: bool = True):
         super().__init__(world_size)
         try:
             self._ctx = multiprocessing.get_context("fork")
@@ -119,9 +119,7 @@ class ForkFabric(MeasuredTransport):
                 "the process fabric needs the fork start method; "
                 "this platform does not provide it") from exc
         self.parallel = bool(parallel)
-        self.max_inflight = int(max_inflight or max(1, usable_cores()))
-        if self.max_inflight < 1:
-            raise ValueError("max_inflight must be >= 1")
+        self._max_children = usable_cores()
         self._step = 0
 
     # -- trainer hooks --------------------------------------------------
@@ -149,9 +147,10 @@ class ForkFabric(MeasuredTransport):
         """Run ``fn(rank)`` for every rank; join before returning.
 
         Results are rank-ordered.  All ranks run to completion (in
-        waves of at most ``max_inflight`` forked children) before the
-        lowest-rank failure is raised; a child that dies without
-        reporting becomes a :class:`RankFailure` at the current step.
+        waves of at most :func:`~repro.hardware.usable_cores` forked
+        children) before the lowest-rank failure is raised; a child that
+        dies without reporting becomes a :class:`RankFailure` at the
+        current step.
         """
         if not (self.parallel and parallel) or self.world_size == 1:
             out = []
@@ -168,7 +167,7 @@ class ForkFabric(MeasuredTransport):
         outcomes: dict[int, tuple | None] = {}
         try:
             while pending or inflight:
-                while pending and len(inflight) < self.max_inflight:
+                while pending and len(inflight) < self._max_children:
                     rank = pending.pop(0)
                     inflight[rank] = self._spawn(rank, fn)
                 progressed = False

@@ -62,10 +62,8 @@ class ProcessTransport(ForkFabric):
     """
 
     def __init__(self, world_size: int, *, parallel: bool = True,
-                 max_inflight: int | None = None,
                  ring_capacity: int = 1 << 16):
-        super().__init__(world_size, parallel=parallel,
-                         max_inflight=max_inflight)
+        super().__init__(world_size, parallel=parallel)
         self.ring_capacity = int(ring_capacity)
         self._pools: list[SharedArrayPool] = []
         # Pools must be unlinked even if nobody calls shutdown() — the

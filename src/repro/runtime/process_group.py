@@ -49,12 +49,11 @@ class ProcessGroup:
         return cls(ThreadTransport(world_size, parallel=parallel))
 
     @classmethod
-    def processes(cls, world_size: int, *, parallel: bool = True,
-                  max_inflight: int | None = None) -> "ProcessGroup":
+    def processes(cls, world_size: int, *,
+                  parallel: bool = True) -> "ProcessGroup":
         """Ranks as forked processes; zero-copy shm data plane."""
         from repro.runtime.fabric import ProcessTransport
-        return cls(ProcessTransport(world_size, parallel=parallel,
-                                    max_inflight=max_inflight))
+        return cls(ProcessTransport(world_size, parallel=parallel))
 
     # -- introspection --------------------------------------------------
     @property

@@ -12,7 +12,6 @@ from repro.training.metrics import (
     rmse,
 )
 from repro.training.recovery import RecoveryReport, train_with_recovery
-from repro.training.replicated import ReplicatedDDPTrainer
 from repro.training.step import average_and_apply, clip_and_step
 from repro.training.trainer import EpochRecord, Trainer
 
@@ -27,7 +26,6 @@ __all__ = [
     "EpochRecord",
     "DDPTrainer",
     "DDPStrategy",
-    "ReplicatedDDPTrainer",
     "clip_and_step",
     "average_and_apply",
     "save_checkpoint",

@@ -19,24 +19,28 @@ every rank computes its microbatch gradient, gradients are packed into
 with a few large all-reduces (charging ring-allreduce time and bytes on
 a simulated transport), and the optimizer applies the averaged gradient.
 
-By default all ranks share one model replica and run sequentially —
-identical to per-rank replicas because DDP keeps replicas bit-identical.
-Passing ``model_factory`` builds one replica per rank whose parameter
-*data* aliases the shared model (so the single optimizer updates all of
-them) while gradients stay rank-private; that makes rank steps
-independent, and on :meth:`ProcessGroup.threads` they execute on real
-threads concurrently — NumPy releases the GIL, so multi-rank steps get
-true wall-clock parallelism.  Both modes produce bitwise-identical
-training curves.
+Where ranks run decides what a rank computes on.  Sequential ranks
+(``sim``, or any fabric built with ``parallel=False``) share the one
+model: replicas of a DDP run never diverge, so one replica is every
+replica.  Forked ranks (``isolated_ranks``) also share it, because the
+copy-on-write fork snapshot is the per-rank replica.  Concurrent ranks
+in one address space (``ProcessGroup.threads``) each get a replica
+derived from the model: a deep copy whose parameter *data* and graph
+supports are the model's own arrays, so the one optimizer step updates
+every replica at once, while gradients and kernel scratch stay
+rank-private.  NumPy releases the GIL, so those rank steps overlap on
+real cores.  Every mode produces bitwise-identical training curves.
 """
 
 from __future__ import annotations
 
+import copy
 import enum
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+import scipy.sparse as sp
 
 from repro.autograd.grad_mode import no_grad
 from repro.autograd.tensor import Tensor
@@ -98,7 +102,6 @@ class DDPTrainer:
                  step_time_fn: Callable[[int], float] | None = None,
                  batch_bytes_fn: Callable[[int], int] | None = None,
                  seed: int | str = 0,
-                 model_factory: Callable[[], STModel] | None = None,
                  bucket_cap_mb: float = 25.0,
                  checkpoint_every: int | None = None,
                  checkpoint_path: str | None = None):
@@ -116,10 +119,6 @@ class DDPTrainer:
         shuffle: 'global' | 'local' | 'batch'; defaults to the paper's
             choice per strategy (global for DDP/dist-index, batch for
             generalized).
-        model_factory: builds identically-initialised models (same seed).
-            When given, each rank gets its own replica (parameter data
-            aliased to ``model``) and private loader buffers, so rank
-            steps may run concurrently on a parallel transport.
         bucket_cap_mb: gradient-bucket capacity; small models fuse into
             one bucket (a single all-reduce per step).
         checkpoint_every: write a resumable training checkpoint to
@@ -185,56 +184,48 @@ class DDPTrainer:
         self._replicas: list[STModel] | None = None
         self._rank_params: list[list] = [optimizer.params] * self.world_size
         self._rank_loaders = [self.train_loader] * self.world_size
-        # Fabrics whose ranks own separate address spaces may always run
-        # steps concurrently: the fork snapshot is the per-rank replica,
-        # so not even a shared model can race.
-        self._parallel = (self.world_size > 1 and getattr(
-            self.comm.transport, "isolated_ranks", False))
-        if model_factory is not None and self.world_size > 1:
-            self._build_replicas(model_factory)
+        # Ranks run concurrently on a fabric built parallel; on forked
+        # ranks the fork snapshot is the replica, so not even a shared
+        # model can race.  Concurrent ranks in one address space need
+        # replicas of their own.
+        transport = self.comm.transport
+        isolated = getattr(transport, "isolated_ranks", False)
+        self._parallel = self.world_size > 1 and (
+            isolated or getattr(transport, "parallel", False))
+        if self._parallel and not isolated:
+            self._build_replicas()
 
     # ------------------------------------------------------------------
-    def _build_replicas(self, model_factory: Callable[[], STModel]) -> None:
-        """Per-rank replicas whose parameter data aliases the shared model.
+    def _build_replicas(self) -> None:
+        """Per-rank replicas derived from the shared model.
 
-        Aliasing means the one optimizer step updates every replica at
-        once (the moral equivalent of DDP's guarantee that replicas never
-        diverge) while each replica accumulates gradients privately — the
-        property that makes rank steps safe to run concurrently.
+        ``deepcopy`` with every parameter array and sparse support seeded
+        in its memo: a replica reuses those objects and copies the rest,
+        so the one optimizer step updates every replica at once (they
+        cannot diverge) while gradients and scratch buffers stay
+        rank-private — the property that makes rank steps safe to run
+        concurrently.
         """
-        shared = self.model.parameters()
-        replicas = [self.model]
-        rank_params = [self.optimizer.params]
-        for rank in range(1, self.world_size):
-            rep = model_factory()
-            rep_params = rep.parameters()
-            if len(rep_params) != len(shared):
-                raise CommunicatorError(
-                    "model_factory built a different architecture "
-                    f"({len(rep_params)} vs {len(shared)} parameters)")
-            by_id = {}
-            for sp, rp in zip(shared, rep_params):
-                if not np.array_equal(sp.data, rp.data):
-                    raise CommunicatorError(
-                        f"rank {rank} replica initialised differently at "
-                        f"{rp.name or 'a parameter'}; model_factory must "
-                        f"be deterministic")
-                rp.data = sp.data          # alias: optimizer updates all
-                by_id[id(sp)] = rp
+        shared = {id(p.data): p.data for p in self.model.parameters()}
+        for m in self.model.modules():
+            for value in vars(m).values():
+                items = value if isinstance(value, (list, tuple)) else (value,)
+                shared.update((id(s), s) for s in items if sp.issparse(s))
+        self._replicas = [self.model]
+        self._rank_params = [self.optimizer.params]
+        for _ in range(1, self.world_size):
+            memo = dict(shared)
+            self._replicas.append(copy.deepcopy(self.model, memo))
             try:
-                rank_params.append([by_id[id(p)]
-                                    for p in self.optimizer.params])
+                self._rank_params.append(
+                    [memo[id(p)] for p in self.optimizer.params])
             except KeyError:
                 raise CommunicatorError(
-                    "optimizer params must come from the shared model "
-                    "when using model_factory") from None
-            replicas.append(rep)
-        self._replicas = replicas
-        self._rank_params = rank_params
+                    "optimizer params must come from the trained model "
+                    "to run ranks concurrently") from None
         self._rank_loaders = [self.train_loader] + [
             clone_batch_source(self.train_loader)
             for _ in range(1, self.world_size)]
-        self._parallel = True
 
     # ------------------------------------------------------------------
     def _default_step_time(self, batch: int) -> float:
@@ -314,7 +305,7 @@ class DDPTrainer:
                                               parallel=self._parallel))
             self._charge_data_comm(len(plan[0][step]))
             average_and_apply(self.comm, self.bucketer, self._grad_bufs,
-                              [self.optimizer], category="gradient")
+                              self.optimizer)
             self.global_step += 1
             if (self.checkpoint_every
                     and self.global_step % self.checkpoint_every == 0):

@@ -1,16 +1,15 @@
 """Shared per-step update logic for every trainer.
 
-The "average grads → clip → optimizer apply" tail of a training step was
-copy-pasted (with small drift) across :class:`~repro.training.trainer.
-Trainer`, :class:`~repro.training.ddp.DDPTrainer` and :class:`~repro.
-training.replicated.ReplicatedDDPTrainer`.  It lives here once now, with
-the exact historical operation order preserved:
+The "average grads → clip → optimizer apply" tail of a training step,
+for :class:`~repro.training.trainer.Trainer` and
+:class:`~repro.training.ddp.DDPTrainer`, with the exact historical
+operation order preserved:
 
 - :func:`clip_and_step` — ``clip_grad_norm`` (if enabled) then
   ``optimizer.step()``, the single-device tail.
 - :func:`average_and_apply` — bucketed mean all-reduce of per-rank
-  gradients followed by per-optimizer unpack + step, the distributed
-  tail shared by the shared-replica and per-rank-replica DDP trainers.
+  gradients followed by unpack + step, the distributed tail (each rank
+  clips its own gradient before packing).
 
 Op order is seed-identical to the pre-refactor code: gradients are
 reduced elementwise over ranks in rank order, written back into the
@@ -40,24 +39,19 @@ def clip_and_step(optimizer: Optimizer, clip_norm: float | None) -> None:
 
 def average_and_apply(pg: ProcessGroup, bucketer: GradientBucketer,
                       rank_buffers: list[list[np.ndarray]],
-                      optimizers: list[Optimizer], *,
-                      clip_norm: float | None = None,
-                      category: str = "gradient") -> None:
-    """Mean-all-reduce packed gradients, then apply on every optimizer.
+                      optimizer: Optimizer) -> None:
+    """Mean-all-reduce packed gradients, then step ``optimizer`` on them.
 
     ``rank_buffers[r]`` is rank ``r``'s packed bucket set (see
-    :meth:`GradientBucketer.pack`).  One all-reduce is issued per bucket;
-    ``optimizers`` receive the reduced gradients in rank order — one
-    optimizer (shared-replica DDP) consumes rank 0's copy, per-rank
-    optimizers (replicated DDP) consume their own.
+    :meth:`GradientBucketer.pack`).  One ``"gradient"`` all-reduce is
+    issued per bucket; every rank's reduced copy holds the same bits, so
+    the optimizer consumes rank 0's.
     """
     if len(rank_buffers) != pg.world_size:
         raise ValueError(f"expected bucket buffers for {pg.world_size} "
                          f"ranks, got {len(rank_buffers)}")
     reduced = [pg.allreduce([bufs[b] for bufs in rank_buffers],
-                            op="mean", category=category)
+                            op="mean", category="gradient")[0]
                for b in range(bucketer.num_buckets)]
-    for rank, opt in enumerate(optimizers):
-        bucketer.unpack([reduced[b][rank]
-                         for b in range(bucketer.num_buckets)], opt.params)
-        clip_and_step(opt, clip_norm)
+    bucketer.unpack(reduced, optimizer.params)
+    optimizer.step()

@@ -47,11 +47,8 @@ def make_trainer(data, *, strategy=DDPStrategy.DIST_INDEX, plan=None,
                  world=WORLD):
     idx, supports = data
 
-    def build_model():
-        return PGTDCRNN(supports, horizon=4, in_features=2, hidden_dim=8,
-                        seed=SEED)
-
-    model = build_model()
+    model = PGTDCRNN(supports, horizon=4, in_features=2, hidden_dim=8,
+                     seed=SEED)
     opt = Adam(model.parameters(), lr=0.01)
     base = (ThreadTransport(world) if transport == "thread"
             else SimTransport(world))
@@ -61,7 +58,6 @@ def make_trainer(data, *, strategy=DDPStrategy.DIST_INDEX, plan=None,
         IndexBatchLoader(idx, "train", BATCH),
         IndexBatchLoader(idx, "val", BATCH),
         strategy=strategy, seed=SEED,
-        model_factory=build_model if transport == "thread" else None,
         checkpoint_every=checkpoint_every if ckpt else None,
         checkpoint_path=ckpt)
 

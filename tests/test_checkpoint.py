@@ -308,17 +308,13 @@ class TestResumeEdgeCases:
             from repro.runtime import ProcessGroup
             from repro.training import DDPTrainer
 
-            def build_model():
-                return PGTDCRNN(supports, 4, 2, hidden_dim=8, seed=0)
-
-            model = build_model()
+            model = PGTDCRNN(supports, 4, 2, hidden_dim=8, seed=0)
             opt = Adam(model.parameters(), lr=0.01)
             pg = (ProcessGroup.threads(world) if transport == "thread"
                   else ProcessGroup.sim(world))
             return DDPTrainer(
                 model, opt, pg, IndexBatchLoader(idx, "train", 8),
                 IndexBatchLoader(idx, "val", 8), seed=0,
-                model_factory=build_model if transport == "thread" else None,
                 checkpoint_every=every if ckpt else None,
                 checkpoint_path=ckpt, **kw)
 

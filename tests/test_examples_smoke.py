@@ -19,7 +19,8 @@ EXAMPLES_DIR = Path(__file__).resolve().parents[1] / "examples"
 EXAMPLE_ARGS = {
     "quickstart": dict(scale="tiny", epochs=1),
     "model_zoo": dict(scale="tiny", epochs=1),
-    "distributed_training": dict(scale="tiny", world=2, epochs=1),
+    "distributed_training": dict(scale="tiny", world=2, epochs=1,
+                                 transport="thread"),
     "memory_comparison": dict(nodes=8, entries=200),
     "dynamic_graphs": dict(nodes=10, entries=300, epochs=1, horizon=4),
     "scaling_study": dict(),
@@ -28,6 +29,14 @@ EXAMPLE_ARGS = {
                             requests=30),
     "gateway": dict(scale="tiny", epochs=1, requests=60),
     "elastic": dict(scale="tiny", epochs=1, requests_per_tick=40),
+}
+
+#: example module -> a line its smoke run must print.
+EXPECTED_LINES = {
+    # The rerun on rank threads trains on replicas DDPTrainer derives
+    # itself, through ``api.run``.
+    "distributed_training":
+        "thread vs sim fixed-seed curves bitwise identical: True",
 }
 
 TIMEOUT_SECONDS = 120
@@ -100,6 +109,7 @@ def test_example_runs(name, capsys):
         module.main(**EXAMPLE_ARGS[name])
     out = capsys.readouterr().out
     assert out.strip(), f"example {name!r} printed nothing"
+    assert EXPECTED_LINES.get(name, "") in out
 
 
 def test_readme_gateway_snippet_runs(tmp_path, monkeypatch, capsys):

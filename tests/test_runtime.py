@@ -394,20 +394,19 @@ def tiny_setup():
     return idx, supports
 
 
-def _factory(supports, seed=0):
+def _factory(supports):
     return lambda: PGTDCRNN(supports, horizon=4, in_features=2,
-                            hidden_dim=8, seed=seed)
+                            hidden_dim=8, seed=0)
 
 
-def _fit_ddp(idx, supports, strategy, pg, *, epochs=3, model_factory=None,
-             bucket_cap_mb=25.0, with_val=True):
+def _fit_ddp(idx, supports, strategy, pg, *, epochs=3, bucket_cap_mb=25.0,
+             with_val=True):
     model = _factory(supports)()
     opt = Adam(model.parameters(), lr=0.01)
     tr = DDPTrainer(model, opt, pg,
                     IndexBatchLoader(idx, "train", 8),
                     IndexBatchLoader(idx, "val", 8) if with_val else None,
                     strategy=strategy, scaler=idx.scaler, seed=0,
-                    model_factory=model_factory,
                     bucket_cap_mb=bucket_cap_mb)
     hist = tr.fit(epochs)
     return tr, [h.train_loss for h in hist]
@@ -467,13 +466,12 @@ class TestCrossTransportEquivalence:
     @pytest.mark.parametrize("strategy", list(DDPStrategy))
     def test_thread_matches_sim_bitwise(self, tiny_setup, strategy):
         idx, supports = tiny_setup
-        factory = _factory(supports)
         _, sim_curve = _fit_ddp(idx, supports, strategy,
                                 ProcessGroup.sim(4), epochs=2,
                                 with_val=False)
         tr, thr_curve = _fit_ddp(idx, supports, strategy,
                                  ProcessGroup.threads(4), epochs=2,
-                                 model_factory=factory, with_val=False)
+                                 with_val=False)
         assert thr_curve == sim_curve
         # Replicas stayed aliased to the shared parameters throughout.
         ref = tr.model.state_dict()
@@ -481,16 +479,71 @@ class TestCrossTransportEquivalence:
             for name, arr in rep.state_dict().items():
                 np.testing.assert_array_equal(arr, ref[name])
 
-    def test_replicated_execution_on_sim_matches_shared_model(
+    def test_thread_ranks_run_concurrently(self, tiny_setup):
+        """``ProcessGroup.threads`` alone makes rank steps concurrent: the
+        trainer derives the replicas, no caller has to.  Both ranks must
+        be inside a step at once to pass the barrier; ranks run one after
+        the other never meet there."""
+        import threading
+
+        idx, supports = tiny_setup
+        model = _factory(supports)()
+        tr = DDPTrainer(model, Adam(model.parameters(), lr=0.01),
+                        ProcessGroup.threads(2),
+                        IndexBatchLoader(idx, "train", 8), seed=0)
+        barrier = threading.Barrier(2, timeout=10)
+        step = tr._microbatch_grads
+
+        def spy(rank, sel):
+            barrier.wait()
+            return step(rank, sel)
+
+        tr._microbatch_grads = spy
+        tr.train_epoch(0)
+
+    def test_replicas_alias_params_and_supports_only(self, tiny_setup):
+        idx, supports = tiny_setup
+        model = _factory(supports)()
+        tr = DDPTrainer(model, Adam(model.parameters(), lr=0.01),
+                        ProcessGroup.threads(2),
+                        IndexBatchLoader(idx, "train", 8), seed=0)
+        tr.train_epoch(0)
+        shared, replica = tr._replicas
+        assert shared is model and replica is not model
+        for p, q in zip(shared.parameters(), replica.parameters()):
+            assert q is not p and q.data is p.data
+            assert q.grad is not None and q.grad is not p.grad
+        for a, b in ((shared.cell.gates, replica.cell.gates),
+                     (shared.cell.candidate, replica.cell.candidate)):
+            assert all(x is y for x, y in zip(a.supports, b.supports))
+            assert a._scratch and b._scratch
+            assert not any(x is y for x in a._scratch.values()
+                           for y in b._scratch.values())
+        assert replica.cell._scratch is not shared.cell._scratch
+        assert all(a is b for a, b in zip(tr._rank_params[1],
+                                          replica.parameters()))
+
+    @pytest.mark.parametrize("make_pg", [
+        lambda: ProcessGroup.sim(2),
+        lambda: ProcessGroup.threads(2, parallel=False),
+        lambda: ProcessGroup.processes(2, parallel=False),
+    ], ids=["sim", "sequential-threads", "inline-processes"])
+    def test_sequential_and_forked_ranks_share_the_model(self, tiny_setup,
+                                                         make_pg):
+        idx, supports = tiny_setup
+        model = _factory(supports)()
+        tr = DDPTrainer(model, Adam(model.parameters(), lr=0.01), make_pg(),
+                        IndexBatchLoader(idx, "train", 8), seed=0)
+        assert tr._replicas is None
+
+    def test_foreign_optimizer_params_rejected_for_thread_ranks(
             self, tiny_setup):
         idx, supports = tiny_setup
-        _, shared = _fit_ddp(idx, supports, DDPStrategy.DIST_INDEX,
-                             ProcessGroup.sim(4), epochs=2, with_val=False)
-        _, replicated = _fit_ddp(idx, supports, DDPStrategy.DIST_INDEX,
-                                 ProcessGroup.sim(4), epochs=2,
-                                 model_factory=_factory(supports),
-                                 with_val=False)
-        assert replicated == shared
+        model, other = _factory(supports)(), _factory(supports)()
+        with pytest.raises(CommunicatorError, match="optimizer params"):
+            DDPTrainer(model, Adam(other.parameters(), lr=0.01),
+                       ProcessGroup.threads(2),
+                       IndexBatchLoader(idx, "train", 8), seed=0)
 
     def test_many_small_buckets_do_not_change_numerics(self, tiny_setup):
         idx, supports = tiny_setup
@@ -509,13 +562,6 @@ class TestCrossTransportEquivalence:
         # bandwidth terms are equal, so a rounding-only gap does not count).
         assert tr2.comm.now > tr1.comm.now
         assert tr2.comm.now != pytest.approx(tr1.comm.now)
-
-    def test_mismatched_factory_rejected(self, tiny_setup):
-        idx, supports = tiny_setup
-        with pytest.raises(CommunicatorError):
-            _fit_ddp(idx, supports, DDPStrategy.DIST_INDEX,
-                     ProcessGroup.sim(2), epochs=1,
-                     model_factory=_factory(supports, seed=5))
 
     def test_cloneless_loader_rejected_for_replicas(self):
         """A source without clone() must fail loudly, not share buffers."""
