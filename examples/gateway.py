@@ -51,7 +51,7 @@ def main(scale: str = "tiny", epochs: int = 2, requests: int = 200) -> None:
                          "burst": 8}],
         clock=ManualClock(), max_batch=8,
         service_time=lambda n: 4e-4 + 2e-4 * n, cache_ttl=30.0)
-    print(f"gateway up: deployments {gw.deployments.names()}, "
+    print(f"gateway up: deployments {sorted(gw.deployments)}, "
           f"tenants ops (unlimited) + research (200 qps quota)")
 
     # v2 for the swap later: a self-describing checkpoint of the same

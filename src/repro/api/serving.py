@@ -50,7 +50,7 @@ def list_servers() -> list[str]:
 
 @SERVERS.register("sharded")
 def _build_sharded_session(model, scaler, dataset, spec, *,
-                           max_batch: int = 32, num_shards: int = 2,
+                           num_shards: int = 2,
                            receptive_hops: int | None = None,
                            store_capacity: int | None = None,
                            store_dtype="float32",
@@ -68,7 +68,7 @@ def _build_sharded_session(model, scaler, dataset, spec, *,
                          "RunResult or a spec-embedding checkpoint")
     return ShardedSession(model, scaler, dataset.graph,
                           num_shards=num_shards, spec=spec,
-                          max_batch=max_batch, receptive_hops=receptive_hops,
+                          receptive_hops=receptive_hops,
                           store_capacity=store_capacity,
                           store_dtype=store_dtype,
                           num_standby=num_standby, fault_plan=fault_plan,
@@ -181,9 +181,9 @@ def serve(source: Any, *, server: str = "local", max_batch: int = 32,
     """
     builder = _server_builder(server, server_kwargs)
     model, scaler, spec, ds = _resolve_artifact(source)
-    session = builder(model, scaler, ds, spec, max_batch=max_batch,
-                      **server_kwargs)
-    return ForecastService(session, clock=clock, service_time=service_time)
+    session = builder(model, scaler, ds, spec, **server_kwargs)
+    return ForecastService(session, max_batch=max_batch, clock=clock,
+                           service_time=service_time)
 
 
 def _normalise_tenants(tenants) -> list[dict]:
@@ -205,7 +205,6 @@ def _normalise_tenants(tenants) -> list[dict]:
 
 
 def session_source(source: Any, *, server: str = "local",
-                   max_batch: int = 32,
                    **server_kwargs) -> Callable[[], Any]:
     """Zero-arg session factory over any ``serve``-able artifact.
 
@@ -221,8 +220,7 @@ def session_source(source: Any, *, server: str = "local",
         if hasattr(source, "predict"):       # already a live session
             return source
         model, scaler, spec, ds = _resolve_artifact(source)
-        return builder(model, scaler, ds, spec, max_batch=max_batch,
-                       **server_kwargs)
+        return builder(model, scaler, ds, spec, **server_kwargs)
 
     return build
 
@@ -305,8 +303,7 @@ def build_gateway(sources: dict[str, Any], *, tenants=None,
     for name, source in sources.items():
         gw.add_deployment(
             name,
-            session_source(source, server=server, max_batch=max_batch,
-                           **server_kwargs),
+            session_source(source, server=server, **server_kwargs),
             version=(versions or {}).get(name, "v1"),
             state=(states or {}).get(name, "warm"),
             fallback=(fallbacks or {}).get(name))

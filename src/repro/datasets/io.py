@@ -42,6 +42,7 @@ from repro.datasets.base import SpatioTemporalDataset
 from repro.datasets.catalog import DatasetSpec
 from repro.graph.adjacency import SensorGraph
 from repro.utils.errors import DatasetFileError
+from repro.utils.files import savez_atomic
 
 #: Largest buffer the streamed CRC-32 pass holds.
 _CHUNK = 1 << 20
@@ -139,7 +140,10 @@ def _unreadable(path: str, exc: Exception) -> DatasetFileError:
 
 def save_dataset(path: str, dataset: SpatioTemporalDataset) -> None:
     """Write signals, graph and spec to one ``.npz``-format archive at
-    exactly ``path``, whatever its suffix (format: module docstring)."""
+    exactly ``path``, whatever its suffix (format: module docstring).
+
+    The write is atomic (:func:`~repro.utils.files.savez_atomic`): a save
+    that fails part-way leaves the previous file at ``path`` intact."""
     w = dataset.graph.weights.tocsr()
     spec_json = json.dumps({
         "name": dataset.spec.name,
@@ -152,9 +156,7 @@ def save_dataset(path: str, dataset: SpatioTemporalDataset) -> None:
         "interval_minutes": dataset.spec.interval_minutes,
     })
     arrays = dict(
-        # Read before `path` is opened for writing: the dataset may be
-        # file-backed by the very file it is saved over.  C order is what
-        # StoredArray's row offsets assume.
+        # C order is what StoredArray's row offsets assume.
         signals=np.ascontiguousarray(dataset.signals),
         timestamps=dataset.timestamps,
         coords=dataset.graph.coords,
@@ -162,10 +164,7 @@ def save_dataset(path: str, dataset: SpatioTemporalDataset) -> None:
         adj_shape=np.array(w.shape),
         graph_name=np.frombuffer(dataset.graph.name.encode(), dtype=np.uint8),
         spec=np.frombuffer(spec_json.encode(), dtype=np.uint8))
-    # Through a file handle: given a path, NumPy appends ".npz" to any other
-    # suffix and load_dataset_file(path) would not find the file.
-    with open(path, "wb") as f:
-        np.savez(f, **arrays)
+    savez_atomic(path, arrays)
 
 
 def _read_member(f, zf: zipfile.ZipFile, stamp: tuple[int, int], name: str,

@@ -15,8 +15,8 @@ Turns trained checkpoints into a queryable, instrumented service:
   facade tying session + queue + clock together.
 - :class:`~repro.serving.loadgen.LoadGenerator` — reproducible closed-
   and open-loop load with p50/p95/p99 latency and QPS reporting.
-- :mod:`repro.serving.gateway` — the multi-tenant front door: deployment
-  registry with blue-green swaps, API-key auth + quotas, admission
+- :mod:`repro.serving.gateway` — the multi-tenant front door: named
+  deployments with blue-green swaps, API-key auth + quotas, admission
   control with load shedding, and a TTL result cache
   (:class:`~repro.serving.gateway.Gateway`, driven per tenant by
   :class:`~repro.serving.loadgen.GatewayLoadGenerator`).
@@ -51,7 +51,6 @@ from repro.serving.gateway import (
     AdmissionController,
     AuthError,
     Deployment,
-    DeploymentRegistry,
     Gateway,
     GatewayResponse,
     ResultCache,
@@ -77,7 +76,6 @@ __all__ = [
     "CircuitTransition",
     "Deployment",
     "DeploymentFaultInjector",
-    "DeploymentRegistry",
     "FailoverEvent",
     "FeatureStore",
     "Forecast",

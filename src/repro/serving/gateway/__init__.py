@@ -4,15 +4,15 @@ Everything PRs 3-5 built — sessions, micro-batching, sharding, failover —
 serves one model to one caller.  This package is the production front
 end over all of it:
 
-- :class:`~repro.serving.gateway.deployments.DeploymentRegistry` — named,
-  version-pinned deployments (warm/cold replicas, atomic blue-green
+- :class:`~repro.serving.gateway.deployments.Deployment` — one named,
+  version-pinned deployment (warm/cold replica, atomic blue-green
   checkpoint swaps that drain in-flight requests).
 - :class:`~repro.serving.gateway.tenancy.TenantManager` — API-key auth,
   deterministic token-bucket quotas, per-tenant isolated feature stores.
 - :class:`~repro.serving.gateway.admission.AdmissionController` —
   deadline-projection load shedding, recorded per tenant.
 - :class:`~repro.serving.gateway.result_cache.ResultCache` — TTL result
-  cache keyed on (deployment, version, sensor-set, window hash); hits
+  cache keyed on (deployment, version, window hash); hits
   are bitwise equal to recomputation.
 - :class:`~repro.serving.gateway.gateway.Gateway` — the app factory tying
   them together on the subsystem's ManualClock/real-clock duality.
@@ -26,11 +26,7 @@ The declarative entry point is ``repro.api.build_gateway``.
 """
 
 from repro.serving.gateway.admission import AdmissionController, ShedDecision
-from repro.serving.gateway.deployments import (
-    Deployment,
-    DeploymentRegistry,
-    SwapRecord,
-)
+from repro.serving.gateway.deployments import Deployment, SwapRecord
 from repro.serving.gateway.gateway import (
     Gateway,
     GatewayResponse,
@@ -68,7 +64,6 @@ __all__ = [
     "CircuitTransition",
     "Deployment",
     "DeploymentFaultInjector",
-    "DeploymentRegistry",
     "Gateway",
     "GatewayResilience",
     "GatewayResponse",

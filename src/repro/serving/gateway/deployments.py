@@ -9,7 +9,7 @@ queue + stats) on the gateway's shared clock.  Deployments start *warm*
 a checkpoint path or factory — held; the session is built on first touch
 and the warm-up cost recorded).
 
-**Blue-green swap.**  :meth:`DeploymentRegistry.swap` replaces a
+**Blue-green swap.**  :meth:`Deployment.swap` replaces a
 deployment's checkpoint atomically with respect to requests: the green
 session is fully built *first* (a failing build leaves blue serving
 untouched), the blue queue is then drained — every in-flight request
@@ -106,7 +106,7 @@ class Deployment:
         t0 = time.perf_counter()
         session = _resolve_session(self.source)
         self.service = ForecastService(
-            session, max_batch=min(self.max_batch, session.max_batch),
+            session, max_batch=self.max_batch,
             clock=self.clock, service_time=self.service_time)
         self.service.fault_injector = self.fault_injector
         self.warm_seconds = time.perf_counter() - t0
@@ -214,11 +214,6 @@ class Deployment:
                     f"green session {attr}={getattr(green, attr)} does not "
                     f"match blue {attr}={getattr(blue, attr)}; a swap may "
                     f"change weights, never the model interface")
-        if green.max_batch < self.service.queue.max_batch:
-            raise ValueError(
-                f"green session max_batch {green.max_batch} is below the "
-                f"queue's {self.service.queue.max_batch}; rebuild it with "
-                f"at least the deployment's staging capacity")
         drained = self.service.flush()         # blue finishes its queue
         dropped = len(self.service.queue)      # flush() empties it: 0
         self.service.session = green           # the atomic flip
@@ -239,53 +234,3 @@ class Deployment:
                 "swaps": len(self.swaps),
                 "fallback": self.fallback,
                 "restarts": self.restarts}
-
-
-class DeploymentRegistry:
-    """Named deployments sharing one clock, batch cap and service-time
-    model."""
-
-    def __init__(self, clock: Callable[[], float], *, max_batch: int = 8,
-                 service_time: Callable[[int], float] | None = None):
-        self.clock = clock
-        self.max_batch = int(max_batch)
-        self.service_time = service_time
-        self._deployments: dict[str, Deployment] = {}
-
-    def __len__(self) -> int:
-        return len(self._deployments)
-
-    def __contains__(self, name: str) -> bool:
-        return str(name) in self._deployments
-
-    def names(self) -> list[str]:
-        return sorted(self._deployments)
-
-    def register(self, name: str, source: Any, *, version: str = "v1",
-                 state: str = "warm",
-                 fallback: str | None = None) -> Deployment:
-        """Add a deployment on the registry's clock, batch cap and
-        service-time model."""
-        name = str(name)
-        if name in self._deployments:
-            raise ValueError(f"deployment {name!r} already registered; use "
-                             f"swap() to replace its checkpoint")
-        dep = Deployment(
-            name, source, version=version, state=state, clock=self.clock,
-            max_batch=self.max_batch, service_time=self.service_time,
-            fallback=fallback)
-        self._deployments[name] = dep
-        return dep
-
-    def get(self, name: str) -> Deployment:
-        try:
-            return self._deployments[str(name)]
-        except KeyError:
-            raise KeyError(f"unknown deployment {name!r}; registered: "
-                           f"{self.names()}") from None
-
-    def deployments(self) -> list[Deployment]:
-        return [self._deployments[n] for n in self.names()]
-
-    def describe(self) -> dict[str, dict]:
-        return {n: d.describe() for n, d in sorted(self._deployments.items())}

@@ -1,8 +1,8 @@
 """The multi-tenant serving gateway: one front door over many models.
 
-:class:`Gateway` composes the pieces the package docstring lists — a
-deployment registry, a tenant manager, an admission controller and an
-optional result cache — into the millions-of-users entry point the
+:class:`Gateway` composes the pieces the package docstring lists — named
+deployments, a tenant manager, an admission controller and an optional
+result cache — into the millions-of-users entry point the
 roadmap asks for.  Request events are counted once, on the tenant;
 :class:`GatewayStats` only sums them.
 
@@ -43,8 +43,7 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.serving.gateway.admission import AdmissionController, ShedDecision
-from repro.serving.gateway.deployments import (
-    Deployment, DeploymentRegistry, SwapRecord)
+from repro.serving.gateway.deployments import Deployment, SwapRecord
 from repro.serving.gateway.result_cache import ResultCache, cache_key
 from repro.serving.gateway.tenancy import Tenant, TenantManager
 from repro.serving.resilience import (
@@ -220,8 +219,10 @@ class Gateway:
                  resilience: ResiliencePolicy | None = None,
                  fault_plan: Any | None = None):
         self.clock = clock if clock is not None else ManualClock()
-        self.deployments = DeploymentRegistry(
-            self.clock, max_batch=max_batch, service_time=service_time)
+        self.max_batch = int(max_batch)
+        self.service_time = service_time
+        #: name -> deployment; dispatch walks them sorted by name.
+        self.deployments: dict[str, Deployment] = {}
         self.tenants = TenantManager(self.clock)
         self.admission = AdmissionController(
             self.clock, max_queue_depth=max_queue_depth)
@@ -249,13 +250,19 @@ class Gateway:
         """Register a deployment (session, factory, or checkpoint path);
         ``fallback`` names the deployment that answers when its circuit
         opens."""
-        dep = self.deployments.register(name, source, version=version,
-                                        state=state, fallback=fallback)
+        name = str(name)
+        if name in self.deployments:
+            raise ValueError(f"deployment {name!r} already registered; use "
+                             f"swap() to replace its checkpoint")
+        dep = Deployment(name, source, version=version, state=state,
+                         clock=self.clock, max_batch=self.max_batch,
+                         service_time=self.service_time, fallback=fallback)
+        self.deployments[name] = dep
         baseline = None
-        if dep.service_time is not None:
+        if self.service_time is not None:
             # A synthetic service-time model makes projections exact from
             # the first request; measured deployments learn by EWMA.
-            baseline = dep.service_time(dep.max_batch)
+            baseline = self.service_time(self.max_batch)
             self.admission.seed_estimate(dep.name, baseline)
         self.resilience.register(dep.name, baseline=baseline)
         injector = self.resilience.injector(dep.name)
@@ -270,6 +277,15 @@ class Gateway:
         return self.tenants.register(tenant_id, api_key=api_key,
                                      rate_qps=rate_qps, burst=burst)
 
+    def _deployment(self, name: str) -> Deployment:
+        """The deployment registered as ``name``; a ``KeyError`` for an
+        unknown one lists the registered names."""
+        try:
+            return self.deployments[str(name)]
+        except KeyError:
+            raise KeyError(f"unknown deployment {name!r}; registered: "
+                           f"{sorted(self.deployments)}") from None
+
     # ------------------------------------------------------------------
     # Streaming observations (tenant-isolated)
     # ------------------------------------------------------------------
@@ -278,7 +294,7 @@ class Gateway:
         """Stream one observation row into the calling tenant's private
         store for ``deployment`` (created lazily, never shared)."""
         tenant = self.tenants.authenticate(api_key)
-        dep = self.deployments.get(deployment).warm()
+        dep = self._deployment(deployment).warm()
         store = tenant.stores.get(dep.name)
         if store is None:
             store = dep.new_store(self.store_capacity)
@@ -308,7 +324,7 @@ class Gateway:
         ``default_deadline`` (relative seconds) applies.
         """
         tenant = self.tenants.authenticate(api_key)
-        dep = self.deployments.get(deployment).warm()
+        dep = self._deployment(deployment).warm()
         now = self.clock()
         tenant.stats.submitted += 1
         rec = _PendingRecord(tenant, dep.name, dep.version)
@@ -397,7 +413,7 @@ class Gateway:
         if (dep.fallback is None or dep.fallback == dep.name
                 or dep.fallback not in self.deployments):
             return None
-        fdep = self.deployments.get(dep.fallback).warm()
+        fdep = self.deployments[dep.fallback].warm()
         if self.resilience.breaker(fdep.name).before_request() != CLOSED:
             return None
         return fdep
@@ -515,7 +531,7 @@ class Gateway:
         ticket = (resp.deployment, resp.request_id)
         # Its own queue first; recovery may have bounced the request to
         # another (retry or fallback re-route), so widen until it lands.
-        self._drain_deployment(self.deployments.get(resp.deployment))
+        self._drain_deployment(self.deployments[resp.deployment])
         found = self._completed.pop(ticket, None) or self._drain_all(ticket)
         if found is None:
             raise RuntimeError(                            # pragma: no cover
@@ -586,9 +602,10 @@ class Gateway:
         self._handle_failures(dep)
 
     def _dispatch_pending(self) -> None:
-        """One pass: everything pending on every deployment."""
-        for dep in self.deployments.deployments():
-            self._drain_deployment(dep)
+        """One pass: everything pending on every deployment, in name
+        order (simulated-clock schedules depend on it)."""
+        for name in sorted(self.deployments):
+            self._drain_deployment(self.deployments[name])
 
     def _drain_all(self, ticket: tuple | None = None
                    ) -> GatewayResponse | None:
@@ -601,7 +618,7 @@ class Gateway:
             self._dispatch_pending()
             found = self._completed.pop(ticket, None)
             if found is not None or not any(
-                    d.in_flight for d in self.deployments.deployments()):
+                    d.in_flight for d in self.deployments.values()):
                 return found
         return None
 
@@ -639,7 +656,7 @@ class Gateway:
         to the blue session and returns the :class:`RollbackRecord`
         instead of the swap record — again with zero dropped requests.
         """
-        dep = self.deployments.get(deployment).warm()
+        dep = self._deployment(deployment).warm()
         blue_session = dep.service.session
         blue_version, blue_source = dep.version, dep.source
         record, drained = self._observed(
@@ -745,7 +762,8 @@ class Gateway:
         """One introspection dict: gateway, deployments, tenants, cache."""
         return {
             "stats": self.stats.to_dict(),
-            "deployments": self.deployments.describe(),
+            "deployments": {n: d.describe()
+                            for n, d in sorted(self.deployments.items())},
             "tenants": self.tenants.per_tenant_stats(),
             "auth_failures": self.tenants.auth_failures,
             "shed_by_reason": self.admission.shed_by_reason(),

@@ -4,8 +4,8 @@ A forecast is a pure function of ``(model version, input window)``: the
 serving stack runs deterministic ``no_grad`` NumPy forwards, so two
 requests carrying bitwise-identical windows against the same deployment
 version must produce bitwise-identical predictions.  The cache exploits
-that purity — entries are keyed on ``(deployment, version, sensor-set,
-window hash)`` and a hit returns a copy of the stored prediction array,
+that purity — entries are keyed on ``(deployment, version, window
+hash)`` and a hit returns a copy of the stored prediction array,
 **bitwise equal** to what recomputation would have produced (the gateway
 tests pin this).
 
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import hashlib
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -39,18 +39,9 @@ def window_fingerprint(window: np.ndarray) -> str:
     return h.hexdigest()
 
 
-def cache_key(deployment: str, version: str, window: np.ndarray,
-              sensors: np.ndarray | None = None) -> tuple:
-    """The full cache key: deployment identity + sensor subset + window.
-
-    ``sensors=None`` means "all sensors" (the whole-graph forecast the
-    front door serves by default); a subset keys separately so routed
-    per-sensor answers never alias whole-graph ones.
-    """
-    sensor_key = ("all" if sensors is None
-                  else tuple(int(s) for s in np.atleast_1d(sensors)))
-    return (str(deployment), str(version), sensor_key,
-            window_fingerprint(window))
+def cache_key(deployment: str, version: str, window: np.ndarray) -> tuple:
+    """The full cache key: deployment identity + window."""
+    return (str(deployment), str(version), window_fingerprint(window))
 
 
 @dataclass
@@ -89,10 +80,6 @@ class _Entry:
     deployment: str = ""
     fingerprint: str = ""       # digest of the stored array at put time
     expired_noted: bool = False  # expiry counted once in stats
-    nbytes: int = field(init=False)
-
-    def __post_init__(self):
-        self.nbytes = int(self.predictions.nbytes)
 
 
 class ResultCache:
@@ -125,16 +112,12 @@ class ResultCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    @property
-    def resident_nbytes(self) -> int:
-        return sum(e.nbytes for e in self._entries.values())
-
     # ------------------------------------------------------------------
     def get(self, key: tuple) -> np.ndarray | None:
         """The cached predictions for ``key`` (an owned copy), or ``None``.
 
         Expired entries miss (counted once per entry) but stay resident
-        until LRU eviction or :meth:`purge_expired` — they are the
+        until LRU eviction or :meth:`invalidate` — they are the
         degradation ladder's stale inventory, reachable via
         :meth:`get_stale` when a deployment goes down.  A live hit
         refreshes LRU recency but never the TTL — an entry's lifetime is
@@ -222,12 +205,3 @@ class ResultCache:
             dropped = len(stale)
         self.stats.invalidations += dropped
         return dropped
-
-    def purge_expired(self) -> int:
-        """Drop every entry past its TTL now; returns the count."""
-        now = self.clock()
-        stale = [k for k, e in self._entries.items() if now >= e.expires]
-        for k in stale:
-            del self._entries[k]
-        self.stats.expirations += len(stale)
-        return len(stale)

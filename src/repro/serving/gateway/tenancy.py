@@ -93,16 +93,6 @@ class Tenant:
             return True
         return False
 
-    def tokens_available(self, now: float) -> float:
-        """Current bucket level (inf for unmetered tenants); read-only."""
-        if self.quota.rate_qps is None:
-            return float("inf")
-        if self._refilled_at is None:
-            return float(self.quota.burst)
-        elapsed = max(0.0, now - self._refilled_at)
-        return min(float(self.quota.burst),
-                   self._tokens + elapsed * self.quota.rate_qps)
-
 
 class TenantManager:
     """Registry of tenants with API-key authentication."""

@@ -386,7 +386,7 @@ class GatewayLoadGenerator(_SeededLoad):
     # ------------------------------------------------------------------
     def _mark(self) -> tuple[float, int]:
         """Busy seconds and batches summed over the live deployments."""
-        live = [d.service.stats for d in self.gateway.deployments.deployments()
+        live = [d.service.stats for d in self.gateway.deployments.values()
                 if d.service is not None]
         return (sum(s.busy_seconds for s in live),
                 sum(s.batches for s in live))

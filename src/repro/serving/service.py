@@ -71,7 +71,7 @@ class ForecastService:
     latency measured on the service clock.
     """
 
-    def __init__(self, session: Any, *, max_batch: int | None = None,
+    def __init__(self, session: Any, *, max_batch: int = 32,
                  clock: Callable[[], float] | None = None,
                  service_time: Callable[[int], float] | None = None):
         self.session = session
@@ -80,11 +80,6 @@ class ForecastService:
         # on the (manual) clock.  None = measure real wall time.  A fixed
         # model makes whole load-generator schedules bit-reproducible.
         self.service_time = service_time
-        max_batch = session.max_batch if max_batch is None else int(max_batch)
-        if max_batch > session.max_batch:
-            raise ValueError(
-                f"service max_batch {max_batch} exceeds the session's "
-                f"staging capacity {session.max_batch}")
         self.queue = MicroBatchQueue(max_batch=max_batch, clock=self.clock)
         self.stats = ServiceStats()
         self._completed: list[Forecast] = []

@@ -48,19 +48,17 @@ class ModelSession:
     spec:
         optional :class:`~repro.api.spec.RunSpec` this model came from
         (kept for introspection / re-serialisation).
-    max_batch:
-        capacity of the persistent input-staging buffer; also the largest
-        batch :meth:`predict` accepts.
+
+    A session has no batch cap (that is the queue's, see
+    :class:`~repro.serving.queue.MicroBatchQueue`): its staging buffer
+    grows to the largest batch it is handed and is reused from then on.
     """
 
     def __init__(self, model: Any, scaler: StandardScaler | None = None, *,
-                 spec: Any = None, max_batch: int = 32):
-        if max_batch < 1:
-            raise ValueError(f"max_batch must be >= 1, got {max_batch}")
+                 spec: Any = None):
         self.model = model.eval()
         self.scaler = scaler
         self.spec = spec
-        self.max_batch = int(max_batch)
         self.horizon = int(model.horizon)
         self.num_nodes = int(model.num_nodes)
         self.in_features = int(model.in_features)
@@ -69,7 +67,7 @@ class ModelSession:
         # know the dataset overwrite it.
         self.add_time_feature = has_time_feature(None, self.in_features)
         self._in_buf = np.empty(
-            (self.max_batch, self.horizon, self.num_nodes, self.in_features),
+            (0, self.horizon, self.num_nodes, self.in_features),
             dtype=np.float32)
         self.requests_served = 0
 
@@ -77,8 +75,7 @@ class ModelSession:
     # Construction from a self-describing checkpoint
     # ------------------------------------------------------------------
     @staticmethod
-    def from_checkpoint(path: str, *, max_batch: int = 32,
-                        store_capacity: int | None = None,
+    def from_checkpoint(path: str, *, store_capacity: int | None = None,
                         store_dtype="float32") -> "ModelSession":
         """Restore model + scaler + spec from ``path`` into a local session.
 
@@ -96,7 +93,6 @@ class ModelSession:
 
         model, scaler, spec, ds = restore_checkpoint(path)
         return build_local_session(model, scaler, ds, spec,
-                                   max_batch=max_batch,
                                    store_capacity=store_capacity,
                                    store_dtype=store_dtype)
 
@@ -157,12 +153,16 @@ class ModelSession:
     # ------------------------------------------------------------------
     def stage(self, batch: int) -> np.ndarray:
         """A ``[batch, horizon, nodes, features]`` view of the persistent
-        staging buffer.  Fill it and hand it to :meth:`predict`, which
-        recognises the view and skips its staging copy — the seam the
+        staging buffer, grown first if ``batch`` is the largest yet.  Fill
+        it and hand it to :meth:`predict`, which recognises the view and
+        skips its staging copy — the seam the
         :class:`~repro.serving.service.ForecastService` materialises
         micro-batches through."""
-        if not 1 <= batch <= self.max_batch:
-            raise ValueError(f"batch {batch} outside [1, {self.max_batch}]")
+        if batch < 1:
+            raise ValueError(f"batch must be >= 1, got {batch}")
+        if batch > len(self._in_buf):
+            self._in_buf = np.empty((batch,) + self._in_buf.shape[1:],
+                                    dtype=np.float32)
         return self._in_buf[:batch]
 
     def _staged(self, windows: np.ndarray) -> np.ndarray:
@@ -175,15 +175,11 @@ class ModelSession:
         if windows.ndim != 4 or windows.shape[1:] != expected:
             raise ShapeError(f"expected [batch, {expected[0]}, {expected[1]}, "
                              f"{expected[2]}] windows, got {windows.shape}")
-        b = windows.shape[0]
-        if b > self.max_batch:
-            raise ValueError(f"batch {b} exceeds session max_batch "
-                             f"{self.max_batch}; split the request or build "
-                             f"the session with a larger max_batch")
-        staged = self._in_buf[:b]
-        if not (windows.base is self._in_buf
+        if (windows.base is self._in_buf
                 and windows.ctypes.data == self._in_buf.ctypes.data):
-            np.copyto(staged, windows, casting="same_kind")
+            return windows
+        staged = self.stage(windows.shape[0])
+        np.copyto(staged, windows, casting="same_kind")
         return staged
 
     def _forward(self, x: np.ndarray) -> np.ndarray:
@@ -221,7 +217,7 @@ class ModelSession:
 
 
 def build_local_session(model: Any, scaler: StandardScaler | None,
-                        dataset: Any, spec: Any, *, max_batch: int = 32,
+                        dataset: Any, spec: Any, *,
                         store_capacity: int | None = None,
                         store_dtype="float32") -> ModelSession:
     """Single-worker session with an attached sliding-window store.
@@ -231,7 +227,7 @@ def build_local_session(model: Any, scaler: StandardScaler | None,
     precision (``"float16"`` halves the resident serving footprint;
     compute stays float32).
     """
-    session = ModelSession(model, scaler, spec=spec, max_batch=max_batch)
+    session = ModelSession(model, scaler, spec=spec)
     if dataset is not None:
         session.add_time_feature = has_time_feature(dataset)
         if scaler is not None:

@@ -136,13 +136,13 @@ class ShardedSession(ModelSession):
 
     def __init__(self, model: Any, scaler: StandardScaler | None,
                  graph: Any, *, num_shards: int, spec: Any = None,
-                 max_batch: int = 32, receptive_hops: int | None = None,
+                 receptive_hops: int | None = None,
                  store_capacity: int | None = None,
                  store_dtype="float32",
                  comm: ProcessGroup | None = None,
                  add_time_feature: bool | None = None,
                  num_standby: int = 0, fault_plan: Any = None):
-        super().__init__(model, scaler, spec=spec, max_batch=max_batch)
+        super().__init__(model, scaler, spec=spec)
         if add_time_feature is not None:
             self.add_time_feature = bool(add_time_feature)
         self.graph = graph

@@ -19,8 +19,6 @@ regardless of whether ``path`` already ends in ``.npz``.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 import zipfile
 import zlib
 from typing import Any
@@ -31,6 +29,7 @@ from repro.nn.module import Module
 from repro.optim.optimizers import Adam, Optimizer, SGD
 from repro.preprocessing.scaler import StandardScaler
 from repro.utils.errors import CheckpointError
+from repro.utils.files import savez_atomic
 
 
 def save_checkpoint(path: str, model: Module, optimizer: Optimizer | None = None,
@@ -77,34 +76,13 @@ def save_checkpoint(path: str, model: Module, optimizer: Optimizer | None = None
 def write_archive(path: str, arrays: dict[str, np.ndarray]) -> None:
     """Atomically write a checkpoint archive of named arrays to ``path``.
 
-    The seam :func:`save_checkpoint` and the elastic resharder share: the
-    archive is staged through a ``tempfile`` in the destination directory
-    (same filesystem, so the final ``os.replace`` is a rename) and readers
-    can never observe a half-written file.  ``arrays`` must already carry
-    its ``__meta__`` record; this function serialises exactly what it is
+    The seam :func:`save_checkpoint` and the elastic resharder share,
+    staged through :func:`~repro.utils.files.savez_atomic` so readers can
+    never observe a half-written file.  ``arrays`` must already carry its
+    ``__meta__`` record; this function serialises exactly what it is
     given.
     """
-    # Stage in the destination directory so os.replace is an atomic rename
-    # on the same filesystem.  np.savez writes to the open file object
-    # directly, so it cannot append ".npz" to the temp name behind our back.
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ckpt-", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            np.savez(fh, **arrays)
-        # mkstemp creates 0600; widen to the umask-respecting default so
-        # the staged rename does not silently tighten checkpoint
-        # permissions (shared-cluster runs read each other's checkpoints).
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    savez_atomic(path, arrays)
 
 
 def _read_archive(path: str) -> dict[str, np.ndarray]:

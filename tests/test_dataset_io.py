@@ -67,6 +67,26 @@ class TestDatasetIO:
         np.testing.assert_array_equal(loaded.signals, ds.signals)
         assert loaded.spec == ds.spec
 
+    def test_a_failed_save_leaves_the_old_file(self, tmp_path, monkeypatch):
+        """A save that dies part-way leaves the previous archive loading
+        bit for bit, and no temp file beside it."""
+        old = load_dataset("pems-bay", nodes=5, entries=60, seed=3)
+        path = tmp_path / "ds.npz"
+        save_dataset(str(path), old)
+        before = path.read_bytes()
+
+        def savez(file, **arrays):
+            file.write(b"PK\x03\x04 half an archive")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np, "savez", savez)
+        with pytest.raises(OSError, match="disk full"):
+            save_dataset(str(path), load_dataset("pems-bay", nodes=5,
+                                                 entries=60, seed=4))
+        assert [p.name for p in tmp_path.iterdir()] == ["ds.npz"]
+        assert path.read_bytes() == before
+        _same_dataset(load_dataset_file(str(path)), old)
+
     def test_members_are_stored_and_np_load_still_reads_them(self, tmp_path):
         ds = load_dataset("pems-bay", nodes=5, entries=60, seed=3)
         path = str(tmp_path / "ds.npz")

@@ -26,6 +26,7 @@ from repro.serving import (
     GatewayLoadGenerator,
     ManualClock,
     MicroBatchQueue,
+    ModelSession,
     TenantStream,
 )
 from repro.serving.gateway import (
@@ -74,12 +75,10 @@ class TestResultCache:
         assert window_fingerprint(w) != window_fingerprint(
             w.astype(np.float32))
 
-    def test_key_includes_deployment_version_sensors(self):
+    def test_key_includes_deployment_and_version(self):
         w = np.ones((2, 2, 2))
         assert cache_key("a", "v1", w) != cache_key("b", "v1", w)
         assert cache_key("a", "v1", w) != cache_key("a", "v2", w)
-        assert cache_key("a", "v1", w) != cache_key("a", "v1", w,
-                                                    sensors=(0, 1))
 
     def test_hit_is_bitwise_and_a_copy(self):
         clock = ManualClock()
@@ -310,7 +309,6 @@ class TestDeployments:
 
         class Mismatched:
             predict = staticmethod(lambda x: x)
-            max_batch = session.max_batch
             horizon = session.horizon + 1
             num_nodes = session.num_nodes
             in_features = session.in_features
@@ -447,6 +445,28 @@ class TestGateway:
         assert gw.stats.completed == gw.stats.admitted == 64
         assert not gw._pending and gw.poll() == []
 
+    def test_one_batch_cap_from_gateway_to_queue(self, trained, pool):
+        """The gateway's cap is the queue's, whatever the session has
+        staged before: a session first used at batch 4 serves a backlog
+        of 16 as two batches of 8, and admission is seeded with (and
+        keeps) what a batch of 8 costs."""
+        def cost(n):
+            return 4e-4 + 2e-4 * n
+
+        session = ModelSession(trained.artifacts.model,
+                               trained.artifacts.loaders.scaler)
+        session.predict(pool[:4])
+        gw = Gateway(clock=ManualClock(), max_batch=8, service_time=cost)
+        gw.add_deployment("bay", session)
+        key = gw.add_tenant("ops").api_key
+        for i in range(16):
+            assert gw.submit(key, "bay", pool[i % len(pool)]).status \
+                == "admitted"
+        done = gw.flush()
+        assert [r.forecast.batch_size for r in done] == [8] * 16
+        assert gw.deployments["bay"].service.stats.batches == 2
+        assert gw.admission.estimate("bay") == pytest.approx(cost(8))
+
     def test_describe_covers_every_surface(self, trained, pool):
         gw = make_gateway(trained, cache_ttl=60.0)
         gw.request("key-ops", "bay", pool[0])
@@ -467,7 +487,7 @@ class TestGatewayAPI:
         gw = build_gateway({"default": trained}, clock=ManualClock(),
                            max_batch=8)
         assert isinstance(gw, Gateway)
-        assert gw.deployments.names() == ["default"]
+        assert list(gw.deployments) == ["default"]
         resp = gw.request("key-default", "default", pool[0])
         assert resp.ok
 

@@ -10,9 +10,11 @@ The load-bearing guarantees:
   service-time model.
 """
 
-import os
-
 import heapq
+import importlib
+import inspect
+import os
+import pkgutil
 
 import numpy as np
 import pytest
@@ -80,19 +82,31 @@ class TestModelSession:
         np.testing.assert_array_equal(session.predict(pool).copy(), direct)
 
     def test_predict_rejects_bad_shapes(self, trained, pool):
-        session = make_session(trained, max_batch=4)
+        session = make_session(trained)
         with pytest.raises(ShapeError):
             session.predict(pool[:, :2])
-        with pytest.raises(ValueError, match="max_batch"):
-            session.predict(pool[:5])
 
     def test_staging_buffer_reused(self, trained, pool):
         session = make_session(trained)
-        buf = session._in_buf
         session.predict(pool[:2])
+        buf = session._in_buf
         session.predict(pool[:2])
         assert session._in_buf is buf
         assert session.requests_served == 4
+
+    def test_staging_grows_to_the_largest_batch(self, trained, pool):
+        """A session has no batch cap (the queue has): a default one
+        predicts 33 windows, then reuses that buffer for any batch up to
+        33."""
+        session = make_session(trained)
+        windows = pool[np.arange(33) % len(pool)]
+        got = session.predict(windows).copy()
+        np.testing.assert_array_equal(
+            got, trained.artifacts.model.predict(windows))
+        buf = session._in_buf
+        for n in (1, 33, 5):
+            session.predict(windows[:n])
+        assert session._in_buf is buf
 
     def test_inference_guard_refuses_train_mode(self, trained, pool):
         session = make_session(trained)
@@ -113,7 +127,7 @@ class TestModelSession:
 class TestMicroBatchParity:
     def test_batched_equals_single(self, trained, pool):
         """Acceptance: micro-batched == batch-of-1 inference (<= 1e-6)."""
-        session = make_session(trained, max_batch=8)
+        session = make_session(trained)
         singles = np.stack([session.predict(pool[i:i + 1])[0].copy()
                             for i in range(8)])
         svc = serve(trained, max_batch=8)
@@ -498,6 +512,43 @@ class TestServeAPI:
         np.testing.assert_array_equal(
             sharded.forecast(pool[0]).predictions,
             local.forecast(pool[0]).predictions)
+
+
+def _public_callables(module):
+    """``{name: callable}`` for what ``module`` defines: its public
+    functions and classes (exceptions aside), and each class's public
+    methods."""
+    out = {}
+    for name, obj in vars(module).items():
+        if name.startswith("_") or not callable(obj) \
+                or getattr(obj, "__module__", None) != module.__name__ \
+                or inspect.isclass(obj) and issubclass(obj, BaseException):
+            continue
+        out[name] = obj
+        if inspect.isclass(obj):
+            out.update((f"{name}.{attr}", getattr(obj, attr))
+                       for attr in vars(obj) if not attr.startswith("_")
+                       and callable(getattr(obj, attr)))
+    return out
+
+
+def test_max_batch_is_set_only_on_the_queue_side():
+    """One batch cap per queue: ``max_batch`` is taken by the front doors
+    that set it and the queue that reads it, and by no session
+    constructor, session builder or session source."""
+    import repro.serving
+    from repro.api import serving as api_serving
+
+    callables = {f"SERVERS[{key!r}]": api_serving.SERVERS.get(key)
+                 for key in api_serving.SERVERS}
+    for module in [api_serving] + [
+            importlib.import_module(info.name) for info in
+            pkgutil.walk_packages(repro.serving.__path__, "repro.serving.")]:
+        callables.update(_public_callables(module))
+    takers = {name for name, fn in callables.items()
+              if "max_batch" in inspect.signature(fn).parameters}
+    assert takers == {"serve", "build_gateway", "Gateway", "Deployment",
+                      "ForecastService", "MicroBatchQueue"}
 
 
 def synthetic_service(trained, **kw):
