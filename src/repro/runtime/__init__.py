@@ -6,7 +6,7 @@ Layering (bottom up):
   communication costs (``SimTransport`` / ``ThreadTransport``).
 - :mod:`repro.runtime.fabric` — the real multi-interpreter fabric:
   ``ProcessTransport`` (forked ranks, zero-copy shared-memory data
-  plane).
+  plane, each rank's outcome sent home over a pipe).
 - :mod:`repro.runtime.collectives` — ring/tree collectives implemented
   once against the :class:`Transport` protocol.
 - :mod:`repro.runtime.buckets` — gradient bucketing for DDP all-reduce.

@@ -37,6 +37,7 @@ reproducible as a clean one — which is what lets the chaos tier assert
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 from repro.utils.errors import CommunicatorError
@@ -116,6 +117,8 @@ class FaultEvent:
         if self.until is not None and self.until <= self.step:
             raise ValueError(f"until must exceed step, got "
                              f"[{self.step}, {self.until})")
+        if not (math.isfinite(self.slowdown) and math.isfinite(self.seconds)):
+            raise ValueError(f"slowdown and seconds must be finite: {self}")
         if self.kind in ("straggler", "session_straggler") \
                 and self.slowdown < 1.0:
             raise ValueError(f"straggler slowdown must be >= 1.0, "
@@ -157,6 +160,9 @@ class FaultEvent:
             name, eq, raw = item.partition("=")
             if not eq or name not in fields or name == "kind":
                 raise ValueError(f"bad fault event field {item!r} in {text!r}")
+            if name in kwargs:
+                raise ValueError(f"repeated fault event field {name!r} "
+                                 f"in {text!r}")
             if name in ("category", "target"):
                 kwargs[name] = raw
             elif name == "until":

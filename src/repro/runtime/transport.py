@@ -243,6 +243,18 @@ class MeasuredTransport:
                   parallel: bool = True) -> list:
         raise NotImplementedError
 
+    def _timed(self, fn: Callable[[int], object], rank: int):
+        """``fn(rank)``, its wall seconds charged to the rank's compute."""
+        t0 = time.perf_counter()
+        try:
+            return fn(rank)
+        finally:
+            self.compute_time[rank] += time.perf_counter() - t0
+
+    def _run_inline(self, fn: Callable[[int], object]) -> list:
+        """Every rank in order on the calling thread (``parallel=False``)."""
+        return [self._timed(fn, rank) for rank in range(self.world_size)]
+
     def advance_compute(self, rank: int, seconds: float) -> None:
         """Simulated-compute charges are meaningless on real fabrics.
 
@@ -332,16 +344,9 @@ class ThreadTransport(MeasuredTransport):
         exception after all ranks have been joined, so no worker is left
         mid-step.
         """
-        def timed(rank: int):
-            t0 = time.perf_counter()
-            try:
-                return fn(rank)
-            finally:
-                self.compute_time[rank] += time.perf_counter() - t0
-
         if not (self.parallel and parallel) or self.world_size == 1:
-            return [timed(rank) for rank in range(self.world_size)]
-        futures = [self._ensure_pool().submit(timed, rank)
+            return self._run_inline(fn)
+        futures = [self._ensure_pool().submit(self._timed, fn, rank)
                    for rank in range(self.world_size)]
         # Two passes: wait for everything first (the join barrier), then
         # raise the lowest-rank failure with no rank still mid-step.  A

@@ -1,29 +1,26 @@
-"""Tests for ``repro.runtime.fabric`` — the real-parallelism transports.
+"""Tests for ``repro.runtime.fabric`` — the real-parallelism transport.
 
 Three layers, bottom up:
 
-- **Framing / shared memory**: bitwise ndarray round-trips through the
-  wire format (hypothesis property over arbitrary dtypes and shapes),
-  length-prefixed frame reassembly from arbitrary chunkings, and the
-  shared-memory ring + array pool the process fabric is built on.
+- **Shared memory**: the array pool the zero-copy data plane is built on.
 - **Fork fabric**: ranks really run in separate interpreters (distinct
-  PIDs), errors and hard child deaths propagate with the same semantics
-  as the thread fabric, and the zero-copy data plane delivers gradients
-  home.
+  PIDs), results of any size come home bitwise over each rank's pipe,
+  errors and hard child deaths propagate with the same semantics as the
+  thread fabric, failed steps leak no file descriptors, and the
+  zero-copy data plane delivers gradients home.
 - **Equivalence**: collectives and fixed-seed ``DDPTrainer`` curves are
   bitwise identical across sim / thread / process, faults
   compose (a crashed forked rank recovers to the fault-free curve), and
   checkpoints resume across a transport swap onto a forked fabric.
 """
 
+import gc
 import os
+import signal
 import threading
-import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.batching import IndexBatchLoader
 from repro.datasets import load_dataset
@@ -32,88 +29,14 @@ from repro.models import PGTDCRNN
 from repro.optim import Adam
 from repro.preprocessing import IndexDataset
 from repro.runtime import ProcessGroup, ProcessTransport
-from repro.runtime.fabric import SharedArrayPool, ShmRing, framing
-from repro.runtime.fabric.framing import FrameAssembler, FrameError
+from repro.runtime.fabric import SharedArrayPool
 from repro.runtime.faults import RankFailure
 from repro.training import DDPStrategy, DDPTrainer
 from repro.utils.errors import CommunicatorError
 
 
 # ---------------------------------------------------------------------------
-# Wire format
-# ---------------------------------------------------------------------------
-_DTYPES = ["float32", "float64", "int32", "int64", "uint8", "bool",
-           "float16", "complex64"]
-
-
-@st.composite
-def arrays(draw):
-    dtype = np.dtype(draw(st.sampled_from(_DTYPES)))
-    shape = tuple(draw(st.lists(st.integers(0, 5), min_size=0, max_size=3)))
-    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
-    raw = rng.standard_normal(shape) * 100
-    if dtype.kind == "c":
-        return (raw + 1j * rng.standard_normal(shape)).astype(dtype)
-    return raw.astype(dtype)
-
-
-class TestFraming:
-    @settings(max_examples=60, deadline=None)
-    @given(arr=arrays())
-    def test_ndarray_roundtrip_is_bitwise(self, arr):
-        """Property: encode → decode preserves dtype, shape and bits for
-        arbitrary payloads (including empty and zero-dim arrays)."""
-        kind, out = framing.decode(framing.encode_ndarray(arr))
-        assert kind == framing.KIND_NDARRAY
-        assert out.dtype == arr.dtype and out.shape == arr.shape
-        assert out.tobytes() == arr.tobytes()
-
-    def test_non_contiguous_input_roundtrips(self):
-        arr = np.arange(24.0).reshape(4, 6)[::2, ::3]
-        _, out = framing.decode(framing.encode_ndarray(arr))
-        np.testing.assert_array_equal(out, arr)
-
-    def test_object_roundtrip(self):
-        payload = ("ok", 0.25, {"rank": 3, "curve": [1.0, 0.5]})
-        kind, out = framing.decode(framing.encode_object(payload))
-        assert kind == framing.KIND_OBJECT and out == payload
-
-    def test_decoded_array_owns_its_bits(self):
-        frame = bytearray(framing.encode_ndarray(np.zeros(4)))
-        _, out = framing.decode(bytes(frame))
-        frame[-8:] = b"\xff" * 8  # mutating the wire bytes
-        np.testing.assert_array_equal(out, np.zeros(4))
-
-    def test_bad_magic_and_truncation_rejected(self):
-        good = framing.encode_ndarray(np.ones(3))
-        with pytest.raises(FrameError):
-            framing.decode(b"XXXX" + good[4:])
-        with pytest.raises(FrameError):
-            framing.decode(good[:-1])  # payload shorter than header claims
-        with pytest.raises(FrameError):
-            framing.decode(good[:3])
-
-    @settings(max_examples=40, deadline=None)
-    @given(frames=st.lists(arrays(), min_size=1, max_size=5),
-           cut_seed=st.integers(0, 2**16))
-    def test_assembler_recovers_frames_from_any_chunking(self, frames,
-                                                         cut_seed):
-        """Property: the length-prefixed stream reassembles to the exact
-        frame sequence no matter where the transport chunks it."""
-        encoded = [framing.encode_ndarray(a) for a in frames]
-        stream = b"".join(framing.prefixed(f) for f in encoded)
-        rng = np.random.default_rng(cut_seed)
-        cuts = sorted(rng.integers(0, len(stream) + 1, size=4))
-        pieces = [stream[a:b] for a, b in
-                  zip([0, *cuts], [*cuts, len(stream)])]
-        asm = FrameAssembler()
-        got = [f for piece in pieces for f in asm.feed(piece)]
-        assert got == encoded
-        assert asm.pending_bytes == 0
-
-
-# ---------------------------------------------------------------------------
-# Shared memory primitives
+# Shared memory data plane
 # ---------------------------------------------------------------------------
 class TestSharedMemory:
     def test_pool_copies_and_shares(self):
@@ -128,42 +51,6 @@ class TestSharedMemory:
             assert src[0][0] == 0.0
         finally:
             pool.destroy()
-
-    def test_ring_roundtrips_frames_in_order(self):
-        ring = ShmRing(capacity=1 << 12)
-        try:
-            sent = [framing.encode_object(i) for i in range(5)]
-            for f in sent:
-                ring.write_frame(f)
-            assert ring.drain() == sent
-            assert ring.drain() == []
-            ring.close_writer()
-            assert ring.closed
-        finally:
-            ring.destroy()
-
-    def test_frame_larger_than_capacity_flows_past_a_draining_reader(self):
-        """The ring never requires a frame to fit: a concurrent drain
-        lets an oversized frame stream through in capacity-sized gulps."""
-        ring = ShmRing(capacity=1 << 10)
-        big = framing.encode_ndarray(np.arange(4096, dtype=np.float64))
-        assert len(big) > (1 << 10)
-        got = []
-
-        def reader():
-            deadline = time.monotonic() + 30
-            while not got and time.monotonic() < deadline:
-                got.extend(ring.drain())
-
-        t = threading.Thread(target=reader)
-        t.start()
-        try:
-            ring.write_frame(big)  # blocks until the reader frees space
-            t.join(30)
-            assert not t.is_alive()
-            assert got == [big]
-        finally:
-            ring.destroy()
 
 
 # ---------------------------------------------------------------------------
@@ -209,8 +96,32 @@ class TestForkFabric:
 
     def test_unpicklable_result_reports_not_hangs(self, fabric):
         t = fabric(2)
-        with pytest.raises(CommunicatorError):
+        with pytest.raises(CommunicatorError,
+                           match="rank 0 returned an unpicklable result"):
             t.run_ranks(lambda rank: threading.Lock())
+
+    def test_unpicklable_exception_names_the_rank(self, fabric):
+        t = fabric(2)
+
+        def fn(rank):
+            raise RuntimeError("holds a lock", threading.Lock())
+
+        with pytest.raises(CommunicatorError,
+                           match="rank 0 raised unpicklable RuntimeError"):
+            t.run_ranks(fn)
+
+    def test_results_larger_than_the_pipe_buffer_arrive_bitwise(self, fabric):
+        """2 MiB per rank: far past the OS pipe buffer, so the driver
+        must read while each child is still writing."""
+        t = fabric(2)
+
+        def big(rank):
+            return np.random.default_rng(rank).standard_normal(1 << 18)
+
+        out = t.run_ranks(big)
+        for rank in range(2):
+            assert out[rank].nbytes == 2 << 20
+            assert out[rank].tobytes() == big(rank).tobytes()
 
     def test_hard_child_death_raises_rank_failure(self, fabric):
         t = fabric(2)
@@ -218,12 +129,56 @@ class TestForkFabric:
 
         def fn(rank):
             if rank == 1:
-                os._exit(42)  # no frame, no exception — just gone
+                os._exit(42)  # nothing sent, no exception — just gone
             return rank
 
         with pytest.raises(RankFailure) as e:
             t.run_ranks(fn)
         assert e.value.rank == 1 and e.value.step == 5
+
+    def test_killed_child_raises_rank_failure(self, fabric):
+        t = fabric(2)
+        t.begin_step(7)
+
+        def fn(rank):
+            if rank == 0:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return rank
+
+        with pytest.raises(RankFailure) as e:
+            t.run_ranks(fn)
+        assert e.value.rank == 0 and e.value.step == 7
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="needs /proc/self/fd")
+    def test_failed_steps_leak_no_file_descriptors(self, fabric):
+        """Every child's pipe and process sentinel is closed when its
+        step ends, not when the cyclic GC gets to the traceback."""
+        t = fabric(2)
+
+        def crash(rank):
+            if rank == 1:
+                os._exit(42)
+
+        def boom(rank):
+            raise ValueError(f"rank {rank} broke")
+
+        def open_fds():
+            return len(os.listdir("/proc/self/fd"))
+
+        t.run_ranks(lambda rank: rank)  # warm up lazily opened fds
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            before = open_fds()
+            steps = [(crash, RankFailure)] * 10 + [(boom, ValueError)] * 10
+            for fn, exc in steps:
+                with pytest.raises(exc):
+                    t.run_ranks(fn)
+            assert open_fds() == before
+        finally:
+            if was_enabled:
+                gc.enable()
 
     def test_process_shared_buffers_visible_to_parent(self):
         t = ProcessTransport(2)

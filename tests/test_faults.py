@@ -8,10 +8,13 @@ pricing in the performance model, and ``RunSpec.faults`` validation.
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.api import RunSpec
 from repro.runtime import ProcessGroup
 from repro.runtime.faults import (
+    FAULT_KINDS,
     FaultEvent,
     FaultPlan,
     FaultyTransport,
@@ -57,6 +60,59 @@ class TestFaultPlan:
             FaultEvent("message_delay", step=5, until=5)
         with pytest.raises(ValueError, match="bad fault event field"):
             FaultEvent.decode("rank_crash:bogus=1")
+
+    @pytest.mark.parametrize("text", [
+        "straggler:slowdown=nan,rank=1",
+        "straggler:slowdown=inf",
+        "message_delay:seconds=nan",
+        "message_delay:seconds=inf",
+        "rank_crash:seconds=-inf",
+    ])
+    def test_non_finite_floats_rejected(self, text):
+        with pytest.raises(ValueError, match="finite"):
+            FaultEvent.decode(text)
+
+    def test_repeated_field_rejected(self):
+        with pytest.raises(ValueError, match="repeated"):
+            FaultEvent.decode("rank_crash:step=1,step=2")
+
+    @settings(max_examples=40, deadline=None)
+    @given(event=st.builds(
+        FaultEvent,
+        kind=st.sampled_from(FAULT_KINDS),
+        step=st.integers(0, 9),
+        until=st.none() | st.integers(10, 20),
+        rank=st.integers(0, 3),
+        # a field at its default is left out of the encoding
+        slowdown=st.just(1.0) | st.floats(1.0, 1e308),
+        seconds=st.just(0.0) | st.floats(0.0, 1e308),
+        # categories may hold '=': some look like a field, one ','
+        # away from being decoded as one
+        category=st.none() | st.sampled_from(
+            ["gradient", "seconds=nan", "slowdown=nan", "step=3"]),
+        target=st.just("bay")))
+    @example(event=FaultEvent("rank_crash", category="seconds=nan"))
+    def test_edited_encodings_round_trip_or_raise(self, event):
+        """Property: every truncation and single-character edit of a
+        valid encoding decodes to an event that survives another
+        encode/decode unchanged, or raises ``ValueError``."""
+        text = event.encode()
+        alphabet = ",=:.-+ 0123456789nafie"
+        edits = {text[:i] for i in range(len(text) + 1)}  # with text itself
+        for i in range(len(text) + 1):
+            edits.add(text[:i] + text[i + 1:])
+            for c in alphabet:
+                edits.add(text[:i] + c + text[i:])
+                edits.add(text[:i] + c + text[i + 1:])
+        bad = []
+        for edited in sorted(edits):
+            try:
+                decoded = FaultEvent.decode(edited)
+            except ValueError:
+                continue
+            if FaultEvent.decode(decoded.encode()) != decoded:
+                bad.append(edited)
+        assert bad == []
 
     def test_views_split_by_layer(self):
         plan = plan_crash_straggler()
