@@ -19,6 +19,8 @@ grow without bound when a caller alternates compute dtypes.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -31,9 +33,7 @@ class PreparedCSR:
     __slots__ = ("shape", "indptr", "indices", "data", "csr", "_transpose")
 
     def __init__(self, matrix: sp.spmatrix, dtype: np.dtype):
-        csr = matrix.tocsr()
-        if csr.data.dtype != dtype:
-            csr = csr.astype(dtype)
+        csr = matrix.tocsr().astype(dtype, copy=True)  # sort a copy
         csr.sum_duplicates()
         self.csr = csr
         self.shape = csr.shape
@@ -94,6 +94,27 @@ def prepared_csr(matrix: sp.spmatrix, dtype) -> PreparedCSR:
     return prepared
 
 
+_STACKED: dict[tuple, tuple] = {}  # (ids, dtype) -> (supports, operators)
+_STACKED_LOCK = threading.Lock()  # rank threads that miss at once build once
+
+
+def stacked_csr(supports, dtype: np.dtype) -> tuple[PreparedCSR, PreparedCSR]:
+    """Cached ``(vstack(P_s), block_diag(P_s))``: one product per diffusion
+    hop, each row keeping its entries in the per-support (canonical) order."""
+    key = (tuple(map(id, supports)), dtype.str)
+    with _STACKED_LOCK:
+        entry = _STACKED.get(key)  # holds the supports: their ids stay theirs
+        if entry is None:
+            parts = [PreparedCSR(s, dtype).csr for s in supports]
+            if len(_STACKED) >= _PREPARED_MAX:
+                _STACKED.pop(next(iter(_STACKED)))
+            entry = _STACKED[key] = (tuple(supports), (
+                PreparedCSR(sp.vstack(parts, format="csr"), dtype),
+                PreparedCSR(sp.block_diag(parts, format="csr"), dtype)))
+    return entry[1]
+
+
 def clear_prepared_cache() -> None:
     """Drop all cached prepared supports (tests / memory pressure)."""
     _PREPARED.clear()
+    _STACKED.clear()

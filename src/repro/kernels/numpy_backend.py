@@ -2,8 +2,8 @@
 
 The CSR product and the diffusion hop/backward chains run scipy's
 ``csr_matvecs`` C kernel into caller buffers with rotating ping/pong hop
-scratch; every fixed-seed curve in the test suite is pinned to their
-accumulation order.
+scratch, one product per hop for all stacked supports; every fixed-seed
+curve is pinned to its row order (``test_kernels.py::TestCsrRowOrder``).
 
 ``gru_gates_fwd`` is the one GRU kernel here.  No model calls it: the
 batch-major cells compose Tensor ops (``nn.rnn.gru_cell_step``) and
@@ -22,6 +22,21 @@ try:  # scipy's C kernel: csr_matvecs(M, N, n_vecs, indptr, indices, data, x, y)
 except ImportError:  # pragma: no cover - depends on scipy build
     _st = None
     _HAVE_CSR_MATVECS = False
+
+
+def _operands(prep, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Flat views of ``arrays`` for ``csr_matvecs``; checked once per call."""
+    if not _HAVE_CSR_MATVECS or any(a.dtype != prep.data.dtype or
+                                    not a.flags.c_contiguous for a in arrays):
+        raise TypeError(f"need C-contiguous {prep.data.dtype} operands")
+    return tuple(a.reshape(-1) for a in arrays)
+
+
+def _product(prep, x: np.ndarray, y: np.ndarray, v: int) -> None:
+    """``y = A @ x`` on flat views of ``[cols, v]`` / ``[rows, v]`` blocks."""
+    y.fill(0)
+    _st.csr_matvecs(prep.shape[0], prep.shape[1], v, prep.indptr,
+                    prep.indices, prep.data, x, y)
 
 
 def stable_sigmoid(x: np.ndarray) -> np.ndarray:
@@ -43,57 +58,48 @@ class NumpyBackend:
         if _HAVE_CSR_MATVECS and x.flags.c_contiguous and \
                 out.flags.c_contiguous and x.dtype == prep.data.dtype \
                 and out.dtype == prep.data.dtype:
-            out[...] = 0
-            _st.csr_matvecs(prep.shape[0], prep.shape[1], x.shape[1],
-                            prep.indptr, prep.indices, prep.data,
-                            x.reshape(-1), out.reshape(-1))
+            _product(prep, x.reshape(-1), out.reshape(-1), x.shape[1])
             return out
         np.copyto(out, prep.csr @ x, casting="unsafe")
         return out
 
     # -- diffusion conv -------------------------------------------------
-    def diffusion_hops(self, prep, x0_flat: np.ndarray, cat: np.ndarray,
-                       col0: int, f: int, k: int, ping: np.ndarray,
-                       pong: np.ndarray) -> None:
-        """Write hops ``P^1..P^k x`` into ``cat[:, :, col0:col0+k*f]``.
+    def diffusion_hops(self, first, nxt, x0: np.ndarray, cat: np.ndarray,
+                       k: int, ping: np.ndarray, pong: np.ndarray) -> None:
+        """Write hops ``P_s^1..P_s^k x0`` into ``cat[:, :, f:]``, by support.
 
-        ``x0_flat`` is the node-major hop-0 input flattened to
-        ``[n, b*f]``; ``ping``/``pong`` are rotating ``[n, b, f]``
-        scratch buffers that persist across steps.
+        ``first``/``nxt`` come from ``stacked_csr``; ``ping``/``pong`` are
+        rotating ``[S, n, b, f]`` scratch for node-major ``x0 [n, b, f]``.
         """
-        n = cat.shape[0]
-        prev = x0_flat
-        hop_bufs = (ping, pong)
-        col = col0
+        n, b, f = x0.shape
+        bufs = _operands(first, x0, ping, pong)
+        hops = cat[:, :, f:].reshape(n, b, -1, k, f)
+        prev, op = bufs[0], first
         for j in range(k):
-            nxt = hop_bufs[j % 2]
-            self.csr_matmul_out(prep, prev, nxt.reshape(n, -1))
-            cat[:, :, col: col + f] = nxt
-            col += f
-            prev = nxt.reshape(n, -1)
+            _product(op, prev, bufs[1 + j % 2], b * f)
+            hops[:, :, :, j] = (ping, pong)[j % 2].transpose(1, 2, 0, 3)
+            prev, op = bufs[1 + j % 2], nxt
 
-    def diffusion_backward(self, prep_t, gcat: np.ndarray, col0: int, f: int,
-                           k: int, gx: np.ndarray, ping: np.ndarray,
+    def diffusion_backward(self, nxt_t, gcat: np.ndarray, k: int,
+                           gx: np.ndarray, ping: np.ndarray,
                            pong: np.ndarray) -> None:
-        """Chain one support's hop gradients back into ``gx`` (+=).
+        """Chain every support's hop gradients back into ``gx`` (+=).
 
-        ``prep_t`` is the prepared transpose ``P^T``; the recurrence is
-        ``acc_k = g_k``, ``acc_j = P^T acc_{j+1} + g_j``, and finally
-        ``gx += P^T acc_1``.
+        ``nxt_t = block_diag(P_s)^T``: ``acc_k = g_k``, ``acc_j = P^T acc_{j+1}
+        + g_j``, then ``gx += P_s^T acc_1`` per support, in support order.
         """
-        n = gcat.shape[0]
-        bufs = (ping, pong)
-        acc = bufs[0]
-        np.copyto(acc, gcat[:, :, col0 + (k - 1) * f: col0 + k * f])
-        for j in range(k - 1, 0, -1):
-            nxt = bufs[1] if acc is bufs[0] else bufs[0]
-            self.csr_matmul_out(prep_t, acc.reshape(n, -1),
-                                nxt.reshape(n, -1))
-            nxt += gcat[:, :, col0 + (j - 1) * f: col0 + j * f]
-            acc = nxt
-        nxt = bufs[1] if acc is bufs[0] else bufs[0]
-        self.csr_matmul_out(prep_t, acc.reshape(n, -1), nxt.reshape(n, -1))
-        gx += nxt
+        n, b, f = gx.shape
+        flat = _operands(nxt_t, ping, pong)
+        g = gcat[:, :, f:].reshape(n, b, -1, k, f).transpose(2, 3, 0, 1, 4)
+        np.copyto(ping, g[:, k - 1])
+        for j in range(k - 1, -1, -1):  # acc_{j+1} sits in buffer i
+            i = (k - 1 - j) % 2
+            _product(nxt_t, flat[i], flat[1 - i], b * f)
+            out = (ping, pong)[1 - i]
+            if j:
+                out += g[:, j - 1]
+        for part in out:
+            gx += part
 
     # -- GRU gates (benchmark probe) ----------------------------------
     def gru_gates_fwd(self, pre: np.ndarray, h: np.ndarray, s: np.ndarray,

@@ -13,8 +13,9 @@ The layer works **node-major**: ``[nodes, batch, F]`` is the layout in
 which one CSR product covers the whole batch and the hop block is a plain
 2-D GEMM operand, so the work lives in a node-major core (``_hops_gemm`` /
 ``_gemm_hops_backward``) that writes hops straight into slices of one
-``[nodes, batch, num_matrices * in_dim]`` block and runs sparse products
-through the prepared-CSR kernel into scratch that persists across steps.
+``[nodes, batch, num_matrices * in_dim]`` block, one sparse product per
+hop for all supports (the cached operators of ``stacked_csr``, found
+again by a swapped-back support set) into scratch that persists.
 The core has two thin entry points: :meth:`DiffusionConv.forward`
 (batch-major in and out, one transposed copy each way, one autograd node)
 and :meth:`repro.models.dcrnn.DCGRUCell.step` (already node-major, no
@@ -26,9 +27,8 @@ Within one backward the weight gradient accumulates before the bias
 gradient, and a caller decides where the input gradient goes: the order
 of those ``_accumulate`` calls is part of the fixed-seed curves.
 
-:meth:`DiffusionConv._forward_naive` composes the public autograd ops
-hop by hop.  No model calls it; it is the parity reference the tests
-compare ``forward`` against, to float tolerance in both dtypes.
+The parity references (public autograd ops hop by hop; one product per
+hop per support, bit for bit) live in the tests.
 """
 
 from __future__ import annotations
@@ -37,9 +37,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro import kernels
-from repro.autograd import functional as F
 from repro.autograd.grad_mode import is_grad_enabled
-from repro.autograd.sparse_kernels import prepared_csr
+from repro.autograd.sparse_kernels import stacked_csr
 from repro.autograd.tensor import Tensor
 from repro.nn.init import glorot_uniform, zeros_
 from repro.nn.module import Module, Parameter
@@ -53,10 +52,10 @@ class _Scratch:
     __slots__ = ("x0", "ping", "pong", "gout", "gcat", "gx", "gw", "gb",
                  "cat_eval")
 
-    def __init__(self, n: int, b: int, f: int, m: int, o: int, dtype):
+    def __init__(self, n: int, b: int, f: int, s: int, m: int, o: int, dtype):
         self.x0 = np.empty((n, b, f), dtype)      # hop-0 input, node-major
-        self.ping = np.empty((n, b, f), dtype)    # rotating hop buffers
-        self.pong = np.empty((n, b, f), dtype)
+        self.ping = np.empty((s, n, b, f), dtype)  # rotating hop buffers
+        self.pong = np.empty((s, n, b, f), dtype)
         self.gout = np.empty((n, b, o), dtype)    # transposed output grad
         self.gcat = np.empty((n, b, m * f), dtype)
         self.gx = np.empty((n, b, f), dtype)      # accumulated input grad
@@ -84,14 +83,8 @@ class DiffusionConv(Module):
         super().__init__()
         if k_hops < 0:
             raise ValueError("k_hops must be >= 0")
-        if not supports:
-            raise ValueError("need at least one support matrix")
-        self.supports = [s.tocsr() for s in supports]
-        n = self.supports[0].shape[0]
-        for s in self.supports:
-            if s.shape != (n, n):
-                raise ShapeError("all supports must be square and same size")
-        self.num_nodes = n
+        self.supports = supports
+        self.num_nodes = self.supports[0].shape[0]
         self.in_dim = in_dim
         self.out_dim = out_dim
         self.k_hops = k_hops
@@ -102,24 +95,30 @@ class DiffusionConv(Module):
         self.bias = Parameter(zeros_((out_dim,)))
         self._scratch: dict[tuple, _Scratch] = {}
 
-    # ------------------------------------------------------------------
-    def _forward_naive(self, x: Tensor) -> Tensor:
-        """Parity reference: the same math as public autograd ops."""
-        hops = [x]
-        for support in self.supports:
-            xk = x
-            for _ in range(self.k_hops):
-                xk = F.sparse_matmul(support, xk)
-                hops.append(xk)
-        cat = F.concat(hops, axis=-1)  # [batch, nodes, num_matrices * in_dim]
-        return cat @ self.weight + self.bias
+    @property
+    def supports(self) -> list[sp.csr_matrix]:
+        return self._supports
+
+    @supports.setter
+    def supports(self, supports: list[sp.spmatrix]) -> None:
+        """Swap the graph (same count and size once built)."""
+        supports = [s.tocsr() for s in supports]
+        if not supports:
+            raise ValueError("need at least one support matrix")
+        old = getattr(self, "_supports", supports)
+        n = old[0].shape[0]
+        if len(supports) != len(old) or any(s.shape != (n, n)
+                                            for s in supports):
+            raise ShapeError("supports must be square, of one size and count")
+        self._supports = supports
 
     # ------------------------------------------------------------------
     def _get_scratch(self, b: int, dtype: np.dtype) -> _Scratch:
         return cached_scratch(
             self._scratch, b, dtype,
             lambda: _Scratch(self.num_nodes, b, self.in_dim,
-                             self.num_matrices, self.out_dim, dtype))
+                             len(self.supports), self.num_matrices,
+                             self.out_dim, dtype))
 
     def _hops_gemm(self, scr: _Scratch, x0: np.ndarray,
                    own_cat: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -144,13 +143,9 @@ class DiffusionConv(Module):
             cat = scr.cat_eval
         cat[:, :, :f] = x0
         if k:
-            backend = kernels.active_backend()
-            x0_flat = x0.reshape(n, b * f)
-            col = f
-            for support in self.supports:
-                backend.diffusion_hops(prepared_csr(support, dtype), x0_flat,
-                                       cat, col, f, k, scr.ping, scr.pong)
-                col += k * f
+            kernels.active_backend().diffusion_hops(
+                *stacked_csr(self._supports, dtype), x0, cat, k, scr.ping,
+                scr.pong)
         cat2 = cat.reshape(n * b, m * f)
         out2 = np.empty((n * b, o), dtype)
         np.matmul(cat2, self.weight.data, out=out2)
@@ -172,7 +167,7 @@ class DiffusionConv(Module):
             np.matmul(cat2.T, g2, out=scr.gw)
             weight._accumulate(scr.gw)
         if bias.requires_grad:
-            np.sum(g2, axis=0, out=scr.gb)
+            np.add.reduce(g2, axis=0, out=scr.gb)
             bias._accumulate(scr.gb)
         if not input_grad:
             return None
@@ -181,16 +176,9 @@ class DiffusionConv(Module):
         np.matmul(g2, weight.data.T, out=gcat.reshape(cat2.shape))
         np.copyto(scr.gx, gcat[:, :, :f])  # identity hop
         if k:
-            backend = kernels.active_backend()
-            col = f
-            for support in self.supports:
-                # Chain the per-hop gradients back down:
-                # acc_k = g_k;  acc_{j} = P^T acc_{j+1} + g_j;
-                # input grad += P^T acc_1.
-                backend.diffusion_backward(
-                    prepared_csr(support, g2.dtype).T, gcat, col, f, k,
-                    scr.gx, scr.ping, scr.pong)
-                col += k * f
+            kernels.active_backend().diffusion_backward(
+                stacked_csr(self._supports, g2.dtype)[1].T, gcat, k,
+                scr.gx, scr.ping, scr.pong)
         return scr.gx
 
     def forward(self, x: Tensor) -> Tensor:

@@ -17,8 +17,15 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from repro import kernels
 from repro.autograd import GRAD_POOL, Tensor, functional as F
+from repro.autograd.sparse_kernels import (
+    PreparedCSR,
+    prepared_csr,
+    stacked_csr,
+)
 from repro.batching.loaders import IndexBatchLoader, StandardBatchLoader
 from repro.datasets import load_dataset
 from repro.graph import dual_random_walk_supports, random_sensor_network
@@ -26,11 +33,121 @@ from repro.models.dconv import DiffusionConv
 from repro.nn.module import Parameter
 from repro.optim import SGD, Adam, clip_grad_norm
 from repro.preprocessing import IndexDataset, standard_preprocess
+from repro.utils.errors import ShapeError
 
 
 # ---------------------------------------------------------------------------
 # Fused kernels vs naive reference
 # ---------------------------------------------------------------------------
+def _forward_naive(conv: DiffusionConv, x: Tensor) -> Tensor:
+    """``conv`` as public autograd ops, one support and hop at a time."""
+    hops = [x]
+    for support in conv.supports:
+        xk = x
+        for _ in range(conv.k_hops):
+            xk = F.sparse_matmul(support, xk)
+            hops.append(xk)
+    return F.concat(hops, axis=-1) @ conv.weight + conv.bias
+
+
+def _hops_per_support(supports, x0: np.ndarray, k: int) -> np.ndarray:
+    """The ``[n, b, (1 + S*k)*f]`` hop block, one product per hop per
+    support (the kernel the stacked operators replaced)."""
+    n, b, f = x0.shape
+    backend = kernels.active_backend()
+    cat = np.empty((n, b, (1 + len(supports) * k) * f), x0.dtype)
+    cat[:, :, :f] = x0
+    col = f
+    for support in supports:
+        prep, prev = prepared_csr(support, x0.dtype), x0.reshape(n, -1)
+        for _ in range(k):
+            nxt = np.empty_like(prev)
+            backend.csr_matmul_out(prep, prev, nxt)
+            cat[:, :, col: col + f] = nxt.reshape(n, b, f)
+            col += f
+            prev = nxt
+    return cat
+
+
+def _backward_per_support(supports, gcat: np.ndarray, f: int, k: int, *,
+                          one_final_product: bool = False) -> np.ndarray:
+    """Hop-0 input gradient, one backward chain per support, each ending in
+    its own ``gx += P_s^T acc_1``; ``one_final_product`` ends all chains
+    in one ``hstack(P_s^T)`` product instead."""
+    n, b, _ = gcat.shape
+    backend = kernels.active_backend()
+    gx = gcat[:, :, :f].copy()
+    if not k:
+        return gx
+    col, firsts = f, []
+    for support in supports:
+        pt = prepared_csr(support, gcat.dtype).T
+        acc = np.ascontiguousarray(gcat[:, :, col + (k - 1) * f: col + k * f])
+        for j in range(k - 1, 0, -1):
+            nxt = np.empty_like(acc)
+            backend.csr_matmul_out(pt, acc.reshape(n, -1), nxt.reshape(n, -1))
+            nxt += gcat[:, :, col + (j - 1) * f: col + j * f]
+            acc = nxt
+        firsts.append(acc)
+        col += k * f
+    if one_final_product:
+        pt = PreparedCSR(sp.hstack([prepared_csr(s, gcat.dtype).T.csr
+                                    for s in supports]), gcat.dtype)
+        gx += pt.matmul(np.concatenate(firsts).reshape(-1, b * f)
+                        ).reshape(n, b, f)
+        return gx
+    for support, acc in zip(supports, firsts):
+        out = prepared_csr(support, gcat.dtype).T.matmul(acc.reshape(n, -1))
+        gx += out.reshape(n, b, f)
+    return gx
+
+
+def _supports(count: int, nodes: int = 12) -> list:
+    """``count`` random-walk supports over ``nodes`` sensors (unsorted CSR)."""
+    out = []
+    for seed in range(count):
+        g = random_sensor_network(nodes, seed=2 + seed)
+        out.append(dual_random_walk_supports(g.weights)[seed % 2])
+    return out
+
+
+class TestStackedHopsParity:
+    """One product per hop for all supports gives the bits of one product
+    per hop per support: hop block, input, weight and bias gradients."""
+
+    @staticmethod
+    def _run(num_supports, k, dtype, seed=0):
+        conv = DiffusionConv(_supports(num_supports), 5, 7, k_hops=k)
+        rng = np.random.default_rng(seed)
+        n, b, f = 12, 4, 5
+        x0 = rng.standard_normal((n, b, f)).astype(dtype)
+        g2 = rng.standard_normal((n * b, 7)).astype(dtype)
+        scr = conv._get_scratch(b, np.dtype(dtype))
+        cat2, _ = conv._hops_gemm(scr, x0, True)
+        gx = conv._gemm_hops_backward(scr, cat2, g2, True)
+        return conv, x0, g2, cat2, gx, scr.gcat  # d hop block, left intact
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    @pytest.mark.parametrize("num_supports", [1, 2, 3])
+    def test_bitwise_equal_to_per_support_kernels(self, num_supports, k,
+                                                  dtype):
+        conv, x0, g2, cat2, gx, gcat = self._run(num_supports, k, dtype)
+        ref = _hops_per_support(conv.supports, x0, k).reshape(cat2.shape)
+        assert cat2.tobytes() == ref.tobytes()
+        assert gx.tobytes() == _backward_per_support(
+            conv.supports, gcat, 5, k).tobytes()
+        w = conv.weight.data.dtype
+        gw, gb = (ref.T @ g2).astype(w), np.sum(g2, axis=0).astype(w)
+        assert conv.weight.grad.tobytes() == gw.tobytes()
+        assert conv.bias.grad.tobytes() == gb.tobytes()
+
+    def test_one_final_hstack_product_would_differ(self):
+        conv, _, _, _, gx, gcat = self._run(2, 2, np.float32)
+        assert gx.tobytes() != _backward_per_support(
+            conv.supports, gcat, 5, 2, one_final_product=True).tobytes()
+
+
 class TestDiffusionConvFused:
     @pytest.fixture(scope="class")
     def supports(self):
@@ -46,7 +163,7 @@ class TestDiffusionConvFused:
         x = np.random.default_rng(0).standard_normal((4, 12, 5)).astype(dtype)
         xf = Tensor(x.copy(), requires_grad=True)
         xn = Tensor(x.copy(), requires_grad=True)
-        of, on = fused(xf), naive._forward_naive(xn)
+        of, on = fused(xf), _forward_naive(naive, xn)
         np.testing.assert_allclose(of.data, on.data, atol=tol)
         g = np.random.default_rng(1).standard_normal(of.shape).astype(dtype)
         of.backward(g.copy())
@@ -71,6 +188,47 @@ class TestDiffusionConvFused:
         assert scr1 is scr2                     # persistent scratch object
         assert scr1.x0 is scr2.x0               # and its buffers
         np.testing.assert_allclose(x.grad, g1, rtol=1e-6)
+
+    def test_support_swap_takes_effect(self, supports):
+        other = dual_random_walk_supports(
+            random_sensor_network(12, seed=5).weights)
+        conv = DiffusionConv(supports, 5, 7, k_hops=2)
+        fresh = DiffusionConv(other, 5, 7, k_hops=2)
+        fresh.load_state_dict(conv.state_dict())
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((4, 12, 5)).astype(np.float32)
+        g = rng.standard_normal((4, 12, 7)).astype(np.float32)
+
+        def run(c):
+            c.zero_grad()
+            xt = Tensor(x.copy(), requires_grad=True)
+            out = c(xt)
+            out.backward(g.copy())
+            return [a.tobytes() for a in (out.data, xt.grad, c.weight.grad,
+                                          c.bias.grad)]
+
+        f32 = np.dtype(np.float32)
+        before = run(conv)
+        ops = stacked_csr(conv.supports, f32)
+        conv.supports = other
+        after = run(conv)
+        assert after == run(fresh)
+        assert after[0] != before[0]
+        conv.supports = supports        # a set seen before: nothing rebuilt
+        assert all(a is b for a, b in zip(stacked_csr(conv.supports, f32),
+                                          ops))
+        assert run(conv) == before
+
+    def test_support_swap_keeps_count_and_size(self, supports):
+        conv = DiffusionConv(supports, 5, 7, k_hops=2)
+        small = dual_random_walk_supports(
+            random_sensor_network(8, seed=5).weights)
+        for bad in (supports[:1], small):
+            with pytest.raises(ShapeError, match="one size and count"):
+                conv.supports = bad
+        with pytest.raises(ValueError, match="at least one"):
+            conv.supports = []
+        assert conv.supports == supports
 
     def test_grad_accumulates_over_calls(self, supports):
         conv = DiffusionConv(supports, 3, 4, k_hops=2)

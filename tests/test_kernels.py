@@ -1,10 +1,12 @@
 """Tests for ``repro.kernels``: the single numpy backend behind the three
-functions the end-to-end benchmark calls, mixed-precision storage, and
-the PreparedCSR cache bounds.
+functions the end-to-end benchmark calls, the row order of scipy's CSR
+kernel, mixed-precision storage, and the PreparedCSR cache bounds.
 """
 
 import numpy as np
 import pytest
+import scipy
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from repro import kernels
@@ -16,6 +18,7 @@ from repro.autograd.sparse_kernels import (
     prepared_csr,
 )
 from repro.graph import dual_random_walk_supports, random_sensor_network
+from repro.kernels.numpy_backend import _product
 from repro.serving.sharding import ShardedSession
 
 
@@ -98,6 +101,18 @@ class TestPreparedCache:
         # The oldest dtype was evicted; re-requesting it rebuilds.
         assert prepared_csr(m, np.float32) is not first
 
+    def test_source_matrix_is_left_untouched(self):
+        # dual_random_walk_supports leaves row indices unsorted, and
+        # canonicalising in the support's own dtype must not sort the
+        # caller's (the model's) arrays.
+        m = _random_csr(16, 0)
+        assert not m.has_sorted_indices
+        before = [a.copy() for a in (m.indptr, m.indices, m.data)]
+        p = prepared_csr(m, m.dtype)
+        assert p.csr is not m and p.csr.has_sorted_indices
+        for a, b in zip(before, (m.indptr, m.indices, m.data)):
+            assert a.tobytes() == b.tobytes()
+
     def test_matrix_fifo_eviction(self):
         matrices = [_random_csr(8, seed) for seed in range(_PREPARED_MAX + 2)]
         for m in matrices:
@@ -105,6 +120,78 @@ class TestPreparedCache:
         assert len(_PREPARED) <= _PREPARED_MAX
         assert id(matrices[0]) not in _PREPARED
         assert id(matrices[-1]) in _PREPARED
+
+
+# ---------------------------------------------------------------------------
+# scipy's CSR kernel sums each row in stored order (the bits rest on it)
+# ---------------------------------------------------------------------------
+ROW_ORDER_CONTRACT = (
+    "scipy {version}'s csr_matvecs no longer equals a left-to-right sum of "
+    "each CSR row in stored order with every product rounded before it is "
+    "added (a scipy release reordered or fused the row loop).  "
+    "DiffusionConv's stacked supports keep each row's entries in the "
+    "per-support order on that assumption, and every fixed-seed literal "
+    "(PINNED_2EP, the [adam] curve, TestDCGRUStepParity, ...) was pinned "
+    "through it: check those before re-pinning anything.")
+
+
+def _random_block_csr(seed: int, rows: int, cols: int, vecs: int,
+                      shuffled: bool):
+    """Float32 CSR (sorted or shuffled row indices) and a dense block, both
+    spanning ~2^±30 so any change of summation order shows in the bits."""
+    rng = np.random.default_rng(seed)
+
+    def wide(*shape):
+        mag = 2.0 ** rng.uniform(-30, 30, shape)
+        return (rng.choice([-1.0, 1.0], shape) * mag).astype(np.float32)
+
+    counts = rng.integers(0, cols + 1, rows)
+    indices = np.concatenate(
+        [np.zeros(0, np.int32)] +
+        [rng.choice(cols, c, replace=False) if shuffled
+         else np.sort(rng.choice(cols, c, replace=False)) for c in counts]
+    ).astype(np.int32)
+    indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
+    a = sp.csr_matrix((wide(len(indices)), indices, indptr),
+                      shape=(rows, cols))
+    return a, wide(cols, vecs)
+
+
+def _stored_order_product(a, x: np.ndarray, reverse: bool = False):
+    """``a @ x`` as a NumPy loop over each row's stored entries."""
+    y = np.zeros((a.shape[0], x.shape[1]), x.dtype)
+    for i in range(a.shape[0]):
+        entries = range(a.indptr[i], a.indptr[i + 1])
+        for jj in (reversed(entries) if reverse else entries):
+            y[i] = y[i] + a.data[jj] * x[a.indices[jj]]
+    return y
+
+
+def _kernel_product(a, x: np.ndarray) -> np.ndarray:
+    y = np.empty((a.shape[0], x.shape[1]), x.dtype)
+    _product(a, x.reshape(-1), y.reshape(-1), x.shape[1])
+    return y
+
+
+class TestCsrRowOrder:
+    """The diffusion kernels' ``csr_matvecs`` product equals a NumPy loop
+    over each row in stored order, byte for byte, sorted or not."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.integers(1, 12), cols=st.integers(1, 12),
+           vecs=st.integers(1, 6), shuffled=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_kernel_sums_rows_in_stored_order(self, rows, cols, vecs,
+                                              shuffled, seed):
+        a, x = _random_block_csr(seed, rows, cols, vecs, shuffled)
+        message = ROW_ORDER_CONTRACT.format(version=scipy.__version__)
+        assert _kernel_product(a, x).tobytes() == \
+            _stored_order_product(a, x).tobytes(), message
+
+    def test_reversed_row_order_would_differ(self):
+        a, x = _random_block_csr(0, 12, 12, 4, shuffled=True)
+        assert _kernel_product(a, x).tobytes() != \
+            _stored_order_product(a, x, reverse=True).tobytes()
 
 
 # ---------------------------------------------------------------------------

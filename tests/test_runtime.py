@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.autograd.sparse_kernels import stacked_csr
 from repro.batching import IndexBatchLoader
 from repro.datasets import load_dataset
 from repro.graph import dual_random_walk_supports
@@ -516,6 +517,11 @@ class TestCrossTransportEquivalence:
         for a, b in ((shared.cell.gates, replica.cell.gates),
                      (shared.cell.candidate, replica.cell.candidate)):
             assert all(x is y for x, y in zip(a.supports, b.supports))
+            # Aliased supports resolve to one set of stacked operators.
+            ops = stacked_csr(a.supports, np.dtype(np.float32))
+            theirs = stacked_csr(b.supports, np.dtype(np.float32))
+            assert all(x is y for x, y in zip(ops, theirs))
+            assert ops[1].T is theirs[1].T
             assert a._scratch and b._scratch
             assert not any(x is y for x in a._scratch.values()
                            for y in b._scratch.values())
