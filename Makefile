@@ -15,7 +15,7 @@ test:                       ## tier-1: full unit + claims-ledger suite
 test-cov:                   ## tier-1 with line-coverage ratchet (needs pytest-cov)
 	$(PY) -m pytest -x -q --cov=src/repro --cov-report=term --cov-fail-under=$(COV_FLOOR)
 
-chaos:                      ## chaos tier: crash/straggler/failover scenarios
+chaos:                      ## chaos tier: crash/straggler/gateway scenarios
 	$(PY) -m pytest tests/chaos -q
 
 # The one benchmark the pipeline runs (BENCHMARK.json); it sets its own

@@ -1,4 +1,4 @@
-"""Fault tolerance end to end: crash-resume training + serving failover.
+"""Fault tolerance end to end: crash-resume training + gateway fallback.
 
 Walks the chaos subsystem's two guarantees:
 
@@ -7,10 +7,9 @@ Walks the chaos subsystem's two guarantees:
    curve *bitwise identical* to the uninterrupted run, both through the
    low-level ``train_with_recovery`` API and the declarative
    ``RunSpec(faults=...)`` path.
-2. **Serving** — a sharded forecast service loses a worker mid-stream,
-   fails over (promoting a standby or re-partitioning the survivors,
-   replaying halo state from the observation log), and keeps answering
-   with predictions equal to the unsharded session.
+2. **Serving** — a gateway deployment's session dies mid-stream; its
+   circuit opens, the fallback deployment answers in its place, and the
+   probe restarts the session, so every request is answered.
 
 Run it::
 
@@ -21,9 +20,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.api import RunSpec, run, serve
+from repro.api import RunSpec, build_gateway, run
 from repro.runtime import FaultPlan
-from repro.serving import LoadGenerator
+from repro.serving import GatewayLoadGenerator, TenantStream
 
 
 def main(*, scale: str = "tiny", epochs: int = 2, world: int = 2,
@@ -43,28 +42,25 @@ def main(*, scale: str = "tiny", epochs: int = 2, world: int = 2,
           f"(restarts={chaos.restarts}, bitwise={bitwise})")
     assert bitwise, "recovery must reproduce the uninterrupted curve"
 
-    # -- 2. serving: kill a shard worker mid-stream ----------------------
+    # -- 2. serving: a deployment's session dies mid-stream -------------
     test = clean.artifacts.loaders.test
     pool, _ = test.batch_at(np.arange(test.batch_size))
-    pool = pool.copy()
-    reference = serve(clean).session.predict(pool).copy()
-
-    plan = FaultPlan().worker_crash(shard=1, at_request=requests // 2)
-    svc = serve(clean, server="sharded", num_shards=4, max_batch=8,
-                fault_plan=plan, service_time=lambda n: 0.0005 + 0.0001 * n)
-    report = LoadGenerator(svc, pool, seed=0).closed_loop(
-        requests=requests, concurrency=8, scenario="failover-demo")
-    parity = float(np.max(np.abs(svc.session.predict(pool) - reference)))
-    event = svc.failover_events[0]
-    print(f"serving:       {report.requests} reqs at {report.qps:.0f} qps, "
-          f"{report.failovers} failover ({event.mode}, "
-          f"{event.num_shards_after} shards after) "
-          f"p99 {report.failover_p99 * 1e3:.2f} ms, "
-          f"post-failover parity err {parity:.1e}")
-    assert parity <= 1e-6, "failover must preserve predictions"
+    gw = build_gateway(
+        {"bay": clean, "standby": clean}, fallbacks={"bay": "standby"},
+        max_batch=8, service_time=lambda n: 0.0005 + 0.0001 * n,
+        fault_plan=FaultPlan().session_crash("bay", at_dispatch=2))
+    stream = TenantStream(api_key="key-default", deployment="bay",
+                          rate_qps=400.0, requests=requests)
+    report = GatewayLoadGenerator(gw, pool.copy(), seed=0).open_loop(
+        [stream], scenario="fallback-demo")
+    print(f"serving:       {report.requests} reqs, {report.degraded} "
+          f"answered by the fallback, {gw.resilience.restarts} session "
+          f"restart(s), failed {report.failed}")
+    assert report.requests == requests and report.failed == 0, \
+        "every request must be answered"
 
     return {"restarts": chaos.restarts, "bitwise": bitwise,
-            "failovers": report.failovers, "parity_max_abs_err": parity}
+            "degraded": report.degraded, "failed": report.failed}
 
 
 if __name__ == "__main__":

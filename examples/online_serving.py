@@ -9,9 +9,7 @@ The full life of a forecast model, end to end in one process:
    ``ForecastService`` over a restored ``ModelSession``;
 4. stream observations into the sliding-window feature store and
    forecast from live state;
-5. re-serve the same checkpoint sharded (graph-partitioned workers with
-   halo exchange) and check the predictions agree;
-6. measure QPS and p50/p95/p99 latency with the seeded load generator.
+5. measure QPS and p50/p95/p99 latency with the seeded load generator.
 
 Run:  python examples/online_serving.py
 """
@@ -29,8 +27,7 @@ from repro.training.checkpoint import save_checkpoint
 from repro.utils.seeding import seed_everything
 
 
-def main(scale: str = "tiny", epochs: int = 2, requests: int = 200,
-         shards: int = 2) -> None:
+def main(scale: str = "tiny", epochs: int = 2, requests: int = 200) -> None:
     seed_everything(0)
 
     # 1. Train declaratively.
@@ -70,23 +67,11 @@ def main(scale: str = "tiny", epochs: int = 2, requests: int = 200,
     window = session.current_window()
     for _ in range(8):
         svc.submit(window)
-    burst = svc.poll()
+    svc.poll()
     print(f"burst of 8 requests served in {svc.stats.batches} batch(es), "
           f"mean batch size {svc.stats.mean_batch_size:.1f}")
 
-    # 5. The same checkpoint, sharded: partitioned sensor ownership,
-    # byte-accounted halo exchange, identical predictions.
-    sharded = serve(ckpt, server="sharded", num_shards=shards,
-                    max_batch=8)
-    for values, ts in zip(ds.signals[-warm:], ds.timestamps[-warm:]):
-        sharded.ingest(values, float(ts))
-    merged = sharded.forecast_streamed()
-    drift = float(np.max(np.abs(merged - streamed)))
-    halo = sharded.session.halo_stats()
-    print(f"sharded x{shards}: max |sharded - local| = {drift:.2e}; "
-          f"halo traffic {halo['bytes_by_category']} over {halo['ops']} ops")
-
-    # 6. Load test: seeded arrivals, measured service times.
+    # 5. Load test: seeded arrivals, measured service times.
     test = result.artifacts.loaders.test
     pool = test.batch_at(np.arange(test.batch_size))[0].copy()
     bench_svc = serve(ckpt, max_batch=8)

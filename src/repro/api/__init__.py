@@ -26,9 +26,8 @@ Loaders handed to the trainers satisfy the :class:`BatchSource` protocol
 
 Trained artifacts go online through :func:`serve` — a checkpoint path,
 ``RunResult`` or spec becomes a micro-batching
-:class:`~repro.serving.service.ForecastService`, with server topologies
-(``local`` / ``sharded``) resolved through the :data:`SERVERS`
-registry.  :func:`build_gateway` assembles the
+:class:`~repro.serving.service.ForecastService` over one session that
+holds the whole graph.  :func:`build_gateway` assembles the
 multi-tenant front door over several named deployments at once.
 """
 
@@ -58,9 +57,7 @@ from repro.api.builders import LoaderBundle, ModelContext, default_in_features
 from repro.api.spec import RunSpec, SHUFFLES, STRATEGIES, TRANSPORTS
 from repro.api.runner import RunArtifacts, RunResult, run
 from repro.api.serving import (
-    SERVERS,
     build_gateway,
-    list_servers,
     restore_checkpoint,
     serve,
     session_source,
@@ -94,8 +91,6 @@ __all__ = [
     "RunResult",
     "RunArtifacts",
     "run",
-    "SERVERS",
-    "list_servers",
     "serve",
     "build_gateway",
     "session_source",

@@ -75,7 +75,9 @@ class RunSpec:
         executor injects the plan through a
         :class:`~repro.runtime.faults.FaultyTransport` and trains with
         checkpoint/restart recovery, so the run completes with the same
-        curve as a fault-free run.  Requires a distributed strategy.
+        curve as a fault-free run.  Requires a distributed strategy;
+        gateway events (``session_*``/``store_*``) are refused, since
+        training never dispatches to a deployment.
         An empty schedule is the same experiment as no schedule and is
         stored as ``None``.
     """
@@ -143,7 +145,7 @@ class RunSpec:
         if self.faults is not None:
             # Validate by actually parsing the plan — a typo'd event fails
             # here, before any data is generated.
-            from repro.runtime.faults import FaultPlan
+            from repro.runtime.faults import GATEWAY_KINDS, FaultPlan
 
             if self.strategy == "single":
                 raise ValueError(
@@ -151,6 +153,11 @@ class RunSpec:
                     "a distributed strategy (or drop faults)")
             plan = FaultPlan.from_spec(self.faults, seed=self.seed)
             for ev in plan.events:
+                if ev.kind in GATEWAY_KINDS:
+                    raise ValueError(
+                        f"fault event {ev.encode()!r} targets a gateway "
+                        f"deployment, which training never dispatches to; "
+                        f"pass it to build_gateway(fault_plan=...) instead")
                 if (ev.kind in ("rank_crash", "straggler")
                         and ev.rank >= self.world_size):
                     raise ValueError(

@@ -103,20 +103,6 @@ class CommCostModel:
                 + total_bytes_all_ranks / self.fabric_aggregate_bw)
 
 
-def queueing_latency(service_seconds: float, utilization: float) -> float:
-    """Mean residence time of an M/M/1-style server: ``service / (1 -
-    rho)``.  Past saturation (``rho >= 1``) the queue grows without
-    bound, so the projection is ``inf`` — which is exactly the signal
-    the capacity planner uses to rule a fleet size out."""
-    if service_seconds < 0:
-        raise ValueError("service_seconds must be non-negative")
-    if utilization < 0:
-        raise ValueError("utilization must be non-negative")
-    if utilization >= 1.0:
-        return float("inf")
-    return service_seconds / (1.0 - utilization)
-
-
 def gpu_seconds(world: int, seconds: float) -> float:
     """Accelerator-seconds a ``world``-rank run bills for ``seconds`` of
     wall time — the cost axis that makes a faster-but-wider run

@@ -1,18 +1,14 @@
-"""Capacity planning: pick world/shard counts from budgets, analytically.
+"""Capacity planning: pick a training world size from a budget, analytically.
 
-The elastic pieces need setpoints: how many ranks should a training run
-relaunch with, and between which fleet sizes should the serving
-autoscaler move?  This module answers both from the repository's
-existing analytic models instead of inventing new ones —
-:class:`~repro.training.perfmodel.TrainingPerfModel` prices training
-epochs (and :meth:`reshard_seconds` prices the world change itself),
-and :func:`~repro.cluster.costmodel.queueing_latency` projects serving
-latency from utilization.
+How many ranks should a training run relaunch with?  This module
+answers from the repository's existing analytic model instead of
+inventing a new one — :class:`~repro.training.perfmodel.TrainingPerfModel`
+prices training epochs (and :meth:`reshard_seconds` prices the world
+change itself).
 
-Both planners are deliberately conservative pickers, not optimizers:
-they sweep a small candidate ladder (powers of two — the graph
-partitioner's constraint, and the autoscaler's double/halve steps) and
-return the *smallest* size that meets the budget, because the cost axis
+The planner is a deliberately conservative picker, not an optimizer: it
+sweeps a small candidate ladder (powers of two) and returns the
+*smallest* world that meets the budget, because the cost axis
 (:func:`~repro.cluster.costmodel.gpu_seconds`) always grows with size
 while the benefit saturates at the scaling knee the paper measures.
 Every candidate's numbers ride along in ``sweep`` so a caller can audit
@@ -22,18 +18,13 @@ the choice.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
-from repro.cluster.costmodel import gpu_seconds, queueing_latency
-from repro.elastic.autoscaler import AutoscalerPolicy
+from repro.cluster.costmodel import gpu_seconds
 from repro.training.perfmodel import TrainingPerfModel
 
 POW2_WORLDS = (1, 2, 4, 8, 16, 32, 64, 128)
 
 
-# ---------------------------------------------------------------------------
-# Training: world size from an epoch / total-runtime budget
-# ---------------------------------------------------------------------------
 @dataclass(frozen=True)
 class TrainingPlan:
     """A chosen world size and the evidence behind it."""
@@ -97,108 +88,3 @@ def plan_training(perf: TrainingPerfModel, *, strategy: str,
     return TrainingPlan(world_size=w, strategy=strategy, epochs=int(epochs),
                         epoch_seconds=epoch_s, total_seconds=total_s,
                         gpu_seconds=gs, meets_budget=meets, sweep=sweep)
-
-
-# ---------------------------------------------------------------------------
-# Serving: shard count from a traffic / latency budget
-# ---------------------------------------------------------------------------
-@dataclass(frozen=True)
-class ServingPlan:
-    """A chosen fleet size and the queueing projection behind it."""
-
-    shards: int
-    traffic_qps: float
-    slo_p99: float
-    batch: int                  # assumed coalesced batch per dispatch
-    service_seconds: float      # per-batch service time at this fleet
-    utilization: float          # offered batch-work / capacity
-    projected_latency: float    # queueing residence time per batch
-    meets_slo: bool
-    sweep: tuple                # (shards, rho, projected) per candidate
-
-    def summary(self) -> str:
-        verdict = "meets SLO" if self.meets_slo else "BEST EFFORT"
-        proj = ("inf" if self.projected_latency == float("inf")
-                else f"{self.projected_latency * 1e3:.2f} ms")
-        return (f"serve at {self.shards} shard(s): rho="
-                f"{self.utilization:.2f}, projected latency {proj} vs SLO "
-                f"{self.slo_p99 * 1e3:.2f} ms [{verdict}]")
-
-
-def plan_serving(*, traffic_qps: float, slo_p99: float,
-                 service_time: Callable[[int, int], float],
-                 max_batch: int = 8,
-                 shard_counts: tuple[int, ...] = (1, 2, 4, 8, 16),
-                 max_utilization: float = 0.85) -> ServingPlan:
-    """The smallest fleet holding ``slo_p99`` under ``traffic_qps``.
-
-    ``service_time(batch, shards)`` prices one dispatch — pass the same
-    model the service runs with (e.g. the two-argument form of
-    :func:`~repro.elastic.autoscaler.shard_scaled_service_time`'s
-    closure).  The projection assumes full coalescing (dispatches of
-    ``max_batch``) and an M/M/1-style queue: utilization is
-    ``(traffic / batch) x service``, projected latency is
-    :func:`queueing_latency`, and a candidate qualifies when the
-    projection fits the SLO at utilization below ``max_utilization``
-    (headroom for burstiness the mean-value model cannot see).  If no
-    candidate qualifies, the largest fleet is returned with
-    ``meets_slo=False``.
-    """
-    if traffic_qps <= 0:
-        raise ValueError(f"traffic_qps must be positive, got {traffic_qps}")
-    if slo_p99 <= 0:
-        raise ValueError(f"slo_p99 must be positive, got {slo_p99}")
-    if not 0 < max_utilization < 1:
-        raise ValueError(f"max_utilization must be in (0, 1), "
-                         f"got {max_utilization}")
-    batch = int(max_batch)
-    dispatch_rate = traffic_qps / batch
-    candidates = sorted(int(s) for s in shard_counts)
-    sweep = []
-    chosen = None
-    for s in candidates:
-        svc = float(service_time(batch, s))
-        rho = dispatch_rate * svc
-        projected = queueing_latency(svc, rho)
-        sweep.append((s, svc, rho, projected))
-        if (chosen is None and rho <= max_utilization
-                and projected <= slo_p99):
-            chosen = sweep[-1]
-    meets = chosen is not None
-    if chosen is None:
-        chosen = sweep[-1]
-    s, svc, rho, projected = chosen
-    return ServingPlan(shards=s, traffic_qps=float(traffic_qps),
-                       slo_p99=float(slo_p99), batch=batch,
-                       service_seconds=svc, utilization=rho,
-                       projected_latency=projected, meets_slo=meets,
-                       sweep=tuple(sweep))
-
-
-def autoscaler_setpoints(*, low_qps: float, peak_qps: float, slo_p99: float,
-                         service_time: Callable[[int, int], float],
-                         max_batch: int = 8,
-                         shard_counts: tuple[int, ...] = (1, 2, 4, 8, 16),
-                         max_utilization: float = 0.85,
-                         **policy_kwargs) -> AutoscalerPolicy:
-    """Derive an :class:`AutoscalerPolicy` from a traffic envelope.
-
-    Plans the quiet-hours floor (``low_qps``) and the peak ceiling
-    (``peak_qps``) with :func:`plan_serving` and uses them as the
-    autoscaler's ``min_shards``/``max_shards`` — the fleet never burns
-    capacity below what quiet traffic needs nor chases load beyond what
-    the peak plan says can help.  Extra keyword arguments pass through
-    to the policy (thresholds, cooldown, transition cost).
-    """
-    low = plan_serving(traffic_qps=low_qps, slo_p99=slo_p99,
-                       service_time=service_time, max_batch=max_batch,
-                       shard_counts=shard_counts,
-                       max_utilization=max_utilization)
-    peak = plan_serving(traffic_qps=peak_qps, slo_p99=slo_p99,
-                        service_time=service_time, max_batch=max_batch,
-                        shard_counts=shard_counts,
-                        max_utilization=max_utilization)
-    return AutoscalerPolicy(slo_p99=float(slo_p99),
-                            min_shards=low.shards,
-                            max_shards=max(low.shards, peak.shards),
-                            **policy_kwargs)

@@ -1,7 +1,7 @@
 """Deterministic fault injection for the distributed runtime.
 
 Production failures — crashed ranks, stragglers, lost messages, dead
-serving workers — are random in the wild but must be *scheduled* in a
+serving sessions — are random in the wild but must be *scheduled* in a
 test: a :class:`FaultPlan` is a seeded, serializable list of
 :class:`FaultEvent`\\ s, and :class:`FaultyTransport` wraps any
 :class:`~repro.runtime.transport.Transport` to fire those events at the
@@ -18,8 +18,6 @@ fabric's own boundaries:
 - ``message_delay``/``message_drop`` charge extra fabric time (a dropped
   message is modelled as a retransmit after a timeout, so data still
   arrives — numerics never change, only cost).
-- ``worker_crash(shard, at_request)`` is consumed by the serving layer
-  (:class:`~repro.serving.sharding.ShardedSession`), not the transport.
 - ``session_crash``/``session_straggler``/``store_corruption`` target a
   named gateway *deployment* (``target``) and are consumed by the
   gateway's resilience layer (:mod:`repro.serving.resilience`): a
@@ -43,20 +41,15 @@ from dataclasses import dataclass
 from repro.utils.errors import CommunicatorError
 from repro.utils.seeding import new_rng
 
-#: Event kinds a plan may schedule.  ``worker_crash`` and the
-#: ``session_*``/``store_*`` kinds target the serving layer; everything
-#: else is injected by :class:`FaultyTransport`.
+#: Event kinds a plan may schedule.  The ``session_*``/``store_*`` kinds
+#: target the gateway (:data:`GATEWAY_KINDS`); everything else is
+#: injected by :class:`FaultyTransport`.
 FAULT_KINDS = ("rank_crash", "straggler", "message_delay", "message_drop",
-               "worker_crash", "session_crash", "session_straggler",
-               "store_corruption")
+               "session_crash", "session_straggler", "store_corruption")
 
-#: Kinds consumed by serving components rather than the transport.
-SERVING_KINDS = ("worker_crash", "session_crash", "session_straggler",
-                 "store_corruption")
-
-#: Kinds consumed by the gateway resilience layer; ``target`` names the
-#: deployment and ``step``/``until``/``request`` count its *dispatches*
-#: (batches), not training steps.
+#: Kinds consumed by the gateway resilience layer rather than the
+#: transport; ``target`` names the deployment and ``step``/``until``/
+#: ``request`` count its *dispatches* (batches), not training steps.
 GATEWAY_KINDS = ("session_crash", "session_straggler", "store_corruption")
 
 
@@ -87,8 +80,6 @@ class FaultEvent:
     - ``message_drop``: point-to-point sends in ``category`` during
       ``[step, until)`` are lost once and retransmitted after a
       ``seconds`` timeout.
-    - ``worker_crash``: serving shard ``shard`` dies once
-      ``requests_served`` reaches ``request``.
     - ``session_crash``: gateway deployment ``target``'s session dies at
       its ``request``-th batch dispatch (and stays dead until restarted).
     - ``session_straggler``: deployment ``target``'s dispatches in
@@ -104,7 +95,6 @@ class FaultEvent:
     slowdown: float = 1.0
     seconds: float = 0.0
     category: str | None = None
-    shard: int = 0
     request: int = 0
     target: str = ""
 
@@ -112,7 +102,7 @@ class FaultEvent:
         if self.kind not in FAULT_KINDS:
             raise ValueError(f"unknown fault kind {self.kind!r}; "
                              f"one of {FAULT_KINDS}")
-        if self.step < 0 or self.rank < 0 or self.shard < 0 or self.request < 0:
+        if self.step < 0 or self.rank < 0 or self.request < 0:
             raise ValueError(f"fault event fields must be >= 0: {self}")
         if self.until is not None and self.until <= self.step:
             raise ValueError(f"until must exceed step, got "
@@ -219,10 +209,6 @@ class FaultPlan:
                                      seconds=timeout_seconds,
                                      category=category))
 
-    def worker_crash(self, shard: int, at_request: int) -> "FaultPlan":
-        return self._with(FaultEvent("worker_crash", shard=shard,
-                                     request=at_request))
-
     def session_crash(self, deployment: str, *,
                       at_dispatch: int = 0) -> "FaultPlan":
         """Deployment ``deployment``'s session dies at its
@@ -275,12 +261,7 @@ class FaultPlan:
     def transport_events(self) -> list[tuple[int, FaultEvent]]:
         """(index, event) pairs the transport layer injects."""
         return [(i, ev) for i, ev in enumerate(self.events)
-                if ev.kind not in SERVING_KINDS]
-
-    def serving_events(self) -> list[tuple[int, FaultEvent]]:
-        """(index, event) pairs the sharded serving layer consumes."""
-        return [(i, ev) for i, ev in enumerate(self.events)
-                if ev.kind == "worker_crash"]
+                if ev.kind not in GATEWAY_KINDS]
 
     def gateway_events(self, deployment: str | None = None
                        ) -> list[tuple[int, FaultEvent]]:

@@ -1,7 +1,7 @@
 """The :class:`ProcessGroup` facade: one distributed-execution handle.
 
-Trainers, the serving shards and the performance model all talk to a
-``ProcessGroup`` — collectives, point-to-point fetches, per-rank compute
+Trainers and the performance model talk to a ``ProcessGroup`` —
+collectives, contended data-plane fetches, per-rank compute
 charging, rank execution, and :class:`~repro.runtime.transport.CommStats`
 traffic accounting by category — while the transport behind it decides
 whether ranks are simulated (:meth:`ProcessGroup.sim`), real threads
@@ -118,11 +118,6 @@ class ProcessGroup:
         collectives.barrier(self.transport)
 
     # -- data plane -----------------------------------------------------
-    def fetch(self, src: int, dst: int, nbytes: int,
-              category: str = "data") -> None:
-        """On-demand pull of ``nbytes`` from ``src``'s memory to ``dst``."""
-        self.transport.p2p(src, dst, nbytes, category)
-
     def fetch_all(self, total_bytes: int, messages_per_rank: int,
                   category: str = "data") -> None:
         """All ranks fetch concurrently, contending on the shared fabric."""

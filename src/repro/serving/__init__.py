@@ -1,6 +1,9 @@
 """``repro.serving``: the online forecast-serving subsystem.
 
-Turns trained checkpoints into a queryable, instrumented service:
+Turns trained checkpoints into a queryable, instrumented service.  Every
+session holds the whole model over the whole sensor graph, as every
+training rank does: a DCRNN's receptive field spans the network, so
+serving, like training, partitions nothing.
 
 - :class:`~repro.serving.session.ModelSession` — a restored model behind
   persistent buffers, answering ``no_grad`` forwards.
@@ -9,8 +12,6 @@ Turns trained checkpoints into a queryable, instrumented service:
 - :class:`~repro.serving.queue.MicroBatchQueue` — work-conserving
   request coalescing (whatever is pending, up to ``max_batch``) with
   deadline accounting.
-- :class:`~repro.serving.sharding.ShardedSession` — partitioned workers
-  with owner routing and byte-accounted halo exchange.
 - :class:`~repro.serving.service.ForecastService` — the synchronous
   facade tying session + queue + clock together.
 - :class:`~repro.serving.loadgen.LoadGenerator` — reproducible closed-
@@ -41,12 +42,6 @@ from repro.serving.loadgen import (
 from repro.serving.queue import ForecastRequest, MicroBatchQueue
 from repro.serving.service import Forecast, ForecastService, ManualClock, ServiceStats
 from repro.serving.session import ModelSession
-from repro.serving.sharding import (
-    FailoverEvent,
-    ShardedSession,
-    ShardWorker,
-    halo_nodes,
-)
 from repro.serving.gateway import (
     AdmissionController,
     AuthError,
@@ -76,7 +71,6 @@ __all__ = [
     "CircuitTransition",
     "Deployment",
     "DeploymentFaultInjector",
-    "FailoverEvent",
     "FeatureStore",
     "Forecast",
     "ForecastRequest",
@@ -96,12 +90,9 @@ __all__ = [
     "ResultCache",
     "RollbackRecord",
     "ServiceStats",
-    "ShardWorker",
-    "ShardedSession",
     "ShedDecision",
     "SwapRecord",
     "Tenant",
     "TenantManager",
     "TenantStream",
-    "halo_nodes",
 ]

@@ -1,8 +1,7 @@
 """``repro.serving.gateway``: the multi-tenant serving front door.
 
-Everything PRs 3-5 built — sessions, micro-batching, sharding, failover —
-serves one model to one caller.  This package is the production front
-end over all of it:
+A session behind a micro-batching service serves one model to one
+caller.  This package is the production front end over all of it:
 
 - :class:`~repro.serving.gateway.deployments.Deployment` — one named,
   version-pinned deployment (warm/cold replica, atomic blue-green

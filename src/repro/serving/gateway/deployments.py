@@ -1,8 +1,7 @@
 """Named, version-pinned model deployments with blue-green swaps.
 
 A :class:`Deployment` is one served model behind the gateway: a
-version-pinned session (local :class:`~repro.serving.session.ModelSession`
-or sharded :class:`~repro.serving.sharding.ShardedSession`) wrapped in
+version-pinned :class:`~repro.serving.session.ModelSession` wrapped in
 its own :class:`~repro.serving.service.ForecastService` (micro-batch
 queue + stats) on the gateway's shared clock.  Deployments start *warm*
 (session live, buffers allocated) or *cold* (only a rebuildable source —
@@ -183,8 +182,8 @@ class Deployment:
         """A fresh tenant-private feature store shaped for this model.
 
         Tenants stream into their own stores (never the session's), so
-        per-tenant state stays isolated even when the backing session is
-        shared or sharded.  The session shapes it
+        per-tenant state stays isolated even though the backing session is
+        shared.  The session shapes it
         (:meth:`~repro.serving.session.ModelSession.new_store`).
         """
         session = self.session

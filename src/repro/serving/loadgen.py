@@ -55,8 +55,6 @@ class LoadReport:
     deadline_misses: int
     utilization: float           # model-busy seconds / duration
     seed: int
-    failovers: int = 0           # shard failovers observed during the run
-    failover_p99: float = 0.0    # p99 failover rebuild latency (wall s)
 
     def to_dict(self) -> dict:
         return {k: (v if not isinstance(v, float) else float(v))
@@ -199,22 +197,15 @@ class LoadGenerator(_SeededLoad):
             self._pick_window(),
             deadline=None if deadline is None else self.clock.now + deadline)
 
-    def _mark(self) -> tuple[float, int, int]:
-        """Busy seconds, batches and failovers (none for sessions without
-        a failover path) the service has logged so far."""
-        svc = self.service
-        return (svc.stats.busy_seconds, svc.stats.batches,
-                len(svc.failover_events))
+    def _mark(self) -> tuple[float, int]:
+        """Busy seconds and batches the service has logged so far."""
+        return self.service.stats.busy_seconds, self.service.stats.batches
 
     def _report(self, scenario: str, mode: str, done: list[Forecast],
                 start: float, offered_qps: float | None,
-                mark: tuple[float, int, int]) -> LoadReport:
+                mark: tuple[float, int]) -> LoadReport:
         duration = self.clock.now - start
-        busy_before, batches_before, failovers_before = mark
-        failover_secs = np.array(
-            [ev.seconds for ev in
-             self.service.failover_events[failovers_before:]],
-            dtype=np.float64)
+        busy_before, batches_before = mark
         batches = self.service.stats.batches - batches_before
         busy = self.service.stats.busy_seconds - busy_before
         return LoadReport(
@@ -226,10 +217,7 @@ class LoadGenerator(_SeededLoad):
             batches=batches,
             deadline_misses=sum(fc.deadline_missed for fc in done),
             utilization=busy / duration if duration > 0 else 0.0,
-            seed=self.seed,
-            failovers=len(failover_secs),
-            failover_p99=(float(np.percentile(failover_secs, 99))
-                          if len(failover_secs) else 0.0))
+            seed=self.seed)
 
     # ------------------------------------------------------------------
     def closed_loop(self, *, requests: int, concurrency: int = 8,

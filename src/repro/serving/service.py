@@ -1,8 +1,7 @@
 """The synchronous :class:`ForecastService` facade.
 
-One object ties the serving subsystem together: a session (local
-:class:`~repro.serving.session.ModelSession` or
-:class:`~repro.serving.sharding.ShardedSession`) does the model work, a
+One object ties the serving subsystem together: a
+:class:`~repro.serving.session.ModelSession` does the model work, a
 :class:`~repro.serving.queue.MicroBatchQueue` coalesces whatever is
 pending when the service next dispatches, and the service stamps
 per-request latency/deadline accounting on a shared clock.
@@ -101,12 +100,6 @@ class ForecastService:
     def ingest(self, values: np.ndarray, timestamp_minutes: float) -> None:
         self.session.ingest(values, timestamp_minutes)
 
-    @property
-    def failover_events(self) -> list:
-        """Shard failovers the session has survived (empty for local
-        sessions, which have no failover path)."""
-        return list(getattr(self.session, "failover_events", ()))
-
     def check_window(self, window: np.ndarray | None) -> np.ndarray | None:
         """Reject malformed windows at the door: a bad request must fail
         its own caller, never poison the micro-batch it would have been
@@ -145,11 +138,10 @@ class ForecastService:
         raise RuntimeError(f"request {req.request_id} never completed")
 
     def forecast_streamed(self) -> np.ndarray:
-        """Forecast every sensor from the session's streamed state.
+        """Forecast every sensor from the session's feature store.
 
-        Local sessions read their feature store; sharded sessions assemble
-        per-shard inputs with halo exchange.  Returns ``[horizon, nodes]``
-        in original units (standardized without a scaler); no queueing.
+        Returns ``[horizon, nodes]`` in original units (standardized
+        without a scaler); no queueing.
         """
         preds = self.session.forecast_current()
         if self.session.scaler is not None:

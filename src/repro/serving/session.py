@@ -6,17 +6,17 @@ into eval mode, the scaler that standardized its training data, and one
 persistent input-staging buffer, and answers ``predict`` calls under
 ``no_grad`` with zero per-request staging allocation (the forward pass
 itself runs through the fused PR-2 kernels, which pool their interior
-buffers).  It is the one place that knows how a batch reaches the model:
-the sharded session inherits its staging, forward and store rule.
+buffers).  It is the one place that knows how a batch reaches the model,
+and it holds the whole model over the whole sensor graph.
 
 Sessions are built either from live training artifacts or — the online
 path — from a **self-describing checkpoint** written by
 ``save_checkpoint(..., spec=..., scaler=...)``: the embedded
 :class:`~repro.api.spec.RunSpec` names the dataset/model/scale registry
 keys, which deterministically reconstruct the sensor graph and model
-skeleton before the parameters are restored.  ``serve(...,
-server="local")`` and :meth:`ModelSession.from_checkpoint` both build
-through :func:`build_local_session`.
+skeleton before the parameters are restored.  ``serve(...)`` and
+:meth:`ModelSession.from_checkpoint` both build through
+:func:`build_local_session`.
 """
 
 from __future__ import annotations
@@ -85,8 +85,7 @@ class ModelSession:
         from the embedded spec — dataset generation is deterministic in
         the spec's seed, so the sensor graph (and therefore the diffusion
         supports) match the training run exactly.  The store is attached
-        by :func:`build_local_session`, as for ``serve(..., server=
-        "local")``.
+        by :func:`build_local_session`, as for ``serve(...)``.
         """
         # Imported lazily: repro.api imports this module's package.
         from repro.api.serving import restore_checkpoint
@@ -99,10 +98,10 @@ class ModelSession:
     # ------------------------------------------------------------------
     # Streaming observations
     # ------------------------------------------------------------------
-    def new_store(self, capacity: int | None = None, *, dtype="float32",
-                  num_nodes: int | None = None) -> FeatureStore:
-        """A fresh feature store for this model's input rows: ``num_nodes``
-        sensors (all by default), the session's time-of-day rule.
+    def new_store(self, capacity: int | None = None, *,
+                  dtype="float32") -> FeatureStore:
+        """A fresh feature store for this model's input rows: every
+        sensor, the session's time-of-day rule.
 
         ``capacity`` defaults to four horizons and must cover one: a
         smaller ring can never hold a window, however much is ingested.
@@ -119,7 +118,7 @@ class ModelSession:
                 f"{self.horizon}: no window could ever be read from it")
         return FeatureStore(
             self.scaler,
-            num_nodes=self.num_nodes if num_nodes is None else num_nodes,
+            num_nodes=self.num_nodes,
             raw_features=self.in_features - int(self.add_time_feature),
             capacity=capacity, add_time_feature=self.add_time_feature,
             dtype=resolve_store_dtype(dtype) or np.float32)

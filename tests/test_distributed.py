@@ -89,13 +89,13 @@ class TestClockSemantics:
 class TestDataPlane:
     def test_fetch_advances_both_endpoints(self):
         comm = ProcessGroup.sim(4)
-        comm.fetch(0, 3, 10**8)
+        comm.transport.p2p(0, 3, 10**8, "data")
         assert comm.transport.clocks[0].now == comm.transport.clocks[3].now > 0
         assert comm.transport.clocks[1].now == 0.0
 
     def test_fetch_self_is_free(self):
         comm = ProcessGroup.sim(2)
-        comm.fetch(1, 1, 10**9)
+        comm.transport.p2p(1, 1, 10**9, "data")
         assert comm.now == 0.0
         assert comm.stats.total_bytes() == 0
 
@@ -108,7 +108,7 @@ class TestDataPlane:
     def test_byte_accounting_by_category(self):
         comm = ProcessGroup.sim(2)
         comm.allreduce([np.zeros(100)] * 2, category="gradient")
-        comm.fetch(0, 1, 500, category="data")
+        comm.transport.p2p(0, 1, 500, "data")
         assert comm.stats.bytes_by_category["gradient"] == 800
         assert comm.stats.bytes_by_category["data"] == 500
         assert comm.stats.ops == 2
@@ -136,7 +136,7 @@ class TestDataPlane:
     def test_invalid_rank(self):
         comm = ProcessGroup.sim(2)
         with pytest.raises(CommunicatorError):
-            comm.fetch(0, 5, 100)
+            comm.transport.p2p(0, 5, 100, "data")
         with pytest.raises(CommunicatorError):
             comm.advance_compute(-1, 1.0)
 

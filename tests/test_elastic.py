@@ -1,5 +1,4 @@
-"""Elastic scale: checkpoint resharding, serving scale_to, autoscaler,
-capacity planner.
+"""Elastic scale: checkpoint resharding and the training capacity planner.
 
 The load-bearing pins:
 
@@ -11,10 +10,7 @@ The load-bearing pins:
 - partition-dependent shuffles reshard only at epoch boundaries and
   refuse mid-epoch cursors loudly;
 - a resharded checkpoint resumes to identical bits on every transport;
-- ``ShardedSession.scale_to`` keeps predictions bitwise stable across
-  resizes and refuses non-partition ownership (overlaps and gaps);
-- the autoscaler doubles/halves inside its policy bounds with cooldown
-  and hysteresis, and the planner picks minimal sizes that meet budgets.
+- the planner picks the minimal world that meets a budget.
 """
 
 import json
@@ -25,24 +21,15 @@ from hypothesis import given, settings, strategies as st
 
 from repro.batching import IndexBatchLoader
 from repro.datasets import load_dataset
-from repro.elastic import (
-    AutoscalerPolicy,
-    ShardAutoscaler,
-    autoscaler_setpoints,
-    plan_serving,
-    plan_training,
-    read_reshard_history,
-    reshard_checkpoint,
-)
+from repro.elastic import plan_training, read_reshard_history, reshard_checkpoint
 from repro.graph import dual_random_walk_supports
 from repro.models import PGTDCRNN
 from repro.optim import Adam
 from repro.preprocessing import IndexDataset
 from repro.runtime import ProcessGroup
-from repro.serving.service import ManualClock
 from repro.training import DDPStrategy, DDPTrainer, train_with_recovery
 from repro.training.checkpoint import read_checkpoint_meta, write_archive
-from repro.utils.errors import CheckpointError, ReshardError, ShapeError
+from repro.utils.errors import CheckpointError, ReshardError
 
 SEED = 0
 EPOCHS = 2
@@ -398,84 +385,6 @@ class TestElasticRecovery:
 
 
 # ---------------------------------------------------------------------------
-# Autoscaler control loop (stub session: policy logic only)
-# ---------------------------------------------------------------------------
-class _StubSession:
-    def __init__(self, shards=2):
-        self.num_shards = shards
-        self.calls = []
-
-    def scale_to(self, n):
-        self.calls.append(n)
-        self.num_shards = n
-
-
-class TestAutoscalerPolicy:
-    def test_policy_validation(self):
-        with pytest.raises(ValueError, match="slo_p99"):
-            AutoscalerPolicy(slo_p99=0.0)
-        with pytest.raises(ValueError, match="min_shards"):
-            AutoscalerPolicy(slo_p99=0.01, min_shards=4, max_shards=2)
-        with pytest.raises(ValueError, match="hysteresis"):
-            AutoscalerPolicy(slo_p99=0.01, scale_up_at=0.5,
-                             scale_down_at=0.6)
-
-    def make(self, shards=2, **kw):
-        kw.setdefault("slo_p99", 0.010)
-        kw.setdefault("min_shards", 1)
-        kw.setdefault("max_shards", 8)
-        kw.setdefault("transition_seconds", 0.0)
-        session = _StubSession(shards)
-        clock = ManualClock()
-        return session, clock, ShardAutoscaler(session,
-                                               AutoscalerPolicy(**kw), clock)
-
-    def test_breach_doubles_and_records(self):
-        session, _, auto = self.make(shards=2)
-        event = auto.observe_p99(0.020)
-        assert session.calls == [4]
-        assert (event.from_shards, event.to_shards) == (2, 4)
-        assert "SLO" in event.reason and auto.events == [event]
-
-    def test_quiet_halves(self):
-        session, _, auto = self.make(shards=4)
-        auto.observe_p99(0.004)          # < 0.45 * slo
-        assert session.calls == [2]
-
-    def test_hysteresis_band_holds(self):
-        session, _, auto = self.make(shards=4)
-        assert auto.observe_p99(0.0060) is None     # inside the band
-        assert auto.observe_p99(0.0099) is None
-        assert session.calls == []
-
-    def test_bounds_respected(self):
-        session, _, auto = self.make(shards=8)
-        assert auto.observe_p99(0.5) is None        # already at max
-        session2, _, auto2 = self.make(shards=1)
-        assert auto2.observe_p99(1e-6) is None      # already at min
-        assert session.calls == session2.calls == []
-
-    def test_nan_p99_holds(self):
-        """An empty tick (no completions) reports NaN; never scale on it."""
-        session, _, auto = self.make(shards=2)
-        assert auto.observe_p99(float("nan")) is None
-        assert session.calls == []
-
-    def test_cooldown_blocks_back_to_back(self):
-        session, clock, auto = self.make(shards=2, cooldown_seconds=5.0)
-        auto.observe_p99(0.020)
-        assert auto.observe_p99(0.020) is None      # still cooling
-        clock.advance(5.0)
-        auto.observe_p99(0.020)
-        assert session.calls == [4, 8]
-
-    def test_transition_cost_charged_to_clock(self):
-        session, clock, auto = self.make(shards=2, transition_seconds=0.5)
-        auto.observe_p99(0.020)
-        assert clock.now == 0.5
-
-
-# ---------------------------------------------------------------------------
 # Capacity planner
 # ---------------------------------------------------------------------------
 @pytest.fixture(scope="module")
@@ -523,243 +432,54 @@ class TestTrainingPlanner:
         with pytest.raises(ValueError):
             perf.reshard_seconds(0, 4)
 
-
-class TestServingPlanner:
-    @staticmethod
-    def service_time(batch, shards):
-        return (2e-3 + 1e-3 * batch) / shards
-
-    def test_picks_smallest_fleet_holding_slo(self):
-        plan = plan_serving(traffic_qps=2200.0, slo_p99=9e-3,
-                            service_time=self.service_time, max_batch=8)
-        assert plan.meets_slo and plan.shards == 4
-        assert plan.utilization < 0.85
-        assert plan.projected_latency <= 9e-3
-        # 2 shards saturate: rho = (2200/8) * 5e-3 > 1.
-        rho_at = dict((s, rho) for s, _, rho, _ in plan.sweep)
-        assert rho_at[2] > 1.0
-
-    def test_saturated_everywhere_is_best_effort(self):
-        plan = plan_serving(traffic_qps=1e6, slo_p99=1e-3,
-                            service_time=self.service_time,
-                            shard_counts=(1, 2, 4))
-        assert not plan.meets_slo and plan.shards == 4
-        assert plan.projected_latency == float("inf")
-        assert "BEST EFFORT" in plan.summary()
-
-    def test_setpoints_bracket_the_traffic_envelope(self):
-        policy = autoscaler_setpoints(
-            low_qps=400.0, peak_qps=2200.0, slo_p99=9e-3,
-            service_time=self.service_time, max_batch=8,
-            cooldown_seconds=1.0)
-        # 1 shard at 400 qps projects 20 ms (> SLO): the quiet floor is 2.
-        assert policy.min_shards == 2
-        assert policy.max_shards == 4
-        assert policy.cooldown_seconds == 1.0
-
-    def test_queueing_latency_edges(self):
-        from repro.cluster.costmodel import gpu_seconds, queueing_latency
-        assert queueing_latency(1e-3, 0.0) == 1e-3
-        assert queueing_latency(1e-3, 0.5) == 2e-3
-        assert queueing_latency(1e-3, 1.0) == float("inf")
-        with pytest.raises(ValueError):
-            queueing_latency(-1.0, 0.5)
+    def test_gpu_seconds_edges(self):
+        from repro.cluster.costmodel import gpu_seconds
+        assert gpu_seconds(4, 2.5) == 10.0
         with pytest.raises(ValueError):
             gpu_seconds(0, 1.0)
+        with pytest.raises(ValueError):
+            gpu_seconds(1, -1.0)
 
+    def test_worlds_must_be_positive(self, perf):
+        for worlds in ((0, 2), ()):
+            with pytest.raises(ValueError, match="worlds must be positive"):
+                plan_training(perf, strategy="dist-index",
+                              total_budget_seconds=1.0, worlds=worlds)
 
-# ---------------------------------------------------------------------------
-# Live serving resize: ShardedSession.scale_to
-# ---------------------------------------------------------------------------
-from repro.api import RunSpec, run                              # noqa: E402
-from repro.elastic import (                                     # noqa: E402
-    run_autoscaled_trace,
-    shard_scaled_service_time,
-)
-from repro.serving import ShardedSession                        # noqa: E402
-from repro.serving.service import ForecastService               # noqa: E402
+    def test_sweep_covers_every_candidate_in_order(self, perf):
+        plan = plan_training(perf, strategy="dist-index", epochs=4,
+                             total_budget_seconds=1e9, worlds=(4, 1, 2))
+        assert [row[0] for row in plan.sweep] == [1, 2, 4]
+        for w, _, total_s, gpu_s in plan.sweep:
+            assert gpu_s == w * total_s
+        # Any world meets an unbounded budget: the smallest is chosen.
+        assert plan.world_size == 1 and plan.meets_budget
 
-SPEC = dict(dataset="pems-bay", model="pgt-dcrnn", batching="index",
-            scale="tiny", seed=0, epochs=1)
+    def test_both_budgets_must_hold(self, perf):
+        sweep = plan_training(perf, strategy="dist-index", epochs=10,
+                              total_budget_seconds=1e9,
+                              worlds=(1, 2, 4, 8)).sweep
+        # A loose total budget and world 8's epoch time as the epoch budget.
+        epoch_budget = sweep[-1][1]
+        plan = plan_training(perf, strategy="dist-index", epochs=10,
+                             epoch_budget_seconds=epoch_budget,
+                             total_budget_seconds=1e9,
+                             worlds=(1, 2, 4, 8))
+        assert plan.epoch_seconds <= epoch_budget
+        for w, epoch_s, _, _ in plan.sweep:
+            if w < plan.world_size:
+                assert epoch_s > epoch_budget
+        # The same epoch budget with a total budget nobody meets.
+        tight = plan_training(perf, strategy="dist-index", epochs=10,
+                              epoch_budget_seconds=epoch_budget,
+                              total_budget_seconds=1e-3,
+                              worlds=(1, 2, 4, 8))
+        assert not tight.meets_budget
 
-
-@pytest.fixture(scope="module")
-def trained():
-    return run(RunSpec(**SPEC))
-
-
-@pytest.fixture(scope="module")
-def pool(trained):
-    test = trained.artifacts.loaders.test
-    xb, _ = test.batch_at(np.arange(test.batch_size))
-    return xb.copy()
-
-
-def make_sharded(trained, **kw) -> ShardedSession:
-    kw.setdefault("num_shards", 2)
-    return ShardedSession(trained.artifacts.model,
-                          trained.artifacts.loaders.scaler,
-                          trained.artifacts.dataset.graph,
-                          spec=trained.spec, **kw)
-
-
-def warm(session, trained, rows=None):
-    ds = trained.artifacts.dataset
-    rows = rows or 2 * session.horizon
-    for values, ts in zip(ds.signals[:rows], ds.timestamps[:rows]):
-        session.ingest(values, float(ts))
-
-
-class TestScaleTo:
-    def test_resize_round_trip_is_bitwise(self, trained):
-        sess = make_sharded(trained, num_shards=2, num_standby=2)
-        warm(sess, trained)
-        ref = sess.forecast_current().copy()
-
-        up = sess.scale_to(4)
-        assert sess.num_shards == 4 and len(sess.workers) == 4
-        np.testing.assert_array_equal(sess.forecast_current().copy(), ref)
-        assert up.mode == "scale_up"
-        assert (up.from_shards, up.to_shards) == (2, 4)
-        assert up.standby_used == 2 and up.standby_returned == 0
-        assert sess.standby == 0
-        assert up.seconds > 0
-
-        down = sess.scale_to(2)
-        assert sess.num_shards == 2
-        np.testing.assert_array_equal(sess.forecast_current().copy(), ref)
-        assert down.mode == "scale_down"
-        assert down.standby_returned == 2 and sess.standby == 2
-        assert sess.scale_events == [up, down]
-        assert sess.halo_stats()["scale_events"] == 2
-
-    def test_resize_survives_fresh_ingest(self, trained):
-        """State ingested *after* a resize flows into the new workers'
-        stores — the replay log keeps growing across memberships."""
-        sess = make_sharded(trained, num_shards=2)
-        warm(sess, trained)
-        sess.scale_to(4)
-        flat = make_sharded(trained, num_shards=4)
-        warm(flat, trained)
-        ds = trained.artifacts.dataset
-        nxt = 2 * sess.horizon
-        sess.ingest(ds.signals[nxt], float(ds.timestamps[nxt]))
-        flat.ingest(ds.signals[nxt], float(ds.timestamps[nxt]))
-        np.testing.assert_array_equal(sess.forecast_current().copy(),
-                                      flat.forecast_current().copy())
-
-    def test_same_size_is_a_noop(self, trained):
-        sess = make_sharded(trained, num_shards=2)
-        assert sess.scale_to(2) is None
-        assert sess.scale_events == []
-
-    def test_non_power_of_two_refused(self, trained):
-        sess = make_sharded(trained, num_shards=2)
-        with pytest.raises(ValueError, match="power of two"):
-            sess.scale_to(3)
-
-    def test_assignment_wrong_shape_refused(self, trained):
-        sess = make_sharded(trained, num_shards=2)
-        with pytest.raises(ShapeError, match="assignment"):
-            sess.scale_to(2, assignment=np.zeros(3, dtype=np.int64))
-
-    def test_assignment_with_gap_refused(self, trained):
-        """An explicit assignment must be a partition: every shard id in
-        range and every sensor owned.  Out-of-range ids leave their
-        sensors unowned."""
-        sess = make_sharded(trained, num_shards=2)
-        bad = np.zeros(sess.num_nodes, dtype=np.int64)
-        bad[-1] = 7                                 # not a shard in [0, 2)
-        with pytest.raises(ShapeError, match="assignment"):
-            sess.scale_to(2, assignment=bad)
-
-    def test_explicit_equal_size_repartition(self, trained):
-        """Same shard count, different ownership: a live re-partition."""
-        sess = make_sharded(trained, num_shards=2)
-        warm(sess, trained)
-        ref = sess.forecast_current().copy()
-        flipped = 1 - sess.assignment
-        event = sess.scale_to(2, assignment=flipped)
-        assert event.mode == "repartition"
-        np.testing.assert_array_equal(sess.assignment, flipped)
-        np.testing.assert_array_equal(sess.forecast_current().copy(), ref)
-
-
-class TestOverlapRegression:
-    """Regression: merge paths write ``out[:, :, w.owned]`` per shard, so
-    overlapping ownership silently let the last writer win.  Ownership is
-    now validated as a partition at construction, failover, and resize."""
-
-    def test_overlap_after_promotion_is_refused(self, trained):
-        sess = make_sharded(trained, num_shards=2, num_standby=1)
-        warm(sess, trained)
-        # Corrupt shard 1 to claim shard 0's sensors, then lose it: the
-        # standby promotion inherits the corrupted ownership and the
-        # partition check must catch the overlap instead of serving
-        # silently wrong merges.
-        sess.workers[1].owned = sess.workers[0].owned.copy()
-        sess.kill_worker(1)
-        with pytest.raises(ShapeError, match="overlapping shard assignment"):
-            sess.forecast_current()
-
-    def test_out_of_range_ownership_is_refused(self, trained):
-        sess = make_sharded(trained, num_shards=2, num_standby=1)
-        warm(sess, trained)
-        sess.workers[1].owned = np.array([sess.num_nodes + 3])
-        sess.kill_worker(1)
-        with pytest.raises(ShapeError, match="outside"):
-            sess.forecast_current()
-
-
-# ---------------------------------------------------------------------------
-# The canonical autoscale demo: 2 -> 4 -> 2 under a traffic step, pinned
-# ---------------------------------------------------------------------------
-class TestAutoscaledTrace:
-    def run_demo(self, trained, pool):
-        sess = make_sharded(trained, num_shards=2, num_standby=2)
-        # Sized for a work-conserving queue: at 4 shards the 2200 qps
-        # phase settles at p99 2.75 ms, mid-way between the scale-down
-        # line (1.8 ms) and the SLO, so the fleet neither flaps nor misses.
-        svc = ForecastService(
-            sess, max_batch=8,
-            service_time=shard_scaled_service_time(sess, base=2e-3,
-                                                   per_item=1.5e-3))
-        policy = AutoscalerPolicy(slo_p99=4.5e-3, min_shards=2, max_shards=4,
-                                  scale_down_at=0.4, transition_seconds=0.02)
-        auto = ShardAutoscaler(sess, policy, svc.clock)
-        report = run_autoscaled_trace(
-            svc, pool, auto, [(500.0, 3), (2200.0, 5), (500.0, 4)],
-            seed=0, tick_requests=40)
-        return sess, report
-
-    def test_scales_up_then_down_holding_slo(self, trained, pool):
-        sess, report = self.run_demo(trained, pool)
-        assert report.shards_path == [2, 2, 2, 4, 4, 4, 4, 4, 2, 2, 2, 2]
-        up, down = report.events
-        assert (up.from_shards, up.to_shards) == (2, 4)
-        assert (down.from_shards, down.to_shards) == (4, 2)
-        assert up.p99 > report.slo_p99            # breach triggered it
-        assert down.p99 < 0.4 * report.slo_p99    # quiet triggered it
-        # Standby replicas funded the scale-up and returned on the way down.
-        assert sess.standby == 2
-        assert [e.mode for e in sess.scale_events] == ["scale_up",
-                                                       "scale_down"]
-
-    def test_transitions_converge_and_slo_mostly_holds(self, trained, pool):
-        _, report = self.run_demo(trained, pool)
-        assert report.requests == 480
-        # Misses concentrate in the one overloaded tick before the
-        # scale-up lands; every other tick serves inside the deadline.
-        assert report.deadline_misses == report.ticks[3]["deadline_misses"] \
-            == 36
-        assert report.slo_compliance == pytest.approx(444 / 480)
-        up_conv, down_conv = report.convergence_seconds
-        assert 0.0 < up_conv < 0.1                # first post-resize tick
-        assert down_conv == 0.0                   # already under SLO
-        assert "2->4->2" in report.summary()
-
-    def test_trace_is_deterministic(self, trained, pool):
-        _, first = self.run_demo(trained, pool)
-        _, second = self.run_demo(trained, pool)
-        assert first.ticks == second.ticks
-        assert first.events == second.events
+    def test_best_effort_summary_says_so(self, perf):
+        plan = plan_training(perf, strategy="dist-index", epochs=10,
+                             total_budget_seconds=1e-3, worlds=(1, 2))
+        assert "BEST EFFORT" in plan.summary()
+        ok = plan_training(perf, strategy="dist-index", epochs=10,
+                           total_budget_seconds=1e9, worlds=(1, 2))
+        assert "meets budget" in ok.summary()

@@ -24,11 +24,11 @@ EXAMPLE_ARGS = {
     "memory_comparison": dict(nodes=8, entries=200),
     "dynamic_graphs": dict(nodes=10, entries=300, epochs=1, horizon=4),
     "scaling_study": dict(),
-    "online_serving": dict(scale="tiny", epochs=1, requests=40, shards=2),
+    "online_serving": dict(scale="tiny", epochs=1, requests=40),
     "fault_tolerance": dict(scale="tiny", epochs=1, world=2, crash_step=2,
                             requests=30),
     "gateway": dict(scale="tiny", epochs=1, requests=60),
-    "elastic": dict(scale="tiny", epochs=1, requests_per_tick=40),
+    "elastic": dict(epochs=1),
 }
 
 #: example module -> a line its smoke run must print.

@@ -301,30 +301,3 @@ class TestTrainingEquivalence:
                                   faults=("rank_crash:step=3,rank=1",)))
         assert faulty.restarts == 1
         assert faulty.train_curve == clean.train_curve
-
-
-class TestShardedServingOnFabric:
-    def test_sharded_predictions_match_inline(self):
-        from repro.api import RunSpec, run
-        from repro.serving import ShardedSession
-
-        trained = run(RunSpec(dataset="pems-bay", scale="tiny", seed=1,
-                              epochs=1))
-        ds = trained.artifacts.dataset
-        scaler = trained.artifacts.loaders.scaler
-
-        def session(comm=None):
-            return ShardedSession(trained.artifacts.model, scaler, ds.graph,
-                                  num_shards=2, spec=trained.spec, comm=comm)
-
-        ref = session()
-        rng = np.random.default_rng(0)
-        batch = rng.standard_normal(
-            (3, ref.horizon, ds.num_nodes, ref.in_features)
-        ).astype(np.float32)
-        inline = ref.predict(batch).copy()
-        pg = ProcessGroup.processes(2)
-        fabric = session(comm=pg)
-        out = fabric.predict(batch)
-        pg.transport.shutdown()
-        np.testing.assert_array_equal(out, inline)

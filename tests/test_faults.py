@@ -1,7 +1,7 @@
 """Unit tests for the fault-injection layer (``repro.runtime.faults``).
 
-The chaos *scenarios* (crash → resume → bitwise curve, serving
-failover) live in ``tests/chaos/``; this module pins the mechanism:
+The chaos *scenarios* (crash → resume → bitwise curve, gateway
+fallback) live in ``tests/chaos/``; this module pins the mechanism:
 plan serialization, event triggering at transport boundaries, recovery
 pricing in the performance model, and ``RunSpec.faults`` validation.
 """
@@ -28,7 +28,7 @@ def plan_crash_straggler() -> FaultPlan:
             .rank_crash(step=2, rank=1)
             .straggler(rank=0, slowdown=3.0, start_step=1, end_step=4)
             .message_delay(0.5, category="gradient", start_step=0)
-            .worker_crash(shard=1, at_request=10))
+            .session_crash("bay", at_dispatch=10))
 
 
 class TestFaultPlan:
@@ -76,6 +76,37 @@ class TestFaultPlan:
         with pytest.raises(ValueError, match="repeated"):
             FaultEvent.decode("rank_crash:step=1,step=2")
 
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(kind="rank_crash", step=-1), ">= 0"),
+        (dict(kind="rank_crash", rank=-1), ">= 0"),
+        (dict(kind="session_crash", target="bay", request=-1), ">= 0"),
+        (dict(kind="straggler", step=3, until=2, slowdown=2.0), "until"),
+        (dict(kind="message_delay", seconds=-0.1), "seconds"),
+        (dict(kind="message_drop", seconds=-1.0), "seconds"),
+    ], ids=["step", "rank", "request", "until", "delay", "drop"])
+    def test_out_of_range_fields_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            FaultEvent(**kwargs)
+
+    def test_message_drop_round_trips(self):
+        plan = FaultPlan(seed=2).message_drop(0.5, category="data",
+                                              start_step=1, end_step=3)
+        assert plan.to_spec() == (
+            "message_drop:step=1,until=3,seconds=0.5,category=data",)
+        assert FaultPlan.from_spec(plan.to_spec(), seed=2) == plan
+
+    @pytest.mark.parametrize("probe, active", [
+        (1, False), (2, True), (4, True), (5, False)],
+        ids=["before", "first", "last", "until"])
+    def test_active_range_is_half_open(self, probe, active):
+        assert FaultEvent("straggler", step=2, until=5,
+                          slowdown=2.0).active_at(probe) is active
+
+    def test_open_ended_range_never_closes(self):
+        event = FaultEvent("message_delay", step=2, seconds=0.1)
+        assert not event.active_at(1)
+        assert event.active_at(2) and event.active_at(10**9)
+
     @settings(max_examples=40, deadline=None)
     @given(event=st.builds(
         FaultEvent,
@@ -117,9 +148,9 @@ class TestFaultPlan:
     def test_views_split_by_layer(self):
         plan = plan_crash_straggler()
         transport_kinds = {ev.kind for _, ev in plan.transport_events()}
-        serving_kinds = {ev.kind for _, ev in plan.serving_events()}
-        assert "worker_crash" not in transport_kinds
-        assert serving_kinds == {"worker_crash"}
+        gateway_kinds = {ev.kind for _, ev in plan.gateway_events()}
+        assert "session_crash" not in transport_kinds
+        assert gateway_kinds == {"session_crash"}
 
     def test_randomized_is_deterministic(self):
         a = FaultPlan.randomized(7, world=4, steps=20)
@@ -130,6 +161,11 @@ class TestFaultPlan:
         kinds = [ev.kind for ev in a.events]
         assert kinds.count("rank_crash") == 1
         assert kinds.count("straggler") == 1
+
+    def test_randomized_needs_a_world_and_steps(self):
+        for kw in (dict(world=0, steps=5), dict(world=2, steps=0)):
+            with pytest.raises(ValueError, match=">= 1"):
+                FaultPlan.randomized(1, **kw)
 
 
 class TestFaultyTransport:
@@ -281,6 +317,31 @@ class TestServingFaultKinds:
         with pytest.raises(ValueError, match="slowdown"):
             FaultPlan().session_straggler("bay", 0.5)
 
+    @pytest.mark.parametrize("plan", [
+        FaultPlan().session_crash("bay"),
+        FaultPlan().session_straggler("bay", 8.0),
+        FaultPlan().store_corruption("bay")],
+        ids=["session_crash", "session_straggler", "store_corruption"])
+    def test_transport_never_fires_gateway_events(self, plan):
+        """Wrapping a fabric in a plan of gateway events changes no
+        clock, byte or step of training: the transport does not see
+        them, which is why a training spec refuses them."""
+        clean = SimTransport(2)
+        faulty = FaultyTransport(SimTransport(2), plan)
+        for fabric in (clean, faulty):
+            for step in range(4):
+                if fabric is faulty:
+                    fabric.begin_step(step)
+                fabric.advance_compute(0, 1.0)
+                fabric.advance_compute(1, 2.0)
+                fabric.collective("allreduce", 256, "gradient")
+                fabric.p2p(0, 1, 128, "data")
+        assert [c.now for c in faulty.inner.clocks] \
+            == [c.now for c in clean.clocks]
+        assert (faulty.stats.bytes_by_category
+                == clean.stats.bytes_by_category)
+        assert faulty.fired == set() and faulty.dropped_messages == 0
+
 
 class TestRunSpecFaults:
     def test_faults_require_distributed_strategy(self):
@@ -296,6 +357,35 @@ class TestRunSpecFaults:
         with pytest.raises(ValueError, match="unknown fault kind"):
             RunSpec(dataset="pems-bay", strategy="dist-index", world_size=2,
                     faults=("meteor_strike:step=1",))
+
+    @pytest.mark.parametrize("event", [
+        "session_crash:target=bay,request=1",
+        "session_straggler:target=bay,slowdown=2.0",
+        "store_corruption:target=bay"])
+    def test_gateway_events_refused(self, event):
+        """The transport never injects gateway events, so a training
+        chaos run holding one would run fault-free; it fails at
+        construction and names where the event belongs."""
+        with pytest.raises(ValueError,
+                           match=r"build_gateway\(fault_plan=\.\.\.\)"):
+            RunSpec(dataset="pems-bay", scale="tiny", strategy="dist-index",
+                    world_size=2, faults=(event,))
+
+    @pytest.mark.parametrize("event", [
+        "rank_crash:step=1,rank=1",
+        "straggler:rank=1,slowdown=2.0",
+        "message_delay:seconds=0.1,category=gradient",
+        "message_drop:seconds=0.5,category=data"])
+    def test_transport_events_accepted(self, event):
+        """Every kind the transport injects stays a valid training
+        fault; the refusal is for gateway kinds only."""
+        spec = RunSpec(dataset="pems-bay", scale="tiny",
+                       strategy="dist-index", world_size=2,
+                       faults=(event,))
+        plan = FaultPlan.from_spec(spec.faults)
+        assert [ev.encode() for _, ev in plan.transport_events()] \
+            == [event]
+        assert plan.gateway_events() == []
 
     def test_lists_normalise_to_tuples(self):
         spec = RunSpec(dataset="pems-bay", strategy="dist-index",

@@ -17,8 +17,9 @@ import time
 import numpy as np
 import pytest
 
-from repro.api import RunSpec, build_gateway, list_servers, run, serve
+from repro.api import RunSpec, build_gateway, run, serve
 from repro.api import session_source
+from repro.runtime import FaultPlan
 from repro.serving import (
     AuthError,
     FeatureStore,
@@ -477,12 +478,82 @@ class TestGateway:
         assert d["cache"]["misses"] == 1
 
 
+class TestWholeGraphReplicas:
+    """Every deployment serves the whole sensor graph from its own
+    session; robustness is a second deployment behind a fallback route,
+    never a split of the graph.  Faults stay inside the deployment they
+    name."""
+
+    def pair(self, trained, plan=None):
+        return build_gateway(
+            {"bay": trained, "standby": trained}, tenants=["ops"],
+            clock=ManualClock(), max_batch=4,
+            service_time=lambda n: 1e-3 + 1e-4 * n,
+            fallbacks={"bay": "standby"}, fault_plan=plan)
+
+    def test_both_replicas_dead_fail_explicitly(self, trained, pool):
+        plan = (FaultPlan().session_crash("bay", at_dispatch=0)
+                .session_crash("standby", at_dispatch=0))
+        gw = self.pair(trained, plan)
+        key = gw.tenants.get("ops").api_key
+        resp = gw.request(key, "bay", pool[0])
+        assert resp.status == "failed" and resp.forecast is None
+        assert gw.stats.failed == 1 and gw.stats.requests == 1
+        assert not gw._pending
+
+    def test_a_dead_fallback_leaves_the_primary_serving(self, trained,
+                                                        pool):
+        calm = self.pair(trained)
+        gw = self.pair(trained,
+                       FaultPlan().session_crash("standby", at_dispatch=0))
+        key = gw.tenants.get("ops").api_key
+        calm_key = calm.tenants.get("ops").api_key
+        for i in range(6):
+            resp = gw.request(key, "bay", pool[i])
+            assert resp.status == "ok" and not resp.degraded_source
+            np.testing.assert_array_equal(
+                resp.forecast.predictions,
+                calm.request(calm_key, "bay", pool[i]).forecast.predictions)
+        assert gw.resilience.transitions() == []
+        assert gw.stats.degraded == 0 and gw.stats.failed == 0
+
+    def test_swaps_to_the_same_model_keep_answers_bitwise(self, trained,
+                                                          pool):
+        gw = make_gateway(trained)
+        before = [gw.request("key-ops", "bay", pool[i]).forecast.predictions
+                  for i in range(4)]
+        for version in ("v2", "v3"):
+            gw.swap("bay", session_source(trained), version=version)
+            after = [gw.request("key-ops", "bay", pool[i])
+                     for i in range(4)]
+            assert all(r.version == version for r in after)
+            for a, b in zip(before, after):
+                np.testing.assert_array_equal(a, b.forecast.predictions)
+        assert gw.stats.rollbacks == 0
+
+    def test_rejected_ingest_leaves_the_store_untouched(self, trained):
+        ds = trained.artifacts.dataset
+        rows = 2 * trained.artifacts.model.horizon
+        clean, dirty = make_gateway(trained), make_gateway(trained)
+        for i in range(rows):
+            values, ts = ds.signals[i], float(ds.timestamps[i])
+            clean.ingest("key-ops", "bay", values, ts)
+            dirty.ingest("key-ops", "bay", values, ts)
+            if i == rows // 2:
+                with pytest.raises(ShapeError):
+                    dirty.ingest("key-ops", "bay", values[:-1], ts)
+        store = dirty.tenants.get("ops").stores["bay"]
+        assert store.total_ingested == rows
+        np.testing.assert_array_equal(
+            dirty.request("key-ops", "bay").forecast.predictions,
+            clean.request("key-ops", "bay").forecast.predictions)
+
+
 class TestGatewayAPI:
     def test_gateways_are_built_not_served(self, trained, pool):
         """One spelling: ``serve`` returns services, ``build_gateway``
-        gateways; ``"gateway"`` is an unknown server like any other."""
-        assert list_servers() == ["local", "sharded"]
-        with pytest.raises(KeyError, match=r"\['local', 'sharded'\]"):
+        gateways; there is no server topology to pick."""
+        with pytest.raises(TypeError, match="'server'"):
             serve(trained, server="gateway")
         gw = build_gateway({"default": trained}, clock=ManualClock(),
                            max_batch=8)
@@ -507,11 +578,13 @@ class TestGatewayAPI:
 
     def test_unknown_keyword_fails_at_the_call(self, trained):
         """Not at the deployment's first warm(): cold ones included."""
+        with pytest.raises(TypeError, match="num_shards"):
+            serve(trained, num_shards=2)
         with pytest.raises(TypeError, match="num_shardz"):
             build_gateway({"bay": trained}, states={"bay": "cold"},
                           num_shardz=3)
         with pytest.raises(TypeError, match="num_shardz"):
-            session_source(trained, server="sharded", num_shardz=3)
+            session_source(trained, num_shardz=3)
 
     def test_build_gateway_needs_sources(self):
         with pytest.raises(ValueError, match="at least one"):
@@ -609,88 +682,3 @@ class TestGatewayLoadGenerator:
         with pytest.raises(ValueError, match="arrival"):
             TenantStream(api_key="k", deployment="d", rate_qps=1.0,
                          requests=1, arrival="bursty")
-
-
-# ---------------------------------------------------------------------------
-# Admission under membership churn (elastic resizes mid-stream)
-# ---------------------------------------------------------------------------
-class TestMembershipChurn:
-    """An autoscaler resize must be invisible to gateway clients: every
-    admitted request reaches a terminal status (no hung futures), answers
-    stay bitwise stable across memberships, and overflow sheds cleanly
-    with its reason recorded."""
-
-    def make_sharded_gateway(self, trained, **kw):
-        from repro.serving import ShardedSession
-        sess = ShardedSession(trained.artifacts.model,
-                              trained.artifacts.loaders.scaler,
-                              trained.artifacts.dataset.graph,
-                              spec=trained.spec, num_shards=2,
-                              num_standby=2)
-        kw.setdefault("clock", ManualClock())
-        kw.setdefault("max_batch", 8)
-        kw.setdefault("service_time", lambda n: 4e-4 + 2e-4 * n)
-        kw.setdefault("tenants", ["ops", "research"])
-        return sess, build_gateway({"bay": sess}, **kw)
-
-    def test_admitted_requests_complete_across_resize(self, trained, pool):
-        sess, gw = self.make_sharded_gateway(trained)
-        before = [gw.submit("key-ops", "bay", pool[i]) for i in range(4)]
-        assert all(r.status == "admitted" for r in before)
-        event = sess.scale_to(4)                    # membership change
-        assert event.mode == "scale_up"
-        after = [gw.submit("key-research", "bay", pool[i])
-                 for i in range(4, 8)]
-        assert all(r.status == "admitted" for r in after)
-        done = gw.flush()
-        assert {r.request_id for r in done} == \
-            {r.request_id for r in before + after}
-        assert all(r.status == "ok" for r in done)
-        assert len(gw._pending) == 0                # no hung futures
-
-    def test_answers_bitwise_stable_across_memberships(self, trained, pool):
-        sess, gw = self.make_sharded_gateway(trained)
-        at2 = gw.request("key-ops", "bay", pool[0]).forecast.predictions
-        sess.scale_to(4)
-        at4 = gw.request("key-ops", "bay", pool[0]).forecast.predictions
-        sess.scale_to(2)
-        back = gw.request("key-ops", "bay", pool[0]).forecast.predictions
-        np.testing.assert_array_equal(at2, at4)
-        np.testing.assert_array_equal(at2, back)
-
-    def test_churn_overflow_sheds_cleanly(self, trained, pool):
-        """With a tiny queue, requests riding through a resize either
-        complete or shed with reason 'capacity' — never hang, never
-        half-complete."""
-        sess, gw = self.make_sharded_gateway(trained, max_queue_depth=3)
-        responses = [gw.submit("key-ops", "bay", pool[i % len(pool)])
-                     for i in range(3)]
-        sess.scale_to(4)
-        responses += [gw.submit("key-ops", "bay", pool[i % len(pool)])
-                      for i in range(3, 9)]
-        shed = [r for r in responses if r.status == "shed"]
-        admitted = [r for r in responses if r.status == "admitted"]
-        assert len(shed) + len(admitted) == len(responses)
-        assert shed and all(r.reason == "capacity" for r in shed)
-        done = gw.flush()
-        assert {r.request_id for r in done} == \
-            {r.request_id for r in admitted}
-        assert all(r.status == "ok" for r in done)
-        assert len(gw._pending) == 0
-        assert gw.stats.shed == len(shed)
-
-    def test_failover_during_stream_stays_terminal(self, trained, pool):
-        """Worker death (not just planned resize) between submits: the
-        lazy failover happens inside a dispatch and every future still
-        resolves."""
-        sess, gw = self.make_sharded_gateway(trained)
-        first = [gw.submit("key-ops", "bay", pool[i]) for i in range(3)]
-        sess.kill_worker(1)                         # unplanned churn
-        second = [gw.submit("key-ops", "bay", pool[i])
-                  for i in range(3, 6)]
-        done = gw.flush()
-        assert {r.request_id for r in done} == \
-            {r.request_id for r in first + second}
-        assert all(r.status == "ok" for r in done)
-        assert len(gw._pending) == 0
-        assert len(sess.failover_events) == 1

@@ -19,7 +19,6 @@ from repro.autograd.sparse_kernels import (
 )
 from repro.graph import dual_random_walk_supports, random_sensor_network
 from repro.kernels.numpy_backend import _product
-from repro.serving.sharding import ShardedSession
 
 
 # ---------------------------------------------------------------------------
@@ -246,68 +245,37 @@ class TestMixedPrecisionStorage:
 
 
 # ---------------------------------------------------------------------------
-# Sharded serving: f16 stores + halo windows built once per ingest
+# Serving: an f16 feature store halves the ring; compute stays float32
 # ---------------------------------------------------------------------------
-class TestShardedZeroCopy:
+class TestF16ServingStore:
     @pytest.fixture(scope="class")
     def trained(self):
         from repro.api import RunSpec, run
         return run(RunSpec(dataset="pems-bay", model="pgt-dcrnn",
                            batching="index", scale="tiny", seed=0, epochs=1))
 
-    def _session(self, trained, **kw):
-        return ShardedSession(
-            trained.artifacts.model, trained.artifacts.loaders.scaler,
-            trained.artifacts.dataset.graph, num_shards=2,
-            spec=trained.spec, **kw)
-
-    def _warm(self, session, trained):
+    def _warm(self, svc, trained):
         ds = trained.artifacts.dataset
-        warm = 2 * session.horizon
+        warm = 2 * svc.session.horizon
         for values, ts in zip(ds.signals[-warm:], ds.timestamps[-warm:]):
-            session.ingest(values, float(ts))
-
-    def test_windows_materialise_once_per_version(self, trained):
-        s = self._session(trained)
-        self._warm(s, trained)
-        s.forecast_current()
-        version = s._window_version
-        assert all(w.window_version == version for w in s.workers)
-        snapshots = [w.own_window.copy() for w in s.workers]
-        # A second forecast at the same version reuses the shared views.
-        s.forecast_current()
-        for w, snap in zip(s.workers, snapshots):
-            np.testing.assert_array_equal(w.own_window, snap)
-        # An ingest invalidates: the version moves past every stamp.
-        ds = trained.artifacts.dataset
-        s.ingest(ds.signals[0], float(ds.timestamps[0]))
-        assert all(w.window_version < s._window_version for w in s.workers)
+            svc.ingest(values, float(ts))
 
     def test_f16_store_shrinks_resident_bytes(self, trained):
+        from repro.api import serve
         # Large enough capacity that the fixed f64 staging row does not
         # dominate the ring bytes the precision choice halves.
-        base = self._session(trained, store_capacity=64)
-        half = self._session(trained, store_capacity=64,
-                             store_dtype="float16")
-        sb = base.halo_stats()
-        sh = half.halo_stats()
-        assert sh["store_dtype"] == "float16"
-        assert all(w.store._ring.dtype == np.float16 for w in half.workers)
-        assert sb["store_resident_bytes"] > 1.8 * sh["store_resident_bytes"]
+        base = serve(trained, store_capacity=64).session.store
+        half = serve(trained, store_capacity=64,
+                     store_dtype="float16").session.store
+        assert half.dtype == np.float16 and base.dtype == np.float32
+        assert base.resident_nbytes > 1.8 * half.resident_nbytes
 
     def test_f16_store_forecast_stays_close(self, trained):
-        exact = self._session(trained)
-        half = self._session(trained, store_dtype="float16")
+        from repro.api import serve
+        exact = serve(trained)
+        half = serve(trained, store_dtype="float16")
         self._warm(exact, trained)
         self._warm(half, trained)
-        a = exact.forecast_current().copy()
-        b = half.forecast_current().copy()
+        a = exact.session.forecast_current().copy()
+        b = half.session.forecast_current().copy()
         np.testing.assert_allclose(b, a, rtol=0, atol=5e-2)
-
-    def test_failover_keeps_bits(self, trained):
-        s = self._session(trained, num_standby=1)
-        self._warm(s, trained)
-        before = s.forecast_current().copy()
-        s.kill_worker(0)
-        after = s.forecast_current().copy()
-        np.testing.assert_array_equal(after, before)

@@ -81,9 +81,56 @@ def test_nothing_in_src_imports_the_ledger():
             and package(SRC / f) != "experiments"] == []
 
 
+def partitioner_imports(path: Path):
+    """Lines of ``path`` that import the graph partitioner: the
+    ``repro.graph.partition`` module itself or ``partition_graph`` from
+    anywhere."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            hit = any(a.name == "repro.graph.partition" for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names = {a.name for a in node.names}
+            hit = ("partition_graph" in names
+                   or (node.module or "").endswith("graph.partition")
+                   or (node.module == "repro.graph" and "partition" in names))
+        else:
+            continue
+        if hit:
+            yield node.lineno
+
+
+def test_only_the_ablation_partitions_the_graph():
+    """The paper's scope, stated in code: every training rank and every
+    serving session holds the whole sensor graph.  Outside the package
+    that defines it, the partitioner has one user, the ablation that
+    measures what partitioning would cost."""
+    users = {p.relative_to(SRC).as_posix()
+             for p in sorted(SRC.rglob("*.py"))
+             if package(p) != "graph" and any(partitioner_imports(p))}
+    assert users == {"experiments/partitioning.py"}
+
+
+@pytest.mark.parametrize("source, hit", [
+    ("import repro.graph.partition\n", True),
+    ("from repro.graph.partition import edge_cut\n", True),
+    ("from repro.graph import partition\n", True),
+    ("from repro.graph import partition_graph\n", True),
+    ("def f():\n    from .partition import partition_graph\n", True),
+    ("from repro.graph import adjacency, supports\n", False),
+], ids=["module", "from-module", "from-package", "function", "lazy",
+        "other-graph-modules"])
+def test_partition_guard_sees_every_import_form(tmp_path, source, hit):
+    """The guard above is only as good as this scan: each way of
+    reaching the partitioner is flagged, and nothing else in
+    ``repro.graph`` is."""
+    path = tmp_path / "module.py"
+    path.write_text(source)
+    assert bool(list(partitioner_imports(path))) is hit
+
+
 def test_serving_leaves_shared_memory_to_the_fabric():
-    """Serving charges bytes through ``ProcessGroup``; shared memory
-    belongs to the fork fabric."""
+    """Serving never touches the fork fabric; shared memory belongs to
+    training's forked ranks."""
     assert [f"{p.relative_to(SRC)}: {name}"
             for p in sorted((SRC / "serving").rglob("*.py"))
             for name, _ in imports(p)

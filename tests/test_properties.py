@@ -200,7 +200,6 @@ def fault_events(draw):
         slowdown=draw(st.floats(1.0, 16.0, allow_nan=False)),
         seconds=draw(st.floats(0.0, 10.0, allow_nan=False)),
         category=draw(st.sampled_from([None, "gradient", "data", "halo"])),
-        shard=draw(st.integers(0, 8)),
         request=draw(st.integers(0, 1000)),
         target=draw(_TARGETS) if kind in GATEWAY_KINDS else "")
 
@@ -216,14 +215,12 @@ def test_fault_event_encode_decode_roundtrip(ev):
 def test_fault_plan_spec_roundtrip_and_views_partition(events, seed):
     plan = FaultPlan(tuple(events), seed=seed)
     assert FaultPlan.from_spec(plan.to_spec(), seed=seed) == plan
-    # Every event is consumed by exactly one layer: transport, sharded
-    # serving (worker_crash), or the gateway resilience layer.
+    # Every event is consumed by exactly one layer: the transport or the
+    # gateway resilience layer.
     transport = {i for i, _ in plan.transport_events()}
-    workers = {i for i, _ in plan.serving_events()}
     gateway = {i for i, _ in plan.gateway_events()}
-    assert transport | workers | gateway == set(range(len(plan)))
-    assert transport.isdisjoint(workers | gateway)
-    assert workers.isdisjoint(gateway)
+    assert transport | gateway == set(range(len(plan)))
+    assert transport.isdisjoint(gateway)
 
 
 # ---------------------------------------------------------------------------

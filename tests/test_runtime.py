@@ -121,13 +121,6 @@ class TestCollectives:
         with pytest.raises(CommunicatorError):
             g.allreduce([np.zeros(2)] * 2, op="prod")
 
-    def test_byte_accounting_matches_legacy(self):
-        g = ProcessGroup.sim(2)
-        g.allreduce([np.zeros(100)] * 2, category="gradient")
-        g.fetch(0, 1, 500, category="data")
-        assert g.stats.bytes_by_category["gradient"] == 800
-        assert g.stats.bytes_by_category["data"] == 500
-        assert g.stats.ops == 2
 
 
 # ---------------------------------------------------------------------------

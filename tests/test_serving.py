@@ -2,8 +2,8 @@
 
 The load-bearing guarantees:
 
-- micro-batched and sharded predictions match single-request single-shard
-  inference (the batching/sharding layers are pure plumbing);
+- micro-batched predictions match single-request inference (the
+  batching layer is pure plumbing);
 - the streaming feature store reproduces the offline preprocessing
   pipeline bitwise;
 - load-generator runs are deterministic given a seed and a synthetic
@@ -20,9 +20,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.api import RunSpec, list_servers, run, serve
+from repro.api import RunSpec, run, serve
 from repro.preprocessing.index_batching import IndexDataset
-from repro.runtime import ProcessGroup
 from repro.serving import (
     FeatureStore,
     LoadGenerator,
@@ -30,13 +29,13 @@ from repro.serving import (
     ManualClock,
     MicroBatchQueue,
     ModelSession,
-    ShardedSession,
 )
 from repro.serving.loadgen import _serve_arrivals
 from repro.serving.service import ForecastService
+from repro.serving.session import build_local_session
 from repro.training.checkpoint import save_checkpoint
-from repro.utils.errors import ShapeError
-from tests.test_resilience import H, N, F, ToySession
+from repro.utils.errors import SessionFailure, ShapeError
+from tests.test_resilience import H, N, F, DoomedSession, ToySession
 
 SPEC = dict(dataset="pems-bay", model="pgt-dcrnn", batching="index",
             scale="tiny", seed=0, epochs=1)
@@ -186,178 +185,6 @@ class TestMicroBatchParity:
         assert len(done) == 3 and svc.stats.batches == 1
 
 
-class TestSharding:
-    @pytest.mark.parametrize("shards", [1, 2, 4])
-    def test_shard_count_invariance(self, trained, pool, shards):
-        """Acceptance: predictions are invariant in the shard count."""
-        local = make_session(trained).predict(pool).copy()
-        sharded = ShardedSession(
-            trained.artifacts.model, trained.artifacts.loaders.scaler,
-            trained.artifacts.dataset.graph, num_shards=shards,
-            spec=trained.spec)
-        np.testing.assert_array_equal(sharded.predict(pool), local)
-
-    @pytest.mark.parametrize("shards", [1, 2, 4])
-    def test_inline_predict_forwards_once(self, trained, pool, shards,
-                                          monkeypatch):
-        """Every shard would forward the same staged batch, so the inline
-        path forwards it once, whatever the shard count."""
-        local = make_session(trained).predict(pool).copy()
-        model = trained.artifacts.model
-        sharded = ShardedSession(
-            model, trained.artifacts.loaders.scaler,
-            trained.artifacts.dataset.graph, num_shards=shards,
-            spec=trained.spec)
-        forwards = []
-        forward = model.forward
-        monkeypatch.setattr(model, "forward", lambda *a, **kw: (
-            forwards.append(1), forward(*a, **kw))[1])
-        out = sharded.predict(pool)
-        assert len(forwards) == 1
-        np.testing.assert_array_equal(out, local)
-
-    @pytest.mark.parametrize("shards", [1, 2, 4])
-    def test_forked_predict_matches_local(self, trained, pool, shards):
-        local = make_session(trained).predict(pool).copy()
-        group = ProcessGroup.processes(shards)
-        try:
-            out = ShardedSession(
-                trained.artifacts.model, trained.artifacts.loaders.scaler,
-                trained.artifacts.dataset.graph, num_shards=shards,
-                spec=trained.spec, comm=group).predict(pool)
-        finally:
-            group.transport.shutdown()
-        np.testing.assert_array_equal(out, local)
-
-    @pytest.mark.parametrize("server", ["local", "sharded"])
-    def test_store_below_horizon_fails_at_build(self, trained, server):
-        """A ring shorter than the horizon can never hold a window, so it
-        is refused when built; one horizon is enough to stream."""
-        horizon = trained.artifacts.model.horizon
-        with pytest.raises(ValueError,
-                           match=f"capacity {horizon - 1} .*horizon {horizon}"):
-            serve(trained, server=server, store_capacity=horizon - 1)
-        svc = serve(trained, server=server, store_capacity=horizon)
-        ds = trained.artifacts.dataset
-        with pytest.raises(RuntimeError, match="ingest more history"):
-            svc.forecast_streamed()
-        for values, ts in zip(ds.signals[:horizon], ds.timestamps[:horizon]):
-            svc.ingest(values, float(ts))
-        assert svc.forecast_streamed().shape == (horizon, ds.num_nodes)
-
-    def test_streamed_state_matches_local(self, trained):
-        ds = trained.artifacts.dataset
-        scaler = trained.artifacts.loaders.scaler
-        local = serve(trained, max_batch=4)
-        sharded = serve(trained, server="sharded", num_shards=2, max_batch=4)
-        warm = 2 * local.session.horizon
-        for values, ts in zip(ds.signals[-warm:], ds.timestamps[-warm:]):
-            local.ingest(values, float(ts))
-            sharded.ingest(values, float(ts))
-        np.testing.assert_array_equal(sharded.forecast_streamed(),
-                                      local.forecast_streamed())
-        stats = sharded.session.halo_stats()
-        assert stats["bytes_by_category"].get("halo", 0) > 0
-        assert sum(stats["owned_sizes"]) == ds.num_nodes
-
-    def test_forecast_nodes_routes_to_owners(self, trained):
-        ds = trained.artifacts.dataset
-        sharded = ShardedSession(
-            trained.artifacts.model, trained.artifacts.loaders.scaler,
-            ds.graph, num_shards=2, spec=trained.spec)
-        warm = 2 * sharded.horizon
-        for values, ts in zip(ds.signals[-warm:], ds.timestamps[-warm:]):
-            sharded.ingest(values, float(ts))
-        full = sharded.forecast_current().copy()
-        nodes = np.array([sharded.workers[0].owned[0],
-                          sharded.workers[1].owned[0]])
-        routed = sharded.forecast_nodes(nodes)
-        np.testing.assert_array_equal(routed, full[:, nodes, 0])
-
-    def test_truncated_halo_is_cheaper(self, trained):
-        ds = trained.artifacts.dataset
-        exact = ShardedSession(trained.artifacts.model,
-                               trained.artifacts.loaders.scaler, ds.graph,
-                               num_shards=2, spec=trained.spec)
-        trunc = ShardedSession(trained.artifacts.model,
-                               trained.artifacts.loaders.scaler, ds.graph,
-                               num_shards=2, spec=trained.spec,
-                               receptive_hops=0)
-        assert all(len(w.halo) == 0 for w in trunc.workers)
-        assert all(len(w.halo) > 0 for w in exact.workers)
-
-    def test_window_none_served_on_sharded_path(self, trained):
-        """A ``window=None`` request works on a sharded service: the
-        current window assembles from the shards' owned columns and the
-        answer matches the streamed (halo-exchange) forecast."""
-        ds = trained.artifacts.dataset
-        local = serve(trained, max_batch=4)
-        sharded = serve(trained, server="sharded", num_shards=2, max_batch=4)
-        warm = 2 * local.session.horizon
-        for values, ts in zip(ds.signals[-warm:], ds.timestamps[-warm:]):
-            local.ingest(values, float(ts))
-            sharded.ingest(values, float(ts))
-        fc = sharded.forecast(None)
-        np.testing.assert_array_equal(fc.predictions,
-                                      sharded.forecast_streamed())
-        np.testing.assert_array_equal(fc.predictions,
-                                      local.forecast(None).predictions)
-
-    def test_current_window_is_a_snapshot(self, trained):
-        """A queued request keeps the window it was submitted with: later
-        ingests must not mutate it (current_window returns a copy)."""
-        ds = trained.artifacts.dataset
-        svc = serve(trained, server="sharded", num_shards=2,
-                    max_batch=4)
-        warm = 2 * svc.session.horizon
-        for values, ts in zip(ds.signals[:warm], ds.timestamps[:warm]):
-            svc.ingest(values, float(ts))
-        snap = svc.session.current_window().copy()
-        queued = svc.submit(svc.session.current_window())
-        for values, ts in zip(ds.signals[warm:2 * warm],
-                              ds.timestamps[warm:2 * warm]):
-            svc.ingest(values, float(ts))
-        done = {fc.request_id: fc for fc in svc.flush()}
-        expected = svc.session.to_original_units(
-            svc.session.predict(snap[None])[0])
-        np.testing.assert_array_equal(done[queued].predictions, expected)
-
-    def test_sharded_predict_allocates_no_broadcast_copies(self, trained,
-                                                           pool):
-        """Request fan-out is charged to the communicator without
-        materialising per-shard batch copies."""
-        sharded = ShardedSession(
-            trained.artifacts.model, trained.artifacts.loaders.scaler,
-            trained.artifacts.dataset.graph, num_shards=2,
-            spec=trained.spec)
-        sharded.predict(pool)
-        stats = sharded.halo_stats()
-        assert stats["bytes_by_category"]["serve-request"] \
-            == pool.astype(np.float32).nbytes
-
-    def test_builder_passes_domain_not_feature_guess(self, trained):
-        """repro.api builds shard stores from the dataset's domain; the
-        in_features==2 heuristic is only the direct-construction
-        fallback."""
-        sharded = serve(trained, server="sharded", num_shards=2)
-        assert sharded.session.add_time_feature \
-            == (trained.artifacts.dataset.spec.domain == "traffic")
-        explicit = ShardedSession(
-            trained.artifacts.model, trained.artifacts.loaders.scaler,
-            trained.artifacts.dataset.graph, num_shards=2,
-            spec=trained.spec, add_time_feature=True)
-        assert all(w.store.add_time_feature for w in explicit.workers)
-
-    def test_owner_of_bounds(self, trained):
-        sharded = ShardedSession(
-            trained.artifacts.model, trained.artifacts.loaders.scaler,
-            trained.artifacts.dataset.graph, num_shards=2, spec=trained.spec)
-        owners = {sharded.owner_of(n) for n in range(sharded.num_nodes)}
-        assert owners == {0, 1}
-        with pytest.raises(IndexError):
-            sharded.owner_of(sharded.num_nodes)
-
-
 class TestFeatureStore:
     def test_matches_offline_pipeline_bitwise(self, trained):
         """Acceptance: streamed windows == IndexDataset windows, bitwise."""
@@ -461,25 +288,70 @@ class TestMicroBatchQueue:
 
 
 class TestServeAPI:
-    def test_registry_lists_servers(self):
-        assert {"local", "sharded"} <= set(list_servers())
-
-    def test_serve_unknown_server(self, trained):
-        with pytest.raises(KeyError, match="unknown server"):
-            serve(trained, server="nope")
-
     def test_serve_rejects_unknown_keywords(self, trained):
         """A typo'd knob names itself at the call instead of being
-        swallowed by the server builder."""
+        swallowed by the session builder."""
         with pytest.raises(TypeError, match="max_bach"):
-            serve(trained, max_bach=4, num_shards=4, stor_capacity=3)
+            serve(trained, max_bach=4)
         with pytest.raises(TypeError, match="stor_capacity"):
-            serve(trained, server="sharded", stor_capacity=3)
-        # Right keyword, wrong server: still loud, and says where it fits.
-        with pytest.raises(TypeError, match="num_standby.*server='sharded'"):
-            serve(trained, server="local", num_standby=1)
-        svc = serve(trained, server="sharded", num_shards=2)
-        assert svc.session.num_shards == 2
+            serve(trained, stor_capacity=3)
+        with pytest.raises(TypeError, match="num_standby"):
+            serve(trained, num_standby=1)
+        svc = serve(trained, store_capacity=8)
+        assert svc.session.store.capacity == 8
+
+    def test_store_below_horizon_fails_at_build(self, trained):
+        """A ring shorter than the horizon can never hold a window, so it
+        is refused when built; one horizon is enough to stream."""
+        horizon = trained.artifacts.model.horizon
+        with pytest.raises(ValueError,
+                           match=f"capacity {horizon - 1} .*horizon {horizon}"):
+            serve(trained, store_capacity=horizon - 1)
+        svc = serve(trained, store_capacity=horizon)
+        ds = trained.artifacts.dataset
+        with pytest.raises(RuntimeError, match="ingest more history"):
+            svc.forecast_streamed()
+        for values, ts in zip(ds.signals[:horizon], ds.timestamps[:horizon]):
+            svc.ingest(values, float(ts))
+        assert svc.forecast_streamed().shape == (horizon, ds.num_nodes)
+
+    def test_window_none_served_from_the_store(self, trained):
+        """A ``window=None`` request reads the current window from the
+        session's store and answers what the streamed forecast does."""
+        ds = trained.artifacts.dataset
+        svc = serve(trained, max_batch=4)
+        warm = 2 * svc.session.horizon
+        for values, ts in zip(ds.signals[-warm:], ds.timestamps[-warm:]):
+            svc.ingest(values, float(ts))
+        np.testing.assert_array_equal(svc.forecast(None).predictions,
+                                      svc.forecast_streamed())
+
+    def test_current_window_is_a_snapshot(self, trained):
+        """A queued request keeps the window it was submitted with: later
+        ingests must not mutate it (current_window returns a copy)."""
+        ds = trained.artifacts.dataset
+        svc = serve(trained, max_batch=4)
+        warm = 2 * svc.session.horizon
+        for values, ts in zip(ds.signals[:warm], ds.timestamps[:warm]):
+            svc.ingest(values, float(ts))
+        snap = svc.session.current_window().copy()
+        queued = svc.submit(svc.session.current_window())
+        for values, ts in zip(ds.signals[warm:2 * warm],
+                              ds.timestamps[warm:2 * warm]):
+            svc.ingest(values, float(ts))
+        done = {fc.request_id: fc for fc in svc.flush()}
+        expected = svc.session.to_original_units(
+            svc.session.predict(snap[None])[0])
+        np.testing.assert_array_equal(done[queued].predictions, expected)
+
+    def test_builder_passes_domain_not_feature_guess(self, trained):
+        """``serve`` builds the store from the dataset's domain; the
+        in_features==2 heuristic is only the dataset-free fallback."""
+        svc = serve(trained)
+        assert svc.session.add_time_feature \
+            == (trained.artifacts.dataset.spec.domain == "traffic")
+        assert svc.session.store.add_time_feature \
+            == svc.session.add_time_feature
 
     def test_serve_rejects_other_types(self):
         with pytest.raises(TypeError, match="checkpoint path"):
@@ -506,12 +378,147 @@ class TestServeAPI:
         assert fc.predictions.shape == (4, 8)
         assert np.isfinite(fc.predictions).all()
 
-    def test_sharded_serve_from_checkpoint(self, trained, ckpt, pool):
-        local = serve(ckpt, max_batch=8)
-        sharded = serve(ckpt, server="sharded", num_shards=2, max_batch=8)
-        np.testing.assert_array_equal(
-            sharded.forecast(pool[0]).predictions,
-            local.forecast(pool[0]).predictions)
+
+class TestSessionGuards:
+    """What a session refuses, and what its builder attaches."""
+
+    def test_new_store_defaults_to_four_horizons(self, trained):
+        session = make_session(trained)
+        store = session.new_store()
+        assert store.capacity == 4 * session.horizon
+        assert store.dtype == np.float32
+        assert store.num_features == session.in_features
+
+    def test_new_store_needs_a_scaler(self, trained):
+        session = ModelSession(trained.artifacts.model, None)
+        with pytest.raises(RuntimeError, match="no scaler"):
+            session.new_store()
+
+    def test_attach_store_rejects_mismatched_shape(self, trained):
+        session = make_session(trained)
+        ds = trained.artifacts.dataset
+        wrong = FeatureStore(trained.artifacts.loaders.scaler,
+                             num_nodes=ds.num_nodes + 1,
+                             raw_features=ds.raw_features, capacity=8,
+                             add_time_feature=session.add_time_feature)
+        with pytest.raises(ShapeError, match="does not match model"):
+            session.attach_store(wrong)
+        assert session.store is None
+
+    def test_ingest_without_a_store_is_refused(self, trained):
+        session = make_session(trained)
+        ds = trained.artifacts.dataset
+        with pytest.raises(RuntimeError, match="no FeatureStore"):
+            session.ingest(ds.signals[0], float(ds.timestamps[0]))
+
+    def test_current_window_without_a_store_is_refused(self, trained):
+        with pytest.raises(RuntimeError, match="no FeatureStore"):
+            make_session(trained).current_window()
+
+    def test_stage_rejects_an_empty_batch(self, trained):
+        session = make_session(trained)
+        with pytest.raises(ValueError, match="batch must be >= 1"):
+            session.stage(0)
+        assert len(session._in_buf) == 0
+
+    def test_original_units_need_a_scaler(self, trained, pool):
+        session = ModelSession(trained.artifacts.model, None)
+        preds = session.predict(pool[:1])
+        with pytest.raises(RuntimeError, match="no scaler"):
+            session.to_original_units(preds)
+
+    def test_predict_accepts_one_unbatched_window(self, trained, pool):
+        session = make_session(trained)
+        one = session.predict(pool[0]).copy()
+        assert one.shape[0] == 1
+        np.testing.assert_array_equal(one, session.predict(pool[:1]))
+
+    def test_session_without_dataset_has_no_store(self, trained):
+        session = build_local_session(
+            trained.artifacts.model, trained.artifacts.loaders.scaler,
+            None, trained.spec)
+        assert session.store is None
+        # the dataset-free half of the time-of-day rule
+        assert session.add_time_feature == (session.in_features == 2)
+
+    def test_session_without_scaler_has_no_store(self, trained):
+        ds = trained.artifacts.dataset
+        session = build_local_session(trained.artifacts.model, None, ds,
+                                      trained.spec)
+        assert session.store is None
+        assert session.add_time_feature == (ds.spec.domain == "traffic")
+
+    def test_from_checkpoint_takes_the_store_knobs(self, trained, ckpt):
+        horizon = trained.artifacts.model.horizon
+        session = ModelSession.from_checkpoint(
+            ckpt, store_capacity=horizon, store_dtype="float16")
+        assert session.store.capacity == horizon
+        assert session.store.dtype == np.float16
+        with pytest.raises(ValueError, match="below the model horizon"):
+            ModelSession.from_checkpoint(ckpt, store_capacity=horizon - 1)
+
+
+class TestLocalServingParity:
+    """Every serving replica holds the whole model over the whole graph;
+    how the queue cuts the traffic and how the store's ring wraps must
+    never change an answer."""
+
+    @pytest.mark.parametrize("max_batch", [1, 2, 4])
+    def test_queue_cap_never_changes_predictions(self, trained, pool,
+                                                 max_batch):
+        session = make_session(trained)
+        singles = session.to_original_units(np.stack(
+            [session.predict(pool[i:i + 1])[0].copy() for i in range(8)]))
+        svc = serve(trained, max_batch=max_batch)
+        ids = [svc.submit(pool[i]) for i in range(8)]
+        done = svc.flush()
+        assert [fc.request_id for fc in done] == ids
+        assert [fc.batch_size for fc in done] == [max_batch] * 8
+        assert svc.stats.batches == 8 // max_batch
+        for i, fc in enumerate(done):
+            np.testing.assert_allclose(fc.predictions, singles[i],
+                                       atol=1e-6, rtol=0)
+
+    @pytest.mark.parametrize("max_batch", [1, 2, 4])
+    def test_one_forward_per_dispatch(self, trained, pool, max_batch):
+        svc = serve(trained, max_batch=max_batch)
+        session = svc.session
+        forwards = []
+        inner = session._forward
+
+        def counting(x):
+            forwards.append(len(x))
+            return inner(x)
+
+        session._forward = counting
+        for i in range(2 * max_batch):
+            svc.submit(pool[i])
+        assert len(svc.poll()) == 2 * max_batch
+        assert forwards == [max_batch, max_batch]
+        assert session.requests_served == 2 * max_batch
+
+    @pytest.mark.parametrize("extra", [0, 1, 5],
+                             ids=["exact", "one-over", "wrapped"])
+    def test_streamed_forecast_matches_offline_window(self, trained, extra):
+        """A ring of ``horizon + extra`` rows, fed ``3 * horizon + 2``
+        observations, forecasts what the offline pipeline's window over
+        the same rows does, bitwise."""
+        ds = trained.artifacts.dataset
+        horizon = trained.artifacts.model.horizon
+        idx = IndexDataset.from_dataset(ds, horizon=horizon,
+                                        store_dtype=np.float32)
+        scaler = trained.artifacts.loaders.scaler
+        np.testing.assert_array_equal(idx.scaler.mean_, scaler.mean_)
+        np.testing.assert_array_equal(idx.scaler.std_, scaler.std_)
+        svc = serve(trained, store_capacity=horizon + extra)
+        rows = 3 * horizon + 2
+        for values, ts in zip(ds.signals[:rows], ds.timestamps[:rows]):
+            svc.ingest(values, float(ts))
+        window = idx.data[rows - horizon:rows]
+        np.testing.assert_array_equal(svc.session.current_window(), window)
+        expected = svc.session.to_original_units(
+            make_session(trained).predict(window[None])[0])
+        np.testing.assert_array_equal(svc.forecast_streamed(), expected)
 
 
 def _public_callables(module):
@@ -539,12 +546,12 @@ def test_max_batch_is_set_only_on_the_queue_side():
     import repro.serving
     from repro.api import serving as api_serving
 
-    callables = {f"SERVERS[{key!r}]": api_serving.SERVERS.get(key)
-                 for key in api_serving.SERVERS}
+    callables = {}
     for module in [api_serving] + [
             importlib.import_module(info.name) for info in
             pkgutil.walk_packages(repro.serving.__path__, "repro.serving.")]:
         callables.update(_public_callables(module))
+    assert "build_local_session" in callables
     takers = {name for name, fn in callables.items()
               if "max_batch" in inspect.signature(fn).parameters}
     assert takers == {"serve", "build_gateway", "Gateway", "Deployment",
@@ -612,12 +619,60 @@ class TestLoadGenerator:
         assert not hasattr(report, "goodput_qps")
         assert "goodput" not in report.summary()
 
+    def test_unknown_arrival_rejected(self):
+        gen = LoadGenerator(toy_service(), toy_pool())
+        with pytest.raises(ValueError, match="'poisson' or 'uniform'"):
+            gen.open_loop(requests=4, rate_qps=100.0, arrival="bursty")
+
+    def test_open_loop_validates_knobs(self):
+        gen = LoadGenerator(toy_service(), toy_pool())
+        with pytest.raises(ValueError, match="requests"):
+            gen.open_loop(requests=0, rate_qps=100.0)
+        with pytest.raises(ValueError, match="rate_qps"):
+            gen.open_loop(requests=4, rate_qps=0.0)
+
+    def test_closed_loop_validates_knobs(self):
+        gen = LoadGenerator(toy_service(), toy_pool())
+        for kw in (dict(requests=0), dict(requests=4, concurrency=0)):
+            with pytest.raises(ValueError, match="concurrency"):
+                gen.closed_loop(**kw)
+
+    def test_uniform_schedule_ignores_the_seed(self):
+        """A uniform schedule draws nothing: the seed only picks windows,
+        which a synthetic service time does not see."""
+        a, b = (LoadGenerator(toy_service(), toy_pool(), seed=seed)
+                .open_loop(requests=40, rate_qps=2000.0, arrival="uniform")
+                .to_dict() for seed in (0, 1))
+        assert a.pop("seed") == 0 and b.pop("seed") == 1
+        assert a == b
+
+    def test_poisson_schedule_follows_the_seed(self):
+        a, b = (LoadGenerator(toy_service(), toy_pool(), seed=seed)
+                .open_loop(requests=40, rate_qps=2000.0)
+                for seed in (0, 1))
+        assert a.duration_seconds != b.duration_seconds
+
+    def test_report_dict_rebuilds_the_report(self):
+        report = LoadGenerator(toy_service(), toy_pool(),
+                               seed=2).closed_loop(requests=16,
+                                                   concurrency=4)
+        assert LoadReport(**report.to_dict()) == report
+
 
 # ---------------------------------------------------------------------------
 # The batching policy, as properties
 # ---------------------------------------------------------------------------
 def batch_cost(n: int) -> float:
     return 4e-4 + 2e-4 * n
+
+
+def toy_service(session=None, max_batch=4):
+    return ForecastService(session or ToySession(), max_batch=max_batch,
+                           service_time=batch_cost)
+
+
+def toy_pool(n=4):
+    return np.random.default_rng(0).normal(size=(n, H, N, F))
 
 
 def poll_after_every_submit(clock, arrivals, submit, poll):
@@ -741,3 +796,53 @@ class TestWorkConservingPolicy:
         assert report.requests == 64 and report.batches == 8
         assert report.mean_batch_size == 8.0
         assert report.queue_wait_mean == 0.0
+
+
+class TestServiceFailurePath:
+    """A dispatch whose session dies loses nothing: the service charges
+    the attempt and buffers the requests for the gateway's ladder."""
+
+    def test_failed_dispatch_keeps_the_requests_and_windows(self):
+        svc = toy_service(DoomedSession(ToySession()))
+        windows = toy_pool(3)
+        ids = [svc.submit(w) for w in windows]
+        assert svc.poll() == []
+        (failed, exc), = svc.take_failed()
+        assert isinstance(exc, SessionFailure)
+        assert [r.request_id for r in failed] == ids
+        for req, w in zip(failed, windows):
+            np.testing.assert_array_equal(req.window, w)
+        assert svc.take_failed() == []
+
+    def test_failed_dispatch_is_charged_not_counted_served(self):
+        svc = toy_service(DoomedSession(ToySession()))
+        for w in toy_pool(3):
+            svc.submit(w)
+        svc.poll()
+        assert svc.stats.batches == 1 and svc.stats.failed_batches == 1
+        assert svc.stats.failures == 3 and svc.stats.requests == 0
+        assert svc.stats.busy_seconds == batch_cost(3)
+        assert svc.clock.now == batch_cost(3)
+        assert svc.last_served == []
+
+    def test_forecast_raises_for_its_own_request(self):
+        svc = toy_service(DoomedSession(ToySession()))
+        with pytest.raises(SessionFailure, match="request 0 failed"):
+            svc.forecast(toy_pool(1)[0])
+
+    def test_window_none_needs_a_streaming_session(self):
+        """``window=None`` means the session's streamed state; a session
+        without ``current_window`` says so instead of serving garbage."""
+        svc = toy_service()
+        with pytest.raises(RuntimeError, match="current_window"):
+            svc.forecast(None)
+
+    def test_last_served_logs_each_dispatch(self):
+        svc = toy_service(max_batch=2)
+        for w in toy_pool(5):
+            svc.submit(w)
+        assert len(svc.poll()) == 5
+        assert svc.last_served == [(2, batch_cost(2)), (2, batch_cost(2)),
+                                   (1, batch_cost(1))]
+        assert svc.stats.busy_seconds == pytest.approx(
+            2 * batch_cost(2) + batch_cost(1), abs=1e-15)
