@@ -42,18 +42,13 @@ from repro.datasets.base import SpatioTemporalDataset
 from repro.datasets.catalog import DatasetSpec
 from repro.graph.adjacency import SensorGraph
 from repro.utils.errors import DatasetFileError
-from repro.utils.files import savez_atomic
+from repro.utils.files import ARCHIVE_ERRORS, savez_atomic
 
 #: Largest buffer the streamed CRC-32 pass holds.
 _CHUNK = 1 << 20
 #: Zip local file header: signature, version, flags, method, time, date,
 #: CRC-32, compressed size, size, name length, extra-field length.
 _LOCAL_HEADER = struct.Struct("<4s5H3L2H")
-#: What a corrupt archive makes zipfile, zlib, the ``.npy`` header parser
-#: and the JSON spec raise (``NotImplementedError`` for flag bits zipfile
-#: does not support is a ``RuntimeError``).
-_UNREADABLE = (OSError, EOFError, KeyError, ValueError, RuntimeError,
-               TypeError, zipfile.BadZipFile, zlib.error)
 
 
 def _stamp(f) -> tuple[int, int]:
@@ -119,7 +114,7 @@ class StoredArray:
                     raise ValueError("the file changed after it was loaded")
                 _read_at(f, self.offset + first * row_nbytes,
                          out.reshape(-1).view(np.uint8))
-        except _UNREADABLE as exc:
+        except ARCHIVE_ERRORS as exc:
             raise _unreadable(self.path, exc) from exc
         return out
 
@@ -257,5 +252,5 @@ def load_dataset_file(path: str) -> SpatioTemporalDataset:
                 signals=member("signals", lazy_path=path), graph=graph,
                 spec=spec,
                 timestamps=member("timestamps"))
-    except _UNREADABLE as exc:
+    except ARCHIVE_ERRORS as exc:
         raise _unreadable(path, exc) from exc

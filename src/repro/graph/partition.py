@@ -13,6 +13,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.utils.errors import ShapeError
+from repro.utils.seeding import new_rng
 
 
 def _fiedler_split(w: sp.csr_matrix, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -25,13 +26,18 @@ def _fiedler_split(w: sp.csr_matrix, nodes: np.ndarray) -> tuple[np.ndarray, np.
     if n <= 2:
         half = n // 2
         return nodes[:half], nodes[half:]
+    # A fixed start vector: ARPACK's own advances with every call, so the
+    # split (and its edge cut) changed from call to call.  Not ``ones``:
+    # that is the Laplacian's null vector.
+    v0 = new_rng("graph", "fiedler", n).uniform(-1.0, 1.0, n)
     try:
-        vals, vecs = sp.linalg.eigsh(lap.asfptype(), k=2, sigma=-1e-3, which="LM")
+        vals, vecs = sp.linalg.eigsh(lap.asfptype(), k=2, sigma=-1e-3,
+                                     which="LM", v0=v0)
         fiedler = vecs[:, np.argsort(vals)[1]]
     except Exception:
         # Degenerate subgraph: fall back to index order (still balanced).
         fiedler = np.arange(n, dtype=float)
-    order = np.argsort(fiedler)
+    order = np.argsort(fiedler, kind="stable")
     half = n // 2
     return nodes[order[:half]], nodes[order[half:]]
 

@@ -30,8 +30,10 @@ never module-global -- replicas, forked ranks, rank threads and
 the fixed-seed curves (``tests/test_fabric.py::PINNED_2EP`` and every
 cross-transport parity) are compared bit for bit, so ``step`` keeps not
 just each operation's operand order but the order in which gradients meet:
-``h_{t-1}.grad`` receives the output projection's term first (those nodes
-sort ahead of the recurrence), then from ``step``'s backward, as three
+``h_{t-1}.grad`` receives the output projection's term first (from
+PGT-DCRNN's one projection node, whose backward hands out every step's
+projection terms before any step's backward runs), then from ``step``'s
+backward, as three
 separate ``_accumulate`` calls, ``G*u`` (blend), ``g_rh*r`` (reset
 product) and the gates convolution's input-gradient slice; summing the
 three first changes the bits.  Weight and bias gradients accumulate

@@ -11,13 +11,16 @@ remaining a faithful diffusion-convolution model.
 The hidden state is carried **node-major** (``[N, B, H]``) across the
 sequence: the input window is transposed once to ``[T, N, B, F]`` and each
 step is one :meth:`~repro.models.dcrnn.DCGRUCell.step` node.  Only the
-output projection sees batch-major data, through one contiguous copy of
-``h_t`` per step, so ``Linear``'s reduction order and the loss's summation
-order -- and with them the fixed-seed curves -- are those of the
-batch-major recurrence (the accumulation-order contract is in
-:mod:`repro.models.dcrnn`).  That copy node's backward is also what puts
-the projection's gradient into ``h_t.grad`` before the recurrence adds
-its own.  Every array a caller receives is freshly allocated.
+output projection sees batch-major data: each ``h_t`` is copied into slice
+``t`` of one ``[T, B, N, H]`` slab, allocated per call, and a single node
+projects the whole horizon with one ``matmul``, so a forward at horizon 12
+builds 13 autograd nodes.  Each slice is the contiguous ``[B, N, H]`` block
+``Linear`` saw per step, and the node's backward hands out ``Linear``'s
+terms in the order its per-step nodes did: for ``t`` in forward order, the
+bias, the weight, then ``h_t``'s term, all before any step's backward runs
+(the accumulation-order contract is in :mod:`repro.models.dcrnn`).  So the
+fixed-seed curves are those of the batch-major recurrence.  Every array a
+caller receives is freshly allocated.
 """
 
 from __future__ import annotations
@@ -25,24 +28,11 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from repro.autograd import functional as F
 from repro.autograd.grad_mode import is_grad_enabled
 from repro.autograd.tensor import Tensor
 from repro.models.base import STModel
 from repro.models.dcrnn import DCGRUCell
 from repro.nn.layers import Linear
-
-
-def _batch_major(h: Tensor) -> Tensor:
-    """Contiguous ``[B, N, H]`` copy of a node-major ``[N, B, H]`` state."""
-    out = h._make(np.ascontiguousarray(h.data.transpose(1, 0, 2)), (h,))
-    if out.requires_grad:
-
-        def _bw(g: np.ndarray) -> None:
-            h._accumulate(g.transpose(1, 0, 2))
-
-        out._backward = _bw
-    return out
 
 
 class PGTDCRNN(STModel):
@@ -69,11 +59,31 @@ class PGTDCRNN(STModel):
         xs = np.ascontiguousarray(x.data.transpose(1, 2, 0, 3))  # [T,N,B,F]
         h = Tensor(np.zeros((self.num_nodes, batch, self.hidden_dim),
                             dtype=xs.dtype))
-        outputs = []
+        hs = []
+        hb = np.empty((self.horizon, batch, self.num_nodes, self.hidden_dim),
+                      xs.dtype)                                  # [T,B,N,H]
         for t in range(self.horizon):
             h = self.cell.step(xs[t], h)
-            outputs.append(self.proj(_batch_major(h)))
-        return F.stack(outputs, axis=1)
+            hs.append(h)
+            hb[t] = h.data.transpose(1, 0, 2)
+        w, b = self.proj.weight, self.proj.bias
+        y = np.matmul(hb, w.data)
+        y += b.data
+        out = w._make(np.ascontiguousarray(y.transpose(1, 0, 2, 3)),
+                      (*hs, w, b))
+        if out.requires_grad:
+
+            def _bw(g: np.ndarray) -> None:
+                gt = np.ascontiguousarray(g.transpose(1, 0, 2, 3))
+                gb = gt.reshape(len(hs), -1).sum(axis=1)
+                gw = np.matmul(hb.swapaxes(-1, -2), gt)          # [T,B,H,1]
+                for t, h_t in enumerate(hs):      # Linear's order, per step
+                    b._accumulate(gb[t:t + 1])
+                    w._accumulate(gw[t].sum(axis=0))
+                    h_t._accumulate((gt[t] * w.data.T).transpose(1, 0, 2))
+
+            out._backward = _bw
+        return out
 
     def flops_per_snapshot(self) -> float:
         per_step = self.cell.flops(1) + 2.0 * self.num_nodes * self.hidden_dim

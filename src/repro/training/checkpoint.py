@@ -19,8 +19,6 @@ regardless of whether ``path`` already ends in ``.npz``.
 from __future__ import annotations
 
 import json
-import zipfile
-import zlib
 from typing import Any
 
 import numpy as np
@@ -29,7 +27,7 @@ from repro.nn.module import Module
 from repro.optim.optimizers import Adam, Optimizer, SGD
 from repro.preprocessing.scaler import StandardScaler
 from repro.utils.errors import CheckpointError
-from repro.utils.files import savez_atomic
+from repro.utils.files import ARCHIVE_ERRORS, savez_atomic
 
 
 def save_checkpoint(path: str, model: Module, optimizer: Optimizer | None = None,
@@ -100,8 +98,7 @@ def _read_archive(path: str) -> dict[str, np.ndarray]:
     except FileNotFoundError:
         raise CheckpointError(
             f"checkpoint {path!r} does not exist") from None
-    except (OSError, EOFError, KeyError, ValueError,
-            zipfile.BadZipFile, zlib.error) as exc:
+    except ARCHIVE_ERRORS as exc:
         raise CheckpointError(
             f"checkpoint {path!r} is corrupted or truncated "
             f"({type(exc).__name__}: {exc})") from exc

@@ -1,11 +1,20 @@
-"""Atomic archive writes."""
+"""Atomic archive writes, and what reading a corrupt archive raises."""
 
 from __future__ import annotations
 
 import os
 import tempfile
+import zipfile
+import zlib
 
 import numpy as np
+
+#: What a corrupt archive makes zipfile, zlib, the ``.npy`` header parser
+#: and a JSON member raise (``NotImplementedError`` for flag bits or a zip
+#: version zipfile does not support is a ``RuntimeError``).  The loaders
+#: catch exactly this and raise their own error naming the path.
+ARCHIVE_ERRORS = (OSError, EOFError, KeyError, ValueError, RuntimeError,
+                  TypeError, zipfile.BadZipFile, zlib.error)
 
 
 def savez_atomic(path: str, arrays: dict[str, np.ndarray]) -> None:

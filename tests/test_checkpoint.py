@@ -280,6 +280,47 @@ class TestCorruptCheckpoints:
         with pytest.raises(CheckpointError, match="half.npz"):
             read_checkpoint_scaler(path)
 
+    def test_every_byte_flip_and_truncation(self, tmp_path):
+        """Sweep a whole small archive: each single-byte flip and each
+        truncation either loads back bit for bit or is a CheckpointError
+        (a flipped zip version or flag byte used to escape as zipfile's
+        NotImplementedError)."""
+        from repro.nn.layers import Linear
+        from repro.utils.errors import CheckpointError
+
+        def state(model, opt):
+            arrays = [p.data for p in model.parameters()] + opt._m + opt._v
+            return [a.tobytes() for a in arrays], opt.lr, opt.step_count
+
+        def load(blob):
+            path.write_bytes(blob)
+            model = Linear(4, 3)
+            opt = Adam(model.parameters())
+            meta = load_checkpoint(str(path), model, opt)
+            return state(model, opt), meta
+
+        model = Linear(4, 3, seed_name="victim")
+        opt = Adam(model.parameters())
+        model(Tensor(np.ones((2, 4), np.float32))).sum().backward()
+        opt.step()
+        path = tmp_path / "sweep.npz"
+        save_checkpoint(str(path), model, opt, epoch=1)
+        blob = path.read_bytes()
+        want = load(blob)
+        assert want[0] == state(model, opt)
+        flipped = (blob[:i] + bytes([blob[i] ^ 0xFF]) + blob[i + 1:]
+                   for i in range(len(blob)))
+        truncated = (blob[:i] for i in range(len(blob)))
+        refused = 0
+        for case in (*flipped, *truncated):
+            try:
+                got = load(case)
+            except CheckpointError:
+                refused += 1
+            else:
+                assert got == want
+        assert refused > len(blob)       # every truncation, and flips
+
     def test_checkpoint_error_is_runtime_error(self):
         from repro.utils.errors import CheckpointError
         assert issubclass(CheckpointError, RuntimeError)

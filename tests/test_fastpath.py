@@ -316,9 +316,54 @@ class TestDCGRUStepParity:
         (8, 8, 4, 8),          # the shape PINNED_2EP trains
         (24, 8, 12, 16),       # benchmark ddp_index_w2
         (64, 32, 12, 32),      # benchmark train_index
+        (24, 1, 12, 16),       # serving's open loop: one window a call
+        (8, 8, 1, 8),          # a horizon of one step
     ])
     def test_bitwise_float32(self, nodes, batch, horizon, hidden):
         self._compare(nodes, batch, horizon, hidden)
+
+    def test_one_projection_node_per_sequence(self):
+        """A training forward at horizon 12 is 12 step nodes and one
+        projection node (49 when Linear projected each step)."""
+        step, _ = self._models(24, 12, 16, 2)
+        x = np.random.default_rng(0).standard_normal((8, 12, 24, 2))
+        out = step(Tensor(x.astype(np.float32)))
+        nodes, seen, todo = 0, set(), [out]
+        while todo:
+            t = todo.pop()
+            if id(t) not in seen:
+                seen.add(id(t))
+                nodes += t._backward is not None
+                todo.extend(t._parents)
+        assert nodes == 13
+
+    def test_reversed_weight_order_would_differ(self):
+        """The projection's weight gradient is the sum of its per-step
+        terms in forward time order; the reverse order changes the bytes,
+        so the bitwise parity above would catch it."""
+        nodes, batch, horizon = 24, 8, 12
+        step, ref = self._models(nodes, horizon, 16, 2)
+        rng = np.random.default_rng(1)
+        x = Tensor(rng.standard_normal((batch, horizon, nodes, 2))
+                   .astype(np.float32))
+        g = rng.standard_normal((batch, horizon, nodes, 1)).astype(np.float32)
+        step(x).backward(g)
+        h = ref.cell.init_hidden(batch)
+        terms = []
+        for t in range(horizon):
+            h = ref.cell(x[:, t], h)
+            gt = np.ascontiguousarray(g[:, t])
+            terms.append((np.swapaxes(h.data, -1, -2) @ gt).sum(axis=0))
+
+        def ordered_sum(parts):
+            total = parts[0].copy()
+            for part in parts[1:]:
+                total += part
+            return total
+
+        got = step.proj.weight.grad.tobytes()
+        assert got == ordered_sum(terms).tobytes()
+        assert got != ordered_sum(terms[::-1]).tobytes()
 
     @pytest.mark.parametrize("dtype,k_hops", [(np.float64, 2),
                                               (np.float32, 0),

@@ -1,9 +1,15 @@
 """Unit tests for graph construction, supports and partitioning."""
 
+import inspect
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from repro.datasets import CATALOG
 from repro.graph import (
     SensorGraph,
     chebyshev_supports,
@@ -137,6 +143,21 @@ class TestSupports:
             random_walk_matrix(sp.random(3, 4, format="csr"))
 
 
+def _partition_hashes() -> list[str]:
+    """One hash of the 4-way assignment per catalog graph at tiny scale
+    (self-contained: a fresh interpreter runs its source too)."""
+    import hashlib
+
+    from repro.api.scales import get_scale
+    from repro.datasets import CATALOG, load_dataset
+    from repro.graph import partition_graph
+
+    tiny = get_scale("tiny")
+    return [hashlib.sha256(partition_graph(
+        load_dataset(name, nodes=tiny.nodes, entries=tiny.entries).graph
+        .weights, 4).tobytes()).hexdigest() for name in sorted(CATALOG)]
+
+
 class TestPartition:
     def test_balanced_parts(self):
         g = random_sensor_network(64, seed=6)
@@ -168,6 +189,21 @@ class TestPartition:
         assignment = partition_graph(g.weights, 2)
         cut = edge_cut(g.weights, assignment)
         assert 0 <= cut < g.weights.nnz
+
+    def test_same_partition_every_call_and_process(self):
+        """Three calls here and one in a fresh interpreter agree on every
+        catalog graph at the tiny scale (ARPACK's own start vector made
+        each call split differently)."""
+        done = subprocess.run(
+            [sys.executable, "-c", inspect.getsource(_partition_hashes)
+             + "print(*_partition_hashes())"], capture_output=True,
+            text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+        assert done.returncode == 0, done.stderr
+        fresh = done.stdout.split()
+        here = [_partition_hashes() for _ in range(3)]
+        assert len(fresh) == len(CATALOG)
+        assert here == [fresh] * 3
 
     def test_spectral_beats_random_split(self):
         g = random_sensor_network(100, seed=10)

@@ -194,6 +194,52 @@ class TestCsrRowOrder:
 
 
 # ---------------------------------------------------------------------------
+# NumPy's stacked matmul and row sums equal their per-slice calls (the
+# one-node PGT-DCRNN projection's bits rest on it)
+# ---------------------------------------------------------------------------
+STACKED_SLICES_CONTRACT = (
+    "numpy {version}'s stacked np.matmul over [T, B, N, H] (or a row sum "
+    "of a [T, B*N] array) no longer gives, slice by slice, the bytes of the "
+    "per-step call on slice t (a NumPy release batched the BLAS calls or "
+    "reordered the reduction).  PGTDCRNN projects the whole horizon with "
+    "one matmul on that assumption, where Linear once ran per step, and "
+    "every fixed-seed literal (PINNED_2EP, the [adam] curve, "
+    "TestDCGRUStepParity, ...) was pinned through the per-step calls: "
+    "check those before re-pinning anything.")
+
+
+class TestStackedMatmulSlices:
+    """Each slice of ``hb @ W`` over a ``[T, B, N, H]`` slab, of the weight
+    product ``hb^T g``, and each row sum of ``g`` as ``[T, B*N]``, equals
+    the per-step call on that slice, byte for byte."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(steps=st.integers(1, 13), batch=st.integers(1, 9),
+           nodes=st.integers(1, 30), hidden=st.integers(1, 33),
+           seed=st.integers(0, 2**32 - 1))
+    def test_stacked_calls_equal_per_step_calls(self, steps, batch, nodes,
+                                                hidden, seed):
+        rng = np.random.default_rng(seed)
+        hb = rng.standard_normal((steps, batch, nodes, hidden), np.float32)
+        w = rng.standard_normal((hidden, 1), np.float32)
+        g = rng.standard_normal((steps, batch, nodes, 1), np.float32)
+        y = np.matmul(hb, w)
+        gw = np.matmul(hb.swapaxes(-1, -2), g)
+        rows = g.reshape(steps, -1).sum(axis=1)
+        message = STACKED_SLICES_CONTRACT.format(version=np.__version__)
+        for t in range(steps):
+            assert y[t].tobytes() == (hb[t] @ w).tobytes(), message
+            assert gw[t].tobytes() == \
+                (np.swapaxes(hb[t], -1, -2) @ g[t]).tobytes(), message
+            assert rows[t].tobytes() == g[t].sum(axis=(0, 1)).tobytes() \
+                == g[t].reshape(-1).sum().tobytes(), message
+
+    def test_a_left_to_right_row_sum_would_differ(self):
+        g = np.random.default_rng(0).standard_normal((12, 8 * 24), np.float32)
+        assert g.sum(axis=1).tobytes() != np.cumsum(g, axis=1)[:, -1].tobytes()
+
+
+# ---------------------------------------------------------------------------
 # Mixed-precision storage: f16 store -> f32 compute round-trip bounds
 # ---------------------------------------------------------------------------
 @pytest.fixture(scope="module")
