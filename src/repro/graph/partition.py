@@ -34,7 +34,7 @@ def _fiedler_split(w: sp.csr_matrix, nodes: np.ndarray) -> tuple[np.ndarray, np.
         vals, vecs = sp.linalg.eigsh(lap.asfptype(), k=2, sigma=-1e-3,
                                      which="LM", v0=v0)
         fiedler = vecs[:, np.argsort(vals)[1]]
-    except Exception:
+    except sp.linalg.ArpackError:  # ArpackNoConvergence is one
         # Degenerate subgraph: fall back to index order (still balanced).
         fiedler = np.arange(n, dtype=float)
     order = np.argsort(fiedler, kind="stable")
@@ -47,7 +47,8 @@ def partition_graph(weights: sp.spmatrix, num_parts: int) -> np.ndarray:
 
     Returns an ``[num_nodes]`` integer array of part ids.  ``num_parts``
     must be a power of two (recursive bisection), which covers the 2/4/8/...
-    worker counts used in distributed training.
+    worker counts used in distributed training.  Edge weights must be
+    finite: a ``nan`` or ``inf`` has no Fiedler vector to split along.
     """
     if num_parts < 1:
         raise ValueError("num_parts must be >= 1")
@@ -56,6 +57,8 @@ def partition_graph(weights: sp.spmatrix, num_parts: int) -> np.ndarray:
     w = weights.tocsr()
     if w.shape[0] != w.shape[1]:
         raise ShapeError(f"adjacency must be square, got {w.shape}")
+    if not np.isfinite(w.data).all():
+        raise ValueError("edge weights must be finite")
     n = w.shape[0]
     if num_parts > n:
         raise ValueError(f"cannot split {n} nodes into {num_parts} parts")

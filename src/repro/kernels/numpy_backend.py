@@ -4,10 +4,12 @@ The CSR product and the diffusion hop/backward chains run scipy's
 ``csr_matvecs`` C kernel into caller buffers with rotating ping/pong hop
 scratch, one product per hop for all stacked supports; every fixed-seed
 curve is pinned to its row order (``test_kernels.py::TestCsrRowOrder``).
+The chains are *bound*: operands are checked and flattened once per
+bind, and the returned closure runs at every step of a recurrence.
 
 ``gru_gates_fwd`` is the one GRU kernel here.  No model calls it: the
 batch-major cells compose Tensor ops (``nn.rnn.gru_cell_step``) and
-``DCGRUCell.step`` runs its elementwise tail as in-place NumPy.  It stays
+``DCGRUCell.sequence`` runs its elementwise tail as in-place NumPy.  It stays
 because the end-to-end benchmark's per-layer probe ``kernels.gru_gates_ms``
 times it at each workload's shapes.
 """
@@ -25,18 +27,23 @@ except ImportError:  # pragma: no cover - depends on scipy build
 
 
 def _operands(prep, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Flat views of ``arrays`` for ``csr_matvecs``; checked once per call."""
+    """Flat views of ``arrays`` for ``csr_matvecs``; checked once per bind."""
     if not _HAVE_CSR_MATVECS or any(a.dtype != prep.data.dtype or
                                     not a.flags.c_contiguous for a in arrays):
         raise TypeError(f"need C-contiguous {prep.data.dtype} operands")
     return tuple(a.reshape(-1) for a in arrays)
 
 
+def _args(prep, v: int) -> tuple:
+    """``csr_matvecs``'s leading arguments for ``v`` vectors of ``prep``."""
+    return (prep.shape[0], prep.shape[1], v, prep.indptr, prep.indices,
+            prep.data)
+
+
 def _product(prep, x: np.ndarray, y: np.ndarray, v: int) -> None:
     """``y = A @ x`` on flat views of ``[cols, v]`` / ``[rows, v]`` blocks."""
     y.fill(0)
-    _st.csr_matvecs(prep.shape[0], prep.shape[1], v, prep.indptr,
-                    prep.indices, prep.data, x, y)
+    _st.csr_matvecs(*_args(prep, v), x, y)
 
 
 def stable_sigmoid(x: np.ndarray) -> np.ndarray:
@@ -64,42 +71,67 @@ class NumpyBackend:
         return out
 
     # -- diffusion conv -------------------------------------------------
-    def diffusion_hops(self, first, nxt, x0: np.ndarray, cat: np.ndarray,
-                       k: int, ping: np.ndarray, pong: np.ndarray) -> None:
-        """Write hops ``P_s^1..P_s^k x0`` into ``cat[:, :, f:]``, by support.
+    def bind_hops(self, first, nxt, x0: np.ndarray, ping: np.ndarray,
+                  pong: np.ndarray, k: int):
+        """``hops(cat)``: ``x0`` into ``cat[:, :, :f]``, then the hops
+        ``P_s^1..P_s^k x0`` into ``cat[:, :, f:]``, by support.
 
         ``first``/``nxt`` come from ``stacked_csr``; ``ping``/``pong`` are
         rotating ``[S, n, b, f]`` scratch for node-major ``x0 [n, b, f]``.
         """
         n, b, f = x0.shape
         bufs = _operands(first, x0, ping, pong)
-        hops = cat[:, :, f:].reshape(n, b, -1, k, f)
-        prev, op = bufs[0], first
-        for j in range(k):
-            _product(op, prev, bufs[1 + j % 2], b * f)
-            hops[:, :, :, j] = (ping, pong)[j % 2].transpose(1, 2, 0, 3)
-            prev, op = bufs[1 + j % 2], nxt
+        seq = [bufs[0]] + [bufs[1 + j % 2] for j in range(k)]  # x0, hops
+        chain = [(_args(nxt if j else first, b * f), seq[j], seq[j + 1],
+                  (ping, pong)[j % 2].transpose(1, 2, 0, 3))
+                 for j in range(k)]
+        shape = (n, b, len(ping), k, f)
 
-    def diffusion_backward(self, nxt_t, gcat: np.ndarray, k: int,
-                           gx: np.ndarray, ping: np.ndarray,
-                           pong: np.ndarray) -> None:
-        """Chain every support's hop gradients back into ``gx`` (+=).
+        def hops(cat: np.ndarray) -> None:
+            cat[:, :, :f] = x0
+            out = cat[:, :, f:].reshape(shape)
+            for j, (args, src, dst, hop) in enumerate(chain):
+                dst.fill(0)
+                _st.csr_matvecs(*args, src, dst)
+                out[:, :, :, j] = hop
+
+        return hops
+
+    def bind_hops_backward(self, nxt_t, gcat: np.ndarray, gx: np.ndarray,
+                           ping: np.ndarray, pong: np.ndarray, k: int):
+        """``chain()``: ``gx`` = the identity hop's ``gcat[:, :, :f]``,
+        plus every support's hop gradients chained back, bound as above.
 
         ``nxt_t = block_diag(P_s)^T``: ``acc_k = g_k``, ``acc_j = P^T acc_{j+1}
         + g_j``, then ``gx += P_s^T acc_1`` per support, in support order.
         """
         n, b, f = gx.shape
+        ident = gcat[:, :, :f]
+        if not k:
+            return lambda: np.copyto(gx, ident)
         flat = _operands(nxt_t, ping, pong)
-        g = gcat[:, :, f:].reshape(n, b, -1, k, f).transpose(2, 3, 0, 1, 4)
-        np.copyto(ping, g[:, k - 1])
+        args = _args(nxt_t, b * f)
+        g = gcat[:, :, f:].reshape(n, b, len(ping), k, f).transpose(
+            2, 3, 0, 1, 4)
+        steps = []
         for j in range(k - 1, -1, -1):  # acc_{j+1} sits in buffer i
             i = (k - 1 - j) % 2
-            _product(nxt_t, flat[i], flat[1 - i], b * f)
-            out = (ping, pong)[1 - i]
-            if j:
-                out += g[:, j - 1]
-        for part in out:
-            gx += part
+            steps.append((flat[i], flat[1 - i], (ping, pong)[1 - i],
+                          g[:, j - 1] if j else None))
+        head, parts = g[:, k - 1], list(steps[-1][2])
+
+        def chain() -> None:
+            np.copyto(gx, ident)
+            np.copyto(ping, head)
+            for src, dst, acc, g_j in steps:
+                dst.fill(0)
+                _st.csr_matvecs(*args, src, dst)
+                if g_j is not None:
+                    acc += g_j
+            for part in parts:
+                np.add(gx, part, out=gx)
+
+        return chain
 
     # -- GRU gates (benchmark probe) ----------------------------------
     def gru_gates_fwd(self, pre: np.ndarray, h: np.ndarray, s: np.ndarray,

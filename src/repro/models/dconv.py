@@ -11,21 +11,25 @@ concatenated blocks is ``1 + S*K`` (identity hop counted once).
 
 The layer works **node-major**: ``[nodes, batch, F]`` is the layout in
 which one CSR product covers the whole batch and the hop block is a plain
-2-D GEMM operand, so the work lives in a node-major core (``_hops_gemm`` /
-``_gemm_hops_backward``) that writes hops straight into slices of one
+2-D GEMM operand, so the work lives in a node-major core (``_bind`` /
+``_bind_backward``) that writes hops straight into slices of one
 ``[nodes, batch, num_matrices * in_dim]`` block, one sparse product per
 hop for all supports (the cached operators of ``stacked_csr``, found
-again by a swapped-back support set) into scratch that persists.
-The core has two thin entry points: :meth:`DiffusionConv.forward`
-(batch-major in and out, one transposed copy each way, one autograd node)
-and :meth:`repro.models.dcrnn.DCGRUCell.step` (already node-major, no
-copies, both convolutions inside one node).  Backward owns only the hop
-block of its call (it is the GEMM input whose transpose gives the weight
-gradient); every gradient buffer is per-layer scratch, valid until that
-layer's next backward, so callers accumulate from it before returning.
-Within one backward the weight gradient accumulates before the bias
-gradient, and a caller decides where the input gradient goes: the order
-of those ``_accumulate`` calls is part of the fixed-seed curves.
+again by a swapped-back support set) into scratch that persists.  The
+core is *bound*: it resolves the operators, the hop chain's flat operands
+(through ``repro.kernels``) and the weight arrays once, and returns a
+closure a caller runs once or once per recurrence step.  It has two thin
+entry points: :meth:`DiffusionConv.forward` (batch-major in and out, one
+transposed copy each way, one bind and one autograd node per call) and
+:meth:`repro.models.dcrnn.DCGRUCell.sequence` (already node-major, no
+copies, both convolutions bound once for a whole sequence).  Backward
+owns only the hop block of its call (it is the GEMM input whose transpose
+gives the weight gradient); every gradient buffer is per-layer scratch,
+valid until that layer's next backward, so callers accumulate from it
+before returning.  Within one backward the weight gradient accumulates
+before the bias gradient, and a caller decides where the input gradient
+goes: the order of those ``_accumulate`` calls is part of the fixed-seed
+curves.
 
 The parity references (public autograd ops hop by hop; one product per
 hop per support, bit for bit) live in the tests.
@@ -120,66 +124,71 @@ class DiffusionConv(Module):
                              len(self.supports), self.num_matrices,
                              self.out_dim, dtype))
 
-    def _hops_gemm(self, scr: _Scratch, x0: np.ndarray,
-                   own_cat: bool) -> tuple[np.ndarray, np.ndarray]:
-        """Node-major core, forward: hops of ``x0`` + one GEMM + bias.
+    def _bind(self, scr: _Scratch, x0: np.ndarray, own_cat: bool):
+        """Node-major core, forward, bound once: returns ``run()``.
 
         ``x0`` is the contiguous ``[nodes, batch, in_dim]`` hop-0 input
-        (normally ``scr.x0``, already filled by the caller).  Returns the
+        (filled by the caller before each ``run``).  ``run()`` returns the
         flattened hop block and the freshly allocated ``[nodes*batch,
-        out_dim]`` output.  The hop block is the GEMM input whose
-        transpose yields the weight gradient, so it is owned per call when
-        backward will run (``own_cat``); without gradients one persistent
-        block is reused.
+        out_dim]`` output of hops + one GEMM + bias.  The hop block is the
+        GEMM input whose transpose yields the weight gradient, so each
+        ``run`` owns a new one when backward will run (``own_cat``);
+        without gradients one persistent block is reused.
         """
         n, b, f = x0.shape
-        m, o, k = self.num_matrices, self.out_dim, self.k_hops
+        m, o = self.num_matrices, self.out_dim
         dtype = x0.dtype
-        if own_cat:
-            cat = np.empty((n, b, m * f), dtype)
-        else:
-            if scr.cat_eval is None:
-                scr.cat_eval = np.empty((n, b, m * f), dtype)
-            cat = scr.cat_eval
-        cat[:, :, :f] = x0
-        if k:
-            kernels.active_backend().diffusion_hops(
-                *stacked_csr(self._supports, dtype), x0, cat, k, scr.ping,
-                scr.pong)
-        cat2 = cat.reshape(n * b, m * f)
-        out2 = np.empty((n * b, o), dtype)
-        np.matmul(cat2, self.weight.data, out=out2)
-        out2 += self.bias.data
-        return cat2, out2
+        hops = kernels.active_backend().bind_hops(
+            *stacked_csr(self._supports, dtype), x0, scr.ping, scr.pong,
+            self.k_hops)
+        weight, bias = self.weight.data, self.bias.data
+        if not own_cat and scr.cat_eval is None:
+            scr.cat_eval = np.empty((n, b, m * f), dtype)
+        cat_eval = scr.cat_eval
 
-    def _gemm_hops_backward(self, scr: _Scratch, cat2: np.ndarray,
-                            g2: np.ndarray,
-                            input_grad: bool) -> np.ndarray | None:
-        """Node-major core, backward, for ``g2 = d out2`` (contiguous).
+        def run() -> tuple[np.ndarray, np.ndarray]:
+            cat = np.empty((n, b, m * f), dtype) if own_cat else cat_eval
+            hops(cat)
+            cat2 = cat.reshape(n * b, m * f)
+            out2 = np.empty((n * b, o), dtype)
+            np.matmul(cat2, weight, out=out2)
+            out2 += bias
+            return cat2, out2
 
-        Accumulates the weight then the bias gradient, and when
+        return run
+
+    def _bind_backward(self, scr: _Scratch):
+        """Node-major core, backward, bound once: returns
+        ``run(cat2, g2, input_grad)`` for ``g2 = d out2`` (contiguous).
+
+        ``run`` accumulates the weight then the bias gradient, and when
         ``input_grad`` returns the hop-0 input gradient as ``scr.gx``
         (``[nodes, batch, in_dim]``, valid until this layer's next
         backward).
         """
         weight, bias = self.weight, self.bias
-        if weight.requires_grad:
-            np.matmul(cat2.T, g2, out=scr.gw)
-            weight._accumulate(scr.gw)
-        if bias.requires_grad:
-            np.add.reduce(g2, axis=0, out=scr.gb)
-            bias._accumulate(scr.gb)
-        if not input_grad:
-            return None
-        f, k = self.in_dim, self.k_hops
-        gcat = scr.gcat
-        np.matmul(g2, weight.data.T, out=gcat.reshape(cat2.shape))
-        np.copyto(scr.gx, gcat[:, :, :f])  # identity hop
-        if k:
-            kernels.active_backend().diffusion_backward(
-                stacked_csr(self._supports, g2.dtype)[1].T, gcat, k,
-                scr.gx, scr.ping, scr.pong)
-        return scr.gx
+        gw_on, gb_on = weight.requires_grad, bias.requires_grad
+        w_t, gx, gw, gb = weight.data.T, scr.gx, scr.gw, scr.gb
+        gcat2 = scr.gcat.reshape(-1, scr.gcat.shape[-1])
+        chain = kernels.active_backend().bind_hops_backward(
+            stacked_csr(self._supports, gx.dtype)[1].T, scr.gcat, gx,
+            scr.ping, scr.pong, self.k_hops)
+
+        def run(cat2: np.ndarray, g2: np.ndarray,
+                input_grad: bool) -> np.ndarray | None:
+            if gw_on:
+                np.matmul(cat2.T, g2, out=gw)
+                weight._accumulate(gw)
+            if gb_on:
+                np.add.reduce(g2, axis=0, out=gb)
+                bias._accumulate(gb)
+            if not input_grad:
+                return None
+            np.matmul(g2, w_t, out=gcat2)
+            chain()
+            return gx
+
+        return run
 
     def forward(self, x: Tensor) -> Tensor:
         if x.ndim != 3 or x.shape[1] != self.num_nodes or x.shape[2] != self.in_dim:
@@ -191,15 +200,15 @@ class DiffusionConv(Module):
                                     self.weight.requires_grad or
                                     self.bias.requires_grad)
         np.copyto(scr.x0, x.data.transpose(1, 0, 2))
-        cat2, out2 = self._hops_gemm(scr, scr.x0, rg)
+        cat2, out2 = self._bind(scr, scr.x0, rg)()
         out = x._make(out2.reshape(n, b, -1).transpose(1, 0, 2),
                       (x, self.weight, self.bias))
         if out.requires_grad:
 
             def _bw(g: np.ndarray) -> None:
                 np.copyto(scr.gout, g.transpose(1, 0, 2))
-                gx = self._gemm_hops_backward(
-                    scr, cat2, scr.gout.reshape(out2.shape), x.requires_grad)
+                gx = self._bind_backward(scr)(
+                    cat2, scr.gout.reshape(out2.shape), x.requires_grad)
                 if gx is not None:
                     x._accumulate(gx.transpose(1, 0, 2))
 

@@ -10,17 +10,21 @@ decays with global step) and feeds back its own predictions at inference.
 
 - ``forward(x, h)`` is batch-major (``[B, N, dim]``) and composes public
   autograd ops through the shared ``gru_cell_step``.  It is what
-  :class:`DCRNN` calls and the reference ``step`` is tested against.
-- ``step(x_t, h)`` is **node-major**: the state is ``[N, B, H]`` for the
-  whole sequence because that is the layout
+  :class:`DCRNN` calls and the reference that ``sequence`` is tested
+  against.
+- ``sequence(xs, hb)`` runs all ``T`` steps **node-major**: the state is
+  ``[N, B, H]`` because that is the layout
   :class:`~repro.models.dconv.DiffusionConv` computes in, so the
   recurrence needs no concat, no transposed copies and no slice
-  scatters, and one autograd node replaces thirteen.
+  scatters.  It binds the stacked operators, flat ``csr_matvecs``
+  operands, scratch and weight arrays once per forward, and returns the
+  backward of the whole sequence for PGT-DCRNN's one autograd node.
 
-What ``step``'s backward owns, per call: the two hop blocks (GEMM inputs),
-the gate activations ``s = [r | u]`` and the candidate ``c`` (each the
-in-place result on a GEMM output that was allocated for that call), and
-the previous state's data.  ``1 - u`` and ``1 - c*c`` are recomputed.
+What that backward keeps, per step: the two hop blocks (GEMM inputs), the
+gate activations ``s = [r | u]`` and the candidate ``c`` (each the
+in-place result on a GEMM output allocated for that step), and the
+previous state.  ``1 - u`` and ``1 - c*c`` are recomputed.  Without
+gradients nothing is kept.
 Everything else is per-``(batch, dtype)`` scratch on the cell and its two
 convolutions, used only while one call runs, never handed to a caller, and
 never module-global -- replicas, forked ranks, rank threads and
@@ -28,16 +32,16 @@ never module-global -- replicas, forked ranks, rank threads and
 
 **Accumulation-order contract.**  Float addition does not associate, and
 the fixed-seed curves (``tests/test_fabric.py::PINNED_2EP`` and every
-cross-transport parity) are compared bit for bit, so ``step`` keeps not
-just each operation's operand order but the order in which gradients meet:
-``h_{t-1}.grad`` receives the output projection's term first (from
-PGT-DCRNN's one projection node, whose backward hands out every step's
-projection terms before any step's backward runs), then from ``step``'s
-backward, as three
-separate ``_accumulate`` calls, ``G*u`` (blend), ``g_rh*r`` (reset
-product) and the gates convolution's input-gradient slice; summing the
-three first changes the bits.  Weight and bias gradients accumulate
-candidate before gates within a step, steps in reverse time.
+cross-transport parity) are compared bit for bit, so ``sequence`` keeps
+the operand order of every operation and the order in which gradients
+meet.  The state gradient lives in two node-major buffers; walking
+``t = T-1 ... 0``, the buffer of ``h_{t-1}`` is first *set* to the
+readout's term (PGT-DCRNN's projection, ``g_t W_p^T``), then takes
+``G*u`` (blend), ``g_rh*r`` (reset product) and the gates convolution's
+input-gradient slice as three separate adds; summing the three first
+changes the bits.  Weight and bias gradients accumulate candidate before
+gates within a step, steps in reverse time, all after the projection's.
+``t = 0`` skips every ``h_{-1}`` term and the gates input gradient.
 """
 
 from __future__ import annotations
@@ -57,7 +61,7 @@ from repro.utils.seeding import new_rng
 
 
 class _StepScratch:
-    """Per-(batch, dtype) elementwise temporaries of :meth:`DCGRUCell.step`."""
+    """Per-(batch, dtype) temporaries of :meth:`DCGRUCell.sequence`."""
 
     __slots__ = ("t", "den", "tmp")
 
@@ -85,7 +89,7 @@ def _sigmoid_(x: np.ndarray, t: np.ndarray, den: np.ndarray) -> None:
 
 class DCGRUCell(Module):
     """GRU cell with diffusion-convolution gates: ``forward`` over
-    ``[B, N, dim]`` states, ``step`` over ``[N, B, dim]`` ones."""
+    ``[B, N, dim]`` states, ``sequence`` over ``[N, B, dim]`` ones."""
 
     def __init__(self, supports: list[sp.spmatrix], in_dim: int,
                  hidden_dim: int, k_hops: int = 2, *, seed_name: str = "dcgru"):
@@ -106,81 +110,94 @@ class DCGRUCell(Module):
         return gru_cell_step(self.gates, self.candidate, x, h,
                              self.hidden_dim)
 
-    def step(self, x_t: np.ndarray, h: Tensor) -> Tensor:
-        """One node-major recurrence as a single autograd node.
+    def sequence(self, xs: np.ndarray, hb: np.ndarray):
+        """Run the node-major recurrence over ``xs`` from a zero state.
 
-        ``x_t`` is a contiguous ``[N, B, in]`` array (no gradient flows to
-        it), ``h`` a Tensor whose data is ``[N, B, H]``; returns ``h_t``
-        in the same layout, freshly allocated.  Same float operations in
-        the same order as :meth:`forward` (see the module docstring).
+        ``xs`` is a contiguous ``[T, N, B, in]`` array (no gradient flows
+        to it); each ``h_t`` is copied batch-major into ``hb[t]``
+        (``[T, B, N, H]``).  Returns ``None`` when no gradient is
+        recorded, else ``walk(gn, v)``: the backward of all ``T`` steps
+        for a readout whose gradient into ``h_t`` is ``gn[t] * v``.
         """
-        n, b, fin = x_t.shape
+        steps, n, b, fin = xs.shape
         hid = self.hidden_dim
         gates, cand = self.gates, self.candidate
-        dtype = x_t.dtype
-        sg = gates._get_scratch(b, dtype)
-        sc = cand._get_scratch(b, dtype)
+        dtype = xs.dtype
+        sg, sc = gates._get_scratch(b, dtype), cand._get_scratch(b, dtype)
         scr = cached_scratch(
             self._scratch, b, dtype,
             lambda: _StepScratch(n, b, hid, dtype))
-        hd = h.data
-        params = (cand.weight, cand.bias, gates.weight, gates.bias)
-        rg = is_grad_enabled() and (h.requires_grad or
-                                    any(p.requires_grad for p in params))
+        keep = is_grad_enabled() and any(
+            p.requires_grad for p in (cand.weight, cand.bias, gates.weight,
+                                      gates.bias))
+        x0, tmp = sg.x0, scr.tmp
+        x_in, x_h = x0[:, :, :fin], x0[:, :, fin:]
+        run_g, run_c = gates._bind(sg, x0, keep), cand._bind(sc, x0, keep)
+        kept = []
+        hd = np.zeros((n, b, hid), dtype)
+        for t in range(steps):
+            # [x_t | h] -> gates; sigmoid in place on the GEMM output.
+            x_in[...] = xs[t]
+            x_h[...] = hd
+            cat_g, s2 = run_g()
+            s = s2.reshape(n, b, 2 * hid)
+            _sigmoid_(s, scr.t, scr.den)
+            r, u = s[:, :, :hid], s[:, :, hid:]
 
-        # [x_t | h] -> gates; sigmoid in place on the GEMM output.
-        x0 = sg.x0
-        x0[:, :, :fin] = x_t
-        x0[:, :, fin:] = hd
-        cat_g, s2 = gates._hops_gemm(sg, x0, rg)
-        s = s2.reshape(n, b, 2 * hid)
-        _sigmoid_(s, scr.t, scr.den)
-        r, u = s[:, :, :hid], s[:, :, hid:]
+            # [x_t | r*h] -> candidate (same input buffer); tanh in place.
+            np.multiply(r, hd, out=x_h)
+            cat_c, c2 = run_c()
+            c = c2.reshape(n, b, hid)
+            np.tanh(c, out=c)
 
-        # [x_t | r*h] -> candidate (same input buffer); tanh in place.
-        np.multiply(r, hd, out=x0[:, :, fin:])
-        cat_c, c2 = cand._hops_gemm(sc, x0, rg)
-        c = c2.reshape(n, b, hid)
-        np.tanh(c, out=c)
+            h_new = np.empty((n, b, hid), dtype)
+            np.multiply(u, hd, out=h_new)
+            np.subtract(1.0, u, out=tmp)
+            tmp *= c
+            h_new += tmp
+            hb[t] = h_new.transpose(1, 0, 2)
+            if keep:
+                kept.append((cat_g, s, r, u, cat_c, c, hd))
+            hd = h_new
+        if not keep:
+            return None
 
-        h_new = np.empty((n, b, hid), dtype)
-        tmp = scr.tmp
-        np.multiply(u, hd, out=h_new)
-        np.subtract(1.0, u, out=tmp)
-        tmp *= c
-        h_new += tmp
-        out = h._make(h_new, (h,) + params)
-        if out.requires_grad:
-
-            def _bw(G: np.ndarray) -> None:
-                dpre = sg.gout                    # d gates pre-activation
-                dpre_r, dpre_u = dpre[:, :, :hid], dpre[:, :, hid:]
+        def walk(gn: np.ndarray, v: np.ndarray) -> None:
+            bw_g, bw_c = gates._bind_backward(sg), cand._bind_backward(sc)
+            dpre, dc = sg.gout, sc.gout           # d pre-activations
+            dpre2, dc2 = dpre.reshape(n * b, -1), dc.reshape(n * b, -1)
+            dpre_r, dpre_u = dpre[:, :, :hid], dpre[:, :, hid:]
+            G, G_prev = np.empty((2, n, b, hid), dtype)  # d h_t, d h_{t-1}
+            np.multiply(gn[steps - 1], v, out=G)
+            for t in range(steps - 1, -1, -1):
+                cat_g, s, r, u, cat_c, c, hd = kept[t]
+                if t:                             # readout's term first
+                    np.multiply(gn[t - 1], v, out=G_prev)
                 np.multiply(G, hd, out=dpre_u)    # d u = G*h - G*c
                 np.multiply(G, c, out=tmp)
                 dpre_u -= tmp
-                np.multiply(G, u, out=tmp)
-                h._accumulate(tmp)                # blend: after proj's
-                dc = sc.gout                      # d candidate pre-act.
+                if t:
+                    np.multiply(G, u, out=tmp)
+                    G_prev += tmp                 # blend
                 np.subtract(1.0, u, out=dc)
                 np.multiply(G, dc, out=dc)
                 np.multiply(c, c, out=tmp)
                 np.subtract(1.0, tmp, out=tmp)
                 dc *= tmp
-                g_rh = cand._gemm_hops_backward(
-                    sc, cat_c, dc.reshape(c2.shape), True)[:, :, fin:]
+                g_rh = bw_c(cat_c, dc2, True)[:, :, fin:]
                 np.multiply(g_rh, hd, out=dpre_r)  # d r
-                np.multiply(g_rh, r, out=tmp)
-                h._accumulate(tmp)                # reset product
+                if t:
+                    np.multiply(g_rh, r, out=tmp)
+                    G_prev += tmp                 # reset product
                 dpre *= s                         # sigmoid': (g*s)*(1-s)
                 np.subtract(1.0, s, out=scr.t)
                 dpre *= scr.t
-                gx = gates._gemm_hops_backward(
-                    sg, cat_g, dpre.reshape(s2.shape), h.requires_grad)
-                if gx is not None:
-                    h._accumulate(gx[:, :, fin:])  # gates input gradient
+                gx = bw_g(cat_g, dpre2, t > 0)
+                if t:
+                    G_prev += gx[:, :, fin:]      # gates input gradient
+                G, G_prev = G_prev, G
 
-            out._backward = _bw
-        return out
+        return walk
 
     def init_hidden(self, batch: int) -> Tensor:
         return Tensor(np.zeros((batch, self.num_nodes, self.hidden_dim),

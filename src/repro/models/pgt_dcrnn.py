@@ -9,16 +9,17 @@ sampling — that is exactly why it is ~15x faster than the full DCRNN while
 remaining a faithful diffusion-convolution model.
 
 The hidden state is carried **node-major** (``[N, B, H]``) across the
-sequence: the input window is transposed once to ``[T, N, B, F]`` and each
-step is one :meth:`~repro.models.dcrnn.DCGRUCell.step` node.  Only the
-output projection sees batch-major data: each ``h_t`` is copied into slice
-``t`` of one ``[T, B, N, H]`` slab, allocated per call, and a single node
-projects the whole horizon with one ``matmul``, so a forward at horizon 12
-builds 13 autograd nodes.  Each slice is the contiguous ``[B, N, H]`` block
-``Linear`` saw per step, and the node's backward hands out ``Linear``'s
-terms in the order its per-step nodes did: for ``t`` in forward order, the
-bias, the weight, then ``h_t``'s term, all before any step's backward runs
-(the accumulation-order contract is in :mod:`repro.models.dcrnn`).  So the
+sequence: the input window is transposed once to ``[T, N, B, F]`` and
+:meth:`~repro.models.dcrnn.DCGRUCell.sequence` runs every step, copying
+each ``h_t`` into slice ``t`` of one batch-major ``[T, B, N, H]`` slab,
+allocated per call.  The projection is one ``matmul`` over that slab, and
+the whole forward is **one autograd node** whose parents are the six
+parameters.  Each slice is the contiguous ``[B, N, H]`` block ``Linear``
+saw per step, and the node's backward hands out ``Linear``'s terms in the
+order its per-step nodes did: for ``t`` in forward order, the bias, then
+the weight; then the recurrence walks back in time and sets each state
+gradient to its projection term before anything else reaches it (the
+accumulation-order contract is in :mod:`repro.models.dcrnn`).  So the
 fixed-seed curves are those of the batch-major recurrence.  Every array a
 caller receives is freshly allocated.
 """
@@ -55,32 +56,28 @@ class PGTDCRNN(STModel):
         if x.requires_grad and is_grad_enabled():
             raise NotImplementedError(
                 "PGTDCRNN does not propagate gradients to its input window")
-        batch = x.shape[0]
+        steps = self.horizon
         xs = np.ascontiguousarray(x.data.transpose(1, 2, 0, 3))  # [T,N,B,F]
-        h = Tensor(np.zeros((self.num_nodes, batch, self.hidden_dim),
-                            dtype=xs.dtype))
-        hs = []
-        hb = np.empty((self.horizon, batch, self.num_nodes, self.hidden_dim),
+        hb = np.empty((steps, x.shape[0], self.num_nodes, self.hidden_dim),
                       xs.dtype)                                  # [T,B,N,H]
-        for t in range(self.horizon):
-            h = self.cell.step(xs[t], h)
-            hs.append(h)
-            hb[t] = h.data.transpose(1, 0, 2)
-        w, b = self.proj.weight, self.proj.bias
+        walk = self.cell.sequence(xs, hb)
+        cell, w, b = self.cell, self.proj.weight, self.proj.bias
         y = np.matmul(hb, w.data)
         y += b.data
         out = w._make(np.ascontiguousarray(y.transpose(1, 0, 2, 3)),
-                      (*hs, w, b))
+                      (cell.gates.weight, cell.gates.bias,
+                       cell.candidate.weight, cell.candidate.bias, w, b))
         if out.requires_grad:
 
             def _bw(g: np.ndarray) -> None:
                 gt = np.ascontiguousarray(g.transpose(1, 0, 2, 3))
-                gb = gt.reshape(len(hs), -1).sum(axis=1)
+                gb = gt.reshape(steps, -1).sum(axis=1)
                 gw = np.matmul(hb.swapaxes(-1, -2), gt)          # [T,B,H,1]
-                for t, h_t in enumerate(hs):      # Linear's order, per step
+                for t in range(steps):            # Linear's order, per step
                     b._accumulate(gb[t:t + 1])
                     w._accumulate(gw[t].sum(axis=0))
-                    h_t._accumulate((gt[t] * w.data.T).transpose(1, 0, 2))
+                if walk is not None:              # then the recurrence
+                    walk(gt.transpose(0, 2, 1, 3), w.data.T)
 
             out._backward = _bw
         return out

@@ -123,8 +123,8 @@ class TestStackedHopsParity:
         x0 = rng.standard_normal((n, b, f)).astype(dtype)
         g2 = rng.standard_normal((n * b, 7)).astype(dtype)
         scr = conv._get_scratch(b, np.dtype(dtype))
-        cat2, _ = conv._hops_gemm(scr, x0, True)
-        gx = conv._gemm_hops_backward(scr, cat2, g2, True)
+        cat2, _ = conv._bind(scr, x0, True)()
+        gx = conv._bind_backward(scr)(cat2, g2, True)
         return conv, x0, g2, cat2, gx, scr.gcat  # d hop block, left intact
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -323,8 +323,8 @@ class TestDCGRUStepParity:
         self._compare(nodes, batch, horizon, hidden)
 
     def test_one_projection_node_per_sequence(self):
-        """A training forward at horizon 12 is 12 step nodes and one
-        projection node (49 when Linear projected each step)."""
+        """A training forward at horizon 12 is one autograd node: the
+        recurrence and the projection together."""
         step, _ = self._models(24, 12, 16, 2)
         x = np.random.default_rng(0).standard_normal((8, 12, 24, 2))
         out = step(Tensor(x.astype(np.float32)))
@@ -335,7 +335,7 @@ class TestDCGRUStepParity:
                 seen.add(id(t))
                 nodes += t._backward is not None
                 todo.extend(t._parents)
-        assert nodes == 13
+        assert nodes == 1
 
     def test_reversed_weight_order_would_differ(self):
         """The projection's weight gradient is the sum of its per-step
@@ -374,6 +374,75 @@ class TestDCGRUStepParity:
                                        err_msg=err_msg)
 
         self._compare(8, 4, 4, 8, dtype=dtype, k_hops=k_hops, check=close)
+
+    @staticmethod
+    def _grads(model, x, g, forward=None):
+        """Output bytes, then every parameter gradient's (``None`` kept)."""
+        model.zero_grad()
+        out = (forward or model)(Tensor(x))
+        out.backward(g.copy())
+        return [out.data.tobytes()] + [
+            None if p.grad is None else p.grad.tobytes()
+            for p in model.parameters()]
+
+    def test_bindings_follow_a_supports_swap(self):
+        """Operators are bound once per forward, not once per model: after
+        both convolutions take another graph, outputs and gradients are a
+        fresh model's on that graph; swapping back restores the bits."""
+        from repro.models import PGTDCRNN
+
+        model, _ = self._models(24, 12, 16, 2)
+        other = dual_random_walk_supports(
+            random_sensor_network(24, seed=5).weights)
+        fresh = PGTDCRNN(other, 12, 2, hidden_dim=16, k_hops=2, seed=3)
+        fresh.load_state_dict(model.state_dict())
+        rng = np.random.default_rng(2)
+        x = rng.standard_normal((8, 12, 24, 2)).astype(np.float32)
+        g = rng.standard_normal((8, 12, 24, 1)).astype(np.float32)
+        convs = (model.cell.gates, model.cell.candidate)
+        first = model.cell.gates.supports
+        before = self._grads(model, x, g)
+        for conv in convs:
+            conv.supports = other
+        after = self._grads(model, x, g)
+        assert after == self._grads(fresh, x, g)
+        assert after[0] != before[0]
+        for conv in convs:
+            conv.supports = first
+        assert self._grads(model, x, g) == before
+
+    @pytest.mark.parametrize("frozen", ["cell", "proj"])
+    def test_frozen_parameters(self, frozen):
+        """A frozen half keeps ``grad is None``; the other half's
+        gradients are the op-by-op recurrence's, bit for bit."""
+        model, ref = self._models(24, 12, 16, 2)
+        for m in (model, ref):
+            for p in getattr(m, frozen).parameters():
+                p.requires_grad = False
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((8, 12, 24, 2)).astype(np.float32)
+        g = rng.standard_normal((8, 12, 24, 1)).astype(np.float32)
+        got = self._grads(model, x, g)
+        want = self._grads(ref, x, g,
+                           forward=lambda t: _reference_forward(ref, t))
+        assert got == want
+        names = [name for name, _ in model.named_parameters()]
+        assert [name for name, grad in zip(names, got[1:])
+                if grad is None] == [n for n in names
+                                     if n.startswith(frozen + ".")]
+
+    def test_no_grad_forward_records_nothing(self):
+        from repro.autograd import no_grad
+
+        model, _ = self._models(8, 4, 8, 2)
+        x = Tensor(np.zeros((2, 4, 8, 2), np.float32))
+        out = model(x)
+        assert {id(p) for p in out._parents} == \
+            {id(p) for p in model.parameters()}
+        with no_grad():
+            out = model(x)
+        assert out._backward is None and out._parents == ()
+        assert not out.requires_grad
 
     def test_input_gradient_is_refused(self):
         step, _ = self._models(8, 4, 8, 2)

@@ -205,6 +205,27 @@ class TestPartition:
         assert len(fresh) == len(CATALOG)
         assert here == [fresh] * 3
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_weights_rejected(self, bad):
+        """A ``nan`` edge once gave the index-order split, silently, and
+        all-``inf`` weights gave ``[0]*12 + [1]*12``."""
+        w = random_sensor_network(24, seed=3).weights.tocsr().copy()
+        w.data[0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            partition_graph(w, 4)
+        w.data[:] = bad
+        with pytest.raises(ValueError, match="finite"):
+            partition_graph(w, 2)
+
+    def test_only_arpack_errors_fall_back(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("not an ARPACK failure")
+
+        monkeypatch.setattr(sp.linalg, "eigsh", broken)
+        g = random_sensor_network(24, seed=3)
+        with pytest.raises(TypeError, match="ARPACK"):
+            partition_graph(g.weights, 2)
+
     def test_spectral_beats_random_split(self):
         g = random_sensor_network(100, seed=10)
         spectral = edge_cut(g.weights, partition_graph(g.weights, 2))

@@ -143,3 +143,38 @@ def test_nothing_imports_profiling(tree):
             for p in sorted((REPO / tree).rglob("*.py"))
             for name, _ in imports(p)
             if name.split(".")[:2] == ["repro", "profiling"]] == []
+
+
+def sparsetools_imports(source: str):
+    """Lines of ``source`` that import scipy's private ``_sparsetools``."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [f"{node.module}.{a.name}" for a in node.names]
+        else:
+            continue
+        if any(name.startswith("scipy.sparse._sparsetools")
+               for name in names):
+            yield node.lineno
+
+
+def test_only_kernels_import_sparsetools():
+    """scipy's C kernel is reached through ``repro.kernels`` alone: the
+    hop chains there bind its operands once per call, and a model that
+    called ``csr_matvecs`` itself would skip the checks."""
+    users = {p.relative_to(SRC).as_posix()
+             for p in sorted(SRC.rglob("*.py"))
+             if any(sparsetools_imports(p.read_text()))}
+    assert users and all(u.startswith("kernels/") for u in users), users
+
+
+@pytest.mark.parametrize("source, hit", [
+    ("from scipy.sparse import _sparsetools as _st\n", True),
+    ("import scipy.sparse._sparsetools\n", True),
+    ("def f():\n    from scipy.sparse._sparsetools import csr_matvecs\n",
+     True),
+    ("from scipy.sparse import csr_matrix, linalg\n", False),
+], ids=["from-package", "module", "lazy-function", "public-scipy"])
+def test_sparsetools_guard_sees_every_import_form(source, hit):
+    assert bool(list(sparsetools_imports(source))) is hit
