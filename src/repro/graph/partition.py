@@ -9,11 +9,15 @@ the paper's future-work section can be run.
 
 from __future__ import annotations
 
+import logging
+
 import numpy as np
 import scipy.sparse as sp
 
 from repro.utils.errors import ShapeError
 from repro.utils.seeding import new_rng
+
+LOG = logging.getLogger(__name__)
 
 
 def _fiedler_split(w: sp.csr_matrix, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -34,8 +38,10 @@ def _fiedler_split(w: sp.csr_matrix, nodes: np.ndarray) -> tuple[np.ndarray, np.
         vals, vecs = sp.linalg.eigsh(lap.asfptype(), k=2, sigma=-1e-3,
                                      which="LM", v0=v0)
         fiedler = vecs[:, np.argsort(vals)[1]]
-    except sp.linalg.ArpackError:  # ArpackNoConvergence is one
+    except sp.linalg.ArpackError as exc:  # ArpackNoConvergence is one
         # Degenerate subgraph: fall back to index order (still balanced).
+        LOG.warning("no Fiedler vector for a %d-node subgraph (%s); "
+                    "splitting it in index order", n, exc)
         fiedler = np.arange(n, dtype=float)
     order = np.argsort(fiedler, kind="stable")
     half = n // 2

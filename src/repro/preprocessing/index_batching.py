@@ -21,7 +21,11 @@ array, no full-size ``data - mean`` temporary and no ``astype`` copy exist
 at any point, so the process peaks at resident + blocks when the dataset
 is file-backed (:func:`repro.datasets.io.load_dataset_file`: each block is
 read from the file as it is needed) and at raw + resident + blocks when it
-is in memory.
+is in memory.  The set-up block is channel-major (``[features, entries,
+nodes]``), so each of the three passes (mean, variance, standardize and
+store) makes NumPy calls over one channel's contiguous rows, not over
+``features``-wide rows, and the store writes each channel into its
+``data[..., f]`` plane.
 """
 
 from __future__ import annotations
@@ -71,16 +75,21 @@ class IndexDataset:
         """Build from a raw dataset: standardize in blocks, write once.
 
         The augmented float64 array is never materialised.  A row-block
-        reader fills one small ``dtype`` block from ``dataset.signals``
-        plus each entry's time-of-day value (the values of
-        ``with_time_feature()``); the scaler is fitted over those blocks
-        (two passes, see :meth:`StandardScaler.fit_entries`), and a third pass
-        standardizes each block in ``dtype`` and assigns it into the final
-        array, allocated once at the storage dtype.  ``signals`` is only
-        ever read as ``signals[first:last]``, so the process's real set-up
-        peak is resident + blocks when the dataset is file-backed and raw +
-        resident + blocks when it is in memory; it is what the benchmark's
-        ``preprocessing.traced_peak_mb`` / ``peak_rss_mb`` measure.
+        reader fills one small channel-major ``dtype`` block (``[features,
+        entries, nodes]``) from ``dataset.signals`` plus each entry's
+        time-of-day value (the values of ``with_time_feature()``), one
+        contiguous channel at a time; the scaler is fitted over transposed
+        views of that block (two passes, see
+        :meth:`StandardScaler.fit_entries`), and a third pass standardizes
+        the block in place in ``dtype`` and writes each channel into the
+        final array, allocated once at the storage dtype.  Every element
+        goes through the operations of the full-array formulation in the
+        same order, so the layout changes no stored bit.  ``signals`` is
+        only ever read as ``signals[first:last]``, so the process's real
+        set-up peak is resident + blocks when the dataset is file-backed and
+        raw + resident + blocks when it is in memory; it is what the
+        benchmark's ``preprocessing.traced_peak_mb`` / ``peak_rss_mb``
+        measure.
 
         The charges against ``space`` are a *model*, not a record of those
         allocations: they replay the published PGT-I pipeline (raw +
@@ -142,30 +151,45 @@ class IndexDataset:
         tod = (dataset.time_of_day().astype(signals.dtype)
                if add_time_feature else None)
         block_entries = max(1, block_rows(features) // nodes)
-        # fit_entries reads block-sized runs of rows, which can straddle two
-        # more entries.
-        block = np.empty((block_entries + 2, nodes, features), dtype)
+        # Channel-major, so every NumPy call below covers one channel's
+        # contiguous rows.  fit_entries reads block-sized runs of rows,
+        # which can straddle two more entries.
+        block = np.empty((features, block_entries + 2, nodes), dtype)
 
-        def read(first: int, last: int) -> np.ndarray:
-            """Entries ``[first, last)`` of the augmented array, as a view
-            of ``block``."""
-            blk = block[: last - first]
-            blk[..., :raw_features] = signals[first:last]
+        def fill(first: int, last: int) -> np.ndarray:
+            """Entries ``[first, last)`` of the augmented array, as a
+            ``[features, entries, nodes]`` view of ``block``."""
+            blk = block[:, : last - first]
+            raw = signals[first:last]
+            for f in range(raw_features):
+                blk[f] = raw[..., f]
             if tod is not None:
-                blk[..., raw_features] = tod[first:last, None]
+                blk[raw_features] = tod[first:last, None]
             return blk
 
+        # fit_entries takes the transposed [entries, nodes, features] view
+        # back to channel-major rows without a copy.
         scaler = StandardScaler().fit_entries(
-            read, (min(entries, train_end - 1 + h), nodes, features))
+            lambda first, last: fill(first, last).transpose(1, 2, 0),
+            (min(entries, train_end - 1 + h), nodes, features))
         # The ledger's transient spike is the one the paper's Figure 6
         # shows (~46 GB for PeMS, settling at the single ~18 GB copy): a
         # full scratch copy while raw is still referenced.
         scratch = charge("standardize-scratch", augmented_nbytes)
         data = np.empty((entries, nodes, features), store_dtype)
+        # What StandardScaler.transform computes, on the channel-major block.
+        mean = scaler.mean_.astype(dtype)[:, None, None]
+        std = scaler.std_.astype(dtype)[:, None, None]
         for first in range(0, entries, block_entries):
-            blk = read(first, min(first + block_entries, entries))
-            # Standardize in `dtype`, round once on assignment.
-            data[first: first + block_entries] = scaler.transform(blk, out=blk)
+            last = min(first + block_entries, entries)
+            blk = fill(first, last)
+            np.subtract(blk, mean, out=blk)
+            np.divide(blk, std, out=blk)
+            # Standardized in `dtype`, rounded once on assignment; one
+            # store per channel (a single transposing assignment of the
+            # whole block is several times slower).
+            for f in range(features):
+                data[first:last, :, f] = blk[f]
         uncharge(scratch)
         uncharge(raw_alloc)
         if store_dtype != dtype:

@@ -27,12 +27,16 @@ def _ordered_sum(fill, rows: int, scratch: np.ndarray) -> np.ndarray:
     """Column sums of a ``[rows, features]`` float64 matrix produced in
     blocks, bit for bit ``np.add.reduce(matrix, axis=0)``.
 
-    ``fill(lo, hi, out)`` writes rows ``[lo, hi)`` into ``out``, a slice of
-    ``scratch`` (``[block + 1, features]``).  Floating-point addition is not
+    Blocks are laid out channel-major: ``fill(lo, hi, out)`` writes rows
+    ``[lo, hi)`` into ``out``, a ``[features, hi - lo]`` slice of
+    ``scratch`` (``[features, block + 1]``), so every NumPy call below runs
+    over one channel's contiguous row.  Floating-point addition is not
     associative, so the blocks follow NumPy's own order:
 
-    - ``features >= 2``: NumPy adds whole rows strictly in order, so each
-      block is reduced with the running sum carried in as its row 0.
+    - ``features >= 2``: NumPy adds whole rows strictly in order.  Each
+      channel's block is one in-place ``np.add.accumulate`` (strictly
+      sequential too) with the running sum carried in as its column 0;
+      the sum is the last element.
     - ``features == 1``: NumPy sums pairwise, splitting ``n`` elements at
       ``n // 2`` rounded down to a multiple of 8; the same tree is walked
       here down to block-sized leaves, which NumPy finishes itself.
@@ -40,13 +44,13 @@ def _ordered_sum(fill, rows: int, scratch: np.ndarray) -> np.ndarray:
     Adding the blocks' independent partial sums instead would differ from
     the full-array reduction in the last bits.
     """
-    block, features = scratch.shape[0] - 1, scratch.shape[1]
+    features, block = scratch.shape[0], scratch.shape[1] - 1
     if features == 1:
         def tree(lo: int, hi: int) -> np.float64:
             n = hi - lo
             if n <= block:
-                fill(lo, hi, scratch[:n])
-                return np.add.reduce(scratch[:n, 0], initial=0.0)
+                fill(lo, hi, scratch[:, :n])
+                return np.add.reduce(scratch[0, :n], initial=0.0)
             half = n // 2
             half -= half % 8
             return tree(lo, lo + half) + tree(lo + half, hi)
@@ -55,10 +59,20 @@ def _ordered_sum(fill, rows: int, scratch: np.ndarray) -> np.ndarray:
     total = np.zeros(features)
     for lo in range(0, rows, block):
         n = min(block, rows - lo)
-        scratch[0] = total
-        fill(lo, lo + n, scratch[1: n + 1])
-        total = np.add.reduce(scratch[: n + 1], axis=0)
+        scratch[:, 0] = total
+        fill(lo, lo + n, scratch[:, 1: n + 1])
+        for channel in scratch[:, : n + 1]:
+            np.add.accumulate(channel, out=channel)
+        total = scratch[:, n].copy()
     return total
+
+
+def _check_finite(name: str, stat: np.ndarray) -> None:
+    bad = np.flatnonzero(~np.isfinite(stat))
+    if len(bad):
+        raise ValueError(
+            f"scaler {name} is not finite in channel(s) {bad.tolist()} "
+            f"({stat[bad].tolist()}): the fitted data holds nan or inf")
 
 
 class StandardScaler:
@@ -99,32 +113,45 @@ class StandardScaler:
         ``read(first, last)`` returns entries ``[first, last)`` — never
         more than ``block_rows(features) // rows_per_entry + 2`` of them —
         as an array the scaler only reads and drops before the next call,
-        so a producer may refill one buffer.  Two passes over the
-        ``[rows, features]`` folding: column sums for the mean, then sums
-        of squared deviations for the standard deviation, each accumulated
-        in the order NumPy's own full-array reduction uses (see
+        so a producer may refill one buffer.  Each read is taken as
+        channel-major rows (``.reshape(-1, features).T``), so the scratch
+        block is filled with contiguous copies when the producer hands back
+        a transposed view of a ``[features, ...]`` buffer, as index-batching
+        does, and with strided ones otherwise.  Two passes over the
+        ``[rows, features]`` folding: column sums for the mean, then sums of
+        squared deviations for the standard deviation, each accumulated in
+        the order NumPy's own full-array reduction uses (see
         :func:`_ordered_sum`), so blocking never changes a bit of either.
+
+        Raises ``ValueError`` for zero rows, or when a channel's mean or
+        standard deviation is not finite (the data holds ``nan`` or
+        ``inf``), naming the channels; the scaler is left as it was.
         """
         features = shape[-1]
         inner = int(np.prod(shape[1:-1], dtype=np.int64))   # rows per entry
         rows = shape[0] * inner
+        if rows == 0:
+            raise ValueError(f"cannot fit a scaler on zero rows: {shape}")
 
         def read_rows(lo: int, hi: int) -> np.ndarray:
             first = lo // inner
-            lead = read(first, -(-hi // inner)).reshape(-1, features)
-            return lead[lo - first * inner: hi - first * inner]
+            lead = read(first, -(-hi // inner)).reshape(-1, features).T
+            return lead[:, lo - first * inner: hi - first * inner]
 
-        scratch = np.empty((block_rows(features) + 1, features))
+        scratch = np.empty((features, block_rows(features) + 1))
 
         def values(lo: int, hi: int, out: np.ndarray) -> None:
             out[...] = read_rows(lo, hi)
 
         def squared_deviations(lo: int, hi: int, out: np.ndarray) -> None:
-            np.subtract(read_rows(lo, hi), self.mean_, out=out)
+            np.subtract(read_rows(lo, hi), mean[:, None], out=out)
             np.multiply(out, out, out=out)
 
-        self.mean_ = _ordered_sum(values, rows, scratch) / rows
+        mean = _ordered_sum(values, rows, scratch) / rows
+        _check_finite("mean", mean)
         std = np.sqrt(_ordered_sum(squared_deviations, rows, scratch) / rows)
+        _check_finite("standard deviation", std)
+        self.mean_ = mean
         # Constant channels (e.g. an all-zero feature) must not divide by 0.
         self.std_ = np.where(std > 0, std, 1.0)
         return self
@@ -134,8 +161,8 @@ class StandardScaler:
             raise RuntimeError("scaler used before fit()")
 
     def transform(self, data: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Standardize; pass ``out=data`` for in-place (index-batching
-        does, one block at a time)."""
+        """Standardize; pass ``out=data`` for in-place (the serving feature
+        cache does, one row at a time)."""
         self._check()
         data = np.asarray(data)
         mean = self.mean_.astype(data.dtype)

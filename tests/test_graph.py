@@ -226,6 +226,21 @@ class TestPartition:
         with pytest.raises(TypeError, match="ARPACK"):
             partition_graph(g.weights, 2)
 
+    def test_arpack_fallback_is_logged(self, monkeypatch, caplog):
+        """The index-order fallback used to be silent."""
+        def unconverged(*args, **kwargs):
+            raise sp.linalg.ArpackNoConvergence("no convergence", [], [])
+
+        monkeypatch.setattr(sp.linalg, "eigsh", unconverged)
+        g = random_sensor_network(24, seed=3)
+        with caplog.at_level("WARNING", logger="repro.graph.partition"):
+            assignment = partition_graph(g.weights, 2)
+        np.testing.assert_array_equal(assignment, np.repeat([0, 1], 12))
+        [record] = caplog.records
+        assert record.name == "repro.graph.partition"
+        assert record.levelname == "WARNING"
+        assert "24-node subgraph" in record.getMessage()
+
     def test_spectral_beats_random_split(self):
         g = random_sensor_network(100, seed=10)
         spectral = edge_cut(g.weights, partition_graph(g.weights, 2))

@@ -102,6 +102,24 @@ class TestScaler:
         with pytest.raises(ShapeError):
             StandardScaler().fit(np.ones(5))
 
+    def test_empty_input_rejected(self):
+        # Once fitted mean_ = [nan nan], std_ = [1 1].
+        s = StandardScaler()
+        with pytest.raises(ValueError, match="zero rows"):
+            s.fit(np.empty((0, 2)))
+        assert not s.fitted
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_rejected(self, bad):
+        # Once a silently "constant" channel: mean_ nan, std_ 1.0, every
+        # standardized value nan.
+        data = np.random.default_rng(4).normal(size=(300, 5, 3))
+        data[17, 2, 1] = bad
+        s = StandardScaler()
+        with pytest.raises(ValueError, match=r"channel\(s\) \[1\]"):
+            s.fit(data)
+        assert not s.fitted
+
 
 def _numpy_statistics(a):
     """What ``fit`` replaced: NumPy's full-array reductions."""
@@ -169,6 +187,21 @@ class TestBlockwiseFitOrder:
                       for lo in range(0, rows, block_rows(features)))
         assert (partial / rows).tobytes() != _numpy_statistics(a)[0].tobytes()
 
+    @pytest.mark.parametrize("features", [2, 3])
+    def test_channel_accumulate_ends_on_the_row_order_sum(self, features):
+        """The NumPy assumption _ordered_sum makes for ``features >= 2``:
+        ``np.add.accumulate`` along one contiguous channel ends on the
+        bytes of ``np.add.reduce(axis=0)`` over the C-ordered ``[rows,
+        features]`` matrix, i.e. NumPy adds those rows strictly in order
+        (and not pairwise, as it sums a contiguous channel)."""
+        a = _matrix(features, 3 * block_rows(features) + 7, "c", seed=5)
+        channels = np.ascontiguousarray(a.T)
+        ends = np.array([np.add.accumulate(c)[-1] for c in channels])
+        rows_in_order = np.add.reduce(a, axis=0)
+        assert ends.tobytes() == rows_in_order.tobytes(), (
+            ORDER_CONTRACT.format(version=np.__version__))
+        assert ends.tobytes() != np.add.reduce(channels, axis=1).tobytes()
+
     def test_float32_input_is_read_as_its_float64_cast(self):
         a = _matrix(1, 5 * block_rows(1) + 11, "c", seed=1).astype(np.float32)
         mean, std = _numpy_statistics(a.astype(np.float64))
@@ -211,10 +244,17 @@ class TestWriteOnceStandardization:
         ("pems-bay", 48, 1500),             # traffic, several blocks
         ("chickenpox-hungary", 8, 100),     # single feature, below one block
         ("windmill-large", 30, 3000),       # single feature, several blocks
+        ("pems-bay+flow", 40, 1200),        # two raw + time, several blocks
     ])
     def test_stored_bits_equal_the_full_array_formulation(
             self, name, nodes, entries, signals, store_dtype):
+        name, _, flow = name.partition("+")
         ds = load_dataset(name, nodes=nodes, entries=entries, seed=4)
+        if flow:    # catalog datasets have one raw channel; add a second
+            extra = np.random.default_rng(5).gamma(2.0, 150.0,
+                                                   ds.signals.shape)
+            ds = dataclasses.replace(
+                ds, signals=np.concatenate([ds.signals, extra], axis=2))
         if signals == "strided":
             ds = dataclasses.replace(
                 ds, signals=np.repeat(ds.signals, 2, axis=1)[:, ::2])
@@ -227,6 +267,15 @@ class TestWriteOnceStandardization:
         assert idx.data.tobytes() == expected.tobytes()
         assert idx.scaler.mean_.tobytes() == mean.tobytes()
         assert idx.scaler.std_.tobytes() == std.tobytes()
+
+    def test_non_finite_signal_rejected(self):
+        # Once stored nan for every value of the channel.
+        ds = load_dataset("pems-bay", nodes=7, entries=130, seed=4)
+        signals = ds.signals.copy()
+        signals[5, 3, 0] = np.nan
+        with pytest.raises(ValueError, match=r"mean is not finite in "
+                                             r"channel\(s\) \[0\]"):
+            IndexDataset.from_dataset(dataclasses.replace(ds, signals=signals))
 
 
 class TestStandardPreprocess:
