@@ -22,9 +22,8 @@ serving, like training, partitions nothing.
   (:class:`~repro.serving.gateway.Gateway`, driven per tenant by
   :class:`~repro.serving.loadgen.GatewayLoadGenerator`).
 - :mod:`repro.serving.resilience` — self-healing for the gateway: per-
-  deployment circuit breakers, seeded fault injection, deadline-budgeted
-  retries/hedging, graceful degradation, and canary-gated blue-green
-  rollback.
+  deployment circuit breakers, seeded fault injection, and one recovery
+  path (stale cache -> fallback deployment -> explicit failure).
 
 The declarative entry points live in ``repro.api``:
 ``serve(spec_or_checkpoint) -> ForecastService`` and
@@ -61,7 +60,6 @@ from repro.serving.resilience import (
     GatewayResilience,
     HealthMonitor,
     ResiliencePolicy,
-    RollbackRecord,
 )
 
 __all__ = [
@@ -88,7 +86,6 @@ __all__ = [
     "ModelSession",
     "ResiliencePolicy",
     "ResultCache",
-    "RollbackRecord",
     "ServiceStats",
     "ShedDecision",
     "SwapRecord",

@@ -105,6 +105,9 @@ class FeatureStore:
         ``values`` is ``[num_nodes, raw_features]`` raw readings;
         ``timestamp_minutes`` is minutes since midnight of day 0 (the
         dataset timestamp convention) and feeds the time-of-day channel.
+        A non-finite reading or timestamp raises ``ValueError`` before the
+        ring is written: stored, it would turn every window over the next
+        ``horizon`` rows into ``nan`` forecasts.
         """
         values = np.asarray(values)
         if values.shape != (self.num_nodes, self.raw_features):
@@ -116,6 +119,9 @@ class FeatureStore:
         if self.add_time_feature:
             row[:, self.raw_features] = \
                 (float(timestamp_minutes) % MINUTES_PER_DAY) / MINUTES_PER_DAY
+        if not np.isfinite(row).all():
+            raise ValueError("observation row holds non-finite values; "
+                             "encode a missing reading as 0, as PeMS does")
         self.scaler.transform(row, out=row)
         np.copyto(self._ring[self._head], row, casting="same_kind")
         self._head = (self._head + 1) % self.capacity

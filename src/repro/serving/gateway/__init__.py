@@ -5,7 +5,7 @@ caller.  This package is the production front end over all of it:
 
 - :class:`~repro.serving.gateway.deployments.Deployment` — one named,
   version-pinned deployment (warm/cold replica, atomic blue-green
-  checkpoint swaps that drain in-flight requests).
+  checkpoint swaps that check green, then drain in-flight requests).
 - :class:`~repro.serving.gateway.tenancy.TenantManager` — API-key auth,
   deterministic token-bucket quotas, per-tenant isolated feature stores.
 - :class:`~repro.serving.gateway.admission.AdmissionController` —
@@ -16,10 +16,9 @@ caller.  This package is the production front end over all of it:
 - :class:`~repro.serving.gateway.gateway.Gateway` — the app factory tying
   them together on the subsystem's ManualClock/real-clock duality.
 
-Self-healing lives in :mod:`repro.serving.resilience` (circuit breakers,
-deadline-budgeted retries, hedging, graceful degradation, canary-gated
-swaps with auto-rollback): its policy functions decide, the gateway
-executes, for every request it serves.
+Self-healing lives in :mod:`repro.serving.resilience` (circuit breakers
+and the degradation ladder): its one recovery decision picks the rung,
+the gateway executes it, for every request it serves.
 
 The declarative entry point is ``repro.api.build_gateway``.
 """
@@ -52,7 +51,6 @@ from repro.serving.resilience import (
     GatewayResilience,
     HealthMonitor,
     ResiliencePolicy,
-    RollbackRecord,
 )
 
 __all__ = [
@@ -70,7 +68,6 @@ __all__ = [
     "HealthMonitor",
     "ResiliencePolicy",
     "ResultCache",
-    "RollbackRecord",
     "ShedDecision",
     "SwapRecord",
     "TERMINAL_STATUSES",

@@ -123,10 +123,11 @@ class AdmissionController:
         enqueued; ``deadline`` is absolute clock time (``None`` = the
         request never sheds on projection, only on the depth cap).
 
-        Retries of failed dispatches come back through here with their
-        *original* absolute deadline: the remaining budget has shrunk by
-        the failed attempt, so a retry is charged against the same
-        estimate as fresh traffic and overload still sheds honestly.
+        A request re-routed to a fallback after a failed dispatch comes
+        through here with its *original* absolute deadline: the remaining
+        budget has shrunk by the failed attempt, so the re-route is
+        charged against the same estimate as fresh traffic and overload
+        still sheds honestly.
         """
         now = self.clock()
         depth = len(queue)

@@ -10,19 +10,19 @@ and the warm-up cost recorded).
 
 **Blue-green swap.**  :meth:`Deployment.swap` replaces a
 deployment's checkpoint atomically with respect to requests: the green
-session is fully built *first* (a failing build leaves blue serving
-untouched), the blue queue is then drained — every in-flight request
-completes against the version it was admitted under — and only then does
-the service pointer flip.  Zero requests are dropped; the drained
-forecasts are returned so the caller can deliver them, and every swap is
-recorded as a :class:`SwapRecord` (the gateway tests pin the zero-drop
-invariant).
+session is fully built and checked *first* (it must match blue's model
+interface and answer a zero window with finite values, or the swap
+raises and blue keeps serving with its queue untouched), the blue queue
+is then drained — every in-flight request completes against the version
+it was admitted under — and only then does the service pointer flip.
+Zero requests are dropped; the drained forecasts are returned so the
+caller can deliver them, and every swap is recorded as a
+:class:`SwapRecord` (the gateway tests pin the zero-drop invariant).
 """
 
 from __future__ import annotations
 
 import time
-from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.serving.cache import FeatureStore
 from repro.serving.service import Forecast, ForecastService
-from repro.utils.errors import ShapeError
+from repro.utils.errors import SessionFailure, ShapeError
 
 
 def _resolve_session(source: Any) -> Any:
@@ -88,12 +88,10 @@ class Deployment:
         self.swaps: list[SwapRecord] = []
         # Resilience state: which deployment degrades for this one, the
         # chaos injector (threaded into every service this deployment
-        # activates), crash-restart count, and a small ring of recently
-        # served windows — canary inputs for post-swap health checks.
+        # activates), and the crash-restart count.
         self.fallback = None if fallback is None else str(fallback)
         self.fault_injector = None
         self.restarts = 0
-        self.recent_windows: deque[np.ndarray] = deque(maxlen=8)
         self.service: ForecastService | None = None
         if state == "warm":
             self._activate()
@@ -131,23 +129,6 @@ class Deployment:
         self.restarts += 1
         if self.fault_injector is not None:
             self.fault_injector.revive()
-
-    def note_window(self, window: np.ndarray | None) -> None:
-        """Remember a recently served window (canary material)."""
-        if window is not None:
-            self.recent_windows.append(np.ascontiguousarray(window).copy())
-
-    def rollback(self, session: Any, *, version: str, source: Any) -> None:
-        """Restore a previous (blue) session after a failed canary.
-
-        The flip mirrors :meth:`swap`'s pointer assignment; the caller
-        (the gateway) drains green's queue first and records the
-        :class:`~repro.serving.resilience.RollbackRecord`.
-        """
-        self.warm()
-        self.service.session = session
-        self.version = str(version)
-        self.source = source
 
     def warm(self) -> "Deployment":
         """Ensure the session is live (cold deployments build it here)."""
@@ -199,6 +180,10 @@ class Deployment:
 
         Returns the record and the drained in-flight forecasts (completed
         on the old session; the gateway delivers them to their tenants).
+        Green must answer one zero window (the training mean, in
+        standardized units) with finite values before blue drains; like
+        the build, that forward is not charged to the clock.  A green that
+        fails it raises :class:`~repro.utils.errors.SessionFailure`.
         """
         if str(version) == self.version:
             raise ValueError(f"swap needs a new version pin; deployment "
@@ -213,6 +198,12 @@ class Deployment:
                     f"green session {attr}={getattr(green, attr)} does not "
                     f"match blue {attr}={getattr(blue, attr)}; a swap may "
                     f"change weights, never the model interface")
+        zero = np.zeros((1, green.horizon, green.num_nodes, green.in_features),
+                        np.float32)
+        if not np.all(np.isfinite(green.predict(zero))):
+            raise SessionFailure(
+                f"green session for {self.name!r}@{version} answers a zero "
+                f"window with non-finite values; blue keeps serving")
         drained = self.service.flush()         # blue finishes its queue
         dropped = len(self.service.queue)      # flush() empties it: 0
         self.service.session = green           # the atomic flip

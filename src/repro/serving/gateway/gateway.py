@@ -2,8 +2,7 @@
 
 :class:`Gateway` composes the pieces the package docstring lists — named
 deployments, a tenant manager, an admission controller and an optional
-result cache — into the millions-of-users entry point the
-roadmap asks for.  Request events are counted once, on the tenant;
+result cache.  Request events are counted once, on the tenant;
 :class:`GatewayStats` only sums them.
 
 Every request flows ``authenticate -> quota -> cache -> circuit ->
@@ -12,32 +11,29 @@ terminal :class:`GatewayResponse` with an explicit status, so the load
 generator can separate goodput from shed, quota and cache traffic
 exactly.
 
-**The seam.**  Self-healing policy is three pure functions in
-:mod:`repro.serving.resilience`, testable without a gateway; this module
-observes what they ask about and executes what they return.
-``degradation_rung`` picks stale cache, fallback deployment or explicit
-failure, and :meth:`Gateway._degrade` walks that ladder for a request
-refused at submit and one whose dispatch failed alike; ``should_retry``
-decides and :meth:`Gateway._handle_failures` requeues; ``should_hedge``
-decides and :meth:`Gateway._maybe_hedge` queues the twin.  All of them
-reach a queue through :meth:`Gateway._enqueue` (admission ->
-``service.submit`` -> cache key -> pending table), so recovery is charged
-through admission control and overload still sheds honestly.  Blue-green
-swaps run canary health checks on the green session and auto-roll back
-to blue when they fail, dropping zero requests either way.
+**One recovery path.**  A request its deployment cannot serve — refused
+at submit because the circuit is open, or failed in dispatch — walks the
+degradation ladder: :func:`~repro.serving.resilience.degradation_rung`
+(a pure function, testable without a gateway) picks stale cache,
+fallback deployment or explicit failure, and :meth:`Gateway._degrade`
+executes it.  A failed dispatch is never retried on the session that
+failed it; the circuit breaker alone decides when the deployment is
+probed again.  Every request reaches a queue through
+:meth:`Gateway._enqueue` (admission -> ``service.submit`` -> cache key ->
+pending table), so a fallback re-route is charged through admission
+control and overload still sheds honestly.  A blue-green swap checks
+green before the flip, so a broken green never takes traffic.
 
-Time keeps the subsystem's clock duality: the gateway runs on a
+The gateway is single-threaded: callers :meth:`submit` and :meth:`poll`
+from one thread.  Time keeps the subsystem's clock duality: it runs on a
 :class:`~repro.serving.service.ManualClock` by default (bit-reproducible
 schedules under the load generator) or on ``time.perf_counter`` for wall
-operation, where :meth:`handle_concurrent` serves requests through a
-stdlib thread pool.
+operation.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field, replace
-from threading import RLock
+from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np
@@ -48,9 +44,8 @@ from repro.serving.gateway.result_cache import ResultCache, cache_key
 from repro.serving.gateway.tenancy import Tenant, TenantManager
 from repro.serving.resilience import (
     CLOSED, GatewayResilience, HALF_OPEN, OPEN, ResiliencePolicy,
-    RollbackRecord, degradation_rung, should_hedge, should_retry)
+    degradation_rung)
 from repro.serving.service import Forecast, ManualClock
-from repro.utils.errors import SessionFailure
 
 #: Terminal response statuses (everything except "admitted").
 TERMINAL_STATUSES = ("ok", "cached", "shed", "rejected_quota",
@@ -81,7 +76,6 @@ class GatewayResponse:
     cached: bool = False
     reason: str = ""
     degraded_source: str = ""   # "stale_cache" | "fallback:<name>"
-    hedged: bool = False        # won a hedged re-dispatch race
 
     @property
     def ok(self) -> bool:
@@ -108,8 +102,8 @@ class GatewayStats:
     """Aggregate request accounting across all tenants and deployments.
 
     A request event is recorded once, on its tenant; the per-request
-    totals here are read-only sums over tenants.  Only ``swaps`` and
-    ``rollbacks``, which belong to no tenant, are counted here.
+    totals here are read-only sums over tenants.  Only ``swaps``, which
+    belong to no tenant, are counted here.
     """
 
     requests = _tenant_total("submitted")
@@ -124,12 +118,11 @@ class GatewayStats:
     def __init__(self, tenants: TenantManager):
         self._tenants = tenants
         self.swaps = 0
-        self.rollbacks = 0
 
     def to_dict(self) -> dict:
         return {name: getattr(self, name) for name in (
             "requests", "admitted", "completed", "cache_hits", "shed",
-            "quota_rejected", "swaps", "degraded", "failed", "rollbacks")}
+            "quota_rejected", "swaps", "degraded", "failed")}
 
 
 def _instant_forecast(request_id: int | None,
@@ -147,10 +140,10 @@ class _PendingRecord:
 
     The ticket is the (deployment, request_id) identity the caller is
     handed at admission: the first queue the record lands on (before
-    that, the deployment asked for and no id).  Retries and fallback
-    re-routes move the request between queues, but its completion always
-    reports the original ticket, so callers match responses without
-    knowing about recovery.
+    that, the deployment asked for and no id).  A fallback re-route moves
+    the request to another queue, but its completion always reports the
+    original ticket, so callers match responses without knowing about
+    recovery.
     """
 
     tenant: Tenant
@@ -160,10 +153,7 @@ class _PendingRecord:
     window: np.ndarray | None = None
     deadline: float | None = None   # original absolute deadline
     key: tuple | None = None        # cache key for the queue it is on now
-    retries: int = 0
     degraded_source: str = ""       # set once re-routed to a fallback
-    partner: "_PendingRecord | None" = field(default=None, repr=False)
-    canceled: bool = False          # lost a hedge race; discard on completion
 
     def response(self, status: str, **fields) -> GatewayResponse:
         return GatewayResponse(
@@ -239,7 +229,6 @@ class Gateway:
         self._pending: dict[tuple[str, int], _PendingRecord] = {}
         #: finished responses awaiting the next poll, by ticket
         self._completed: dict[tuple[str, int], GatewayResponse] = {}
-        self._lock = RLock()
 
     # ------------------------------------------------------------------
     # App factory: registration
@@ -337,7 +326,6 @@ class Gateway:
         if deadline is None and self.default_deadline is not None:
             deadline = now + self.default_deadline
         rec.deadline = deadline
-        dep.note_window(window)
 
         if self.cache is not None:
             rec.key = cache_key(dep.name, dep.version, window)
@@ -371,27 +359,21 @@ class Gateway:
                 breaker.cancel_probe()
             tenant.stats.shed += 1
             return rec.response("shed", reason=decision.reason)
-        if not probe:
-            self._maybe_hedge(dep, rec, now)
         return rec.response("admitted")
 
-    def _enqueue(self, dep: Deployment, rec: _PendingRecord, *,
-                 admit: bool = True) -> ShedDecision | None:
-        """The one way onto a queue, for first submission, retry, fallback
-        re-route and hedge twin: admission -> ``service.submit`` -> cache
-        key -> pending table.  Returns the shed decision if admission
-        control refuses (nothing is queued), else ``None``.  A record's
-        first queue is its ticket and its tenant's one admission.  Only
-        the hedge twin skips admission: :func:`should_hedge` already held
-        the same projection against the budget, and a refused hedge is
-        not a refused request, so it must leave no shed count."""
+    def _enqueue(self, dep: Deployment,
+                 rec: _PendingRecord) -> ShedDecision | None:
+        """The one way onto a queue, for first submission and fallback
+        re-route: admission -> ``service.submit`` -> cache key -> pending
+        table.  Returns the shed decision if admission control refuses
+        (nothing is queued), else ``None``.  A record's first queue is its
+        ticket and its tenant's one admission."""
         svc = dep.service
-        if admit:
-            decision = self.admission.admit(
-                svc.queue, tenant=rec.tenant.tenant_id, deployment=dep.name,
-                deadline=rec.deadline)
-            if decision is not None:
-                return decision
+        decision = self.admission.admit(
+            svc.queue, tenant=rec.tenant.tenant_id, deployment=dep.name,
+            deadline=rec.deadline)
+        if decision is not None:
+            return decision
         rid = svc.submit(rec.window, deadline=rec.deadline)
         if rec.ticket_id is None:
             rec.ticket_deployment, rec.ticket_version = dep.name, dep.version
@@ -403,7 +385,7 @@ class Gateway:
         return None
 
     # ------------------------------------------------------------------
-    # Recovery: executing what repro.serving.resilience decides
+    # Recovery: executing the ladder repro.serving.resilience picks
     # ------------------------------------------------------------------
     def _fallback_for(self, dep: Deployment) -> Deployment | None:
         """The deployment's named fallback, warmed, if it exists, is not
@@ -422,15 +404,14 @@ class Gateway:
                  reason: str) -> GatewayResponse | None:
         """Walk the degradation ladder for a request ``dep`` cannot
         serve: refused at submit (circuit open or probe slot taken; no
-        ticket yet) or failed in dispatch with no retry left.  Returns a
-        terminal response; or, once the request is on the fallback
-        queue, a submit-time request's ``"admitted"`` ticket and ``None``
-        for one already ticketed (its completion arrives ``"degraded"``
-        under that original ticket)."""
+        ticket yet) or failed in dispatch.  Returns a terminal response;
+        or, once the request is on the fallback queue, a submit-time
+        request's ``"admitted"`` ticket and ``None`` for one already
+        ticketed (its completion arrives ``"degraded"`` under that
+        original ticket)."""
         ticketed = rec.ticket_id is not None
-        stale = (self.cache.get_stale(rec.key)     # integrity-verified
-                 if self.resilience.policy.serve_stale
-                 and rec.key is not None else None)
+        # A key exists only with a cache; stale reads are integrity-verified.
+        stale = self.cache.get_stale(rec.key) if rec.key is not None else None
         fdep = self._fallback_for(dep) if stale is None else None
         if fdep is not None:
             rec.key = None      # the primary's; _enqueue keys the fallback's
@@ -452,68 +433,18 @@ class Gateway:
             return rec.response("admitted", reason=reason,
                                 degraded_source=rec.degraded_source)
         stats.failed += 1
-        self.resilience.failed += 1
         return rec.response("failed", reason=reason)
-
-    def _maybe_hedge(self, dep: Deployment, rec: _PendingRecord,
-                     now: float) -> None:
-        """Hedged re-dispatch: race a twin on the fallback when the
-        primary is healthy-but-slow and the deadline budget affords a
-        duplicate; the first completion wins."""
-        policy = self.resilience.policy
-        # Observed lazily, cheapest first: hedging is usually off, and
-        # looking at the fallback has effects (see _fallback_for).
-        slow = policy.hedge and self.resilience.breaker(dep.name).degraded()
-        fdep = self._fallback_for(dep) if slow else None
-        depth, projected = None, 0.0
-        if fdep is not None:
-            queue = fdep.service.queue
-            depth = len(queue)
-            projected = self.admission.projected_latency(queue, fdep.name)
-        if should_hedge(
-                enabled=policy.hedge, primary_degraded=slow,
-                fallback_depth=depth, projected_latency=projected,
-                max_depth=self.admission.max_queue_depth,
-                budget=(float("inf") if rec.deadline is None
-                        else rec.deadline - now)):
-            rec.partner = replace(rec, key=None, partner=rec,
-                                  degraded_source=f"fallback:{fdep.name}")
-            self._enqueue(fdep, rec.partner, admit=False)
-            self.resilience.hedges += 1
 
     def _handle_failures(self, dep: Deployment) -> None:
         """Resolve dispatches that raised SessionFailure: each failed
-        request is retried on the same queue within its original deadline
-        budget (charged through admission control) or walks the
-        degradation ladder.  Nothing is ever silently dropped."""
-        failed = dep.service.take_failed()
-        if not failed:
-            return
-        breaker = self.resilience.breaker(dep.name)
-        max_retries = self.resilience.policy.max_retries
-        for reqs, _exc in failed:
-            breaker.record_failure()
+        batch feeds the circuit breaker, and each of its requests walks
+        the degradation ladder.  Nothing is ever silently dropped."""
+        for reqs, _exc in dep.service.take_failed():
+            self.resilience.breaker(dep.name).record_failure()
             for req in reqs:
                 rec = self._pending.pop((dep.name, req.request_id), None)
                 if rec is None:
-                    continue
-                if rec.canceled:
-                    self.resilience.hedges_wasted += 1
-                    continue
-                if rec.partner is not None and not rec.partner.canceled:
-                    # The hedge twin is still racing; it becomes the
-                    # answer for this ticket.
-                    rec.partner.partner = None
-                    continue
-                # The breaker is asked only while budget remains: asking
-                # applies its reset timer, and that transition is logged.
-                state = (breaker.before_request()
-                         if rec.retries < max_retries else breaker.state)
-                if (should_retry(rec.retries, max_retries, state)
-                        and self._enqueue(dep, rec) is None):
-                    rec.retries += 1
-                    self.resilience.retries += 1
-                    continue
+                    continue    # queued on the service, not through us
                 resp = self._degrade(dep, rec, reason="session_failure")
                 if resp is not None:
                     self._completed[resp.deployment, resp.request_id] = resp
@@ -529,8 +460,8 @@ class Gateway:
         if resp.status != "admitted":
             return resp
         ticket = (resp.deployment, resp.request_id)
-        # Its own queue first; recovery may have bounced the request to
-        # another (retry or fallback re-route), so widen until it lands.
+        # Its own queue first; recovery may have re-routed the request to
+        # a fallback, so widen until it lands.
         self._drain_deployment(self.deployments[resp.deployment])
         found = self._completed.pop(ticket, None) or self._drain_all(ticket)
         if found is None:
@@ -549,13 +480,7 @@ class Gateway:
         for fc in forecasts:
             rec = self._pending.pop((dep.name, fc.request_id), None)
             if rec is None:
-                continue            # e.g. a canary probe's side traffic
-            if rec.canceled:
-                self.resilience.hedges_wasted += 1
-                continue
-            hedged = rec.partner is not None
-            if hedged:
-                rec.partner.canceled = True     # the race is over
+                continue    # queued on the service, not through us
             stats = rec.tenant.stats
             stats.completed += 1
             stats.deadline_misses += int(fc.deadline_missed)
@@ -568,8 +493,7 @@ class Gateway:
                 self.resilience.degraded_fallback += 1
             self._completed[rec.ticket_deployment, rec.ticket_id] = \
                 rec.response("degraded" if rec.degraded_source else "ok",
-                             forecast=fc, hedged=hedged,
-                             degraded_source=rec.degraded_source)
+                             forecast=fc, degraded_source=rec.degraded_source)
 
     def _observed(self, dep: Deployment, dispatch: Callable[[], Any], *,
                   feed_breaker: bool) -> Any:
@@ -611,8 +535,8 @@ class Gateway:
                    ) -> GatewayResponse | None:
         """Pass until every queue is empty, or until ``ticket``'s response
         lands (it is taken and returned).  Failure recovery can requeue
-        work mid-pass (retries, fallback re-routes), so one pass is not
-        enough; the loop is bounded because retries are budgeted and
+        work mid-pass (fallback re-routes), so one pass is not enough; the
+        loop is bounded because every failed dispatch feeds a breaker and
         circuits open."""
         for _ in range(64):
             self._dispatch_pending()
@@ -644,21 +568,18 @@ class Gateway:
     # Blue-green swap
     # ------------------------------------------------------------------
     def swap(self, deployment: str, source: Any, *,
-             version: str) -> SwapRecord | RollbackRecord:
+             version: str) -> SwapRecord:
         """Atomically swap ``deployment`` to a new checkpoint ``version``.
 
-        The blue queue drains first (its completions are delivered to
-        their tenants at the next poll — zero dropped in-flight
-        requests), then the service flips to the green session and the
-        deployment's cache entries are invalidated.  Before green takes
-        traffic it must pass canary health checks (replays of recently
-        served windows); a failing canary auto-rolls the deployment back
-        to the blue session and returns the :class:`RollbackRecord`
-        instead of the swap record — again with zero dropped requests.
+        :meth:`Deployment.swap` builds and checks green first; a green
+        that does not fit the model interface or does not answer a zero
+        window with finite values raises, with blue serving and its queue
+        intact.  Then the blue queue drains (its completions are delivered
+        to their tenants at the next poll — zero dropped in-flight
+        requests), the service flips to green, and the deployment's cache
+        entries are invalidated.
         """
         dep = self._deployment(deployment).warm()
-        blue_session = dep.service.session
-        blue_version, blue_source = dep.version, dep.source
         record, drained = self._observed(
             dep, lambda: dep.swap(source, version=version),
             feed_breaker=False)
@@ -667,95 +588,7 @@ class Gateway:
         if self.cache is not None:
             self.cache.invalidate(dep.name)
         self.stats.swaps += 1
-        rollback = self._canary_check(dep, blue_session, blue_version,
-                                      blue_source)
-        if rollback is not None:
-            return rollback
         return record
-
-    def _canary_check(self, dep: Deployment, blue_session: Any,
-                      blue_version: str,
-                      blue_source: Any) -> RollbackRecord | None:
-        """Health-check a freshly swapped green session by replaying
-        recently served windows; roll back to blue when it fails."""
-        probes = self.resilience.policy.canary_probes
-        windows = list(dep.recent_windows)[-probes:] if probes else []
-        if not windows:
-            return None
-        svc = dep.service
-        probes_run, reason = 0, None
-        for w in windows:
-            probes_run += 1
-            try:
-                if svc.fault_injector is not None:
-                    svc.fault_injector.on_dispatch(1)
-                preds = svc.session.predict(w[None])
-            except SessionFailure:
-                reason = "session_failure"
-            else:
-                if not np.all(np.isfinite(preds)):
-                    reason = "non_finite"
-            if (svc.service_time is not None
-                    and isinstance(self.clock, ManualClock)):
-                self.clock.advance(svc.service_time(1))
-            if reason is not None:
-                break
-        if reason is None:
-            return None
-        dropped = len(svc.queue)    # the swap drained it: 0
-        failed_version = dep.version
-        dep.rollback(blue_session, version=blue_version,
-                     source=blue_source)
-        if self.cache is not None:
-            self.cache.invalidate(dep.name)
-        record = RollbackRecord(
-            deployment=dep.name, failed_version=failed_version,
-            restored_version=blue_version, reason=reason,
-            probes_run=probes_run, dropped=dropped, at=self.clock())
-        self.resilience.rollbacks.append(record)
-        self.stats.rollbacks += 1
-        return record
-
-    # ------------------------------------------------------------------
-    # Thread-pooled stdlib dispatch (real-clock mode)
-    # ------------------------------------------------------------------
-    def handle_concurrent(self, requests: list[dict], *,
-                          max_workers: int = 8) -> list[GatewayResponse]:
-        """Serve many requests concurrently through a stdlib thread pool.
-
-        Each element of ``requests`` is keyword arguments for
-        :meth:`submit` (``api_key``, ``deployment``, optional ``window``
-        and ``deadline``).  On a real clock the requests are submitted
-        from pool threads (a batch is whatever they queued while the
-        previous one ran) and each thread waits for its own completion;
-        on a :class:`ManualClock` the pool degenerates to deterministic
-        submission order, since simulated time cannot advance
-        concurrently.  Responses come back in request order either way.
-        """
-        requests = list(requests)
-        if isinstance(self.clock, ManualClock):
-            responses = [self.submit(**kw) for kw in requests]
-            self._drain_all()
-            return [self._completed.pop((r.deployment, r.request_id), r)
-                    for r in responses]
-
-        from concurrent.futures import ThreadPoolExecutor
-
-        def one(kw: dict) -> GatewayResponse:
-            with self._lock:
-                resp = self.submit(**kw)
-            if resp.status != "admitted":
-                return resp
-            ticket = (resp.deployment, resp.request_id)
-            while True:
-                with self._lock:
-                    self._dispatch_pending()
-                    if ticket in self._completed:
-                        return self._completed.pop(ticket)
-                time.sleep(1e-4)
-
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            return list(pool.map(one, requests))
 
     # ------------------------------------------------------------------
     def describe(self) -> dict:

@@ -18,20 +18,18 @@ the request schedule that caused it:
   one probe; a healthy probe closes it, anything else re-opens it.
   Every transition is recorded as a :class:`CircuitTransition` (the
   chaos tests pin the full transition list bit-for-bit across reruns).
-- :class:`ResiliencePolicy` bundles the knobs; :func:`degradation_rung`,
-  :func:`should_retry` and :func:`should_hedge` are the decisions taken
-  with them, as pure functions the gateway executes.  The ladder for a
-  deployment that is down: serve a stale-but-fingerprint-matching
-  result-cache entry, fall back to a named fallback deployment, or fail
-  explicitly — never hang, never drop silently.
-- :class:`RollbackRecord` documents an automatic blue-green rollback:
-  a swap whose green session fails its canary health checks is reverted
-  to blue with zero dropped requests.
+- :class:`ResiliencePolicy` bundles the knobs, and
+  :func:`degradation_rung` is the one recovery decision, a pure function
+  the gateway executes.  A request its deployment cannot serve (circuit
+  open, or its dispatch failed) walks the ladder: a stale-but-
+  fingerprint-matching result-cache entry, the named fallback
+  deployment, or an explicit failure — never a hang, never a silent
+  drop.  The breaker alone decides when the deployment is probed again.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 from repro.utils.errors import SessionFailure
@@ -42,7 +40,7 @@ CLOSED, OPEN, HALF_OPEN = "closed", "open", "half_open"
 
 @dataclass(frozen=True)
 class ResiliencePolicy:
-    """Knobs for the gateway's self-healing behaviour.
+    """Knobs for the gateway's circuit breakers.
 
     Parameters
     ----------
@@ -55,35 +53,12 @@ class ResiliencePolicy:
         EWMA smoothing for the health monitor's latency track.
     reset_timeout:
         clock seconds an open circuit waits before admitting a probe.
-    max_retries:
-        failed-dispatch retries per request (each re-enters admission
-        control with the request's *remaining* deadline budget, so
-        retries are charged honestly and overload still sheds).
-    serve_stale:
-        degrade to expired-but-integrity-verified result-cache entries
-        when a deployment is unavailable (the cache key embeds the
-        window fingerprint, so a stale answer always matches the exact
-        request it degrades).
-    hedge:
-        when a healthy-but-slow deployment's EWMA exceeds
-        ``hedge_latency_factor`` x baseline, duplicate the request to the
-        fallback deployment if the deadline budget affords both; the
-        first completion wins, the loser is discarded.
-    canary_probes:
-        health-check forecasts run against a freshly swapped green
-        session; any :class:`~repro.utils.errors.SessionFailure` or
-        non-finite prediction auto-rolls the swap back to blue.
     """
 
     failure_threshold: int = 2
     latency_blowout: float = 4.0
     latency_alpha: float = 0.3
     reset_timeout: float = 0.05
-    max_retries: int = 1
-    serve_stale: bool = True
-    hedge: bool = False
-    hedge_latency_factor: float = 2.0
-    canary_probes: int = 2
 
     def __post_init__(self):
         if self.failure_threshold < 1:
@@ -98,20 +73,11 @@ class ResiliencePolicy:
         if self.reset_timeout <= 0:
             raise ValueError(f"reset_timeout must be positive, "
                              f"got {self.reset_timeout}")
-        if self.max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, "
-                             f"got {self.max_retries}")
-        if self.hedge_latency_factor <= 1.0:
-            raise ValueError(f"hedge_latency_factor must exceed 1.0, "
-                             f"got {self.hedge_latency_factor}")
-        if self.canary_probes < 0:
-            raise ValueError(f"canary_probes must be >= 0, "
-                             f"got {self.canary_probes}")
 
 
-# The recovery policy: each decision is a function of plain observed
-# values (no gateway, deployment, queue or clock; nothing is written), so
-# it is tested as a truth table.  Gateway plumbing executes the answers.
+# The recovery decision is a function of plain observed values (no
+# gateway, deployment, queue or clock; nothing is written), so it is
+# tested as a truth table.  Gateway plumbing executes the answer.
 def degradation_rung(*, stale_available: bool, fallback_ready: bool,
                      fallback_admitted: bool) -> str:
     """The ladder for a request its deployment cannot serve: a stale
@@ -123,24 +89,6 @@ def degradation_rung(*, stale_available: bool, fallback_ready: bool,
     if fallback_ready and fallback_admitted:
         return "fallback"
     return "failed"
-
-
-def should_retry(retries: int, max_retries: int, breaker_state: str) -> bool:
-    """A failed dispatch goes back on its own queue only within the
-    per-request budget and while the circuit is closed (an open or
-    probing circuit must not be fed retries)."""
-    return retries < max_retries and breaker_state == CLOSED
-
-
-def should_hedge(*, enabled: bool, primary_degraded: bool,
-                 fallback_depth: int | None, max_depth: int,
-                 projected_latency: float, budget: float) -> bool:
-    """Race a duplicate on the fallback when hedging is on, the primary
-    is healthy-but-slow, a usable fallback exists (``fallback_depth`` is
-    its queue depth, ``None`` without one) below the depth cap, and its
-    projected latency fits the deadline budget."""
-    return (enabled and primary_degraded and fallback_depth is not None
-            and fallback_depth < max_depth and projected_latency <= budget)
 
 
 @dataclass(frozen=True)
@@ -157,26 +105,6 @@ class CircuitTransition:
     def to_dict(self) -> dict:
         return {"deployment": self.deployment, "from": self.frm,
                 "to": self.to, "at": float(self.at), "reason": self.reason}
-
-
-@dataclass(frozen=True)
-class RollbackRecord:
-    """One automatic blue-green rollback (green failed its canary)."""
-
-    deployment: str
-    failed_version: str         # the green version that never went live
-    restored_version: str       # blue, serving again
-    reason: str                 # "session_failure" | "non_finite"
-    probes_run: int
-    dropped: int                # must be 0: canaries are synthetic
-    at: float
-
-    def to_dict(self) -> dict:
-        return dict(deployment=self.deployment,
-                    failed_version=self.failed_version,
-                    restored_version=self.restored_version,
-                    reason=self.reason, probes_run=self.probes_run,
-                    dropped=self.dropped, at=float(self.at))
 
 
 class HealthMonitor:
@@ -323,13 +251,6 @@ class CircuitBreaker:
             self._move(OPEN, "failures", now)
 
     # ------------------------------------------------------------------
-    def degraded(self) -> bool:
-        """Healthy but slow: EWMA past the hedge threshold (the hedging
-        trigger, below the blowout that would open the circuit)."""
-        return (self.state == CLOSED
-                and self.monitor.latency_blown(
-                    self.policy.hedge_latency_factor))
-
     def describe(self) -> dict:
         return {"state": self.state,
                 "transitions": len(self.transitions),
@@ -420,10 +341,10 @@ class DeploymentFaultInjector:
 
 
 class GatewayResilience:
-    """Per-gateway resilience state: breakers, injectors, rollbacks.
+    """Per-gateway resilience state: breakers, injectors, counters.
 
-    The gateway owns one of these when built with a ``fault_plan``
-    and/or a :class:`ResiliencePolicy`; deployments register lazily.
+    Every gateway owns one (the default :class:`ResiliencePolicy` when
+    none is given); deployments register lazily.
     """
 
     def __init__(self, policy: ResiliencePolicy,
@@ -433,13 +354,8 @@ class GatewayResilience:
         self.fault_plan = fault_plan
         self.breakers: dict[str, CircuitBreaker] = {}
         self.injectors: dict[str, DeploymentFaultInjector] = {}
-        self.rollbacks: list[RollbackRecord] = []
-        self.retries = 0
-        self.hedges = 0
-        self.hedges_wasted = 0
         self.degraded_stale = 0
         self.degraded_fallback = 0
-        self.failed = 0
         self.restarts = 0
 
     # ------------------------------------------------------------------
@@ -483,22 +399,12 @@ class GatewayResilience:
 
     def describe(self) -> dict:
         return {
-            "policy": {"failure_threshold": self.policy.failure_threshold,
-                       "latency_blowout": self.policy.latency_blowout,
-                       "reset_timeout": self.policy.reset_timeout,
-                       "max_retries": self.policy.max_retries,
-                       "serve_stale": self.policy.serve_stale,
-                       "hedge": self.policy.hedge},
+            "policy": asdict(self.policy),
             "breakers": {n: b.describe()
                          for n, b in sorted(self.breakers.items())},
             "injectors": {n: i.describe()
                           for n, i in sorted(self.injectors.items())},
-            "retries": self.retries,
-            "hedges": self.hedges,
-            "hedges_wasted": self.hedges_wasted,
             "degraded_stale": self.degraded_stale,
             "degraded_fallback": self.degraded_fallback,
-            "failed": self.failed,
             "restarts": self.restarts,
-            "rollbacks": [r.to_dict() for r in self.rollbacks],
         }

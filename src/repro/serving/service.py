@@ -85,7 +85,7 @@ class ForecastService:
         # Resilience hooks (repro.serving.resilience): the injector fires
         # planned session_crash/session_straggler events at dispatch
         # boundaries; failed batches are buffered for take_failed() so the
-        # gateway can retry/degrade them — never silently dropped.
+        # gateway can degrade them — never silently dropped.
         self.fault_injector = None
         #: ``(size, seconds)`` of every batch the latest ``poll`` /
         #: ``forecast`` served, in dispatch order (failed ones are in
@@ -103,7 +103,11 @@ class ForecastService:
     def check_window(self, window: np.ndarray | None) -> np.ndarray | None:
         """Reject malformed windows at the door: a bad request must fail
         its own caller, never poison the micro-batch it would have been
-        coalesced into (requests popped for a failed dispatch are gone)."""
+        coalesced into.  A window must have the model's shape
+        (:class:`~repro.utils.errors.ShapeError`), a numeric dtype and
+        only finite values (``ValueError``): a string window would raise
+        inside the batched dispatch, and a ``nan`` one would be answered
+        and cached as a forecast."""
         if window is None:
             return None
         window = np.asarray(window)
@@ -112,6 +116,10 @@ class ForecastService:
         if window.shape != expected:
             raise ShapeError(f"expected a {expected} window, "
                              f"got {window.shape}")
+        if window.dtype.kind not in "fiu":
+            raise ValueError(f"window dtype {window.dtype} is not numeric")
+        if not np.isfinite(window).all():
+            raise ValueError("window holds non-finite values")
         return window
 
     # ------------------------------------------------------------------
@@ -230,7 +238,7 @@ class ForecastService:
         if failure is not None:
             # Charge the failed attempt honestly (the time passed, the
             # slot was burned) but buffer the requests instead of losing
-            # them: the gateway decides retry / degrade / fail.
+            # them: the gateway walks them down its degradation ladder.
             for req in reqs:
                 req.completed = now
             self.stats.failures += len(reqs)

@@ -63,6 +63,8 @@ class SessionFailure(ReproError, RuntimeError):
     """A serving session died mid-dispatch (injected or real).
 
     The serving resilience layer (:mod:`repro.serving.resilience`)
-    catches this at the gateway: the failed batch's requests are retried,
-    degraded, or failed explicitly — never silently dropped.
+    catches this at the gateway: the failed batch's requests walk the
+    degradation ladder (stale cache, fallback deployment, explicit
+    failure) — never silently dropped.  A blue-green swap raises it for a
+    green session that fails its check before the flip.
     """

@@ -12,8 +12,8 @@ real trained tiny model):
   circuit-transition log is deterministic across identical runs;
 - a ``store_corruption`` flip is caught by the fingerprint check and
   recomputed, never served;
-- a swap to a broken session rolls back via the canary with zero
-  dropped requests.
+- a swap to a broken session is refused before the flip, with blue
+  serving bitwise and its queue intact.
 """
 
 import numpy as np
@@ -69,27 +69,27 @@ def reasons(gw, deployment=None):
 class TestSessionCrashChaos:
     def test_crash_degrades_to_fallback_bitwise_then_recovers(
             self, trained, pool):
-        """Crash -> retry -> circuit opens -> fallback answers bitwise
-        equal to a calm gateway -> probe restarts -> closed again."""
+        """Crash -> fallback answers bitwise equal to a calm gateway ->
+        circuit opens -> probe restarts -> closed again."""
         calm = make_gw(trained, fallback=False)
         refs = [calm.request("key-ops", "bay", pool[i]).forecast.predictions
                 for i in range(3)]
 
         plan = FaultPlan().session_crash("bay", at_dispatch=0)
         gw = make_gw(trained, fault_plan=plan)
-        # First request: dispatch fails, one retry fails, circuit opens,
-        # the ladder re-routes to the fallback deployment.
+        # First request: dispatch fails, the ladder re-routes to the
+        # fallback deployment.
         r0 = gw.request("key-ops", "bay", pool[0])
         assert r0.status == "degraded"
         assert r0.degraded_source == "fallback:standby"
         assert r0.deployment == "bay"       # ticket identity preserved
         np.testing.assert_array_equal(r0.forecast.predictions, refs[0])
-        assert reasons(gw, "bay") == ["failures"]
 
-        # Circuit open: degradation now happens at submit time.
+        # Second failed request: the circuit opens, the fallback answers.
         r1 = gw.request("key-ops", "bay", pool[1])
         assert r1.status == "degraded"
         np.testing.assert_array_equal(r1.forecast.predictions, refs[1])
+        assert reasons(gw, "bay") == ["failures"]
 
         # Past the reset timeout the probe restarts the dead session and
         # the recovered answer is a normal, bitwise-identical compute.
@@ -181,16 +181,20 @@ class _BrokenSession:
         raise SessionFailure("green checkpoint is broken")
 
 
-class TestCanaryRollbackChaos:
-    def test_failed_canary_rolls_back_with_zero_drops(self, trained, pool):
+class TestBrokenGreenChaos:
+    def test_broken_green_is_refused_with_zero_drops(self, trained, pool):
         gw = make_gw(trained, fallback=False)
         before = gw.request("key-ops", "bay", pool[0])
-        blue = gw.deployments.get("bay").session
-        record = gw.swap("bay", lambda: _BrokenSession(blue),
-                         version="v2-broken")
-        assert type(record).__name__ == "RollbackRecord"
-        assert record.dropped == 0
-        assert record.reason == "session_failure"
+        dep = gw.deployments["bay"]
+        blue = dep.session
+        queued = gw.submit("key-ops", "bay", pool[1])
+        with pytest.raises(SessionFailure, match="broken"):
+            gw.swap("bay", lambda: _BrokenSession(blue),
+                    version="v2-broken")
+        assert dep.session is blue and dep.in_flight == 1
+        (drained,) = gw.poll()
+        assert drained.request_id == queued.request_id
+        assert drained.status == "ok" and drained.version == before.version
         after = gw.request("key-ops", "bay", pool[0])
         assert after.version == before.version          # still blue
         np.testing.assert_array_equal(after.forecast.predictions,

@@ -11,7 +11,6 @@ The load-bearing guarantees:
 - blue-green swaps drain every in-flight request (zero drops).
 """
 
-import sys
 import time
 
 import numpy as np
@@ -408,43 +407,29 @@ class TestGateway:
         assert resp.ok and not resp.cached and resp.version == "v2"
         assert gw.stats.completed == gw.stats.admitted
 
-    def test_handle_concurrent_on_manual_clock(self, trained, pool):
-        gw = make_gateway(trained)
-        responses = gw.handle_concurrent(
-            [dict(api_key="key-ops", deployment="bay", window=pool[i])
-             for i in range(6)])
-        assert len(responses) == 6 and all(r.ok for r in responses)
-        assert all(r.forecast.batch_size >= 1 for r in responses)
-
-    def test_handle_concurrent_on_real_threads(self, trained, pool):
-        """Real clock, real pool: 64 requests over 8 workers and two
-        tenants.  Every request comes back exactly once, in request
-        order, bitwise equal to a direct predict of its own window."""
-        from tests.test_examples_smoke import alarm
-
-        gw = make_gateway(trained, clock=time.perf_counter,
-                          service_time=None)
-        session = gw.deployments.get("bay").session
-        requests = [dict(api_key=("key-ops", "key-research")[i % 2],
-                         deployment="bay", window=pool[i % len(pool)])
-                    for i in range(64)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)     # interleave the workers hard
-        try:
-            with alarm(60, "handle_concurrent on real threads"):
-                responses = gw.handle_concurrent(requests, max_workers=8)
-        finally:
-            sys.setswitchinterval(interval)
-        assert len(responses) == 64
-        assert [r.tenant for r in responses] == ["ops", "research"] * 32
-        assert len({(r.deployment, r.request_id) for r in responses}) == 64
-        for i, resp in enumerate(responses):
-            assert resp.status == "ok"
-            want = session.predict(pool[i % len(pool)][None])[0]
-            np.testing.assert_array_equal(resp.forecast.predictions,
-                                          session.to_original_units(want))
-        assert gw.stats.completed == gw.stats.admitted == 64
-        assert not gw._pending and gw.poll() == []
+    @pytest.mark.parametrize("bad", [
+        lambda w: np.full(w.shape, "1", dtype="<U1"),
+        lambda w: np.full(w.shape, None, dtype=object),
+        lambda w: np.where(np.arange(w.size).reshape(w.shape) == 5,
+                           np.nan, w),
+        lambda w: np.where(np.arange(w.size).reshape(w.shape) == 5,
+                           np.inf, w),
+    ], ids=["str", "object", "nan", "inf"])
+    def test_malformed_window_is_refused_at_submit(self, trained, pool,
+                                                   bad):
+        """A window that is not numeric and finite fails its own submit;
+        the good request queued before it still completes, and nothing
+        is cached or left pending."""
+        gw = make_gateway(trained, max_batch=4, cache_ttl=60.0)
+        good = gw.submit("key-ops", "bay", pool[0])
+        assert good.status == "admitted"
+        with pytest.raises(ValueError):
+            gw.submit("key-ops", "bay", bad(pool[1]))
+        (done,) = gw.poll()
+        assert done.request_id == good.request_id and done.status == "ok"
+        assert np.isfinite(done.forecast.predictions).all()
+        assert not gw._pending and len(gw.cache) == 1
+        assert gw.stats.admitted == gw.stats.completed == 1
 
     def test_one_batch_cap_from_gateway_to_queue(self, trained, pool):
         """The gateway's cap is the queue's, whatever the session has
@@ -529,7 +514,7 @@ class TestWholeGraphReplicas:
             assert all(r.version == version for r in after)
             for a, b in zip(before, after):
                 np.testing.assert_array_equal(a, b.forecast.predictions)
-        assert gw.stats.rollbacks == 0
+        assert gw.stats.swaps == 2
 
     def test_rejected_ingest_leaves_the_store_untouched(self, trained):
         ds = trained.artifacts.dataset

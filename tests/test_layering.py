@@ -178,3 +178,27 @@ def test_only_kernels_import_sparsetools():
 ], ids=["from-package", "module", "lazy-function", "public-scipy"])
 def test_sparsetools_guard_sees_every_import_form(source, hit):
     assert bool(list(sparsetools_imports(source))) is hit
+
+
+def threading_imports(path: Path):
+    return [name for name, _ in imports(path)
+            if name.split(".")[0] in ("threading", "concurrent")]
+
+
+@pytest.mark.parametrize("source, hit", [
+    ("import threading\n", True),
+    ("from concurrent.futures import ThreadPoolExecutor\n", True),
+    ("def f():\n    from threading import RLock\n", True),
+    ("import time\nfrom collections import deque\n", False),
+], ids=["module", "from-package", "lazy-function", "single-threaded"])
+def test_threading_guard_sees_every_import_form(tmp_path, source, hit):
+    path = tmp_path / "gateway.py"
+    path.write_text(source)
+    assert bool(threading_imports(path)) is hit
+
+
+def test_gateway_is_single_threaded():
+    """The gateway is documented as single-threaded, so it holds no lock
+    and runs no pool: ``gateway.py`` imports neither ``threading`` nor
+    ``concurrent.futures``, at module level or inside a function."""
+    assert threading_imports(SRC / "serving" / "gateway" / "gateway.py") == []

@@ -1,12 +1,17 @@
 """Self-healing gateway: circuit breakers, fault injection, degradation.
 
 Runs entirely on deterministic toy sessions (predictions = window x
-scale) and a ManualClock, so every trip, probe, retry, hedge and
-rollback in here is exact — no wall-clock thresholds, no flakiness.
+scale) and a ManualClock, so every trip, probe, degradation and refused
+swap in here is exact — no wall-clock thresholds, no flakiness.  A failed
+dispatch has one recovery path, the degradation ladder; the circuit
+breaker alone decides when a deployment is probed again.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.api import build_gateway
 from repro.runtime.faults import FaultPlan
@@ -21,11 +26,7 @@ from repro.serving.resilience import (
     CircuitBreaker,
     ResiliencePolicy,
 )
-from repro.serving.resilience import (
-    degradation_rung,
-    should_hedge,
-    should_retry,
-)
+from repro.serving.resilience import degradation_rung
 from repro.serving.service import ManualClock
 from repro.utils.errors import SessionFailure
 
@@ -80,6 +81,8 @@ class DoomedSession:
 class NaNSession:
     """Predicts fine — except the numbers are garbage."""
 
+    fill = np.nan
+
     def __init__(self, inner):
         self._inner = inner
 
@@ -89,8 +92,14 @@ class NaNSession:
     def predict(self, x):
         out = np.asarray(x) * 2.0
         out = out.copy()
-        out[..., 0] = np.nan
+        out[..., 0] = self.fill
         return out
+
+
+class InfSession(NaNSession):
+    """Garbage of the other non-finite kind: an overflowed forward."""
+
+    fill = -np.inf
 
 
 def expected(window, scale=2.0):
@@ -126,7 +135,10 @@ def reasons(gw, deployment=None):
 class TestResiliencePolicy:
     def test_defaults_are_valid(self):
         p = ResiliencePolicy()
-        assert p.failure_threshold == 2 and p.serve_stale and not p.hedge
+        assert p.failure_threshold == 2
+        assert [f.name for f in dataclasses.fields(p)] == [
+            "failure_threshold", "latency_blowout", "latency_alpha",
+            "reset_timeout"]
 
     @pytest.mark.parametrize("kw", [
         dict(failure_threshold=0),
@@ -134,9 +146,9 @@ class TestResiliencePolicy:
         dict(latency_alpha=0.0),
         dict(latency_alpha=1.5),
         dict(reset_timeout=0.0),
-        dict(max_retries=-1),
-        dict(hedge_latency_factor=1.0),
-        dict(canary_probes=-1),
+        dict(failure_threshold=-1),
+        dict(latency_blowout=0.5),
+        dict(reset_timeout=-1.0),
     ])
     def test_rejects_bad_knobs(self, kw):
         with pytest.raises(ValueError):
@@ -144,8 +156,8 @@ class TestResiliencePolicy:
 
 
 class TestRecoveryPolicy:
-    """The three decisions as truth tables over plain values: no gateway,
-    deployment, queue or clock is built."""
+    """The one recovery decision as a truth table over plain values: no
+    gateway, deployment, queue or clock is built."""
 
     @pytest.mark.parametrize("stale, ready, admitted, rung", [
         (True, True, True, "stale_cache"),
@@ -160,35 +172,6 @@ class TestRecoveryPolicy:
     def test_degradation_ladder(self, stale, ready, admitted, rung):
         assert degradation_rung(stale_available=stale, fallback_ready=ready,
                                 fallback_admitted=admitted) == rung
-
-    @pytest.mark.parametrize("retries, state, retry", [
-        (0, CLOSED, True),
-        (0, OPEN, False),
-        (0, HALF_OPEN, False),
-        (1, CLOSED, False),                  # at budget
-        (1, OPEN, False),
-        (1, HALF_OPEN, False),
-    ])
-    def test_retry_decision(self, retries, state, retry):
-        assert should_retry(retries, 1, state) is retry
-
-    HEDGE = dict(enabled=True, primary_degraded=True, fallback_depth=3,
-                 max_depth=4, projected_latency=0.002, budget=0.002)
-
-    @pytest.mark.parametrize("flip", [
-        dict(enabled=False),
-        dict(primary_degraded=False),
-        dict(fallback_depth=None),           # no usable fallback
-        dict(fallback_depth=4),              # at the depth cap
-        dict(projected_latency=0.0021),      # past the deadline budget
-    ])
-    def test_hedge_decision(self, flip):
-        assert should_hedge(**self.HEDGE) is True
-        assert should_hedge(**{**self.HEDGE, **flip}) is False
-
-    def test_no_deadline_always_affords_a_hedge(self):
-        assert should_hedge(**{**self.HEDGE, "projected_latency": 1e9,
-                               "budget": float("inf")})
 
 
 class TestHealthMonitor:
@@ -303,15 +286,6 @@ class TestCircuitBreaker:
             b.record_success(100.0)
         assert b.state == CLOSED
 
-    def test_degraded_is_slow_but_closed(self):
-        b, _ = self.make(latency_blowout=8.0, hedge_latency_factor=2.0)
-        assert not b.degraded()                    # no EWMA yet
-        b.record_success(3.0)
-        assert b.degraded()
-        b2, _ = self.make(latency_blowout=2.5, hedge_latency_factor=2.0)
-        b2.record_success(3.0)                     # blows the circuit open
-        assert b2.state == OPEN and not b2.degraded()
-
 
 # ======================================================================
 class TestDeploymentFaultInjector:
@@ -396,35 +370,39 @@ class TestStaleCache:
 
 # ======================================================================
 class TestSelfHealingGateway:
-    def test_crash_retry_exhaustion_then_probe_recovery(self):
-        policy = ResiliencePolicy(failure_threshold=2, max_retries=1,
-                                  reset_timeout=0.01)
+    def test_crash_fails_each_request_once_then_probe_recovery(self):
+        policy = ResiliencePolicy(failure_threshold=2, reset_timeout=0.01)
         plan = FaultPlan().session_crash("a", at_dispatch=0)
         gw = make_gw(resilience=policy, fault_plan=plan)
         clock = gw.clock
-        w0, w1 = make_windows(2)
+        w0, w1, w2 = make_windows(3)
 
-        r1 = gw.request(KEY, "a", w0)
-        assert r1.status == "failed" and r1.reason == "session_failure"
-        assert not r1.ok
-        assert gw.resilience.retries == 1          # one budgeted retry
-        assert reasons(gw) == ["failures"]
+        r0 = gw.request(KEY, "a", w0)
+        assert r0.status == "failed" and r0.reason == "session_failure"
+        assert not r0.ok
+        assert reasons(gw) == []                   # one failure so far
         with pytest.raises(RuntimeError):
-            r1.latency                             # no forecast to stamp
+            r0.latency                             # no forecast to stamp
+        r1 = gw.request(KEY, "a", w1)              # the second one opens it
+        assert r1.status == "failed"
+        assert reasons(gw) == ["failures"]
+        # One dispatch per request: a failure is never re-sent to the
+        # session that failed it.
+        assert gw.deployments["a"].service.stats.failed_batches == 2
+        assert clock() == pytest.approx(2 * service_time(1))
 
         clock.advance(0.02)                        # past reset_timeout
-        r2 = gw.request(KEY, "a", w1)
+        r2 = gw.request(KEY, "a", w2)
         assert r2.status == "ok"
         np.testing.assert_array_equal(r2.forecast.predictions,
-                                      expected(w1)[..., 0])
+                                      expected(w2)[..., 0])
         assert reasons(gw) == ["failures", "timeout", "probe_ok"]
         assert gw.resilience.restarts == 1
         assert gw.deployments.get("a").restarts == 1
         assert gw.resilience.breaker("a").state == CLOSED
 
     def test_stale_cache_degradation_is_bitwise(self):
-        policy = ResiliencePolicy(failure_threshold=1, max_retries=0,
-                                  reset_timeout=100.0)
+        policy = ResiliencePolicy(failure_threshold=1, reset_timeout=100.0)
         plan = FaultPlan().session_crash("a", at_dispatch=1)
         gw = make_gw(resilience=policy, fault_plan=plan, cache_ttl=0.5)
         w0, w1 = make_windows(2)
@@ -447,7 +425,7 @@ class TestSelfHealingGateway:
         assert gw.stats.degraded == 1
 
     def test_fallback_reroute_keeps_the_ticket(self):
-        policy = ResiliencePolicy(failure_threshold=1, max_retries=0)
+        policy = ResiliencePolicy(failure_threshold=1)
         plan = FaultPlan().session_crash("a", at_dispatch=0)
         gw = make_gw(fallback=True, resilience=policy, fault_plan=plan)
         (w,) = make_windows(1)
@@ -463,8 +441,7 @@ class TestSelfHealingGateway:
         assert gw.stats.failed == 0                # the ladder answered
 
     def test_open_circuit_degrades_at_submit(self):
-        policy = ResiliencePolicy(failure_threshold=1, max_retries=0,
-                                  reset_timeout=100.0)
+        policy = ResiliencePolicy(failure_threshold=1, reset_timeout=100.0)
         plan = FaultPlan().session_crash("a", at_dispatch=0)
         gw = make_gw(fallback=True, resilience=policy, fault_plan=plan)
         w0, w1 = make_windows(2)
@@ -482,15 +459,13 @@ class TestSelfHealingGateway:
         assert gw.resilience.degraded_fallback == 2
 
     def test_exhausted_ladder_fails_explicitly(self):
-        policy = ResiliencePolicy(failure_threshold=1, max_retries=0,
-                                  serve_stale=False)
+        policy = ResiliencePolicy(failure_threshold=1)
         plan = FaultPlan().session_crash("a", at_dispatch=0)
         gw = make_gw(resilience=policy, fault_plan=plan)
         (w,) = make_windows(1)
         r = gw.request(KEY, "a", w)
         assert r.status == "failed"
         assert gw.stats.failed == 1
-        assert gw.resilience.failed == 1
         # nothing hangs, nothing is silently dropped
         assert gw.stats.requests == 1
         assert not gw._pending
@@ -529,7 +504,7 @@ class TestSelfHealingGateway:
 
     def test_transitions_deterministic_under_fixed_plan(self):
         def run():
-            policy = ResiliencePolicy(failure_threshold=2, max_retries=1,
+            policy = ResiliencePolicy(failure_threshold=2,
                                       reset_timeout=0.01)
             plan = (FaultPlan().session_crash("a", at_dispatch=0)
                     .session_straggler("a", 10.0, start_dispatch=3,
@@ -545,8 +520,7 @@ class TestSelfHealingGateway:
         assert len(first) >= 3
 
     def test_probe_in_flight_degrades_second_request(self):
-        policy = ResiliencePolicy(failure_threshold=1, max_retries=0,
-                                  reset_timeout=0.01, serve_stale=False)
+        policy = ResiliencePolicy(failure_threshold=1, reset_timeout=0.01)
         plan = FaultPlan().session_crash("a", at_dispatch=0)
         gw = make_gw(resilience=policy, fault_plan=plan)
         w0, w1, w2 = make_windows(3)
@@ -561,8 +535,7 @@ class TestSelfHealingGateway:
         assert gw.resilience.breaker("a").state == CLOSED
 
     def test_shed_probe_releases_the_slot(self):
-        policy = ResiliencePolicy(failure_threshold=1, max_retries=0,
-                                  reset_timeout=0.01, serve_stale=False)
+        policy = ResiliencePolicy(failure_threshold=1, reset_timeout=0.01)
         plan = FaultPlan().session_crash("a", at_dispatch=0)
         gw = make_gw(resilience=policy, fault_plan=plan)
         w0, w1, w2 = make_windows(3)
@@ -597,100 +570,111 @@ class TestSelfHealingGateway:
 
 
 # ======================================================================
-class TestHedging:
-    def hedging_gw(self, plan):
-        policy = ResiliencePolicy(hedge=True, hedge_latency_factor=2.0,
-                                  latency_blowout=30.0)
-        return make_gw(fallback=True, resilience=policy, fault_plan=plan)
+class TestGreenCheckBeforeFlip:
+    """A swap checks green before the flip: a green that raises or
+    answers a zero window with non-finite values never takes traffic, and
+    blue serves on with its queue intact — whether or not anything was
+    served before the swap."""
 
-    def test_primary_wins_twin_is_discarded(self):
-        plan = FaultPlan().session_straggler("a", 5.0, start_dispatch=0,
-                                             end_dispatch=10)
-        gw = self.hedging_gw(plan)
-        w0, w1 = make_windows(2)
-        assert gw.request(KEY, "a", w0).status == "ok"   # seeds the EWMA
-        r = gw.request(KEY, "a", w1)               # degraded -> hedged
-        assert r.status == "ok" and r.hedged
-        np.testing.assert_array_equal(r.forecast.predictions,
-                                      expected(w1)[..., 0])
-        assert gw.flush() == []                    # losing twin is silent
-        assert gw.resilience.hedges == 1
-        assert gw.resilience.hedges_wasted == 1
-
-    def test_fallback_wins_when_primary_crashes(self):
-        plan = (FaultPlan().session_straggler("a", 5.0, start_dispatch=0,
-                                              end_dispatch=10)
-                .session_crash("a", at_dispatch=1))
-        gw = self.hedging_gw(plan)
-        w0, w1 = make_windows(2)
-        gw.request(KEY, "a", w0)
-        r = gw.request(KEY, "a", w1)               # primary dies mid-race
-        assert r.status == "degraded"
-        assert r.degraded_source == "fallback:b"
-        assert r.deployment == "a"                 # still the original ticket
-        np.testing.assert_array_equal(r.forecast.predictions,
-                                      expected(w1)[..., 0])
-        assert gw.resilience.hedges == 1
-        assert gw.resilience.hedges_wasted == 0
-        assert gw.resilience.retries == 0          # the twin covered it
-
-    def test_no_hedge_when_primary_is_healthy(self):
-        gw = self.hedging_gw(FaultPlan())
-        for w in make_windows(3):
-            assert gw.request(KEY, "a", w).status == "ok"
-        assert gw.resilience.hedges == 0
-
-
-# ======================================================================
-class TestCanaryRollback:
-    def serve_some(self, gw, n=2):
-        for w in make_windows(n, seed=9):
-            assert gw.request(KEY, "a", w).status == "ok"
-
-    def test_failing_canary_rolls_back_with_zero_drops(self):
+    @pytest.mark.parametrize("served", [0, 2])
+    @pytest.mark.parametrize("broken", [DoomedSession, NaNSession,
+                                        InfSession])
+    def test_broken_green_is_refused_with_blue_intact(self, broken, served):
         gw = make_gw(cache_ttl=60.0)
-        dep = gw.deployments.get("a")
+        dep = gw.deployments["a"]
         blue = dep.service.session
-        self.serve_some(gw)
-        record = gw.swap("a", DoomedSession(ToySession()), version="v2")
-        assert record.reason == "session_failure"
-        assert record.dropped == 0
-        assert record.failed_version == "v2"
-        assert record.restored_version == "v1"
-        assert dep.version == "v1"
-        assert dep.service.session is blue
-        assert gw.stats.rollbacks == 1 and gw.stats.swaps == 1
-        assert gw.resilience.rollbacks == [record]
-        # blue serves on, bitwise-identical to before the failed swap
-        (w,) = make_windows(1, seed=77)
-        r = gw.request(KEY, "a", w)
-        assert r.status == "ok" and r.version == "v1"
-        np.testing.assert_array_equal(r.forecast.predictions,
-                                      expected(w)[..., 0])
+        for w in make_windows(served, seed=9):
+            assert gw.request(KEY, "a", w).status == "ok"
+        queued = make_windows(3, seed=11)
+        tickets = [gw.submit(KEY, "a", w) for w in queued]
+        with pytest.raises(SessionFailure, match="green"):
+            gw.swap("a", broken(ToySession()), version="v2")
+        assert dep.version == "v1" and dep.service.session is blue
+        assert dep.in_flight == 3 and gw.stats.swaps == 0
+        assert dep.swaps == []
+        done = {(r.deployment, r.request_id): r for r in gw.poll()}
+        for t, w in zip(tickets, queued):
+            r = done[t.deployment, t.request_id]
+            assert r.status == "ok" and r.version == "v1"
+            np.testing.assert_array_equal(r.forecast.predictions,
+                                          expected(w)[..., 0])
 
-    def test_non_finite_canary_rolls_back(self):
+    def test_healthy_green_goes_live(self):
         gw = make_gw()
-        self.serve_some(gw)
-        record = gw.swap("a", NaNSession(ToySession()), version="v2")
-        assert record.reason == "non_finite"
-        assert gw.deployments.get("a").version == "v1"
-
-    def test_healthy_swap_survives_its_canary(self):
-        gw = make_gw()
-        self.serve_some(gw)
+        (w0,) = make_windows(1, seed=4)
+        t = gw.submit(KEY, "a", w0)
         record = gw.swap("a", ToySession(scale=3.0), version="v2")
-        assert record.new_version == "v2" and record.dropped == 0
-        assert gw.stats.rollbacks == 0
+        assert record.new_version == "v2"
+        assert record.drained == 1 and record.dropped == 0
+        (blue_answer,) = gw.poll()
+        assert blue_answer.request_id == t.request_id
+        np.testing.assert_array_equal(blue_answer.forecast.predictions,
+                                      expected(w0)[..., 0])
         (w,) = make_windows(1, seed=5)
         r = gw.request(KEY, "a", w)
+        assert r.version == "v2"
         np.testing.assert_array_equal(r.forecast.predictions,
                                       expected(w, scale=3.0)[..., 0])
 
-    def test_no_canary_material_passes_trivially(self):
-        gw = make_gw()                             # nothing served yet
-        record = gw.swap("a", DoomedSession(ToySession()), version="v2")
-        assert record.new_version == "v2"          # a SwapRecord, not rollback
-        assert gw.stats.rollbacks == 0
+
+# ======================================================================
+class TestNeverSilentlyDropped:
+    """Property: under any crash/straggler plan on the primary and its
+    fallback, with or without a fallback route and a cache, every
+    admitted ticket comes back exactly once, nothing stays pending, and
+    every answer is bitwise ``window x scale``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), fallback=st.booleans(), cache=st.booleans(),
+           threshold=st.integers(1, 3),
+           crashes=st.lists(st.tuples(st.sampled_from("ab"),
+                                      st.integers(0, 5)), max_size=3),
+           stragglers=st.lists(st.tuples(st.sampled_from("ab"),
+                                         st.integers(0, 5),
+                                         st.integers(1, 4),
+                                         st.sampled_from([2.0, 10.0])),
+                               max_size=2))
+    def test_every_admitted_ticket_returns_once(
+            self, data, fallback, cache, threshold, crashes, stragglers):
+        plan = FaultPlan()
+        for dep, at in crashes:
+            plan = plan.session_crash(dep, at_dispatch=at)
+        for dep, start, length, slowdown in stragglers:
+            plan = plan.session_straggler(dep, slowdown, start_dispatch=start,
+                                          end_dispatch=start + length)
+        gw = make_gw(fallback=fallback, fault_plan=plan,
+                     cache_ttl=0.004 if cache else None,
+                     resilience=ResiliencePolicy(failure_threshold=threshold,
+                                                 reset_timeout=0.01))
+        windows = make_windows(4, seed=3)
+        sent = {}           # admitted ticket -> window index
+        answers = []        # (terminal response, window index)
+        returned = []
+        for _ in range(data.draw(st.integers(1, 8), label="rounds")):
+            for i in data.draw(st.lists(st.integers(0, 3), min_size=1,
+                                        max_size=5), label="burst"):
+                resp = gw.submit(KEY, "a", windows[i])
+                if resp.status == "admitted":
+                    ticket = (resp.deployment, resp.request_id)
+                    assert ticket not in sent
+                    sent[ticket] = i
+                else:
+                    answers.append((resp, i))
+            returned += (gw.flush() if data.draw(st.booleans(), label="flush")
+                         else gw.poll())
+            gw.clock.advance(data.draw(st.sampled_from([0.0, 0.005, 0.02]),
+                                       label="advance"))
+        returned += gw.flush()
+        tickets = [(r.deployment, r.request_id) for r in returned]
+        assert sorted(tickets) == sorted(sent)          # each exactly once
+        assert not gw._pending
+        answers += [(r, sent[t]) for r, t in zip(returned, tickets)]
+        for r, i in answers:
+            if r.ok:
+                np.testing.assert_array_equal(r.forecast.predictions,
+                                              expected(windows[i])[..., 0])
+            else:
+                assert r.status in ("failed", "shed")
 
 
 # ======================================================================
@@ -700,7 +684,7 @@ class TestBuildGatewayResilience:
             {"a": ToySession(), "b": ToySession()}, tenants=["ops"],
             clock=ManualClock(), max_batch=4, service_time=service_time,
             fallbacks={"a": "b"},
-            resilience=ResiliencePolicy(failure_threshold=1, max_retries=0),
+            resilience=ResiliencePolicy(failure_threshold=1),
             fault_plan=FaultPlan().session_crash("a", at_dispatch=0))
         key = gw.tenants.get("ops").api_key
         (w,) = make_windows(1)

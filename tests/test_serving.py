@@ -223,6 +223,31 @@ class TestFeatureStore:
             FeatureStore(StandardScaler(), num_nodes=4, raw_features=1,
                          capacity=4)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_reading_leaves_the_ring_unchanged(self, trained,
+                                                          bad):
+        """A non-finite row (or timestamp) is refused before the ring
+        write, so the next ``horizon`` windows stay finite and bitwise
+        equal to a store that never saw it."""
+        ds = trained.artifacts.dataset
+        scaler = trained.artifacts.loaders.scaler
+        store = FeatureStore.for_dataset(ds, scaler, capacity=6)
+        clean = FeatureStore.for_dataset(ds, scaler, capacity=6)
+        for values, ts in zip(ds.signals[:8], ds.timestamps[:8]):
+            store.ingest(values, float(ts))
+            clean.ingest(values, float(ts))
+        ring, head = store._ring.copy(), store._head
+        row = ds.signals[8].astype(np.float64)
+        row[3, 0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            store.ingest(row, float(ds.timestamps[8]))
+        with pytest.raises(ValueError, match="non-finite"):
+            store.ingest(ds.signals[8], bad)
+        np.testing.assert_array_equal(store._ring, ring)
+        assert (store._head, store.size, store.total_ingested) == \
+            (head, 6, 8)
+        np.testing.assert_array_equal(store.window(4), clean.window(4))
+
 
 class TestMicroBatchQueue:
     def test_coalesces_by_size(self):
@@ -829,6 +854,35 @@ class TestServiceFailurePath:
         svc = toy_service(DoomedSession(ToySession()))
         with pytest.raises(SessionFailure, match="request 0 failed"):
             svc.forecast(toy_pool(1)[0])
+
+    @pytest.mark.parametrize("fill", ["1", None, np.nan, np.inf, -np.inf,
+                                      True, 1 + 0j])
+    def test_malformed_window_fails_its_own_caller(self, fill):
+        """``submit`` and ``forecast`` refuse non-numeric and non-finite
+        windows; the good request queued first is served untouched."""
+        svc = toy_service()
+        good = toy_pool(1)[0]
+        rid = svc.submit(good)
+        bad = np.full(good.shape, fill)
+        with pytest.raises(ValueError):
+            svc.submit(bad)
+        with pytest.raises(ValueError):
+            svc.forecast(bad)
+        (fc,) = svc.poll()
+        assert fc.request_id == rid
+        np.testing.assert_array_equal(fc.predictions, 2.0 * good[..., 0])
+        assert svc.take_failed() == []
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint16])
+    def test_integer_window_is_served_like_its_float_twin(self, dtype):
+        """Integer kinds pass the door check: readings are numbers, and
+        the answer is bitwise the one for the same values as floats."""
+        good = np.round(np.abs(toy_pool(1)[0]) * 10)
+        svc = toy_service()
+        fc = svc.forecast(good.astype(dtype))
+        np.testing.assert_array_equal(fc.predictions,
+                                      toy_service().forecast(good).predictions)
+        np.testing.assert_array_equal(fc.predictions, 2.0 * good[..., 0])
 
     def test_window_none_needs_a_streaming_session(self):
         """``window=None`` means the session's streamed state; a session
