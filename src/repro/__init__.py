@@ -11,8 +11,8 @@ library.  It provides:
 - ``repro.datasets``: the paper's dataset catalog plus synthetic generators.
 - ``repro.preprocessing``: the standard sliding-window pipeline (Algorithm 1)
   and the paper's index-batching datasets, with a byte-exact memory model.
-- ``repro.hardware`` / ``repro.cluster``: a simulated HPC substrate (devices,
-  memory spaces, interconnects) modeled on ALCF Polaris.
+- ``repro.hardware`` / ``repro.cluster``: a simulated HPC substrate (memory
+  spaces, node specs, interconnect cost models) modeled on ALCF Polaris.
 - ``repro.runtime``: the distributed execution layer — pluggable transports
   (simulated ranks or real threads), one collectives implementation,
   gradient bucketing and the ``ProcessGroup`` facade.

@@ -49,8 +49,6 @@ from repro.api.scales import (
     TINY,
     Scale,
     get_scale,
-    register_scale,
-    resolve_name,
 )
 from repro.api import builders as _builders  # populate default registries
 from repro.api.builders import LoaderBundle, ModelContext, default_in_features
@@ -80,8 +78,6 @@ __all__ = [
     "SMALL",
     "MEDIUM",
     "get_scale",
-    "register_scale",
-    "resolve_name",
     "ModelContext",
     "LoaderBundle",
     "RunSpec",

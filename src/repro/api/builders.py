@@ -22,7 +22,7 @@ from repro.datasets.base import SpatioTemporalDataset
 from repro.datasets.catalog import CATALOG
 from repro.datasets.loaders import load_dataset
 from repro.hardware.memory import MemorySpace
-from repro.models import A3TGCN, DCRNN, PGTDCRNN, STGCN, STLLM, TGCN
+from repro.models import A3TGCN, DCRNN, PGTDCRNN, STLLM, TGCN
 from repro.optim import Adam, SGD
 from repro.preprocessing.index_batching import IndexDataset
 from repro.preprocessing.scaler import StandardScaler
@@ -118,17 +118,6 @@ def _build_tgcn(ctx: ModelContext):
 def _build_a3tgcn(ctx: ModelContext):
     return A3TGCN(ctx.graph.weights, ctx.horizon, ctx.in_features,
                   hidden_dim=ctx.hidden_dim, seed=ctx.seed)
-
-
-@MODELS.register("stgcn")
-def _build_stgcn(ctx: ModelContext):
-    # Four temporal convolutions each consume kernel-1 steps; pick the
-    # largest standard kernel the horizon can afford.
-    kernel = max(1, min(3, (ctx.horizon - 1) // 4 + 1))
-    return STGCN(ctx.graph.weights, ctx.horizon, ctx.in_features,
-                 channels=ctx.hidden_dim,
-                 spatial_channels=max(ctx.hidden_dim // 2, 1),
-                 kernel=kernel, seed=ctx.seed)
 
 
 @MODELS.register("st-llm")

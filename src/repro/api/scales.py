@@ -8,7 +8,7 @@ factor) are scale-invariant because both batching modes consume literally
 identical snapshots.
 
 ``RunSpec.scale`` refers to presets by name so specs stay serializable;
-:func:`register_scale` adds custom presets to the lookup table.
+``run(spec, scale=...)`` takes an ad-hoc :class:`Scale` directly.
 """
 
 from __future__ import annotations
@@ -42,42 +42,6 @@ MEDIUM = Scale("medium", nodes=64, entries=4000, epochs=30, hidden_dim=32,
                batch_size=32, horizon=12)
 
 SCALES = {s.name: s for s in (TINY, SMALL, MEDIUM)}
-
-#: Names whose definitions must never change underneath existing specs.
-_BUILTIN_NAMES = frozenset(SCALES)
-
-
-def register_scale(scale: Scale, *, overwrite: bool = False) -> Scale:
-    """Make a custom preset resolvable by ``scale.name``."""
-    if scale.name in SCALES and not overwrite:
-        raise ValueError(f"scale {scale.name!r} is already registered")
-    SCALES[scale.name] = scale
-    return scale
-
-
-def resolve_name(scale: Scale) -> str:
-    """A name usable in a ``RunSpec``: registers the preset if it is new.
-
-    Experiment helpers accept ad-hoc :class:`Scale` objects; this keeps
-    those runs describable by a serializable spec.  Ad-hoc names are
-    last-write-wins so iterate-and-rerun workflows (tweak the preset,
-    call the experiment again) keep working; only a builtin preset name
-    (``tiny``/``small``/``medium``) with different settings is rejected,
-    since redefining those would corrupt every later default run.
-
-    The registration is process-local: a spec naming an ad-hoc scale
-    needs ``resolve_name`` (or :func:`register_scale`) replayed before
-    ``RunSpec.from_dict`` in a fresh process.
-    """
-    existing = SCALES.get(scale.name)
-    if existing is not None and existing != scale and \
-            scale.name in _BUILTIN_NAMES:
-        raise ValueError(
-            f"scale name {scale.name!r} is a builtin preset with different "
-            f"settings; rename the custom Scale so specs stay reproducible")
-    SCALES[scale.name] = scale
-    return scale.name
-
 
 def get_scale(name: str | Scale) -> Scale:
     if isinstance(name, Scale):

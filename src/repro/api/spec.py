@@ -8,10 +8,9 @@ Validation happens at construction: every key is checked against its
 registry so a typo fails before any data is generated.
 
 Reconstruction is guaranteed for keys in the default registries.  A spec
-that names a custom component (an ad-hoc scale via
-:func:`~repro.api.scales.resolve_name`, a model registered at runtime)
-needs that registration replayed before ``from_dict`` in a fresh process
-— registries are process-local.
+that names a custom component (a model registered at runtime) needs that
+registration replayed before ``from_dict`` in a fresh process —
+registries are process-local.
 """
 
 from __future__ import annotations

@@ -141,24 +141,6 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator,
     return out
 
 
-def embedding(weight: Tensor, indices: np.ndarray) -> Tensor:
-    """Look up rows of ``weight`` (``[vocab, dim]``) by integer ``indices``."""
-    weight = as_tensor(weight)
-    idx = np.asarray(indices)
-    if not np.issubdtype(idx.dtype, np.integer):
-        raise ShapeError("embedding indices must be integers")
-    out = weight._make(weight.data[idx], (weight,))
-    if out.requires_grad:
-
-        def _bw(g: np.ndarray) -> None:
-            full = np.zeros_like(weight.data)
-            np.add.at(full, idx, g)
-            weight._accumulate(full)
-
-        out._backward = _bw
-    return out
-
-
 def sparse_matmul(matrix: sp.spmatrix, x: Tensor) -> Tensor:
     """Multiply a constant sparse matrix by a dense tensor: ``A @ x``.
 

@@ -4,14 +4,12 @@ from repro.batching.samplers import (
     BatchShuffleSampler,
     GlobalShuffleSampler,
     LocalShuffleSampler,
-    SequentialSampler,
     partition_contiguous,
 )
 from repro.batching.loaders import IndexBatchLoader, StandardBatchLoader
 from repro.batching.protocols import BatchSource, ensure_batch_source
 
 __all__ = [
-    "SequentialSampler",
     "GlobalShuffleSampler",
     "LocalShuffleSampler",
     "BatchShuffleSampler",

@@ -68,14 +68,6 @@ class Sampler:
         return min(len(b) for b in plan)
 
 
-class SequentialSampler(Sampler):
-    """No shuffling; contiguous partitions in index order."""
-
-    def epoch_plan(self, epoch: int) -> list[list[np.ndarray]]:
-        parts = partition_contiguous(self.n, self.world_size)
-        return [_to_batches(p, self.batch_size, self.drop_last) for p in parts]
-
-
 class GlobalShuffleSampler(Sampler):
     """Permute everything each epoch, then deal out to ranks round-robin."""
 

@@ -48,14 +48,6 @@ class CommCostModel:
         # NVLink latency is ~2 orders smaller; modelled as alpha/10.
         return self.alpha if self.topology.spans_nodes() else self.alpha / 10.0
 
-    def p2p_time(self, nbytes: int, same_node: bool = False) -> float:
-        """One point-to-point message."""
-        if nbytes < 0:
-            raise ValueError("nbytes must be non-negative")
-        beta = self.beta_intra if same_node else self.beta_inter
-        alpha = self.alpha / 10.0 if same_node else self.alpha
-        return alpha + nbytes / beta
-
     def allreduce_time(self, nbytes: int) -> float:
         """Ring allreduce: ``2(p-1) alpha + 2 (p-1)/p n/beta``."""
         p = self.topology.world_size
@@ -64,17 +56,6 @@ class CommCostModel:
         return (2 * (p - 1) * self._alpha()
                 + 2 * (p - 1) / p * nbytes / self._beta())
 
-    def reduce_scatter_time(self, nbytes: int) -> float:
-        """Ring reduce-scatter: ``(p-1) alpha + (p-1)/p n/beta``.
-
-        Exactly half an allreduce — the ring algorithm's first phase.
-        """
-        p = self.topology.world_size
-        if p == 1 or nbytes == 0:
-            return 0.0
-        return ((p - 1) * self._alpha()
-                + (p - 1) / p * nbytes / self._beta())
-
     def broadcast_time(self, nbytes: int) -> float:
         """Binomial-tree broadcast: ``ceil(log2 p) (alpha + n/beta)``."""
         p = self.topology.world_size
@@ -82,13 +63,6 @@ class CommCostModel:
             return 0.0
         rounds = int(np.ceil(np.log2(p)))
         return rounds * (self._alpha() + nbytes / self._beta())
-
-    def allgather_time(self, nbytes_per_rank: int) -> float:
-        """Ring allgather of ``nbytes_per_rank`` from each rank."""
-        p = self.topology.world_size
-        if p == 1 or nbytes_per_rank == 0:
-            return 0.0
-        return (p - 1) * (self._alpha() + nbytes_per_rank / self._beta())
 
     def contended_fetch_time(self, total_bytes_all_ranks: int,
                              messages: int = 1) -> float:

@@ -31,17 +31,6 @@ class ClusterTopology:
     def num_nodes(self) -> int:
         return -(-self.world_size // self.gpus_per_node)  # ceil division
 
-    def node_of(self, rank: int) -> int:
-        if not 0 <= rank < self.world_size:
-            raise IndexError(f"rank {rank} out of range [0, {self.world_size})")
-        return rank // self.gpus_per_node
-
-    def local_rank(self, rank: int) -> int:
-        return rank % self.gpus_per_node
-
-    def same_node(self, a: int, b: int) -> bool:
-        return self.node_of(a) == self.node_of(b)
-
     def spans_nodes(self) -> bool:
         """True when communication must cross the Slingshot fabric."""
         return self.num_nodes > 1

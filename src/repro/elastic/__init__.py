@@ -14,7 +14,6 @@ from repro.elastic.planner import TrainingPlan, plan_training
 from repro.elastic.reshard import (
     WORLD_INVARIANT_SHUFFLES,
     ReshardReport,
-    read_reshard_history,
     reshard_checkpoint,
 )
 
@@ -23,6 +22,5 @@ __all__ = [
     "TrainingPlan",
     "WORLD_INVARIANT_SHUFFLES",
     "plan_training",
-    "read_reshard_history",
     "reshard_checkpoint",
 ]

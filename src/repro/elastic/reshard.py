@@ -48,7 +48,6 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
-from typing import Any
 
 import numpy as np
 
@@ -203,10 +202,6 @@ def reshard_checkpoint(path: str, new_world_size: int,
     meta = dict(meta)
     extra = dict(meta.get("extra") or {})
     extra["training_state"] = new_state
-    history = list(extra.get("reshard_history", []))
-    history.append({"from_world": old_world, "to_world": new_world,
-                    "epoch": int(state.get("epoch", 0)), "step": step})
-    extra["reshard_history"] = history
     meta["extra"] = extra
 
     out = dict(arrays)
@@ -228,10 +223,3 @@ def reshard_checkpoint(path: str, new_world_size: int,
         shuffle=shuffle, strategy=str(state.get("strategy", "")),
         param_bytes=param_bytes, slot_bytes=slot_bytes,
         seconds=time.perf_counter() - t0)
-
-
-def read_reshard_history(path: str) -> list[dict[str, Any]]:
-    """Every reshard the archive has been through, oldest first."""
-    arrays = _read_archive(path)
-    meta, _ = _training_state(arrays, path)
-    return list((meta.get("extra") or {}).get("reshard_history", []))

@@ -2,26 +2,20 @@
 
 from repro.graph.adjacency import (
     SensorGraph,
-    gaussian_kernel_adjacency,
     random_sensor_network,
 )
 from repro.graph.supports import (
-    chebyshev_supports,
     dual_random_walk_supports,
     random_walk_matrix,
-    scaled_laplacian,
     symmetric_normalized_adjacency,
 )
 from repro.graph.partition import partition_graph
 
 __all__ = [
     "SensorGraph",
-    "gaussian_kernel_adjacency",
     "random_sensor_network",
     "random_walk_matrix",
     "dual_random_walk_supports",
     "symmetric_normalized_adjacency",
-    "scaled_laplacian",
-    "chebyshev_supports",
     "partition_graph",
 ]

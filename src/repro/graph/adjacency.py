@@ -66,27 +66,6 @@ def pairwise_distances(coords: np.ndarray) -> np.ndarray:
     return np.sqrt((diff * diff).sum(-1))
 
 
-def gaussian_kernel_adjacency(dist: np.ndarray, threshold: float = 0.1,
-                              sigma: float | None = None) -> sp.csr_matrix:
-    """Thresholded Gaussian kernel weights from a distance matrix.
-
-    ``sigma`` defaults to the standard deviation of the distances, matching
-    the DCRNN reference's ``gen_adj_mx``.  Entries below ``threshold`` are
-    dropped, which keeps the support sparse for large sensor networks.
-    """
-    dist = np.asarray(dist, dtype=np.float64)
-    if dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
-        raise ShapeError(f"distance matrix must be square, got {dist.shape}")
-    if sigma is None:
-        sigma = float(dist.std())
-    if sigma <= 0:
-        raise ValueError("sigma must be positive (distances are degenerate)")
-    w = np.exp(-(dist / sigma) ** 2)
-    w[w < threshold] = 0.0
-    np.fill_diagonal(w, 1.0)
-    return sp.csr_matrix(w)
-
-
 def random_sensor_network(num_nodes: int, *, seed: int | str = 0,
                           num_corridors: int | None = None,
                           spacing_km: float = 0.8,

@@ -2,9 +2,8 @@
 
 DCRNN's diffusion convolution uses the forward and backward random-walk
 transition matrices (Li et al. 2018); TGCN/A3T-GCN use the symmetric
-normalized adjacency with self-loops; Chebyshev variants use the scaled
-Laplacian.  All functions return CSR matrices and treat them as constants
-(no gradient flows through supports).
+normalized adjacency with self-loops.  All functions return CSR matrices
+and treat them as constants (no gradient flows through supports).
 """
 
 from __future__ import annotations
@@ -45,34 +44,3 @@ def symmetric_normalized_adjacency(weights: sp.spmatrix,
     inv_sqrt = np.divide(1.0, np.sqrt(deg), out=np.zeros_like(deg), where=deg > 0)
     d = sp.diags(inv_sqrt)
     return (d @ w @ d).tocsr()
-
-
-def scaled_laplacian(weights: sp.spmatrix, lambda_max: float | None = None) -> sp.csr_matrix:
-    """Chebyshev-ready Laplacian ``2 L / lambda_max - I`` (symmetrised)."""
-    w = _check_square(weights)
-    w = ((w + w.T) * 0.5).tocsr()
-    deg = np.asarray(w.sum(axis=1)).ravel()
-    inv_sqrt = np.divide(1.0, np.sqrt(deg), out=np.zeros_like(deg), where=deg > 0)
-    d = sp.diags(inv_sqrt)
-    lap = (sp.eye(w.shape[0]) - d @ w @ d).tocsr()
-    if lambda_max is None:
-        try:
-            lambda_max = float(sp.linalg.eigsh(lap, k=1, which="LM",
-                                               return_eigenvectors=False)[0])
-        except Exception:  # small or ill-conditioned graphs: safe upper bound
-            lambda_max = 2.0
-    return (lap * (2.0 / lambda_max) - sp.eye(w.shape[0])).tocsr()
-
-
-def chebyshev_supports(weights: sp.spmatrix, k: int) -> list[sp.csr_matrix]:
-    """First ``k`` Chebyshev polynomials ``T_0..T_{k-1}`` of the scaled Laplacian."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    lap = scaled_laplacian(weights)
-    supports: list[sp.csr_matrix] = [sp.eye(lap.shape[0], format="csr")]
-    if k == 1:
-        return supports
-    supports.append(lap)
-    for _ in range(2, k):
-        supports.append((2.0 * lap @ supports[-1] - supports[-2]).tocsr())
-    return supports

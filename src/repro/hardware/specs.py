@@ -69,10 +69,3 @@ def polaris_host(clock=None, baseline: int = 2 * GB):
     from repro.hardware.memory import MemorySpace
     return MemorySpace("polaris:ram", capacity=POLARIS_NODE.node_ram,
                        clock=clock, baseline=baseline)
-
-
-def polaris_gpu(index: int = 0, clock=None, baseline: int = 0):
-    """One A100's 40 GB HBM as a MemorySpace."""
-    from repro.hardware.memory import MemorySpace
-    return MemorySpace(f"polaris:gpu{index}", capacity=POLARIS_NODE.gpu_memory,
-                       clock=clock, baseline=baseline)

@@ -11,7 +11,6 @@ from repro.models.dcrnn import DCGRUCell, DCRNN
 from repro.models.pgt_dcrnn import PGTDCRNN
 from repro.models.tgcn import TGCNCell, TGCN
 from repro.models.a3tgcn import A3TGCN
-from repro.models.stgcn import STGCN
 from repro.models.stllm import STLLM
 
 __all__ = [
@@ -23,6 +22,5 @@ __all__ = [
     "TGCNCell",
     "TGCN",
     "A3TGCN",
-    "STGCN",
     "STLLM",
 ]

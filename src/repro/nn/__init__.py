@@ -1,15 +1,8 @@
 """Neural-network building blocks on top of :mod:`repro.autograd`."""
 
-from repro.nn.init import glorot_uniform, he_uniform, uniform_, zeros_
+from repro.nn.init import glorot_uniform, zeros_
 from repro.nn.module import Module, Parameter
-from repro.nn.layers import (
-    Dropout,
-    Embedding,
-    LayerNorm,
-    Linear,
-    Sequential,
-)
-from repro.nn.rnn import GRUCell
+from repro.nn.layers import Dropout, LayerNorm, Linear
 from repro.nn.attention import MultiHeadAttention
 
 __all__ = [
@@ -17,13 +10,8 @@ __all__ = [
     "Parameter",
     "Linear",
     "LayerNorm",
-    "Embedding",
     "Dropout",
-    "Sequential",
-    "GRUCell",
     "MultiHeadAttention",
     "glorot_uniform",
-    "he_uniform",
-    "uniform_",
     "zeros_",
 ]

@@ -16,17 +16,5 @@ def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int,
     return rng.uniform(-limit, limit, size=shape).astype(DEFAULT_DTYPE)
 
 
-def he_uniform(rng: np.random.Generator, fan_in: int,
-               shape: tuple[int, ...]) -> np.ndarray:
-    """Kaiming/He uniform init for ReLU stacks."""
-    limit = float(np.sqrt(6.0 / fan_in))
-    return rng.uniform(-limit, limit, size=shape).astype(DEFAULT_DTYPE)
-
-
-def uniform_(rng: np.random.Generator, shape: tuple[int, ...],
-             low: float = -0.1, high: float = 0.1) -> np.ndarray:
-    return rng.uniform(low, high, size=shape).astype(DEFAULT_DTYPE)
-
-
 def zeros_(shape: tuple[int, ...]) -> np.ndarray:
     return np.zeros(shape, dtype=DEFAULT_DTYPE)

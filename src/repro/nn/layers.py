@@ -1,4 +1,4 @@
-"""Core dense layers: Linear, LayerNorm, Embedding, Dropout, Sequential."""
+"""Core dense layers: Linear, LayerNorm, Dropout."""
 
 from __future__ import annotations
 
@@ -48,19 +48,6 @@ class LayerNorm(Module):
         return centered * inv * self.weight + self.bias
 
 
-class Embedding(Module):
-    """Integer-indexed lookup table of shape ``[num_embeddings, dim]``."""
-
-    def __init__(self, num_embeddings: int, dim: int, *, seed_name: str = "emb"):
-        super().__init__()
-        rng = new_rng("nn", seed_name, num_embeddings, dim)
-        self.weight = Parameter(
-            (rng.standard_normal((num_embeddings, dim)) * 0.02).astype(np.float32))
-
-    def forward(self, indices: np.ndarray) -> Tensor:
-        return F.embedding(self.weight, indices)
-
-
 class Dropout(Module):
     """Inverted dropout; a no-op in eval mode."""
 
@@ -71,22 +58,3 @@ class Dropout(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return F.dropout(x, self.p, self._rng, training=self.training)
-
-
-class Sequential(Module):
-    """Apply child modules in order."""
-
-    def __init__(self, *layers: Module):
-        super().__init__()
-        self.layers = list(layers)
-
-    def forward(self, x):
-        for layer in self.layers:
-            x = layer(x)
-        return x
-
-    def __getitem__(self, i: int) -> Module:
-        return self.layers[i]
-
-    def __len__(self) -> int:
-        return len(self.layers)

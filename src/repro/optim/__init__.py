@@ -1,13 +1,9 @@
-"""Optimizers, learning-rate schedules, loss functions and grad clipping."""
+"""Optimizers, the linear learning-rate scaling rule, the L1 loss and grad
+clipping."""
 
-from repro.optim.losses import l1_loss, masked_mae_loss, mse_loss
+from repro.optim.losses import l1_loss
 from repro.optim.optimizers import SGD, Adam, Optimizer, clip_grad_norm
-from repro.optim.schedules import (
-    ConstantLR,
-    LinearWarmupLR,
-    MultiStepLR,
-    scale_lr_linear,
-)
+from repro.optim.schedules import scale_lr_linear
 
 __all__ = [
     "Optimizer",
@@ -15,10 +11,5 @@ __all__ = [
     "Adam",
     "clip_grad_norm",
     "l1_loss",
-    "mse_loss",
-    "masked_mae_loss",
-    "ConstantLR",
-    "MultiStepLR",
-    "LinearWarmupLR",
     "scale_lr_linear",
 ]

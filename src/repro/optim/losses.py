@@ -1,15 +1,12 @@
-"""Loss functions for sequence-to-sequence forecasting.
+"""The training loss for sequence-to-sequence forecasting.
 
-The paper reports MAE (its Figures 5/8, Tables 3/5) and MSE (Table 6); the
-DCRNN reference trains with masked MAE so missing sensor readings (recorded
-as zeros in PeMS) do not contribute to the loss.
+The paper reports MAE (its Figures 5/8, Tables 3/5) and MSE (Table 6).
+Every trainer minimises L1 on standardized values; masked MAE in original
+units is an evaluation metric (:mod:`repro.training.metrics`).
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.autograd import functional as F
 from repro.autograd.tensor import Tensor, as_tensor
 
 
@@ -17,27 +14,3 @@ def l1_loss(pred: Tensor, target: Tensor) -> Tensor:
     """Mean absolute error."""
     target = as_tensor(target, like=pred)
     return (pred - target).abs().mean()
-
-
-def mse_loss(pred: Tensor, target: Tensor) -> Tensor:
-    """Mean squared error."""
-    target = as_tensor(target, like=pred)
-    diff = pred - target
-    return (diff * diff).mean()
-
-
-def masked_mae_loss(pred: Tensor, target: Tensor,
-                    null_value: float = 0.0) -> Tensor:
-    """MAE over entries whose target differs from ``null_value``.
-
-    Matches the DCRNN reference: the mask is normalised so the expected loss
-    scale is independent of the missing-data rate.
-    """
-    target = as_tensor(target, like=pred)
-    mask = (target.data != null_value).astype(pred.dtype)
-    denom = mask.mean()
-    if denom <= 0:
-        # All entries missing: define the loss as zero.
-        return (pred * 0.0).mean()
-    weights = mask / denom
-    return ((pred - target).abs() * weights).mean()

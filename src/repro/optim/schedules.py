@@ -1,15 +1,11 @@
-"""Learning-rate schedules, including the linear-scaling rule.
+"""The linear learning-rate scaling rule.
 
 Paper §5.3.3 notes that the MAE degradation with large global batches is
-mitigated by learning-rate scaling (Goyal et al. / You et al.); we implement
-linear scaling with warmup so the Figure 8 ablation can test it.
+mitigated by learning-rate scaling (Goyal et al. / You et al.); the
+Figure 8 ablation scales the learning rate with the world size.
 """
 
 from __future__ import annotations
-
-from typing import Sequence
-
-from repro.optim.optimizers import Optimizer
 
 
 def scale_lr_linear(base_lr: float, world_size: int, base_world_size: int = 1) -> float:
@@ -17,65 +13,3 @@ def scale_lr_linear(base_lr: float, world_size: int, base_world_size: int = 1) -
     if world_size < 1 or base_world_size < 1:
         raise ValueError("world sizes must be positive")
     return base_lr * (world_size / base_world_size)
-
-
-class LRScheduler:
-    """Base class: mutates ``optimizer.lr`` once per epoch via :meth:`step`."""
-
-    def __init__(self, optimizer: Optimizer):
-        self.optimizer = optimizer
-        self.base_lr = optimizer.lr
-        self.epoch = 0
-
-    def lr_at(self, epoch: int) -> float:
-        raise NotImplementedError
-
-    def step(self) -> float:
-        self.epoch += 1
-        self.optimizer.lr = self.lr_at(self.epoch)
-        return self.optimizer.lr
-
-
-class ConstantLR(LRScheduler):
-    """Keeps the initial learning rate."""
-
-    def lr_at(self, epoch: int) -> float:
-        return self.base_lr
-
-
-class MultiStepLR(LRScheduler):
-    """Decay by ``gamma`` at each epoch in ``milestones`` (DCRNN reference
-    uses milestones [20, 30, 40, 50] with gamma 0.1)."""
-
-    def __init__(self, optimizer: Optimizer, milestones: Sequence[int],
-                 gamma: float = 0.1):
-        super().__init__(optimizer)
-        self.milestones = sorted(milestones)
-        self.gamma = gamma
-
-    def lr_at(self, epoch: int) -> float:
-        passed = sum(1 for m in self.milestones if epoch >= m)
-        return self.base_lr * (self.gamma ** passed)
-
-
-class LinearWarmupLR(LRScheduler):
-    """Ramp from ``base_lr / world_size`` to the scaled LR over ``warmup_epochs``.
-
-    This is the gradual-warmup strategy of Goyal et al. used with the linear
-    scaling rule for large global batches.
-    """
-
-    def __init__(self, optimizer: Optimizer, warmup_epochs: int,
-                 target_lr: float | None = None):
-        super().__init__(optimizer)
-        self.warmup_epochs = max(int(warmup_epochs), 0)
-        self.target_lr = self.base_lr if target_lr is None else float(target_lr)
-        self.start_lr = self.base_lr
-        if self.warmup_epochs > 0:
-            self.optimizer.lr = self.lr_at(0)
-
-    def lr_at(self, epoch: int) -> float:
-        if self.warmup_epochs == 0 or epoch >= self.warmup_epochs:
-            return self.target_lr
-        frac = epoch / self.warmup_epochs
-        return self.start_lr + (self.target_lr - self.start_lr) * frac

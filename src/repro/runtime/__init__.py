@@ -7,8 +7,9 @@ Layering (bottom up):
 - :mod:`repro.runtime.fabric` — the real multi-interpreter fabric:
   ``ProcessTransport`` (forked ranks, zero-copy shared-memory data
   plane, each rank's outcome sent home over a pipe).
-- :mod:`repro.runtime.collectives` — ring/tree collectives implemented
-  once against the :class:`Transport` protocol.
+- :mod:`repro.runtime.collectives` — the ring all-reduce, implemented
+  once against the :class:`Transport` protocol (every rank holds the
+  whole dataset, so gradients are the only traffic).
 - :mod:`repro.runtime.buckets` — gradient bucketing for DDP all-reduce.
 - :mod:`repro.runtime.process_group` — the :class:`ProcessGroup` facade
   trainers, serving and the performance model consume.
@@ -38,14 +39,7 @@ from repro.runtime.faults import (
     FaultyTransport,
     RankFailure,
 )
-from repro.runtime.collectives import (
-    all_gather,
-    all_reduce,
-    barrier,
-    broadcast,
-    point_to_point,
-    reduce_scatter,
-)
+from repro.runtime.collectives import all_reduce
 from repro.runtime.fabric import ProcessTransport
 from repro.runtime.process_group import ProcessGroup, as_process_group
 from repro.runtime.transport import (
@@ -73,9 +67,4 @@ __all__ = [
     "BucketLayout",
     "BucketSlot",
     "all_reduce",
-    "reduce_scatter",
-    "all_gather",
-    "broadcast",
-    "point_to_point",
-    "barrier",
 ]

@@ -1,9 +1,12 @@
-"""Collective operations, implemented once against :class:`Transport`.
+"""The gradient all-reduce, implemented once against :class:`Transport`.
 
 Call convention: arguments are *lists indexed by rank* (the in-process
 equivalent of each rank passing its local buffer), and every collective
-returns per-rank results as independent copies.  Two invariants hold for
-every transport:
+returns per-rank results as independent copies.  Distributed
+index-batching holds the whole dataset on every rank, so the all-reduce
+is the only collective a training step issues (a resume charges one
+parameter broadcast straight to ``Transport.collective``).  Two
+invariants hold for every transport:
 
 - **Dtype-preserving** — the result dtype is the input dtype, never a
   promoted accumulator dtype.
@@ -14,9 +17,8 @@ every transport:
   and :class:`~repro.runtime.transport.ThreadTransport`.
 
 Cost accounting is delegated to ``transport.collective(...)`` — the
-simulated fabric prices the standard ring/tree algorithms (a ring
-all-reduce moves ``2 (p-1)/p · n`` per rank, a ring reduce-scatter half
-of that), the thread fabric records measured wall seconds.
+simulated fabric prices the ring algorithm (``2 (p-1)/p · n`` per rank),
+the thread fabric records measured wall seconds.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import numpy as np
 from repro.runtime.transport import Transport
 from repro.utils.errors import CommunicatorError
 
-REDUCE_OPS = ("mean", "sum", "max")
+REDUCE_OPS = ("mean", "sum")
 
 
 def _check_world_list(transport: Transport, values) -> None:
@@ -46,12 +48,7 @@ def _reduce(arrays: list[np.ndarray], op: str) -> np.ndarray:
     if op not in REDUCE_OPS:
         raise CommunicatorError(f"unsupported op {op!r}")
     stacked = np.stack(arrays, axis=0)
-    if op == "mean":
-        result = stacked.mean(axis=0)
-    elif op == "sum":
-        result = stacked.sum(axis=0)
-    else:
-        result = stacked.max(axis=0)
+    result = stacked.mean(axis=0) if op == "mean" else stacked.sum(axis=0)
     return result.astype(arrays[0].dtype, copy=False)
 
 
@@ -66,66 +63,3 @@ def all_reduce(transport: Transport, arrays: list[np.ndarray],
     transport.collective("allreduce", arrays[0].nbytes, category,
                          measured_seconds=time.perf_counter() - t0)
     return out
-
-
-def reduce_scatter(transport: Transport, arrays: list[np.ndarray],
-                   op: str = "mean", category: str = "gradient"
-                   ) -> list[np.ndarray]:
-    """Reduce across ranks, then hand rank ``r`` the ``r``-th chunk.
-
-    Chunks partition the raveled reduced array as evenly as possible
-    (``np.array_split`` semantics); together with :func:`all_gather` of
-    the chunks this composes into an all-reduce, exactly like the ring
-    algorithm the cost model prices.
-    """
-    _check_world_list(transport, arrays)
-    t0 = time.perf_counter()
-    reduced = _reduce(arrays, op)
-    chunks = [c.copy() for c in
-              np.array_split(reduced.reshape(-1), transport.world_size)]
-    transport.collective("reduce_scatter", arrays[0].nbytes, category,
-                         measured_seconds=time.perf_counter() - t0)
-    return chunks
-
-
-def all_gather(transport: Transport, arrays: list[np.ndarray],
-               category: str = "data") -> list[list[np.ndarray]]:
-    """Every rank receives every rank's array (rank-ordered)."""
-    _check_world_list(transport, arrays)
-    t0 = time.perf_counter()
-    per = max(a.nbytes for a in arrays)
-    out = [[a.copy() for a in arrays] for _ in range(transport.world_size)]
-    transport.collective("allgather", per, category,
-                         record_bytes=per * transport.world_size,
-                         measured_seconds=time.perf_counter() - t0)
-    return out
-
-
-def broadcast(transport: Transport, value: np.ndarray, root: int = 0,
-              category: str = "control") -> list[np.ndarray]:
-    """Send ``value`` from ``root`` to every rank."""
-    if not 0 <= root < transport.world_size:
-        raise CommunicatorError(
-            f"rank {root} out of range [0, {transport.world_size})")
-    t0 = time.perf_counter()
-    arr = np.asarray(value)
-    out = [arr.copy() for _ in range(transport.world_size)]
-    transport.collective("broadcast", arr.nbytes, category,
-                         measured_seconds=time.perf_counter() - t0)
-    return out
-
-
-def point_to_point(transport: Transport, array: np.ndarray, src: int,
-                   dst: int, category: str = "data") -> np.ndarray:
-    """Send one array from ``src`` to ``dst``; returns ``dst``'s copy."""
-    t0 = time.perf_counter()
-    arr = np.asarray(array)
-    out = arr.copy()
-    transport.p2p(src, dst, arr.nbytes, category,
-                  measured_seconds=time.perf_counter() - t0)
-    return out
-
-
-def barrier(transport: Transport) -> None:
-    """Synchronise all ranks (priced as an 8-byte allreduce)."""
-    transport.collective("allreduce", 8, "control", record_bytes=0)

@@ -1,6 +1,6 @@
 """Deterministic fault injection for the distributed runtime.
 
-Production failures — crashed ranks, stragglers, lost messages, dead
+Production failures — crashed ranks, stragglers, slow links, dead
 serving sessions — are random in the wild but must be *scheduled* in a
 test: a :class:`FaultPlan` is a seeded, serializable list of
 :class:`FaultEvent`\\ s, and :class:`FaultyTransport` wraps any
@@ -15,9 +15,8 @@ fabric's own boundaries:
   :class:`~repro.runtime.transport.SimTransport` the blocking-collective
   semantics then make every rank wait for the slow one, exactly the
   tail-latency amplification real clusters see.
-- ``message_delay``/``message_drop`` charge extra fabric time (a dropped
-  message is modelled as a retransmit after a timeout, so data still
-  arrives — numerics never change, only cost).
+- ``message_delay`` charges extra fabric time to collectives and
+  data-plane fetches (numerics never change, only cost).
 - ``session_crash``/``session_straggler``/``store_corruption`` target a
   named gateway *deployment* (``target``) and are consumed by the
   gateway's resilience layer (:mod:`repro.serving.resilience`): a
@@ -44,8 +43,8 @@ from repro.utils.seeding import new_rng
 #: Event kinds a plan may schedule.  The ``session_*``/``store_*`` kinds
 #: target the gateway (:data:`GATEWAY_KINDS`); everything else is
 #: injected by :class:`FaultyTransport`.
-FAULT_KINDS = ("rank_crash", "straggler", "message_delay", "message_drop",
-               "session_crash", "session_straggler", "store_corruption")
+FAULT_KINDS = ("rank_crash", "straggler", "message_delay", "session_crash",
+               "session_straggler", "store_corruption")
 
 #: Kinds consumed by the gateway resilience layer rather than the
 #: transport; ``target`` names the deployment and ``step``/``until``/
@@ -77,9 +76,6 @@ class FaultEvent:
       ``[step, until)`` (``until=None`` = forever).
     - ``message_delay``: collectives in ``category`` (``None`` = all)
       during ``[step, until)`` pay ``seconds`` extra fabric time each.
-    - ``message_drop``: point-to-point sends in ``category`` during
-      ``[step, until)`` are lost once and retransmitted after a
-      ``seconds`` timeout.
     - ``session_crash``: gateway deployment ``target``'s session dies at
       its ``request``-th batch dispatch (and stays dead until restarted).
     - ``session_straggler``: deployment ``target``'s dispatches in
@@ -113,7 +109,7 @@ class FaultEvent:
                 and self.slowdown < 1.0:
             raise ValueError(f"straggler slowdown must be >= 1.0, "
                              f"got {self.slowdown}")
-        if self.kind in ("message_delay", "message_drop") and self.seconds < 0:
+        if self.kind == "message_delay" and self.seconds < 0:
             raise ValueError(f"seconds must be >= 0, got {self.seconds}")
         if self.kind in GATEWAY_KINDS and not self.target:
             raise ValueError(f"{self.kind} events need target=<deployment "
@@ -199,14 +195,6 @@ class FaultPlan:
                       end_step: int | None = None) -> "FaultPlan":
         return self._with(FaultEvent("message_delay", step=start_step,
                                      until=end_step, seconds=seconds,
-                                     category=category))
-
-    def message_drop(self, timeout_seconds: float, *,
-                     category: str | None = None, start_step: int = 0,
-                     end_step: int | None = None) -> "FaultPlan":
-        return self._with(FaultEvent("message_drop", step=start_step,
-                                     until=end_step,
-                                     seconds=timeout_seconds,
                                      category=category))
 
     def session_crash(self, deployment: str, *,
@@ -320,7 +308,6 @@ class FaultyTransport:
         self.inner = inner
         self.plan = plan
         self.fired: set[int] = set(fired or ())
-        self.dropped_messages = 0
         self._step = 0
         # The plan is immutable; snapshot its transport view once instead
         # of re-filtering it inside every hot-path charge.
@@ -405,17 +392,6 @@ class FaultyTransport:
         self.inner.collective(kind, nbytes, category,
                               record_bytes=record_bytes, repeat=repeat,
                               measured_seconds=measured_seconds)
-
-    def p2p(self, src: int, dst: int, nbytes: int, category: str, *,
-            measured_seconds: float = 0.0) -> None:
-        timeout = self._delay_for("message_drop", category)
-        if timeout and src != dst and nbytes:
-            # First copy lost; charge the retransmit timeout, then let the
-            # retransmission itself move the bytes through the real fabric.
-            self.dropped_messages += 1
-            self.inner.charge(category, 0, timeout, ops=0)
-        self.inner.p2p(src, dst, nbytes, category,
-                       measured_seconds=measured_seconds)
 
     def contended_fetch(self, total_bytes: int, messages_per_rank: int,
                         category: str) -> None:

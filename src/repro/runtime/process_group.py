@@ -1,7 +1,7 @@
 """The :class:`ProcessGroup` facade: one distributed-execution handle.
 
-Trainers and the performance model talk to a ``ProcessGroup`` —
-collectives, contended data-plane fetches, per-rank compute
+Trainers and the performance model talk to a ``ProcessGroup`` — the
+gradient all-reduce, contended data-plane fetches, per-rank compute
 charging, rank execution, and :class:`~repro.runtime.transport.CommStats`
 traffic accounting by category — while the transport behind it decides
 whether ranks are simulated (:meth:`ProcessGroup.sim`), real threads
@@ -95,27 +95,6 @@ class ProcessGroup:
     def allreduce(self, arrays: list[np.ndarray], op: str = "mean",
                   category: str = "gradient") -> list[np.ndarray]:
         return collectives.all_reduce(self.transport, arrays, op, category)
-
-    def reduce_scatter(self, arrays: list[np.ndarray], op: str = "mean",
-                       category: str = "gradient") -> list[np.ndarray]:
-        return collectives.reduce_scatter(self.transport, arrays, op,
-                                          category)
-
-    def allgather(self, arrays: list[np.ndarray],
-                  category: str = "data") -> list[list[np.ndarray]]:
-        return collectives.all_gather(self.transport, arrays, category)
-
-    def broadcast(self, value: np.ndarray, root: int = 0,
-                  category: str = "control") -> list[np.ndarray]:
-        return collectives.broadcast(self.transport, value, root, category)
-
-    def send(self, array: np.ndarray, src: int, dst: int,
-             category: str = "data") -> np.ndarray:
-        return collectives.point_to_point(self.transport, array, src, dst,
-                                          category)
-
-    def barrier(self) -> None:
-        collectives.barrier(self.transport)
 
     # -- data plane -----------------------------------------------------
     def fetch_all(self, total_bytes: int, messages_per_rank: int,

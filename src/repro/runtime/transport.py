@@ -7,10 +7,10 @@ A :class:`Transport` answers two questions for the layers above it:
    (:class:`SimTransport`), or on one persistent worker thread per rank
    (:class:`ThreadTransport`; NumPy releases the GIL, so rank steps
    overlap on real cores).
-2. **What does communication cost?**  Collectives and point-to-point
-   transfers are *charged* through :meth:`Transport.collective` /
-   :meth:`Transport.p2p`: :class:`SimTransport` prices them with the
-   :mod:`repro.cluster` alpha-beta cost models on per-rank
+2. **What does communication cost?**  Collectives and data-plane
+   fetches are *charged* through :meth:`Transport.collective` /
+   :meth:`Transport.contended_fetch`: :class:`SimTransport` prices them
+   with the :mod:`repro.cluster` alpha-beta cost models on per-rank
    :class:`~repro.utils.clock.ManualClock`\\ s, while
    :class:`ThreadTransport` records measured wall seconds.
 
@@ -35,7 +35,7 @@ from repro.utils.clock import ManualClock
 from repro.utils.errors import CommunicatorError
 
 #: Collective kinds a transport knows how to price.
-COLLECTIVE_KINDS = ("allreduce", "reduce_scatter", "allgather", "broadcast")
+COLLECTIVE_KINDS = ("allreduce", "broadcast")
 
 
 @dataclass
@@ -82,9 +82,6 @@ class Transport(Protocol):
     def collective(self, kind: str, nbytes: int, category: str, *,
                    record_bytes: int | None = None, repeat: int = 1,
                    measured_seconds: float = 0.0) -> None: ...
-
-    def p2p(self, src: int, dst: int, nbytes: int, category: str, *,
-            measured_seconds: float = 0.0) -> None: ...
 
     def contended_fetch(self, total_bytes: int, messages_per_rank: int,
                         category: str) -> None: ...
@@ -159,10 +156,6 @@ class SimTransport:
         """Price one collective of ``kind`` moving ``nbytes`` per rank."""
         if kind == "allreduce":
             return self.cost.allreduce_time(nbytes)
-        if kind == "reduce_scatter":
-            return self.cost.reduce_scatter_time(nbytes)
-        if kind == "allgather":
-            return self.cost.allgather_time(nbytes)
         if kind == "broadcast":
             return self.cost.broadcast_time(nbytes)
         raise CommunicatorError(f"unknown collective kind {kind!r}")
@@ -173,22 +166,6 @@ class SimTransport:
         seconds = self.collective_seconds(kind, nbytes)
         recorded = nbytes if record_bytes is None else record_bytes
         self._sync_all(seconds * repeat, recorded * repeat, category, repeat)
-
-    def p2p(self, src: int, dst: int, nbytes: int, category: str, *,
-            measured_seconds: float = 0.0) -> None:
-        """Point-to-point pull; advances both endpoints' clocks."""
-        _check_rank(self.world_size, src)
-        _check_rank(self.world_size, dst)
-        if src == dst or nbytes == 0:
-            return
-        dt = self.cost.p2p_time(
-            nbytes, same_node=self.topology.same_node(src, dst))
-        start = max(self.clocks[src].now, self.clocks[dst].now)
-        end = start + dt
-        for r in (src, dst):
-            self.comm_time[r] += end - self.clocks[r].now
-            self.clocks[r].advance_to(end)
-        self.stats.record(category, nbytes, dt)
 
     def contended_fetch(self, total_bytes: int, messages_per_rank: int,
                         category: str) -> None:
@@ -223,7 +200,7 @@ class MeasuredTransport:
 
     The thread and process fabrics both answer the *cost* half of
     the :class:`Transport` protocol the same way: communication is real
-    data movement, so collectives/p2p record their bytes and measured
+    data movement, so collectives record their bytes and measured
     wall seconds instead of simulated time, and :attr:`now` is the wall
     clock since construction.  Subclasses only decide *where ranks run*
     (:meth:`run_ranks`).
@@ -273,14 +250,6 @@ class MeasuredTransport:
         self.comm_time += measured_seconds / self.world_size
         self.stats.record(category, recorded * repeat,
                           measured_seconds, repeat)
-
-    def p2p(self, src: int, dst: int, nbytes: int, category: str, *,
-            measured_seconds: float = 0.0) -> None:
-        _check_rank(self.world_size, src)
-        _check_rank(self.world_size, dst)
-        if src == dst or nbytes == 0:
-            return
-        self.stats.record(category, nbytes, measured_seconds)
 
     def contended_fetch(self, total_bytes: int, messages_per_rank: int,
                         category: str) -> None:

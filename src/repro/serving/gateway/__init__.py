@@ -29,7 +29,6 @@ from repro.serving.gateway.gateway import (
     Gateway,
     GatewayResponse,
     GatewayStats,
-    TERMINAL_STATUSES,
 )
 from repro.serving.gateway.result_cache import (
     CacheStats,
@@ -70,7 +69,6 @@ __all__ = [
     "ResultCache",
     "ShedDecision",
     "SwapRecord",
-    "TERMINAL_STATUSES",
     "Tenant",
     "TenantManager",
     "TenantQuota",

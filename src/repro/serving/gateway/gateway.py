@@ -47,11 +47,6 @@ from repro.serving.resilience import (
     degradation_rung)
 from repro.serving.service import Forecast, ManualClock
 
-#: Terminal response statuses (everything except "admitted").
-TERMINAL_STATUSES = ("ok", "cached", "shed", "rejected_quota",
-                     "degraded", "failed")
-
-
 @dataclass
 class GatewayResponse:
     """The gateway's answer to one request.

@@ -2,15 +2,7 @@
 
 from repro.training.checkpoint import load_checkpoint, save_checkpoint
 from repro.training.ddp import DDPStrategy, DDPTrainer
-from repro.training.evaluation import HorizonMetrics, evaluate_by_horizon
-from repro.training.metrics import (
-    mae,
-    mape,
-    masked_abs_error,
-    masked_mae,
-    mse,
-    rmse,
-)
+from repro.training.metrics import mae, masked_abs_error, mse
 from repro.training.recovery import RecoveryReport, train_with_recovery
 from repro.training.step import average_and_apply, clip_and_step
 from repro.training.trainer import EpochRecord, Trainer
@@ -18,9 +10,6 @@ from repro.training.trainer import EpochRecord, Trainer
 __all__ = [
     "mae",
     "mse",
-    "rmse",
-    "mape",
-    "masked_mae",
     "masked_abs_error",
     "Trainer",
     "EpochRecord",
@@ -32,6 +21,4 @@ __all__ = [
     "load_checkpoint",
     "RecoveryReport",
     "train_with_recovery",
-    "evaluate_by_horizon",
-    "HorizonMetrics",
 ]

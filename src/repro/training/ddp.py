@@ -433,7 +433,7 @@ class DDPTrainer:
         return meta
 
     # ------------------------------------------------------------------
-    def evaluate(self, loader=None, max_batches: int | None = None) -> float:
+    def evaluate(self, loader=None) -> float:
         """Distributed validation: ranks evaluate partitions, all-reduce.
 
         Mirrors the paper's note that validation accuracy uses AllReduce.
@@ -458,8 +458,6 @@ class DDPTrainer:
                 if len(sel) == 0:
                     partials.append(np.array([0.0, 0.0]))
                     continue
-                if max_batches is not None:
-                    sel = sel[: max_batches * loader.batch_size]
                 x, y = loader.batch_at(sel)
                 pred = self.model(Tensor(x)).data[..., 0]
                 truth = y[..., 0]
@@ -476,17 +474,16 @@ class DDPTrainer:
         return float(total_abs / total_count)
 
     # ------------------------------------------------------------------
-    def fit(self, epochs: int, *, scheduler=None,
-            eval_max_batches: int | None = None,
-            verbose: bool = False) -> list[DDPEpochRecord]:
+    def fit(self, epochs: int, *, verbose: bool = False
+            ) -> list[DDPEpochRecord]:
         start_epoch = (self._resume_cursor[0]
                        if self._resume_cursor is not None else 0)
         for epoch in range(start_epoch, epochs):
             t0 = self.comm.now
             c0 = self.comm.elapsed_breakdown()
             loss = self.train_epoch(epoch)
-            val = (self.evaluate(max_batches=eval_max_batches)
-                   if self.val_loader is not None else float("nan"))
+            val = (self.evaluate() if self.val_loader is not None
+                   else float("nan"))
             c1 = self.comm.elapsed_breakdown()
             self.history.append(DDPEpochRecord(
                 epoch=epoch, train_loss=loss, val_mae=val,
@@ -498,8 +495,6 @@ class DDPTrainer:
                       f"val MAE {val:.4f}  "
                       f"({self.history[-1].sim_seconds * 1e3:.3f} sim-ms "
                       f"x{self.world_size} ranks)")
-            if scheduler is not None:
-                scheduler.step()
         return self.history
 
     def best_val_mae(self) -> float:

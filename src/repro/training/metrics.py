@@ -16,10 +16,6 @@ def mse(pred: np.ndarray, target: np.ndarray) -> float:
     return float(np.mean(diff * diff))
 
 
-def rmse(pred: np.ndarray, target: np.ndarray) -> float:
-    return float(np.sqrt(mse(pred, target)))
-
-
 def masked_abs_error(pred: np.ndarray, target: np.ndarray,
                      null_value: float = 0.0) -> tuple[float, int]:
     """Sum of absolute errors over unmasked entries, plus their count.
@@ -35,22 +31,3 @@ def masked_abs_error(pred: np.ndarray, target: np.ndarray,
     if count == 0:
         return 0.0, 0
     return float(np.abs(pred[mask] - target[mask]).sum()), count
-
-
-def masked_mae(pred: np.ndarray, target: np.ndarray,
-               null_value: float = 0.0) -> float:
-    """MAE over entries whose target is not ``null_value`` (missing data)."""
-    total, count = masked_abs_error(pred, target, null_value)
-    if count == 0:
-        return 0.0
-    return total / count
-
-
-def mape(pred: np.ndarray, target: np.ndarray, eps: float = 1e-3) -> float:
-    """Mean absolute percentage error over non-near-zero targets."""
-    pred = np.asarray(pred)
-    target = np.asarray(target)
-    mask = np.abs(target) > eps
-    if not mask.any():
-        return 0.0
-    return float(np.mean(np.abs((pred[mask] - target[mask]) / target[mask])))

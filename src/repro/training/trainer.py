@@ -99,7 +99,7 @@ class Trainer:
         return float(np.mean(losses)) if losses else float("nan")
 
     # ------------------------------------------------------------------
-    def evaluate(self, loader=None, max_batches: int | None = None) -> float:
+    def evaluate(self, loader=None) -> float:
         """Masked MAE on original units over a loader's snapshots.
 
         Batches are weighted by their *unmasked* entry count, so the result
@@ -113,9 +113,7 @@ class Trainer:
         total_abs, total_count = 0.0, 0
         with no_grad():
             assert_inference_mode(self.model)
-            for i, (x, y) in enumerate(loader.batches()):
-                if max_batches is not None and i >= max_batches:
-                    break
+            for x, y in loader.batches():
                 pred = self.model(Tensor(x)).data[..., 0]
                 truth = y[..., 0]
                 if self.scaler is not None:
@@ -129,25 +127,18 @@ class Trainer:
         return total_abs / total_count
 
     # ------------------------------------------------------------------
-    def fit(self, epochs: int, *, scheduler=None, verbose: bool = False,
-            patience: int | None = None,
+    def fit(self, epochs: int, *, verbose: bool = False,
             checkpoint_path: str | None = None,
             checkpoint_every: int = 1) -> list[EpochRecord]:
         """Train for ``epochs`` epochs, recording loss/val-MAE history.
 
         Parameters
         ----------
-        patience: early stopping — end training after this many epochs
-            without a new best validation MAE (the DCRNN reference trains
-            with patience 50).  Requires a validation loader.
         checkpoint_path / checkpoint_every: write a resumable checkpoint
             every N epochs; on a new validation best, also write
             ``<path>.best``.
         """
-        if patience is not None and self.val_loader is None:
-            raise ValueError("early stopping needs a validation loader")
         best = float("inf")
-        since_best = 0
         start = len(self.history)
         for epoch in range(start, start + epochs):
             t0 = time.perf_counter()
@@ -156,17 +147,12 @@ class Trainer:
             dt = time.perf_counter() - t0
             self.history.append(EpochRecord(epoch, train_loss, val_mae,
                                             self.optimizer.lr, dt))
-            if scheduler is not None:
-                scheduler.step()
             if verbose:
                 print(f"epoch {epoch:3d}  loss {train_loss:.4f}  "
                       f"val MAE {val_mae:.4f}  ({dt:.2f}s)")
             improved = np.isfinite(val_mae) and val_mae < best
             if improved:
                 best = val_mae
-                since_best = 0
-            else:
-                since_best += 1
             if checkpoint_path is not None:
                 from repro.training.checkpoint import save_checkpoint
                 if (epoch - start + 1) % checkpoint_every == 0:
@@ -176,11 +162,6 @@ class Trainer:
                     save_checkpoint(checkpoint_path + ".best", self.model,
                                     self.optimizer, epoch=epoch,
                                     extra={"val_mae": float(val_mae)})
-            if patience is not None and since_best >= patience:
-                if verbose:
-                    print(f"early stop at epoch {epoch} "
-                          f"(no improvement for {since_best} epochs)")
-                break
         return self.history
 
     def best_val_mae(self) -> float:

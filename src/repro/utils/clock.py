@@ -1,6 +1,6 @@
 """An explicitly-advanced clock measured in seconds.
 
-Simulated devices, memory spaces and rank transports advance manual
+Simulated memory spaces and rank transports advance manual
 clocks through the cost models, and the serving stack runs on one by
 default.  Using explicit clocks keeps every simulated runtime
 deterministic.

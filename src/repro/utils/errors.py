@@ -26,7 +26,7 @@ class OutOfMemoryError(ReproError, MemoryError):
 
 
 class CommunicatorError(ReproError, RuntimeError):
-    """A collective or point-to-point operation was used incorrectly."""
+    """A collective or rank-addressed operation was used incorrectly."""
 
 
 class CheckpointError(ReproError, RuntimeError):

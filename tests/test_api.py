@@ -19,12 +19,14 @@ from repro.api import (
     ensure_batch_source,
     run,
 )
+from repro.batching import IndexBatchLoader
+from repro.datasets import load_dataset
+from repro.preprocessing import IndexDataset
 
-#: Sub-tiny preset so the executor smoke tests stay fast; registered so
-#: specs can name it.
+#: Sub-tiny preset so the executor smoke tests stay fast; ``run`` takes
+#: it in place of the spec's named preset.
 UNIT = Scale("unit-test", nodes=6, entries=120, epochs=2, hidden_dim=4,
              batch_size=8, horizon=4)
-api.resolve_name(UNIT)
 
 
 class TestRegistry:
@@ -63,6 +65,12 @@ class TestRegistry:
         assert "pems-bay" in api.list_datasets()
         assert set(api.list_optimizers()) >= {"adam", "sgd"}
 
+    def test_models_are_the_paper_families(self):
+        """The models the paper trains (PGT-DCRNN, A3T-GCN, ST-LLM) and
+        the two they build on (DCRNN, TGCN), and nothing else."""
+        assert api.list_models() == ["a3tgcn", "dcrnn", "pgt-dcrnn",
+                                     "st-llm", "tgcn"]
+
     def test_registries_back_the_listings(self):
         assert api.list_models() == MODELS.names()
         assert api.list_batchings() == BATCHINGS.names()
@@ -71,30 +79,37 @@ class TestRegistry:
 
 
 class TestScaleResolution:
-    def test_adhoc_names_are_last_write_wins(self):
-        first = Scale("rerun-me", nodes=6, entries=120, epochs=1,
-                      hidden_dim=4, batch_size=8, horizon=4)
-        tweaked = Scale("rerun-me", nodes=6, entries=120, epochs=2,
-                        hidden_dim=4, batch_size=8, horizon=4)
-        assert api.resolve_name(first) == "rerun-me"
-        assert api.resolve_name(tweaked) == "rerun-me"  # rerun workflows
-        assert api.get_scale("rerun-me") == tweaked
-
-    def test_builtin_names_are_immutable(self):
-        impostor = Scale("tiny", nodes=64, entries=4000, epochs=30,
-                         hidden_dim=32, batch_size=32)
-        with pytest.raises(ValueError, match="builtin preset"):
-            api.resolve_name(impostor)
-        assert api.get_scale("tiny").nodes == 8
-
-    def test_resolving_builtin_itself_is_fine(self):
-        assert api.resolve_name(api.TINY) == "tiny"
-
     def test_presets(self):
         assert api.get_scale("tiny").name == "tiny"
         assert api.get_scale(api.SMALL) is api.SMALL
         with pytest.raises(KeyError):
             api.get_scale("huge")
+
+    def test_presets_are_the_three_builtins(self):
+        """Specs name presets, and only the three builtins exist: no
+        test or helper registers more into the shared table."""
+        assert sorted(api.SCALES) == ["medium", "small", "tiny"]
+        assert all(api.SCALES[name].name == name for name in api.SCALES)
+
+    def test_spec_scale_must_be_a_preset(self):
+        """An ad-hoc ``Scale`` goes to ``run(spec, scale=...)``; its
+        name is not a preset a spec can name."""
+        with pytest.raises(KeyError, match="unknown scale 'unit-test'.*"
+                                           "medium.*small.*tiny"):
+            RunSpec(dataset="pems-bay", scale=UNIT.name)
+
+
+class TestBuilders:
+    @pytest.mark.parametrize("name", DATASETS.names())
+    def test_default_in_features_matches_the_batches(self, name):
+        """The model input width the builders use is the channel count
+        the preprocessing actually emits: raw channels, plus
+        time-of-day for traffic."""
+        ds = load_dataset(name, nodes=4, entries=120, seed=0)
+        x, _ = IndexBatchLoader(IndexDataset.from_dataset(ds, horizon=4),
+                                "train", 2).batch_at(np.arange(2))
+        assert api.default_in_features(ds) == x.shape[-1] \
+            == ds.spec.train_features
 
 
 class TestRunSpec:
@@ -185,7 +200,7 @@ class TestRun:
         out = {}
         for mode in ("base", "index"):
             spec = RunSpec(dataset="pems-bay", model="pgt-dcrnn",
-                           batching=mode, scale="unit-test", seed=11)
+                           batching=mode, seed=11)
             out[mode] = run(spec, scale=UNIT)
         return out
 
@@ -216,14 +231,14 @@ class TestRun:
 
     def test_deterministic_in_seed(self, results):
         spec = RunSpec(dataset="pems-bay", model="pgt-dcrnn",
-                       batching="index", scale="unit-test", seed=11)
+                       batching="index", seed=11)
         again = run(spec, scale=UNIT)
         np.testing.assert_array_equal(again.val_curve,
                                       results["index"].val_curve)
 
     def test_distributed_strategy_runs(self):
         spec = RunSpec(dataset="pems-bay", strategy="dist-index",
-                       world_size=2, scale="unit-test")
+                       world_size=2)
         result = run(spec, scale=UNIT)
         assert np.isfinite(result.best_val_mae)
         # Dist-index shuffling is communication-free: gradient traffic only.

@@ -129,24 +129,6 @@ class TestDropout:
         np.testing.assert_allclose(x.grad, out.data)
 
 
-class TestEmbedding:
-    def test_lookup_values(self):
-        w = Tensor(np.arange(12, dtype=np.float32).reshape(4, 3))
-        out = F.embedding(w, np.array([2, 0]))
-        np.testing.assert_allclose(out.data, [[6, 7, 8], [0, 1, 2]])
-
-    def test_grad_scatters_with_duplicates(self):
-        w = Tensor(np.zeros((4, 2)), requires_grad=True)
-        F.embedding(w, np.array([1, 1, 3])).sum().backward()
-        np.testing.assert_allclose(w.grad,
-                                   [[0, 0], [2, 2], [0, 0], [1, 1]])
-
-    def test_non_integer_indices_rejected(self):
-        w = Tensor(np.zeros((4, 2)))
-        with pytest.raises(ShapeError):
-            F.embedding(w, np.array([0.5]))
-
-
 class TestSparseMatmul:
     def _support(self, n=8, seed=0):
         return sp.random(n, n, density=0.4, random_state=seed, format="csr")

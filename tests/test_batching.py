@@ -8,7 +8,6 @@ from repro.batching import (
     GlobalShuffleSampler,
     IndexBatchLoader,
     LocalShuffleSampler,
-    SequentialSampler,
     StandardBatchLoader,
     partition_contiguous,
 )
@@ -103,17 +102,49 @@ class TestSamplers:
             for b in rank_batches:
                 np.testing.assert_array_equal(np.diff(b), 1)
 
-    def test_sequential_order(self):
-        s = SequentialSampler(20, 5, 2)
-        plan = s.epoch_plan(0)
-        np.testing.assert_array_equal(plan[0][0], np.arange(5))
-        np.testing.assert_array_equal(plan[1][0], np.arange(10, 15))
-
     def test_drop_last(self):
-        s = SequentialSampler(10, 4, 1, drop_last=True)
+        s = GlobalShuffleSampler(10, 4, 1, seed=0, drop_last=True)
         assert sum(len(b) for b in s.epoch_plan(0)[0]) == 8
-        s2 = SequentialSampler(10, 4, 1, drop_last=False)
-        assert sum(len(b) for b in s2.epoch_plan(0)[0]) == 10
+        s2 = GlobalShuffleSampler(10, 4, 1, seed=0, drop_last=False)
+        batches = s2.epoch_plan(0)[0]
+        assert [len(b) for b in batches] == [4, 4, 2]
+        assert sorted(np.concatenate(batches).tolist()) == list(range(10))
+
+    @pytest.mark.parametrize("cls", [LocalShuffleSampler,
+                                     BatchShuffleSampler],
+                             ids=["local", "batch"])
+    def test_partitioned_plans_deterministic(self, cls):
+        """Same (seed, epoch), same plan, per rank and in order; another
+        seed reorders it."""
+        def plan(seed):
+            return [[b.tolist() for b in rank] for rank in
+                    cls(self.N, self.BS, self.W, seed=seed).epoch_plan(3)]
+
+        assert plan(5) == plan(5)
+        assert plan(5) != plan(6)
+
+    @pytest.mark.parametrize("cls", [LocalShuffleSampler,
+                                     BatchShuffleSampler],
+                             ids=["local", "batch"])
+    def test_partitioned_remainder_kept_without_drop_last(self, cls):
+        """Without ``drop_last`` each rank's partition is dealt whole,
+        its short remainder batch included."""
+        plan = cls(22, 4, 2, seed=0, drop_last=False).epoch_plan(0)
+        for rank, part in enumerate(partition_contiguous(22, 2)):
+            assert sorted(len(b) for b in plan[rank]) == [3, 4, 4]
+            assert sorted(np.concatenate(plan[rank]).tolist()) \
+                == part.tolist()
+
+    @pytest.mark.parametrize("cls", [GlobalShuffleSampler,
+                                     LocalShuffleSampler,
+                                     BatchShuffleSampler],
+                             ids=["global", "local", "batch"])
+    def test_steps_per_epoch_is_the_shortest_rank(self, cls):
+        """Ranks step together, so an epoch is as long as the rank with
+        the fewest full batches (10 snapshots over 3 ranks: 3, 3, 4)."""
+        s = cls(10, 2, 3, seed=0)
+        assert sorted(len(p) for p in s.epoch_plan(0)) == [1, 1, 2]
+        assert s.steps_per_epoch() == 1
 
     def test_steps_per_epoch(self):
         s = GlobalShuffleSampler(100, 8, 4, seed=0)
@@ -121,8 +152,8 @@ class TestSamplers:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            SequentialSampler(0, 4)
-        s = SequentialSampler(10, 0, 1)
+            GlobalShuffleSampler(0, 4)
+        s = GlobalShuffleSampler(10, 0, 1)
         with pytest.raises(ValueError):
             s.epoch_plan(0)
 

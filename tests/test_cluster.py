@@ -13,24 +13,9 @@ class TestTopology:
                             (128, 32)]:
             assert ClusterTopology(gpus).num_nodes == nodes
 
-    def test_node_of_and_local_rank(self):
-        t = ClusterTopology(8)
-        assert t.node_of(0) == 0 and t.node_of(5) == 1
-        assert t.local_rank(5) == 1
-
-    def test_same_node(self):
-        t = ClusterTopology(8)
-        assert t.same_node(0, 3)
-        assert not t.same_node(3, 4)
-
     def test_spans_nodes(self):
         assert not ClusterTopology(4).spans_nodes()
         assert ClusterTopology(5).spans_nodes()
-
-    def test_rank_bounds(self):
-        t = ClusterTopology(4)
-        with pytest.raises(IndexError):
-            t.node_of(4)
 
     def test_world_size_positive(self):
         with pytest.raises(ValueError):
@@ -40,9 +25,6 @@ class TestTopology:
 class TestCommCostModel:
     def _model(self, world):
         return CommCostModel(ClusterTopology(world))
-
-    def test_allreduce_zero_for_single_rank(self):
-        assert self._model(1).allreduce_time(10**6) == 0.0
 
     def test_allreduce_ring_formula(self):
         m = self._model(8)
@@ -60,20 +42,19 @@ class TestCommCostModel:
         large = self._model(128).allreduce_time(1024)
         assert large > small
 
+    @pytest.mark.parametrize("kind", ["allreduce", "broadcast"])
+    @pytest.mark.parametrize("world, nbytes", [(1, 10**6), (8, 0)],
+                             ids=["one-rank", "no-bytes"])
+    def test_trivial_collectives_are_free(self, kind, world, nbytes):
+        """Nothing to move, or nobody to move it to: no latency is
+        charged either."""
+        assert getattr(self._model(world), f"{kind}_time")(nbytes) == 0.0
+
     def test_broadcast_log_rounds(self):
         m = self._model(16)
         n = 10**6
         expected = 4 * (m.alpha + n / m.beta_inter)
         assert m.broadcast_time(n) == pytest.approx(expected)
-
-    def test_allgather(self):
-        m = self._model(8)
-        assert m.allgather_time(10**6) == pytest.approx(
-            7 * (m.alpha + 10**6 / m.beta_inter))
-
-    def test_p2p_same_node_faster(self):
-        m = self._model(8)
-        assert m.p2p_time(10**7, same_node=True) < m.p2p_time(10**7)
 
     def test_contended_fetch_shares_fabric(self):
         m = self._model(8)
@@ -81,8 +62,6 @@ class TestCommCostModel:
         assert t == pytest.approx(100e9 / m.fabric_aggregate_bw, rel=0.01)
 
     def test_negative_bytes_rejected(self):
-        with pytest.raises(ValueError):
-            self._model(4).p2p_time(-5)
         with pytest.raises(ValueError):
             self._model(4).contended_fetch_time(-5)
 

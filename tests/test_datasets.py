@@ -40,6 +40,18 @@ class TestCatalog:
             spec = get_spec(name)
             assert spec.raw_features == 1 and spec.train_features == 2
 
+    @pytest.mark.parametrize("name", sorted(CATALOG))
+    def test_augmented_bytes_add_only_the_training_channels(self, name):
+        """Fig. 3 stage 1: the augmented tensor is the raw one widened
+        to the training channels (traffic gains time-of-day), in the
+        dtype asked for."""
+        spec = get_spec(name)
+        per_channel = spec.num_entries * spec.num_nodes * 8
+        assert spec.raw_nbytes() == per_channel * spec.raw_features
+        assert spec.augmented_nbytes() == per_channel * spec.train_features
+        assert spec.augmented_nbytes(np.float32) \
+            == spec.augmented_nbytes() // 2
+
     def test_raw_nbytes_matches_table1_before_column(self):
         # Table 1 "size before preprocessing", within unit-convention slack.
         assert abs(get_spec("pems").raw_nbytes() - 8.71 * GB) / (8.71 * GB) < 0.01

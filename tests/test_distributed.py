@@ -16,13 +16,11 @@ class TestAllreduce:
         for o in out:
             np.testing.assert_allclose(o, 1.5)
 
-    def test_sum_and_max(self):
+    def test_sum(self):
         comm = ProcessGroup.sim(3)
         arrays = [np.array([1.0, -2.0]) * (r + 1) for r in range(3)]
         np.testing.assert_allclose(comm.allreduce(arrays, op="sum")[0],
                                    [6.0, -12.0])
-        np.testing.assert_allclose(comm.allreduce(arrays, op="max")[0],
-                                   [3.0, -2.0])
 
     def test_results_are_independent_copies(self):
         comm = ProcessGroup.sim(2)
@@ -45,10 +43,11 @@ class TestAllreduce:
         with pytest.raises(CommunicatorError):
             comm.allreduce([np.zeros(2)] * 2)
 
-    def test_unsupported_op(self):
+    @pytest.mark.parametrize("op", ["prod", "max"])
+    def test_unsupported_op(self, op):
         comm = ProcessGroup.sim(2)
-        with pytest.raises(CommunicatorError):
-            comm.allreduce([np.zeros(2)] * 2, op="prod")
+        with pytest.raises(CommunicatorError, match="unsupported op"):
+            comm.allreduce([np.zeros(2)] * 2, op=op)
 
 
 class TestClockSemantics:
@@ -87,18 +86,6 @@ class TestClockSemantics:
 
 
 class TestDataPlane:
-    def test_fetch_advances_both_endpoints(self):
-        comm = ProcessGroup.sim(4)
-        comm.transport.p2p(0, 3, 10**8, "data")
-        assert comm.transport.clocks[0].now == comm.transport.clocks[3].now > 0
-        assert comm.transport.clocks[1].now == 0.0
-
-    def test_fetch_self_is_free(self):
-        comm = ProcessGroup.sim(2)
-        comm.transport.p2p(1, 1, 10**9, "data")
-        assert comm.now == 0.0
-        assert comm.stats.total_bytes() == 0
-
     def test_fetch_all_contended(self):
         comm = ProcessGroup.sim(8)
         comm.fetch_all(100e9, messages_per_rank=1)
@@ -108,37 +95,16 @@ class TestDataPlane:
     def test_byte_accounting_by_category(self):
         comm = ProcessGroup.sim(2)
         comm.allreduce([np.zeros(100)] * 2, category="gradient")
-        comm.transport.p2p(0, 1, 500, "data")
+        comm.fetch_all(500, messages_per_rank=1)
         assert comm.stats.bytes_by_category["gradient"] == 800
         assert comm.stats.bytes_by_category["data"] == 500
         assert comm.stats.ops == 2
 
-    def test_broadcast(self):
-        comm = ProcessGroup.sim(4)
-        out = comm.broadcast(np.arange(5), root=2)
-        assert len(out) == 4
-        for o in out:
-            np.testing.assert_array_equal(o, np.arange(5))
-
-    def test_allgather(self):
-        comm = ProcessGroup.sim(3)
-        arrays = [np.full(2, r) for r in range(3)]
-        out = comm.allgather(arrays)
-        assert len(out) == 3 and len(out[0]) == 3
-        np.testing.assert_array_equal(out[1][2], [2, 2])
-
-    def test_barrier_synchronizes(self):
-        comm = ProcessGroup.sim(2)
-        comm.advance_compute(0, 3.0)
-        comm.barrier()
-        assert comm.transport.clocks[1].now >= 3.0
-
     def test_invalid_rank(self):
         comm = ProcessGroup.sim(2)
-        with pytest.raises(CommunicatorError):
-            comm.transport.p2p(0, 5, 100, "data")
-        with pytest.raises(CommunicatorError):
-            comm.advance_compute(-1, 1.0)
+        for rank in (-1, 2):
+            with pytest.raises(CommunicatorError, match="out of range"):
+                comm.advance_compute(rank, 1.0)
 
     def test_mismatched_cost_model_rejected(self):
         cm = CommCostModel(ClusterTopology(4))

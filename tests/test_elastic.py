@@ -21,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.batching import IndexBatchLoader
 from repro.datasets import load_dataset
-from repro.elastic import plan_training, read_reshard_history, reshard_checkpoint
+from repro.elastic import plan_training, reshard_checkpoint
 from repro.graph import dual_random_walk_supports
 from repro.models import PGTDCRNN
 from repro.optim import Adam
@@ -99,7 +99,6 @@ class TestReshardRoundTrip:
         resumed = make_trainer(data, strategy=strategy)
         resumed.resume(ckpt)
         assert curve(resumed.fit(EPOCHS)) == reference
-        assert [h["to_world"] for h in read_reshard_history(ckpt)] == [4, 2]
 
     def test_report_accounts_state_bytes(self, data, tmp_path):
         ckpt = str(tmp_path / "report.npz")
@@ -256,8 +255,7 @@ class TestReshardProperties:
     def test_chained_reshards_compose(self, archive, tmp_path_factory,
                                       worlds):
         """reshard(...reshard(a, w1)..., wn) == reshard(a, wn): the
-        cursor transformation is path-independent (state and arrays),
-        and only ``reshard_history`` remembers the route."""
+        cursor transformation is path-independent (state and arrays)."""
         base = tmp_path_factory.mktemp("prop")
         chained = str(base / "chained.npz")
         direct = str(base / "direct.npz")
@@ -275,10 +273,6 @@ class TestReshardProperties:
             assert keys == set(b.files) - {"__meta__"}
             for k in keys:
                 np.testing.assert_array_equal(a[k], b[k])
-        assert [h["to_world"] for h in read_reshard_history(chained)] \
-            == worlds
-        assert [h["to_world"] for h in read_reshard_history(direct)] \
-            == [worlds[-1]]
 
 
 # ---------------------------------------------------------------------------

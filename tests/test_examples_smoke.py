@@ -22,7 +22,6 @@ EXAMPLE_ARGS = {
     "distributed_training": dict(scale="tiny", world=2, epochs=1,
                                  transport="thread"),
     "memory_comparison": dict(nodes=8, entries=200),
-    "dynamic_graphs": dict(nodes=10, entries=300, epochs=1, horizon=4),
     "scaling_study": dict(),
     "online_serving": dict(scale="tiny", epochs=1, requests=40),
     "fault_tolerance": dict(scale="tiny", epochs=1, world=2, crash_step=2,

@@ -702,11 +702,11 @@ class TestOptimizerParity:
 # Consumers that collect batches must not alias the reused buffers
 # ---------------------------------------------------------------------------
 class TestEvaluationBufferSafety:
-    def test_evaluate_by_horizon_without_scaler(self):
-        """Collected truths must be owned copies, not views of the loader
-        buffer (which the next iteration overwrites)."""
+    def test_trainer_evaluate_without_scaler(self):
+        """Evaluating over the loader's reused batch buffer (which the
+        next iteration overwrites) reads what owned batches read."""
         from repro.nn.module import Module
-        from repro.training.evaluation import evaluate_by_horizon
+        from repro.training import Trainer
 
         class Echo(Module):
             def forward(self, x):
@@ -716,9 +716,8 @@ class TestEvaluationBufferSafety:
         idx = IndexDataset.from_dataset(ds, store_dtype=np.float32)
         reused = IndexBatchLoader(idx, "val", 4)
         owned = IndexBatchLoader(idx, "val", 4, reuse_buffers=False)
-        m_reused = evaluate_by_horizon(Echo(), reused)
-        m_owned = evaluate_by_horizon(Echo(), owned)
-        np.testing.assert_allclose(m_reused.mae, m_owned.mae, rtol=1e-6)
+        trainer = Trainer(Echo(), None, reused)
+        assert trainer.evaluate(reused) == trainer.evaluate(owned) > 0
 
 
 # ---------------------------------------------------------------------------

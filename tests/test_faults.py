@@ -20,7 +20,7 @@ from repro.runtime.faults import (
     FaultyTransport,
     RankFailure,
 )
-from repro.runtime.transport import SimTransport
+from repro.runtime.transport import SimTransport, ThreadTransport
 
 
 def plan_crash_straggler() -> FaultPlan:
@@ -82,18 +82,10 @@ class TestFaultPlan:
         (dict(kind="session_crash", target="bay", request=-1), ">= 0"),
         (dict(kind="straggler", step=3, until=2, slowdown=2.0), "until"),
         (dict(kind="message_delay", seconds=-0.1), "seconds"),
-        (dict(kind="message_drop", seconds=-1.0), "seconds"),
-    ], ids=["step", "rank", "request", "until", "delay", "drop"])
+    ], ids=["step", "rank", "request", "until", "delay"])
     def test_out_of_range_fields_rejected(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
             FaultEvent(**kwargs)
-
-    def test_message_drop_round_trips(self):
-        plan = FaultPlan(seed=2).message_drop(0.5, category="data",
-                                              start_step=1, end_step=3)
-        assert plan.to_spec() == (
-            "message_drop:step=1,until=3,seconds=0.5,category=data",)
-        assert FaultPlan.from_spec(plan.to_spec(), seed=2) == plan
 
     @pytest.mark.parametrize("probe, active", [
         (1, False), (2, True), (4, True), (5, False)],
@@ -229,44 +221,29 @@ class TestFaultyTransport:
         assert (clean.stats.bytes_by_category
                 == faulty.stats.bytes_by_category)
 
-    def test_message_drop_charges_timeout_and_retransmits(self):
-        faulty = self.make(FaultPlan().message_drop(0.5, category="data"))
-        before = faulty.now
-        faulty.p2p(0, 1, 1024, "data")
-        assert faulty.dropped_messages == 1
-        assert faulty.now - before > 0.5             # timeout + retransmit
-        assert faulty.stats.bytes_by_category["data"] == 1024
+    @pytest.mark.parametrize("inner", [SimTransport, ThreadTransport],
+                             ids=["sim", "thread"])
+    @pytest.mark.parametrize("category, delayed", [
+        ("data", True), ("gradient", False)], ids=["match", "other"])
+    def test_delay_reaches_data_plane_fetches(self, inner, category,
+                                              delayed):
+        """A delay on the ``data`` category slows the contended fetches
+        baseline DDP makes (the only data-plane traffic), and only
+        those; the fetched bytes are charged once either way."""
+        faulty = FaultyTransport(
+            inner(2), FaultPlan().message_delay(0.5, category=category))
+        faulty.contended_fetch(4096, 1, "data")
+        clean = inner(2)
+        clean.contended_fetch(4096, 1, "data")
+        extra = (faulty.stats.time_by_category["data"]
+                 - clean.stats.time_by_category["data"])
+        assert extra == pytest.approx(0.5 if delayed else 0.0)
+        assert faulty.stats.bytes_by_category == {"data": 4096}
 
     def test_delay_ignores_other_categories(self):
         faulty = self.make(FaultPlan().message_delay(9.0, category="data"))
         faulty.collective("allreduce", 64, "gradient")
         assert faulty.now < 9.0
-
-    def test_drop_byte_accounting_pins(self):
-        """A dropped send costs exactly the timeout in time and exactly
-        one copy in bytes — the retransmission moves the payload through
-        the real fabric, the lost copy never counts as traffic."""
-        clean = SimTransport(2)
-        clean.p2p(0, 1, 4096, "data")
-        transfer = clean.now
-        faulty = self.make(FaultPlan().message_drop(0.5, category="data"))
-        faulty.p2p(0, 1, 4096, "data")
-        assert faulty.now == pytest.approx(0.5 + transfer)
-        assert faulty.stats.bytes_by_category["data"] == 4096  # not doubled
-        assert faulty.dropped_messages == 1
-
-    def test_self_and_empty_sends_never_drop(self):
-        faulty = self.make(FaultPlan().message_drop(0.5, category="data"))
-        faulty.p2p(1, 1, 4096, "data")      # local move: nothing on the wire
-        faulty.p2p(0, 1, 0, "data")         # empty: nothing to lose
-        assert faulty.dropped_messages == 0
-
-    def test_every_matching_send_drops_once(self):
-        faulty = self.make(FaultPlan().message_drop(0.25, category="data"))
-        for _ in range(3):
-            faulty.p2p(0, 1, 128, "data")
-        assert faulty.dropped_messages == 3
-        assert faulty.stats.bytes_by_category["data"] == 3 * 128
 
 
 class TestServingFaultKinds:
@@ -335,12 +312,12 @@ class TestServingFaultKinds:
                 fabric.advance_compute(0, 1.0)
                 fabric.advance_compute(1, 2.0)
                 fabric.collective("allreduce", 256, "gradient")
-                fabric.p2p(0, 1, 128, "data")
+                fabric.contended_fetch(128, 1, "data")
         assert [c.now for c in faulty.inner.clocks] \
             == [c.now for c in clean.clocks]
         assert (faulty.stats.bytes_by_category
                 == clean.stats.bytes_by_category)
-        assert faulty.fired == set() and faulty.dropped_messages == 0
+        assert faulty.fired == set()
 
 
 class TestRunSpecFaults:
@@ -353,10 +330,16 @@ class TestRunSpecFaults:
             RunSpec(dataset="pems-bay", strategy="dist-index", world_size=2,
                     faults=("rank_crash:step=1,rank=5",))
 
-    def test_bad_event_rejected_at_construction(self):
+    @pytest.mark.parametrize("event", [
+        "meteor_strike:step=1",
+        "message_drop:seconds=0.5"], ids=["meteor_strike", "message_drop"])
+    def test_bad_event_rejected_at_construction(self, event):
+        """``message_drop`` is not a fault kind: no trainer sends
+        point-to-point messages, so a training spec holding one would
+        run fault-free."""
         with pytest.raises(ValueError, match="unknown fault kind"):
             RunSpec(dataset="pems-bay", strategy="dist-index", world_size=2,
-                    faults=("meteor_strike:step=1",))
+                    faults=(event,))
 
     @pytest.mark.parametrize("event", [
         "session_crash:target=bay,request=1",
@@ -374,8 +357,7 @@ class TestRunSpecFaults:
     @pytest.mark.parametrize("event", [
         "rank_crash:step=1,rank=1",
         "straggler:rank=1,slowdown=2.0",
-        "message_delay:seconds=0.1,category=gradient",
-        "message_drop:seconds=0.5,category=data"])
+        "message_delay:seconds=0.1,category=gradient"])
     def test_transport_events_accepted(self, event):
         """Every kind the transport injects stays a valid training
         fault; the refusal is for gateway kinds only."""

@@ -12,13 +12,10 @@ import scipy.sparse as sp
 from repro.datasets import CATALOG
 from repro.graph import (
     SensorGraph,
-    chebyshev_supports,
     dual_random_walk_supports,
-    gaussian_kernel_adjacency,
     partition_graph,
     random_sensor_network,
     random_walk_matrix,
-    scaled_laplacian,
     symmetric_normalized_adjacency,
 )
 from repro.graph.adjacency import pairwise_distances
@@ -32,22 +29,6 @@ class TestAdjacency:
         d = pairwise_distances(coords)
         np.testing.assert_allclose(d, d.T)
         np.testing.assert_allclose(np.diag(d), 0.0)
-
-    def test_gaussian_kernel_thresholds(self):
-        d = pairwise_distances(np.random.default_rng(1).random((20, 2)) * 10)
-        w = gaussian_kernel_adjacency(d, threshold=0.5)
-        dense = w.toarray()
-        off = dense[~np.eye(20, dtype=bool)]
-        assert np.all((off == 0) | (off >= 0.5))
-        np.testing.assert_allclose(np.diag(dense), 1.0)
-
-    def test_gaussian_kernel_nonsquare_rejected(self):
-        with pytest.raises(ShapeError):
-            gaussian_kernel_adjacency(np.zeros((3, 4)))
-
-    def test_gaussian_kernel_degenerate_sigma(self):
-        with pytest.raises(ValueError):
-            gaussian_kernel_adjacency(np.zeros((3, 3)))
 
     def test_sensor_graph_shape_check(self):
         with pytest.raises(ShapeError):
@@ -66,6 +47,14 @@ class TestRandomSensorNetwork:
         a = random_sensor_network(50, seed=1)
         b = random_sensor_network(50, seed=2)
         assert not np.array_equal(a.coords, b.coords)
+
+    def test_kernel_weights_are_thresholded(self):
+        """The thresholded Gaussian kernel: every off-diagonal weight is
+        either dropped or at least ``threshold``, and the diagonal is 1."""
+        dense = random_sensor_network(60, seed=3, threshold=0.5).weights.toarray()
+        off = dense[~np.eye(60, dtype=bool)]
+        assert np.all((off == 0) | (off >= 0.5))
+        np.testing.assert_allclose(np.diag(dense), 1.0)
 
     def test_size_and_sparsity(self):
         g = random_sensor_network(200, seed=0)
@@ -113,30 +102,6 @@ class TestSupports:
         vals = np.linalg.eigvalsh(A.toarray())
         assert vals.max() <= 1.0 + 1e-8
         assert vals.min() >= -1.0 - 1e-8
-
-    def test_scaled_laplacian_spectrum_in_unit_ball(self):
-        L = scaled_laplacian(self._graph())
-        vals = np.linalg.eigvalsh(L.toarray())
-        assert vals.max() <= 1.0 + 1e-6
-        assert vals.min() >= -1.0 - 1e-6
-
-    def test_chebyshev_recurrence(self):
-        w = self._graph(20)
-        supports = chebyshev_supports(w, 4)
-        assert len(supports) == 4
-        L = scaled_laplacian(w).toarray()
-        t2 = supports[2].toarray()
-        np.testing.assert_allclose(t2, 2 * L @ L - np.eye(20), rtol=1e-6,
-                                   atol=1e-8)
-
-    def test_chebyshev_k1_identity(self):
-        sups = chebyshev_supports(self._graph(10), 1)
-        assert len(sups) == 1
-        np.testing.assert_allclose(sups[0].toarray(), np.eye(10))
-
-    def test_chebyshev_invalid_k(self):
-        with pytest.raises(ValueError):
-            chebyshev_supports(self._graph(10), 0)
 
     def test_nonsquare_rejected(self):
         with pytest.raises(ShapeError):

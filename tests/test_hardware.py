@@ -4,11 +4,8 @@ import numpy as np
 import pytest
 
 from repro.hardware import (
-    Device,
     MemorySpace,
     POLARIS_NODE,
-    TransferLink,
-    polaris_gpu,
     polaris_host,
 )
 from repro.utils.clock import ManualClock
@@ -104,37 +101,6 @@ class TestMemorySpace:
         assert "2.00 GB" in repr(m)
 
 
-class TestTransferLinkDevice:
-    def test_transfer_time_alpha_beta(self):
-        link = TransferLink(bandwidth=1e9, latency=1e-3)
-        assert link.time(1e9) == pytest.approx(1.001)
-        assert link.time(0) == 0.0
-
-    def test_transfer_negative_rejected(self):
-        with pytest.raises(ValueError):
-            TransferLink(1e9).time(-1)
-
-    def test_device_compute_time(self):
-        d = Device("gpu0", "gpu", MemorySpace("hbm"), flops=1e12, mem_bw=1e12)
-        assert d.compute_time(1e12, efficiency=0.5) == pytest.approx(2.0)
-        with pytest.raises(ValueError):
-            d.compute_time(-1)
-
-    def test_device_kind_validation(self):
-        with pytest.raises(ValueError):
-            Device("x", "tpu", MemorySpace("m"), 1e12, 1e12)
-
-    def test_device_transfer_in(self):
-        link = TransferLink(bandwidth=25e9, latency=0)
-        d = Device("gpu0", "gpu", MemorySpace("hbm"), 1e12, 1e12,
-                   link_to_host=link)
-        assert d.transfer_in_time(25e9) == pytest.approx(1.0)
-
-    def test_copy_time_reads_and_writes(self):
-        d = Device("cpu", "cpu", MemorySpace("m"), 1e12, mem_bw=100e9)
-        assert d.copy_time(50e9) == pytest.approx(1.0)
-
-
 class TestPolarisSpecs:
     def test_node_shape(self):
         assert POLARIS_NODE.gpus_per_node == 4
@@ -145,11 +111,6 @@ class TestPolarisSpecs:
         host = polaris_host()
         assert host.capacity == 512 * GB
         assert host.baseline == 2 * GB
-
-    def test_polaris_gpu_space(self):
-        gpu = polaris_gpu(2)
-        assert gpu.capacity == 40 * GB
-        assert "gpu2" in gpu.name
 
 
 class TestFormatBytes:

@@ -1,8 +1,10 @@
-"""The package layering of ``src/repro``, read from the source with ``ast``
-(nothing here imports ``repro``): each package imports only from lower
-layers, so a new back edge fails tier-1 instead of a review."""
+"""The package layering of ``src/repro``, read from the source with ``ast``:
+each package imports only from lower layers, so a new back edge fails
+tier-1 instead of a review.  Only ``test_every_export_resolves`` imports
+``repro``."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -202,3 +204,100 @@ def test_gateway_is_single_threaded():
     and runs no pool: ``gateway.py`` imports neither ``threading`` nor
     ``concurrent.futures``, at module level or inside a function."""
     assert threading_imports(SRC / "serving" / "gateway" / "gateway.py") == []
+
+
+#: ``__all__`` names nothing in ``src/``, ``benchmarks/`` or ``examples/``
+#: reads, each kept on purpose: ``(package, name): reason``.
+UNUSED_EXPORTS = {
+    ("preprocessing", "index_nbytes"):
+        "paper eq. (2); tests compare IndexDataset's bytes against it",
+}
+
+
+def exported_names(src: Path):
+    """``(package, name)`` for every name in a subpackage's ``__all__``,
+    the package dotted below ``repro`` (``serving.gateway``)."""
+    for init in sorted(src.glob("*/**/__init__.py")):
+        package = ".".join(init.parent.relative_to(src).parts)
+        for node in ast.parse(init.read_text()).body:
+            if isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__"
+                    for t in node.targets):
+                for name in ast.literal_eval(node.value):
+                    yield package, name
+
+
+def read_names(roots):
+    """Every name read in the ``.py`` files under ``roots``, outside any
+    ``__init__.py``: a ``Name`` or ``Attribute`` in load context, or a
+    name imported with ``from ... import``."""
+    seen = set()
+    for root in roots:
+        for path in root.rglob("*.py"):
+            if path.name == "__init__.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    seen.add(node.id)
+                elif isinstance(node, ast.Attribute) \
+                        and isinstance(node.ctx, ast.Load):
+                    seen.add(node.attr)
+                elif isinstance(node, ast.ImportFrom):
+                    seen.update(a.name for a in node.names)
+    return seen
+
+
+def unread_exports(repo: Path):
+    src = repo / "src" / "repro"
+    seen = read_names([repo / "src", repo / "benchmarks", repo / "examples"])
+    return {(pkg, name) for pkg, name in exported_names(src)
+            if name not in seen}
+
+
+def test_every_export_has_a_caller():
+    """A public name is public because something uses it: every name in
+    a ``repro`` subpackage's ``__all__`` is read somewhere in ``src/``,
+    ``benchmarks/`` or ``examples/``, or is in ``UNUSED_EXPORTS`` with
+    its reason."""
+    assert unread_exports(REPO) == set(UNUSED_EXPORTS)
+
+
+def test_unused_exports_are_live_and_explained():
+    """An allowlist entry names a name that is still exported, and says
+    why it stays; a stale entry would vouch for nothing."""
+    exported = set(exported_names(SRC))
+    for entry, reason in UNUSED_EXPORTS.items():
+        assert entry in exported, entry
+        assert isinstance(reason, str) and reason.strip(), entry
+
+
+@pytest.mark.parametrize("package", sorted(
+    {pkg for pkg, _ in exported_names(SRC)}))
+def test_every_export_resolves(package):
+    """The guard reads ``__all__`` from source, so each listed name must
+    be bound in the package (``from repro.<package> import *`` works)
+    and listed once."""
+    module = importlib.import_module(f"repro.{package}")
+    names = [name for pkg, name in exported_names(SRC) if pkg == package]
+    assert len(names) == len(set(names))
+    assert [n for n in names if not hasattr(module, n)] == []
+
+
+@pytest.mark.parametrize("caller, flagged", [
+    ("", True),
+    ("from repro.pkg import helper\n", False),
+    ("import repro.pkg\nrepro.pkg.helper()\n", False),
+    ("helper = 1\n", True),
+], ids=["no-caller", "import-from", "attribute", "store"])
+def test_export_guard_sees_every_use_form(tmp_path, caller, flagged):
+    """The guard above is only as good as this scan: an import or an
+    attribute read counts as a caller, a store of the same name does
+    not, and neither does the defining package's ``__init__``."""
+    pkg = tmp_path / "src" / "repro" / "pkg"
+    pkg.mkdir(parents=True)
+    (pkg / "__init__.py").write_text(
+        "from repro.pkg.impl import helper\n\n__all__ = [\"helper\"]\n")
+    (pkg / "impl.py").write_text("def helper():\n    return 1\n")
+    (tmp_path / "examples").mkdir()
+    (tmp_path / "examples" / "caller.py").write_text(caller)
+    assert (("pkg", "helper") in unread_exports(tmp_path)) is flagged

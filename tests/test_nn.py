@@ -6,15 +6,14 @@ import pytest
 from repro.autograd import Tensor
 from repro.nn import (
     Dropout,
-    Embedding,
-    GRUCell,
     LayerNorm,
     Linear,
     Module,
     MultiHeadAttention,
     Parameter,
-    Sequential,
 )
+from repro.nn.init import glorot_uniform
+from repro.nn.rnn import gru_cell_step
 
 RNG = np.random.default_rng(23)
 
@@ -123,51 +122,67 @@ class TestLayerNorm:
         assert ln.weight.grad is not None and ln.bias.grad is not None
 
 
-class TestEmbeddingDropoutSequential:
-    def test_embedding_shape(self):
-        emb = Embedding(10, 6)
-        assert emb(np.array([[1, 2], [3, 4]])).shape == (2, 2, 6)
-
+class TestDropout:
     def test_dropout_eval_identity(self):
         d = Dropout(0.9)
         d.eval()
         x = Tensor(np.ones((5, 5)))
         assert d(x) is x
 
-    def test_sequential_order_and_len(self):
-        seq = Sequential(Linear(4, 8, seed_name="s1"), Linear(8, 2, seed_name="s2"))
-        assert len(seq) == 2
-        assert seq(Tensor(np.ones((3, 4)))).shape == (3, 2)
-        assert seq[0].out_features == 8
 
-    def test_sequential_registers_params(self):
-        seq = Sequential(Linear(4, 8), Linear(8, 2))
-        assert len(seq.parameters()) == 4
+class TestGRURecurrence:
+    """``gru_cell_step``, the recurrence DCGRUCell and TGCNCell share,
+    driven here by plain affine gate maps."""
 
+    F, H = 2, 4
 
-class TestGRUCell:
+    def setup_method(self):
+        rng = np.random.default_rng(3)
+        self.maps = [
+            Tensor((rng.standard_normal((self.F + self.H, width)) * 0.5)
+                   .astype(np.float32), requires_grad=True)
+            for width in (2 * self.H, self.H)]
+
+    def _step(self, x, h):
+        w_gates, w_cand = self.maps
+        return gru_cell_step(lambda t: t @ w_gates, lambda t: t @ w_cand,
+                             x, h, self.H)
+
     def test_shapes_and_state(self):
-        cell = GRUCell(3, 12)
-        h = cell.init_hidden(5)
-        assert h.shape == (5, 12)
-        h2 = cell(Tensor(np.ones((5, 3))), h)
-        assert h2.shape == (5, 12)
+        h0 = Tensor(np.zeros((5, self.H), np.float32))
+        h1 = self._step(Tensor(np.ones((5, self.F), np.float32)), h0)
+        assert h1.shape == (5, self.H)
+        assert not np.array_equal(h1.data, h0.data)
 
     def test_gradients_flow_through_time(self):
-        cell = GRUCell(2, 4)
-        h = cell.init_hidden(3)
-        x = Tensor(RNG.standard_normal((3, 2)).astype(np.float32),
+        x = Tensor(RNG.standard_normal((3, self.F)).astype(np.float32),
                    requires_grad=True)
+        h = Tensor(np.zeros((3, self.H), np.float32))
         for _ in range(4):
-            h = cell(x, h)
+            h = self._step(x, h)
         h.sum().backward()
-        assert x.grad is not None
-        assert cell.w_cand.grad is not None
+        assert x.grad is not None and np.any(x.grad != 0)
+        assert all(w.grad is not None for w in self.maps)
 
-    def test_zero_input_keeps_reasonable_state(self):
-        cell = GRUCell(2, 4)
-        h = cell(Tensor(np.zeros((1, 2))), cell.init_hidden(1))
-        assert np.all(np.abs(h.data) < 1.0)
+    def test_state_stays_in_the_unit_box(self):
+        """``h`` is a convex mix of the previous state and a ``tanh``
+        candidate, so it never leaves [-1, 1] however large the input."""
+        h = Tensor(np.zeros((2, self.H), np.float32))
+        for _ in range(20):
+            h = self._step(Tensor(np.full((2, self.F), 1e3, np.float32)), h)
+        assert np.all(np.abs(h.data) <= 1.0)
+
+
+class TestInit:
+    @pytest.mark.parametrize("fan_in, fan_out", [(4, 8), (32, 32), (1, 100)])
+    def test_glorot_uniform_limit_and_dtype(self, fan_in, fan_out):
+        limit = np.sqrt(6.0 / (fan_in + fan_out))
+        w = glorot_uniform(np.random.default_rng(0), fan_in, fan_out)
+        assert w.shape == (fan_in, fan_out) and w.dtype == np.float32
+        assert np.all(np.abs(w) <= limit)
+        assert np.abs(w).max() > 0.5 * limit     # spans the range
+        again = glorot_uniform(np.random.default_rng(0), fan_in, fan_out)
+        np.testing.assert_array_equal(w, again)
 
 
 class TestMultiHeadAttention:

@@ -1,12 +1,16 @@
 """Unit tests for metrics, the single-device trainer and DDP training."""
 
+import inspect
+
 import numpy as np
 import pytest
 
+from repro.autograd import Tensor
 from repro.batching import IndexBatchLoader
 from repro.datasets import load_dataset
 from repro.graph import dual_random_walk_supports
 from repro.models import PGTDCRNN
+from repro.nn.module import Module
 from repro.optim import Adam
 from repro.preprocessing import IndexDataset
 from repro.runtime import ProcessGroup
@@ -15,10 +19,8 @@ from repro.training import (
     DDPTrainer,
     Trainer,
     mae,
-    mape,
-    masked_mae,
+    masked_abs_error,
     mse,
-    rmse,
 )
 from repro.utils.errors import CommunicatorError
 
@@ -27,20 +29,76 @@ class TestMetrics:
     def test_mae(self):
         assert mae([1.0, 3.0], [0.0, 1.0]) == pytest.approx(1.5)
 
-    def test_mse_rmse(self):
+    def test_mse(self):
         assert mse([3.0], [0.0]) == pytest.approx(9.0)
-        assert rmse([3.0, 4.0], [0.0, 0.0]) == pytest.approx(
-            np.sqrt(12.5))
 
-    def test_masked_mae_skips_nulls(self):
-        assert masked_mae([1.0, 9.0], [0.0, 10.0]) == pytest.approx(1.0)
+    def test_masked_abs_error_skips_nulls(self):
+        assert masked_abs_error([1.0, 9.0, 4.0], [0.0, 10.0, 2.0]) \
+            == (pytest.approx(3.0), 2)
 
-    def test_masked_mae_all_null(self):
-        assert masked_mae([1.0], [0.0]) == 0.0
+    def test_masked_abs_error_all_null(self):
+        assert masked_abs_error([1.0], [0.0]) == (0.0, 0)
 
-    def test_mape(self):
-        assert mape([110.0], [100.0]) == pytest.approx(0.1)
-        assert mape([1.0], [0.0]) == 0.0  # near-zero target skipped
+
+class _Echo(Module):
+    """Forecasts the input's first channel: predictions are known."""
+
+    def forward(self, x):
+        return Tensor(x.data[..., :1])
+
+
+class _FixedSource:
+    """A ``BatchSource`` over fixed arrays, batched in index order."""
+
+    def __init__(self, x, y, batch_size):
+        self.x, self.y, self.batch_size = x, y, batch_size
+        self.num_snapshots = len(x)
+
+    def __len__(self):
+        return self.num_snapshots // self.batch_size
+
+    def batch_at(self, sel):
+        return self.x[sel], self.y[sel]
+
+    def batches(self, order=None):
+        order = np.arange(self.num_snapshots) if order is None else order
+        for i in range(0, len(order), self.batch_size):
+            yield self.batch_at(order[i:i + self.batch_size])
+
+
+class TestMaskedEvaluation:
+    @pytest.mark.parametrize("batch_size", [1, 2, 3, 5])
+    def test_batches_weighted_by_unmasked_count(self, batch_size):
+        """Null targets (0, a missing reading) never count, and batches
+        weigh by how many entries they keep, so the result is the masked
+        MAE over all snapshots at any batch size — not a mean of batch
+        means, which the uneven missing fractions here would skew."""
+        rng = np.random.default_rng(5)
+        x = rng.uniform(1.0, 2.0, (7, 2, 3, 1)).astype(np.float32)
+        y = rng.uniform(3.0, 9.0, (7, 2, 3, 1)).astype(np.float32)
+        for i in range(7):
+            y[i].reshape(-1)[: i % 5] = 0.0      # 0..4 of 6 entries missing
+        keep = y[..., 0] != 0
+        expected = np.abs(x[..., 0] - y[..., 0])[keep].sum() / keep.sum()
+        source = _FixedSource(x, y, batch_size)
+        got = Trainer(_Echo(), None, source).evaluate(source)
+        assert got == pytest.approx(float(expected), rel=1e-6)
+
+
+class TestOptionSurface:
+    @pytest.mark.parametrize("method, keywords", [
+        (Trainer.fit, ["verbose", "checkpoint_path", "checkpoint_every"]),
+        (Trainer.evaluate, ["loader"]),
+        (DDPTrainer.fit, ["verbose"]),
+        (DDPTrainer.evaluate, ["loader"]),
+    ], ids=["Trainer.fit", "Trainer.evaluate", "DDPTrainer.fit",
+            "DDPTrainer.evaluate"])
+    def test_settable_keywords(self, method, keywords):
+        """Every keyword a caller sets, and no more: an option nothing
+        passes is a configuration nothing tests."""
+        params = list(inspect.signature(method).parameters)
+        assert params[0] == "self"
+        assert [p for p in params[1:] if p != "epochs"] == keywords
 
 
 @pytest.fixture(scope="module")
