@@ -6,7 +6,7 @@ library.  It provides:
 
 - ``repro.autograd`` / ``repro.nn`` / ``repro.optim``: a NumPy reverse-mode
   automatic-differentiation engine and neural-network library standing in for
-  PyTorch.
+  PyTorch; an optimizer owns its parameters' flat storage.
 - ``repro.graph``: sensor-graph construction and diffusion supports.
 - ``repro.datasets``: the paper's dataset catalog plus synthetic generators.
 - ``repro.preprocessing``: the standard sliding-window pipeline (Algorithm 1)
@@ -14,8 +14,8 @@ library.  It provides:
 - ``repro.hardware`` / ``repro.cluster``: a simulated HPC substrate (memory
   spaces, node specs, interconnect cost models) modeled on ALCF Polaris.
 - ``repro.runtime``: the distributed execution layer — pluggable transports
-  (simulated ranks or real threads), one collectives implementation,
-  gradient bucketing and the ``ProcessGroup`` facade.
+  (simulated ranks, real threads or forked processes), one collectives
+  implementation and the ``ProcessGroup`` facade.
 - ``repro.models``: DCRNN, PGT-DCRNN, TGCN, A3T-GCN and ST-LLM.
 - ``repro.training``: single-device and DDP trainers implementing
   index-batching, GPU-index-batching, distributed-index-batching and

@@ -58,6 +58,9 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "name")
     __array_priority__ = 100  # make NumPy defer to our reflected operators
+    #: Where a first-touch gradient lands; only parameters bound by an
+    #: optimizer (:meth:`~repro.optim.Optimizer.bind`) set one.
+    grad_slot: np.ndarray | None = None
 
     def __init__(self, data, requires_grad: bool = False,
                  dtype: np.dtype | None = None, name: str = ""):
@@ -148,8 +151,9 @@ class Tensor:
     def _accumulate(self, grad: np.ndarray) -> None:
         """Add ``grad`` into ``self.grad`` without allocating when possible.
 
-        First-touch buffers come from the shared :data:`GRAD_POOL` (refilled
-        by ``backward`` when interior nodes release their gradients), so a
+        A first touch copies into the bound ``grad_slot`` if there is one,
+        else into a buffer from the shared :data:`GRAD_POOL` (refilled by
+        ``backward`` when interior nodes release their gradients), so a
         steady-state training step performs no gradient allocations at all.
         """
         if not self.requires_grad:
@@ -159,7 +163,9 @@ class Tensor:
         if grad.shape != self.data.shape:
             grad = unbroadcast(grad, self.data.shape)
         if self.grad is None:
-            buf = GRAD_POOL.take(self.data.shape, self.data.dtype)
+            buf = self.grad_slot
+            if buf is None:
+                buf = GRAD_POOL.take(self.data.shape, self.data.dtype)
             if buf is None:
                 self.grad = grad.copy()
             else:

@@ -93,6 +93,8 @@ class Module:
             if p.data.shape != arr.shape:
                 raise ValueError(f"shape mismatch for {name}: "
                                  f"{p.data.shape} vs {arr.shape}")
+            # In place: an optimizer's parameters are views of its flat
+            # store, and rebinding ``p.data`` would detach them from it.
             p.data[...] = arr
 
     def zero_grad(self) -> None:

@@ -1,12 +1,14 @@
-"""First-order optimizers operating on :class:`~repro.nn.module.Parameter` lists.
+"""First-order optimizers over one flat parameter and gradient store.
 
-All steady-state work here is allocation-free: gradient clipping computes
-the norm with BLAS dot products on the raveled gradients (no float64 full
-copies), ``zero_grad`` zeroes the persistent gradient buffers in place by
-default, and ``SGD``/``Adam`` stage every update through one reusable
-scratch buffer per parameter.  The in-place formulations execute the same
-elementary operations in the same order as the original allocating code,
-so parameter trajectories are reproduced to float precision.
+An :class:`Optimizer` owns two flat arrays: ``data`` holds every
+parameter (each ``p.data`` is rebound as a view into it) and ``grad``
+is where backward lands their gradients (see :meth:`Optimizer.bind`).
+``SGD``/``Adam`` then step once over the whole model with a handful of
+in-place ufunc calls, through persistent flat scratch.  Elementwise ops
+give the same bits on a slice of a flat array as on a separate array,
+so the in-place formulations reproduce the original per-parameter
+allocating code exactly.  A slot that no backward reached reads 0, and
+both optimizers map a zero gradient on zero state to no change at all.
 """
 
 from __future__ import annotations
@@ -48,130 +50,114 @@ def clip_grad_norm(params: Iterable[Parameter], max_norm: float) -> float:
 
 
 class Optimizer:
-    """Base optimizer: holds the parameter list and the current LR."""
+    """Base optimizer: the parameter list, its flat storage and the LR.
+
+    ``state`` maps each slot name of the checkpoint format to the flat
+    array behind it; :meth:`views` splits any such array per parameter.
+    """
 
     def __init__(self, params: Iterable[Parameter], lr: float):
         self.params: list[Parameter] = list(params)
         if not self.params:
             raise ValueError("optimizer got an empty parameter list")
+        dtypes = sorted({str(p.data.dtype) for p in self.params})
+        if len(dtypes) > 1:
+            raise ValueError(f"optimizer parameters must share one dtype, "
+                             f"got {dtypes}")
         self.lr = float(lr)
         self.step_count = 0
-        self._scratch: list[np.ndarray | None] = [None] * len(self.params)
+        self._offsets = np.cumsum([0] + [p.data.size for p in self.params])
+        self.data = np.concatenate([p.data.reshape(-1) for p in self.params])
+        for p, view in zip(self.params, self.views(self.data)):
+            p.data = view
+        self.grad = np.zeros_like(self.data)
+        self._scratch = np.empty_like(self.data)
+        self.state: dict[str, np.ndarray] = {}
+        self.bind(self.grad)
 
-    def zero_grad(self, set_to_none: bool = False) -> None:
-        """Reset gradients.
+    def views(self, flat: np.ndarray) -> list[np.ndarray]:
+        """Per-parameter views of a flat array laid out like ``data``."""
+        o = self._offsets
+        return [flat[o[i]:o[i + 1]].reshape(p.data.shape)
+                for i, p in enumerate(self.params)]
 
-        By default existing gradient buffers are zeroed **in place**, so
-        the next ``backward()`` accumulates into the same arrays instead
-        of allocating fresh ones every step.  Pass ``set_to_none=True``
-        to release the buffers instead (frees memory; the old default).
+    def bind(self, flat: np.ndarray, params: list[Parameter] | None = None
+             ) -> None:
+        """Zero ``flat`` and make it where ``params``' next gradients land.
+
+        ``params`` defaults to the optimizer's own; a rank replica passes
+        its parallel list.  Each parameter's gradient is reset, so the
+        next backward copies into its slot on first touch and adds after.
         """
-        for p in self.params:
-            if set_to_none:
-                p.grad = None
-            elif p.grad is not None:
-                p.grad.fill(0.0)
+        flat.fill(0.0)
+        for p, slot in zip(params or self.params, self.views(flat)):
+            p.grad_slot = slot
+            p.grad = None
+
+    def zero_grad(self) -> None:
+        """Reset gradients: the next backward lands in ``self.grad``."""
+        self.bind(self.grad)
 
     def step(self) -> None:
         raise NotImplementedError
-
-    @staticmethod
-    def _staging(bufs: list, i: int, p: Parameter) -> np.ndarray:
-        """Persistent staging buffer from ``bufs[i]`` (lazily allocated)."""
-        buf = bufs[i]
-        if buf is None or buf.shape != p.data.shape or buf.dtype != p.data.dtype:
-            buf = np.empty_like(p.data)
-            bufs[i] = buf
-        return buf
-
-    def _scratch_for(self, i: int, p: Parameter) -> np.ndarray:
-        return self._staging(self._scratch, i, p)
 
 
 class SGD(Optimizer):
     """Stochastic gradient descent with optional classical momentum."""
 
     def __init__(self, params: Iterable[Parameter], lr: float = 0.01,
-                 momentum: float = 0.0, weight_decay: float = 0.0):
+                 momentum: float = 0.0):
         super().__init__(params, lr)
         self.momentum = momentum
-        self.weight_decay = weight_decay
-        self._velocity: list[np.ndarray | None] = [None] * len(self.params)
+        if momentum:
+            self.velocity = np.zeros_like(self.data)
+            self.state["sgd_v"] = self.velocity
 
     def step(self) -> None:
         self.step_count += 1
-        for i, p in enumerate(self.params):
-            if p.grad is None:
-                continue
-            g = p.grad
-            s = self._scratch_for(i, p)
-            if self.weight_decay:
-                # g += wd * p, staged through scratch; mutating p.grad is
-                # fine — it is consumed by this step and zeroed next step.
-                np.multiply(p.data, self.weight_decay, out=s)
-                g += s
-            if self.momentum:
-                if self._velocity[i] is None:
-                    self._velocity[i] = np.zeros_like(p.data)
-                v = self._velocity[i]
-                v *= self.momentum
-                v += g
-                g = v
-            np.multiply(g, self.lr, out=s)
-            p.data -= s
+        g = self.grad
+        if self.momentum:
+            self.velocity *= self.momentum
+            self.velocity += g
+            g = self.velocity
+        np.multiply(g, self.lr, out=self._scratch)
+        self.data -= self._scratch
 
 
 class Adam(Optimizer):
     """Adam with bias correction (the paper's default optimizer)."""
 
     def __init__(self, params: Iterable[Parameter], lr: float = 1e-3,
-                 betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8,
-                 weight_decay: float = 0.0):
+                 betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8):
         super().__init__(params, lr)
         self.beta1, self.beta2 = betas
         self.eps = eps
-        self.weight_decay = weight_decay
-        self._m: list[np.ndarray | None] = [None] * len(self.params)
-        self._v: list[np.ndarray | None] = [None] * len(self.params)
-        self._scratch2: list[np.ndarray | None] = [None] * len(self.params)
+        self.m = np.zeros_like(self.data)
+        self.v = np.zeros_like(self.data)
+        self.state.update(adam_m=self.m, adam_v=self.v)
+        self._scratch2 = np.empty_like(self.data)
 
     def step(self) -> None:
         self.step_count += 1
         t = self.step_count
         bc1 = 1.0 - self.beta1 ** t
         bc2 = 1.0 - self.beta2 ** t
-        for i, p in enumerate(self.params):
-            if p.grad is None:
-                continue
-            g = p.grad
-            s = self._scratch_for(i, p)
-            s2 = self._staging(self._scratch2, i, p)
-            if self.weight_decay:
-                np.multiply(p.data, self.weight_decay, out=s)
-                g += s
-            if self._m[i] is None:
-                self._m[i] = np.zeros_like(p.data)
-                self._v[i] = np.zeros_like(p.data)
-            m, v = self._m[i], self._v[i]
-            # m = b1*m + (1-b1)*g ; v = b2*v + (1-b2)*g^2, all in place.
-            m *= self.beta1
-            np.multiply(g, 1.0 - self.beta1, out=s)
-            m += s
-            v *= self.beta2
-            np.multiply(g, g, out=s)
-            s *= 1.0 - self.beta2
-            v += s
-            # p -= lr * (m/bc1) / (sqrt(v/bc2) + eps), staged in s/s2 with
-            # the exact operation order of the allocating formulation.
-            np.divide(m, bc1, out=s)
-            s *= self.lr
-            np.divide(v, bc2, out=s2)
-            np.sqrt(s2, out=s2)
-            s2 += self.eps
-            s /= s2
-            p.data -= s
-
-    def state_nbytes(self) -> int:
-        """Bytes held by moment buffers (used by the memory model)."""
-        return sum(a.nbytes for a in self._m if a is not None) + \
-            sum(a.nbytes for a in self._v if a is not None)
+        g, m, v = self.grad, self.m, self.v
+        s, s2 = self._scratch, self._scratch2
+        # m = b1*m + (1-b1)*g ; v = b2*v + (1-b2)*g^2, all in place.
+        m *= self.beta1
+        np.multiply(g, 1.0 - self.beta1, out=s)
+        m += s
+        v *= self.beta2
+        np.multiply(g, g, out=s)
+        s *= 1.0 - self.beta2
+        v += s
+        # p -= lr * (m/bc1) / (sqrt(v/bc2) + eps), staged in s/s2 with
+        # the exact operation order of the allocating formulation.
+        np.divide(m, bc1, out=s)
+        s *= self.lr
+        np.divide(v, bc2, out=s2)
+        np.sqrt(s2, out=s2)
+        s2 += self.eps
+        s /= s2
+        self.data -= s

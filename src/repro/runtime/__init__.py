@@ -9,8 +9,8 @@ Layering (bottom up):
   plane, each rank's outcome sent home over a pipe).
 - :mod:`repro.runtime.collectives` — the ring all-reduce, implemented
   once against the :class:`Transport` protocol (every rank holds the
-  whole dataset, so gradients are the only traffic).
-- :mod:`repro.runtime.buckets` — gradient bucketing for DDP all-reduce.
+  whole dataset, so gradients are the only traffic: one flat buffer per
+  rank, laid out like the optimizer's, so a step is one all-reduce).
 - :mod:`repro.runtime.process_group` — the :class:`ProcessGroup` facade
   trainers, serving and the performance model consume.
 - :mod:`repro.runtime.faults` — deterministic fault injection
@@ -32,7 +32,6 @@ protocol between one host's processes would duplicate
 ``ProcessTransport``.
 """
 
-from repro.runtime.buckets import BucketLayout, BucketSlot, GradientBucketer
 from repro.runtime.faults import (
     FaultEvent,
     FaultPlan,
@@ -63,8 +62,5 @@ __all__ = [
     "RankFailure",
     "ProcessGroup",
     "as_process_group",
-    "GradientBucketer",
-    "BucketLayout",
-    "BucketSlot",
     "all_reduce",
 ]

@@ -12,7 +12,7 @@ invariants hold for every transport:
   promoted accumulator dtype.
 - **Bitwise-deterministic in rank order** — reductions accumulate
   contributions in rank order ``0, 1, ..., p-1`` regardless of transport,
-  thread scheduling, or bucket layout, so a fixed-seed training run
+  thread scheduling, or buffer layout, so a fixed-seed training run
   produces the same bits on :class:`~repro.runtime.transport.SimTransport`
   and :class:`~repro.runtime.transport.ThreadTransport`.
 

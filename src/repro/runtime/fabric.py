@@ -10,11 +10,11 @@ replica, with parameters current by construction, so checkpoint/resume
 and transport swaps need no parameter broadcast.
 
 - **Data plane** (zero-copy): :meth:`ProcessTransport.attach_rank_buffers`
-  re-backs each rank's :class:`~repro.runtime.buckets.GradientBucketer`
-  flat buffers (or any other per-rank output arrays) on a
-  :class:`SharedArrayPool`, so a child rank's ``pack()`` writes land
-  directly in memory the driver reduces from — nothing is serialized or
-  copied across the process boundary.
+  re-backs each rank's flat gradient buffer (or any other per-rank
+  output arrays) on a :class:`SharedArrayPool`; the trainer binds the
+  rank's parameters to it, so a child rank's backward lands its
+  gradients directly in memory the driver reduces from — nothing is
+  serialized or copied across the process boundary.
 - **Control plane**: one one-way :func:`multiprocessing.Pipe` per child.
   The child sends one ``(status, elapsed, payload)`` tuple; the driver
   blocks in :func:`multiprocessing.connection.wait` over the in-flight

@@ -24,7 +24,7 @@ from typing import Any
 import numpy as np
 
 from repro.nn.module import Module
-from repro.optim.optimizers import Adam, Optimizer, SGD
+from repro.optim.optimizers import Optimizer
 from repro.preprocessing.scaler import StandardScaler
 from repro.utils.errors import CheckpointError
 from repro.utils.files import ARCHIVE_ERRORS, savez_atomic
@@ -58,14 +58,9 @@ def save_checkpoint(path: str, model: Module, optimizer: Optimizer | None = None
         meta["optimizer"] = {"type": type(optimizer).__name__,
                              "lr": optimizer.lr,
                              "step_count": optimizer.step_count}
-        for i, p in enumerate(optimizer.params):
-            if isinstance(optimizer, Adam):
-                if optimizer._m[i] is not None:
-                    arrays[f"adam_m/{i}"] = optimizer._m[i]
-                    arrays[f"adam_v/{i}"] = optimizer._v[i]
-            elif isinstance(optimizer, SGD):
-                if optimizer._velocity[i] is not None:
-                    arrays[f"sgd_v/{i}"] = optimizer._velocity[i]
+        for slot, flat in optimizer.state.items():
+            for i, view in enumerate(optimizer.views(flat)):
+                arrays[f"{slot}/{i}"] = view
     arrays["__meta__"] = np.frombuffer(
         json.dumps(meta).encode("utf-8"), dtype=np.uint8)
     write_archive(path, arrays)
@@ -109,8 +104,12 @@ def load_checkpoint(path: str, model: Module,
     """Restore ``model`` (and ``optimizer``) in place; returns metadata.
 
     Raises :class:`~repro.utils.errors.CheckpointError` (naming ``path``)
-    when the archive is missing, truncated, or not a checkpoint at all;
-    model/archive *shape* mismatches still surface as their own errors.
+    when the archive is missing, truncated, or not a checkpoint at all,
+    and (naming the key) when an optimizer slot's shape is not its
+    parameter's; model/archive parameter *shape* mismatches still surface
+    as their own errors.  Values are copied into the existing arrays, so
+    parameters stay views of ``optimizer.data``.  A slot the archive
+    lacks restores as zeros, the state of a parameter never stepped.
     """
     arrays = _read_archive(path)
     meta = _meta_from(arrays, path)
@@ -127,12 +126,15 @@ def load_checkpoint(path: str, model: Module,
                 f"{type(optimizer).__name__}")
         optimizer.lr = float(opt_meta["lr"])
         optimizer.step_count = int(opt_meta["step_count"])
-        for i in range(len(optimizer.params)):
-            if isinstance(optimizer, Adam) and f"adam_m/{i}" in arrays:
-                optimizer._m[i] = arrays[f"adam_m/{i}"].copy()
-                optimizer._v[i] = arrays[f"adam_v/{i}"].copy()
-            elif isinstance(optimizer, SGD) and f"sgd_v/{i}" in arrays:
-                optimizer._velocity[i] = arrays[f"sgd_v/{i}"].copy()
+        for slot, flat in optimizer.state.items():
+            for i, view in enumerate(optimizer.views(flat)):
+                key = f"{slot}/{i}"
+                arr = arrays.get(key, np.zeros_like(view))
+                if arr.shape != view.shape:
+                    raise CheckpointError(
+                        f"checkpoint {path!r} slot {key} has shape "
+                        f"{arr.shape}, but its parameter has {view.shape}")
+                view[...] = arr
     return meta
 
 

@@ -14,10 +14,11 @@ Implements the three data strategies the paper evaluates:
 
 Execution model: ranks run through a
 :class:`~repro.runtime.process_group.ProcessGroup`.  Each global step,
-every rank computes its microbatch gradient, gradients are packed into
-:class:`~repro.runtime.buckets.GradientBucketer` buffers and averaged
-with a few large all-reduces (charging ring-allreduce time and bytes on
-a simulated transport), and the optimizer applies the averaged gradient.
+every rank's backward lands its microbatch gradient in that rank's flat
+buffer (laid out like ``optimizer.grad``, see
+:meth:`~repro.optim.Optimizer.bind`), the buffers are averaged with one
+all-reduce (charging ring-allreduce time and bytes on a simulated
+transport), and the optimizer applies the averaged gradient.
 
 Where ranks run decides what a rank computes on.  Sequential ranks
 (``sim``, or any fabric built with ``parallel=False``) share the one
@@ -56,7 +57,6 @@ from repro.models.base import STModel
 from repro.optim.losses import l1_loss
 from repro.optim.optimizers import Optimizer, clip_grad_norm
 from repro.preprocessing.scaler import StandardScaler
-from repro.runtime.buckets import GradientBucketer
 from repro.runtime.process_group import ProcessGroup, as_process_group
 from repro.training.metrics import masked_abs_error
 from repro.training.step import average_and_apply
@@ -102,7 +102,6 @@ class DDPTrainer:
                  step_time_fn: Callable[[int], float] | None = None,
                  batch_bytes_fn: Callable[[int], int] | None = None,
                  seed: int | str = 0,
-                 bucket_cap_mb: float = 25.0,
                  checkpoint_every: int | None = None,
                  checkpoint_path: str | None = None):
         """
@@ -119,8 +118,6 @@ class DDPTrainer:
         shuffle: 'global' | 'local' | 'batch'; defaults to the paper's
             choice per strategy (global for DDP/dist-index, batch for
             generalized).
-        bucket_cap_mb: gradient-bucket capacity; small models fuse into
-            one bucket (a single all-reduce per step).
         checkpoint_every: write a resumable training checkpoint to
             ``checkpoint_path`` every this many global steps (``None`` =
             never).  A run killed between checkpoints resumes from the
@@ -170,17 +167,15 @@ class DDPTrainer:
         self._param_bytes = sum(
             p.nbytes for p in optimizer.params if p.requires_grad)
 
-        self.bucketer = GradientBucketer(optimizer.params,
-                                         bucket_cap_mb=bucket_cap_mb)
-        self._grad_bufs = [self.bucketer.make_buffers()
+        self._grad_bufs = [np.zeros_like(optimizer.grad)
                            for _ in range(self.world_size)]
-        # Process-isolated fabrics adopt each rank's bucket buffers (e.g.
-        # re-backing them on shared memory) so gradients written inside a
+        # Process-isolated fabrics adopt each rank's gradient buffer (e.g.
+        # re-backing it on shared memory) so gradients written inside a
         # rank child land where the driver reduces from.
         attach = getattr(self.comm.transport, "attach_rank_buffers", None)
         if attach is not None:
-            self._grad_bufs = [list(attach(rank, bufs))
-                               for rank, bufs in enumerate(self._grad_bufs)]
+            self._grad_bufs = [attach(rank, [buf])[0]
+                               for rank, buf in enumerate(self._grad_bufs)]
         self._replicas: list[STModel] | None = None
         self._rank_params: list[list] = [optimizer.params] * self.world_size
         self._rank_loaders = [self.train_loader] * self.world_size
@@ -254,7 +249,7 @@ class DDPTrainer:
 
     # ------------------------------------------------------------------
     def _microbatch_grads(self, rank: int, sel: np.ndarray) -> float:
-        """One rank's microbatch gradient, packed into its bucket buffers.
+        """One rank's microbatch gradient, landed in its flat buffer.
 
         Returns the scalar loss; the gradient leaves through
         ``self._grad_bufs[rank]``.
@@ -265,11 +260,10 @@ class DDPTrainer:
         x, y = loader.batch_at(sel)
         pred = model(Tensor(x))
         loss = self.loss_fn(pred, y[..., :1].astype(np.float32))
-        model.zero_grad()
+        self.optimizer.bind(self._grad_bufs[rank], params)
         loss.backward()
         if self.clip_norm:
             clip_grad_norm(params, self.clip_norm)
-        self.bucketer.pack(params, self._grad_bufs[rank])
         return float(loss.item())
 
     def train_epoch(self, epoch: int) -> float:
@@ -304,8 +298,7 @@ class DDPTrainer:
             losses.extend(self.comm.run_ranks(rank_step,
                                               parallel=self._parallel))
             self._charge_data_comm(len(plan[0][step]))
-            average_and_apply(self.comm, self.bucketer, self._grad_bufs,
-                              self.optimizer)
+            average_and_apply(self.comm, self._grad_bufs, self.optimizer)
             self.global_step += 1
             if (self.checkpoint_every
                     and self.global_step % self.checkpoint_every == 0):

@@ -7,14 +7,14 @@ operation order preserved:
 
 - :func:`clip_and_step` — ``clip_grad_norm`` (if enabled) then
   ``optimizer.step()``, the single-device tail.
-- :func:`average_and_apply` — bucketed mean all-reduce of per-rank
-  gradients followed by unpack + step, the distributed tail (each rank
-  clips its own gradient before packing).
+- :func:`average_and_apply` — one mean all-reduce of the ranks' flat
+  gradient buffers, copied into ``optimizer.grad``, then one step (each
+  rank clips its own gradient in its buffer first).
 
 Op order is seed-identical to the pre-refactor code: gradients are
-reduced elementwise over ranks in rank order, written back into the
-optimizer's parameter gradients, and applied by the unchanged in-place
-optimizers — a fixed-seed curve test pins this.
+reduced elementwise over ranks in rank order and applied by the
+unchanged in-place optimizer arithmetic — a fixed-seed curve test pins
+this.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.optim.optimizers import Optimizer, clip_grad_norm
-from repro.runtime.buckets import GradientBucketer
 from repro.runtime.process_group import ProcessGroup
 
 
@@ -37,21 +36,15 @@ def clip_and_step(optimizer: Optimizer, clip_norm: float | None) -> None:
     optimizer.step()
 
 
-def average_and_apply(pg: ProcessGroup, bucketer: GradientBucketer,
-                      rank_buffers: list[list[np.ndarray]],
+def average_and_apply(pg: ProcessGroup, rank_grads: list[np.ndarray],
                       optimizer: Optimizer) -> None:
-    """Mean-all-reduce packed gradients, then step ``optimizer`` on them.
+    """Mean-all-reduce the ranks' gradients, then step ``optimizer`` on them.
 
-    ``rank_buffers[r]`` is rank ``r``'s packed bucket set (see
-    :meth:`GradientBucketer.pack`).  One ``"gradient"`` all-reduce is
-    issued per bucket; every rank's reduced copy holds the same bits, so
-    the optimizer consumes rank 0's.
+    ``rank_grads[r]`` is rank ``r``'s flat gradient buffer, laid out like
+    ``optimizer.grad`` (see :meth:`Optimizer.bind`).  One ``"gradient"``
+    all-reduce is issued; every rank's reduced copy holds the same bits,
+    so the optimizer consumes rank 0's.
     """
-    if len(rank_buffers) != pg.world_size:
-        raise ValueError(f"expected bucket buffers for {pg.world_size} "
-                         f"ranks, got {len(rank_buffers)}")
-    reduced = [pg.allreduce([bufs[b] for bufs in rank_buffers],
-                            op="mean", category="gradient")[0]
-               for b in range(bucketer.num_buckets)]
-    bucketer.unpack(reduced, optimizer.params)
+    reduced = pg.allreduce(rank_grads, op="mean", category="gradient")[0]
+    np.copyto(optimizer.grad, reduced)
     optimizer.step()

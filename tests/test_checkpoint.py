@@ -112,11 +112,38 @@ class TestCheckpoint:
         model2 = setup(seed=4)
         opt2 = SGD(model2.parameters(), lr=0.5, momentum=0.9)
         load_checkpoint(path, model2, opt2)
-        for v1, v2 in zip(opt._velocity, opt2._velocity):
-            if v1 is None:
-                assert v2 is None
-            else:
-                np.testing.assert_array_equal(v1, v2)
+        np.testing.assert_array_equal(opt.velocity, opt2.velocity)
+
+
+    def test_slots_are_written_per_parameter(self, setup, tmp_path):
+        """The archive keeps one ``adam_m/i``/``adam_v/i`` pair per
+        parameter, shaped like it (the format the resharder reads)."""
+        from repro.training.checkpoint import _read_archive
+
+        model = setup()
+        opt = Adam(model.parameters(), lr=0.01)
+        _train_steps(model, opt, n=1)
+        path = str(tmp_path / "slots.npz")
+        save_checkpoint(path, model, opt)
+        arrays = _read_archive(path)
+        for i, p in enumerate(opt.params):
+            for slot, flat in (("adam_m", opt.m), ("adam_v", opt.v)):
+                assert arrays[f"{slot}/{i}"].shape == p.data.shape
+                np.testing.assert_array_equal(arrays[f"{slot}/{i}"],
+                                              opt.views(flat)[i])
+        assert not any(k.startswith("sgd_v/") for k in arrays)
+
+    def test_missing_slots_restore_as_zeros(self, setup, tmp_path):
+        """A momentum-free SGD archive loaded into a momentum SGD resets
+        its velocity: what the archive lacks is state never stepped."""
+        model = setup()
+        path = str(tmp_path / "plain.npz")
+        save_checkpoint(path, model, SGD(model.parameters(), lr=0.1))
+        opt = SGD(model.parameters(), lr=0.1, momentum=0.9)
+        _train_steps(model, opt, n=1)
+        assert opt.velocity.any()
+        load_checkpoint(path, model, opt)
+        np.testing.assert_array_equal(opt.velocity, 0.0)
 
 
 class TestAtomicWrite:
@@ -161,9 +188,8 @@ class TestAtomicWrite:
         model2 = setup(seed=9)
         opt2 = Adam(model2.parameters(), lr=0.2)
         load_checkpoint(path, model2, opt2)
-        for m1, m2, v1, v2 in zip(opt._m, opt2._m, opt._v, opt2._v):
-            np.testing.assert_array_equal(m1, m2)
-            np.testing.assert_array_equal(v1, v2)
+        np.testing.assert_array_equal(opt.m, opt2.m)
+        np.testing.assert_array_equal(opt.v, opt2.v)
 
     def test_sgd_velocity_roundtrip_after_atomic_write(self, setup, tmp_path):
         model = setup()
@@ -173,8 +199,7 @@ class TestAtomicWrite:
         save_checkpoint(path, model, opt)
         opt2 = SGD(setup(seed=7).parameters(), lr=0.5, momentum=0.9)
         load_checkpoint(path, setup(seed=7), opt2)
-        for v1, v2 in zip(opt._velocity, opt2._velocity):
-            np.testing.assert_array_equal(v1, v2)
+        np.testing.assert_array_equal(opt.velocity, opt2.velocity)
 
 
 class TestSelfDescribingCheckpoint:
@@ -289,7 +314,7 @@ class TestCorruptCheckpoints:
         from repro.utils.errors import CheckpointError
 
         def state(model, opt):
-            arrays = [p.data for p in model.parameters()] + opt._m + opt._v
+            arrays = [p.data for p in model.parameters()] + [opt.m, opt.v]
             return [a.tobytes() for a in arrays], opt.lr, opt.step_count
 
         def load(blob):
@@ -320,6 +345,28 @@ class TestCorruptCheckpoints:
             else:
                 assert got == want
         assert refused > len(blob)       # every truncation, and flips
+
+    def test_forged_slot_shape_is_refused(self, tmp_path):
+        """An optimizer slot whose shape is not its parameter's is a
+        CheckpointError naming the key, not a silent broadcast into the
+        flat moment store."""
+        from repro.nn.layers import Linear
+        from repro.training.checkpoint import _read_archive, write_archive
+        from repro.utils.errors import CheckpointError
+
+        model = Linear(4, 3)
+        opt = Adam(model.parameters())
+        model(Tensor(np.ones((2, 4), np.float32))).sum().backward()
+        opt.step()
+        path = str(tmp_path / "forged.npz")
+        save_checkpoint(path, model, opt)
+        key = f"adam_m/{opt.params.index(model.weight)}"
+        arrays = _read_archive(path)
+        arrays[key] = np.full(1, 7.0, np.float32)
+        write_archive(path, arrays)
+        with pytest.raises(CheckpointError, match=key):
+            load_checkpoint(path, Linear(4, 3),
+                            Adam(Linear(4, 3).parameters()))
 
     def test_checkpoint_error_is_runtime_error(self):
         from repro.utils.errors import CheckpointError
@@ -402,3 +449,96 @@ class TestResumeEdgeCases:
             tr = ddp_setup()
             tr.seed = 1
             tr.resume(ckpt)
+
+
+@pytest.fixture(scope="module")
+def ddp_data():
+    from repro.datasets import load_dataset
+    from repro.preprocessing import IndexDataset
+
+    ds = load_dataset("pems-bay", nodes=10, entries=260, seed=0)
+    return (IndexDataset.from_dataset(ds, horizon=4),
+            dual_random_walk_supports(ds.graph.weights))
+
+
+class TestRestoreKeepsStorageBound:
+    """Every restore path copies into the optimizer's flat store.  A
+    rebinding ``p.data = arr`` anywhere would leave the optimizer stepping
+    an array the model no longer reads: training would stop, silently."""
+
+    @staticmethod
+    def assert_bound_and_training(model, opt, one_more_step):
+        for p in model.parameters():
+            assert np.shares_memory(p.data, opt.data)
+        before = model.state_dict()
+        one_more_step()
+        after = model.state_dict()
+        assert any(not np.array_equal(before[k], after[k]) for k in before)
+
+    @staticmethod
+    def ddp(data, world=2, ckpt=None, batch=8):
+        from repro.batching import IndexBatchLoader
+        from repro.runtime import ProcessGroup
+        from repro.training import DDPTrainer
+
+        idx, supports = data
+        model = PGTDCRNN(supports, 4, 2, hidden_dim=8, seed=0)
+        return DDPTrainer(model, Adam(model.parameters(), lr=0.01),
+                          ProcessGroup.sim(world),
+                          IndexBatchLoader(idx, "train", batch), seed=0,
+                          checkpoint_every=2 if ckpt else None,
+                          checkpoint_path=ckpt)
+
+    def test_load_checkpoint(self, setup, tmp_path):
+        model = setup()
+        opt = Adam(model.parameters(), lr=0.01)
+        _train_steps(model, opt)
+        path = str(tmp_path / "a.npz")
+        save_checkpoint(path, model, opt)
+        model2 = setup(seed=5)
+        opt2 = Adam(model2.parameters(), lr=0.5)
+        load_checkpoint(path, model2, opt2)
+        self.assert_bound_and_training(
+            model2, opt2, lambda: _train_steps(model2, opt2, n=1, seed=3))
+
+    def test_ddp_resume(self, ddp_data, tmp_path):
+        ckpt = str(tmp_path / "ddp.npz")
+        self.ddp(ddp_data, ckpt=ckpt).fit(1)
+        resumed = self.ddp(ddp_data, ckpt=ckpt)
+        resumed.resume(ckpt)
+        self.assert_bound_and_training(resumed.model, resumed.optimizer,
+                                       lambda: resumed.fit(2))
+
+    def test_trainer_fit_checkpoint_then_reload(self, ddp_data, tmp_path):
+        from repro.batching import IndexBatchLoader
+        from repro.training import Trainer
+
+        idx, supports = ddp_data
+        path = str(tmp_path / "fit.npz")
+
+        def trainer():
+            model = PGTDCRNN(supports, 4, 2, hidden_dim=8, seed=0)
+            return Trainer(model, Adam(model.parameters(), lr=0.01),
+                           IndexBatchLoader(idx, "train", 8), seed=0)
+
+        first = trainer()
+        first.fit(1, checkpoint_path=path)
+        self.assert_bound_and_training(first.model, first.optimizer,
+                                       lambda: first.fit(1))
+        again = trainer()
+        load_checkpoint(path, again.model, again.optimizer)
+        self.assert_bound_and_training(again.model, again.optimizer,
+                                       lambda: again.fit(1))
+
+    def test_elastic_reshard_resume(self, ddp_data, tmp_path):
+        from repro.elastic import reshard_checkpoint
+
+        path = str(tmp_path / "w2.npz")
+        tr = self.ddp(ddp_data, world=2, batch=8)
+        tr.fit(1)
+        tr.save_training_checkpoint(path, epoch=1, step=0)
+        reshard_checkpoint(path, 4)
+        wide = self.ddp(ddp_data, world=4, batch=4)
+        wide.resume(path)
+        self.assert_bound_and_training(wide.model, wide.optimizer,
+                                       lambda: wide.fit(2))

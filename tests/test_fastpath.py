@@ -556,24 +556,18 @@ class TestGradientBuffers:
     def _loss(self, p):
         return (p * p).sum()
 
-    def test_zero_grad_keeps_buffer_identity(self):
+    def test_backward_lands_in_the_bound_slot(self):
         p = Parameter(np.array([1.0, 2.0], dtype=np.float32))
         opt = SGD([p], lr=0.1)
         self._loss(p).backward()
-        buf = p.grad
-        assert buf is not None
-        opt.zero_grad(set_to_none=False)
-        assert p.grad is buf                    # zeroed in place
-        np.testing.assert_array_equal(buf, 0.0)
+        assert np.shares_memory(p.grad, opt.grad)
+        np.testing.assert_array_equal(opt.grad, [2.0, 4.0])
+        opt.zero_grad()
+        assert p.grad is None                   # next touch copies ...
+        np.testing.assert_array_equal(opt.grad, 0.0)
         self._loss(p).backward()
-        assert p.grad is buf                    # backward reused it
-
-    def test_zero_grad_set_to_none(self):
-        p = Parameter(np.array([1.0], dtype=np.float32))
-        opt = SGD([p], lr=0.1)
-        self._loss(p).backward()
-        opt.zero_grad(set_to_none=True)
-        assert p.grad is None
+        self._loss(p).backward()                # ... and later ones add
+        np.testing.assert_array_equal(opt.grad, [4.0, 8.0])
 
     def test_param_grad_buffer_stable_across_steps(self):
         p = Parameter(np.array([5.0, -3.0], dtype=np.float32))
@@ -582,9 +576,9 @@ class TestGradientBuffers:
         for _ in range(4):
             opt.zero_grad()
             self._loss(p).backward()
-            bufs.add(id(p.grad))
+            bufs.add(p.grad.ctypes.data)
             opt.step()
-        assert len(bufs) == 1                   # one buffer, forever
+        assert bufs == {opt.grad.ctypes.data}   # one buffer, forever
 
     def test_pool_recycles_interior_grads(self):
         GRAD_POOL.clear()
@@ -658,44 +652,66 @@ class TestOptimizerParity:
         clip_grad_norm([p], 5.0)
         assert p.grad is buf                    # scaled in place
 
+    SHAPES = [(5, 3), (7,), (4,)]               # the last: no backward
+
+    def _trajectory(self, opt, params, rng, steps, reference):
+        """``steps`` backward + step rounds in which the last parameter
+        takes no part; ``reference(i, g)`` applies the allocating
+        formulation to reference copies with the same gradients."""
+        frozen = params[-1].data.copy()
+        for _ in range(steps):
+            grads = [rng.standard_normal(p.data.shape).astype(np.float32)
+                     for p in params[:-1]]
+            opt.zero_grad()
+            sum(((p * Tensor(g)).sum() for p, g in zip(params, grads)),
+                Tensor(np.float32(0.0))).backward()
+            opt.step()
+            for i, g in enumerate(grads):
+                reference(i, g)
+            assert params[-1].data.tobytes() == frozen.tobytes()
+
     def test_adam_matches_reference_trajectory(self):
         rng = np.random.default_rng(1)
-        p = Parameter(rng.standard_normal(64).astype(np.float32))
-        ref_p = p.data.copy()
-        m = np.zeros_like(ref_p)
-        v = np.zeros_like(ref_p)
-        opt = Adam([p], lr=1e-2)
-        for t in range(1, 21):
-            g = rng.standard_normal(64).astype(np.float32)
-            p.grad = g.copy()
-            opt.step()
-            _reference_adam_step(ref_p, g, m, v, t, lr=1e-2)
-        np.testing.assert_allclose(p.data, ref_p, rtol=1e-6, atol=1e-7)
+        params = [Parameter(rng.standard_normal(s).astype(np.float32))
+                  for s in self.SHAPES]
+        ref_p = [p.data.copy() for p in params]
+        m = [np.zeros_like(r) for r in ref_p]
+        v = [np.zeros_like(r) for r in ref_p]
+        opt = Adam(params, lr=1e-2)
+
+        def reference(i, g):
+            _reference_adam_step(ref_p[i], g, m[i], v[i], opt.step_count,
+                                 lr=1e-2)
+
+        self._trajectory(opt, params, rng, 20, reference)
+        for p, r in zip(params, ref_p):
+            assert np.array_equal(p.data, r)
 
     def test_sgd_matches_reference_trajectory(self):
         rng = np.random.default_rng(2)
-        p = Parameter(rng.standard_normal(32).astype(np.float32))
-        ref_p = p.data.copy()
-        vel = np.zeros_like(ref_p)
-        opt = SGD([p], lr=0.05, momentum=0.9, weight_decay=0.01)
-        for _ in range(20):
-            g = rng.standard_normal(32).astype(np.float32)
-            p.grad = g.copy()
-            opt.step()
-            gr = g + 0.01 * ref_p
-            vel[:] = 0.9 * vel + gr
-            ref_p -= 0.05 * vel
-        np.testing.assert_allclose(p.data, ref_p, rtol=1e-5, atol=1e-6)
+        params = [Parameter(rng.standard_normal(s).astype(np.float32))
+                  for s in self.SHAPES]
+        ref_p = [p.data.copy() for p in params]
+        vel = [np.zeros_like(r) for r in ref_p]
+        opt = SGD(params, lr=0.05, momentum=0.9)
+
+        def reference(i, g):
+            vel[i][:] = 0.9 * vel[i] + g
+            ref_p[i] -= 0.05 * vel[i]
+
+        self._trajectory(opt, params, rng, 20, reference)
+        for p, r in zip(params, ref_p):
+            assert np.array_equal(p.data, r)
 
     def test_adam_scratch_is_persistent(self):
         p = Parameter(np.ones(8, np.float32))
         opt = Adam([p], lr=0.1)
-        p.grad = np.ones(8, np.float32)
+        opt.grad[:] = 1.0
         opt.step()
-        s1 = opt._scratch[0]
-        p.grad = np.ones(8, np.float32)
+        s1, m1 = opt._scratch, opt.m
+        opt.grad[:] = 1.0
         opt.step()
-        assert opt._scratch[0] is s1
+        assert opt._scratch is s1 and opt.m is m1
 
 
 # ---------------------------------------------------------------------------

@@ -239,6 +239,59 @@ class TestStackedMatmulSlices:
         assert g.sum(axis=1).tobytes() != np.cumsum(g, axis=1)[:, -1].tobytes()
 
 
+FLAT_SLICES_CONTRACT = (
+    "numpy {version} gives different bytes for a float32 array at element "
+    "offset {offset} of a larger buffer than for an aligned copy ({what}; "
+    "a NumPy or BLAS release made a kernel's reduction order or rounding "
+    "depend on alignment).  An optimizer keeps every parameter and "
+    "gradient as a view into one flat array, so clip_grad_norm's np.dot "
+    "and Adam's ufunc chain run at such offsets, while every fixed-seed "
+    "literal (PINNED_2EP, the [adam] curve, ...) was pinned on separately "
+    "allocated arrays: check those before re-pinning anything.")
+
+
+class TestFlatSlices:
+    """``np.dot(v, v)`` and one Adam's steps on float32 views at element
+    offsets 0-15 of a flat array equal an aligned copy, byte for byte."""
+
+    SIZES = (1, 3, 7, 16, 33, 100, 1001)
+
+    def test_dot_on_offset_views(self):
+        rng = np.random.default_rng(0)
+        for n in self.SIZES:
+            base = rng.standard_normal(n + 16).astype(np.float32)
+            for offset in range(16):
+                v = base[offset:offset + n]
+                c = v.copy()
+                assert np.dot(v, v).tobytes() == np.dot(c, c).tobytes(), \
+                    FLAT_SLICES_CONTRACT.format(version=np.__version__,
+                                                offset=offset, what="np.dot")
+
+    def test_adam_on_offset_views(self):
+        from repro.nn.module import Parameter
+        from repro.optim import Adam
+
+        rng = np.random.default_rng(1)
+        for n in self.SIZES:
+            init = rng.standard_normal(n).astype(np.float32)
+            grads = rng.standard_normal((3, n)).astype(np.float32)
+            alone = Adam([Parameter(init.copy())], lr=1e-2)
+            for g in grads:
+                alone.grad[:] = g
+                alone.step()
+            for offset in range(1, 16):
+                pad, p = Parameter(np.zeros(offset, np.float32)), \
+                    Parameter(init.copy())
+                flat = Adam([pad, p], lr=1e-2)
+                for g in grads:
+                    flat.views(flat.grad)[1][:] = g
+                    flat.step()
+                assert p.data.tobytes() == alone.data.tobytes(), \
+                    FLAT_SLICES_CONTRACT.format(version=np.__version__,
+                                                offset=offset,
+                                                what="Adam's ufunc chain")
+
+
 # ---------------------------------------------------------------------------
 # Mixed-precision storage: f16 store -> f32 compute round-trip bounds
 # ---------------------------------------------------------------------------

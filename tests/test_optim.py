@@ -45,13 +45,6 @@ class TestSGD:
             return np.abs(params[0].data).max()
         assert run(0.9) < run(0.0)
 
-    def test_weight_decay_shrinks(self):
-        p = Parameter(np.array([1.0], dtype=np.float32))
-        opt = SGD([p], lr=0.1, weight_decay=0.5)
-        p.grad = np.zeros(1, dtype=np.float32)
-        opt.step()
-        assert p.data[0] < 1.0
-
     def test_empty_params_rejected(self):
         with pytest.raises(ValueError):
             SGD([], lr=0.1)
@@ -61,6 +54,26 @@ class TestSGD:
         opt = SGD([p], lr=0.1)
         opt.step()  # no grad: no crash, no change
         np.testing.assert_array_equal(p.data, np.ones(2))
+
+    def test_bind_zeroes_and_redirects_the_next_backward(self):
+        """``bind`` makes another flat array (a rank's buffer) where the
+        next gradients land; the optimizer's own ``grad`` is untouched."""
+        p = Parameter(np.ones(3, np.float32))
+        q = Parameter(np.ones(2, np.float32))
+        opt = SGD([p, q], lr=0.1)
+        rank_buf = np.full(5, 9.0, np.float32)
+        opt.bind(rank_buf)
+        np.testing.assert_array_equal(rank_buf, 0.0)
+        (p * 2.0).sum().backward()
+        np.testing.assert_array_equal(rank_buf, [2, 2, 2, 0, 0])
+        np.testing.assert_array_equal(opt.grad, 0.0)
+        assert q.grad is None
+
+    def test_mixed_dtypes_rejected(self):
+        params = [Parameter(np.ones(2, np.float32)),
+                  Parameter(np.ones(2, np.float64))]
+        with pytest.raises(ValueError, match="one dtype"):
+            SGD(params, lr=0.1)
 
 
 class TestAdam:
@@ -76,18 +89,18 @@ class TestAdam:
     def test_bias_correction_first_step(self):
         p = Parameter(np.array([1.0], dtype=np.float32))
         opt = Adam([p], lr=0.1)
-        p.grad = np.array([1.0], dtype=np.float32)
+        opt.grad[:] = 1.0
         opt.step()
         # With bias correction the first step is ~lr regardless of betas.
         assert abs((1.0 - p.data[0]) - 0.1) < 1e-3
 
-    def test_state_nbytes_counts_moments(self):
-        p = Parameter(np.ones(10, dtype=np.float32))
-        opt = Adam([p], lr=0.1)
-        assert opt.state_nbytes() == 0
-        p.grad = np.ones(10, dtype=np.float32)
-        opt.step()
-        assert opt.state_nbytes() == 2 * p.nbytes
+    def test_state_is_two_flat_moments(self):
+        params = [Parameter(np.ones(10, dtype=np.float32)),
+                  Parameter(np.ones((2, 3), dtype=np.float32))]
+        opt = Adam(params, lr=0.1)
+        assert list(opt.state) == ["adam_m", "adam_v"]
+        assert sum(a.nbytes for a in opt.state.values()) == \
+            2 * sum(p.nbytes for p in params)
 
 
 class TestClipGradNorm:

@@ -257,89 +257,54 @@ def test_gradient_linearity(seed):
 
 
 # ---------------------------------------------------------------------------
-# Gradient bucketing: pack -> unpack is the identity
+# Flat optimizer storage: the views tile it, and gradients land in them
 # ---------------------------------------------------------------------------
-class _FakeParam:
-    """Minimal parameter stand-in: the bucketer touches .data and .grad."""
-
-    def __init__(self, data, grad):
-        self.data = data
-        self.grad = grad
-
-
 @st.composite
-def bucketer_workloads(draw):
-    """A random parameter list (mixed dtypes/shapes, some ``None`` grads)
-    plus a bucket cap — including caps smaller than the largest tensor."""
-    rng = np.random.default_rng(draw(st.integers(0, 2**31)))
-    n = draw(st.integers(1, 8))
-    params = []
-    for _ in range(n):
-        shape = tuple(draw(st.lists(st.integers(1, 6), min_size=1,
-                                    max_size=3)))
-        dtype = draw(st.sampled_from([np.float32, np.float64]))
-        data = rng.standard_normal(shape).astype(dtype)
-        grad = (None if draw(st.booleans())
-                else rng.standard_normal(shape).astype(dtype))
-        params.append(_FakeParam(data, grad))
-    largest = max(p.data.nbytes for p in params)
-    cap_bytes = draw(st.one_of(
-        st.integers(1, max(largest - 1, 1)),       # smaller than largest
-        st.integers(largest, 4 * largest),         # a few tensors per bucket
-        st.just(25 << 20)))                        # everything in one
-    ready_order = draw(st.booleans())
-    return params, cap_bytes / (1 << 20), ready_order
+def parameter_shapes(draw):
+    """A random parameter list (1-8 tensors of rank 0-3), and which of
+    them a backward reaches."""
+    shapes = draw(st.lists(
+        st.lists(st.integers(1, 6), min_size=0, max_size=3).map(tuple),
+        min_size=1, max_size=8))
+    reached = draw(st.lists(st.booleans(), min_size=len(shapes),
+                            max_size=len(shapes)))
+    return shapes, reached, draw(st.integers(0, 2**31))
 
 
 @settings(max_examples=60, deadline=None)
-@given(bucketer_workloads())
-def test_gradient_bucketer_roundtrip_exact(workload):
-    """pack -> unpack reproduces every gradient exactly (``None`` grads
-    come back as zeros), for any dtype mix, shape mix, and bucket cap."""
-    from repro.runtime import GradientBucketer
+@given(parameter_shapes())
+def test_optimizer_views_tile_flat_storage(workload):
+    """``Optimizer.views`` tiles ``data`` exactly once in parameter order,
+    every ``p.data`` is its view (values kept), and a backward lands each
+    gradient in its own slot of ``grad`` — the rest reads 0."""
+    from repro.nn.module import Parameter
+    from repro.optim import Adam
 
-    params, cap_mb, ready_order = workload
-    bucketer = GradientBucketer(params, bucket_cap_mb=cap_mb,
-                                ready_order=ready_order)
-    buffers = bucketer.make_buffers()
-    bucketer.pack(params, buffers)
+    shapes, reached, seed = workload
+    rng = np.random.default_rng(seed)
+    values = [rng.standard_normal(s).astype(np.float32) for s in shapes]
+    params = [Parameter(v.copy()) for v in values]
+    opt = Adam(params, lr=0.1)
+    assert opt.data.size == sum(v.size for v in values)
+    offset = 0
+    for p, v, view in zip(params, values, opt.views(opt.data)):
+        assert view.shape == v.shape
+        assert p.data.shape == v.shape and np.shares_memory(p.data, view)
+        np.testing.assert_array_equal(p.data, v)
+        assert view.ctypes.data == opt.data[offset:].ctypes.data
+        offset += v.size
+    assert offset == opt.data.size
 
-    # Buckets are dtype-homogeneous and cover every parameter once.
-    assert sum(len(b.slots) for b in bucketer.buckets) == len(params)
-    covered = sorted(s.param_index for b in bucketer.buckets
-                     for s in b.slots)
-    assert covered == list(range(len(params)))
-    for layout in bucketer.buckets:
-        for slot in layout.slots:
-            assert params[slot.param_index].data.dtype == layout.dtype
-
-    # Unpack into a *fresh* parameter set: grads must match bitwise.
-    fresh = [_FakeParam(p.data.copy(), None) for p in params]
-    bucketer.unpack(buffers, fresh)
-    for original, restored in zip(params, fresh):
-        expected = (np.zeros_like(original.data) if original.grad is None
-                    else original.grad)
-        assert restored.grad.dtype == original.data.dtype
-        assert restored.grad.shape == original.data.shape
-        np.testing.assert_array_equal(restored.grad, expected)
-
-    # Re-unpacking in place reuses the existing grad buffers (the PR-2
-    # allocation discipline) and still matches.
-    kept = [r.grad for r in fresh]
-    bucketer.unpack(buffers, fresh)
-    for r, buf in zip(fresh, kept):
-        assert r.grad is buf
-
-
-@settings(max_examples=30, deadline=None)
-@given(bucketer_workloads())
-def test_gradient_bucketer_respects_cap(workload):
-    """No bucket exceeds the cap unless a single tensor alone does."""
-    from repro.runtime import GradientBucketer
-
-    params, cap_mb, ready_order = workload
-    bucketer = GradientBucketer(params, bucket_cap_mb=cap_mb,
-                                ready_order=ready_order)
-    cap_bytes = int(cap_mb * (1 << 20))
-    for layout in bucketer.buckets:
-        assert layout.nbytes <= cap_bytes or len(layout.slots) == 1
+    grads = [rng.standard_normal(s).astype(np.float32) for s in shapes]
+    loss = None
+    for p, g, hit in zip(params, grads, reached):
+        if hit:
+            term = (p * Tensor(g)).sum()
+            loss = term if loss is None else loss + term
+    opt.zero_grad()
+    if loss is not None:
+        loss.backward()
+    for p, g, hit, slot in zip(params, grads, reached,
+                               opt.views(opt.grad)):
+        np.testing.assert_array_equal(slot, g if hit else 0.0)
+        assert (p.grad is not None) == hit

@@ -50,7 +50,7 @@ class LiteralReplicatedDDP:
             for params in per_param:
                 reduced = self.pg.allreduce([p.grad for p in params], op="mean")
                 for p, g in zip(params, reduced):
-                    p.grad = g
+                    p.grad[...] = g          # the slot each Adam steps on
             for opt in self.optimizers:
                 opt.step()
             if sync_check:

@@ -26,13 +26,11 @@ from repro.batching import IndexBatchLoader
 from repro.datasets import load_dataset
 from repro.graph import dual_random_walk_supports
 from repro.models import PGTDCRNN
-from repro.nn.module import Parameter
 from repro.optim import Adam
 from repro.preprocessing import IndexDataset
 from repro.runtime import (
     FaultPlan,
     FaultyTransport,
-    GradientBucketer,
     ProcessGroup,
     ProcessTransport,
     SimTransport,
@@ -358,85 +356,6 @@ class TestProcessGroupFacade:
 
 
 # ---------------------------------------------------------------------------
-# Gradient bucketing
-# ---------------------------------------------------------------------------
-def _params(shapes, dtype=np.float32, seed=0):
-    rng = np.random.default_rng(seed)
-    return [Parameter(rng.standard_normal(s).astype(dtype)) for s in shapes]
-
-
-class TestGradientBucketer:
-    def test_single_bucket_under_cap(self):
-        b = GradientBucketer(_params([(4, 4), (8,), (3, 2)]))
-        assert b.num_buckets == 1
-        assert b.total_bytes == 4 * (16 + 8 + 6)
-
-    def test_cap_splits_buckets_in_ready_order(self):
-        params = _params([(100,), (200,), (300,)])
-        b = GradientBucketer(params, bucket_cap_mb=300 * 4 / (1 << 20))
-        # Reverse registration order: param 2 fills the first bucket.
-        assert b.num_buckets >= 2
-        assert b.buckets[0].slots[0].param_index == 2
-
-    def test_oversized_param_gets_own_bucket(self):
-        params = _params([(4,), (10_000,), (4,)])
-        b = GradientBucketer(params, bucket_cap_mb=1e-4)
-        assert b.num_buckets == 3
-
-    def test_dtype_grouping(self):
-        params = _params([(4,)]) + _params([(4,)], dtype=np.float64)
-        b = GradientBucketer(params)
-        assert b.num_buckets == 2
-        assert {bk.dtype for bk in b.buckets} == {np.dtype(np.float32),
-                                                 np.dtype(np.float64)}
-
-    def test_pack_unpack_roundtrip(self):
-        params = _params([(4, 4), (8,), (3, 2)])
-        grads = []
-        rng = np.random.default_rng(1)
-        for p in params:
-            p.grad = rng.standard_normal(p.data.shape).astype(np.float32)
-            grads.append(p.grad.copy())
-        b = GradientBucketer(params, bucket_cap_mb=1e-4)
-        bufs = b.pack(params, b.make_buffers())
-        for p in params:
-            p.grad = None
-        b.unpack(bufs, params)
-        for p, g in zip(params, grads):
-            np.testing.assert_array_equal(p.grad, g)
-
-    def test_none_grad_packs_zeros(self):
-        params = _params([(4,)])
-        params[0].grad = None
-        bufs = GradientBucketer(params).pack(params,
-                                             GradientBucketer(params).make_buffers())
-        np.testing.assert_array_equal(bufs[0], np.zeros(4, np.float32))
-
-    def test_unpack_reuses_grad_buffer_in_place(self):
-        params = _params([(4,)])
-        params[0].grad = np.zeros(4, np.float32)
-        held = params[0].grad
-        b = GradientBucketer(params)
-        bufs = b.make_buffers()
-        bufs[0][:] = 3.0
-        b.unpack(bufs, params)
-        assert params[0].grad is held
-        np.testing.assert_array_equal(held, np.full(4, 3.0))
-
-    def test_buffer_validation(self):
-        params = _params([(4,)])
-        b = GradientBucketer(params)
-        with pytest.raises(ValueError):
-            b.pack(params, [])
-        with pytest.raises(ValueError):
-            b.pack(params, [np.zeros(3, np.float32)])
-        with pytest.raises(ValueError):
-            GradientBucketer([])
-        with pytest.raises(ValueError):
-            GradientBucketer(params, bucket_cap_mb=0)
-
-
-# ---------------------------------------------------------------------------
 # Fixed-seed training: preservation + cross-transport equivalence
 # ---------------------------------------------------------------------------
 @pytest.fixture(scope="module")
@@ -452,15 +371,13 @@ def _factory(supports):
                             hidden_dim=8, seed=0)
 
 
-def _fit_ddp(idx, supports, strategy, pg, *, epochs=3, bucket_cap_mb=25.0,
-             with_val=True):
+def _fit_ddp(idx, supports, strategy, pg, *, epochs=3, with_val=True):
     model = _factory(supports)()
     opt = Adam(model.parameters(), lr=0.01)
     tr = DDPTrainer(model, opt, pg,
                     IndexBatchLoader(idx, "train", 8),
                     IndexBatchLoader(idx, "val", 8) if with_val else None,
-                    strategy=strategy, scaler=idx.scaler, seed=0,
-                    bucket_cap_mb=bucket_cap_mb)
+                    strategy=strategy, scaler=idx.scaler, seed=0)
     hist = tr.fit(epochs)
     return tr, [h.train_loss for h in hist]
 
@@ -581,6 +498,21 @@ class TestCrossTransportEquivalence:
         assert all(a is b for a, b in zip(tr._rank_params[1],
                                           replica.parameters()))
 
+    def test_rank_gradients_land_in_rank_buffers(self, tiny_setup):
+        """Each thread rank's replica is bound to its own flat buffer, so
+        its backward writes there and nowhere else."""
+        idx, supports = tiny_setup
+        model = _factory(supports)()
+        tr = DDPTrainer(model, Adam(model.parameters(), lr=0.01),
+                        ProcessGroup.threads(2),
+                        IndexBatchLoader(idx, "train", 8), seed=0)
+        tr.train_epoch(0)
+        for rank, params in enumerate(tr._rank_params):
+            for p in params:
+                assert np.shares_memory(p.grad, tr._grad_bufs[rank])
+                assert not np.shares_memory(p.grad, tr.optimizer.grad)
+        assert not np.array_equal(*tr._grad_bufs)
+
     @pytest.mark.parametrize("make_pg", [
         lambda: ProcessGroup.sim(2),
         lambda: ProcessGroup.threads(2, parallel=False),
@@ -603,23 +535,20 @@ class TestCrossTransportEquivalence:
                        ProcessGroup.threads(2),
                        IndexBatchLoader(idx, "train", 8), seed=0)
 
-    def test_many_small_buckets_do_not_change_numerics(self, tiny_setup):
+    def test_one_allreduce_per_step_over_the_flat_gradient(self, tiny_setup):
+        """Every step reduces the ranks' flat buffers in one all-reduce of
+        ``optimizer.grad``'s bytes, straight into the optimizer's store."""
         idx, supports = tiny_setup
-        tr1, one = _fit_ddp(idx, supports, DDPStrategy.DIST_INDEX,
-                            ProcessGroup.sim(4), epochs=2, with_val=False)
-        tr2, many = _fit_ddp(idx, supports, DDPStrategy.DIST_INDEX,
-                             ProcessGroup.sim(4), epochs=2, with_val=False,
-                             bucket_cap_mb=1e-4)  # one bucket per tensor
-        assert many == one
-        assert tr2.bucketer.num_buckets > tr1.bucketer.num_buckets == 1
-        # Bucket layout moves the same gradient bytes either way.
-        assert (tr1.comm.stats.bytes_by_category["gradient"]
-                == tr2.comm.stats.bytes_by_category["gradient"])
-        assert tr2.comm.stats.ops > tr1.comm.stats.ops
-        # ...and pays ring latency per tensor instead of per bucket (the
-        # bandwidth terms are equal, so a rounding-only gap does not count).
-        assert tr2.comm.now > tr1.comm.now
-        assert tr2.comm.now != pytest.approx(tr1.comm.now)
+        tr, _ = _fit_ddp(idx, supports, DDPStrategy.DIST_INDEX,
+                         ProcessGroup.sim(4), epochs=1, with_val=False)
+        stats, grad = tr.comm.stats, tr.optimizer.grad
+        assert stats.ops == tr.global_step > 0
+        assert (stats.bytes_by_category["gradient"]
+                == tr.global_step * grad.nbytes)
+        assert all(buf.shape == grad.shape for buf in tr._grad_bufs)
+        for p, view in zip(tr.optimizer.params,
+                           tr.optimizer.views(tr.optimizer.data)):
+            assert np.shares_memory(p.data, view)
 
     def test_cloneless_loader_rejected_for_replicas(self):
         """A source without clone() must fail loudly, not share buffers."""
