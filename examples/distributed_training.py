@@ -9,10 +9,10 @@ Runs real DDP training over 4 ranks with:
 and prints accuracy, simulated wall time, and per-category traffic for
 each — the small-scale analogue of Figures 7 and 9.  Each strategy is one
 ``RunSpec``; the ``ProcessGroup.stats`` traffic accounting comes from the
-run's artifacts.  The last run repeats dist-index on a second fabric
-(``--transport``: ``thread`` = one real thread per rank, ``process`` =
-one forked interpreter per rank over shared memory) to show the same
-fixed-seed loss curve training on a different fabric.
+run's artifacts.  The last run repeats dist-index on real ranks
+(``--transport process``: one forked interpreter per rank over shared
+memory) to show the same fixed-seed loss curve training on a different
+fabric.
 
 Run:  python examples/distributed_training.py [--transport process]
 """
@@ -41,17 +41,15 @@ def run_strategy(strategy: str, scale: str, world: int, epochs: int,
         print(f"  simulated wall    : {comm.now * 1e3:.3f} ms "
               f"(tiny model on simulated A100s)")
     else:
-        kind = {"thread": "rank threads",
-                "process": "forked rank processes"}[transport]
         print(f"  measured wall     : {comm.now * 1e3:.1f} ms "
-              f"({world} {kind})")
+              f"({world} forked rank processes)")
     print(f"  comm breakdown    : {traffic}")
     print(f"  shuffle mode      : {trainer.shuffle}")
     return result
 
 
 def main(scale: str = "small", world: int = 4, epochs: int = 4,
-         transport: str = "thread") -> None:
+         transport: str = "process") -> None:
     seed_everything(1)
     distributed = [s for s in STRATEGIES if s != "single"]
     print(f"training across {world} simulated ranks at scale={scale!r}; "
@@ -61,7 +59,7 @@ def main(scale: str = "small", world: int = 4, epochs: int = 4,
     refabric = run_strategy("dist-index", scale, world, epochs,
                             transport=transport)
     same = refabric.train_curve == results["dist-index"].train_curve
-    print(f"\n{transport} vs sim fixed-seed curves bitwise identical: {same}")
+    print(f"\nforked vs sim fixed-seed curves bitwise identical: {same}")
 
 
 if __name__ == "__main__":
@@ -69,7 +67,7 @@ if __name__ == "__main__":
     parser.add_argument("--scale", default="small")
     parser.add_argument("--world", type=int, default=4)
     parser.add_argument("--epochs", type=int, default=4)
-    parser.add_argument("--transport", default="thread",
+    parser.add_argument("--transport", default="process",
                         choices=[t for t in TRANSPORTS if t != "sim"],
                         help="fabric for the comparison rerun of "
                              "dist-index (sim is always the reference)")

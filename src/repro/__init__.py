@@ -14,7 +14,7 @@ library.  It provides:
 - ``repro.hardware`` / ``repro.cluster``: a simulated HPC substrate (memory
   spaces, node specs, interconnect cost models) modeled on ALCF Polaris.
 - ``repro.runtime``: the distributed execution layer — pluggable transports
-  (simulated ranks, real threads or forked processes), one collectives
+  (simulated ranks or forked processes), one collectives
   implementation and the ``ProcessGroup`` facade.
 - ``repro.models``: DCRNN, PGT-DCRNN, TGCN, A3T-GCN and ST-LLM.
 - ``repro.training``: single-device and DDP trainers implementing

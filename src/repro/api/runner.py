@@ -29,7 +29,6 @@ from repro.runtime import (
     ProcessGroup,
     ProcessTransport,
     SimTransport,
-    ThreadTransport,
 )
 from repro.training.ddp import DDPStrategy, DDPTrainer
 from repro.training.recovery import train_with_recovery
@@ -193,21 +192,16 @@ def _build_ddp_trainer(spec: RunSpec, ctx: ModelContext,
     The single construction point for both the fault-free path and every
     relaunch attempt of the fault path: model + optimizer built from the
     seed, the transport chosen by ``spec.transport`` ('sim' = sequential
-    ranks with simulated cost accounting; 'thread' = one real thread per
-    rank on replicas the trainer derives from the model; 'process' = one
-    forked interpreter per rank, where the fork snapshot is the replica),
+    ranks with simulated cost accounting; 'process' = one forked
+    interpreter per rank, where the fork snapshot is the replica),
     optionally wrapped in a :class:`FaultyTransport` and configured for
     per-step checkpointing.
     """
     model = MODELS.get(spec.model)(ctx)
     trainable = [p for p in model.parameters() if p.requires_grad]
     optimizer = OPTIMIZERS.get(spec.optimizer)(trainable, spec.lr)
-    if spec.transport == "thread":
-        base = ThreadTransport(spec.world_size)
-    elif spec.transport == "process":
-        base = ProcessTransport(spec.world_size)
-    else:
-        base = SimTransport(spec.world_size)
+    base = (ProcessTransport(spec.world_size) if spec.transport == "process"
+            else SimTransport(spec.world_size))
     transport = base if plan is None else FaultyTransport(base, plan)
     return DDPTrainer(
         model, optimizer, ProcessGroup(transport), bundle.train, bundle.val,

@@ -32,10 +32,9 @@ SHUFFLES = ("global", "local", "batch")
 
 #: Rank-execution transports for distributed strategies: ``sim`` runs
 #: ranks sequentially with simulated time and byte accounting;
-#: ``thread`` runs one real thread per rank; ``process`` forks one real
-#: interpreter per rank with a zero-copy shared-memory data plane.
-#: All three train bitwise-identical curves.
-TRANSPORTS = ("sim", "thread", "process")
+#: ``process`` forks one real interpreter per rank with a zero-copy
+#: shared-memory data plane.  Both train bitwise-identical curves.
+TRANSPORTS = ("sim", "process")
 
 
 @dataclass(frozen=True)
@@ -59,9 +58,9 @@ class RunSpec:
         rank count (must be 1 for ``single``).
     transport:
         one of :data:`TRANSPORTS`; how distributed ranks execute
-        (``sim`` = sequential + simulated cost accounting, ``thread`` =
-        one real thread per rank, ``process`` = forked interpreters over
-        shared memory).  Must stay ``sim`` for ``single``.
+        (``sim`` = sequential + simulated cost accounting, ``process`` =
+        forked interpreters over shared memory).  Must stay ``sim`` for
+        ``single``.
     shuffle:
         DDP shuffle mode override (``None`` = the strategy's default).
     epochs:

@@ -27,19 +27,9 @@ class ArrayPool:
         self._store: dict[tuple, list[np.ndarray]] = {}
 
     def take(self, shape: tuple[int, ...], dtype: np.dtype) -> np.ndarray | None:
-        """Pop a cached array of this shape/dtype, or None (contents stale).
-
-        Safe under concurrent rank threads: ``list.pop``/``append`` are
-        atomic in CPython, and a race that empties the bucket between
-        the check and the pop simply reports a miss.
-        """
+        """Pop a cached array of this shape/dtype, or None (contents stale)."""
         bucket = self._store.get((shape, np.dtype(dtype).str))
-        if bucket:
-            try:
-                return bucket.pop()
-            except IndexError:
-                return None
-        return None
+        return bucket.pop() if bucket else None
 
     def give(self, arr: np.ndarray) -> None:
         """Return an array the caller no longer references."""

@@ -19,8 +19,6 @@ grow without bound when a caller alternates compute dtypes.
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 import scipy.sparse as sp
 
@@ -95,22 +93,20 @@ def prepared_csr(matrix: sp.spmatrix, dtype) -> PreparedCSR:
 
 
 _STACKED: dict[tuple, tuple] = {}  # (ids, dtype) -> (supports, operators)
-_STACKED_LOCK = threading.Lock()  # rank threads that miss at once build once
 
 
 def stacked_csr(supports, dtype: np.dtype) -> tuple[PreparedCSR, PreparedCSR]:
     """Cached ``(vstack(P_s), block_diag(P_s))``: one product per diffusion
     hop, each row keeping its entries in the per-support (canonical) order."""
     key = (tuple(map(id, supports)), dtype.str)
-    with _STACKED_LOCK:
-        entry = _STACKED.get(key)  # holds the supports: their ids stay theirs
-        if entry is None:
-            parts = [PreparedCSR(s, dtype).csr for s in supports]
-            if len(_STACKED) >= _PREPARED_MAX:
-                _STACKED.pop(next(iter(_STACKED)))
-            entry = _STACKED[key] = (tuple(supports), (
-                PreparedCSR(sp.vstack(parts, format="csr"), dtype),
-                PreparedCSR(sp.block_diag(parts, format="csr"), dtype)))
+    entry = _STACKED.get(key)  # holds the supports: their ids stay theirs
+    if entry is None:
+        parts = [PreparedCSR(s, dtype).csr for s in supports]
+        if len(_STACKED) >= _PREPARED_MAX:
+            _STACKED.pop(next(iter(_STACKED)))
+        entry = _STACKED[key] = (tuple(supports), (
+            PreparedCSR(sp.vstack(parts, format="csr"), dtype),
+            PreparedCSR(sp.block_diag(parts, format="csr"), dtype)))
     return entry[1]
 
 

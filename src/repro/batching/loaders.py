@@ -18,10 +18,9 @@ construction instead of silently iterating zero times.
 buffer per loader and returned as (views of) that buffer, so the steady
 training loop gathers without allocating.  Consequently a batch is only
 valid until the next ``batch_at``/``batches`` call on the same loader —
-exactly how the training loops consume them.  Pass ``reuse_buffers=False``
-to get independently-owned batches (e.g. to collect batches in a list).
-Odd-sized requests (DDP microbatches, whole-partition evaluation) always
-take the allocating path.
+exactly how the training loops consume them; ``.copy()`` a batch to keep
+it.  Odd-sized requests (DDP microbatches, whole-partition evaluation)
+always take the allocating path.
 """
 
 from __future__ import annotations
@@ -59,13 +58,12 @@ class StandardBatchLoader:
     """
 
     def __init__(self, pre: StandardPreprocessed, split: str, batch_size: int,
-                 *, dtype=np.float32, reuse_buffers: bool = True):
+                 *, dtype=np.float32):
         x, y = pre.split(split)
         self.batch_size = _check_split(split, len(x), batch_size)
         self.dtype = np.dtype(dtype)
         self.x = np.ascontiguousarray(x, dtype=self.dtype)
         self.y = np.ascontiguousarray(y, dtype=self.dtype)
-        self.reuse_buffers = reuse_buffers
         self._xb: np.ndarray | None = None
         self._yb: np.ndarray | None = None
 
@@ -77,7 +75,7 @@ class StandardBatchLoader:
         return len(self.x)
 
     def _take(self, sel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        if not self.reuse_buffers or len(sel) != self.batch_size:
+        if len(sel) != self.batch_size:
             return self.x[sel], self.y[sel]
         n = len(self.x)
         if len(sel) and (int(sel.min()) < -n or int(sel.max()) >= n):
@@ -105,17 +103,6 @@ class StandardBatchLoader:
     def batch_at(self, sel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return self._take(np.asarray(sel))
 
-    def clone(self) -> "StandardBatchLoader":
-        """A loader over the same window stacks with its own buffers.
-
-        Shares the (read-only) data arrays; rank threads each clone so
-        their persistent batch buffers never alias.
-        """
-        other = object.__new__(StandardBatchLoader)
-        other.__dict__.update(self.__dict__)
-        other._xb = other._yb = None
-        return other
-
 
 class IndexBatchLoader:
     """Iterate over an :class:`IndexDataset` split via runtime gathering.
@@ -128,13 +115,12 @@ class IndexBatchLoader:
     """
 
     def __init__(self, ds: IndexDataset, split: str, batch_size: int,
-                 *, dtype=np.float32, reuse_buffers: bool = True):
+                 *, dtype=np.float32):
         self.ds = ds
         self.split = split
         self.starts = ds.split_starts(split)
         self.batch_size = _check_split(split, len(self.starts), batch_size)
         self.dtype = np.dtype(dtype)
-        self.reuse_buffers = reuse_buffers
         self._block: np.ndarray | None = None   # gather target, data dtype
         self._cast: np.ndarray | None = None    # training-dtype copy if needed
         self._x: np.ndarray | None = None
@@ -148,7 +134,7 @@ class IndexBatchLoader:
         return len(self.starts)
 
     def _gather(self, sel_starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        if not self.reuse_buffers or len(sel_starts) != self.batch_size:
+        if len(sel_starts) != self.batch_size:
             x, y = self.ds.gather(sel_starts)
             return (x.astype(self.dtype, copy=False),
                     y.astype(self.dtype, copy=False))
@@ -178,10 +164,3 @@ class IndexBatchLoader:
     def batch_at(self, sel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Batch for split-local snapshot indices ``sel``."""
         return self._gather(self.starts[np.asarray(sel)])
-
-    def clone(self) -> "IndexBatchLoader":
-        """A loader over the same :class:`IndexDataset` with its own
-        gather buffers (the dataset's single data copy stays shared)."""
-        return IndexBatchLoader(self.ds, self.split, self.batch_size,
-                                dtype=self.dtype,
-                                reuse_buffers=self.reuse_buffers)

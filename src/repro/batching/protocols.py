@@ -61,22 +61,3 @@ def ensure_batch_source(obj: object, role: str = "loader") -> object:
             f"{role} {type(obj).__name__!r} does not satisfy BatchSource: "
             f"missing {missing}")
     return obj
-
-
-def clone_batch_source(src: object) -> object:
-    """A per-rank clone of a batch source with private staging buffers.
-
-    Loaders reuse one persistent batch buffer, so two rank threads
-    drawing from the same loader would overwrite each other's batches.
-    Sources must expose ``clone()`` returning an instance with private
-    mutable state (both built-in loaders do); anything else is rejected
-    loudly — a shallow copy would silently alias the very buffers this
-    function exists to privatize, corrupting batches under concurrency.
-    """
-    clone = getattr(src, "clone", None)
-    if callable(clone):
-        return clone()
-    raise TypeError(
-        f"{type(src).__name__} has no clone(); per-rank execution needs "
-        f"private loader state (persistent batch buffers must not be "
-        f"shared between ranks) — implement clone() on the source")

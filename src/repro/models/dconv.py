@@ -14,8 +14,8 @@ which one CSR product covers the whole batch and the hop block is a plain
 2-D GEMM operand, so the work lives in a node-major core (``_bind`` /
 ``_bind_backward``) that writes hops straight into slices of one
 ``[nodes, batch, num_matrices * in_dim]`` block, one sparse product per
-hop for all supports (the cached operators of ``stacked_csr``, found
-again by a swapped-back support set) into scratch that persists.  The
+hop for all supports (the cached operators of ``stacked_csr``, shared by
+every layer over the same support set) into scratch that persists.  The
 core is *bound*: it resolves the operators, the hop chain's flat operands
 (through ``repro.kernels``) and the weight arrays once, and returns a
 closure a caller runs once or once per recurrence step.  It has two thin
@@ -87,8 +87,12 @@ class DiffusionConv(Module):
         super().__init__()
         if k_hops < 0:
             raise ValueError("k_hops must be >= 0")
-        self.supports = supports
-        self.num_nodes = self.supports[0].shape[0]
+        self.supports = [s.tocsr() for s in supports]
+        if not self.supports:
+            raise ValueError("need at least one support matrix")
+        self.num_nodes = n = self.supports[0].shape[0]
+        if any(s.shape != (n, n) for s in self.supports):
+            raise ShapeError("supports must be square and of one size")
         self.in_dim = in_dim
         self.out_dim = out_dim
         self.k_hops = k_hops
@@ -98,23 +102,6 @@ class DiffusionConv(Module):
             glorot_uniform(rng, self.num_matrices * in_dim, out_dim))
         self.bias = Parameter(zeros_((out_dim,)))
         self._scratch: dict[tuple, _Scratch] = {}
-
-    @property
-    def supports(self) -> list[sp.csr_matrix]:
-        return self._supports
-
-    @supports.setter
-    def supports(self, supports: list[sp.spmatrix]) -> None:
-        """Swap the graph (same count and size once built)."""
-        supports = [s.tocsr() for s in supports]
-        if not supports:
-            raise ValueError("need at least one support matrix")
-        old = getattr(self, "_supports", supports)
-        n = old[0].shape[0]
-        if len(supports) != len(old) or any(s.shape != (n, n)
-                                            for s in supports):
-            raise ShapeError("supports must be square, of one size and count")
-        self._supports = supports
 
     # ------------------------------------------------------------------
     def _get_scratch(self, b: int, dtype: np.dtype) -> _Scratch:
@@ -139,7 +126,7 @@ class DiffusionConv(Module):
         m, o = self.num_matrices, self.out_dim
         dtype = x0.dtype
         hops = kernels.active_backend().bind_hops(
-            *stacked_csr(self._supports, dtype), x0, scr.ping, scr.pong,
+            *stacked_csr(self.supports, dtype), x0, scr.ping, scr.pong,
             self.k_hops)
         weight, bias = self.weight.data, self.bias.data
         if not own_cat and scr.cat_eval is None:
@@ -171,7 +158,7 @@ class DiffusionConv(Module):
         w_t, gx, gw, gb = weight.data.T, scr.gx, scr.gw, scr.gb
         gcat2 = scr.gcat.reshape(-1, scr.gcat.shape[-1])
         chain = kernels.active_backend().bind_hops_backward(
-            stacked_csr(self._supports, gx.dtype)[1].T, scr.gcat, gx,
+            stacked_csr(self.supports, gx.dtype)[1].T, scr.gcat, gx,
             scr.ping, scr.pong, self.k_hops)
 
         def run(cat2: np.ndarray, g2: np.ndarray,

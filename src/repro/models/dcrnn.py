@@ -27,8 +27,8 @@ previous state.  ``1 - u`` and ``1 - c*c`` are recomputed.  Without
 gradients nothing is kept.
 Everything else is per-``(batch, dtype)`` scratch on the cell and its two
 convolutions, used only while one call runs, never handed to a caller, and
-never module-global -- replicas, forked ranks, rank threads and
-``deepcopy``'d deployments each have their own.
+never module-global -- forked ranks and ``deepcopy``'d deployments each
+have their own.
 
 **Accumulation-order contract.**  Float addition does not associate, and
 the fixed-seed curves (``tests/test_fabric.py::PINNED_2EP`` and every

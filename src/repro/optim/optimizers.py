@@ -81,16 +81,14 @@ class Optimizer:
         return [flat[o[i]:o[i + 1]].reshape(p.data.shape)
                 for i, p in enumerate(self.params)]
 
-    def bind(self, flat: np.ndarray, params: list[Parameter] | None = None
-             ) -> None:
-        """Zero ``flat`` and make it where ``params``' next gradients land.
+    def bind(self, flat: np.ndarray) -> None:
+        """Zero ``flat`` and make it where the next gradients land.
 
-        ``params`` defaults to the optimizer's own; a rank replica passes
-        its parallel list.  Each parameter's gradient is reset, so the
-        next backward copies into its slot on first touch and adds after.
+        Each parameter's gradient is reset, so the next backward copies
+        into its slot on first touch and adds after.
         """
         flat.fill(0.0)
-        for p, slot in zip(params or self.params, self.views(flat)):
+        for p, slot in zip(self.params, self.views(flat)):
             p.grad_slot = slot
             p.grad = None
 

@@ -3,7 +3,7 @@
 Layering (bottom up):
 
 - :mod:`repro.runtime.transport` — where ranks run and what
-  communication costs (``SimTransport`` / ``ThreadTransport``).
+  communication costs (``SimTransport``, the cost model).
 - :mod:`repro.runtime.fabric` — the real multi-interpreter fabric:
   ``ProcessTransport`` (forked ranks, zero-copy shared-memory data
   plane, each rank's outcome sent home over a pipe).
@@ -17,19 +17,20 @@ Layering (bottom up):
   (:class:`FaultPlan` schedules, :class:`FaultyTransport` wrapper) for
   the chaos test tier.
 
-Three transports, one reason each: ``SimTransport`` is the cost model
-(simulated time and bytes, what the paper-scale tables price),
-``ProcessTransport`` is the one fabric whose ranks own an interpreter
-(no GIL sharing, real child death), and ``ThreadTransport`` is the
-measured-fastest one where rank steps are large: NumPy releases the GIL,
-so rank threads overlap on real cores without a fork per step.  On a
-2-core host at world 2 (64 sensors, hidden 32, batch 16 per rank, one
-BLAS thread) a step took 62 ms on threads, 85 ms forked and 108 ms
-inline; at the benchmark's 24 × 16 shape inline ranks win (13 vs 25 ms),
-and so do they when BLAS runs its own threads.  Ranks are forked from
-the driver, so every fabric here is same-host; a second byte-stream
-protocol between one host's processes would duplicate
-``ProcessTransport``.
+Two transports, one reason each: ``SimTransport`` is the cost model
+(simulated time and bytes, what the paper-scale tables price), and
+``ProcessTransport`` runs ranks for real, inline on the driver or one
+forked interpreter per rank (no GIL sharing, real child death, and the
+fork snapshot is each rank's replica, so ranks never share mutable
+state).  A third fabric, rank threads in one address space, was removed:
+on a 2-core host at world 2 (64 sensors, hidden 32, batch 16 per rank,
+one BLAS thread) it won one shape (62 ms a step, against 85 ms forked
+and 108 ms inline), but at the benchmark's 24 × 16 shape inline ranks
+won (13 vs 25 ms), and so did they when BLAS ran its own threads, while
+it alone needed per-rank model replicas, loader clones and a lock in
+the kernel cache.  Ranks are forked from the driver, so every fabric
+here is same-host; a second byte-stream protocol between one host's
+processes would duplicate ``ProcessTransport``.
 """
 
 from repro.runtime.faults import (
@@ -43,17 +44,13 @@ from repro.runtime.fabric import ProcessTransport
 from repro.runtime.process_group import ProcessGroup, as_process_group
 from repro.runtime.transport import (
     CommStats,
-    MeasuredTransport,
     SimTransport,
-    ThreadTransport,
     Transport,
 )
 
 __all__ = [
     "Transport",
     "SimTransport",
-    "ThreadTransport",
-    "MeasuredTransport",
     "ProcessTransport",
     "CommStats",
     "FaultEvent",

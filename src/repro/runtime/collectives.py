@@ -12,13 +12,13 @@ invariants hold for every transport:
   promoted accumulator dtype.
 - **Bitwise-deterministic in rank order** — reductions accumulate
   contributions in rank order ``0, 1, ..., p-1`` regardless of transport,
-  thread scheduling, or buffer layout, so a fixed-seed training run
+  rank scheduling, or buffer layout, so a fixed-seed training run
   produces the same bits on :class:`~repro.runtime.transport.SimTransport`
-  and :class:`~repro.runtime.transport.ThreadTransport`.
+  and :class:`~repro.runtime.fabric.ProcessTransport`.
 
 Cost accounting is delegated to ``transport.collective(...)`` — the
 simulated fabric prices the ring algorithm (``2 (p-1)/p · n`` per rank),
-the thread fabric records measured wall seconds.
+the process fabric records measured wall seconds.
 """
 
 from __future__ import annotations

@@ -23,7 +23,7 @@ and transport swaps need no parameter broadcast.
   :class:`~repro.runtime.faults.RankFailure` at the current step.
 
 Collectives stay centralized in the driver, so training curves are
-bitwise identical to the sim/thread fabrics, and the fabric composes
+bitwise identical to the simulated fabric, and the fabric composes
 with :class:`~repro.runtime.faults.FaultyTransport` (an injected crash
 is a real child death).
 """
@@ -42,7 +42,7 @@ import numpy as np
 
 from repro.hardware.cores import usable_cores
 from repro.runtime.faults import RankFailure
-from repro.runtime.transport import MeasuredTransport, _check_rank
+from repro.runtime.transport import COLLECTIVE_KINDS, CommStats, _check_rank
 from repro.utils.errors import CommunicatorError
 
 #: Exit code of a child that died by injected fault (silent, like a
@@ -140,13 +140,18 @@ def _run_child(rank: int, fn: Callable[[int], object],  # pragma: no cover
     os._exit(0)
 
 
-class ProcessTransport(MeasuredTransport):
+class ProcessTransport:
     """Real-process fabric: one forked child per rank per step.
 
     Every rank owns a whole interpreter (no GIL sharing), so rank steps
-    scale with physical cores.  Collectives stay centralized in the
-    driver (:mod:`repro.runtime.collectives` reduces in rank order), so
-    training curves are bitwise identical to the sim/thread fabrics.
+    scale with physical cores, and each fork snapshot is that rank's
+    replica of the one model: no rank can race another through shared
+    state.  Collectives stay centralized in the driver
+    (:mod:`repro.runtime.collectives` reduces in rank order), so
+    training curves are bitwise identical to the simulated fabric.
+    Communication is real data movement: collectives record their bytes
+    and measured wall seconds, and :attr:`now` is the wall clock since
+    construction.
 
     ``parallel=False`` (or ``run_ranks(..., parallel=False)``) runs
     ranks inline on the driver — the sequential baseline the distributed
@@ -154,19 +159,20 @@ class ProcessTransport(MeasuredTransport):
     *data* movement is centralized either way.
     """
 
-    #: Ranks execute in separate address spaces, so trainers run them
-    #: concurrently on the one model: each fork snapshot is a rank's
-    #: replica, and no rank can race another through shared state.
-    isolated_ranks = True
-
     def __init__(self, world_size: int, *, parallel: bool = True):
-        super().__init__(world_size)
+        if world_size < 1:
+            raise ValueError("world_size must be >= 1")
         try:
             self._ctx = multiprocessing.get_context("fork")
         except ValueError as exc:  # pragma: no cover — non-POSIX
             raise CommunicatorError(
                 "the process fabric needs the fork start method; "
                 "this platform does not provide it") from exc
+        self.world_size = world_size
+        self.stats = CommStats()
+        self.compute_time = np.zeros(world_size)
+        self.comm_time = np.zeros(world_size)
+        self._t0 = time.perf_counter()
         self.parallel = bool(parallel)
         self._max_children = usable_cores()
         self._step = 0
@@ -209,6 +215,14 @@ class ProcessTransport(MeasuredTransport):
             writer.close()  # the child's copy is now the only write end
         return reader, proc
 
+    def _timed(self, fn: Callable[[int], object], rank: int):
+        """``fn(rank)`` inline, its wall seconds charged to the rank."""
+        t0 = time.perf_counter()
+        try:
+            return fn(rank)
+        finally:
+            self.compute_time[rank] += time.perf_counter() - t0
+
     def run_ranks(self, fn: Callable[[int], object], *,
                   parallel: bool = True) -> list:
         """Run ``fn(rank)`` for every rank; join before returning.
@@ -220,7 +234,7 @@ class ProcessTransport(MeasuredTransport):
         current step.
         """
         if not (self.parallel and parallel) or self.world_size == 1:
-            return self._run_inline(fn)
+            return [self._timed(fn, rank) for rank in range(self.world_size)]
 
         pending = list(range(self.world_size))
         inflight: dict = {}  # reader -> (rank, proc)
@@ -266,6 +280,48 @@ class ProcessTransport(MeasuredTransport):
         if failures:
             raise failures[min(failures)]
         return results
+
+    def advance_compute(self, rank: int, seconds: float) -> None:
+        """Simulated-compute charges are meaningless on a real fabric.
+
+        Accepted (and ignored) so trainers can charge unconditionally;
+        measured per-rank time is attributed by :meth:`run_ranks`.
+        """
+        _check_rank(self.world_size, rank)
+
+    # -- charging -------------------------------------------------------
+    def collective(self, kind: str, nbytes: int, category: str, *,
+                   record_bytes: int | None = None, repeat: int = 1,
+                   measured_seconds: float = 0.0) -> None:
+        if kind not in COLLECTIVE_KINDS:
+            raise CommunicatorError(f"unknown collective kind {kind!r}")
+        recorded = nbytes if record_bytes is None else record_bytes
+        self.comm_time += measured_seconds / self.world_size
+        self.stats.record(category, recorded * repeat,
+                          measured_seconds, repeat)
+
+    def contended_fetch(self, total_bytes: int, messages_per_rank: int,
+                        category: str) -> None:
+        if total_bytes == 0:
+            return
+        self.stats.record(category, total_bytes, 0.0)
+
+    def charge(self, category: str, nbytes: int, seconds: float,
+               ops: int = 1) -> None:
+        self.stats.record(category, nbytes, seconds, ops)
+
+    # -- observation ----------------------------------------------------
+    @property
+    def now(self) -> float:
+        """Measured wall seconds since this transport was created."""
+        return time.perf_counter() - self._t0
+
+    def elapsed_breakdown(self) -> dict[str, float]:
+        return {
+            "compute": float(self.compute_time.mean()),
+            "comm": float(self.comm_time.mean()),
+            "wall": self.now,
+        }
 
     def shutdown(self) -> None:
         """Free the shared-memory pools (idempotent)."""

@@ -369,8 +369,8 @@ class FaultyTransport:
             raise
 
     def __getattr__(self, name: str):
-        # Capability passthrough (attach_rank_buffers, isolated_ranks,
-        # begin_step, ...): trainers probe the transport with getattr, and
+        # Capability passthrough (attach_rank_buffers, begin_step,
+        # compute_time, ...): trainers probe the transport with getattr, and
         # the wrapper must not mask what the wrapped fabric offers.
         return getattr(self.inner, name)
 

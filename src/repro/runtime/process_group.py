@@ -4,9 +4,9 @@ Trainers and the performance model talk to a ``ProcessGroup`` — the
 gradient all-reduce, contended data-plane fetches, per-rank compute
 charging, rank execution, and :class:`~repro.runtime.transport.CommStats`
 traffic accounting by category — while the transport behind it decides
-whether ranks are simulated (:meth:`ProcessGroup.sim`), real threads
-(:meth:`ProcessGroup.threads`) or forked processes on a shared-memory
-data plane (:meth:`ProcessGroup.processes`).
+whether ranks are simulated (:meth:`ProcessGroup.sim`) or forked
+processes on a shared-memory data plane (:meth:`ProcessGroup.processes`,
+inline on the driver with ``parallel=False``).
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from repro.runtime import collectives
 from repro.runtime.transport import (
     CommStats,
     SimTransport,
-    ThreadTransport,
     Transport,
 )
 
@@ -41,12 +40,6 @@ class ProcessGroup:
             cost_model: CommCostModel | None = None) -> "ProcessGroup":
         """Simulated ranks priced by the cluster cost model."""
         return cls(SimTransport(world_size, cost_model))
-
-    @classmethod
-    def threads(cls, world_size: int, *,
-                parallel: bool = True) -> "ProcessGroup":
-        """Ranks on real threads; measured wall time, no simulation."""
-        return cls(ThreadTransport(world_size, parallel=parallel))
 
     @classmethod
     def processes(cls, world_size: int, *,
@@ -82,8 +75,7 @@ class ProcessGroup:
         """Execute ``fn(rank)`` on every rank; results in rank order.
 
         ``parallel=False`` forces sequential execution even on a parallel
-        transport (callers use it when per-rank closures share mutable
-        state).
+        transport.
         """
         return self.transport.run_ranks(fn, parallel=parallel)
 
@@ -128,4 +120,4 @@ def as_process_group(comm, *, world_size: int | None = None) -> ProcessGroup:
         return ProcessGroup.sim(world_size)
     raise TypeError(f"cannot interpret {type(comm).__name__} as a "
                     f"ProcessGroup; pass ProcessGroup.sim(...) / "
-                    f".threads(...) or a Transport implementation")
+                    f".processes(...) or a Transport implementation")

@@ -4,15 +4,14 @@ A :class:`Transport` answers two questions for the layers above it:
 
 1. **Where do ranks run?**  :meth:`Transport.run_ranks` executes one
    callable per rank — sequentially on the driver thread
-   (:class:`SimTransport`), or on one persistent worker thread per rank
-   (:class:`ThreadTransport`; NumPy releases the GIL, so rank steps
-   overlap on real cores).
+   (:class:`SimTransport`), or in one forked child per rank
+   (:class:`~repro.runtime.fabric.ProcessTransport`).
 2. **What does communication cost?**  Collectives and data-plane
    fetches are *charged* through :meth:`Transport.collective` /
    :meth:`Transport.contended_fetch`: :class:`SimTransport` prices them
    with the :mod:`repro.cluster` alpha-beta cost models on per-rank
    :class:`~repro.utils.clock.ManualClock`\\ s, while
-   :class:`ThreadTransport` records measured wall seconds.
+   ``ProcessTransport`` records measured wall seconds.
 
 The numeric *data movement* of a collective lives one layer up, in
 :mod:`repro.runtime.collectives`, implemented once against this protocol;
@@ -22,8 +21,6 @@ two together for trainers and serving.
 
 from __future__ import annotations
 
-import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Protocol, runtime_checkable
 
@@ -64,6 +61,10 @@ class CommStats:
 @runtime_checkable
 class Transport(Protocol):
     """What a communication fabric must provide.
+
+    Every rank computes on the trainer's one model, so :meth:`run_ranks`
+    runs ranks one after another or in separate address spaces (forked),
+    never concurrently in one.
 
     ``repeat`` on the charging methods scales time/bytes/ops by a constant
     in one call (a single float multiply, so charging ``n`` identical ops
@@ -193,152 +194,3 @@ class SimTransport:
             "comm": float(self.comm_time.mean()),
             "wall": self.now,
         }
-
-
-class MeasuredTransport:
-    """Shared accounting base for fabrics that run on real hardware.
-
-    The thread and process fabrics both answer the *cost* half of
-    the :class:`Transport` protocol the same way: communication is real
-    data movement, so collectives record their bytes and measured
-    wall seconds instead of simulated time, and :attr:`now` is the wall
-    clock since construction.  Subclasses only decide *where ranks run*
-    (:meth:`run_ranks`).
-    """
-
-    def __init__(self, world_size: int):
-        if world_size < 1:
-            raise ValueError("world_size must be >= 1")
-        self.world_size = world_size
-        self.stats = CommStats()
-        self.compute_time = np.zeros(world_size)
-        self.comm_time = np.zeros(world_size)
-        self._t0 = time.perf_counter()
-
-    # -- rank execution -------------------------------------------------
-    def run_ranks(self, fn: Callable[[int], object], *,
-                  parallel: bool = True) -> list:
-        raise NotImplementedError
-
-    def _timed(self, fn: Callable[[int], object], rank: int):
-        """``fn(rank)``, its wall seconds charged to the rank's compute."""
-        t0 = time.perf_counter()
-        try:
-            return fn(rank)
-        finally:
-            self.compute_time[rank] += time.perf_counter() - t0
-
-    def _run_inline(self, fn: Callable[[int], object]) -> list:
-        """Every rank in order on the calling thread (``parallel=False``)."""
-        return [self._timed(fn, rank) for rank in range(self.world_size)]
-
-    def advance_compute(self, rank: int, seconds: float) -> None:
-        """Simulated-compute charges are meaningless on real fabrics.
-
-        Accepted (and ignored) so trainers can charge unconditionally;
-        measured per-rank time is attributed by :meth:`run_ranks`.
-        """
-        _check_rank(self.world_size, rank)
-
-    # -- charging -------------------------------------------------------
-    def collective(self, kind: str, nbytes: int, category: str, *,
-                   record_bytes: int | None = None, repeat: int = 1,
-                   measured_seconds: float = 0.0) -> None:
-        if kind not in COLLECTIVE_KINDS:
-            raise CommunicatorError(f"unknown collective kind {kind!r}")
-        recorded = nbytes if record_bytes is None else record_bytes
-        self.comm_time += measured_seconds / self.world_size
-        self.stats.record(category, recorded * repeat,
-                          measured_seconds, repeat)
-
-    def contended_fetch(self, total_bytes: int, messages_per_rank: int,
-                        category: str) -> None:
-        if total_bytes == 0:
-            return
-        self.stats.record(category, total_bytes, 0.0)
-
-    def charge(self, category: str, nbytes: int, seconds: float,
-               ops: int = 1) -> None:
-        self.stats.record(category, nbytes, seconds, ops)
-
-    # -- observation ----------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Measured wall seconds since this transport was created."""
-        return time.perf_counter() - self._t0
-
-    def elapsed_breakdown(self) -> dict[str, float]:
-        return {
-            "compute": float(self.compute_time.mean()),
-            "comm": float(self.comm_time.mean()),
-            "wall": self.now,
-        }
-
-
-class ThreadTransport(MeasuredTransport):
-    """Real-thread fabric: one persistent worker thread per rank.
-
-    :meth:`run_ranks` dispatches each rank's callable to its worker and
-    joins them all (barrier semantics).  The heavy NumPy kernels in a
-    training step release the GIL, so on a multi-core machine rank steps
-    genuinely overlap — the first actually-parallel multi-rank execution
-    in this repository.  Communication is shared-memory data movement
-    (performed by :mod:`repro.runtime.collectives`); this transport
-    records its bytes and measured wall seconds instead of simulated
-    time.
-
-    Pass ``parallel=False`` (or call ``run_ranks(..., parallel=False)``)
-    to force sequential rank execution — the baseline the distributed
-    benchmark compares against.
-    """
-
-    def __init__(self, world_size: int, *, parallel: bool = True):
-        super().__init__(world_size)
-        self.parallel = bool(parallel)
-        self._pool: ThreadPoolExecutor | None = None
-
-    def _ensure_pool(self) -> ThreadPoolExecutor:
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.world_size,
-                thread_name_prefix="repro-rank")
-        return self._pool
-
-    # -- rank execution -------------------------------------------------
-    def run_ranks(self, fn: Callable[[int], object], *,
-                  parallel: bool = True) -> list:
-        """Run ``fn(rank)`` on every rank; join before returning.
-
-        Results are ordered by rank.  A raising rank propagates its
-        exception after all ranks have been joined, so no worker is left
-        mid-step.
-        """
-        if not (self.parallel and parallel) or self.world_size == 1:
-            return self._run_inline(fn)
-        futures = [self._ensure_pool().submit(self._timed, fn, rank)
-                   for rank in range(self.world_size)]
-        # Two passes: wait for everything first (the join barrier), then
-        # raise the lowest-rank failure with no rank still mid-step.  A
-        # failed step also tears the worker pool down — otherwise the
-        # rank threads outlive the exception with nobody left to call
-        # shutdown(), and an interpreter exit blocks joining them.  The
-        # pool is rebuilt lazily, so a recovered trainer can keep using
-        # this transport.
-        done = [f.exception() for f in futures]
-        for exc in done:
-            if exc is not None:
-                self.shutdown()
-                raise exc
-        return [f.result() for f in futures]
-
-    def shutdown(self) -> None:
-        """Tear down the worker pool (idempotent)."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-    def __del__(self):  # best-effort; pools also die with the process
-        try:
-            self.shutdown()
-        except Exception:
-            pass

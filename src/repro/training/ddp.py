@@ -20,32 +20,25 @@ buffer (laid out like ``optimizer.grad``, see
 all-reduce (charging ring-allreduce time and bytes on a simulated
 transport), and the optimizer applies the averaged gradient.
 
-Where ranks run decides what a rank computes on.  Sequential ranks
-(``sim``, or any fabric built with ``parallel=False``) share the one
-model: replicas of a DDP run never diverge, so one replica is every
-replica.  Forked ranks (``isolated_ranks``) also share it, because the
-copy-on-write fork snapshot is the per-rank replica.  Concurrent ranks
-in one address space (``ProcessGroup.threads``) each get a replica
-derived from the model: a deep copy whose parameter *data* and graph
-supports are the model's own arrays, so the one optimizer step updates
-every replica at once, while gradients and kernel scratch stay
-rank-private.  NumPy releases the GIL, so those rank steps overlap on
-real cores.  Every mode produces bitwise-identical training curves.
+Every rank computes on the one model and the one loader.  Sequential
+ranks (``sim``, or the process fabric built with ``parallel=False``)
+take turns: replicas of a DDP run never diverge, so one replica is every
+replica.  Concurrent ranks are forked processes, and the copy-on-write
+fork snapshot is each rank's replica.  Both modes produce
+bitwise-identical training curves.
 """
 
 from __future__ import annotations
 
-import copy
 import enum
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.autograd.grad_mode import no_grad
 from repro.autograd.tensor import Tensor
-from repro.batching.protocols import clone_batch_source, ensure_batch_source
+from repro.batching.protocols import ensure_batch_source
 from repro.nn.module import assert_inference_mode
 from repro.batching.samplers import (
     BatchShuffleSampler,
@@ -108,7 +101,7 @@ class DDPTrainer:
         Parameters
         ----------
         comm: a :class:`ProcessGroup` (``ProcessGroup.sim(world)`` /
-            ``ProcessGroup.threads(world)``) or a bare transport.
+            ``ProcessGroup.processes(world)``) or a bare transport.
         step_time_fn: maps microbatch size -> simulated compute seconds
             (defaults to the model's analytic flop model on an A100).
         batch_bytes_fn: maps microbatch size -> bytes a worker must pull
@@ -176,51 +169,6 @@ class DDPTrainer:
         if attach is not None:
             self._grad_bufs = [attach(rank, [buf])[0]
                                for rank, buf in enumerate(self._grad_bufs)]
-        self._replicas: list[STModel] | None = None
-        self._rank_params: list[list] = [optimizer.params] * self.world_size
-        self._rank_loaders = [self.train_loader] * self.world_size
-        # Ranks run concurrently on a fabric built parallel; on forked
-        # ranks the fork snapshot is the replica, so not even a shared
-        # model can race.  Concurrent ranks in one address space need
-        # replicas of their own.
-        transport = self.comm.transport
-        isolated = getattr(transport, "isolated_ranks", False)
-        self._parallel = self.world_size > 1 and (
-            isolated or getattr(transport, "parallel", False))
-        if self._parallel and not isolated:
-            self._build_replicas()
-
-    # ------------------------------------------------------------------
-    def _build_replicas(self) -> None:
-        """Per-rank replicas derived from the shared model.
-
-        ``deepcopy`` with every parameter array and sparse support seeded
-        in its memo: a replica reuses those objects and copies the rest,
-        so the one optimizer step updates every replica at once (they
-        cannot diverge) while gradients and scratch buffers stay
-        rank-private — the property that makes rank steps safe to run
-        concurrently.
-        """
-        shared = {id(p.data): p.data for p in self.model.parameters()}
-        for m in self.model.modules():
-            for value in vars(m).values():
-                items = value if isinstance(value, (list, tuple)) else (value,)
-                shared.update((id(s), s) for s in items if sp.issparse(s))
-        self._replicas = [self.model]
-        self._rank_params = [self.optimizer.params]
-        for _ in range(1, self.world_size):
-            memo = dict(shared)
-            self._replicas.append(copy.deepcopy(self.model, memo))
-            try:
-                self._rank_params.append(
-                    [memo[id(p)] for p in self.optimizer.params])
-            except KeyError:
-                raise CommunicatorError(
-                    "optimizer params must come from the trained model "
-                    "to run ranks concurrently") from None
-        self._rank_loaders = [self.train_loader] + [
-            clone_batch_source(self.train_loader)
-            for _ in range(1, self.world_size)]
 
     # ------------------------------------------------------------------
     def _default_step_time(self, batch: int) -> float:
@@ -254,16 +202,13 @@ class DDPTrainer:
         Returns the scalar loss; the gradient leaves through
         ``self._grad_bufs[rank]``.
         """
-        model = self._replicas[rank] if self._replicas else self.model
-        loader = self._rank_loaders[rank]
-        params = self._rank_params[rank]
-        x, y = loader.batch_at(sel)
-        pred = model(Tensor(x))
+        x, y = self.train_loader.batch_at(sel)
+        pred = self.model(Tensor(x))
         loss = self.loss_fn(pred, y[..., :1].astype(np.float32))
-        self.optimizer.bind(self._grad_bufs[rank], params)
+        self.optimizer.bind(self._grad_bufs[rank])
         loss.backward()
         if self.clip_norm:
-            clip_grad_norm(params, self.clip_norm)
+            clip_grad_norm(self.optimizer.params, self.clip_norm)
         return float(loss.item())
 
     def train_epoch(self, epoch: int) -> float:
@@ -274,8 +219,7 @@ class DDPTrainer:
         into the epoch mean, so the resumed curve is bitwise identical
         to an uninterrupted run.
         """
-        for m in self._replicas or [self.model]:
-            m.train()
+        self.model.train()
         plan = self.sampler.epoch_plan(epoch)
         steps = min(len(b) for b in plan)
         if steps == 0:
@@ -295,8 +239,7 @@ class DDPTrainer:
                 self._charge_rank_compute(rank, len(sel))
                 return self._microbatch_grads(rank, sel)
 
-            losses.extend(self.comm.run_ranks(rank_step,
-                                              parallel=self._parallel))
+            losses.extend(self.comm.run_ranks(rank_step))
             self._charge_data_comm(len(plan[0][step]))
             average_and_apply(self.comm, self._grad_bufs, self.optimizer)
             self.global_step += 1
@@ -365,7 +308,7 @@ class DDPTrainer:
         changes every gradient average or the data order itself, so a
         bitwise-identical continuation is impossible and the mismatch
         fails loudly here.  The *transport* may differ — ``sim`` and
-        ``thread`` ranks train identical bits (pinned by the runtime
+        ``process`` ranks train identical bits (pinned by the fabric
         suite), so a run checkpointed under one resumes under the other.
 
         Charges the parameter re-broadcast every real recovery performs
@@ -439,8 +382,7 @@ class DDPTrainer:
         loader = loader or self.val_loader
         if loader is None:
             raise ValueError("no evaluation loader provided")
-        for m in self._replicas or [self.model]:
-            m.eval()
+        self.model.eval()
         n = loader.num_snapshots
         bounds = np.linspace(0, n, self.world_size + 1).astype(int)
         partials = []
@@ -470,7 +412,8 @@ class DDPTrainer:
     def fit(self, epochs: int, *, verbose: bool = False
             ) -> list[DDPEpochRecord]:
         start_epoch = (self._resume_cursor[0]
-                       if self._resume_cursor is not None else 0)
+                       if self._resume_cursor is not None
+                       else len(self.history))
         for epoch in range(start_epoch, epochs):
             t0 = self.comm.now
             c0 = self.comm.elapsed_breakdown()

@@ -51,7 +51,7 @@ class RecoveryReport:
     @property
     def total_seconds(self) -> float:
         """Transport time summed over every attempt (aborted + final) —
-        simulated seconds on a sim fabric, wall seconds on threads."""
+        simulated seconds on a sim fabric, wall seconds on processes."""
         return float(sum(self.attempt_seconds))
 
 
@@ -114,7 +114,7 @@ def train_with_recovery(make_trainer: Callable[[], DDPTrainer],
             if isinstance(transport, FaultyTransport):
                 fired |= transport.fired
             # Abandoned attempts must not leak fabric resources (shm
-            # pools, worker threads) across what may be many restarts.
+            # pools) across what may be many restarts.
             shutdown = getattr(transport, "shutdown", None)
             if shutdown is not None:
                 shutdown()

@@ -24,7 +24,6 @@ from repro.runtime import (
     ProcessGroup,
     RankFailure,
     SimTransport,
-    ThreadTransport,
 )
 from repro.training import DDPStrategy, DDPTrainer, train_with_recovery
 
@@ -43,15 +42,13 @@ def data():
 
 
 def make_trainer(data, *, strategy=DDPStrategy.DIST_INDEX, plan=None,
-                 ckpt=None, checkpoint_every=2, transport="sim",
-                 world=WORLD):
+                 ckpt=None, checkpoint_every=2, world=WORLD):
     idx, supports = data
 
     model = PGTDCRNN(supports, horizon=4, in_features=2, hidden_dim=8,
                      seed=SEED)
     opt = Adam(model.parameters(), lr=0.01)
-    base = (ThreadTransport(world) if transport == "thread"
-            else SimTransport(world))
+    base = SimTransport(world)
     t = base if plan is None else FaultyTransport(base, plan)
     return DDPTrainer(
         model, opt, ProcessGroup(t),
@@ -103,18 +100,6 @@ class TestCrashRecovery:
         trainer, history, report = train_with_recovery(
             lambda: make_trainer(data, plan=plan, ckpt=ckpt), EPOCHS)
         assert report.restarts == 3
-        assert curve(history) == clean
-
-    def test_thread_transport_crash_recovery(self, data, tmp_path):
-        """A rank dying on a real worker thread joins cleanly and the
-        recovery loop still reproduces the sequential-sim curve."""
-        clean = curve(make_trainer(data).fit(EPOCHS))
-        plan = FaultPlan().rank_crash(step=4, rank=1)
-        ckpt = str(tmp_path / "thread.npz")
-        trainer, history, report = train_with_recovery(
-            lambda: make_trainer(data, plan=plan, ckpt=ckpt,
-                                 transport="thread"), EPOCHS)
-        assert report.restarts == 1
         assert curve(history) == clean
 
     def test_randomized_plan_with_recovery(self, data, tmp_path):

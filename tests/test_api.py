@@ -167,8 +167,8 @@ class TestRunSpec:
         with pytest.raises(KeyError, match=r"unknown RunSpec fields "
                                            r"\['backend'\]"):
             RunSpec.from_dict({"dataset": "pems-bay", "backend": "auto"})
-        with pytest.raises(ValueError, match=r"\('sim', 'thread', "
-                                             r"'process'\), got 'socket'"):
+        with pytest.raises(ValueError,
+                           match=r"\('sim', 'process'\), got 'socket'"):
             RunSpec(dataset="pems-bay", strategy="dist-index", world_size=2,
                     transport="socket")
 

@@ -398,7 +398,7 @@ class TestResumeEdgeCases:
 
             model = PGTDCRNN(supports, 4, 2, hidden_dim=8, seed=0)
             opt = Adam(model.parameters(), lr=0.01)
-            pg = (ProcessGroup.threads(world) if transport == "thread"
+            pg = (ProcessGroup.processes(world) if transport == "process"
                   else ProcessGroup.sim(world))
             return DDPTrainer(
                 model, opt, pg, IndexBatchLoader(idx, "train", 8),
@@ -411,8 +411,8 @@ class TestResumeEdgeCases:
     def curve(self, history):
         return [(h.train_loss, h.val_mae) for h in history]
 
-    @pytest.mark.parametrize("first,second", [("sim", "thread"),
-                                              ("thread", "sim")])
+    @pytest.mark.parametrize("first,second", [("sim", "process"),
+                                              ("process", "sim")])
     def test_transport_swap_resumes_bitwise(self, ddp_setup, tmp_path,
                                             first, second):
         """A run checkpointed under one transport resumes under the

@@ -20,7 +20,7 @@ EXAMPLE_ARGS = {
     "quickstart": dict(scale="tiny", epochs=1),
     "model_zoo": dict(scale="tiny", epochs=1),
     "distributed_training": dict(scale="tiny", world=2, epochs=1,
-                                 transport="thread"),
+                                 transport="process"),
     "memory_comparison": dict(nodes=8, entries=200),
     "scaling_study": dict(),
     "online_serving": dict(scale="tiny", epochs=1, requests=40),
@@ -32,10 +32,10 @@ EXAMPLE_ARGS = {
 
 #: example module -> a line its smoke run must print.
 EXPECTED_LINES = {
-    # The rerun on rank threads trains on replicas DDPTrainer derives
-    # itself, through ``api.run``.
+    # The rerun on forked ranks goes through ``api.run``, and each fork
+    # snapshot is that rank's replica of the one model.
     "distributed_training":
-        "thread vs sim fixed-seed curves bitwise identical: True",
+        "forked vs sim fixed-seed curves bitwise identical: True",
 }
 
 TIMEOUT_SECONDS = 120

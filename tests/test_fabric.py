@@ -5,11 +5,11 @@ Three layers, bottom up:
 - **Shared memory**: the array pool the zero-copy data plane is built on.
 - **Fork fabric**: ranks really run in separate interpreters (distinct
   PIDs), results of any size come home bitwise over each rank's pipe,
-  errors and hard child deaths propagate with the same semantics as the
-  thread fabric, failed steps leak no file descriptors, and the
+  errors surface lowest rank first, hard child deaths become
+  ``RankFailure``, failed steps leak no file descriptors, and the
   zero-copy data plane delivers gradients home.
 - **Equivalence**: collectives and fixed-seed ``DDPTrainer`` curves are
-  bitwise identical across sim / thread / process, faults
+  bitwise identical across sim / inline / forked ranks, faults
   compose (a crashed forked rank recovers to the fault-free curve), and
   checkpoints resume across a transport swap onto a forked fabric.
 """
@@ -193,9 +193,6 @@ class TestForkFabric:
             np.testing.assert_array_equal(bufs[1][0], np.full(4, 2.0))
         finally:
             t.shutdown()
-
-    def test_fabrics_report_isolated_ranks(self, fabric):
-        assert fabric(2).isolated_ranks
 
     def test_world_size_validated(self, fabric):
         t = fabric(2)

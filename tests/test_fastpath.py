@@ -189,46 +189,25 @@ class TestDiffusionConvFused:
         assert scr1.x0 is scr2.x0               # and its buffers
         np.testing.assert_allclose(x.grad, g1, rtol=1e-6)
 
-    def test_support_swap_takes_effect(self, supports):
-        other = dual_random_walk_supports(
-            random_sensor_network(12, seed=5).weights)
-        conv = DiffusionConv(supports, 5, 7, k_hops=2)
-        fresh = DiffusionConv(other, 5, 7, k_hops=2)
-        fresh.load_state_dict(conv.state_dict())
-        rng = np.random.default_rng(4)
-        x = rng.standard_normal((4, 12, 5)).astype(np.float32)
-        g = rng.standard_normal((4, 12, 7)).astype(np.float32)
-
-        def run(c):
-            c.zero_grad()
-            xt = Tensor(x.copy(), requires_grad=True)
-            out = c(xt)
-            out.backward(g.copy())
-            return [a.tobytes() for a in (out.data, xt.grad, c.weight.grad,
-                                          c.bias.grad)]
-
+    def test_same_supports_find_cached_operators(self, supports):
+        """A second layer over a support set seen before builds nothing:
+        ``stacked_csr`` returns the first layer's operators."""
         f32 = np.dtype(np.float32)
-        before = run(conv)
-        ops = stacked_csr(conv.supports, f32)
-        conv.supports = other
-        after = run(conv)
-        assert after == run(fresh)
-        assert after[0] != before[0]
-        conv.supports = supports        # a set seen before: nothing rebuilt
-        assert all(a is b for a, b in zip(stacked_csr(conv.supports, f32),
-                                          ops))
-        assert run(conv) == before
-
-    def test_support_swap_keeps_count_and_size(self, supports):
         conv = DiffusionConv(supports, 5, 7, k_hops=2)
+        ops = stacked_csr(conv.supports, f32)
+        again = DiffusionConv(supports, 5, 7, k_hops=2)
+        assert all(a is b for a, b in zip(stacked_csr(again.supports, f32),
+                                          ops))
+
+    def test_supports_validated_at_construction(self, supports):
         small = dual_random_walk_supports(
             random_sensor_network(8, seed=5).weights)
-        for bad in (supports[:1], small):
-            with pytest.raises(ShapeError, match="one size and count"):
-                conv.supports = bad
+        with pytest.raises(ShapeError, match="square and of one size"):
+            DiffusionConv(supports[:1] + small[:1], 5, 7, k_hops=2)
+        with pytest.raises(ShapeError, match="square and of one size"):
+            DiffusionConv([supports[0][:, :6]], 5, 7, k_hops=2)
         with pytest.raises(ValueError, match="at least one"):
-            conv.supports = []
-        assert conv.supports == supports
+            DiffusionConv([], 5, 7, k_hops=2)
 
     def test_grad_accumulates_over_calls(self, supports):
         conv = DiffusionConv(supports, 3, 4, k_hops=2)
@@ -385,32 +364,6 @@ class TestDCGRUStepParity:
             None if p.grad is None else p.grad.tobytes()
             for p in model.parameters()]
 
-    def test_bindings_follow_a_supports_swap(self):
-        """Operators are bound once per forward, not once per model: after
-        both convolutions take another graph, outputs and gradients are a
-        fresh model's on that graph; swapping back restores the bits."""
-        from repro.models import PGTDCRNN
-
-        model, _ = self._models(24, 12, 16, 2)
-        other = dual_random_walk_supports(
-            random_sensor_network(24, seed=5).weights)
-        fresh = PGTDCRNN(other, 12, 2, hidden_dim=16, k_hops=2, seed=3)
-        fresh.load_state_dict(model.state_dict())
-        rng = np.random.default_rng(2)
-        x = rng.standard_normal((8, 12, 24, 2)).astype(np.float32)
-        g = rng.standard_normal((8, 12, 24, 1)).astype(np.float32)
-        convs = (model.cell.gates, model.cell.candidate)
-        first = model.cell.gates.supports
-        before = self._grads(model, x, g)
-        for conv in convs:
-            conv.supports = other
-        after = self._grads(model, x, g)
-        assert after == self._grads(fresh, x, g)
-        assert after[0] != before[0]
-        for conv in convs:
-            conv.supports = first
-        assert self._grads(model, x, g) == before
-
     @pytest.mark.parametrize("frozen", ["cell", "proj"])
     def test_frozen_parameters(self, frozen):
         """A frozen half keeps ``grad is None``; the other half's
@@ -470,12 +423,13 @@ class TestLoaderBuffers:
         assert x1.base is loader._block or x1.base.base is loader._block
 
     def test_index_loader_buffer_contents_refresh(self, data):
+        """Each full-size batch overwrites the buffer with its own rows:
+        what an owned gather (``IndexDataset.gather``) returns."""
         _, idx = data
         loader = IndexBatchLoader(idx, "train", 4)
-        fresh = IndexBatchLoader(idx, "train", 4, reuse_buffers=False)
         for sel in (np.arange(4), np.array([9, 2, 11, 5])):
             xb, yb = loader.batch_at(sel)
-            xo, yo = fresh.batch_at(sel)
+            xo, yo = idx.gather(loader.starts[sel])
             np.testing.assert_array_equal(xb, xo)
             np.testing.assert_array_equal(yb, yo)
 
@@ -504,12 +458,15 @@ class TestLoaderBuffers:
         x2, _ = loader.batch_at(np.arange(3))
         assert x1 is not x2
 
-    def test_reuse_off_gets_owned_arrays(self, data):
+    def test_copied_full_batches_survive_the_next_gather(self, data):
+        """A full-size batch is valid until the next gather; ``.copy()``
+        keeps it, and holds what an odd-size (owned) request returns."""
         _, idx = data
-        loader = IndexBatchLoader(idx, "train", 8, reuse_buffers=False)
-        x1, _ = loader.batch_at(np.arange(8))
-        x2, _ = loader.batch_at(np.arange(8))
-        assert x1 is not x2
+        loader = IndexBatchLoader(idx, "train", 8)
+        kept = loader.batch_at(np.arange(8))[0].copy()
+        loader.batch_at(np.arange(8, 16))
+        np.testing.assert_array_equal(kept[:7],
+                                      loader.batch_at(np.arange(7))[0])
 
     def test_standard_and_index_loaders_bitwise_agree(self, data):
         std, idx = data
@@ -731,9 +688,14 @@ class TestEvaluationBufferSafety:
         ds = load_dataset("pems-bay", nodes=6, entries=150, seed=1)
         idx = IndexDataset.from_dataset(ds, store_dtype=np.float32)
         reused = IndexBatchLoader(idx, "val", 4)
-        owned = IndexBatchLoader(idx, "val", 4, reuse_buffers=False)
+
+        class Owned:       # the same batches, each copied out of the buffer
+            def batches(self):
+                for x, y in reused.batches():
+                    yield x.copy(), y.copy()
+
         trainer = Trainer(Echo(), None, reused)
-        assert trainer.evaluate(reused) == trainer.evaluate(owned) > 0
+        assert trainer.evaluate(reused) == trainer.evaluate(Owned()) > 0
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.api import RunSpec
-from repro.runtime import ProcessGroup
+from repro.runtime import ProcessGroup, ProcessTransport
 from repro.runtime.faults import (
     FAULT_KINDS,
     FaultEvent,
@@ -20,7 +20,7 @@ from repro.runtime.faults import (
     FaultyTransport,
     RankFailure,
 )
-from repro.runtime.transport import SimTransport, ThreadTransport
+from repro.runtime.transport import SimTransport
 
 
 def plan_crash_straggler() -> FaultPlan:
@@ -221,8 +221,8 @@ class TestFaultyTransport:
         assert (clean.stats.bytes_by_category
                 == faulty.stats.bytes_by_category)
 
-    @pytest.mark.parametrize("inner", [SimTransport, ThreadTransport],
-                             ids=["sim", "thread"])
+    @pytest.mark.parametrize("inner", [SimTransport, ProcessTransport],
+                             ids=["sim", "process"])
     @pytest.mark.parametrize("category, delayed", [
         ("data", True), ("gradient", False)], ids=["match", "other"])
     def test_delay_reaches_data_plane_fetches(self, inner, category,

@@ -199,11 +199,15 @@ def test_threading_guard_sees_every_import_form(tmp_path, source, hit):
     assert bool(threading_imports(path)) is hit
 
 
-def test_gateway_is_single_threaded():
-    """The gateway is documented as single-threaded, so it holds no lock
-    and runs no pool: ``gateway.py`` imports neither ``threading`` nor
-    ``concurrent.futures``, at module level or inside a function."""
-    assert threading_imports(SRC / "serving" / "gateway" / "gateway.py") == []
+def test_every_module_is_single_threaded():
+    """Ranks run in order or as forked processes, and the gateway is one
+    serving loop, so nothing holds a lock or runs a pool: no module under
+    ``src/repro`` imports ``threading`` or ``concurrent.futures``, at
+    module level or inside a function."""
+    hits = {str(path.relative_to(SRC)): names
+            for path in sorted(SRC.rglob("*.py"))
+            if (names := threading_imports(path))}
+    assert hits == {}
 
 
 #: ``__all__`` names nothing in ``src/``, ``benchmarks/`` or ``examples/``

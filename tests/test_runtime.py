@@ -1,27 +1,24 @@
 """Tests for the ``repro.runtime`` distributed execution layer.
 
-Covers the transport protocol (simulated and threaded), the single
-collectives implementation, gradient bucketing, the ``ProcessGroup``
-facade — and the two refactor guarantees this layer was built under:
+Covers the transport protocol (simulated and process fabrics), the
+single collectives implementation, the ``ProcessGroup`` facade — and the
+two refactor guarantees this layer was built under:
 
 - **Behavior preservation**: fixed-seed ``DDPTrainer`` loss curves and
   per-category byte counts under ``SimTransport`` are pinned to the
   values the pre-refactor simulated communicator produced (captured at
   the parent commit with the same data/model/seed).
 - **Cross-transport equivalence**: ``SimTransport`` and
-  ``ThreadTransport`` produce bitwise-identical fixed-seed training for
-  all three DDP strategies.
+  ``ProcessTransport`` produce bitwise-identical fixed-seed training for
+  all three DDP strategies (pinned in ``tests/test_fabric.py``).
 """
-
-import threading
-import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.autograd.sparse_kernels import stacked_csr
+from repro.autograd.tensor import Tensor
 from repro.batching import IndexBatchLoader
 from repro.datasets import load_dataset
 from repro.graph import dual_random_walk_supports
@@ -34,7 +31,6 @@ from repro.runtime import (
     ProcessGroup,
     ProcessTransport,
     SimTransport,
-    ThreadTransport,
     Transport,
     as_process_group,
 )
@@ -46,11 +42,13 @@ from repro.utils.errors import CommunicatorError
 # ---------------------------------------------------------------------------
 # Collectives: one implementation, every transport
 # ---------------------------------------------------------------------------
-@pytest.fixture(params=["sim", "thread"])
+@pytest.fixture(params=["sim", "inline", "process"])
 def pg(request):
     def make(world):
-        return (ProcessGroup.sim(world) if request.param == "sim"
-                else ProcessGroup.threads(world))
+        if request.param == "sim":
+            return ProcessGroup.sim(world)
+        return ProcessGroup.processes(world,
+                                      parallel=request.param == "process")
     return make
 
 
@@ -105,7 +103,7 @@ class TestCollectives:
 #: Every fabric that implements ``Transport``, built at world 2.
 FABRICS = {
     "sim": lambda: SimTransport(2),
-    "thread": lambda: ThreadTransport(2),
+    "inline": lambda: ProcessTransport(2, parallel=False),
     "process": lambda: ProcessTransport(2),
     "faulty": lambda: FaultyTransport(SimTransport(2), FaultPlan()),
 }
@@ -166,7 +164,7 @@ class TestCollectiveKinds:
 
     @pytest.mark.parametrize("kind", COLLECTIVE_KINDS)
     def test_real_fabrics_record_measured_seconds(self, kind):
-        t = ThreadTransport(2)
+        t = ProcessTransport(2)
         t.collective(kind, 4096, "c", record_bytes=100, repeat=3,
                      measured_seconds=0.5)
         assert t.stats.bytes_by_category == {"c": 300}
@@ -174,92 +172,47 @@ class TestCollectiveKinds:
         assert t.stats.ops == 3
 
 
-class TestThreadTransport:
-    def test_run_ranks_results_in_rank_order(self):
-        t = ThreadTransport(4)
-        barrier = threading.Barrier(4, timeout=10)
+class TestProcessTransport:
+    """The one concurrent-capable fabric, inline and forked alike."""
+
+    @pytest.fixture(params=["inline", "forked"])
+    def make(self, request):
+        made = []
+
+        def make(world):
+            t = ProcessTransport(world, parallel=request.param == "forked")
+            made.append(t)
+            return t
+
+        yield make
+        for t in made:
+            t.shutdown()
+
+    def test_run_ranks_results_in_rank_order(self, make):
+        assert make(4).run_ranks(lambda r: r * 10) == [0, 10, 20, 30]
+
+    def test_lowest_rank_exception_wins(self, make):
+        t = make(4)
 
         def fn(rank):
-            barrier.wait()  # deadlocks unless all ranks really run at once
-            return rank * 10
-        assert t.run_ranks(fn) == [0, 10, 20, 30]
-        t.shutdown()
-
-    def test_parallel_false_runs_inline(self):
-        t = ThreadTransport(3, parallel=False)
-        main = threading.get_ident()
-        idents = t.run_ranks(lambda r: threading.get_ident())
-        assert all(i == main for i in idents)
-
-    def test_exception_propagates_after_join(self):
-        t = ThreadTransport(2)
-
-        def fn(rank):
-            if rank == 1:
-                raise RuntimeError("rank 1 boom")
+            if rank in (1, 3):
+                raise RuntimeError(f"rank {rank} failed")
             return rank
-        with pytest.raises(RuntimeError, match="rank 1 boom"):
+        with pytest.raises(RuntimeError, match="rank 1 failed"):
             t.run_ranks(fn)
-        t.shutdown()
 
-    def test_rank_failure_joins_and_reaps_worker_threads(self):
-        """Regression: a raising rank callable used to leave the worker
-        pool's threads alive behind the propagated exception — nobody
-        owns a transport whose trainer just died, so they leaked until
-        interpreter exit.  The failure path must join *every* rank (the
-        slow healthy ranks finish their step) and tear the pool down."""
-        t = ThreadTransport(4)
-        t.run_ranks(lambda r: r)                 # spin the pool up
-        pool_threads = list(t._pool._threads)
-        assert any(th.is_alive() for th in pool_threads)
-        finished = []
-
-        def fn(rank):
-            if rank == 1:
-                raise ValueError("rank 1 died")
-            time.sleep(0.02)                     # healthy ranks mid-step
-            finished.append(rank)
-            return rank
-
-        with pytest.raises(ValueError, match="rank 1 died"):
-            t.run_ranks(fn)
-        # Barrier semantics: every healthy rank completed its step
-        # before the exception surfaced...
-        assert sorted(finished) == [0, 2, 3]
-        # ...and no worker thread outlives the failure.
-        assert t._pool is None
-        for th in pool_threads:
-            th.join(timeout=5)
-            assert not th.is_alive()
-
-    def test_failed_transport_is_reusable(self):
-        """After an aborted step the pool rebuilds lazily — the recovery
-        path reuses the same transport object."""
-        t = ThreadTransport(3)
+    def test_failed_transport_is_reusable(self, make):
+        """The recovery path reuses the transport an aborted step ran on."""
+        t = make(3)
 
         def fail(rank):
             raise RuntimeError("boom")
         with pytest.raises(RuntimeError):
             t.run_ranks(fail)
         assert t.run_ranks(lambda r: r * 2) == [0, 2, 4]
-        t.shutdown()
 
-    def test_lowest_rank_exception_wins(self):
-        """Deterministic error surfacing: when several ranks fail in the
-        same step, the lowest rank's exception propagates regardless of
-        thread timing."""
-        t = ThreadTransport(4)
-
-        def fn(rank):
-            if rank in (1, 3):
-                raise RuntimeError(f"rank {rank} failed")
-            return rank
-        for _ in range(5):
-            with pytest.raises(RuntimeError, match="rank 1 failed"):
-                t.run_ranks(fn)
-
-    def test_records_bytes_not_simulated_time(self):
-        g = ProcessGroup.threads(2)
+    def test_records_bytes_not_simulated_time(self, make):
+        g = ProcessGroup(make(2))
         g.allreduce([np.zeros(100)] * 2, category="gradient")
         assert g.stats.bytes_by_category["gradient"] == 800
         assert g.now >= 0.0
@@ -371,13 +324,17 @@ def _factory(supports):
                             hidden_dim=8, seed=0)
 
 
-def _fit_ddp(idx, supports, strategy, pg, *, epochs=3, with_val=True):
+def _ddp(idx, supports, strategy, pg, *, with_val=True):
     model = _factory(supports)()
     opt = Adam(model.parameters(), lr=0.01)
-    tr = DDPTrainer(model, opt, pg,
-                    IndexBatchLoader(idx, "train", 8),
-                    IndexBatchLoader(idx, "val", 8) if with_val else None,
-                    strategy=strategy, scaler=idx.scaler, seed=0)
+    return DDPTrainer(model, opt, pg,
+                      IndexBatchLoader(idx, "train", 8),
+                      IndexBatchLoader(idx, "val", 8) if with_val else None,
+                      strategy=strategy, scaler=idx.scaler, seed=0)
+
+
+def _fit_ddp(idx, supports, strategy, pg, *, epochs=3, with_val=True):
+    tr = _ddp(idx, supports, strategy, pg, with_val=with_val)
     hist = tr.fit(epochs)
     return tr, [h.train_loss for h in hist]
 
@@ -430,110 +387,79 @@ class TestBehaviorPreservation:
         assert [h.train_loss for h in hist] == PRE_REFACTOR_SINGLE
 
 
+class TestRepeatedFit:
+    def test_second_fit_continues_where_the_first_stopped(self, tiny_setup):
+        """``fit(n)`` trains until epoch ``n``, as after a resume and as
+        ``Trainer.fit`` does: ``fit(1); fit(2)`` records epochs 0 and 1,
+        bit for bit the records of one ``fit(2)``."""
+        idx, supports = tiny_setup
+        once = _ddp(idx, supports, DDPStrategy.DIST_INDEX, ProcessGroup.sim(2))
+        twice = _ddp(idx, supports, DDPStrategy.DIST_INDEX,
+                     ProcessGroup.sim(2))
+        once.fit(2)
+        twice.fit(1)
+        twice.fit(2)
+        assert [r.epoch for r in twice.history] == [0, 1]
+        assert ([(r.train_loss, r.val_mae) for r in twice.history]
+                == [(r.train_loss, r.val_mae) for r in once.history])
+
+
 class TestCrossTransportEquivalence:
-    """Sim and thread transports must train to identical bits."""
-
-    @pytest.mark.parametrize("strategy", list(DDPStrategy))
-    def test_thread_matches_sim_bitwise(self, tiny_setup, strategy):
-        idx, supports = tiny_setup
-        _, sim_curve = _fit_ddp(idx, supports, strategy,
-                                ProcessGroup.sim(4), epochs=2,
-                                with_val=False)
-        tr, thr_curve = _fit_ddp(idx, supports, strategy,
-                                 ProcessGroup.threads(4), epochs=2,
-                                 with_val=False)
-        assert thr_curve == sim_curve
-        # Replicas stayed aliased to the shared parameters throughout.
-        ref = tr.model.state_dict()
-        for rep in tr._replicas[1:]:
-            for name, arr in rep.state_dict().items():
-                np.testing.assert_array_equal(arr, ref[name])
-
-    def test_thread_ranks_run_concurrently(self, tiny_setup):
-        """``ProcessGroup.threads`` alone makes rank steps concurrent: the
-        trainer derives the replicas, no caller has to.  Both ranks must
-        be inside a step at once to pass the barrier; ranks run one after
-        the other never meet there."""
-        import threading
-
-        idx, supports = tiny_setup
-        model = _factory(supports)()
-        tr = DDPTrainer(model, Adam(model.parameters(), lr=0.01),
-                        ProcessGroup.threads(2),
-                        IndexBatchLoader(idx, "train", 8), seed=0)
-        barrier = threading.Barrier(2, timeout=10)
-        step = tr._microbatch_grads
-
-        def spy(rank, sel):
-            barrier.wait()
-            return step(rank, sel)
-
-        tr._microbatch_grads = spy
-        tr.train_epoch(0)
-
-    def test_replicas_alias_params_and_supports_only(self, tiny_setup):
-        idx, supports = tiny_setup
-        model = _factory(supports)()
-        tr = DDPTrainer(model, Adam(model.parameters(), lr=0.01),
-                        ProcessGroup.threads(2),
-                        IndexBatchLoader(idx, "train", 8), seed=0)
-        tr.train_epoch(0)
-        shared, replica = tr._replicas
-        assert shared is model and replica is not model
-        for p, q in zip(shared.parameters(), replica.parameters()):
-            assert q is not p and q.data is p.data
-            assert q.grad is not None and q.grad is not p.grad
-        for a, b in ((shared.cell.gates, replica.cell.gates),
-                     (shared.cell.candidate, replica.cell.candidate)):
-            assert all(x is y for x, y in zip(a.supports, b.supports))
-            # Aliased supports resolve to one set of stacked operators.
-            ops = stacked_csr(a.supports, np.dtype(np.float32))
-            theirs = stacked_csr(b.supports, np.dtype(np.float32))
-            assert all(x is y for x, y in zip(ops, theirs))
-            assert ops[1].T is theirs[1].T
-            assert a._scratch and b._scratch
-            assert not any(x is y for x in a._scratch.values()
-                           for y in b._scratch.values())
-        assert replica.cell._scratch is not shared.cell._scratch
-        assert all(a is b for a, b in zip(tr._rank_params[1],
-                                          replica.parameters()))
-
-    def test_rank_gradients_land_in_rank_buffers(self, tiny_setup):
-        """Each thread rank's replica is bound to its own flat buffer, so
-        its backward writes there and nowhere else."""
-        idx, supports = tiny_setup
-        model = _factory(supports)()
-        tr = DDPTrainer(model, Adam(model.parameters(), lr=0.01),
-                        ProcessGroup.threads(2),
-                        IndexBatchLoader(idx, "train", 8), seed=0)
-        tr.train_epoch(0)
-        for rank, params in enumerate(tr._rank_params):
-            for p in params:
-                assert np.shares_memory(p.grad, tr._grad_bufs[rank])
-                assert not np.shares_memory(p.grad, tr.optimizer.grad)
-        assert not np.array_equal(*tr._grad_bufs)
+    """Every rank computes on the one model, however the ranks run."""
 
     @pytest.mark.parametrize("make_pg", [
         lambda: ProcessGroup.sim(2),
-        lambda: ProcessGroup.threads(2, parallel=False),
+        lambda: ProcessGroup.processes(2),
         lambda: ProcessGroup.processes(2, parallel=False),
-    ], ids=["sim", "sequential-threads", "inline-processes"])
+    ], ids=["sim", "forked-processes", "inline-processes"])
     def test_sequential_and_forked_ranks_share_the_model(self, tiny_setup,
                                                          make_pg):
+        """The first step's rank losses are the trainer's own model's
+        losses on each rank's microbatch: no rank trains a replica the
+        driver does not hold (a fork snapshot is the model itself)."""
         idx, supports = tiny_setup
         model = _factory(supports)()
         tr = DDPTrainer(model, Adam(model.parameters(), lr=0.01), make_pg(),
                         IndexBatchLoader(idx, "train", 8), seed=0)
-        assert tr._replicas is None
+        plan = tr.sampler.epoch_plan(0)
+        expected = []
+        for rank in range(tr.world_size):
+            x, y = tr.train_loader.batch_at(plan[rank][0])
+            loss = tr.loss_fn(model(Tensor(x)), y[..., :1].astype(np.float32))
+            expected.append(float(loss.item()))
+        run_ranks, steps = tr.comm.run_ranks, []
 
-    def test_foreign_optimizer_params_rejected_for_thread_ranks(
-            self, tiny_setup):
+        def recorded(fn, *, parallel=True):
+            steps.append(run_ranks(fn, parallel=parallel))
+            return steps[-1]
+
+        tr.comm.run_ranks = recorded
+        tr.train_epoch(0)
+        assert steps[0] == expected
+
+    def test_rank_gradients_land_in_rank_buffers(self, tiny_setup):
+        """Each forked rank binds the model's parameters to its own
+        shared-memory buffer, so its backward writes there and nowhere
+        else, and the driver reads every rank's gradient in place."""
         idx, supports = tiny_setup
-        model, other = _factory(supports)(), _factory(supports)()
-        with pytest.raises(CommunicatorError, match="optimizer params"):
-            DDPTrainer(model, Adam(other.parameters(), lr=0.01),
-                       ProcessGroup.threads(2),
-                       IndexBatchLoader(idx, "train", 8), seed=0)
+        model = _factory(supports)()
+        tr = DDPTrainer(model, Adam(model.parameters(), lr=0.01),
+                        ProcessGroup.processes(2),
+                        IndexBatchLoader(idx, "train", 8), seed=0)
+        step = tr._microbatch_grads
+
+        def checked(rank, sel):       # runs inside the rank's child
+            loss = step(rank, sel)
+            for p in tr.optimizer.params:
+                assert np.shares_memory(p.grad, tr._grad_bufs[rank])
+                assert not np.shares_memory(p.grad, tr.optimizer.grad)
+            return loss
+
+        tr._microbatch_grads = checked
+        tr.train_epoch(0)
+        assert all(np.any(buf) for buf in tr._grad_bufs)
+        assert not np.array_equal(*tr._grad_bufs)
+        tr.comm.transport.shutdown()
 
     def test_one_allreduce_per_step_over_the_flat_gradient(self, tiny_setup):
         """Every step reduces the ranks' flat buffers in one all-reduce of
@@ -549,24 +475,6 @@ class TestCrossTransportEquivalence:
         for p, view in zip(tr.optimizer.params,
                            tr.optimizer.views(tr.optimizer.data)):
             assert np.shares_memory(p.data, view)
-
-    def test_cloneless_loader_rejected_for_replicas(self):
-        """A source without clone() must fail loudly, not share buffers."""
-        from repro.batching.protocols import clone_batch_source
-
-        class BufferedSource:
-            batch_size = 4
-            num_snapshots = 8
-
-            def batches(self, order=None):
-                return iter(())
-
-            def batch_at(self, sel):
-                return None, None
-
-        with pytest.raises(TypeError, match="clone"):
-            clone_batch_source(BufferedSource())
-
 
 # ---------------------------------------------------------------------------
 # Figures 7/9 on the ProcessGroup.stats traffic-category API
@@ -623,19 +531,21 @@ class TestTransportSpec:
     def test_spec_roundtrip_and_validation(self):
         from repro.api import RunSpec
         spec = RunSpec(dataset="pems-bay", strategy="dist-index",
-                       world_size=2, transport="thread")
+                       world_size=2, transport="process")
         assert RunSpec.from_dict(spec.to_dict()) == spec
+        for transport in ("mpi", "thread"):
+            with pytest.raises(ValueError, match="transport must be one of"):
+                RunSpec(dataset="pems-bay", strategy="dist-index",
+                        world_size=2, transport=transport)
         with pytest.raises(ValueError):
-            RunSpec(dataset="pems-bay", transport="mpi")
-        with pytest.raises(ValueError):
-            RunSpec(dataset="pems-bay", transport="thread")  # single
+            RunSpec(dataset="pems-bay", transport="process")  # single
 
-    def test_run_thread_transport_matches_sim(self):
+    def test_run_process_transport_matches_sim(self):
         from repro.api import RunSpec, run
         kw = dict(dataset="pems-bay", model="pgt-dcrnn", batching="index",
                   scale="tiny", seed=0, strategy="dist-index",
                   world_size=2, epochs=1)
         sim = run(RunSpec(**kw))
-        thr = run(RunSpec(**kw, transport="thread"))
-        assert thr.train_curve == sim.train_curve
-        assert thr.val_curve == sim.val_curve
+        forked = run(RunSpec(**kw, transport="process"))
+        assert forked.train_curve == sim.train_curve
+        assert forked.val_curve == sim.val_curve
