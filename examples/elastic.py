@@ -1,13 +1,12 @@
-"""Elastic training end to end: reshard a checkpoint, plan a world size.
+"""Resume a training run at a new world size.
 
-Walks the two pieces of ``repro.elastic``:
-
-1. **Checkpoint resharding** — train at world 2, rewrite the checkpoint
-   for world 4 with :func:`reshard_checkpoint` (the global batch is
-   preserved), resume, and land on the *fresh* world-4 curve within
-   1e-6 — the world size becomes a live knob instead of a rerun.
-2. **Capacity planner** — the analytic perf/cost models pick the world
-   size for a runtime budget and price the reshard itself.
+Every rank of a distributed-index-batching run holds the whole dataset
+and a full replica of the model and optimizer state, so a checkpoint's
+only world-dependent state is its training cursor.  This example trains
+at world 2, saves an epoch-boundary checkpoint, relaunches at world 4
+through :meth:`DDPTrainer.resume` (the loaders keep the global batch,
+``world x per-rank batch``), and lands on the *fresh* world-4 curve
+within 1e-6 — the world size is a relaunch knob, not a rerun.
 
 Run it::
 
@@ -23,7 +22,6 @@ import numpy as np
 
 from repro.batching import IndexBatchLoader
 from repro.datasets import load_dataset
-from repro.elastic import plan_training, reshard_checkpoint
 from repro.graph import dual_random_walk_supports
 from repro.models import PGTDCRNN
 from repro.optim import Adam
@@ -44,7 +42,6 @@ def _trainer(idx, supports, *, world: int, global_batch: int = 16,
 
 
 def main(*, epochs: int = 2, nodes: int = 10, entries: int = 260) -> dict:
-    # -- 1. reshard a world-2 checkpoint to world 4 ----------------------
     ds = load_dataset("pems-bay", nodes=nodes, entries=entries, seed=0)
     idx = IndexDataset.from_dataset(ds, horizon=4)
     supports = dual_random_walk_supports(ds.graph.weights)
@@ -57,34 +54,18 @@ def main(*, epochs: int = 2, nodes: int = 10, entries: int = 260) -> dict:
     with tempfile.TemporaryDirectory(prefix="elastic-example-") as d:
         ckpt = os.path.join(d, "w2.npz")
         two.save_training_checkpoint(ckpt, epoch=1, step=0)
-        report = reshard_checkpoint(ckpt, 4)
-        print(f"reshard:    {report.summary()}")
         resumed = _trainer(idx, supports, world=4)
         resumed.resume(ckpt)
+        print(f"resume:     world-2 checkpoint at epoch 1 -> world 4 "
+              f"(batch {two.train_loader.batch_size} -> "
+              f"{resumed.train_loader.batch_size} per rank, global 16)")
         curve = [(h.train_loss, h.val_mae)
                  for h in resumed.fit(1 + epochs)]
     drift = float(np.max(np.abs(
         np.asarray(curve[1:]) - np.asarray(fresh4[1:]))))
     print(f"            resumed-at-4 vs fresh-4 max diff {drift:.2e}")
-    assert drift < 1e-6, "resharded continuation must match the fresh run"
-
-    # -- 2. plan capacity from the analytic models -----------------------
-    from repro.datasets.catalog import get_spec
-    from repro.training.perfmodel import TrainingPerfModel, pgt_dcrnn_perf
-
-    spec = get_spec("pems-bay")
-    perf = TrainingPerfModel(
-        spec, pgt_dcrnn_perf(spec.num_nodes, spec.horizon,
-                             spec.train_features), batch_size=64)
-    single = perf.run("dist-index", 1, epochs=10).total_seconds
-    plan = plan_training(perf, strategy="dist-index", epochs=10,
-                         total_budget_seconds=single * 0.75,
-                         worlds=(1, 2, 4, 8))
-    print(f"plan:       {plan.summary()}")
-    print(f"            reshard 2->4 itself costs "
-          f"{perf.reshard_seconds(2, 4):.1f} simulated s")
-
-    return {"reshard_drift": drift, "planned_world": plan.world_size}
+    assert drift < 1e-6, "a resume at world 4 must match the fresh run"
+    return {"resume_drift": drift}
 
 
 if __name__ == "__main__":

@@ -77,17 +77,6 @@ class CommCostModel:
                 + total_bytes_all_ranks / self.fabric_aggregate_bw)
 
 
-def gpu_seconds(world: int, seconds: float) -> float:
-    """Accelerator-seconds a ``world``-rank run bills for ``seconds`` of
-    wall time — the cost axis that makes a faster-but-wider run
-    comparable to a slower-but-narrower one."""
-    if world < 1:
-        raise ValueError(f"world must be >= 1, got {world}")
-    if seconds < 0:
-        raise ValueError("seconds must be non-negative")
-    return float(world) * float(seconds)
-
-
 @dataclass
 class PFSModel:
     """Shared parallel-filesystem reads with load jitter."""

@@ -21,8 +21,8 @@ the catalog's raw layout ``[entries, nodes, raw_features]``.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
+from repro.autograd.sparse_kernels import PreparedCSR
 from repro.graph.adjacency import SensorGraph
 from repro.graph.supports import random_walk_matrix
 from repro.utils.seeding import new_rng
@@ -75,16 +75,21 @@ def traffic_signals(graph: SensorGraph, entries: int, *,
     # (most mass stays at the epicenter, some leaks to neighbours) keeps
     # the shocks spatially local, so graph neighbours correlate more than
     # distant sensors — the structure ST-GNNs are built to exploit.
-    P = random_walk_matrix(graph.weights)
+    # scipy's ``P.T @ x`` rebuilds the transpose on every tick; prepared
+    # once, the same row-ordered product runs into one buffer, same bits.
+    spread_op = PreparedCSR(random_walk_matrix(graph.weights).T, np.float64)
+    spread = np.empty((n, 1))
     shock = np.zeros(n)
     shocks = np.empty((entries, n))
     events = rng.random(entries) < (0.5 * interval_minutes / 60.0)
     epicenters = rng.integers(0, n, size=entries)
     for t in range(entries):
-        shock = 0.80 * shock + 0.12 * (P.T @ shock)
+        spread_op.matmul_out(shock[:, None], spread)
+        np.multiply(spread, 0.12, out=spread)
+        shock = np.multiply(shock, 0.80, out=shocks[t])
+        shock += spread[:, 0]
         if events[t]:
             shock[epicenters[t]] += rng.uniform(10.0, 30.0)
-        shocks[t] = shock
     speeds = speeds - shocks
 
     speeds += _ar1(rng, entries, n, rho=0.85, scale=1.5)
@@ -102,7 +107,8 @@ def epidemic_signals(graph: SensorGraph, entries: int, *,
     """Weekly case counts ``[entries, nodes, 1]`` from graph-coupled outbreaks."""
     n = graph.num_nodes
     rng = new_rng("data", "epidemic", graph.name, entries, seed)
-    P = random_walk_matrix(graph.weights)
+    spread_op = PreparedCSR(random_walk_matrix(graph.weights).T, np.float64)
+    pressure = np.empty((n, 1))
     minutes = np.arange(entries, dtype=np.float64) * interval_minutes
 
     infected = rng.uniform(0.5, 3.0, size=n)
@@ -110,8 +116,8 @@ def epidemic_signals(graph: SensorGraph, entries: int, *,
     counts = np.empty((entries, n))
     for t in range(entries):
         season = 1.0 + 0.6 * np.sin(2 * np.pi * t / 52.18 + season_phase)
-        pressure = P.T @ infected
-        infected = (0.55 * infected + 0.4 * season * pressure
+        spread_op.matmul_out(infected[:, None], pressure)
+        infected = (0.55 * infected + 0.4 * season * pressure[:, 0]
                     + rng.gamma(1.2, 0.4, size=n))
         infected = np.minimum(infected, 400.0)
         counts[t] = rng.poisson(np.maximum(infected, 0.0))

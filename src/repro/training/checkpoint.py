@@ -63,18 +63,6 @@ def save_checkpoint(path: str, model: Module, optimizer: Optimizer | None = None
                 arrays[f"{slot}/{i}"] = view
     arrays["__meta__"] = np.frombuffer(
         json.dumps(meta).encode("utf-8"), dtype=np.uint8)
-    write_archive(path, arrays)
-
-
-def write_archive(path: str, arrays: dict[str, np.ndarray]) -> None:
-    """Atomically write a checkpoint archive of named arrays to ``path``.
-
-    The seam :func:`save_checkpoint` and the elastic resharder share,
-    staged through :func:`~repro.utils.files.savez_atomic` so readers can
-    never observe a half-written file.  ``arrays`` must already carry its
-    ``__meta__`` record; this function serialises exactly what it is
-    given.
-    """
     savez_atomic(path, arrays)
 
 

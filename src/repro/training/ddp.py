@@ -53,7 +53,7 @@ from repro.preprocessing.scaler import StandardScaler
 from repro.runtime.process_group import ProcessGroup, as_process_group
 from repro.training.metrics import masked_abs_error
 from repro.training.step import average_and_apply
-from repro.utils.errors import CommunicatorError
+from repro.utils.errors import CheckpointError, CommunicatorError
 
 
 class DDPStrategy(enum.Enum):
@@ -268,12 +268,11 @@ class DDPTrainer:
         everything needed to replay the rest of the run bitwise is in the
         archive — the samplers are pure functions of (seed, epoch), so no
         RNG state needs to survive.  ``epoch_steps`` (when known) records
-        the epoch's total step count, which lets the elastic resharder
+        the epoch's total step count, which lets :meth:`resume`
         distinguish an epoch-boundary cursor from a genuinely mid-epoch
         one.  The per-rank ``batch_size`` is recorded too: together with
-        ``world_size`` it defines the *global batch*, the invariant
-        :func:`repro.elastic.reshard_checkpoint` preserves when it remaps
-        the cursor to a different world size.
+        ``world_size`` it defines the *global batch*, which a resume at
+        another world must keep.
         """
         from repro.training.checkpoint import save_checkpoint
 
@@ -303,13 +302,28 @@ class DDPTrainer:
     def resume(self, path: str | None = None) -> dict:
         """Restore a :meth:`save_training_checkpoint` archive in place.
 
-        Validates that this trainer describes the *same run*: a
-        different ``world_size``, ``strategy``, ``shuffle`` or ``seed``
-        changes every gradient average or the data order itself, so a
-        bitwise-identical continuation is impossible and the mismatch
-        fails loudly here.  The *transport* may differ — ``sim`` and
-        ``process`` ranks train identical bits (pinned by the fabric
-        suite), so a run checkpointed under one resumes under the other.
+        Every rank holds a full replica of the model and optimizer state,
+        so an archive's only world-dependent state is its training
+        cursor.  Any world whose *global batch* (``world x`` per-rank
+        batch) is the archive's resumes it: a global step then covers the
+        same samples at every world, so ``epoch``, ``step`` and
+        ``global_step`` carry over unchanged.  At the archive's own world
+        the continuation is bitwise; at another it matches a fresh run at
+        that world to ~1e-6 under the ``global`` shuffle (gradient
+        averaging regroups float sums), and is deterministic under
+        ``batch``/``local``, whose per-rank order keys on the partition.
+        A mid-epoch cursor moves world only under ``global``; its partial
+        epoch's losses become ``step x world`` copies of their mean, so
+        the finished epoch's mean stays the sample mean.  An archive that
+        records no per-rank batch resumes only at its own world.
+
+        A different global batch, ``strategy``, ``shuffle`` or ``seed``
+        changes every update or the data order, and fails loudly; a
+        forged cursor is a :class:`~repro.utils.errors.CheckpointError`
+        naming the path and the field.  The *transport* may differ —
+        ``sim`` and ``process`` ranks train identical bits (pinned by the
+        fabric suite), so a run checkpointed under one resumes under the
+        other.
 
         Charges the parameter re-broadcast every real recovery performs
         (rank 0 restores, peers pull) under the ``"recovery"`` traffic
@@ -328,17 +342,6 @@ class DDPTrainer:
             raise ValueError(
                 f"{path} is not a resumable training checkpoint (no "
                 f"training cursor); write it with save_training_checkpoint")
-        if int(state["world_size"]) != self.world_size:
-            raise ValueError(
-                f"checkpoint was written by a world of "
-                f"{state['world_size']} ranks but this trainer has "
-                f"{self.world_size}: gradient averaging over a different "
-                f"world changes every update, so a bitwise continuation "
-                f"is impossible — rebuild the trainer with world_size="
-                f"{state['world_size']}, or re-partition the checkpoint "
-                f"to this world with repro.elastic.reshard_checkpoint "
-                f"(preserves the global batch; 1e-6 continuation where "
-                f"the shuffle allows)")
         for field_name, mine in (("strategy", self.strategy.value),
                                  ("shuffle", self.shuffle),
                                  ("seed", self.seed)):
@@ -347,26 +350,72 @@ class DDPTrainer:
                     f"checkpoint {field_name}={state[field_name]!r} does "
                     f"not match this trainer's {mine!r}; the data order "
                     f"diverges, so resuming cannot reproduce the run")
-        ckpt_batch = state.get("batch_size")
-        if (ckpt_batch is not None
-                and int(ckpt_batch) != int(self.train_loader.batch_size)):
-            raise ValueError(
-                f"checkpoint cursor was cut at a per-rank batch of "
-                f"{ckpt_batch} but this trainer's loader batches "
-                f"{self.train_loader.batch_size}: step boundaries (and "
-                f"the global batch of {int(ckpt_batch) * self.world_size}) "
-                f"would shift, so the continuation cannot reproduce the "
-                f"run — rebuild the loaders with batch_size={ckpt_batch}")
+        losses = self._cursor_losses(path, state)
         load_checkpoint(path, self.model, self.optimizer)
         self.history = [DDPEpochRecord(**r) for r in state["history"]]
         self.global_step = int(state["global_step"])
         self._resume_cursor = (int(state["epoch"]), int(state["step"]),
-                               [float(x) for x in state["epoch_losses"]])
+                               losses)
         # Real recovery re-broadcasts the restored parameters from the
         # restoring rank to every peer before training continues.
         self.comm.transport.collective("broadcast", self._param_bytes,
                                        "recovery")
         return meta
+
+    def _cursor_losses(self, path: str, state: dict) -> list[float]:
+        """Check the archive's cursor, and map its partial epoch's loss
+        entries to this world (the rules :meth:`resume` states)."""
+        world, batch = int(state["world_size"]), state.get("batch_size")
+        step, steps = int(state["step"]), state.get("epoch_steps")
+        losses = [float(x) for x in state["epoch_losses"]]
+        problems = [(name, f"{state[name]} is below {low}")
+                    for name, low in (("epoch", 0), ("step", 0),
+                                      ("world_size", 1), ("batch_size", 1))
+                    if state.get(name) is not None and int(state[name]) < low]
+        if steps is not None and step > int(steps):
+            problems.append(("step", f"{step} exceeds epoch_steps {steps}"))
+        if len(losses) != step * world:
+            problems.append(("epoch_losses",
+                             f"holds {len(losses)} entries, not step x "
+                             f"world_size = {step * world}"))
+        if problems:
+            name, why = problems[0]
+            raise CheckpointError(
+                f"checkpoint {path!r} has a forged training cursor: "
+                f"{name} {why}")
+        if batch is None:
+            if world != self.world_size:
+                raise ValueError(
+                    f"checkpoint {path!r} records no per-rank batch_size, "
+                    f"so its global batch is unknown: it resumes only at "
+                    f"its own world of {world} ranks, not "
+                    f"{self.world_size} — rebuild the trainer with "
+                    f"world_size={world}")
+            return losses
+        mine = int(self.train_loader.batch_size)
+        total = world * int(batch)
+        if total != self.world_size * mine:
+            fix = (f"the loaders with batch_size={total // self.world_size}"
+                   f", or " if total % self.world_size == 0 else "")
+            raise ValueError(
+                f"checkpoint {path!r} was cut at a global batch of {total} "
+                f"(a world of {world} ranks x {batch} per rank) but this "
+                f"trainer's is {self.world_size * mine} ({self.world_size} "
+                f"x {mine}): step boundaries would shift, so the "
+                f"continuation cannot reproduce the run — rebuild {fix}"
+                f"the trainer with world_size={world}")
+        if world == self.world_size or step == 0 or step == steps:
+            return losses
+        if self.shuffle != "global":
+            raise ValueError(
+                f"cursor sits mid-epoch (step {step}"
+                + (f" of {steps}" if steps is not None else "")
+                + f") under shuffle={self.shuffle!r}, whose per-rank order "
+                f"depends on the partition: a {self.world_size}-rank world "
+                f"cannot reconstruct the walked prefix.  Resume from an "
+                f"epoch-boundary checkpoint (checkpoint_every a multiple "
+                f"of the epoch's steps, or the end-of-run save) instead")
+        return [float(np.mean(losses))] * (step * self.world_size)
 
     # ------------------------------------------------------------------
     def evaluate(self, loader=None) -> float:

@@ -381,29 +381,6 @@ class TrainingPerfModel:
                 + self.checkpoint_seconds()
                 + cost.broadcast_time(self.model.param_bytes))
 
-    def reshard_seconds(self, world_from: int, world_to: int) -> float:
-        """One live world-size change (elastic scaling): relaunch at the
-        new world, rewrite the checkpoint cursor (a full-state persist to
-        the PFS), read the archive back, and re-broadcast parameters
-        across the *new* world — the cost :mod:`repro.elastic` makes the
-        capacity planner weigh against the time saved at the new size."""
-        if world_from < 1 or world_to < 1:
-            raise ValueError(f"world sizes must be >= 1, got "
-                             f"{world_from} -> {world_to}")
-        cost = CommCostModel(ClusterTopology(world_to, self.node))
-        return (RESTART_FIXED_OVERHEAD
-                + self.checkpoint_seconds()                      # rewrite
-                + self.checkpoint_bytes() / PFS_EFFECTIVE_BW     # read back
-                + cost.broadcast_time(self.model.param_bytes))
-
-    def sweep_worlds(self, strategy: str, worlds, epochs: int = 30, *,
-                     include_validation: bool = True) -> list[RunSim]:
-        """One :meth:`run` simulation per candidate world size, in the
-        given order — the capacity planner's search space."""
-        return [self.run(strategy, int(w), epochs,
-                         include_validation=include_validation)
-                for w in worlds]
-
     def recovery_overhead(self, strategy: str, world: int = 1, *,
                           mtbf_hours: float,
                           checkpoint_every_steps: int) -> dict:

@@ -25,21 +25,6 @@ from repro.runtime.faults import FaultyTransport, RankFailure
 from repro.training.ddp import DDPEpochRecord, DDPTrainer
 
 
-def _reshard_to_trainer(path: str, trainer: DDPTrainer, *,
-                        verbose: bool = False) -> None:
-    """Re-partition ``path`` to the trainer's world if they disagree."""
-    from repro.elastic.reshard import reshard_checkpoint
-    from repro.training.checkpoint import read_checkpoint_meta
-
-    state = (read_checkpoint_meta(path).get("extra")
-             or {}).get("training_state")
-    if state is None or int(state["world_size"]) == trainer.world_size:
-        return
-    report = reshard_checkpoint(path, trainer.world_size)
-    if verbose:
-        print(f"recovery: {report.summary()}")
-
-
 @dataclass
 class RecoveryReport:
     """What the relaunch loop observed across a run's lifetime."""
@@ -57,7 +42,6 @@ class RecoveryReport:
 
 def train_with_recovery(make_trainer: Callable[[], DDPTrainer],
                         epochs: int, *, max_restarts: int = 8,
-                        elastic: bool = False,
                         verbose: bool = False
                         ) -> tuple[DDPTrainer, list[DDPEpochRecord],
                                    RecoveryReport]:
@@ -70,6 +54,10 @@ def train_with_recovery(make_trainer: Callable[[], DDPTrainer],
         group — configured with ``checkpoint_every``/``checkpoint_path``.
         Determinism contract: every call must produce identically
         initialised state (same seeds), or resumed curves cannot match.
+        A relaunch may come back at a *different world size* — a node
+        lost for good, or capacity granted back mid-run — as long as it
+        keeps the global batch (``world x`` per-rank batch):
+        :meth:`DDPTrainer.resume` maps the cursor to the new world.
     epochs:
         the fit budget, same meaning as :meth:`DDPTrainer.fit`.
     max_restarts:
@@ -79,16 +67,6 @@ def train_with_recovery(make_trainer: Callable[[], DDPTrainer],
         attempts (chained to the last :class:`RankFailure`), so a run
         killed by its own fault plan is diagnosable from the traceback
         alone.
-    elastic:
-        allow relaunches to come back with a *different world size* — a
-        node lost for good, or capacity granted back mid-run.  When the
-        fresh trainer's world differs from the checkpoint's, the
-        checkpoint is re-partitioned in place through
-        :func:`repro.elastic.reshard_checkpoint` (global batch
-        preserved) before resuming; ``make_trainer`` must size its
-        loaders so ``world x batch`` stays constant across calls.
-        Without the flag a shrunken relaunch keeps failing loudly, as
-        before.
 
     Returns ``(trainer, history, report)``: the surviving trainer, the
     full epoch history (identical to an uninterrupted run's), and the
@@ -103,8 +81,6 @@ def train_with_recovery(make_trainer: Callable[[], DDPTrainer],
             transport.fired |= fired
         path = trainer.checkpoint_path
         if path and os.path.exists(path):
-            if elastic:
-                _reshard_to_trainer(path, trainer, verbose=verbose)
             trainer.resume(path)
         try:
             history = trainer.fit(epochs)

@@ -48,17 +48,6 @@ class DatasetFileError(ReproError, RuntimeError):
     """
 
 
-class ReshardError(ReproError, ValueError):
-    """A checkpoint could not be re-partitioned to a new world size.
-
-    Raised by :func:`repro.elastic.reshard_checkpoint` when the
-    transformation would be unsound (global batch does not divide, the
-    cursor is mid-epoch under a partition-dependent shuffle, or the
-    archive is not a resumable training checkpoint) — never silently
-    approximated.
-    """
-
-
 class SessionFailure(ReproError, RuntimeError):
     """A serving session died mid-dispatch (injected or real).
 

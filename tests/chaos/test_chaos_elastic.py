@@ -1,8 +1,8 @@
-"""Chaos tier: elastic training under injected faults.
+"""Chaos tier: a world change under injected faults.
 
-A rank crash *after* an elastic (resharded) resume recovers through the
-checkpoint loop to a curve bitwise identical to the fault-free elastic
-run — resharding does not weaken the recovery contract.
+A rank crash *after* a resume at a new world recovers through the
+checkpoint loop to a curve bitwise identical to the fault-free run at
+that world — changing the world does not weaken the recovery contract.
 """
 
 import pytest
@@ -58,7 +58,7 @@ class TestElasticCrashRecovery:
     def run_elastic(self, data, path, plan=None):
         return train_with_recovery(
             lambda: make_trainer(data, world=4, plan=plan, ckpt=path),
-            EPOCHS, elastic=True)
+            EPOCHS)
 
     def test_crash_after_reshard_recovers_bitwise(self, data, tmp_path):
         clean_ckpt = str(tmp_path / "clean.npz")

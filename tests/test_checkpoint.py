@@ -1,5 +1,7 @@
 """Tests for checkpoint save/restore."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -117,7 +119,7 @@ class TestCheckpoint:
 
     def test_slots_are_written_per_parameter(self, setup, tmp_path):
         """The archive keeps one ``adam_m/i``/``adam_v/i`` pair per
-        parameter, shaped like it (the format the resharder reads)."""
+        parameter, shaped like it (the format ``load_checkpoint`` reads)."""
         from repro.training.checkpoint import _read_archive
 
         model = setup()
@@ -351,7 +353,8 @@ class TestCorruptCheckpoints:
         CheckpointError naming the key, not a silent broadcast into the
         flat moment store."""
         from repro.nn.layers import Linear
-        from repro.training.checkpoint import _read_archive, write_archive
+        from repro.training.checkpoint import _read_archive
+        from repro.utils.files import savez_atomic
         from repro.utils.errors import CheckpointError
 
         model = Linear(4, 3)
@@ -363,10 +366,39 @@ class TestCorruptCheckpoints:
         key = f"adam_m/{opt.params.index(model.weight)}"
         arrays = _read_archive(path)
         arrays[key] = np.full(1, 7.0, np.float32)
-        write_archive(path, arrays)
+        savez_atomic(path, arrays)
         with pytest.raises(CheckpointError, match=key):
             load_checkpoint(path, Linear(4, 3),
                             Adam(Linear(4, 3).parameters()))
+
+    @pytest.mark.parametrize("field,value", [
+        ("step", -3), ("step", 16), ("epoch_losses", [9.0]),
+        ("epoch", -1), ("world_size", 0), ("batch_size", 0)])
+    def test_forged_training_cursor_is_refused(self, ddp_data, tmp_path,
+                                               field, value):
+        """A forged cursor once resumed silently: ``step=-3`` wrapped the
+        plan index and trained 14 steps of an 11-step epoch, ``step=16``
+        trained none and reported the forged losses' mean, and a short
+        ``epoch_losses`` skewed the epoch mean.  Each out-of-range field
+        is a CheckpointError naming the path and the field."""
+        from repro.training.checkpoint import _read_archive
+        from repro.utils.errors import CheckpointError
+        from repro.utils.files import savez_atomic
+
+        path = str(tmp_path / "cursor.npz")
+        TestRestoreKeepsStorageBound.ddp(ddp_data, ckpt=path).fit(1)
+        arrays = _read_archive(path)
+        meta = json.loads(bytes(arrays["__meta__"]).decode())
+        state = meta["extra"]["training_state"]
+        assert 0 < state["step"] < state["epoch_steps"] == 11
+        state[field] = value
+        arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(),
+                                           dtype=np.uint8)
+        savez_atomic(path, arrays)
+        victim = TestRestoreKeepsStorageBound.ddp(ddp_data)
+        with pytest.raises(CheckpointError, match=f"cursor.npz.*{field}"):
+            victim.resume(path)
+        assert victim.global_step == 0 and victim.history == []
 
     def test_checkpoint_error_is_runtime_error(self):
         from repro.utils.errors import CheckpointError
@@ -375,8 +407,9 @@ class TestCorruptCheckpoints:
 
 class TestResumeEdgeCases:
     """Resume across execution environments: a transport swap must
-    reproduce bitwise; a world-size (or run-shape) swap must fail loudly
-    — both behaviours are pinned here."""
+    reproduce bitwise; a world change that moves the global batch (or a
+    run-shape change) must fail loudly — both behaviours are pinned
+    here."""
 
     WORLD = 2
     EPOCHS = 2
@@ -531,13 +564,10 @@ class TestRestoreKeepsStorageBound:
                                        lambda: again.fit(1))
 
     def test_elastic_reshard_resume(self, ddp_data, tmp_path):
-        from repro.elastic import reshard_checkpoint
-
         path = str(tmp_path / "w2.npz")
         tr = self.ddp(ddp_data, world=2, batch=8)
         tr.fit(1)
         tr.save_training_checkpoint(path, epoch=1, step=0)
-        reshard_checkpoint(path, 4)
         wide = self.ddp(ddp_data, world=4, batch=4)
         wide.resume(path)
         self.assert_bound_and_training(wide.model, wide.optimizer,

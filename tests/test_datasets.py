@@ -152,6 +152,95 @@ class TestGenerators:
         assert diffs < 0.2  # wind power doesn't jump to extremes每 hour
 
 
+def _traffic_reference(graph, entries, *, interval_minutes=5, seed=0,
+                       free_flow_mph=65.0, missing_rate=0.02):
+    """``traffic_signals`` as first written: scipy's ``P.T @ shock`` on
+    every tick, a fresh array per tick."""
+    from repro.datasets.synthetic import _ar1
+    from repro.graph.supports import random_walk_matrix
+    from repro.utils.seeding import new_rng
+
+    n = graph.num_nodes
+    rng = new_rng("data", "traffic", graph.name, entries, seed)
+    minutes = np.arange(entries, dtype=np.float64) * interval_minutes
+    tod = (minutes % (24 * 60)) / (24 * 60)
+    dow = (minutes // (24 * 60)) % 7
+    am_sev = rng.uniform(5.0, 25.0, size=n)
+    pm_sev = rng.uniform(5.0, 25.0, size=n)
+    am_peak = rng.normal(8.0 / 24.0, 0.01, size=n)
+    pm_peak = rng.normal(17.5 / 24.0, 0.01, size=n)
+    width = rng.uniform(0.035, 0.06, size=n)
+
+    def bump(center, sev):
+        d = tod[:, None] - center[None, :]
+        d = np.minimum(np.abs(d), 1.0 - np.abs(d))
+        return sev[None, :] * np.exp(-(d / width[None, :]) ** 2)
+
+    weekday = (dow < 5).astype(np.float64)[:, None]
+    base = free_flow_mph + rng.normal(0, 2.0, size=n)[None, :]
+    speeds = base - weekday * (bump(am_peak, am_sev) + bump(pm_peak, pm_sev))
+    P = random_walk_matrix(graph.weights)
+    shock = np.zeros(n)
+    shocks = np.empty((entries, n))
+    events = rng.random(entries) < (0.5 * interval_minutes / 60.0)
+    epicenters = rng.integers(0, n, size=entries)
+    for t in range(entries):
+        shock = 0.80 * shock + 0.12 * (P.T @ shock)
+        if events[t]:
+            shock[epicenters[t]] += rng.uniform(10.0, 30.0)
+        shocks[t] = shock
+    speeds = speeds - shocks
+    speeds += _ar1(rng, entries, n, rho=0.85, scale=1.5)
+    speeds = np.clip(speeds, 3.0, 80.0)
+    speeds[rng.random((entries, n)) < missing_rate] = 0.0
+    return speeds[:, :, None], minutes
+
+
+def _epidemic_reference(graph, entries, *, interval_minutes=7 * 24 * 60,
+                        seed=0):
+    """``epidemic_signals`` as first written (scipy ``P.T @ infected``)."""
+    from repro.graph.supports import random_walk_matrix
+    from repro.utils.seeding import new_rng
+
+    n = graph.num_nodes
+    rng = new_rng("data", "epidemic", graph.name, entries, seed)
+    P = random_walk_matrix(graph.weights)
+    minutes = np.arange(entries, dtype=np.float64) * interval_minutes
+    infected = rng.uniform(0.5, 3.0, size=n)
+    season_phase = rng.uniform(0, 2 * np.pi)
+    counts = np.empty((entries, n))
+    for t in range(entries):
+        season = 1.0 + 0.6 * np.sin(2 * np.pi * t / 52.18 + season_phase)
+        pressure = P.T @ infected
+        infected = (0.55 * infected + 0.4 * season * pressure
+                    + rng.gamma(1.2, 0.4, size=n))
+        infected = np.minimum(infected, 400.0)
+        counts[t] = rng.poisson(np.maximum(infected, 0.0))
+    return counts[:, :, None], minutes
+
+
+class TestGeneratorLoopsKeepTheirBits:
+    """The diffusion loops prepare ``P.T`` once and run each tick into a
+    preallocated buffer; every dataset byte, and so every fixed-seed
+    curve downstream, is the scipy-per-tick loop's."""
+
+    @pytest.mark.parametrize("scale", ["tiny", "small"])
+    @pytest.mark.parametrize("generator, reference", [
+        (traffic_signals, _traffic_reference),
+        (epidemic_signals, _epidemic_reference),
+    ], ids=["traffic", "epidemic"])
+    def test_bytes_match_the_reference_loop(self, scale, generator,
+                                            reference):
+        from repro.api.scales import get_scale
+        shape = get_scale(scale)
+        g = random_sensor_network(shape.nodes, seed=f"bits/{scale}")
+        got = generator(g, shape.entries, seed=3)
+        want = reference(g, shape.entries, seed=3)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+
+
 class TestLoadDataset:
     def test_full_catalog_shapes_small_scale(self):
         ds = load_dataset("pems-bay", nodes=30, entries=400, seed=0)

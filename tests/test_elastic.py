@@ -1,16 +1,17 @@
-"""Elastic scale: checkpoint resharding and the training capacity planner.
+"""Checkpoints are world-free: ``DDPTrainer.resume`` takes any world
+with the archive's global batch.
 
 The load-bearing pins:
 
-- reshard W -> W' -> W and resume == uninterrupted run, **bitwise**, for
+- resume at W', save, resume at W == uninterrupted run, **bitwise**, for
   every DDP strategy (nothing numeric moves at an epoch boundary);
-- under a global shuffle, reshard W -> W' and resume matches a *fresh*
-  W'-world run to 1e-6 — including W' = 1 and W' > W — because the
-  preserved global batch walks the same per-step sample sets;
-- partition-dependent shuffles reshard only at epoch boundaries and
+- under a global shuffle, an archive written at W and resumed at W'
+  matches a *fresh* W'-world run to 1e-6 — including W' = 1 and W' > W —
+  because the preserved global batch walks the same per-step sample sets;
+- partition-dependent shuffles change world only at epoch boundaries and
   refuse mid-epoch cursors loudly;
-- a resharded checkpoint resumes to identical bits on every transport;
-- the planner picks the minimal world that meets a budget.
+- a resume at a new world gives identical bits on every transport;
+- a different global batch is refused, naming both.
 """
 
 import json
@@ -21,19 +22,19 @@ from hypothesis import given, settings, strategies as st
 
 from repro.batching import IndexBatchLoader
 from repro.datasets import load_dataset
-from repro.elastic import plan_training, reshard_checkpoint
 from repro.graph import dual_random_walk_supports
 from repro.models import PGTDCRNN
 from repro.optim import Adam
 from repro.preprocessing import IndexDataset
 from repro.runtime import ProcessGroup
 from repro.training import DDPStrategy, DDPTrainer, train_with_recovery
-from repro.training.checkpoint import read_checkpoint_meta, write_archive
-from repro.utils.errors import CheckpointError, ReshardError
+from repro.training.checkpoint import _read_archive, read_checkpoint_meta
+from repro.utils.errors import CheckpointError
+from repro.utils.files import savez_atomic
 
 SEED = 0
 EPOCHS = 2
-GLOBAL_BATCH = 16          # world x per-rank batch, preserved by reshard
+GLOBAL_BATCH = 16          # world x per-rank batch, kept across worlds
 
 
 @pytest.fixture(scope="module")
@@ -46,10 +47,11 @@ def data():
 
 def make_trainer(data, *, world=2, strategy=DDPStrategy.DIST_INDEX,
                  transport="sim", ckpt=None, checkpoint_every=None,
-                 **kw):
+                 batch=None, **kw):
     idx, supports = data
-    batch, rem = divmod(GLOBAL_BATCH, world)
-    assert rem == 0
+    if batch is None:
+        batch, rem = divmod(GLOBAL_BATCH, world)
+        assert rem == 0
     model = PGTDCRNN(supports, horizon=4, in_features=2, hidden_dim=8,
                      seed=SEED)
     pg = {"sim": ProcessGroup.sim,
@@ -85,6 +87,14 @@ def training_state(path):
     return read_checkpoint_meta(path)["extra"]["training_state"]
 
 
+def relaunch(data, src, world, out, **kw):
+    """Resume ``src`` at ``world`` and save the cursor, untrained, to
+    ``out``: the archive a world-``world`` run would write next."""
+    tr = make_trainer(data, world=world, **kw)
+    tr.resume(src)
+    tr.save_training_checkpoint(out)
+
+
 # ---------------------------------------------------------------------------
 # Tentpole pin 1: round trips are bitwise for every strategy
 # ---------------------------------------------------------------------------
@@ -94,24 +104,11 @@ class TestReshardRoundTrip:
         reference = curve(make_trainer(data, strategy=strategy).fit(EPOCHS))
         ckpt = str(tmp_path / "round.npz")
         boundary_checkpoint(data, ckpt, strategy=strategy)
-        reshard_checkpoint(ckpt, 4)
-        reshard_checkpoint(ckpt, 2)
+        relaunch(data, ckpt, 4, ckpt, strategy=strategy)
+        assert training_state(ckpt)["world_size"] == 4
         resumed = make_trainer(data, strategy=strategy)
         resumed.resume(ckpt)
         assert curve(resumed.fit(EPOCHS)) == reference
-
-    def test_report_accounts_state_bytes(self, data, tmp_path):
-        ckpt = str(tmp_path / "report.npz")
-        boundary_checkpoint(data, ckpt)
-        report = reshard_checkpoint(ckpt, 4)
-        assert report.old_world == 2 and report.new_world == 4
-        assert report.old_batch == 8 and report.new_batch == 4
-        assert report.global_batch == GLOBAL_BATCH
-        assert not report.midepoch
-        # Adam keeps two fp32 slots per parameter.
-        assert report.slot_bytes == 2 * report.param_bytes
-        assert report.param_bytes > 0 and report.seconds > 0
-        assert "2->4" in report.summary()
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +116,7 @@ class TestReshardRoundTrip:
 # ---------------------------------------------------------------------------
 class TestFreshRunMatch:
     """Global shuffle deals one world-independent permutation round-robin,
-    so a W-trained prefix + reshard continues exactly where a fresh W'
+    so a W-trained prefix resumed at W' continues exactly where a fresh W'
     run would be — to float-regrouping tolerance (1e-6 class)."""
 
     STRATEGIES = [DDPStrategy.BASELINE_DDP, DDPStrategy.DIST_INDEX]
@@ -132,11 +129,10 @@ class TestFreshRunMatch:
                                    strategy=strategy).fit(EPOCHS))
         ckpt = str(tmp_path / f"to{new_world}.npz")
         boundary_checkpoint(data, ckpt, strategy=strategy)
-        reshard_checkpoint(ckpt, new_world)
         resumed = make_trainer(data, world=new_world, strategy=strategy)
         resumed.resume(ckpt)
         got = curve(resumed.fit(EPOCHS))
-        # Epoch 0 predates the reshard (trained at world 2); every epoch
+        # Epoch 0 predates the resume (trained at world 2); every epoch
         # after the world change must match the fresh-W' curve.
         np.testing.assert_allclose(got[1:], fresh[1:], atol=1e-6, rtol=0)
 
@@ -150,31 +146,40 @@ class TestFreshRunMatch:
         tr.fit(1)
         state = training_state(ckpt)
         assert 0 < state["step"] < state["epoch_steps"]   # genuinely mid
-        report = reshard_checkpoint(ckpt, 4)
-        assert report.midepoch
+        resumed = make_trainer(data, world=4)
+        resumed.resume(ckpt)
         # Partial-epoch losses are reweighted to new-world entry counts
         # around their exact mean, keeping the epoch mean unskewed.
-        losses = training_state(ckpt)["epoch_losses"]
+        epoch, step, losses = resumed._resume_cursor
+        assert (epoch, step) == (state["epoch"], state["step"])
         assert len(losses) == state["step"] * 4
         np.testing.assert_allclose(np.mean(losses),
                                    np.mean(state["epoch_losses"]))
-        resumed = make_trainer(data, world=4)
-        resumed.resume(ckpt)
         got = curve(resumed.fit(1))
         np.testing.assert_allclose(got, fresh, atol=1e-5, rtol=1e-5)
 
 
+    def test_midepoch_global_cursor_shrinks_world(self, data, tmp_path):
+        """The same transfer to world 1: one rank walks the whole global
+        batch of each remaining step."""
+        fresh = curve(make_trainer(data, world=1).fit(1))
+        ckpt = str(tmp_path / "mid-w1.npz")
+        make_trainer(data, world=2, ckpt=ckpt, checkpoint_every=6).fit(1)
+        narrow = make_trainer(data, world=1)
+        narrow.resume(ckpt)
+        got = curve(narrow.fit(1))
+        np.testing.assert_allclose(got, fresh, atol=1e-5, rtol=1e-5)
+
 class TestPartitionDependentShuffles:
     """GENERALIZED_INDEX defaults to the paper's batch shuffle, whose
     per-rank order keys on the partition: no cross-world bitwise claim
-    exists, but epoch-boundary resharding stays sound and deterministic
+    exists, but an epoch-boundary world change stays sound and deterministic
     (the paper's Table-5 accuracy-equivalence argument)."""
 
     def test_boundary_reshard_is_deterministic(self, data, tmp_path):
         ckpt = str(tmp_path / "gen.npz")
         boundary_checkpoint(data, ckpt,
                             strategy=DDPStrategy.GENERALIZED_INDEX)
-        reshard_checkpoint(ckpt, 4)
 
         def continuation():
             tr = make_trainer(data, world=4,
@@ -192,7 +197,6 @@ class TestPartitionDependentShuffles:
         ckpt = str(tmp_path / "gen-acc.npz")
         boundary_checkpoint(data, ckpt,
                             strategy=DDPStrategy.GENERALIZED_INDEX)
-        reshard_checkpoint(ckpt, 4)
         resumed = make_trainer(data, world=4,
                                strategy=DDPStrategy.GENERALIZED_INDEX)
         resumed.resume(ckpt)
@@ -206,17 +210,49 @@ class TestPartitionDependentShuffles:
                           strategy=DDPStrategy.GENERALIZED_INDEX,
                           ckpt=ckpt, checkpoint_every=6)
         tr.fit(1)
-        with pytest.raises(ReshardError, match="mid-epoch.*epoch-boundary"):
-            reshard_checkpoint(ckpt, 4)
-        # Refusal must leave the archive untouched and still resumable.
-        assert training_state(ckpt)["world_size"] == 2
+        wide = make_trainer(data, world=4,
+                            strategy=DDPStrategy.GENERALIZED_INDEX)
+        with pytest.raises(ValueError, match="mid-epoch.*epoch-boundary"):
+            wide.resume(ckpt)
+        # Refusal must restore nothing, and the archive still resumes at
+        # its own world.
+        assert wide.global_step == 0 and wide.history == []
         again = make_trainer(data, world=2,
                              strategy=DDPStrategy.GENERALIZED_INDEX)
         again.resume(ckpt)
 
 
+    def test_midepoch_local_cursor_is_refused(self, data, tmp_path):
+        ckpt = str(tmp_path / "local-mid.npz")
+        make_trainer(data, world=2, shuffle="local", ckpt=ckpt,
+                     checkpoint_every=6).fit(1)
+        with pytest.raises(ValueError, match="shuffle='local'"):
+            make_trainer(data, world=4, shuffle="local").resume(ckpt)
+
+    def test_epoch_end_cursor_changes_world(self, data, tmp_path):
+        """A cursor saved after an epoch's last step is a boundary, not
+        mid-epoch: a new world resumes it, re-records that epoch's
+        training loss from the archive's losses bit for bit, and then
+        trains exactly as from the next epoch's boundary."""
+        gen = DDPStrategy.GENERALIZED_INDEX
+        ckpt = str(tmp_path / "gen-end.npz")
+        first = make_trainer(data, world=2, strategy=gen, ckpt=ckpt,
+                             checkpoint_every=11)
+        loss0 = first.fit(1)[0].train_loss
+        state = training_state(ckpt)
+        assert state["step"] == state["epoch_steps"] == 11
+        at_end = make_trainer(data, world=4, strategy=gen)
+        at_end.resume(ckpt)
+        got = curve(at_end.fit(EPOCHS))
+        boundary = str(tmp_path / "gen-boundary.npz")
+        first.save_training_checkpoint(boundary)
+        at_boundary = make_trainer(data, world=4, strategy=gen)
+        at_boundary.resume(boundary)
+        assert got[0][0] == loss0
+        assert got[1:] == curve(at_boundary.fit(EPOCHS))[1:]
+
 # ---------------------------------------------------------------------------
-# Transports: a resharded archive is fabric-agnostic
+# Transports: a resume at a new world is fabric-agnostic
 # ---------------------------------------------------------------------------
 class TestCrossTransport:
     @pytest.mark.parametrize("transport", ["process"])
@@ -224,7 +260,6 @@ class TestCrossTransport:
                                                   transport):
         ckpt = str(tmp_path / f"{transport}.npz")
         boundary_checkpoint(data, ckpt)
-        reshard_checkpoint(ckpt, 4)
         sim = make_trainer(data, world=4)
         sim.resume(ckpt)
         reference = curve(sim.fit(EPOCHS))
@@ -240,7 +275,7 @@ class TestCrossTransport:
 
 
 # ---------------------------------------------------------------------------
-# Property: reshard composition over the divisor lattice
+# Property: world changes compose over the divisor lattice
 # ---------------------------------------------------------------------------
 class TestReshardProperties:
     @pytest.fixture(scope="class")
@@ -252,17 +287,17 @@ class TestReshardProperties:
     @settings(max_examples=15, deadline=None)
     @given(worlds=st.lists(st.sampled_from([1, 2, 4, 8, 16]),
                            min_size=1, max_size=4))
-    def test_chained_reshards_compose(self, archive, tmp_path_factory,
-                                      worlds):
-        """reshard(...reshard(a, w1)..., wn) == reshard(a, wn): the
-        cursor transformation is path-independent (state and arrays)."""
+    def test_chained_reshards_compose(self, data, archive,
+                                      tmp_path_factory, worlds):
+        """Resuming and saving at w1, ..., wn == resuming at wn: the
+        cursor mapping is path-independent (state and arrays)."""
         base = tmp_path_factory.mktemp("prop")
         chained = str(base / "chained.npz")
         direct = str(base / "direct.npz")
-        reshard_checkpoint(archive, worlds[0], chained)
+        relaunch(data, archive, worlds[0], chained)
         for w in worlds[1:]:
-            reshard_checkpoint(chained, w)
-        reshard_checkpoint(archive, worlds[-1], direct)
+            relaunch(data, chained, w, chained)
+        relaunch(data, archive, worlds[-1], direct)
 
         s_chain, s_direct = training_state(chained), training_state(direct)
         assert s_chain == s_direct
@@ -278,20 +313,17 @@ class TestReshardProperties:
 # ---------------------------------------------------------------------------
 # Refusals: every unsound transformation fails loudly
 # ---------------------------------------------------------------------------
-class TestReshardErrors:
+class TestResumeRefusals:
     @pytest.fixture(scope="class")
     def archive(self, data, tmp_path_factory):
         path = str(tmp_path_factory.mktemp("errs") / "base.npz")
         boundary_checkpoint(data, path)
         return path
 
-    def test_indivisible_world_refused(self, archive):
-        with pytest.raises(ReshardError, match="does not divide"):
-            reshard_checkpoint(archive, 3)
-
-    def test_nonpositive_world_refused(self, archive):
-        with pytest.raises(ReshardError, match=">= 1"):
-            reshard_checkpoint(archive, 0)
+    def test_indivisible_world_refused(self, data, archive):
+        three = make_trainer(data, world=3, batch=5)
+        with pytest.raises(ValueError, match="global batch of 16.*is 15"):
+            three.resume(archive)
 
     def test_non_resumable_checkpoint_refused(self, data, tmp_path):
         from repro.training.checkpoint import save_checkpoint
@@ -299,43 +331,33 @@ class TestReshardErrors:
         model = PGTDCRNN(supports, 4, 2, hidden_dim=8, seed=SEED)
         path = str(tmp_path / "plain.npz")
         save_checkpoint(path, model)
-        with pytest.raises(ReshardError, match="training cursor"):
-            reshard_checkpoint(path, 4)
+        with pytest.raises(ValueError, match="training cursor"):
+            make_trainer(data, world=4).resume(path)
 
-    def test_missing_archive_is_checkpoint_error(self, tmp_path):
+    def test_missing_archive_is_checkpoint_error(self, data, tmp_path):
         with pytest.raises(CheckpointError):
-            reshard_checkpoint(str(tmp_path / "nope.npz"), 2)
+            make_trainer(data).resume(str(tmp_path / "nope.npz"))
 
-    def _legacy_copy(self, archive, path):
-        """A pre-elastic archive: no recorded batch_size/epoch_steps."""
-        with np.load(archive) as a:
-            arrays = {k: a[k] for k in a.files}
+    def test_archive_without_batch_size_resumes_only_at_its_world(
+            self, data, archive, tmp_path):
+        """An archive with no recorded per-rank batch has no known global
+        batch: its own world resumes it, any other is refused."""
+        legacy = str(tmp_path / "legacy.npz")
+        arrays = _read_archive(archive)
         meta = json.loads(bytes(arrays["__meta__"]).decode())
         state = meta["extra"]["training_state"]
         del state["batch_size"], state["epoch_steps"]
         arrays["__meta__"] = np.frombuffer(
             json.dumps(meta).encode(), dtype=np.uint8)
-        write_archive(path, arrays)
-
-    def test_legacy_archive_needs_batch_size(self, archive, tmp_path):
-        legacy = str(tmp_path / "legacy.npz")
-        self._legacy_copy(archive, legacy)
-        with pytest.raises(ReshardError, match="batch_size"):
-            reshard_checkpoint(legacy, 4)
-        report = reshard_checkpoint(legacy, 4, batch_size=8)
-        assert report.new_batch == 4
-
-    def test_contradictory_batch_size_refused(self, archive, tmp_path):
-        out = str(tmp_path / "copy.npz")
-        with pytest.raises(ReshardError, match="contradicts"):
-            reshard_checkpoint(archive, 4, out, batch_size=5)
+        savez_atomic(legacy, arrays)
+        with pytest.raises(ValueError, match="no per-rank batch_size"):
+            make_trainer(data, world=4).resume(legacy)
+        make_trainer(data).resume(legacy)
 
     def test_resume_with_wrong_loader_batch_refused(self, data, tmp_path,
                                                     archive):
-        """The resharded world is right but the loaders were not shrunk:
-        the global batch would drift, so resume() refuses."""
-        out = str(tmp_path / "w1.npz")
-        reshard_checkpoint(archive, 1, out)
+        """The world changed but the loaders were not grown to keep the
+        global batch, so resume() refuses and names the fix."""
         idx, supports = data
         model = PGTDCRNN(supports, 4, 2, hidden_dim=8, seed=SEED)
         wrong = DDPTrainer(model, Adam(model.parameters(), lr=0.01),
@@ -343,11 +365,11 @@ class TestReshardErrors:
                            IndexBatchLoader(idx, "train", 8),  # not 16
                            seed=SEED, clip_norm=0.0)
         with pytest.raises(ValueError, match="batch_size=16"):
-            wrong.resume(out)
+            wrong.resume(archive)
 
 
 # ---------------------------------------------------------------------------
-# Recovery integration: elastic relaunches reshard in place
+# Recovery integration: a relaunch at a new world resumes
 # ---------------------------------------------------------------------------
 class TestElasticRecovery:
     def test_relaunch_at_new_world_resumes(self, data, tmp_path):
@@ -357,123 +379,22 @@ class TestElasticRecovery:
         tr2.fit(1)
         tr2.save_training_checkpoint(ckpt, epoch=1, step=0)
 
-        def relaunch():
+        def relaunch_at_4():
             return make_trainer(data, world=4, ckpt=ckpt,
                                 checkpoint_every=4)
 
-        trainer, history, report = train_with_recovery(
-            relaunch, EPOCHS, elastic=True)
+        trainer, history, report = train_with_recovery(relaunch_at_4, EPOCHS)
         assert report.restarts == 0
         np.testing.assert_allclose(curve(history)[1:], fresh4[1:],
                                    atol=1e-6, rtol=1e-6)
         assert training_state(ckpt)["world_size"] == 4
 
-    def test_without_flag_world_change_still_fails(self, data, tmp_path):
+    def test_different_global_batch_is_refused(self, data, tmp_path):
         ckpt = str(tmp_path / "strict.npz")
         boundary_checkpoint(data, ckpt)
-        with pytest.raises(ValueError, match="world of 2 ranks"):
+        with pytest.raises(ValueError,
+                           match="global batch of 16.*is 32 \\(4 x 8\\)"):
             train_with_recovery(
-                lambda: make_trainer(data, world=4, ckpt=ckpt,
+                lambda: make_trainer(data, world=4, batch=8, ckpt=ckpt,
                                      checkpoint_every=4),
                 EPOCHS)
-
-
-# ---------------------------------------------------------------------------
-# Capacity planner
-# ---------------------------------------------------------------------------
-@pytest.fixture(scope="module")
-def perf():
-    from repro.datasets.catalog import get_spec
-    from repro.training.perfmodel import TrainingPerfModel, pgt_dcrnn_perf
-    spec = get_spec("pems-bay")
-    model = pgt_dcrnn_perf(spec.num_nodes, spec.horizon,
-                           spec.train_features)
-    return TrainingPerfModel(spec, model, batch_size=64)
-
-
-class TestTrainingPlanner:
-    def test_needs_a_budget(self, perf):
-        with pytest.raises(ValueError, match="budget"):
-            plan_training(perf, strategy="dist-index")
-
-    def test_picks_smallest_world_meeting_budget(self, perf):
-        single = perf.run("dist-index", 1, epochs=10).total_seconds
-        budget = single * 0.75
-        plan = plan_training(perf, strategy="dist-index", epochs=10,
-                             total_budget_seconds=budget,
-                             worlds=(1, 2, 4, 8))
-        assert plan.meets_budget and plan.world_size > 1
-        # Minimality: no smaller candidate met the budget.
-        for w, _, total_s, _ in plan.sweep:
-            if w < plan.world_size:
-                assert total_s > budget
-        assert plan.total_seconds <= budget
-        assert plan.gpu_seconds == plan.world_size * plan.total_seconds
-        assert str(plan.world_size) in plan.summary()
-
-    def test_impossible_budget_returns_best_effort(self, perf):
-        plan = plan_training(perf, strategy="dist-index", epochs=10,
-                             total_budget_seconds=1e-3, worlds=(1, 2, 4))
-        assert not plan.meets_budget
-        assert plan.total_seconds == min(r[2] for r in plan.sweep)
-
-    def test_reshard_seconds_prices_the_transition(self, perf):
-        from repro.training.perfmodel import RESTART_FIXED_OVERHEAD
-        cost = perf.reshard_seconds(2, 4)
-        assert cost > RESTART_FIXED_OVERHEAD
-        # Broadcasting over a wider world costs (weakly) more.
-        assert perf.reshard_seconds(2, 64) >= cost
-        with pytest.raises(ValueError):
-            perf.reshard_seconds(0, 4)
-
-    def test_gpu_seconds_edges(self):
-        from repro.cluster.costmodel import gpu_seconds
-        assert gpu_seconds(4, 2.5) == 10.0
-        with pytest.raises(ValueError):
-            gpu_seconds(0, 1.0)
-        with pytest.raises(ValueError):
-            gpu_seconds(1, -1.0)
-
-    def test_worlds_must_be_positive(self, perf):
-        for worlds in ((0, 2), ()):
-            with pytest.raises(ValueError, match="worlds must be positive"):
-                plan_training(perf, strategy="dist-index",
-                              total_budget_seconds=1.0, worlds=worlds)
-
-    def test_sweep_covers_every_candidate_in_order(self, perf):
-        plan = plan_training(perf, strategy="dist-index", epochs=4,
-                             total_budget_seconds=1e9, worlds=(4, 1, 2))
-        assert [row[0] for row in plan.sweep] == [1, 2, 4]
-        for w, _, total_s, gpu_s in plan.sweep:
-            assert gpu_s == w * total_s
-        # Any world meets an unbounded budget: the smallest is chosen.
-        assert plan.world_size == 1 and plan.meets_budget
-
-    def test_both_budgets_must_hold(self, perf):
-        sweep = plan_training(perf, strategy="dist-index", epochs=10,
-                              total_budget_seconds=1e9,
-                              worlds=(1, 2, 4, 8)).sweep
-        # A loose total budget and world 8's epoch time as the epoch budget.
-        epoch_budget = sweep[-1][1]
-        plan = plan_training(perf, strategy="dist-index", epochs=10,
-                             epoch_budget_seconds=epoch_budget,
-                             total_budget_seconds=1e9,
-                             worlds=(1, 2, 4, 8))
-        assert plan.epoch_seconds <= epoch_budget
-        for w, epoch_s, _, _ in plan.sweep:
-            if w < plan.world_size:
-                assert epoch_s > epoch_budget
-        # The same epoch budget with a total budget nobody meets.
-        tight = plan_training(perf, strategy="dist-index", epochs=10,
-                              epoch_budget_seconds=epoch_budget,
-                              total_budget_seconds=1e-3,
-                              worlds=(1, 2, 4, 8))
-        assert not tight.meets_budget
-
-    def test_best_effort_summary_says_so(self, perf):
-        plan = plan_training(perf, strategy="dist-index", epochs=10,
-                             total_budget_seconds=1e-3, worlds=(1, 2))
-        assert "BEST EFFORT" in plan.summary()
-        ok = plan_training(perf, strategy="dist-index", epochs=10,
-                           total_budget_seconds=1e9, worlds=(1, 2))
-        assert "meets budget" in ok.summary()
