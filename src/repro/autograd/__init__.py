@@ -10,16 +10,16 @@ Design notes
 - Gradients are plain ``numpy.ndarray`` objects (no higher-order autograd).
 - All binary ops broadcast with NumPy semantics; gradient reduction over
   broadcast axes is handled centrally by :func:`unbroadcast`.
-- Sparse graph operators (`scipy.sparse` matrices) participate as constants
-  via :func:`repro.autograd.functional.sparse_matmul`; gradients flow to the
-  dense operand only, which matches how adjacency supports are used in
-  ST-GNNs.
+- Sparse graph operators (`scipy.sparse` matrices) never enter the Tensor
+  graph: :mod:`repro.autograd.sparse_kernels` prepares them once as
+  constants, and the graph-convolution layers run their products (and the
+  products' backward) inside their own fused nodes.
 """
 
 from repro.autograd import functional
 from repro.autograd.buffers import GRAD_POOL, ArrayPool
 from repro.autograd.grad_mode import is_grad_enabled, no_grad
-from repro.autograd.sparse_kernels import PreparedCSR, prepared_csr
+from repro.autograd.sparse_kernels import PreparedCSR
 from repro.autograd.tensor import Tensor, as_tensor, unbroadcast
 
 __all__ = [
@@ -32,5 +32,4 @@ __all__ = [
     "ArrayPool",
     "GRAD_POOL",
     "PreparedCSR",
-    "prepared_csr",
 ]

@@ -10,12 +10,8 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
-from repro.autograd.buffers import GRAD_POOL
-from repro.autograd.sparse_kernels import prepared_csr
 from repro.autograd.tensor import Tensor, as_tensor, unbroadcast
-from repro.utils.errors import ShapeError
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -139,71 +135,6 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator,
 
         out._backward = _bw
     return out
-
-
-def sparse_matmul(matrix: sp.spmatrix, x: Tensor) -> Tensor:
-    """Multiply a constant sparse matrix by a dense tensor: ``A @ x``.
-
-    ``x`` may be 2-D ``[n, d]`` or 3-D ``[batch, n, d]`` (applied per batch
-    element by flattening the trailing axes, the standard GNN trick).  The
-    sparse operand is a graph support and receives no gradient.
-
-    The support is prepared once per compute dtype (CSR arrays cast to
-    ``x.dtype``, transpose precomputed) and the product runs through the
-    raw CSR kernel; layout scratch comes from the shared array pool, so
-    steady-state calls allocate only the output itself.
-    """
-    x = as_tensor(x)
-    A = prepared_csr(matrix, x.dtype)
-    if x.ndim == 2:
-        xd = x.data if x.data.flags.c_contiguous else np.ascontiguousarray(x.data)
-        data = A.matmul(xd)
-    elif x.ndim == 3:
-        b, n, d = x.shape
-        if n != A.shape[1]:
-            raise ShapeError(f"support has {A.shape[1]} cols, input has {n} nodes")
-        # [b, n, d] -> [n, b*d] so one CSR matmul covers the whole batch.
-        flat = _pooled_transpose(x.data)
-        data = A.matmul(flat.reshape(n, b * d)).reshape(A.shape[0], b, d)
-        GRAD_POOL.give(flat)
-        data = data.transpose(1, 0, 2)
-    else:
-        raise ShapeError(f"sparse_matmul expects 2-D or 3-D input, got {x.ndim}-D")
-    out = x._make(data, (x,))
-    if out.requires_grad:
-        At = A.T
-
-        def _bw(g: np.ndarray) -> None:
-            if g.ndim == 2:
-                gd = g if g.flags.c_contiguous else np.ascontiguousarray(g)
-                res = _pooled_empty((At.shape[0], g.shape[1]), gd.dtype)
-                x._accumulate(At.matmul_out(gd, res))
-                GRAD_POOL.give(res)
-            else:
-                b, m, d = g.shape
-                flat = _pooled_transpose(g)
-                res = _pooled_empty((At.shape[0], b, d), flat.dtype)
-                At.matmul_out(flat.reshape(m, b * d), res.reshape(-1, b * d))
-                x._accumulate(res.transpose(1, 0, 2))
-                GRAD_POOL.give(flat)
-                GRAD_POOL.give(res)
-
-        out._backward = _bw
-    return out
-
-
-def _pooled_empty(shape: tuple[int, ...], dtype) -> np.ndarray:
-    """A pooled (or fresh) uninitialised array for transient scratch."""
-    buf = GRAD_POOL.take(shape, dtype)
-    return buf if buf is not None else np.empty(shape, dtype)
-
-
-def _pooled_transpose(arr: np.ndarray) -> np.ndarray:
-    """Contiguous ``[n, b, d]`` copy of a ``[b, n, d]`` array via the pool."""
-    b, n, d = arr.shape
-    buf = _pooled_empty((n, b, d), arr.dtype)
-    np.copyto(buf, arr.transpose(1, 0, 2))
-    return buf
 
 
 def gru_update(u: Tensor, h: Tensor, cand: Tensor) -> Tensor:

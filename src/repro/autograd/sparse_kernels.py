@@ -6,15 +6,13 @@ through ``scipy.sparse.__matmul__`` for each of those pays for format
 checks, index-dtype negotiation and a fresh ``A.T.tocsr()`` conversion on
 every backward — which profiling shows dominates small-scale training.
 
-This module keeps a bounded cache of *prepared* supports: the CSR arrays
-cast to the compute dtype plus the precomputed CSR transpose.  The actual
-product lives in :mod:`repro.kernels`, which runs scipy's C kernel
+A :class:`PreparedCSR` is one support readied for that: the CSR arrays
+cast to the compute dtype and put in canonical order, plus the CSR
+transpose computed once.  :func:`stacked_csr` keeps a bounded FIFO cache
+(``_STACKED_MAX`` support sets, like the api-layer caches) of the stacked
+operators every diffusion/graph conv over a support set shares.  The
+actual product lives in :mod:`repro.kernels`, which runs scipy's C kernel
 (``csr_matvecs``) directly into a caller-provided output buffer.
-
-The cache is bounded on two axes: at most ``_PREPARED_MAX`` distinct
-support matrices (FIFO, like the api-layer caches), and at most
-``_PREPARED_DTYPES_MAX`` dtypes per matrix so per-support entries cannot
-grow without bound when a caller alternates compute dtypes.
 """
 
 from __future__ import annotations
@@ -57,41 +55,8 @@ class PreparedCSR:
         """
         return kernels.active_backend().csr_matmul_out(self, x, out)
 
-    def matmul(self, x: np.ndarray) -> np.ndarray:
-        """``A @ x`` into a fresh array (for outputs that must be owned)."""
-        out = np.empty((self.shape[0], x.shape[1]), dtype=self.data.dtype)
-        return self.matmul_out(x, out)
 
-
-#: Prepared-support memo.  Keyed by id(matrix) -> (matrix, {dtype: prepared});
-#: each value keeps a strong reference to its source matrix so an id cannot
-#: be recycled while its entry is alive.
-_PREPARED: dict[int, tuple[sp.spmatrix, dict[str, PreparedCSR]]] = {}
-_PREPARED_MAX = 64        # distinct support matrices (FIFO)
-_PREPARED_DTYPES_MAX = 2  # dtypes kept per matrix (f32 + f64 in practice)
-
-
-def prepared_csr(matrix: sp.spmatrix, dtype) -> PreparedCSR:
-    """Cached :class:`PreparedCSR` for ``matrix`` in ``dtype``."""
-    dtype = np.dtype(dtype)
-    entry = _PREPARED.get(id(matrix))
-    if entry is not None and entry[0] is matrix:
-        by_dtype = entry[1]
-        prepared = by_dtype.get(dtype.str)
-        if prepared is not None:
-            return prepared
-    else:
-        if len(_PREPARED) >= _PREPARED_MAX:
-            _PREPARED.pop(next(iter(_PREPARED)))
-        by_dtype = {}
-        _PREPARED[id(matrix)] = (matrix, by_dtype)
-    while len(by_dtype) >= _PREPARED_DTYPES_MAX:
-        by_dtype.pop(next(iter(by_dtype)))
-    prepared = PreparedCSR(matrix, dtype)
-    by_dtype[dtype.str] = prepared
-    return prepared
-
-
+_STACKED_MAX = 64  # distinct support sets (FIFO)
 _STACKED: dict[tuple, tuple] = {}  # (ids, dtype) -> (supports, operators)
 
 
@@ -102,7 +67,7 @@ def stacked_csr(supports, dtype: np.dtype) -> tuple[PreparedCSR, PreparedCSR]:
     entry = _STACKED.get(key)  # holds the supports: their ids stay theirs
     if entry is None:
         parts = [PreparedCSR(s, dtype).csr for s in supports]
-        if len(_STACKED) >= _PREPARED_MAX:
+        if len(_STACKED) >= _STACKED_MAX:
             _STACKED.pop(next(iter(_STACKED)))
         entry = _STACKED[key] = (tuple(supports), (
             PreparedCSR(sp.vstack(parts, format="csr"), dtype),
@@ -111,6 +76,5 @@ def stacked_csr(supports, dtype: np.dtype) -> tuple[PreparedCSR, PreparedCSR]:
 
 
 def clear_prepared_cache() -> None:
-    """Drop all cached prepared supports (tests / memory pressure)."""
-    _PREPARED.clear()
+    """Drop all cached stacked operators (tests / memory pressure)."""
     _STACKED.clear()

@@ -7,7 +7,11 @@ curve is pinned to its row order (``test_kernels.py::TestCsrRowOrder``).
 The chains are *bound*: operands are checked and flattened once per
 bind, and the returned closure runs at every step of a recurrence.
 
-``gru_gates_fwd`` is the one GRU kernel here.  No model calls it: the
+Both chains take a structural ``identity`` choice: DCRNN's diffusion conv
+carries ``x0`` itself as block 0 of the hop block, T-GCN's graph conv (one
+support, one hop) does not.
+
+``gru_gates_fwd`` is the one GRU kernel here.  No model calls it: DCRNN's
 batch-major cells compose Tensor ops (``nn.rnn.gru_cell_step``) and
 ``DCGRUCell.sequence`` runs its elementwise tail as in-place NumPy.  It stays
 because the end-to-end benchmark's per-layer probe ``kernels.gru_gates_ms``
@@ -72,9 +76,10 @@ class NumpyBackend:
 
     # -- diffusion conv -------------------------------------------------
     def bind_hops(self, first, nxt, x0: np.ndarray, ping: np.ndarray,
-                  pong: np.ndarray, k: int):
-        """``hops(cat)``: ``x0`` into ``cat[:, :, :f]``, then the hops
-        ``P_s^1..P_s^k x0`` into ``cat[:, :, f:]``, by support.
+                  pong: np.ndarray, k: int, identity: bool = True):
+        """``hops(cat)``: ``x0`` into ``cat[:, :, :f]`` when ``identity``,
+        then the hops ``P_s^1..P_s^k x0`` into the rest of ``cat``, by
+        support.
 
         ``first``/``nxt`` come from ``stacked_csr``; ``ping``/``pong`` are
         rotating ``[S, n, b, f]`` scratch for node-major ``x0 [n, b, f]``.
@@ -85,11 +90,12 @@ class NumpyBackend:
         chain = [(_args(nxt if j else first, b * f), seq[j], seq[j + 1],
                   (ping, pong)[j % 2].transpose(1, 2, 0, 3))
                  for j in range(k)]
-        shape = (n, b, len(ping), k, f)
+        shape, lead = (n, b, len(ping), k, f), f if identity else 0
 
         def hops(cat: np.ndarray) -> None:
-            cat[:, :, :f] = x0
-            out = cat[:, :, f:].reshape(shape)
+            if identity:
+                cat[:, :, :f] = x0
+            out = cat[:, :, lead:].reshape(shape)
             for j, (args, src, dst, hop) in enumerate(chain):
                 dst.fill(0)
                 _st.csr_matvecs(*args, src, dst)
@@ -98,20 +104,22 @@ class NumpyBackend:
         return hops
 
     def bind_hops_backward(self, nxt_t, gcat: np.ndarray, gx: np.ndarray,
-                           ping: np.ndarray, pong: np.ndarray, k: int):
-        """``chain()``: ``gx`` = the identity hop's ``gcat[:, :, :f]``,
-        plus every support's hop gradients chained back, bound as above.
+                           ping: np.ndarray, pong: np.ndarray, k: int,
+                           identity: bool = True):
+        """``chain()``: ``gx`` = every support's hop gradients chained
+        back, added to the identity hop's ``gcat[:, :, :f]`` when
+        ``identity``; bound as above.
 
         ``nxt_t = block_diag(P_s)^T``: ``acc_k = g_k``, ``acc_j = P^T acc_{j+1}
         + g_j``, then ``gx += P_s^T acc_1`` per support, in support order.
         """
         n, b, f = gx.shape
-        ident = gcat[:, :, :f]
+        ident, lead = gcat[:, :, :f], f if identity else 0
         if not k:
             return lambda: np.copyto(gx, ident)
         flat = _operands(nxt_t, ping, pong)
         args = _args(nxt_t, b * f)
-        g = gcat[:, :, f:].reshape(n, b, len(ping), k, f).transpose(
+        g = gcat[:, :, lead:].reshape(n, b, len(ping), k, f).transpose(
             2, 3, 0, 1, 4)
         steps = []
         for j in range(k - 1, -1, -1):  # acc_{j+1} sits in buffer i
@@ -119,16 +127,17 @@ class NumpyBackend:
             steps.append((flat[i], flat[1 - i], (ping, pong)[1 - i],
                           g[:, j - 1] if j else None))
         head, parts = g[:, k - 1], list(steps[-1][2])
+        first, rest = (ident, parts) if identity else (parts[0], parts[1:])
 
         def chain() -> None:
-            np.copyto(gx, ident)
             np.copyto(ping, head)
             for src, dst, acc, g_j in steps:
                 dst.fill(0)
                 _st.csr_matvecs(*args, src, dst)
                 if g_j is not None:
                     acc += g_j
-            for part in parts:
+            np.copyto(gx, first)
+            for part in rest:
                 np.add(gx, part, out=gx)
 
         return chain

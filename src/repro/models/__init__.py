@@ -9,7 +9,7 @@ from repro.models.base import STModel
 from repro.models.dconv import DiffusionConv
 from repro.models.dcrnn import DCGRUCell, DCRNN
 from repro.models.pgt_dcrnn import PGTDCRNN
-from repro.models.tgcn import TGCNCell, TGCN
+from repro.models.tgcn import TGCN
 from repro.models.a3tgcn import A3TGCN
 from repro.models.stllm import STLLM
 
@@ -19,7 +19,6 @@ __all__ = [
     "DCGRUCell",
     "DCRNN",
     "PGTDCRNN",
-    "TGCNCell",
     "TGCN",
     "A3TGCN",
     "STLLM",

@@ -6,6 +6,12 @@ head that emits the whole output sequence at once.  This is the model of
 the paper's broader-applicability study (Table 6), integrated with
 index-batching exactly like DCRNN because it consumes the same
 sequence-to-sequence batches.
+
+The states come from T-GCN's fused recurrence
+(:meth:`~repro.models.dcrnn.DCGRUCell.sequence` over one support, one hop,
+no identity block) as one ``[B, T, N, H]`` autograd node, whose backward
+hands each step's gradient to the recurrence's walk; the attention pooling
+composes Tensor ops over that node.
 """
 
 from __future__ import annotations
@@ -14,12 +20,12 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.autograd import functional as F
+from repro.autograd.grad_mode import is_grad_enabled
 from repro.autograd.tensor import Tensor
 from repro.graph.supports import symmetric_normalized_adjacency
 from repro.models.base import STModel
-from repro.models.tgcn import TGCNCell
+from repro.models.dcrnn import DCGRUCell
 from repro.nn.layers import Linear
-from repro.nn.module import Module
 
 
 class A3TGCN(STModel):
@@ -34,8 +40,8 @@ class A3TGCN(STModel):
         self.in_features = in_features
         self.hidden_dim = hidden_dim
         support = symmetric_normalized_adjacency(weights)
-        self.cell = TGCNCell(support, in_features, hidden_dim,
-                             seed_name=f"a3tgcn{seed}.cell")
+        self.cell = DCGRUCell([support], in_features, hidden_dim, 1,
+                              identity=False, seed_name=f"a3tgcn{seed}.cell")
         # Global attention over time: score each hidden state.
         self.attn_hidden = Linear(hidden_dim, attention_dim,
                                   seed_name=f"a3tgcn{seed}.attn1")
@@ -45,13 +51,19 @@ class A3TGCN(STModel):
 
     def forward(self, x: Tensor) -> Tensor:
         self.check_input(x)
-        batch = x.shape[0]
-        h = self.cell.init_hidden(batch)
-        states = []
-        for t in range(self.horizon):
-            h = self.cell(x[:, t], h)
-            states.append(h)
-        seq = F.stack(states, axis=1)                 # [B, T, N, H]
+        if x.requires_grad and is_grad_enabled():
+            raise NotImplementedError(
+                "A3TGCN does not propagate gradients to its input window")
+        batch, cell = x.shape[0], self.cell
+        xs = np.ascontiguousarray(x.data.transpose(1, 2, 0, 3))  # [T,N,B,F]
+        hb = np.empty((batch, self.horizon, self.num_nodes, self.hidden_dim),
+                      xs.dtype)                                  # [B,T,N,H]
+        walk = cell.sequence(xs, hb.swapaxes(0, 1))
+        seq = x._make(hb, (cell.gates.weight, cell.gates.bias,
+                           cell.candidate.weight, cell.candidate.bias))
+        if seq.requires_grad:
+            seq._backward = lambda g: walk(
+                lambda t, out: np.copyto(out, g[:, t].transpose(1, 0, 2)))
         scores = self.attn_score(self.attn_hidden(seq).tanh())  # [B, T, N, 1]
         weights = F.softmax(scores, axis=1)
         context = (seq * weights).sum(axis=1)         # [B, N, H]

@@ -1,4 +1,5 @@
-"""Diffusion convolution (Li et al. 2018), the spatial operator of DCRNN.
+"""Diffusion convolution (Li et al. 2018), the spatial operator of DCRNN
+and, with one support and one hop, T-GCN's graph convolution.
 
 For supports ``{P_s}`` (forward/backward random-walk matrices) and diffusion
 order ``K``, the layer computes
@@ -7,7 +8,9 @@ order ``K``, the layer computes
 
 i.e. features are propagated 0..K hops along each diffusion direction and
 the concatenated hop features are mixed by a dense map.  The number of
-concatenated blocks is ``1 + S*K`` (identity hop counted once).
+concatenated blocks is ``1 + S*K`` (identity hop counted once), or ``S*K``
+without the identity block (``identity=False``): T-GCN's ``A_hat X W + b``
+is ``S = K = 1`` with no identity block.
 
 The layer works **node-major**: ``[nodes, batch, F]`` is the layout in
 which one CSR product covers the whole batch and the hop block is a plain
@@ -20,9 +23,10 @@ core is *bound*: it resolves the operators, the hop chain's flat operands
 (through ``repro.kernels``) and the weight arrays once, and returns a
 closure a caller runs once or once per recurrence step.  It has two thin
 entry points: :meth:`DiffusionConv.forward` (batch-major in and out, one
-transposed copy each way, one bind and one autograd node per call) and
-:meth:`repro.models.dcrnn.DCGRUCell.sequence` (already node-major, no
-copies, both convolutions bound once for a whole sequence).  Backward
+transposed copy each way, one bind and one autograd node per call; DCRNN's
+cells) and :meth:`repro.models.dcrnn.DCGRUCell.sequence` (already
+node-major, no copies, both convolutions bound once for a whole sequence;
+PGT-DCRNN, T-GCN and A3T-GCN).  Backward
 owns only the hop block of its call (it is the GEMM input whose transpose
 gives the weight gradient); every gradient buffer is per-layer scratch,
 valid until that layer's next backward, so callers accumulate from it
@@ -31,8 +35,8 @@ before the bias gradient, and a caller decides where the input gradient
 goes: the order of those ``_accumulate`` calls is part of the fixed-seed
 curves.
 
-The parity references (public autograd ops hop by hop; one product per
-hop per support, bit for bit) live in the tests.
+The parity references (public autograd ops hop by hop; one scipy product
+per hop per support, bit for bit) live in the tests.
 """
 
 from __future__ import annotations
@@ -83,10 +87,12 @@ class DiffusionConv(Module):
     """K-hop diffusion convolution over ``[batch, nodes, in_dim]`` inputs."""
 
     def __init__(self, supports: list[sp.spmatrix], in_dim: int, out_dim: int,
-                 k_hops: int = 2, *, seed_name: str = "dconv"):
+                 k_hops: int = 2, *, identity: bool = True,
+                 seed_name: str = "dconv"):
         super().__init__()
-        if k_hops < 0:
-            raise ValueError("k_hops must be >= 0")
+        if k_hops < 0 or (k_hops == 0 and not identity):
+            raise ValueError("k_hops must be >= 0, and >= 1 without the "
+                             "identity block")
         self.supports = [s.tocsr() for s in supports]
         if not self.supports:
             raise ValueError("need at least one support matrix")
@@ -96,7 +102,8 @@ class DiffusionConv(Module):
         self.in_dim = in_dim
         self.out_dim = out_dim
         self.k_hops = k_hops
-        self.num_matrices = 1 + len(self.supports) * k_hops
+        self.identity = identity
+        self.num_matrices = int(identity) + len(self.supports) * k_hops
         rng = new_rng("nn", seed_name, in_dim, out_dim, k_hops)
         self.weight = Parameter(
             glorot_uniform(rng, self.num_matrices * in_dim, out_dim))
@@ -127,7 +134,7 @@ class DiffusionConv(Module):
         dtype = x0.dtype
         hops = kernels.active_backend().bind_hops(
             *stacked_csr(self.supports, dtype), x0, scr.ping, scr.pong,
-            self.k_hops)
+            self.k_hops, self.identity)
         weight, bias = self.weight.data, self.bias.data
         if not own_cat and scr.cat_eval is None:
             scr.cat_eval = np.empty((n, b, m * f), dtype)
@@ -159,7 +166,7 @@ class DiffusionConv(Module):
         gcat2 = scr.gcat.reshape(-1, scr.gcat.shape[-1])
         chain = kernels.active_backend().bind_hops_backward(
             stacked_csr(self.supports, gx.dtype)[1].T, scr.gcat, gx,
-            scr.ping, scr.pong, self.k_hops)
+            scr.ping, scr.pong, self.k_hops, self.identity)
 
         def run(cat2: np.ndarray, g2: np.ndarray,
                 input_grad: bool) -> np.ndarray | None:

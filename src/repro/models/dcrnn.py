@@ -18,7 +18,9 @@ decays with global step) and feeds back its own predictions at inference.
   recurrence needs no concat, no transposed copies and no slice
   scatters.  It binds the stacked operators, flat ``csr_matvecs``
   operands, scratch and weight arrays once per forward, and returns the
-  backward of the whole sequence for PGT-DCRNN's one autograd node.
+  backward of the whole sequence for one autograd node: PGT-DCRNN's
+  (states and projection) and A3T-GCN's (states only).  T-GCN is this
+  cell over one support, one hop and no identity block.
 
 What that backward keeps, per step: the two hop blocks (GEMM inputs), the
 gate activations ``s = [r | u]`` and the candidate ``c`` (each the
@@ -36,7 +38,8 @@ cross-transport parity) are compared bit for bit, so ``sequence`` keeps
 the operand order of every operation and the order in which gradients
 meet.  The state gradient lives in two node-major buffers; walking
 ``t = T-1 ... 0``, the buffer of ``h_{t-1}`` is first *set* to the
-readout's term (PGT-DCRNN's projection, ``g_t W_p^T``), then takes
+readout's term (PGT-DCRNN's projection, ``g_t W_p^T``; A3T-GCN's
+gradient into its stacked states), then takes
 ``G*u`` (blend), ``g_rh*r`` (reset product) and the gates convolution's
 input-gradient slice as three separate adds; summing the three first
 changes the bits.  Weight and bias gradients accumulate candidate before
@@ -92,17 +95,18 @@ class DCGRUCell(Module):
     ``[B, N, dim]`` states, ``sequence`` over ``[N, B, dim]`` ones."""
 
     def __init__(self, supports: list[sp.spmatrix], in_dim: int,
-                 hidden_dim: int, k_hops: int = 2, *, seed_name: str = "dcgru"):
+                 hidden_dim: int, k_hops: int = 2, *, identity: bool = True,
+                 seed_name: str = "dcgru"):
         super().__init__()
         self.hidden_dim = hidden_dim
         self.num_nodes = supports[0].shape[0]
         self.gates = DiffusionConv(supports, in_dim + hidden_dim,
-                                   2 * hidden_dim, k_hops,
+                                   2 * hidden_dim, k_hops, identity=identity,
                                    seed_name=f"{seed_name}.gates")
         # Bias gates toward "keep state" at init (standard GRU trick).
         self.gates.bias.data[:] = 1.0
         self.candidate = DiffusionConv(supports, in_dim + hidden_dim,
-                                       hidden_dim, k_hops,
+                                       hidden_dim, k_hops, identity=identity,
                                        seed_name=f"{seed_name}.cand")
         self._scratch: dict[tuple, _StepScratch] = {}
 
@@ -115,9 +119,11 @@ class DCGRUCell(Module):
 
         ``xs`` is a contiguous ``[T, N, B, in]`` array (no gradient flows
         to it); each ``h_t`` is copied batch-major into ``hb[t]``
-        (``[T, B, N, H]``).  Returns ``None`` when no gradient is
-        recorded, else ``walk(gn, v)``: the backward of all ``T`` steps
-        for a readout whose gradient into ``h_t`` is ``gn[t] * v``.
+        (``[T, B, N, H]``, any strides).  Returns ``None`` when no
+        gradient is recorded, else ``walk(readout)``: the backward of all
+        ``T`` steps, where ``readout(t, out)`` sets the node-major
+        ``[N, B, H]`` buffer ``out`` to the readout's gradient into
+        ``h_t``.
         """
         steps, n, b, fin = xs.shape
         hid = self.hidden_dim
@@ -162,17 +168,17 @@ class DCGRUCell(Module):
         if not keep:
             return None
 
-        def walk(gn: np.ndarray, v: np.ndarray) -> None:
+        def walk(readout) -> None:
             bw_g, bw_c = gates._bind_backward(sg), cand._bind_backward(sc)
             dpre, dc = sg.gout, sc.gout           # d pre-activations
             dpre2, dc2 = dpre.reshape(n * b, -1), dc.reshape(n * b, -1)
             dpre_r, dpre_u = dpre[:, :, :hid], dpre[:, :, hid:]
             G, G_prev = np.empty((2, n, b, hid), dtype)  # d h_t, d h_{t-1}
-            np.multiply(gn[steps - 1], v, out=G)
+            readout(steps - 1, G)
             for t in range(steps - 1, -1, -1):
                 cat_g, s, r, u, cat_c, c, hd = kept[t]
                 if t:                             # readout's term first
-                    np.multiply(gn[t - 1], v, out=G_prev)
+                    readout(t - 1, G_prev)
                 np.multiply(G, hd, out=dpre_u)    # d u = G*h - G*c
                 np.multiply(G, c, out=tmp)
                 dpre_u -= tmp

@@ -19,9 +19,13 @@ saw per step, and the node's backward hands out ``Linear``'s terms in the
 order its per-step nodes did: for ``t`` in forward order, the bias, then
 the weight; then the recurrence walks back in time and sets each state
 gradient to its projection term before anything else reaches it (the
-accumulation-order contract is in :mod:`repro.models.dcrnn`).  So the
-fixed-seed curves are those of the batch-major recurrence.  Every array a
-caller receives is freshly allocated.
+accumulation-order contract is in :mod:`repro.models.dcrnn`): the readout
+callback writes ``g_t W_p^T`` into the recurrence's own two state-gradient
+buffers.  So the fixed-seed curves are those of the batch-major
+recurrence.  Every array a caller receives is freshly allocated.
+
+:class:`~repro.models.tgcn.TGCN` is this model over T-GCN's cell (one
+support, one hop, no identity block).
 """
 
 from __future__ import annotations
@@ -39,17 +43,20 @@ from repro.nn.layers import Linear
 class PGTDCRNN(STModel):
     """Single-layer stepwise DCRNN as implemented in PGT + this paper."""
 
+    seed_prefix = "pgtdcrnn"
+
     def __init__(self, supports: list[sp.spmatrix], horizon: int,
                  in_features: int, hidden_dim: int = 64, k_hops: int = 2,
-                 *, seed: int | str = 0):
+                 *, identity: bool = True, seed: int | str = 0):
         super().__init__()
         self.horizon = horizon
         self.num_nodes = supports[0].shape[0]
         self.in_features = in_features
         self.hidden_dim = hidden_dim
+        name = f"{self.seed_prefix}{seed}"
         self.cell = DCGRUCell(supports, in_features, hidden_dim, k_hops,
-                              seed_name=f"pgtdcrnn{seed}.cell")
-        self.proj = Linear(hidden_dim, 1, seed_name=f"pgtdcrnn{seed}.proj")
+                              identity=identity, seed_name=f"{name}.cell")
+        self.proj = Linear(hidden_dim, 1, seed_name=f"{name}.proj")
 
     def forward(self, x: Tensor) -> Tensor:
         self.check_input(x)
@@ -77,7 +84,8 @@ class PGTDCRNN(STModel):
                     b._accumulate(gb[t:t + 1])
                     w._accumulate(gw[t].sum(axis=0))
                 if walk is not None:              # then the recurrence
-                    walk(gt.transpose(0, 2, 1, 3), w.data.T)
+                    gn, v = gt.transpose(0, 2, 1, 3), w.data.T
+                    walk(lambda t, out: np.multiply(gn[t], v, out=out))
 
             out._backward = _bw
         return out

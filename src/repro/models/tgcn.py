@@ -1,79 +1,26 @@
-"""T-GCN: graph convolution + GRU (Zhao et al. 2020), the backbone of A3T-GCN."""
+"""T-GCN: graph convolution + GRU (Zhao et al. 2020), the backbone of A3T-GCN.
+
+T-GCN's graph convolution ``A_hat X W + b`` is a diffusion convolution over
+one support (the symmetric-normalised adjacency ``A_hat``) with one hop and
+no identity block, so its GRU is a :class:`~repro.models.dcrnn.DCGRUCell`
+and the stepwise model is PGT-DCRNN's one-node fused recurrence over it.
+"""
 
 from __future__ import annotations
 
-import numpy as np
 import scipy.sparse as sp
 
-from repro.autograd import functional as F
-from repro.autograd.tensor import Tensor
 from repro.graph.supports import symmetric_normalized_adjacency
-from repro.models.base import STModel
-from repro.nn.init import glorot_uniform, zeros_
-from repro.nn.layers import Linear
-from repro.nn.module import Module, Parameter
-from repro.nn.rnn import gru_cell_step
-from repro.utils.seeding import new_rng
+from repro.models.pgt_dcrnn import PGTDCRNN
 
 
-class GraphConv(Module):
-    """One-hop GCN layer ``sigma(A_hat X W + b)`` without the nonlinearity."""
-
-    def __init__(self, support: sp.spmatrix, in_dim: int, out_dim: int,
-                 *, seed_name: str = "gcn"):
-        super().__init__()
-        self.support = support.tocsr()
-        rng = new_rng("nn", seed_name, in_dim, out_dim)
-        self.weight = Parameter(glorot_uniform(rng, in_dim, out_dim))
-        self.bias = Parameter(zeros_((out_dim,)))
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.sparse_matmul(self.support, x) @ self.weight + self.bias
-
-
-class TGCNCell(Module):
-    """GRU cell whose input transform is a graph convolution."""
-
-    def __init__(self, support: sp.spmatrix, in_dim: int, hidden_dim: int,
-                 *, seed_name: str = "tgcn"):
-        super().__init__()
-        self.hidden_dim = hidden_dim
-        self.num_nodes = support.shape[0]
-        self.gates = GraphConv(support, in_dim + hidden_dim, 2 * hidden_dim,
-                               seed_name=f"{seed_name}.gates")
-        self.gates.bias.data[:] = 1.0
-        self.candidate = GraphConv(support, in_dim + hidden_dim, hidden_dim,
-                                   seed_name=f"{seed_name}.cand")
-
-    def forward(self, x: Tensor, h: Tensor) -> Tensor:
-        return gru_cell_step(self.gates, self.candidate, x, h,
-                             self.hidden_dim)
-
-    def init_hidden(self, batch: int) -> Tensor:
-        return Tensor(np.zeros((batch, self.num_nodes, self.hidden_dim),
-                               dtype=np.float32))
-
-
-class TGCN(STModel):
+class TGCN(PGTDCRNN):
     """Stepwise T-GCN emitting one prediction per input step."""
+
+    seed_prefix = "tgcn"
 
     def __init__(self, weights: sp.spmatrix, horizon: int, in_features: int,
                  hidden_dim: int = 64, *, seed: int | str = 0):
-        super().__init__()
-        self.horizon = horizon
-        self.num_nodes = weights.shape[0]
-        self.in_features = in_features
-        self.hidden_dim = hidden_dim
-        support = symmetric_normalized_adjacency(weights)
-        self.cell = TGCNCell(support, in_features, hidden_dim,
-                             seed_name=f"tgcn{seed}.cell")
-        self.proj = Linear(hidden_dim, 1, seed_name=f"tgcn{seed}.proj")
-
-    def forward(self, x: Tensor) -> Tensor:
-        self.check_input(x)
-        h = self.cell.init_hidden(x.shape[0])
-        outputs = []
-        for t in range(self.horizon):
-            h = self.cell(x[:, t], h)
-            outputs.append(self.proj(h))
-        return F.stack(outputs, axis=1)
+        super().__init__([symmetric_normalized_adjacency(weights)], horizon,
+                         in_features, hidden_dim, k_hops=1, identity=False,
+                         seed=seed)

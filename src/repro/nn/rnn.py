@@ -1,8 +1,10 @@
-"""The GRU recurrence the graph-recurrent cells share.
+"""The op-by-op GRU recurrence of DCRNN's batch-major cells.
 
 DCRNN's cell replaces the GRU's matmuls with diffusion convolutions (see
-:mod:`repro.models.dcrnn`), TGCN's with graph convolutions; ST-LLM does
-not use recurrence at all.
+:mod:`repro.models.dcrnn`).  DCRNN's encoder and decoder step it one
+Tensor op at a time, because they need input gradients and per-step
+decoding; PGT-DCRNN, T-GCN and A3T-GCN run the same arithmetic fused in
+``DCGRUCell.sequence``.  ST-LLM does not use recurrence at all.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from repro.autograd.tensor import Tensor
 
 def gru_cell_step(gates, candidate, x: Tensor, h: Tensor,
                   hidden_size: int) -> Tensor:
-    """One GRU recurrence, shared by DCGRUCell and TGCNCell.
+    """One GRU recurrence, as ``DCGRUCell.forward`` composes it.
 
     ``gates`` / ``candidate`` map a concatenated input to pre-activations
     (``2*hidden`` and ``hidden`` wide respectively) — diffusion or graph

@@ -88,8 +88,13 @@ def _read_archive(path: str) -> dict[str, np.ndarray]:
 
 
 def load_checkpoint(path: str, model: Module,
-                    optimizer: Optimizer | None = None) -> dict[str, Any]:
+                    optimizer: Optimizer | None = None, *,
+                    arrays: dict[str, np.ndarray] | None = None
+                    ) -> dict[str, Any]:
     """Restore ``model`` (and ``optimizer``) in place; returns metadata.
+
+    ``arrays`` is the archive's members when the caller has already read
+    them (``_read_archive(path)``), so the file is read once.
 
     Raises :class:`~repro.utils.errors.CheckpointError` (naming ``path``)
     when the archive is missing, truncated, or not a checkpoint at all,
@@ -99,7 +104,8 @@ def load_checkpoint(path: str, model: Module,
     parameters stay views of ``optimizer.data``.  A slot the archive
     lacks restores as zeros, the state of a parameter never stepped.
     """
-    arrays = _read_archive(path)
+    if arrays is None:
+        arrays = _read_archive(path)
     meta = _meta_from(arrays, path)
     state = {key[len("param/"):]: value
              for key, value in arrays.items() if key.startswith("param/")}

@@ -257,7 +257,8 @@ class DDPTrainer:
     # Checkpoint / resume (the fault-tolerance seam)
     # ------------------------------------------------------------------
     def save_training_checkpoint(self, path: str | None = None, *,
-                                 epoch: int | None = None, step: int = 0,
+                                 epoch: int | None = None,
+                                 step: int | None = None,
                                  losses: list[float] | None = None,
                                  epoch_steps: int | None = None) -> str:
         """Atomically write a *resumable* checkpoint: model + optimizer
@@ -272,16 +273,21 @@ class DDPTrainer:
         distinguish an epoch-boundary cursor from a genuinely mid-epoch
         one.  The per-rank ``batch_size`` is recorded too: together with
         ``world_size`` it defines the *global batch*, which a resume at
-        another world must keep.
+        another world must keep.  Given neither ``epoch`` nor ``step``, a
+        trainer resumed and not yet fitted saves the cursor it resumed
+        at; otherwise ``epoch`` defaults to the next one and ``step`` to 0.
         """
         from repro.training.checkpoint import save_checkpoint
 
         path = path or self.checkpoint_path
         if path is None:
             raise ValueError("no checkpoint path configured or given")
+        if epoch is None and step is None and self._resume_cursor is not None:
+            epoch, step, losses = self._resume_cursor
+            epoch_steps = min(map(len, self.sampler.epoch_plan(epoch)))
         state = {
             "epoch": int(len(self.history) if epoch is None else epoch),
-            "step": int(step),
+            "step": int(step or 0),
             "global_step": int(self.global_step),
             "epoch_losses": [float(x) for x in (losses or [])],
             "world_size": int(self.world_size),
@@ -330,13 +336,14 @@ class DDPTrainer:
         category, then positions the trainer so the next :meth:`fit`
         continues mid-epoch.  Returns the checkpoint metadata.
         """
-        from repro.training.checkpoint import load_checkpoint, \
-            read_checkpoint_meta
+        from repro.training.checkpoint import _meta_from, _read_archive, \
+            load_checkpoint
 
         path = path or self.checkpoint_path
         if path is None:
             raise ValueError("no checkpoint path configured or given")
-        meta = read_checkpoint_meta(path)
+        arrays = _read_archive(path)
+        meta = _meta_from(arrays, path)
         state = (meta.get("extra") or {}).get("training_state")
         if state is None:
             raise ValueError(
@@ -351,7 +358,7 @@ class DDPTrainer:
                     f"not match this trainer's {mine!r}; the data order "
                     f"diverges, so resuming cannot reproduce the run")
         losses = self._cursor_losses(path, state)
-        load_checkpoint(path, self.model, self.optimizer)
+        load_checkpoint(path, self.model, self.optimizer, arrays=arrays)
         self.history = [DDPEpochRecord(**r) for r in state["history"]]
         self.global_step = int(state["global_step"])
         self._resume_cursor = (int(state["epoch"]), int(state["step"]),
@@ -426,7 +433,9 @@ class DDPTrainer:
         and the sums are reduced, so the result equals the masked MAE over
         the concatenated snapshots regardless of how partition sizes or
         missing-data fractions vary across ranks (empty ranks contribute
-        nothing instead of biasing the mean toward zero).
+        nothing instead of biasing the mean toward zero).  The ranks run
+        their slices in one ``comm.run_ranks`` call, charged as in
+        :meth:`train_epoch` (forked children on the process fabric).
         """
         loader = loader or self.val_loader
         if loader is None:
@@ -434,23 +443,24 @@ class DDPTrainer:
         self.model.eval()
         n = loader.num_snapshots
         bounds = np.linspace(0, n, self.world_size + 1).astype(int)
-        partials = []
+
+        def rank_partial(rank: int) -> np.ndarray:
+            sel = np.arange(bounds[rank], bounds[rank + 1])
+            if len(sel) == 0:
+                return np.array([0.0, 0.0])
+            self._charge_rank_compute(rank, len(sel))
+            x, y = loader.batch_at(sel)
+            pred = self.model(Tensor(x)).data[..., 0]
+            truth = y[..., 0]
+            if self.scaler is not None:
+                pred = self.scaler.inverse_transform_channel(pred, 0)
+                truth = self.scaler.inverse_transform_channel(truth, 0)
+            abs_sum, count = masked_abs_error(pred, truth)
+            return np.array([abs_sum, float(count)])
+
         with no_grad():
             assert_inference_mode(self.model)
-            for rank in range(self.world_size):
-                sel = np.arange(bounds[rank], bounds[rank + 1])
-                if len(sel) == 0:
-                    partials.append(np.array([0.0, 0.0]))
-                    continue
-                x, y = loader.batch_at(sel)
-                pred = self.model(Tensor(x)).data[..., 0]
-                truth = y[..., 0]
-                if self.scaler is not None:
-                    pred = self.scaler.inverse_transform_channel(pred, 0)
-                    truth = self.scaler.inverse_transform_channel(truth, 0)
-                self._charge_rank_compute(rank, len(sel))
-                abs_sum, count = masked_abs_error(pred, truth)
-                partials.append(np.array([abs_sum, float(count)]))
+            partials = self.comm.run_ranks(rank_partial)
         reduced = self.comm.allreduce(partials, op="sum", category="metric")
         total_abs, total_count = reduced[0]
         if total_count == 0:

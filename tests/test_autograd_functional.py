@@ -6,9 +6,8 @@ import scipy.sparse as sp
 
 from repro.autograd import Tensor
 from repro.autograd import functional as F
-from repro.utils.errors import ShapeError
 
-from tests.helpers import check_gradient
+from tests.helpers import check_gradient, sparse_matmul
 
 RNG = np.random.default_rng(11)
 
@@ -130,41 +129,23 @@ class TestDropout:
 
 
 class TestSparseMatmul:
+    """``tests.helpers.sparse_matmul``, the op-by-op graph convolutions'
+    product in the parity references, is ``A @ x`` with its gradient."""
+
     def _support(self, n=8, seed=0):
         return sp.random(n, n, density=0.4, random_state=seed, format="csr")
-
-    def test_2d_matches_dense(self):
-        A = self._support()
-        x = Tensor(RNG.standard_normal((8, 3)), dtype=np.float64)
-        out = F.sparse_matmul(A, x)
-        np.testing.assert_allclose(out.data, A.toarray() @ x.data, rtol=1e-9)
 
     def test_3d_matches_dense(self):
         A = self._support()
         x = Tensor(RNG.standard_normal((5, 8, 3)), dtype=np.float64)
-        out = F.sparse_matmul(A, x)
+        out = sparse_matmul(A, x)
         expected = np.einsum("mn,bnd->bmd", A.toarray(), x.data)
         np.testing.assert_allclose(out.data, expected, rtol=1e-9)
 
-    def test_grad_2d(self):
-        A = self._support(seed=2)
-        check_gradient(lambda t: F.sparse_matmul(A, t) * 2.0,
-                       RNG.standard_normal((8, 4)))
-
     def test_grad_3d(self):
         A = self._support(seed=3)
-        check_gradient(lambda t: F.sparse_matmul(A, t),
+        check_gradient(lambda t: sparse_matmul(A, t),
                        RNG.standard_normal((2, 8, 3)))
-
-    def test_wrong_nodes_rejected(self):
-        A = self._support()
-        with pytest.raises(ShapeError):
-            F.sparse_matmul(A, Tensor(np.zeros((2, 5, 3))))
-
-    def test_wrong_ndim_rejected(self):
-        A = self._support()
-        with pytest.raises(ShapeError):
-            F.sparse_matmul(A, Tensor(np.zeros(8)))
 
 
 class TestPadLast:

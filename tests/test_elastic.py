@@ -170,6 +170,37 @@ class TestFreshRunMatch:
         got = curve(narrow.fit(1))
         np.testing.assert_allclose(got, fresh, atol=1e-5, rtol=1e-5)
 
+class TestSaveBeforeFit:
+    """What a trainer does between ``resume`` and ``fit``."""
+
+    def test_save_keeps_the_pending_midepoch_cursor(self, data, tmp_path):
+        """Saving a resumed trainer before it fits once wrote ``step=0``
+        and no losses, dropping the walked prefix of epoch 0; it writes
+        the cursor it resumed at, and the continuation is bitwise."""
+        reference = curve(make_trainer(data).fit(EPOCHS))
+        ckpt, again = str(tmp_path / "mid.npz"), str(tmp_path / "again.npz")
+        make_trainer(data, ckpt=ckpt, checkpoint_every=6).fit(1)
+        relaunch(data, ckpt, 2, again)
+        state = training_state(again)
+        assert (state["epoch"], state["step"]) == (0, 6)
+        assert state == training_state(ckpt)
+        resumed = make_trainer(data)
+        resumed.resume(again)
+        assert curve(resumed.fit(EPOCHS)) == reference
+
+    def test_resume_reads_the_archive_once(self, data, tmp_path,
+                                           monkeypatch):
+        from repro.training import checkpoint
+
+        ckpt = str(tmp_path / "once.npz")
+        boundary_checkpoint(data, ckpt)
+        reads, read = [], checkpoint._read_archive
+        monkeypatch.setattr(checkpoint, "_read_archive",
+                            lambda path: reads.append(path) or read(path))
+        make_trainer(data).resume(ckpt)
+        assert reads == [ckpt]
+
+
 class TestPartitionDependentShuffles:
     """GENERALIZED_INDEX defaults to the paper's batch shuffle, whose
     per-rank order keys on the partition: no cross-world bitwise claim

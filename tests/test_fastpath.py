@@ -19,13 +19,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro import kernels
 from repro.autograd import GRAD_POOL, Tensor, functional as F
-from repro.autograd.sparse_kernels import (
-    PreparedCSR,
-    prepared_csr,
-    stacked_csr,
-)
+from repro.autograd.sparse_kernels import stacked_csr
 from repro.batching.loaders import IndexBatchLoader, StandardBatchLoader
 from repro.datasets import load_dataset
 from repro.graph import dual_random_walk_supports, random_sensor_network
@@ -34,6 +29,7 @@ from repro.nn.module import Parameter
 from repro.optim import SGD, Adam, clip_grad_norm
 from repro.preprocessing import IndexDataset, standard_preprocess
 from repro.utils.errors import ShapeError
+from tests.helpers import canonical_csr, sparse_matmul
 
 
 # ---------------------------------------------------------------------------
@@ -41,64 +37,61 @@ from repro.utils.errors import ShapeError
 # ---------------------------------------------------------------------------
 def _forward_naive(conv: DiffusionConv, x: Tensor) -> Tensor:
     """``conv`` as public autograd ops, one support and hop at a time."""
-    hops = [x]
+    hops = [x] if conv.identity else []
     for support in conv.supports:
         xk = x
         for _ in range(conv.k_hops):
-            xk = F.sparse_matmul(support, xk)
+            xk = sparse_matmul(support, xk)
             hops.append(xk)
     return F.concat(hops, axis=-1) @ conv.weight + conv.bias
 
 
-def _hops_per_support(supports, x0: np.ndarray, k: int) -> np.ndarray:
-    """The ``[n, b, (1 + S*k)*f]`` hop block, one product per hop per
-    support (the kernel the stacked operators replaced)."""
+def _hops_per_support(supports, x0: np.ndarray, k: int,
+                      identity: bool = True) -> np.ndarray:
+    """The ``[n, b, (identity + S*k)*f]`` hop block, one plain scipy
+    product per hop per support (the kernel the stacked operators
+    replaced)."""
     n, b, f = x0.shape
-    backend = kernels.active_backend()
-    cat = np.empty((n, b, (1 + len(supports) * k) * f), x0.dtype)
-    cat[:, :, :f] = x0
-    col = f
+    blocks = [x0] if identity else []
     for support in supports:
-        prep, prev = prepared_csr(support, x0.dtype), x0.reshape(n, -1)
+        prep, prev = canonical_csr(support, x0.dtype), x0.reshape(n, -1)
         for _ in range(k):
-            nxt = np.empty_like(prev)
-            backend.csr_matmul_out(prep, prev, nxt)
-            cat[:, :, col: col + f] = nxt.reshape(n, b, f)
-            col += f
-            prev = nxt
-    return cat
+            prev = prep @ prev
+            blocks.append(prev.reshape(n, b, f))
+    return np.concatenate(blocks, axis=-1)
 
 
 def _backward_per_support(supports, gcat: np.ndarray, f: int, k: int, *,
+                          identity: bool = True,
                           one_final_product: bool = False) -> np.ndarray:
-    """Hop-0 input gradient, one backward chain per support, each ending in
-    its own ``gx += P_s^T acc_1``; ``one_final_product`` ends all chains
-    in one ``hstack(P_s^T)`` product instead."""
+    """Hop-0 input gradient, one backward chain per support (plain scipy
+    products), each ending in its own ``gx += P_s^T acc_1`` after the
+    identity block's ``gx`` (when there is one);
+    ``one_final_product`` ends all chains in one ``hstack(P_s^T)``
+    product instead."""
     n, b, _ = gcat.shape
-    backend = kernels.active_backend()
-    gx = gcat[:, :, :f].copy()
     if not k:
-        return gx
-    col, firsts = f, []
-    for support in supports:
-        pt = prepared_csr(support, gcat.dtype).T
+        return gcat[:, :, :f].copy()
+    col, firsts = (f if identity else 0), []
+    transposed = [canonical_csr(canonical_csr(s, gcat.dtype).T, gcat.dtype)
+                  for s in supports]
+    for pt in transposed:
         acc = np.ascontiguousarray(gcat[:, :, col + (k - 1) * f: col + k * f])
         for j in range(k - 1, 0, -1):
-            nxt = np.empty_like(acc)
-            backend.csr_matmul_out(pt, acc.reshape(n, -1), nxt.reshape(n, -1))
-            nxt += gcat[:, :, col + (j - 1) * f: col + j * f]
-            acc = nxt
+            acc = (pt @ acc.reshape(n, -1)).reshape(n, b, f)
+            acc += gcat[:, :, col + (j - 1) * f: col + j * f]
         firsts.append(acc)
         col += k * f
     if one_final_product:
-        pt = PreparedCSR(sp.hstack([prepared_csr(s, gcat.dtype).T.csr
-                                    for s in supports]), gcat.dtype)
-        gx += pt.matmul(np.concatenate(firsts).reshape(-1, b * f)
-                        ).reshape(n, b, f)
-        return gx
-    for support, acc in zip(supports, firsts):
-        out = prepared_csr(support, gcat.dtype).T.matmul(acc.reshape(n, -1))
-        gx += out.reshape(n, b, f)
+        pt = canonical_csr(sp.hstack(transposed), gcat.dtype)
+        out = (pt @ np.concatenate(firsts).reshape(-1, b * f)
+               ).reshape(n, b, f)
+        return gcat[:, :, :f] + out
+    outs = [(pt @ acc.reshape(n, -1)).reshape(n, b, f)
+            for pt, acc in zip(transposed, firsts)]
+    gx = gcat[:, :, :f].copy() if identity else outs.pop(0)
+    for out in outs:
+        gx += out
     return gx
 
 
@@ -116,8 +109,9 @@ class TestStackedHopsParity:
     per hop per support: hop block, input, weight and bias gradients."""
 
     @staticmethod
-    def _run(num_supports, k, dtype, seed=0):
-        conv = DiffusionConv(_supports(num_supports), 5, 7, k_hops=k)
+    def _run(num_supports, k, dtype, seed=0, identity=True):
+        conv = DiffusionConv(_supports(num_supports), 5, 7, k_hops=k,
+                             identity=identity)
         rng = np.random.default_rng(seed)
         n, b, f = 12, 4, 5
         x0 = rng.standard_normal((n, b, f)).astype(dtype)
@@ -127,20 +121,34 @@ class TestStackedHopsParity:
         gx = conv._bind_backward(scr)(cat2, g2, True)
         return conv, x0, g2, cat2, gx, scr.gcat  # d hop block, left intact
 
+    def _check(self, num_supports, k, dtype, identity=True):
+        conv, x0, g2, cat2, gx, gcat = self._run(num_supports, k, dtype,
+                                                 identity=identity)
+        ref = _hops_per_support(conv.supports, x0, k, identity
+                                ).reshape(cat2.shape)
+        assert cat2.tobytes() == ref.tobytes()
+        assert gx.tobytes() == _backward_per_support(
+            conv.supports, gcat, 5, k, identity=identity).tobytes()
+        w = conv.weight.data.dtype
+        gw, gb = (ref.T @ g2).astype(w), np.sum(g2, axis=0).astype(w)
+        assert conv.weight.grad.tobytes() == gw.tobytes()
+        assert conv.bias.grad.tobytes() == gb.tobytes()
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("k", [0, 1, 2, 3])
     @pytest.mark.parametrize("num_supports", [1, 2, 3])
     def test_bitwise_equal_to_per_support_kernels(self, num_supports, k,
                                                   dtype):
-        conv, x0, g2, cat2, gx, gcat = self._run(num_supports, k, dtype)
-        ref = _hops_per_support(conv.supports, x0, k).reshape(cat2.shape)
-        assert cat2.tobytes() == ref.tobytes()
-        assert gx.tobytes() == _backward_per_support(
-            conv.supports, gcat, 5, k).tobytes()
-        w = conv.weight.data.dtype
-        gw, gb = (ref.T @ g2).astype(w), np.sum(g2, axis=0).astype(w)
-        assert conv.weight.grad.tobytes() == gw.tobytes()
-        assert conv.bias.grad.tobytes() == gb.tobytes()
+        self._check(num_supports, k, dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("num_supports", [1, 2])
+    def test_without_identity_block(self, num_supports, k, dtype):
+        """T-GCN's layout (``num_supports=1, k=1``) and its neighbours:
+        the hop block holds the hops only, and ``gx`` starts from the
+        first support's chain."""
+        self._check(num_supports, k, dtype, identity=False)
 
     def test_one_final_hstack_product_would_differ(self):
         conv, _, _, _, gx, gcat = self._run(2, 2, np.float32)
@@ -402,6 +410,132 @@ class TestDCGRUStepParity:
         x = Tensor(np.zeros((2, 4, 8, 2), np.float32), requires_grad=True)
         with pytest.raises(NotImplementedError, match="input"):
             step(x)
+
+
+# ---------------------------------------------------------------------------
+# T-GCN / A3T-GCN on the fused recurrence vs their op-by-op originals
+# ---------------------------------------------------------------------------
+def _tgcn_states(model, x: Tensor):
+    """The op-by-op T-GCN recurrence the fused cell replaced: ``GraphConv``
+    (``sparse_matmul(A_hat, xh) @ W + b``) as gates and candidate, one
+    public autograd op at a time through ``gru_cell_step``, batch-major."""
+    from repro.nn.rnn import gru_cell_step
+
+    cell = model.cell
+    support = cell.gates.supports[0]
+
+    def graph_conv(layer):
+        return lambda xh: sparse_matmul(support, xh) @ layer.weight + \
+            layer.bias
+
+    h = cell.init_hidden(x.shape[0])
+    for t in range(model.horizon):
+        h = gru_cell_step(graph_conv(cell.gates), graph_conv(cell.candidate),
+                          x[:, t], h, cell.hidden_dim)
+        yield h
+
+
+def _tgcn_reference(model, x: Tensor) -> Tensor:
+    """``TGCN.forward`` as it was: a projection node after every step."""
+    return F.stack([model.proj(h) for h in _tgcn_states(model, x)], axis=1)
+
+
+def _a3tgcn_reference(model, x: Tensor) -> Tensor:
+    """``A3TGCN.forward`` as it was: the stacked op-by-op states, then the
+    attention pooling and the head."""
+    seq = F.stack(list(_tgcn_states(model, x)), axis=1)      # [B, T, N, H]
+    scores = model.attn_score(model.attn_hidden(seq).tanh())
+    context = (seq * F.softmax(scores, axis=1)).sum(axis=1)
+    out = model.head(context)
+    return out.transpose(0, 2, 1).reshape(x.shape[0], model.horizon,
+                                          model.num_nodes, 1)
+
+
+class TestTGCNParity:
+    """T-GCN and A3T-GCN on ``DCGRUCell.sequence`` (one support, one hop,
+    no identity block) against the op-by-op models they replaced, with
+    the same parameters copied into both.
+
+    The bound was stated before the first measurement: forward output
+    and loss bitwise; every parameter gradient within ``rtol=1e-5,
+    atol=1e-6``.  Measured: forward, loss and every gradient outside
+    ``MOVED`` are bitwise.  The ``MOVED`` ones, the cell's four, are
+    bitwise at batch 1 and move at batch > 1 (at most 1.5e-8 absolute at
+    the rank shape): the fused layer sums them over ``N*B`` rows in one
+    GEMM / one reduce, the op-by-op graph conv per sample, then over the
+    batch.
+    """
+
+    TOL = {"rtol": 1e-5, "atol": 1e-6}
+    MOVED = {"cell.gates.weight", "cell.gates.bias",
+             "cell.candidate.weight", "cell.candidate.bias"}
+
+    @staticmethod
+    def _models(name, nodes, horizon, hidden):
+        from repro.models import A3TGCN, TGCN
+
+        weights = random_sensor_network(nodes, seed=2).weights
+        if name == "tgcn":
+            pair = [TGCN(weights, horizon, 2, hidden_dim=hidden, seed=3)
+                    for _ in range(2)]
+        else:
+            pair = [A3TGCN(weights, horizon, 2, hidden_dim=hidden,
+                           attention_dim=4, seed=3) for _ in range(2)]
+        rng = np.random.default_rng(11)   # off the init: gate biases of 1
+        state = {key: (0.3 * rng.standard_normal(v.shape)).astype(v.dtype)
+                 for key, v in pair[0].state_dict().items()}
+        for model in pair:
+            model.load_state_dict(state)
+        return pair
+
+    @pytest.mark.parametrize("name,reference", [
+        ("tgcn", _tgcn_reference), ("a3tgcn", _a3tgcn_reference)])
+    @pytest.mark.parametrize("nodes,batch,horizon,hidden", [
+        (8, 8, 4, 8),
+        (24, 8, 12, 16),       # the ddp_index_w2 rank shape
+        (24, 1, 12, 16),       # one window a call
+    ])
+    def test_matches_op_by_op(self, name, reference, nodes, batch, horizon,
+                              hidden):
+        from repro.autograd import no_grad
+        from repro.optim import l1_loss
+
+        fused, ref = self._models(name, nodes, horizon, hidden)
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((batch, horizon, nodes, 2)).astype(np.float32)
+        y = rng.standard_normal((batch, horizon, nodes, 1)).astype(np.float32)
+        with no_grad():
+            assert fused(Tensor(x)).data.tobytes() == \
+                reference(ref, Tensor(x)).data.tobytes()
+        out_f, out_r = fused(Tensor(x)), reference(ref, Tensor(x))
+        assert out_f.data.tobytes() == out_r.data.tobytes()
+        loss_f, loss_r = l1_loss(out_f, y), l1_loss(out_r, y)
+        assert loss_f.data.tobytes() == loss_r.data.tobytes()
+        loss_f.backward()
+        loss_r.backward()
+        for (pname, pf), (_, pr) in zip(fused.named_parameters(),
+                                        ref.named_parameters()):
+            if pname in self.MOVED and batch > 1:
+                np.testing.assert_allclose(pf.grad, pr.grad, **self.TOL,
+                                           err_msg=pname)
+            else:
+                assert pf.grad.tobytes() == pr.grad.tobytes(), pname
+
+    @pytest.mark.parametrize("name", ["tgcn", "a3tgcn"])
+    def test_recurrence_is_one_node(self, name):
+        """The recurrence is one autograd node: T-GCN's forward is one
+        node in all, A3T-GCN's adds only its attention pooling's ops."""
+        model, _ = self._models(name, 24, 12, 16)
+        x = np.random.default_rng(0).standard_normal((8, 12, 24, 2))
+        out = model(Tensor(x.astype(np.float32)))
+        nodes, seen, todo = 0, set(), [out]
+        while todo:
+            t = todo.pop()
+            if id(t) not in seen:
+                seen.add(id(t))
+                nodes += t._backward is not None
+                todo.extend(t._parents)
+        assert nodes == (1 if name == "tgcn" else 13)
 
 
 # ---------------------------------------------------------------------------

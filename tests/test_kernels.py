@@ -1,6 +1,6 @@
 """Tests for ``repro.kernels``: the single numpy backend behind the three
 functions the end-to-end benchmark calls, the row order of scipy's CSR
-kernel, mixed-precision storage, and the PreparedCSR cache bounds.
+kernel, mixed-precision storage, and the stacked-operator cache bound.
 """
 
 import numpy as np
@@ -11,11 +11,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro import kernels
 from repro.autograd.sparse_kernels import (
-    _PREPARED,
-    _PREPARED_DTYPES_MAX,
-    _PREPARED_MAX,
+    _STACKED,
+    _STACKED_MAX,
+    PreparedCSR,
     clear_prepared_cache,
-    prepared_csr,
+    stacked_csr,
 )
 from repro.graph import dual_random_walk_supports, random_sensor_network
 from repro.kernels.numpy_backend import _product
@@ -65,7 +65,7 @@ class TestResolveStoreDtype:
 
 
 # ---------------------------------------------------------------------------
-# PreparedCSR cache bounds (satellite: dtype-churn eviction)
+# PreparedCSR and the stacked-operator cache bound
 # ---------------------------------------------------------------------------
 def _random_csr(n, seed):
     g = random_sensor_network(n, seed=seed)
@@ -79,27 +79,6 @@ class TestPreparedCache:
     def teardown_method(self):
         clear_prepared_cache()
 
-    def test_hit_returns_same_object(self):
-        m = _random_csr(16, 0)
-        assert prepared_csr(m, np.float32) is prepared_csr(m, np.float32)
-
-    def test_per_dtype_entries(self):
-        m = _random_csr(16, 0)
-        p32 = prepared_csr(m, np.float32)
-        p64 = prepared_csr(m, np.float64)
-        assert p32 is not p64
-        assert p32 is prepared_csr(m, np.float32)
-
-    def test_dtype_churn_is_bounded(self):
-        m = _random_csr(16, 0)
-        first = prepared_csr(m, np.float32)
-        for dt in (np.float64, np.longdouble):
-            prepared_csr(m, dt)
-        by_dtype = _PREPARED[id(m)][1]
-        assert len(by_dtype) <= _PREPARED_DTYPES_MAX
-        # The oldest dtype was evicted; re-requesting it rebuilds.
-        assert prepared_csr(m, np.float32) is not first
-
     def test_source_matrix_is_left_untouched(self):
         # dual_random_walk_supports leaves row indices unsorted, and
         # canonicalising in the support's own dtype must not sort the
@@ -107,18 +86,19 @@ class TestPreparedCache:
         m = _random_csr(16, 0)
         assert not m.has_sorted_indices
         before = [a.copy() for a in (m.indptr, m.indices, m.data)]
-        p = prepared_csr(m, m.dtype)
+        p = PreparedCSR(m, m.dtype)
         assert p.csr is not m and p.csr.has_sorted_indices
         for a, b in zip(before, (m.indptr, m.indices, m.data)):
             assert a.tobytes() == b.tobytes()
 
     def test_matrix_fifo_eviction(self):
-        matrices = [_random_csr(8, seed) for seed in range(_PREPARED_MAX + 2)]
-        for m in matrices:
-            prepared_csr(m, np.float32)
-        assert len(_PREPARED) <= _PREPARED_MAX
-        assert id(matrices[0]) not in _PREPARED
-        assert id(matrices[-1]) in _PREPARED
+        sets = [[_random_csr(8, seed)] for seed in range(_STACKED_MAX + 2)]
+        f32 = np.dtype(np.float32)
+        for supports in sets:
+            stacked_csr(supports, f32)
+        assert len(_STACKED) <= _STACKED_MAX
+        assert ((id(sets[0][0]),), f32.str) not in _STACKED
+        assert ((id(sets[-1][0]),), f32.str) in _STACKED
 
 
 # ---------------------------------------------------------------------------

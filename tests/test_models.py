@@ -46,6 +46,19 @@ class TestDiffusionConv:
         conv = DiffusionConv(supports, 4, 4, k_hops=0)
         assert conv.num_matrices == 1
 
+    def test_without_identity_block(self, supports):
+        """T-GCN's graph conv: the hops only, so one support at one hop
+        is a plain ``A X W + b`` with an ``[in, out]`` weight."""
+        conv = DiffusionConv(supports[:1], 5, 7, k_hops=1, identity=False)
+        assert conv.num_matrices == 1 and conv.weight.shape == (5, 7)
+        x = np.random.default_rng(0).standard_normal((B, N, 5))
+        out = conv(Tensor(x.astype(np.float32))).data
+        want = np.einsum("mn,bnf->bmf", supports[0].toarray(), x) @ \
+            conv.weight.data + conv.bias.data
+        np.testing.assert_allclose(out, want, rtol=1e-5, atol=1e-5)
+        with pytest.raises(ValueError, match="identity"):
+            DiffusionConv(supports, 5, 7, k_hops=0, identity=False)
+
     def test_spatial_mixing_actually_happens(self, supports):
         """A perturbation at one node must influence its neighbours."""
         conv = DiffusionConv(supports, 1, 1, k_hops=2)
@@ -120,6 +133,14 @@ class TestAllModels:
         out = model.predict(_x())
         assert isinstance(out, np.ndarray)
         assert out.shape == (B, H, N, 1)
+
+    @pytest.mark.parametrize("name", ["tgcn", "a3tgcn"])
+    def test_input_gradient_is_refused(self, name, graph, supports):
+        """The fused recurrence carries no gradient to the window, as
+        PGT-DCRNN's does not (no trainer asks for one)."""
+        model = _build(name, graph, supports)
+        with pytest.raises(NotImplementedError, match="input"):
+            model(Tensor(_x(), requires_grad=True))
 
     @pytest.mark.parametrize("name", ["pgt", "tgcn", "stllm"])
     def test_can_overfit_tiny_batch(self, name, graph, supports):
@@ -238,6 +259,19 @@ class TestSTLLM:
         x = np.ones((1, H, N, F_IN), dtype=np.float32)  # identical nodes
         out = model(Tensor(x)).data[0, 0, :, 0]
         assert out.std() > 1e-4  # node embeddings break the symmetry
+
+
+class TestTGCNParameters:
+    @pytest.mark.parametrize("name", ["tgcn", "a3tgcn"])
+    def test_cell_names_and_shapes(self, name, graph, supports):
+        """T-GCN's graph convs keep the names and ``[in, out]`` shapes of
+        the op-by-op ``GraphConv`` layers they replaced."""
+        cell = {n: p.shape for n, p in _build(name, graph, supports)
+                .named_parameters() if n.startswith("cell.")}
+        assert cell == {"cell.gates.weight": (F_IN + 8, 16),
+                        "cell.gates.bias": (16,),
+                        "cell.candidate.weight": (F_IN + 8, 8),
+                        "cell.candidate.bias": (8,)}
 
 
 class TestDeterministicInit:

@@ -131,7 +131,7 @@ class TestDropout:
 
 
 class TestGRURecurrence:
-    """``gru_cell_step``, the recurrence DCGRUCell and TGCNCell share,
+    """``gru_cell_step``, the op-by-op recurrence of DCRNN's cells,
     driven here by plain affine gate maps."""
 
     F, H = 2, 4

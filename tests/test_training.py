@@ -162,11 +162,11 @@ class TestTrainer:
 
 class TestDDPTrainer:
     def _trainer(self, tiny_setup, world, strategy=DDPStrategy.DIST_INDEX,
-                 shuffle=None, seed=0):
+                 shuffle=None, seed=0, comm=None):
         ds, idx, supports = tiny_setup
         model = _model(supports, seed=seed)
         opt = Adam(model.parameters(), lr=0.01)
-        comm = ProcessGroup.sim(world)
+        comm = comm or ProcessGroup.sim(world)
         return DDPTrainer(
             model, opt, comm,
             IndexBatchLoader(idx, "train", 8),
@@ -237,6 +237,24 @@ class TestDDPTrainer:
                   for w in (1, 4, 32)}  # val split has ~21 snapshots < 32
         assert values[1] == pytest.approx(values[4], rel=1e-5)
         assert values[1] == pytest.approx(values[32], rel=1e-5)
+
+    def test_evaluate_runs_on_the_ranks(self, tiny_setup):
+        """Each rank evaluates its slice inside one ``run_ranks`` call, so
+        forked ranks do the work (the process fabric measures it as their
+        compute); the MAE is bitwise the same on sim and process ranks."""
+        sim = self._trainer(tiny_setup, world=4)
+        calls, run = [], sim.comm.run_ranks
+        sim.comm.run_ranks = lambda fn, **kw: calls.append(fn) or run(fn, **kw)
+        want = sim.evaluate()
+        assert len(calls) == 1
+        pg = ProcessGroup.processes(4)
+        try:
+            proc = self._trainer(tiny_setup, world=4, comm=pg)
+            got = proc.evaluate()
+            assert (pg.transport.compute_time > 0).all()
+        finally:
+            pg.transport.shutdown()
+        assert got == want
 
     def test_world1_matches_semantics(self, tiny_setup):
         tr = self._trainer(tiny_setup, world=1)
