@@ -14,6 +14,14 @@ Design notes
   graph: :mod:`repro.autograd.sparse_kernels` prepares them once as
   constants, and the graph-convolution layers run their products (and the
   products' backward) inside their own fused nodes.
+- The op set is what the models train through, no more: the losses, the
+  projections, A3T-GCN's attention pooling, ST-LLM and DCRNN's op-by-op
+  cells.  ``tests/test_layering.py::test_every_backward_is_reached`` runs
+  every registered model's training step and fails on a backward closure
+  none of them reaches, so an op comes back with its first caller.
+- ``@`` takes operands of two or more dimensions (a 1-D operand is a
+  :class:`~repro.utils.errors.ShapeError`); gradient recording is switched
+  off with :func:`no_grad` and has no re-enabling counterpart.
 """
 
 from repro.autograd import functional

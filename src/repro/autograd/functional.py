@@ -54,36 +54,6 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     return out
 
 
-def where(condition: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise select; ``condition`` is a constant boolean array."""
-    a = as_tensor(a)
-    b = as_tensor(b, like=a)
-    cond = np.asarray(condition)
-    out = a._make(np.where(cond, a.data, b.data), (a, b))
-    if out.requires_grad:
-
-        def _bw(g: np.ndarray) -> None:
-            a._accumulate(unbroadcast(g * cond, a.data.shape))
-            b._accumulate(unbroadcast(g * (~cond), b.data.shape))
-
-        out._backward = _bw
-    return out
-
-
-def clip(x: Tensor, lo: float, hi: float) -> Tensor:
-    """Clamp values to ``[lo, hi]``; gradient is zero outside the range."""
-    x = as_tensor(x)
-    mask = (x.data >= lo) & (x.data <= hi)
-    out = x._make(np.clip(x.data, lo, hi), (x,))
-    if out.requires_grad:
-
-        def _bw(g: np.ndarray) -> None:
-            x._accumulate(g * mask)
-
-        out._backward = _bw
-    return out
-
-
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable softmax along ``axis``."""
     x = as_tensor(x)
@@ -96,42 +66,6 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
         def _bw(g: np.ndarray) -> None:
             dot = (g * s).sum(axis=axis, keepdims=True)
             x._accumulate(s * (g - dot))
-
-        out._backward = _bw
-    return out
-
-
-def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable log-softmax."""
-    x = as_tensor(x)
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    ls = shifted - log_z
-    out = x._make(ls, (x,))
-    if out.requires_grad:
-        smax = np.exp(ls)
-
-        def _bw(g: np.ndarray) -> None:
-            x._accumulate(g - smax * g.sum(axis=axis, keepdims=True))
-
-        out._backward = _bw
-    return out
-
-
-def dropout(x: Tensor, p: float, rng: np.random.Generator,
-            training: bool = True) -> Tensor:
-    """Inverted dropout: scales kept activations by ``1/(1-p)``."""
-    if not training or p <= 0.0:
-        return x
-    if not 0.0 <= p < 1.0:
-        raise ValueError(f"dropout probability must be in [0, 1), got {p}")
-    x = as_tensor(x)
-    keep = (rng.random(x.shape) >= p).astype(x.dtype) / (1.0 - p)
-    out = x._make(x.data * keep, (x,))
-    if out.requires_grad:
-
-        def _bw(g: np.ndarray) -> None:
-            x._accumulate(g * keep)
 
         out._backward = _bw
     return out
@@ -160,38 +94,6 @@ def gru_update(u: Tensor, h: Tensor, cand: Tensor) -> Tensor:
             u._accumulate(unbroadcast(gu, ud.shape))
             h._accumulate(unbroadcast(g * ud, hd.shape))
             cand._accumulate(unbroadcast(g * one_minus_u, cd.shape))
-
-        out._backward = _bw
-    return out
-
-
-def maximum(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise maximum with subgradient split evenly at ties."""
-    a = as_tensor(a)
-    b = as_tensor(b, like=a)
-    out = a._make(np.maximum(a.data, b.data), (a, b))
-    if out.requires_grad:
-        ga_mask = (a.data > b.data) + 0.5 * (a.data == b.data)
-
-        def _bw(g: np.ndarray) -> None:
-            a._accumulate(unbroadcast(g * ga_mask, a.data.shape))
-            b._accumulate(unbroadcast(g * (1.0 - ga_mask), b.data.shape))
-
-        out._backward = _bw
-    return out
-
-
-def pad_last(x: Tensor, pad: int, value: float = 0.0) -> Tensor:
-    """Pad the last axis on the right with ``pad`` entries of ``value``."""
-    if pad == 0:
-        return x
-    x = as_tensor(x)
-    widths = [(0, 0)] * (x.ndim - 1) + [(0, pad)]
-    out = x._make(np.pad(x.data, widths, constant_values=value), (x,))
-    if out.requires_grad:
-
-        def _bw(g: np.ndarray) -> None:
-            x._accumulate(g[..., : x.shape[-1]])
 
         out._backward = _bw
     return out

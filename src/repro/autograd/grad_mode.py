@@ -27,15 +27,3 @@ def no_grad() -> Iterator[None]:
         yield
     finally:
         _GRAD_ENABLED = prev
-
-
-@contextlib.contextmanager
-def enable_grad() -> Iterator[None]:
-    """Re-enable graph recording inside a :func:`no_grad` block."""
-    global _GRAD_ENABLED
-    prev = _GRAD_ENABLED
-    _GRAD_ENABLED = True
-    try:
-        yield
-    finally:
-        _GRAD_ENABLED = prev

@@ -8,7 +8,7 @@ topologically sorts the recorded graph and runs the closures in reverse.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -17,8 +17,6 @@ from repro.autograd.grad_mode import is_grad_enabled
 from repro.utils.errors import ShapeError
 
 DEFAULT_DTYPE = np.float32
-
-ArrayLike = "np.ndarray | float | int | list | tuple | Tensor"
 
 
 def unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -105,37 +103,12 @@ class Tensor:
     def T(self) -> "Tensor":
         return self.transpose()
 
-    def __len__(self) -> int:
-        return len(self.data)
-
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}, dtype={self.dtype}{flag})"
 
-    def numpy(self) -> np.ndarray:
-        """Return the underlying array (no copy)."""
-        return self.data
-
     def item(self) -> float:
         return float(self.data.reshape(-1)[0]) if self.data.size == 1 else self.data.item()
-
-    def detach(self) -> "Tensor":
-        """Return a new Tensor sharing data but cut off from the graph."""
-        return Tensor(self.data, requires_grad=False)
-
-    def copy(self) -> "Tensor":
-        return Tensor(self.data.copy(), requires_grad=False)
-
-    def astype(self, dtype) -> "Tensor":
-        out = self._make(self.data.astype(dtype), (self,))
-        if out.requires_grad:
-            src_dtype = self.dtype
-
-            def _bw(g: np.ndarray) -> None:
-                self._accumulate(g.astype(src_dtype))
-
-            out._backward = _bw
-        return out
 
     # ------------------------------------------------------------------
     # Graph plumbing
@@ -270,33 +243,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other) -> "Tensor":
-        other = as_tensor(other, like=self)
-        out = self._make(self.data / other.data, (self, other))
-        if out.requires_grad:
-            a, b = self, other
-
-            def _bw(g: np.ndarray) -> None:
-                a._accumulate(g / b.data)
-                b._accumulate(-g * a.data / (b.data * b.data))
-
-            out._backward = _bw
-        return out
-
-    def __rtruediv__(self, other) -> "Tensor":
-        return as_tensor(other, like=self) / self
-
-    def __neg__(self) -> "Tensor":
-        out = self._make(-self.data, (self,))
-        if out.requires_grad:
-            a = self
-
-            def _bw(g: np.ndarray) -> None:
-                a._accumulate(-g)
-
-            out._backward = _bw
-        return out
-
     def __pow__(self, exponent: float) -> "Tensor":
         if not np.isscalar(exponent):
             raise TypeError("Tensor ** only supports scalar exponents")
@@ -310,45 +256,20 @@ class Tensor:
             out._backward = _bw
         return out
 
-    # Comparison operators return plain boolean arrays (no grad).
-    def __gt__(self, other):
-        return self.data > _raw(other)
-
-    def __lt__(self, other):
-        return self.data < _raw(other)
-
-    def __ge__(self, other):
-        return self.data >= _raw(other)
-
-    def __le__(self, other):
-        return self.data <= _raw(other)
-
     # ------------------------------------------------------------------
     # Matmul / linear algebra
     # ------------------------------------------------------------------
     def __matmul__(self, other) -> "Tensor":
         other = as_tensor(other, like=self)
+        if self.ndim < 2 or other.ndim < 2:
+            raise ShapeError(f"matmul takes operands of 2 or more dims, "
+                             f"got {self.shape} @ {other.shape}")
         out = self._make(self.data @ other.data, (self, other))
         if out.requires_grad:
             a, b = self, other
 
             def _bw(g: np.ndarray) -> None:
                 ad, bd = a.data, b.data
-                if ad.ndim == 1 and bd.ndim == 1:  # dot product
-                    a._accumulate(g * bd)
-                    b._accumulate(g * ad)
-                    return
-                if ad.ndim == 1:  # (k,) @ (..., k, n)
-                    ga = (bd @ g[..., :, None])[..., 0]
-                    a._accumulate(unbroadcast(ga, ad.shape))
-                    b._accumulate(unbroadcast(ad[:, None] * g[..., None, :],
-                                              bd.shape))
-                    return
-                if bd.ndim == 1:  # (..., m, k) @ (k,)
-                    a._accumulate(unbroadcast(g[..., :, None] * bd, ad.shape))
-                    b._accumulate(unbroadcast((np.swapaxes(ad, -1, -2) @ g[..., :, None])[..., 0],
-                                              bd.shape))
-                    return
                 ga = g @ np.swapaxes(bd, -1, -2)
                 gb = np.swapaxes(ad, -1, -2) @ g
                 a._accumulate(unbroadcast(ga, ad.shape))
@@ -356,9 +277,6 @@ class Tensor:
 
             out._backward = _bw
         return out
-
-    def __rmatmul__(self, other) -> "Tensor":
-        return as_tensor(other, like=self) @ self
 
     # ------------------------------------------------------------------
     # Shape ops
@@ -446,61 +364,9 @@ class Tensor:
             out._backward = _bw
         return out
 
-    def max(self, axis=None, keepdims: bool = False) -> "Tensor":
-        out_data = self.data.max(axis=axis, keepdims=keepdims)
-        out = self._make(out_data, (self,))
-        if out.requires_grad:
-            a = self
-
-            def _bw(g: np.ndarray) -> None:
-                expanded_out = _expand_reduced(np.asarray(out_data), a.data.shape, axis, keepdims)
-                mask = (a.data == expanded_out)
-                counts = _expand_reduced(mask.sum(axis=axis, keepdims=keepdims),
-                                         a.data.shape, axis, keepdims)
-                a._accumulate(_expand_reduced(g, a.data.shape, axis, keepdims)
-                              * mask / np.maximum(counts, 1))
-
-            out._backward = _bw
-        return out
-
     # ------------------------------------------------------------------
-    # Elementwise nonlinearities (also exposed in functional)
+    # Elementwise nonlinearities
     # ------------------------------------------------------------------
-    def exp(self) -> "Tensor":
-        data = np.exp(self.data)
-        out = self._make(data, (self,))
-        if out.requires_grad:
-            a = self
-
-            def _bw(g: np.ndarray) -> None:
-                a._accumulate(g * data)
-
-            out._backward = _bw
-        return out
-
-    def log(self) -> "Tensor":
-        out = self._make(np.log(self.data), (self,))
-        if out.requires_grad:
-            a = self
-
-            def _bw(g: np.ndarray) -> None:
-                a._accumulate(g / a.data)
-
-            out._backward = _bw
-        return out
-
-    def sqrt(self) -> "Tensor":
-        data = np.sqrt(self.data)
-        out = self._make(data, (self,))
-        if out.requires_grad:
-            a = self
-
-            def _bw(g: np.ndarray) -> None:
-                a._accumulate(g * 0.5 / np.maximum(data, 1e-12))
-
-            out._backward = _bw
-        return out
-
     def tanh(self) -> "Tensor":
         data = np.tanh(self.data)
         out = self._make(data, (self,))
@@ -553,10 +419,6 @@ class Tensor:
 
             out._backward = _bw
         return out
-
-
-def _raw(x) -> np.ndarray:
-    return x.data if isinstance(x, Tensor) else np.asarray(x)
 
 
 def _is_basic_index(idx) -> bool:

@@ -70,3 +70,12 @@ class A3TGCN(STModel):
         out = self.head(context)                      # [B, N, horizon]
         return out.transpose(0, 2, 1).reshape(batch, self.horizon,
                                               self.num_nodes, 1)
+
+    def flops_per_snapshot(self) -> float:
+        n, hid = self.num_nodes, self.hidden_dim
+        att = self.attn_hidden.out_features
+        # Per step: the recurrence, the two-layer score MLP and the
+        # weighted sum; then the head once, over the pooled context.
+        per_step = self.cell.flops(1) + 2.0 * n * (hid * att + att + hid)
+        head = 2.0 * n * hid * self.horizon
+        return 3.0 * (self.horizon * per_step + head)

@@ -21,7 +21,7 @@ from repro.autograd import functional as F
 from repro.autograd.tensor import Tensor
 from repro.models.base import STModel
 from repro.nn.attention import MultiHeadAttention
-from repro.nn.layers import Dropout, LayerNorm, Linear
+from repro.nn.layers import LayerNorm, Linear
 from repro.nn.module import Module, Parameter
 from repro.utils.seeding import new_rng
 
@@ -30,19 +30,18 @@ class TransformerBlock(Module):
     """Pre-norm transformer block (GPT-2 style)."""
 
     def __init__(self, dim: int, num_heads: int, mlp_ratio: int = 4,
-                 dropout: float = 0.0, *, seed_name: str = "block"):
+                 *, seed_name: str = "block"):
         super().__init__()
         self.ln1 = LayerNorm(dim)
         self.attn = MultiHeadAttention(dim, num_heads, seed_name=f"{seed_name}.attn")
         self.ln2 = LayerNorm(dim)
         self.fc1 = Linear(dim, mlp_ratio * dim, seed_name=f"{seed_name}.fc1")
         self.fc2 = Linear(mlp_ratio * dim, dim, seed_name=f"{seed_name}.fc2")
-        self.drop = Dropout(dropout, seed_name=f"{seed_name}.drop")
 
     def forward(self, x: Tensor) -> Tensor:
         x = x + self.attn(self.ln1(x))
         h = self.fc2(self.fc1(self.ln2(x)).relu())
-        return x + self.drop(h)
+        return x + h
 
 
 class STLLM(STModel):
@@ -50,8 +49,7 @@ class STLLM(STModel):
 
     def __init__(self, num_nodes: int, horizon: int, in_features: int,
                  dim: int = 64, num_heads: int = 4, num_blocks: int = 2,
-                 frozen_blocks: int = 0, dropout: float = 0.0,
-                 *, seed: int | str = 0):
+                 frozen_blocks: int = 0, *, seed: int | str = 0):
         super().__init__()
         if frozen_blocks > num_blocks:
             raise ValueError("frozen_blocks cannot exceed num_blocks")
@@ -67,8 +65,7 @@ class STLLM(STModel):
             (rng.standard_normal((num_nodes, dim)) * 0.02).astype(np.float32))
         self.temporal_proj = Linear(horizon, dim, seed_name=f"stllm{seed}.time")
         self.blocks = [
-            TransformerBlock(dim, num_heads, dropout=dropout,
-                             seed_name=f"stllm{seed}.block{i}")
+            TransformerBlock(dim, num_heads, seed_name=f"stllm{seed}.block{i}")
             for i in range(num_blocks)
         ]
         # Freeze the first `frozen_blocks` blocks (pretrained-backbone

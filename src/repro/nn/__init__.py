@@ -2,7 +2,7 @@
 
 from repro.nn.init import glorot_uniform, zeros_
 from repro.nn.module import Module, Parameter
-from repro.nn.layers import Dropout, LayerNorm, Linear
+from repro.nn.layers import LayerNorm, Linear
 from repro.nn.attention import MultiHeadAttention
 
 __all__ = [
@@ -10,7 +10,6 @@ __all__ = [
     "Parameter",
     "Linear",
     "LayerNorm",
-    "Dropout",
     "MultiHeadAttention",
     "glorot_uniform",
     "zeros_",

@@ -1,4 +1,4 @@
-"""Scaled-dot-product and multi-head attention (used by ST-LLM and A3T-GCN)."""
+"""Scaled-dot-product and multi-head attention, ST-LLM's token mixer."""
 
 from __future__ import annotations
 
@@ -10,19 +10,13 @@ from repro.nn.layers import Linear
 from repro.nn.module import Module
 
 
-def scaled_dot_product_attention(q: Tensor, k: Tensor, v: Tensor,
-                                 causal: bool = False) -> Tensor:
+def scaled_dot_product_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     """Attention over the second-to-last axis of ``k``/``v``.
 
     Shapes: ``q [..., Tq, d]``, ``k [..., Tk, d]``, ``v [..., Tk, dv]``.
     """
     d = q.shape[-1]
     scores = (q @ k.swapaxes(-1, -2)) * (1.0 / float(np.sqrt(d)))
-    if causal:
-        tq, tk = scores.shape[-2], scores.shape[-1]
-        mask = np.triu(np.ones((tq, tk), dtype=bool), k=1)
-        neg = Tensor(np.full(scores.shape, -1e9, dtype=np.float32))
-        scores = F.where(~mask, scores, neg)
     attn = F.softmax(scores, axis=-1)
     return attn @ v
 
@@ -30,15 +24,13 @@ def scaled_dot_product_attention(q: Tensor, k: Tensor, v: Tensor,
 class MultiHeadAttention(Module):
     """Multi-head self-attention over ``[batch, seq, dim]`` inputs."""
 
-    def __init__(self, dim: int, num_heads: int, causal: bool = False,
-                 *, seed_name: str = "mha"):
+    def __init__(self, dim: int, num_heads: int, *, seed_name: str = "mha"):
         super().__init__()
         if dim % num_heads != 0:
             raise ValueError(f"dim {dim} not divisible by num_heads {num_heads}")
         self.dim = dim
         self.num_heads = num_heads
         self.head_dim = dim // num_heads
-        self.causal = causal
         self.q_proj = Linear(dim, dim, seed_name=f"{seed_name}.q")
         self.k_proj = Linear(dim, dim, seed_name=f"{seed_name}.k")
         self.v_proj = Linear(dim, dim, seed_name=f"{seed_name}.v")
@@ -53,6 +45,6 @@ class MultiHeadAttention(Module):
         q = self._split_heads(self.q_proj(x))
         k = self._split_heads(self.k_proj(x))
         v = self._split_heads(self.v_proj(x))
-        out = scaled_dot_product_attention(q, k, v, causal=self.causal)
+        out = scaled_dot_product_attention(q, k, v)
         out = out.transpose(0, 2, 1, 3).reshape(b, t, self.dim)
         return self.out_proj(out)

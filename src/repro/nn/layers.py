@@ -1,10 +1,9 @@
-"""Core dense layers: Linear, LayerNorm, Dropout."""
+"""Core dense layers: Linear and LayerNorm."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.autograd import functional as F
 from repro.autograd.tensor import Tensor
 from repro.nn.init import glorot_uniform, zeros_
 from repro.nn.module import Module, Parameter
@@ -46,15 +45,3 @@ class LayerNorm(Module):
         var = (centered * centered).mean(axis=-1, keepdims=True)
         inv = (var + self.eps) ** -0.5
         return centered * inv * self.weight + self.bias
-
-
-class Dropout(Module):
-    """Inverted dropout; a no-op in eval mode."""
-
-    def __init__(self, p: float = 0.1, *, seed_name: str = "dropout"):
-        super().__init__()
-        self.p = p
-        self._rng = new_rng("nn", seed_name, p)
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.dropout(x, self.p, self._rng, training=self.training)

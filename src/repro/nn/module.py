@@ -21,7 +21,8 @@ class Module:
 
     Subclasses assign :class:`Parameter` and :class:`Module` instances as
     attributes; these are discovered automatically by ``parameters()`` /
-    ``named_parameters()``.  ``training`` toggles behaviours such as dropout.
+    ``named_parameters()``, also inside list or tuple attributes.
+    ``training`` toggles behaviours such as DCRNN's scheduled sampling.
     """
 
     def __init__(self):
@@ -47,13 +48,6 @@ class Module:
                     elif isinstance(item, Parameter) and id(item) not in seen:
                         seen.add(id(item))
                         yield (f"{prefix}{key}.{i}", item)
-            elif isinstance(value, dict):
-                for k, item in value.items():
-                    if isinstance(item, Module):
-                        yield from item._named_parameters(f"{prefix}{key}.{k}.", seen)
-                    elif isinstance(item, Parameter) and id(item) not in seen:
-                        seen.add(id(item))
-                        yield (f"{prefix}{key}.{k}", item)
 
     def parameters(self) -> list[Parameter]:
         return [p for _, p in self.named_parameters()]
@@ -65,10 +59,6 @@ class Module:
                 yield from value.modules()
             elif isinstance(value, (list, tuple)):
                 for item in value:
-                    if isinstance(item, Module):
-                        yield from item.modules()
-            elif isinstance(value, dict):
-                for item in value.values():
                     if isinstance(item, Module):
                         yield from item.modules()
 
@@ -123,7 +113,7 @@ def assert_inference_mode(module: Module) -> None:
     Inference mode means gradient recording is off (``no_grad``) *and*
     every submodule has ``training=False`` (``module.eval()``), so a
     forward pass can neither extend the autograd graph nor trip
-    training-only behaviour (scheduled sampling, dropout).  Evaluation
+    training-only behaviour (DCRNN's scheduled sampling).  Evaluation
     loops and the serving path call this before forwarding.
     """
     from repro.autograd.grad_mode import is_grad_enabled

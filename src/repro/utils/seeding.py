@@ -1,7 +1,7 @@
 """Deterministic seeding helpers.
 
 All stochastic components (data generation, parameter init, shuffling,
-dropout) draw from ``numpy.random.Generator`` instances produced here, so a
+scheduled sampling) draw from ``numpy.random.Generator`` instances produced here, so a
 single seed reproduces an entire experiment, and per-rank / per-component
 streams are independent.
 """

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.autograd import Tensor, no_grad, unbroadcast
-from repro.autograd.grad_mode import enable_grad, is_grad_enabled
+from repro.utils.errors import ShapeError
 
 from tests.helpers import check_gradient
 
@@ -26,12 +26,6 @@ class TestBasics:
         assert "requires_grad=True" in repr(t)
         assert t.ndim == 2 and t.size == 6 and t.nbytes == 6 * 8
 
-    def test_detach_shares_data(self):
-        t = Tensor(np.ones(3), requires_grad=True)
-        d = t.detach()
-        assert not d.requires_grad
-        assert d.data is t.data
-
     def test_item_scalar(self):
         assert Tensor(3.5).item() == pytest.approx(3.5)
 
@@ -50,13 +44,6 @@ class TestBasics:
             out = t * 2
         assert not out.requires_grad
 
-    def test_enable_grad_inside_no_grad(self):
-        with no_grad():
-            assert not is_grad_enabled()
-            with enable_grad():
-                assert is_grad_enabled()
-            assert not is_grad_enabled()
-
 
 class TestArithmeticGradients:
     def test_add(self):
@@ -70,13 +57,10 @@ class TestArithmeticGradients:
         check_gradient(lambda t: t * Tensor(b, dtype=np.float64),
                        RNG.standard_normal((3, 4)))
 
-    def test_div(self):
-        x = RNG.standard_normal((3, 3)) + 5.0
-        check_gradient(lambda t: 2.0 / t + t / 3.0, x)
-
     def test_neg_pow(self):
+        """A negative power, as LayerNorm's ``(var + eps) ** -0.5``."""
         x = np.abs(RNG.standard_normal((4,))) + 0.5
-        check_gradient(lambda t: -(t ** 3), x)
+        check_gradient(lambda t: t ** -0.5, x)
 
     def test_pow_requires_scalar(self):
         t = Tensor(np.ones(2), requires_grad=True)
@@ -87,11 +71,6 @@ class TestArithmeticGradients:
         t = Tensor(np.ones(3), requires_grad=True, dtype=np.float64)
         (t + t + t).sum().backward()
         np.testing.assert_allclose(t.grad, 3 * np.ones(3))
-
-    def test_comparison_returns_numpy_bool(self):
-        t = Tensor(np.array([1.0, 2.0]))
-        assert isinstance(t > 1.5, np.ndarray)
-        assert (t > 1.5).tolist() == [False, True]
 
 
 class TestMatmulGradients:
@@ -113,20 +92,22 @@ class TestMatmulGradients:
         expected = sum(x.data[i].T @ np.ones((3, 5)) for i in range(2))
         np.testing.assert_allclose(w.grad, expected, rtol=1e-6)
 
-    def test_vec_mat(self):
-        w = RNG.standard_normal((4, 5))
-        check_gradient(lambda t: t @ Tensor(w, dtype=np.float64),
-                       RNG.standard_normal(4))
+    def test_4d_batched(self):
+        """Attention's ``q @ k^T`` over ``[batch, heads, tokens, dim]``,
+        both operands differentiated."""
+        k = RNG.standard_normal((2, 2, 3, 4))
+        check_gradient(lambda t: t @ t.swapaxes(-1, -2) * 0.5
+                       + t @ Tensor(k, dtype=np.float64).swapaxes(-1, -2),
+                       RNG.standard_normal((2, 2, 3, 4)))
 
-    def test_mat_vec(self):
-        v = RNG.standard_normal(4)
-        check_gradient(lambda t: t @ Tensor(v, dtype=np.float64),
-                       RNG.standard_normal((3, 4)))
-
-    def test_dot(self):
-        v = RNG.standard_normal(6)
-        check_gradient(lambda t: t @ Tensor(v, dtype=np.float64),
-                       RNG.standard_normal(6))
+    @pytest.mark.parametrize("a, b", [((4,), (4, 5)), ((3, 4), (4,)),
+                                      ((6,), (6,))],
+                             ids=["vec-mat", "mat-vec", "dot"])
+    def test_1d_operand_is_a_shape_error(self, a, b):
+        """Every product in the models is 2-D or more; a vector operand is
+        refused before anything is computed."""
+        with pytest.raises(ShapeError, match="2 or more dims"):
+            Tensor(np.ones(a), requires_grad=True) @ Tensor(np.ones(b))
 
 
 class TestShapeOps:
@@ -148,6 +129,16 @@ class TestShapeOps:
 
     def test_getitem_slice(self):
         check_gradient(lambda t: t[1:3] * 3.0, RNG.standard_normal((5, 2)))
+
+    def test_getitem_ellipsis_split(self):
+        """The GRU's gate split ``g[..., :H]`` / ``g[..., H:]``."""
+        check_gradient(lambda t: t[..., :2] * t[..., 2:],
+                       RNG.standard_normal((2, 3, 4)))
+
+    def test_getitem_last_axis_then_mean(self):
+        """ST-LLM's time-of-day read ``x[:, :, :, k].mean(axis=2)``."""
+        check_gradient(lambda t: t[:, :, :, 1].mean(axis=2) * 3.0,
+                       RNG.standard_normal((2, 3, 4, 2)))
 
     def test_getitem_fancy_accumulates_duplicates(self):
         t = Tensor(np.zeros(4), requires_grad=True, dtype=np.float64)
@@ -171,22 +162,8 @@ class TestReductions:
     def test_mean_all(self):
         check_gradient(lambda t: t.mean(), RNG.standard_normal((3, 4)))
 
-    def test_max_grad_distributes_at_ties(self):
-        t = Tensor(np.array([[1.0, 1.0, 0.0]]), requires_grad=True,
-                   dtype=np.float64)
-        t.max(axis=1).sum().backward()
-        np.testing.assert_allclose(t.grad, [[0.5, 0.5, 0.0]])
-
 
 class TestNonlinearities:
-    def test_exp_log(self):
-        x = np.abs(RNG.standard_normal((3, 3))) + 0.5
-        check_gradient(lambda t: (t.exp() + t.log()), x)
-
-    def test_sqrt(self):
-        x = np.abs(RNG.standard_normal((4,))) + 0.5
-        check_gradient(lambda t: t.sqrt(), x)
-
     def test_tanh_sigmoid(self):
         check_gradient(lambda t: t.tanh() * t.sigmoid(),
                        RNG.standard_normal((3, 4)))
@@ -207,12 +184,6 @@ class TestNonlinearities:
         x[np.abs(x) < 0.1] = 0.7
         check_gradient(lambda t: t.abs(), x)
 
-    def test_astype_roundtrip_grad(self):
-        t = Tensor(np.ones(3), requires_grad=True, dtype=np.float64)
-        t.astype(np.float32).sum().backward()
-        assert t.grad.dtype == np.float64
-        np.testing.assert_allclose(t.grad, np.ones(3))
-
 
 class TestUnbroadcast:
     def test_identity(self):
@@ -228,7 +199,6 @@ class TestUnbroadcast:
         np.testing.assert_allclose(unbroadcast(g, (3, 1)), 4 * np.ones((3, 1)))
 
     def test_incompatible_raises(self):
-        from repro.utils.errors import ShapeError
         with pytest.raises(ShapeError):
             unbroadcast(np.ones((3, 4)), (2, 4))
 

@@ -1,6 +1,7 @@
 """The package layering of ``src/repro``, read from the source with ``ast``:
 each package imports only from lower layers, so a new back edge fails
-tier-1 instead of a review.  Only ``test_every_export_resolves`` imports
+tier-1 instead of a review.  Only ``test_every_export_resolves`` and the
+backward-reachability guard, which runs every model once, import
 ``repro``."""
 
 import ast
@@ -323,3 +324,225 @@ def test_export_guard_sees_every_use_form(tmp_path, caller, flagged):
     (tmp_path / "examples").mkdir()
     (tmp_path / "examples" / "caller.py").write_text(caller)
     assert (("pkg", "helper") in unread_exports(tmp_path)) is flagged
+
+
+#: Backward closures in ``src/`` that no model's training step reaches,
+#: each kept on purpose: ``(module, qualname): reason``.
+UNREACHED_BACKWARDS: dict[tuple[str, str], str] = {}
+
+
+def backward_closures(src: Path):
+    """``(module, qualname)`` of every function or lambda a ``.py`` under
+    ``src`` assigns to a ``._backward``, keyed the way the closure's own
+    ``__module__`` and ``__qualname__`` read at run time
+    (``Tensor.__add__.<locals>._bw``)."""
+    found = set()
+
+    def visit(node, module, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, module, f"{prefix}{child.name}.")
+                continue
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, module, f"{prefix}{child.name}.<locals>.")
+                continue
+            if isinstance(child, ast.Assign) and any(
+                    isinstance(t, ast.Attribute) and t.attr == "_backward"
+                    for t in child.targets):
+                if isinstance(child.value, ast.Lambda):
+                    found.add((module, f"{prefix}<lambda>"))
+                elif isinstance(child.value, ast.Name):
+                    found.add((module, f"{prefix}{child.value.id}"))
+            visit(child, module, prefix)
+
+    for path in sorted(src.rglob("*.py")):
+        parts = path.relative_to(src.parent).with_suffix("").parts
+        module = ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+        visit(ast.parse(path.read_text()), module, "")
+    return found
+
+
+def graph_backwards(root):
+    """``(module, qualname)`` of every ``_backward`` on the graph that
+    ends at ``root``; call it before ``backward()``, which frees it."""
+    found, seen, stack = set(), set(), [root]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if node._backward is not None:
+            found.add((node._backward.__module__,
+                       node._backward.__qualname__))
+        stack.extend(node._parents)
+    return found
+
+
+def model_step_backwards():
+    """What every ``MODELS`` entry reaches in one ``l1_loss`` training
+    step at ``tiny``, with one and two input features (ST-LLM's
+    time-of-day branch needs two) and DCRNN's scheduled sampling on."""
+    import numpy as np
+
+    from repro.api.builders import ModelContext
+    from repro.api.registry import MODELS
+    from repro.api.scales import TINY
+    from repro.autograd import Tensor
+    from repro.graph import random_sensor_network
+    from repro.models import DCRNN
+    from repro.optim import l1_loss
+
+    graph = random_sensor_network(TINY.nodes, seed=0)
+    rng = np.random.default_rng(0)
+    reached = set()
+    for in_features in (1, 2):
+        ctx = ModelContext(graph=graph, horizon=TINY.horizon,
+                           in_features=in_features,
+                           hidden_dim=TINY.hidden_dim, seed=0)
+        shape = (TINY.batch_size, TINY.horizon, TINY.nodes)
+        x = rng.standard_normal(shape + (in_features,)).astype(np.float32)
+        y = rng.standard_normal(shape + (1,)).astype(np.float32)
+        for name in MODELS.names():
+            model = MODELS.get(name)(ctx)
+            extra = {"targets": y} if isinstance(model, DCRNN) else {}
+            loss = l1_loss(model(Tensor(x), **extra), y)
+            reached |= graph_backwards(loss)
+            loss.backward()
+    return reached
+
+
+def unexplained_backwards(closures, reached, allowlist):
+    """``(unreached, stale)``: closures no walk reaches and no allowlist
+    entry explains, and entries that explain no unreached closure."""
+    unreached = closures - reached
+    return unreached - set(allowlist), set(allowlist) - unreached
+
+
+def test_every_backward_is_reached():
+    """An op is in the engine because a model trains through it: every
+    closure ``src/`` assigns to a ``._backward`` is on the graph of some
+    ``MODELS`` entry's training step, or is in ``UNREACHED_BACKWARDS``
+    with its reason.  A stale entry fails too."""
+    closures = backward_closures(SRC)
+    reached = model_step_backwards()
+    assert reached <= closures, reached - closures   # the keys agree
+    assert unexplained_backwards(closures, reached, UNREACHED_BACKWARDS) \
+        == (set(), set())
+    assert all(isinstance(r, str) and r.strip()
+               for r in UNREACHED_BACKWARDS.values())
+
+
+#: One op per way a backward closure is written; ``_out`` makes the
+#: output node.
+SYNTHETIC_OPS = '''
+def _out(x):
+    return x._make(x.data * 2.0, (x,))
+
+
+class Scaled:
+    def forward(self, x):
+        out = _out(x)
+
+        def _bw(g):
+            x._accumulate(g * 2.0)
+
+        out._backward = _bw
+        return out
+
+    class Inner:
+        def forward(self, x):
+            out = _out(x)
+            out._backward = lambda g: x._accumulate(g * 2.0)
+            return out
+
+
+def doubled(x):
+    out = _out(x)
+    out._backward = lambda g: x._accumulate(g * 2.0)
+    return out
+
+
+def nested(x):
+    def build():
+        out = _out(x)
+
+        def _bw(g):
+            x._accumulate(g * 2.0)
+
+        out._backward = _bw
+        return out
+    return build()
+'''
+
+#: ``form: (call, qualname)`` for each op above.
+SYNTHETIC_FORMS = {
+    "method": (lambda ops, x: ops.Scaled().forward(x),
+               "Scaled.forward.<locals>._bw"),
+    "nested-class": (lambda ops, x: ops.Scaled.Inner().forward(x),
+                     "Scaled.Inner.forward.<locals>.<lambda>"),
+    "function-lambda": (lambda ops, x: ops.doubled(x),
+                        "doubled.<locals>.<lambda>"),
+    "closure-in-closure": (lambda ops, x: ops.nested(x),
+                           "nested.<locals>.build.<locals>._bw"),
+}
+
+
+def synthetic_ops(root: Path, filename: str = "ops.py"):
+    """Write :data:`SYNTHETIC_OPS` into package ``pkg`` under ``root`` and
+    import it under the dotted name its path gives."""
+    import importlib.util
+    pkg = root / "pkg"
+    pkg.mkdir()
+    (pkg / filename).write_text(SYNTHETIC_OPS)
+    name = "pkg" if filename == "__init__.py" else "pkg.ops"
+    spec = importlib.util.spec_from_file_location(name, pkg / filename)
+    ops = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ops)
+    return ops, name
+
+
+def synthetic_walk(ops, form):
+    import numpy as np
+
+    from repro.autograd import Tensor
+    call, _ = SYNTHETIC_FORMS[form]
+    return graph_backwards(call(ops, Tensor(np.ones(3), requires_grad=True)))
+
+
+@pytest.mark.parametrize("form, filename", [
+    *((form, "ops.py") for form in SYNTHETIC_FORMS),
+    ("method", "__init__.py"),
+], ids=[*SYNTHETIC_FORMS, "package-init"])
+def test_backward_scan_keys_closures_as_python_does(tmp_path, form,
+                                                    filename):
+    """The source scan gives each closure the ``(__module__,
+    __qualname__)`` that a walk of the live graph reads off it."""
+    ops, module = synthetic_ops(tmp_path, filename)
+    key = (module, SYNTHETIC_FORMS[form][1])
+    assert synthetic_walk(ops, form) == {key}
+    assert key in backward_closures(tmp_path / "pkg")
+
+
+@pytest.mark.parametrize("called", [
+    (), ("method", "function-lambda"), tuple(SYNTHETIC_FORMS),
+], ids=["no-walk", "some-reached", "all-reached"])
+def test_backward_guard_flags_what_no_walk_reaches(tmp_path, called):
+    """A closure is flagged exactly when no walk reaches it."""
+    ops, module = synthetic_ops(tmp_path)
+    reached = set().union(*(synthetic_walk(ops, f) for f in called))
+    flagged = {(module, qualname) for form, (_, qualname)
+               in SYNTHETIC_FORMS.items() if form not in called}
+    closures = backward_closures(tmp_path / "pkg")
+    assert unexplained_backwards(closures, reached, {}) == (flagged, set())
+
+
+@pytest.mark.parametrize("entry", [("m", "A.f.<locals>._bw"),
+                                   ("m", "gone.<locals>._bw")],
+                         ids=["reached", "gone"])
+def test_backward_guard_fails_on_a_stale_entry(entry):
+    """An allowlist entry for a closure a walk reaches, or for one that is
+    gone, vouches for nothing and fails the guard."""
+    closures = {("m", "A.f.<locals>._bw"), ("m", "A.g.<locals>._bw")}
+    reached = {("m", "A.f.<locals>._bw")}
+    allow = {("m", "A.g.<locals>._bw"): "kept", entry: "stale"}
+    assert unexplained_backwards(closures, reached, allow) == (set(), {entry})

@@ -6,8 +6,11 @@ import pytest
 from repro.autograd import Tensor
 from repro.graph import dual_random_walk_supports, random_sensor_network
 from repro.models import A3TGCN, DCRNN, DiffusionConv, PGTDCRNN, STLLM, TGCN
+from repro.models.stllm import TransformerBlock
 from repro.optim import Adam, l1_loss
 from repro.utils.errors import ShapeError
+
+from tests.helpers import check_gradient
 
 N, H, F_IN, B = 12, 6, 2, 3
 
@@ -250,6 +253,13 @@ class TestSTLLM:
         assert all(p.grad is None for p in frozen.parameters())
         assert any(p.grad is not None for p in live.parameters())
 
+    def test_block_input_grad_matches_numerics(self):
+        """A pre-norm block, attention and MLP residuals, against central
+        differences on ``[batch, nodes, dim]`` tokens."""
+        block = TransformerBlock(4, 2, mlp_ratio=2)
+        check_gradient(lambda t: block(t) ** 2,
+                       np.random.default_rng(4).standard_normal((2, 3, 4)))
+
     def test_frozen_exceeds_blocks_rejected(self):
         with pytest.raises(ValueError):
             STLLM(N, H, F_IN, dim=16, num_blocks=2, frozen_blocks=3)
@@ -283,3 +293,58 @@ class TestDeterministicInit:
                                       b.named_parameters()):
             assert na == nb
             np.testing.assert_array_equal(pa.data, pb.data)
+
+
+def _cell_keys(prefix):
+    return [f"{prefix}.{conv}.{p}" for conv in ("gates", "candidate")
+            for p in ("weight", "bias")]
+
+
+def _weight_bias(*names):
+    return [f"{name}.{p}" for name in names for p in ("weight", "bias")]
+
+
+def _block_keys(i):
+    return _weight_bias(*(f"blocks.{i}.{m}" for m in (
+        "ln1", "attn.q_proj", "attn.k_proj", "attn.v_proj", "attn.out_proj",
+        "ln2", "fc1", "fc2")))
+
+
+#: ``named_parameters()`` order of every ``MODELS`` entry: checkpoints
+#: are keyed by these names.
+PARAMETER_NAMES = {
+    "dcrnn": [k for side in ("encoder", "decoder") for i in (0, 1)
+              for k in _cell_keys(f"{side}.{i}")] + _weight_bias("proj"),
+    "pgt-dcrnn": _cell_keys("cell") + _weight_bias("proj"),
+    "tgcn": _cell_keys("cell") + _weight_bias("proj"),
+    "a3tgcn": _cell_keys("cell") + _weight_bias("attn_hidden", "attn_score",
+                                                "head"),
+    "st-llm": _weight_bias("input_proj") + ["spatial_emb"]
+    + _weight_bias("temporal_proj") + _block_keys(0) + _block_keys(1)
+    + _weight_bias("ln_f", "head"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PARAMETER_NAMES))
+def test_parameter_names_are_pinned(name):
+    """A registered model's parameter names, in order, at ``tiny``: a
+    rename would orphan every checkpoint written before it."""
+    from repro.api.builders import ModelContext
+    from repro.api.registry import MODELS
+    from repro.api.scales import TINY
+    ctx = ModelContext(graph=random_sensor_network(TINY.nodes, seed=0),
+                       horizon=TINY.horizon, in_features=2,
+                       hidden_dim=TINY.hidden_dim, seed=0)
+    assert sorted(MODELS.names()) == sorted(PARAMETER_NAMES)
+    model = MODELS.get(name)(ctx)
+    assert [k for k, _ in model.named_parameters()] == PARAMETER_NAMES[name]
+
+
+def test_a3tgcn_flops_count_its_recurrence():
+    """A3T-GCN is T-GCN's recurrence plus attention pooling, so its count
+    sits just above T-GCN's (207 sensors, horizon 12, hidden 64), and the
+    simulated DDP step time it feeds is T-GCN's order of magnitude."""
+    weights = random_sensor_network(207, seed=0).weights
+    tgcn = TGCN(weights, 12, 2, hidden_dim=64).flops_per_snapshot()
+    a3tgcn = A3TGCN(weights, 12, 2, hidden_dim=64).flops_per_snapshot()
+    assert tgcn <= a3tgcn <= 1.2 * tgcn
