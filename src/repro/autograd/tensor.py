@@ -99,10 +99,6 @@ class Tensor:
     def nbytes(self) -> int:
         return self.data.nbytes
 
-    @property
-    def T(self) -> "Tensor":
-        return self.transpose()
-
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}, dtype={self.dtype}{flag})"
@@ -190,9 +186,6 @@ class Tensor:
                 node.grad = None
                 node._backward = None
                 node._parents = ()
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     # ------------------------------------------------------------------
     # Elementwise arithmetic

@@ -63,7 +63,12 @@ class STLLM(STModel):
                                  seed_name=f"stllm{seed}.proj")
         self.spatial_emb = Parameter(
             (rng.standard_normal((num_nodes, dim)) * 0.02).astype(np.float32))
-        self.temporal_proj = Linear(horizon, dim, seed_name=f"stllm{seed}.time")
+        # Time-of-day context reads the last channel, so a single-channel
+        # input has none and builds no projection (its seed stream is
+        # keyed by name: no other weight moves).
+        self.temporal_proj = (
+            Linear(horizon, dim, seed_name=f"stllm{seed}.time")
+            if in_features > 1 else None)
         self.blocks = [
             TransformerBlock(dim, num_heads, seed_name=f"stllm{seed}.block{i}")
             for i in range(num_blocks)
@@ -84,7 +89,7 @@ class STLLM(STModel):
                                                  self.horizon * self.in_features)
         emb = self.input_proj(tokens) + self.spatial_emb
         # Time-of-day context from the last feature channel, node-averaged.
-        if self.in_features > 1:
+        if self.temporal_proj is not None:
             tod = x[:, :, :, self.in_features - 1].mean(axis=2)  # [B, h]
             emb = emb + self.temporal_proj(tod).reshape(batch, 1, self.dim)
         h = emb

@@ -19,8 +19,8 @@ fallback deployment or explicit failure, and :meth:`Gateway._degrade`
 executes it.  A failed dispatch is never retried on the session that
 failed it; the circuit breaker alone decides when the deployment is
 probed again.  Every request reaches a queue through
-:meth:`Gateway._enqueue` (admission -> ``service.submit`` -> cache key ->
-pending table), so a fallback re-route is charged through admission
+:meth:`Gateway._enqueue` (admission -> queue -> cache key -> pending
+table), so a fallback re-route is charged through admission
 control and overload still sheds honestly.  A blue-green swap checks
 green before the flip, so a broken green never takes traffic.
 
@@ -315,9 +315,9 @@ class Gateway:
         if not tenant.try_spend_token(now):
             tenant.stats.quota_rejected += 1
             return rec.response("rejected_quota", reason="token bucket empty")
-        rec.window = window = (self._tenant_window(tenant, dep)
-                               if window is None
-                               else dep.service.check_window(window))
+        if window is None:
+            window = self._tenant_window(tenant, dep)
+        rec.window = window = dep.service.check_window(window)
         if deadline is None and self.default_deadline is not None:
             deadline = now + self.default_deadline
         rec.deadline = deadline
@@ -348,7 +348,7 @@ class Gateway:
                 dep.restart()
                 self.resilience.restarts += 1
 
-        decision = self._enqueue(dep, rec)
+        decision = self._enqueue(dep, rec, checked=True)
         if decision is not None:
             if probe:
                 breaker.cancel_probe()
@@ -356,20 +356,25 @@ class Gateway:
             return rec.response("shed", reason=decision.reason)
         return rec.response("admitted")
 
-    def _enqueue(self, dep: Deployment,
-                 rec: _PendingRecord) -> ShedDecision | None:
+    def _enqueue(self, dep: Deployment, rec: _PendingRecord, *,
+                 checked: bool = False) -> ShedDecision | None:
         """The one way onto a queue, for first submission and fallback
-        re-route: admission -> ``service.submit`` -> cache key -> pending
-        table.  Returns the shed decision if admission control refuses
-        (nothing is queued), else ``None``.  A record's first queue is its
-        ticket and its tenant's one admission."""
+        re-route: admission -> window check -> queue -> cache key ->
+        pending table.  Returns the shed decision if admission control
+        refuses (nothing is queued), else ``None``.  A record's first
+        queue is its ticket and its tenant's one admission.
+
+        :meth:`submit` has already checked the window against ``dep``
+        (``checked``); a re-route checks it against the fallback, whose
+        shape nothing else validates."""
         svc = dep.service
         decision = self.admission.admit(
             svc.queue, tenant=rec.tenant.tenant_id, deployment=dep.name,
             deadline=rec.deadline)
         if decision is not None:
             return decision
-        rid = svc.submit(rec.window, deadline=rec.deadline)
+        window = rec.window if checked else svc.check_window(rec.window)
+        rid = svc.queue.submit(window, deadline=rec.deadline).request_id
         if rec.ticket_id is None:
             rec.ticket_deployment, rec.ticket_version = dep.name, dep.version
             rec.ticket_id = rid

@@ -9,6 +9,12 @@ hash)`` and a hit returns a copy of the stored prediction array,
 **bitwise equal** to what recomputation would have produced (the gateway
 tests pin this).
 
+One digest, :func:`window_fingerprint`, serves both ends: it keys the
+request's window and it is the integrity check over the stored forecast.
+Each request pays it twice.  An admitted request is keyed at submit and
+its forecast digested at :meth:`ResultCache.put`; a hit is keyed at
+submit and its stored bytes verified before they are served.
+
 Time is the gateway's clock (simulated or wall), so TTL expiry is exactly
 as reproducible as the request schedule that drives it.  Capacity is
 bounded: insertion past ``max_entries`` evicts the least-recently-used
@@ -28,13 +34,16 @@ import numpy as np
 def window_fingerprint(window: np.ndarray) -> str:
     """A collision-resistant digest of one model-input window.
 
-    Hashes dtype + shape + raw bytes (C-order), so two windows collide
-    only if they are bitwise identical arrays of the same shape.
+    blake2b-128 over a header — the dtype's array-protocol string
+    (``'<f4'``: kind, item size and byte order) and the shape — then the
+    raw bytes in C order, so two windows collide only if they are bitwise
+    identical arrays of the same dtype and shape.  The header never
+    formats ``str(dtype)``: on NumPy 2.x that builds the name in Python
+    and costs several times the hash of a small window.
     """
     window = np.ascontiguousarray(window)
-    h = hashlib.blake2b(digest_size=16)
-    h.update(str(window.dtype).encode())
-    h.update(str(window.shape).encode())
+    h = hashlib.blake2b(f"{window.dtype.str}{window.shape}".encode(),
+                        digest_size=16)
     h.update(window.tobytes())
     return h.hexdigest()
 

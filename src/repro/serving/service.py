@@ -31,8 +31,10 @@ class Forecast:
     """One completed forecast.
 
     ``predictions`` is ``[horizon, nodes]`` in original signal units when
-    the session has a scaler (standardized units otherwise) — an owned
-    copy, safe to retain.
+    the session has a scaler (standardized units otherwise) — the
+    request's own row of its batch's answer, shared with no other
+    request and with no buffer the session reuses, so it is safe to
+    retain and to write.
     """
 
     request_id: int
@@ -107,7 +109,12 @@ class ForecastService:
         (:class:`~repro.utils.errors.ShapeError`), a numeric dtype and
         only finite values (``ValueError``): a string window would raise
         inside the batched dispatch, and a ``nan`` one would be answered
-        and cached as a forecast."""
+        and cached as a forecast.
+
+        A window is checked once per service: :meth:`submit` and
+        :meth:`forecast` check here, and the gateway checks once at its
+        own door, then queues on the service directly (a fallback
+        re-route checks again, against the fallback's model)."""
         if window is None:
             return None
         window = np.asarray(window)
@@ -245,15 +252,17 @@ class ForecastService:
             self.stats.failed_batches += 1
             self._failed.append((list(reqs), failure))
             return []
+        # One unit inversion for the whole batch; each request owns its
+        # row (rows are disjoint, so writing one leaves the rest alone).
+        if self.session.scaler is not None:
+            values = self.session.to_original_units(preds)
+        else:
+            values = preds[..., 0].copy()
         out = []
         for i, req in enumerate(reqs):
             req.completed = now
-            if self.session.scaler is not None:
-                values = self.session.to_original_units(preds[i])
-            else:
-                values = preds[i, ..., 0].copy()
             fc = Forecast(request_id=req.request_id,
-                          predictions=np.ascontiguousarray(values),
+                          predictions=np.ascontiguousarray(values[i]),
                           latency=req.latency, queue_wait=req.queue_wait,
                           batch_size=req.batch_size,
                           deadline_missed=req.deadline_missed)

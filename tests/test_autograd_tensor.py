@@ -116,7 +116,8 @@ class TestShapeOps:
                        RNG.standard_normal((3, 4)))
 
     def test_transpose_default(self):
-        check_gradient(lambda t: t.T @ Tensor(np.ones((3, 2)), dtype=np.float64),
+        check_gradient(lambda t: t.transpose() @ Tensor(np.ones((3, 2)),
+                                                        dtype=np.float64),
                        RNG.standard_normal((3, 4)))
 
     def test_transpose_axes(self):

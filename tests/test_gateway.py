@@ -534,6 +534,111 @@ class TestWholeGraphReplicas:
             clean.request("key-ops", "bay").forecast.predictions)
 
 
+class TestRequestPathPaysOnce:
+    """Each per-window cost on the request path is paid once: one window
+    check per service, one digest for the key and one for the stored
+    forecast (or its verification on a hit), one unit inversion per
+    batch."""
+
+    def counting(self, monkeypatch):
+        from repro.serving.gateway import result_cache
+        from repro.serving.service import ForecastService
+
+        calls = {"check_window": 0, "window_fingerprint": 0}
+
+        def count(name, fn):
+            def wrapped(*args, **kw):
+                calls[name] += 1
+                return fn(*args, **kw)
+            return wrapped
+
+        monkeypatch.setattr(ForecastService, "check_window",
+                            count("check_window",
+                                  ForecastService.check_window))
+        monkeypatch.setattr(result_cache, "window_fingerprint",
+                            count("window_fingerprint",
+                                  result_cache.window_fingerprint))
+        return calls
+
+    def test_admitted_request_checks_once_and_digests_twice(
+            self, trained, pool, monkeypatch):
+        gw = make_gateway(trained, cache_ttl=60.0)
+        calls = self.counting(monkeypatch)
+        assert gw.submit("key-ops", "bay", pool[0]).status == "admitted"
+        (done,) = gw.flush()
+        assert done.status == "ok"
+        assert calls == {"check_window": 1, "window_fingerprint": 2}
+
+    def test_cache_hit_digests_twice(self, trained, pool, monkeypatch):
+        gw = make_gateway(trained, cache_ttl=60.0)
+        gw.request("key-ops", "bay", pool[0])
+        calls = self.counting(monkeypatch)
+        assert gw.submit("key-ops", "bay", pool[0]).status == "cached"
+        assert calls == {"check_window": 1, "window_fingerprint": 2}
+
+    def test_streamed_window_is_checked_once(self, trained, monkeypatch):
+        gw = make_gateway(trained)
+        ds = trained.artifacts.dataset
+        for t in range(trained.artifacts.model.horizon):
+            gw.ingest("key-ops", "bay", ds.signals[t], 5.0 * t)
+        calls = self.counting(monkeypatch)
+        assert gw.request("key-ops", "bay").ok
+        assert calls["check_window"] == 1
+
+    def test_fallback_reroute_checks_the_fallbacks_shape(self, trained,
+                                                         pool):
+        """Nothing but the fallback's own check validates a re-routed
+        window: one the fallback cannot take is refused, and nothing is
+        left pending."""
+        big = run(RunSpec(**{**SPEC, "scale": "small"}))
+        gw = build_gateway(
+            {"bay": trained, "big": big}, tenants=["ops"],
+            clock=ManualClock(), max_batch=4,
+            service_time=lambda n: 1e-3 + 1e-4 * n,
+            fallbacks={"bay": "big"},
+            fault_plan=FaultPlan().session_crash("bay", at_dispatch=0))
+        key = gw.tenants.get("ops").api_key
+        assert gw.submit(key, "bay", pool[0]).status == "admitted"
+        with pytest.raises(ShapeError, match=r"\(12, 24, 2\)"):
+            gw.flush()
+        assert not gw._pending
+        assert not any(d.in_flight for d in gw.deployments.values())
+
+    @pytest.mark.parametrize("scaled", [True, False],
+                             ids=["scaler", "no-scaler"])
+    def test_batch_inversion_is_per_row_bitwise(self, trained, pool,
+                                                scaled):
+        from repro.serving import ForecastService
+
+        art = trained.artifacts
+        session = ModelSession(art.model,
+                               art.loaders.scaler if scaled else None)
+        svc = ForecastService(session, max_batch=8)
+        for i in range(5):
+            svc.submit(pool[i])
+        done = svc.poll()
+        assert [fc.batch_size for fc in done] == [5] * 5
+        preds = session.predict(pool[:5])
+        expected = [session.to_original_units(preds[i]) if scaled
+                    else preds[i, ..., 0] for i in range(5)]
+        for fc, want in zip(done, expected):
+            assert fc.predictions.flags.c_contiguous
+            np.testing.assert_array_equal(fc.predictions, want)
+        done[0].predictions[...] = 1e9      # rows are disjoint
+        for fc, want in zip(done[1:], expected[1:]):
+            np.testing.assert_array_equal(fc.predictions, want)
+
+    def test_key_separates_byte_order_not_layout(self):
+        w = np.arange(24, dtype=np.float32).reshape(4, 3, 2)
+        assert (cache_key("a", "v1", w.astype(">f4"))
+                != cache_key("a", "v1", w.astype("<f4")))
+        wide = np.arange(48, dtype=np.float32).reshape(4, 3, 4)
+        strided = wide[:, :, ::2]
+        assert not strided.flags.c_contiguous
+        assert (cache_key("a", "v1", strided)
+                == cache_key("a", "v1", strided.copy()))
+
+
 class TestGatewayAPI:
     def test_gateways_are_built_not_served(self, trained, pool):
         """One spelling: ``serve`` returns services, ``build_gateway``

@@ -25,9 +25,9 @@ def supports(graph):
     return dual_random_walk_supports(graph.weights)
 
 
-def _x(batch=B, seed=0):
+def _x(batch=B, seed=0, features=F_IN):
     return np.random.default_rng(seed).standard_normal(
-        (batch, H, N, F_IN)).astype(np.float32)
+        (batch, H, N, features)).astype(np.float32)
 
 
 def _y(batch=B, seed=1):
@@ -90,17 +90,18 @@ class TestDiffusionConv:
 ALL_MODELS = ["dcrnn", "pgt", "tgcn", "a3tgcn", "stllm"]
 
 
-def _build(name, graph, supports):
+def _build(name, graph, supports, features=F_IN):
     if name == "dcrnn":
-        return DCRNN(supports, H, F_IN, hidden_dim=8, num_layers=2)
+        return DCRNN(supports, H, features, hidden_dim=8, num_layers=2)
     if name == "pgt":
-        return PGTDCRNN(supports, H, F_IN, hidden_dim=8)
+        return PGTDCRNN(supports, H, features, hidden_dim=8)
     if name == "tgcn":
-        return TGCN(graph.weights, H, F_IN, hidden_dim=8)
+        return TGCN(graph.weights, H, features, hidden_dim=8)
     if name == "a3tgcn":
-        return A3TGCN(graph.weights, H, F_IN, hidden_dim=8, attention_dim=4)
+        return A3TGCN(graph.weights, H, features, hidden_dim=8,
+                      attention_dim=4)
     if name == "stllm":
-        return STLLM(N, H, F_IN, dim=16, num_heads=2, num_blocks=2)
+        return STLLM(N, H, features, dim=16, num_heads=2, num_blocks=2)
     raise KeyError(name)
 
 
@@ -111,10 +112,14 @@ class TestAllModels:
         out = model(Tensor(_x()))
         assert out.shape == (B, H, N, 1)
 
+    @pytest.mark.parametrize("features", [1, 2])
     @pytest.mark.parametrize("name", ALL_MODELS)
-    def test_all_trainable_params_get_grads(self, name, graph, supports):
-        model = _build(name, graph, supports)
-        loss = l1_loss(model(Tensor(_x())), _y())
+    def test_all_trainable_params_get_grads(self, name, features, graph,
+                                            supports):
+        """Every trainable parameter a model builds is read by its forward,
+        at one input channel as at two (ST-LLM's time-of-day branch)."""
+        model = _build(name, graph, supports, features)
+        loss = l1_loss(model(Tensor(_x(features=features))), _y())
         model.zero_grad()
         loss.backward()
         for pname, p in model.named_parameters():
