@@ -47,8 +47,7 @@ def main(scale: str = "tiny", epochs: int = 2, requests: int = 200) -> None:
 
     gw = build_gateway(
         {"bay": result_a, "bay-lite": result_b},
-        tenants=["ops", {"tenant_id": "research", "rate_qps": 200.0,
-                         "burst": 8}],
+        tenants=["ops", {"tenant_id": "research", "rate_qps": 200.0}],
         clock=ManualClock(), max_batch=8,
         service_time=lambda n: 4e-4 + 2e-4 * n, cache_ttl=30.0)
     print(f"gateway up: deployments {sorted(gw.deployments)}, "
@@ -74,6 +73,8 @@ def main(scale: str = "tiny", epochs: int = 2, requests: int = 200) -> None:
                      deadline=0.05),
     ], scenario="steady")
     print(report.summary())
+    answered = sum(t["completed"] for t in report.per_tenant.values())
+    print(f"  answered {answered}/{report.requests}, failed {report.failed}")
     for tenant, t in sorted(report.per_tenant.items()):
         print(f"  {tenant}: {t['completed']}/{t['requests']} answered, "
               f"{t['cache_hits']} cache hits, {t['quota_rejected']} over "

@@ -9,7 +9,8 @@ The full life of a forecast model, end to end in one process:
    ``ForecastService`` over a restored ``ModelSession``;
 4. stream observations into the sliding-window feature store and
    forecast from live state;
-5. measure QPS and p50/p95/p99 latency with the seeded load generator.
+5. load-test it behind a gateway: QPS and p50/p95/p99 latency from the
+   seeded open-loop load generator.
 
 Run:  python examples/online_serving.py
 """
@@ -21,8 +22,8 @@ import tempfile
 
 import numpy as np
 
-from repro.api import RunSpec, run, serve
-from repro.serving import LoadGenerator
+from repro.api import RunSpec, build_gateway, run, serve
+from repro.serving import GatewayLoadGenerator, TenantStream
 from repro.training.checkpoint import save_checkpoint
 from repro.utils.seeding import seed_everything
 
@@ -71,13 +72,17 @@ def main(scale: str = "tiny", epochs: int = 2, requests: int = 200) -> None:
     print(f"burst of 8 requests served in {svc.stats.batches} batch(es), "
           f"mean batch size {svc.stats.mean_batch_size:.1f}")
 
-    # 5. Load test: seeded arrivals, measured service times.
+    # 5. Load test: the checkpoint behind a gateway (one default tenant,
+    # key "key-default"), seeded Poisson arrivals, measured service times.
     test = result.artifacts.loaders.test
     pool = test.batch_at(np.arange(test.batch_size))[0].copy()
-    bench_svc = serve(ckpt, max_batch=8)
-    gen = LoadGenerator(bench_svc, pool, seed=0)
-    report = gen.closed_loop(requests=requests, concurrency=8)
+    gw = build_gateway({"bay": ckpt}, max_batch=8)
+    stream = TenantStream(api_key="key-default", deployment="bay",
+                          rate_qps=2000.0, requests=requests)
+    report = GatewayLoadGenerator(gw, pool, seed=0).open_loop([stream])
     print(report.summary())
+    answered = report.per_tenant["default"]["completed"]
+    print(f"answered {answered}/{report.requests}, failed {report.failed}")
 
 
 if __name__ == "__main__":

@@ -161,14 +161,10 @@ def session_source(source: Any) -> Callable[[], Any]:
 def build_gateway(sources: dict[str, Any], *, tenants=None, clock=None,
                   max_batch: int = 8, max_wait: float = 0.005,
                   service_time: Callable[[int], float] | None = None,
-                  cache_ttl: float | None = None, cache_entries: int = 1024,
-                  max_queue_depth: int = 256,
-                  default_deadline: float | None = None,
-                  store_capacity: int | None = None,
-                  versions: dict[str, str] | None = None,
+                  cache_ttl: float | None = None,
                   states: dict[str, str] | None = None,
                   fallbacks: dict[str, str] | None = None,
-                  resilience=None, fault_plan=None) -> Gateway:
+                  fault_plan=None) -> Gateway:
     """Build a multi-tenant :class:`Gateway` over named deployments.
 
     Parameters
@@ -181,18 +177,17 @@ def build_gateway(sources: dict[str, Any], *, tenants=None, clock=None,
         cost nothing until warmed.
     tenants:
         tenant names or ``add_tenant`` keyword dicts (``tenant_id``,
-        ``api_key``, ``rate_qps``, ``burst``).  Defaults to a single
-        ``default`` tenant with key ``key-default``.
-    versions / states:
-        optional per-deployment version pins (default ``v1``) and
-        ``warm``/``cold`` start states (default ``warm``).
+        ``api_key``, ``rate_qps``).  Defaults to a single ``default``
+        tenant with key ``key-default``.
+    states:
+        optional per-deployment ``warm``/``cold`` start states (default
+        ``warm``).  Every deployment starts pinned at version ``v1``.
     fallbacks:
         optional ``{deployment: fallback_deployment}`` degradation
         routes — when a deployment's circuit opens, requests that miss
         the stale cache are served by the named fallback.
-    resilience / fault_plan:
-        a :class:`~repro.serving.resilience.ResiliencePolicy` and a
-        :class:`~repro.runtime.faults.FaultPlan` whose serving events
+    fault_plan:
+        a :class:`~repro.runtime.faults.FaultPlan` whose serving events
         (``session_crash`` / ``session_straggler`` /
         ``store_corruption``) target deployments by name — the chaos
         entry point for serving.
@@ -204,9 +199,9 @@ def build_gateway(sources: dict[str, Any], *, tenants=None, clock=None,
         changes ``src/`` may not edit the benchmark.  The ``benchmark`` PR
         (ROADMAP item 1) removes that argument and this parameter
         together.
-    remaining keywords:
-        gateway knobs, forwarded to :class:`Gateway` (batch cap,
-        result-cache TTL, admission depth, default deadline).
+    clock / max_batch / service_time / cache_ttl:
+        forwarded to :class:`Gateway` (shared clock, batch cap, synthetic
+        service-time model, result-cache TTL).
     """
     if max_wait < 0:
         raise ValueError(f"max_wait must be >= 0, got {max_wait}")
@@ -222,16 +217,11 @@ def build_gateway(sources: dict[str, Any], *, tenants=None, clock=None,
                              f"fallback")
     gw = Gateway(clock=clock, max_batch=max_batch,
                  service_time=service_time, cache_ttl=cache_ttl,
-                 cache_entries=cache_entries,
-                 max_queue_depth=max_queue_depth,
-                 default_deadline=default_deadline,
-                 store_capacity=store_capacity,
-                 resilience=resilience, fault_plan=fault_plan)
+                 fault_plan=fault_plan)
     for name, source in sources.items():
         gw.add_deployment(
             name,
             session_source(source),
-            version=(versions or {}).get(name, "v1"),
             state=(states or {}).get(name, "warm"),
             fallback=(fallbacks or {}).get(name))
     for tenant in _normalise_tenants(tenants):

@@ -14,13 +14,13 @@ serving, like training, partitions nothing.
   deadline accounting.
 - :class:`~repro.serving.service.ForecastService` — the synchronous
   facade tying session + queue + clock together.
-- :class:`~repro.serving.loadgen.LoadGenerator` — reproducible closed-
-  and open-loop load with p50/p95/p99 latency and QPS reporting.
 - :mod:`repro.serving.gateway` — the multi-tenant front door: named
   deployments with blue-green swaps, API-key auth + quotas, admission
   control with load shedding, and a TTL result cache
-  (:class:`~repro.serving.gateway.Gateway`, driven per tenant by
-  :class:`~repro.serving.loadgen.GatewayLoadGenerator`).
+  (:class:`~repro.serving.gateway.Gateway`).
+- :class:`~repro.serving.loadgen.GatewayLoadGenerator` — reproducible
+  per-tenant open-loop load on the gateway's ManualClock, reporting
+  p50/p95/p99 latency, QPS, goodput and shed rate.
 - :mod:`repro.serving.resilience` — self-healing for the gateway: per-
   deployment circuit breakers, seeded fault injection, and one recovery
   path (stale cache -> fallback deployment -> explicit failure).
@@ -33,8 +33,6 @@ The declarative entry points live in ``repro.api``:
 from repro.serving.cache import FeatureStore
 from repro.serving.loadgen import (
     GatewayLoadGenerator,
-    GatewayLoadReport,
-    LoadGenerator,
     LoadReport,
     TenantStream,
 )
@@ -58,8 +56,6 @@ from repro.serving.resilience import (
     CircuitTransition,
     DeploymentFaultInjector,
     GatewayResilience,
-    HealthMonitor,
-    ResiliencePolicy,
 )
 
 __all__ = [
@@ -75,16 +71,12 @@ __all__ = [
     "ForecastService",
     "Gateway",
     "GatewayLoadGenerator",
-    "GatewayLoadReport",
     "GatewayResilience",
     "GatewayResponse",
-    "HealthMonitor",
-    "LoadGenerator",
     "LoadReport",
     "ManualClock",
     "MicroBatchQueue",
     "ModelSession",
-    "ResiliencePolicy",
     "ResultCache",
     "ServiceStats",
     "ShedDecision",

@@ -16,9 +16,10 @@ caller.  This package is the production front end over all of it:
 - :class:`~repro.serving.gateway.gateway.Gateway` — the app factory tying
   them together on the subsystem's ManualClock/real-clock duality.
 
-Self-healing lives in :mod:`repro.serving.resilience` (circuit breakers
-and the degradation ladder): its one recovery decision picks the rung,
-the gateway executes it, for every request it serves.
+Self-healing lives in :mod:`repro.serving.resilience` (circuit breakers,
+whose policy is four module constants, and the degradation ladder): its
+one recovery decision picks the rung, the gateway executes it, for every
+request it serves.
 
 The declarative entry point is ``repro.api.build_gateway``.
 """
@@ -48,8 +49,6 @@ from repro.serving.resilience import (
     CircuitTransition,
     DeploymentFaultInjector,
     GatewayResilience,
-    HealthMonitor,
-    ResiliencePolicy,
 )
 
 __all__ = [
@@ -64,8 +63,6 @@ __all__ = [
     "GatewayResilience",
     "GatewayResponse",
     "GatewayStats",
-    "HealthMonitor",
-    "ResiliencePolicy",
     "ResultCache",
     "ShedDecision",
     "SwapRecord",

@@ -42,6 +42,10 @@ from typing import Callable
 #: each observed full batch moves the estimate a fifth of the way to itself.
 EWMA_ALPHA = 0.2
 
+#: Hard cap on pending requests per deployment; arrivals past it are shed
+#: with reason ``"capacity"`` regardless of deadlines.
+MAX_QUEUE_DEPTH = 256
+
 
 @dataclass(frozen=True)
 class ShedDecision:
@@ -57,24 +61,12 @@ class ShedDecision:
 
 
 class AdmissionController:
-    """Deadline-projection + depth-cap admission for one gateway.
+    """Deadline-projection + depth-cap (``MAX_QUEUE_DEPTH``) admission
+    for one gateway, on the gateway clock (shared with queues and
+    cache)."""
 
-    Parameters
-    ----------
-    clock:
-        the gateway clock (shared with queues and cache).
-    max_queue_depth:
-        hard cap on pending requests per deployment; arrivals past it are
-        shed with reason ``"capacity"`` regardless of deadlines.
-    """
-
-    def __init__(self, clock: Callable[[], float], *,
-                 max_queue_depth: int = 256):
-        if max_queue_depth < 1:
-            raise ValueError(f"max_queue_depth must be >= 1, "
-                             f"got {max_queue_depth}")
+    def __init__(self, clock: Callable[[], float]):
         self.clock = clock
-        self.max_queue_depth = int(max_queue_depth)
         self._est_batch_seconds: dict[str, float] = {}
         # Shed requests are counted, not kept: the decision object goes
         # back to the caller and nothing per-request outlives the call.
@@ -133,7 +125,7 @@ class AdmissionController:
         depth = len(queue)
         projected = self.projected_latency(queue, deployment)
         budget = float("inf") if deadline is None else deadline - now
-        if depth >= self.max_queue_depth:
+        if depth >= MAX_QUEUE_DEPTH:
             reason = "capacity"
         elif projected > budget:
             reason = "deadline"

@@ -159,19 +159,19 @@ class Deployment:
         return len(self.service.queue) if self.service is not None else 0
 
     # ------------------------------------------------------------------
-    def new_store(self, capacity: int | None = None) -> FeatureStore:
+    def new_store(self) -> FeatureStore:
         """A fresh tenant-private feature store shaped for this model.
 
         Tenants stream into their own stores (never the session's), so
         per-tenant state stays isolated even though the backing session is
-        shared.  The session shapes it
+        shared.  The session shapes it, four horizons long
         (:meth:`~repro.serving.session.ModelSession.new_store`).
         """
         session = self.session
         if session.scaler is None:
             raise RuntimeError(f"deployment {self.name!r} has no scaler; "
                                f"streamed (window=None) forecasts need one")
-        return session.new_store(capacity)
+        return session.new_store()
 
     # ------------------------------------------------------------------
     def swap(self, source: Any, *, version: str) -> tuple[SwapRecord,

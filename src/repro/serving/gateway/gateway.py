@@ -43,8 +43,7 @@ from repro.serving.gateway.deployments import Deployment, SwapRecord
 from repro.serving.gateway.result_cache import ResultCache, cache_key
 from repro.serving.gateway.tenancy import Tenant, TenantManager
 from repro.serving.resilience import (
-    CLOSED, GatewayResilience, HALF_OPEN, OPEN, ResiliencePolicy,
-    degradation_rung)
+    CLOSED, GatewayResilience, HALF_OPEN, OPEN, degradation_rung)
 from repro.serving.service import Forecast, ManualClock
 
 @dataclass
@@ -170,23 +169,8 @@ class Gateway:
         deployment.  A batch is whatever queued while the previous one
         ran, up to ``max_batch``: callers :meth:`submit` every request
         that is due, then :meth:`poll`.
-    cache_ttl / cache_entries:
-        result-cache lifetime and capacity; ``cache_ttl=None`` disables
-        caching entirely.
-    max_queue_depth:
-        hard per-deployment pending cap; arrivals past it are shed.
-    default_deadline:
-        seconds added to the submit-time clock when a request carries no
-        explicit deadline (``None`` = unbounded requests never shed on
-        projection, only on the depth cap).
-    store_capacity:
-        rows kept in each tenant-private feature store.
-    resilience:
-        self-healing knobs (:class:`~repro.serving.resilience.
-        ResiliencePolicy`); the defaults apply when omitted.  Circuit
-        breakers only act when dispatches actually fail or a seeded
-        latency baseline blows out, so a healthy gateway behaves
-        identically with or without a policy.
+    cache_ttl:
+        result-cache lifetime; ``None`` disables caching entirely.
     fault_plan:
         a :class:`~repro.runtime.faults.FaultPlan` whose gateway events
         (``session_crash`` / ``session_straggler`` / ``store_corruption``)
@@ -197,11 +181,7 @@ class Gateway:
     def __init__(self, *, clock: Callable[[], float] | None = None,
                  max_batch: int = 8,
                  service_time: Callable[[int], float] | None = None,
-                 cache_ttl: float | None = None, cache_entries: int = 1024,
-                 max_queue_depth: int = 256,
-                 default_deadline: float | None = None,
-                 store_capacity: int | None = None,
-                 resilience: ResiliencePolicy | None = None,
+                 cache_ttl: float | None = None,
                  fault_plan: Any | None = None):
         self.clock = clock if clock is not None else ManualClock()
         self.max_batch = int(max_batch)
@@ -209,17 +189,12 @@ class Gateway:
         #: name -> deployment; dispatch walks them sorted by name.
         self.deployments: dict[str, Deployment] = {}
         self.tenants = TenantManager(self.clock)
-        self.admission = AdmissionController(
-            self.clock, max_queue_depth=max_queue_depth)
-        self.cache = (ResultCache(ttl=cache_ttl, max_entries=cache_entries,
-                                  clock=self.clock)
+        self.admission = AdmissionController(self.clock)
+        self.cache = (ResultCache(ttl=cache_ttl, clock=self.clock)
                       if cache_ttl is not None else None)
-        self.default_deadline = default_deadline
-        self.store_capacity = store_capacity
         self.stats = GatewayStats(self.tenants)
-        self.resilience = GatewayResilience(
-            resilience if resilience is not None else ResiliencePolicy(),
-            self.clock, fault_plan=fault_plan)
+        self.resilience = GatewayResilience(self.clock,
+                                            fault_plan=fault_plan)
         #: (queue deployment, queue request_id) -> bookkeeping record
         self._pending: dict[tuple[str, int], _PendingRecord] = {}
         #: finished responses awaiting the next poll, by ticket
@@ -255,11 +230,11 @@ class Gateway:
         return dep
 
     def add_tenant(self, tenant_id: str, *, api_key: str | None = None,
-                   rate_qps: float | None = None, burst: int = 32) -> Tenant:
+                   rate_qps: float | None = None) -> Tenant:
         """Register a tenant; the returned object's ``api_key`` is its
         credential for every data-plane call."""
         return self.tenants.register(tenant_id, api_key=api_key,
-                                     rate_qps=rate_qps, burst=burst)
+                                     rate_qps=rate_qps)
 
     def _deployment(self, name: str) -> Deployment:
         """The deployment registered as ``name``; a ``KeyError`` for an
@@ -281,7 +256,7 @@ class Gateway:
         dep = self._deployment(deployment).warm()
         store = tenant.stores.get(dep.name)
         if store is None:
-            store = dep.new_store(self.store_capacity)
+            store = dep.new_store()
             tenant.stores[dep.name] = store
         store.ingest(values, timestamp_minutes)
 
@@ -304,8 +279,8 @@ class Gateway:
 
         Returns a terminal response, or an ``"admitted"`` ticket whose
         forecast arrives from a later :meth:`poll`/:meth:`flush`.
-        ``deadline`` is absolute clock time; when omitted the gateway's
-        ``default_deadline`` (relative seconds) applies.
+        ``deadline`` is absolute clock time; a request without one never
+        sheds on projection, only on the depth cap.
         """
         tenant = self.tenants.authenticate(api_key)
         dep = self._deployment(deployment).warm()
@@ -318,8 +293,6 @@ class Gateway:
         if window is None:
             window = self._tenant_window(tenant, dep)
         rec.window = window = dep.service.check_window(window)
-        if deadline is None and self.default_deadline is not None:
-            deadline = now + self.default_deadline
         rec.deadline = deadline
 
         if self.cache is not None:
@@ -348,7 +321,7 @@ class Gateway:
                 dep.restart()
                 self.resilience.restarts += 1
 
-        decision = self._enqueue(dep, rec, checked=True)
+        decision = self._enqueue(dep, rec)
         if decision is not None:
             if probe:
                 breaker.cancel_probe()
@@ -356,25 +329,24 @@ class Gateway:
             return rec.response("shed", reason=decision.reason)
         return rec.response("admitted")
 
-    def _enqueue(self, dep: Deployment, rec: _PendingRecord, *,
-                 checked: bool = False) -> ShedDecision | None:
+    def _enqueue(self, dep: Deployment,
+                 rec: _PendingRecord) -> ShedDecision | None:
         """The one way onto a queue, for first submission and fallback
-        re-route: admission -> window check -> queue -> cache key ->
-        pending table.  Returns the shed decision if admission control
-        refuses (nothing is queued), else ``None``.  A record's first
-        queue is its ticket and its tenant's one admission.
+        re-route: admission -> queue -> cache key -> pending table.
+        Returns the shed decision if admission control refuses (nothing
+        is queued), else ``None``.  A record's first queue is its ticket
+        and its tenant's one admission.
 
-        :meth:`submit` has already checked the window against ``dep``
-        (``checked``); a re-route checks it against the fallback, whose
-        shape nothing else validates."""
+        :meth:`submit` has checked the window, and a fallback has its
+        primary's model interface (:meth:`_fallback_for`), so a re-route
+        needs no second check."""
         svc = dep.service
         decision = self.admission.admit(
             svc.queue, tenant=rec.tenant.tenant_id, deployment=dep.name,
             deadline=rec.deadline)
         if decision is not None:
             return decision
-        window = rec.window if checked else svc.check_window(rec.window)
-        rid = svc.queue.submit(window, deadline=rec.deadline).request_id
+        rid = svc.queue.submit(rec.window, deadline=rec.deadline).request_id
         if rec.ticket_id is None:
             rec.ticket_deployment, rec.ticket_version = dep.name, dep.version
             rec.ticket_id = rid
@@ -389,13 +361,19 @@ class Gateway:
     # ------------------------------------------------------------------
     def _fallback_for(self, dep: Deployment) -> Deployment | None:
         """The deployment's named fallback, warmed, if it exists, is not
-        the deployment itself, and has a closed circuit.  Looking has
-        effects (a cold fallback warms, its breaker applies its reset
-        timer), so callers look only once nothing cheaper has decided."""
+        the deployment itself, takes the same windows and answers the
+        same shape (as a blue-green green must), and has a closed
+        circuit.  Looking has effects (a cold fallback warms, its breaker
+        applies its reset timer), so callers look only once nothing
+        cheaper has decided."""
         if (dep.fallback is None or dep.fallback == dep.name
                 or dep.fallback not in self.deployments):
             return None
         fdep = self.deployments[dep.fallback].warm()
+        a, b = dep.session, fdep.session
+        if ((a.horizon, a.num_nodes, a.in_features)
+                != (b.horizon, b.num_nodes, b.in_features)):
+            return None
         if self.resilience.breaker(fdep.name).before_request() != CLOSED:
             return None
         return fdep

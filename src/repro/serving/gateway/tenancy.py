@@ -9,7 +9,7 @@ FeatureStore` per deployment — tenant A's ingests can never leak into
 tenant B's ``window=None`` forecasts (the isolation test pins this).
 
 Quotas are deterministic: the bucket refills continuously at
-``rate_qps`` tokens per clock second up to ``burst``, so on a
+``rate_qps`` tokens per clock second up to ``BURST``, so on a
 :class:`~repro.serving.service.ManualClock` the exact sequence of
 admit/reject decisions is a pure function of the request schedule.
 """
@@ -21,6 +21,10 @@ from typing import Callable
 
 from repro.utils.errors import ReproError
 
+#: Token-bucket headroom: a metered tenant starts with, and refills up
+#: to, this many requests.
+BURST = 32
+
 
 class AuthError(ReproError, PermissionError):
     """An API key did not resolve to a registered tenant."""
@@ -28,21 +32,18 @@ class AuthError(ReproError, PermissionError):
 
 @dataclass
 class TenantQuota:
-    """Token bucket: sustained ``rate_qps`` with ``burst`` headroom.
+    """Token bucket: sustained ``rate_qps`` with ``BURST`` headroom.
 
     ``rate_qps=None`` disables metering (unlimited tenants pay no quota
     bookkeeping at all).
     """
 
     rate_qps: float | None = None
-    burst: int = 32
 
     def __post_init__(self):
         if self.rate_qps is not None and self.rate_qps <= 0:
             raise ValueError(f"rate_qps must be positive, "
                              f"got {self.rate_qps}")
-        if self.burst < 1:
-            raise ValueError(f"burst must be >= 1, got {self.burst}")
 
 
 @dataclass
@@ -74,7 +75,7 @@ class Tenant:
         self.stats = TenantStats()
         #: deployment name -> this tenant's private FeatureStore.
         self.stores: dict = {}
-        self._tokens = float(self.quota.burst)
+        self._tokens = float(BURST)
         self._refilled_at: float | None = None
 
     # ------------------------------------------------------------------
@@ -85,7 +86,7 @@ class Tenant:
         if self._refilled_at is None:
             self._refilled_at = now
         elapsed = max(0.0, now - self._refilled_at)
-        self._tokens = min(float(self.quota.burst),
+        self._tokens = min(float(BURST),
                            self._tokens + elapsed * self.quota.rate_qps)
         self._refilled_at = now
         if self._tokens >= 1.0:
@@ -114,7 +115,7 @@ class TenantManager:
 
     # ------------------------------------------------------------------
     def register(self, tenant_id: str, *, api_key: str | None = None,
-                 rate_qps: float | None = None, burst: int = 32) -> Tenant:
+                 rate_qps: float | None = None) -> Tenant:
         """Add a tenant; returns it (its ``api_key`` is the credential).
 
         ``api_key`` defaults to a deterministic ``key-<tenant_id>`` so
@@ -128,8 +129,7 @@ class TenantManager:
         if api_key in self._by_key:
             raise ValueError(f"api key already in use (tenant "
                              f"{self._by_key[api_key].tenant_id!r})")
-        tenant = Tenant(tenant_id, api_key,
-                        TenantQuota(rate_qps=rate_qps, burst=burst))
+        tenant = Tenant(tenant_id, api_key, TenantQuota(rate_qps=rate_qps))
         self._by_id[tenant_id] = tenant
         self._by_key[api_key] = tenant
         return tenant

@@ -1,25 +1,24 @@
-"""Reproducible load generation against a :class:`ForecastService`.
+"""Reproducible open-loop load against a serving gateway.
 
-Two canonical harnesses from the serving-systems literature:
+A :class:`GatewayLoadGenerator` drives a
+:class:`~repro.serving.gateway.Gateway`.  Requests arrive on a fixed
+schedule (Poisson or uniform) at each :class:`TenantStream`'s
+``rate_qps``, regardless of completions: the open loop of the
+serving-systems literature, which measures latency, goodput and
+shedding under a given offered load, including queueing collapse past
+capacity.
 
-- **closed loop** — ``concurrency`` clients, each submitting its next
-  request the moment (plus ``think_time``) its previous one completes.
-  Measures sustainable throughput: offered load adapts to the service.
-- **open loop** — requests arrive on a fixed schedule (Poisson or
-  uniform) at ``rate_qps`` regardless of completions.  Measures latency
-  under a given offered load, including queueing collapse past capacity.
-
-The generator is event-driven over the service's
+The generator is event-driven over the gateway's
 :class:`~repro.serving.service.ManualClock`: it advances simulated time
 to each arrival, and every dispatch advances it by the batch's service
-time, so the schedule of batches is an exact function of (seed, knobs,
-service times).  All three loops follow the one contract a
-work-conserving queue asks of its driver (:func:`_serve_arrivals`):
-submit every arrival that is due, then poll.  With the
-service's default *measured* service times, latency percentiles are
-honest wall-clock numbers; with a synthetic ``service_time`` model the
-entire run — every latency, every batch size — is bit-reproducible,
-which the determinism test exploits.
+time, so the schedule of batches is an exact function of (seed, streams,
+service times).  The loop follows the one contract a work-conserving
+queue asks of its driver (:func:`_serve_arrivals`): submit every arrival
+that is due, then poll.  With the gateway's default *measured* service
+times, latency percentiles are honest wall-clock numbers; with a
+synthetic ``service_time`` model the entire run — every latency, every
+batch size, every shed decision — is bit-reproducible, which the
+determinism tests exploit.
 """
 
 from __future__ import annotations
@@ -30,21 +29,20 @@ from typing import Any, Callable
 
 import numpy as np
 
-from repro.serving.service import Forecast, ForecastService, ManualClock
+from repro.serving.service import ManualClock
 from repro.utils.errors import ShapeError
 
 
 @dataclass
 class LoadReport:
-    """Aggregate outcome of one load-generation run against a service."""
+    """Aggregate outcome of one :class:`GatewayLoadGenerator` run."""
 
     scenario: str
-    mode: str                    # "closed" | "open"
     requests: int
     duration_seconds: float      # simulated clock span of the run
-    qps: float                   # completed requests / duration
-    offered_qps: float | None    # open loop only: the arrival rate
-    latency_p50: float           # seconds, on the service clock
+    qps: float                   # answered requests / duration
+    offered_qps: float           # the streams' summed arrival rates
+    latency_p50: float           # seconds, on the gateway clock
     latency_p95: float
     latency_p99: float
     latency_mean: float
@@ -55,35 +53,25 @@ class LoadReport:
     deadline_misses: int
     utilization: float           # model-busy seconds / duration
     seed: int
-
-    def to_dict(self) -> dict:
-        return {k: (v if not isinstance(v, float) else float(v))
-                for k, v in self.__dict__.items()}
-
-    def summary(self) -> str:
-        offered = (f" (offered {self.offered_qps:.0f} qps)"
-                   if self.offered_qps else "")
-        return (f"{self.scenario}: {self.requests} reqs in "
-                f"{self.duration_seconds * 1e3:.1f} ms -> "
-                f"{self.qps:.0f} qps{offered}, latency p50/p95/p99 "
-                f"{self.latency_p50 * 1e3:.2f}/{self.latency_p95 * 1e3:.2f}/"
-                f"{self.latency_p99 * 1e3:.2f} ms, mean batch "
-                f"{self.mean_batch_size:.1f}, misses {self.deadline_misses}")
-
-
-@dataclass(kw_only=True)
-class GatewayLoadReport(LoadReport):
-    """A :class:`GatewayLoadGenerator` run: the service-level report plus
-    what only a gateway produces."""
-
     goodput_qps: float           # good answers (computed or cached) / duration
     shed_rate: float             # admission-shed / submitted
     per_tenant: dict             # tenant -> breakdown
     degraded: int                # stale-cache / fallback answers
     failed: int                  # degradation ladder exhausted
 
+    def to_dict(self) -> dict:
+        return {k: (v if not isinstance(v, float) else float(v))
+                for k, v in self.__dict__.items()}
+
     def summary(self) -> str:
-        return (f"{super().summary()}, goodput {self.goodput_qps:.0f} qps, "
+        return (f"{self.scenario}: {self.requests} reqs in "
+                f"{self.duration_seconds * 1e3:.1f} ms -> "
+                f"{self.qps:.0f} qps (offered {self.offered_qps:.0f} qps), "
+                f"latency p50/p95/p99 "
+                f"{self.latency_p50 * 1e3:.2f}/{self.latency_p95 * 1e3:.2f}/"
+                f"{self.latency_p99 * 1e3:.2f} ms, mean batch "
+                f"{self.mean_batch_size:.1f}, misses {self.deadline_misses}, "
+                f"goodput {self.goodput_qps:.0f} qps, "
                 f"shed {self.shed_rate:.1%}")
 
 
@@ -91,32 +79,10 @@ def _arrival_gaps(rng: np.random.Generator, arrival: str, rate_qps: float,
                   requests: int) -> np.ndarray:
     """Seconds between ``requests`` arrivals at ``rate_qps``: seeded
     exponential gaps (``"poisson"``) or a fixed period (``"uniform"``,
-    which draws nothing)."""
+    which draws nothing).  :class:`TenantStream` has checked ``arrival``."""
     if arrival == "poisson":
         return rng.exponential(1.0 / rate_qps, size=requests)
-    if arrival == "uniform":
-        return np.full(requests, 1.0 / rate_qps)
-    raise ValueError(f"arrival must be 'poisson' or 'uniform', "
-                     f"got {arrival!r}")
-
-
-def _latency_fields(latencies: list[float],
-                    computed: list[Forecast]) -> dict:
-    """The report's latency percentiles over ``latencies``, and queue
-    wait and batch size over the ``computed`` forecasts (cache hits
-    answer without either)."""
-    lat = np.array(latencies, dtype=np.float64)
-    waits = np.array([fc.queue_wait for fc in computed], dtype=np.float64)
-    sizes = np.array([fc.batch_size for fc in computed], dtype=np.float64)
-    p50, p95, p99 = (np.percentile(lat, [50, 95, 99])
-                     if len(lat) else (np.nan,) * 3)
-    return dict(
-        latency_p50=float(p50), latency_p95=float(p95),
-        latency_p99=float(p99),
-        latency_mean=float(lat.mean()) if len(lat) else float("nan"),
-        latency_max=float(lat.max()) if len(lat) else float("nan"),
-        queue_wait_mean=float(waits.mean()) if len(waits) else float("nan"),
-        mean_batch_size=float(sizes.mean()) if len(sizes) else 0.0)
+    return np.full(requests, 1.0 / rate_qps)
 
 
 def _serve_arrivals(clock: ManualClock, arrivals: list[tuple],
@@ -125,12 +91,12 @@ def _serve_arrivals(clock: ManualClock, arrivals: list[tuple],
     """Run an arrival schedule against something with ``submit``/``poll``.
 
     ``arrivals`` is a heap of tuples led by the scheduled time (a sorted
-    list is one; a closed loop's ``poll`` pushes follow-ups onto it).
-    Each round advances the clock to the next scheduled arrival (a clock
-    the last dispatch already carried past it stays put), submits **every**
-    arrival that is due and only then polls.  Polling after each submit
-    instead would hand a work-conserving queue one request at a time and
-    dispatch batches of one for ever, however deep the backlog.
+    list is one).  Each round advances the clock to the next scheduled
+    arrival (a clock the last dispatch already carried past it stays put),
+    submits **every** arrival that is due and only then polls.  Polling
+    after each submit instead would hand a work-conserving queue one
+    request at a time and dispatch batches of one for ever, however deep
+    the backlog.
 
     Returns what ``submit`` answered on the spot (``None`` = queued) and
     what ``poll`` completed, in order.
@@ -144,134 +110,6 @@ def _serve_arrivals(clock: ManualClock, arrivals: list[tuple],
                 out.append(answer)
         out.extend(poll())
     return out
-
-
-class _SeededLoad:
-    """What both generators share: simulated time they own, and a seeded
-    stream of request windows drawn from a pool."""
-
-    def __init__(self, target: Any, windows: np.ndarray, seed: int):
-        if not isinstance(target.clock, ManualClock):
-            raise TypeError(f"{type(self).__name__} needs a "
-                            f"{type(target).__name__} on a ManualClock; it "
-                            f"drives simulated time explicitly")
-        windows = np.asarray(windows)
-        if windows.ndim != 4 or len(windows) == 0:
-            raise ShapeError(f"windows pool must be non-empty "
-                             f"[pool, horizon, nodes, features], "
-                             f"got {windows.shape}")
-        self.clock: ManualClock = target.clock
-        self.windows = windows
-        self.seed = int(seed)
-        self.rng = np.random.default_rng(self.seed)
-
-    def _pick_window(self) -> np.ndarray:
-        return self.windows[int(self.rng.integers(len(self.windows)))]
-
-
-class LoadGenerator(_SeededLoad):
-    """Drives a :class:`ForecastService` with a seeded request stream.
-
-    Parameters
-    ----------
-    service:
-        the service under test; must run on a
-        :class:`~repro.serving.service.ManualClock` (the generator owns
-        time).
-    windows:
-        ``[pool, horizon, nodes, features]`` standardized input windows;
-        each request samples one uniformly (seeded).
-    seed:
-        RNG seed for window choice and arrival schedules.
-    """
-
-    def __init__(self, service: ForecastService, windows: np.ndarray, *,
-                 seed: int = 0):
-        super().__init__(service, windows, seed)
-        self.service = service
-
-    # ------------------------------------------------------------------
-    def _submit(self, deadline: float | None) -> int:
-        """Submit one seeded request, due ``deadline`` seconds from now."""
-        return self.service.submit(
-            self._pick_window(),
-            deadline=None if deadline is None else self.clock.now + deadline)
-
-    def _mark(self) -> tuple[float, int]:
-        """Busy seconds and batches the service has logged so far."""
-        return self.service.stats.busy_seconds, self.service.stats.batches
-
-    def _report(self, scenario: str, mode: str, done: list[Forecast],
-                start: float, offered_qps: float | None,
-                mark: tuple[float, int]) -> LoadReport:
-        duration = self.clock.now - start
-        busy_before, batches_before = mark
-        batches = self.service.stats.batches - batches_before
-        busy = self.service.stats.busy_seconds - busy_before
-        return LoadReport(
-            scenario=scenario, mode=mode, requests=len(done),
-            duration_seconds=duration,
-            qps=len(done) / duration if duration > 0 else float("inf"),
-            offered_qps=offered_qps,
-            **_latency_fields([fc.latency for fc in done], done),
-            batches=batches,
-            deadline_misses=sum(fc.deadline_missed for fc in done),
-            utilization=busy / duration if duration > 0 else 0.0,
-            seed=self.seed)
-
-    # ------------------------------------------------------------------
-    def closed_loop(self, *, requests: int, concurrency: int = 8,
-                    think_time: float = 0.0, deadline: float | None = None,
-                    scenario: str = "closed") -> LoadReport:
-        """``concurrency`` clients in lock-step with their completions."""
-        if requests < 1 or concurrency < 1:
-            raise ValueError("requests and concurrency must be >= 1")
-        svc = self.service
-        start, mark = self.clock.now, self._mark()
-        # (time, tiebreak, client) submission events; each completion
-        # frees its client to submit again ``think_time`` later.
-        scheduled = min(concurrency, requests)
-        events: list[tuple[float, int, int]] = [
-            (start, c, c) for c in range(scheduled)]
-        owner: dict[int, int] = {}
-
-        def submit(event: tuple[float, int, int]) -> None:
-            owner[self._submit(deadline)] = event[2]
-
-        def collect() -> list[Forecast]:
-            nonlocal scheduled
-            finished = svc.poll()
-            for fc in finished:
-                if scheduled < requests:
-                    heapq.heappush(events, (self.clock.now + think_time,
-                                            scheduled, owner[fc.request_id]))
-                    scheduled += 1
-            return finished
-
-        done = _serve_arrivals(self.clock, events, submit, collect)
-        return self._report(scenario, "closed", done, start, None, mark)
-
-    # ------------------------------------------------------------------
-    def open_loop(self, *, requests: int, rate_qps: float,
-                  arrival: str = "poisson", deadline: float | None = None,
-                  scenario: str = "open") -> LoadReport:
-        """Fixed-rate arrivals, independent of completions."""
-        if requests < 1:
-            raise ValueError("requests must be >= 1")
-        if rate_qps <= 0:
-            raise ValueError("rate_qps must be positive")
-        gaps = _arrival_gaps(self.rng, arrival, rate_qps, requests)
-        svc = self.service
-        start, mark = self.clock.now, self._mark()
-
-        def submit(_event: tuple[float]) -> None:
-            self._submit(deadline)
-
-        done = _serve_arrivals(
-            self.clock, [(float(t),) for t in start + np.cumsum(gaps)],
-            submit, svc.poll)
-        return self._report(scenario, "open", done, start, float(rate_qps),
-                            mark)
 
 
 # ---------------------------------------------------------------------------
@@ -304,22 +142,43 @@ class TenantStream:
                              f"got {self.arrival!r}")
 
 
-class GatewayLoadGenerator(_SeededLoad):
+class GatewayLoadGenerator:
     """Drives a :class:`~repro.serving.gateway.Gateway` with per-tenant
     open-loop streams, reporting goodput, shed rate and per-tenant
     breakdowns on top of the usual latency percentiles.
 
-    The generator owns simulated time exactly like :class:`LoadGenerator`
-    (the gateway must run on a :class:`ManualClock`): per-stream arrival
-    schedules are seeded, merged into one global timeline, and served
-    due-arrivals-then-poll (:func:`_serve_arrivals`) — so with
-    synthetic service-time models the entire multi-tenant run is
-    bit-reproducible, shed decisions included.
+    The generator owns simulated time (the gateway must run on a
+    :class:`ManualClock`): per-stream arrival schedules are seeded,
+    merged into one global timeline, and served due-arrivals-then-poll
+    (:func:`_serve_arrivals`) — so with synthetic service-time models the
+    entire multi-tenant run is bit-reproducible, shed decisions included.
+
+    Parameters
+    ----------
+    gateway:
+        the gateway under test, on a :class:`ManualClock`.
+    windows:
+        ``[pool, horizon, nodes, features]`` standardized input windows;
+        each request samples one uniformly (seeded).
+    seed:
+        RNG seed for window choice and arrival schedules.
     """
 
     def __init__(self, gateway: Any, windows: np.ndarray, *, seed: int = 0):
-        super().__init__(gateway, windows, seed)
+        if not isinstance(gateway.clock, ManualClock):
+            raise TypeError(f"{type(self).__name__} needs a "
+                            f"{type(gateway).__name__} on a ManualClock; it "
+                            f"drives simulated time explicitly")
+        windows = np.asarray(windows)
+        if windows.ndim != 4 or len(windows) == 0:
+            raise ShapeError(f"windows pool must be non-empty "
+                             f"[pool, horizon, nodes, features], "
+                             f"got {windows.shape}")
         self.gateway = gateway
+        self.clock: ManualClock = gateway.clock
+        self.windows = windows
+        self.seed = int(seed)
+        self.rng = np.random.default_rng(self.seed)
 
     # ------------------------------------------------------------------
     def _merged_arrivals(self, streams: list[TenantStream],
@@ -344,7 +203,7 @@ class GatewayLoadGenerator(_SeededLoad):
 
     # ------------------------------------------------------------------
     def open_loop(self, streams: list[TenantStream], *,
-                  scenario: str = "gateway-open") -> GatewayLoadReport:
+                  scenario: str = "gateway-open") -> LoadReport:
         """Run every stream's arrivals on one merged timeline."""
         if not streams:
             raise ValueError("need at least one TenantStream")
@@ -361,8 +220,9 @@ class GatewayLoadGenerator(_SeededLoad):
             # makes admission control shed under genuine overload.
             deadline = (None if stream.deadline is None
                         else t + stream.deadline)
-            resp = gw.submit(stream.api_key, stream.deployment,
-                             self._pick_window(), deadline=deadline)
+            window = self.windows[int(self.rng.integers(len(self.windows)))]
+            resp = gw.submit(stream.api_key, stream.deployment, window,
+                             deadline=deadline)
             return None if resp.status == "admitted" else resp
 
         responses = _serve_arrivals(
@@ -381,7 +241,7 @@ class GatewayLoadGenerator(_SeededLoad):
 
     def _report(self, scenario: str, streams: list[TenantStream],
                 responses: list[Any], start: float,
-                mark: tuple[float, int]) -> GatewayLoadReport:
+                mark: tuple[float, int]) -> LoadReport:
         duration = self.clock.now - start
         (busy_now, batches_now), (busy0, batches0) = self._mark(), mark
         busy, batches = busy_now - busy0, batches_now - batches0
@@ -389,7 +249,9 @@ class GatewayLoadGenerator(_SeededLoad):
         shed = [r for r in responses if r.status == "shed"]
         degraded = [r for r in responses if r.status == "degraded"]
         failed = [r for r in responses if r.status == "failed"]
-        computed = [r for r in good if not r.cached]
+        # Only a dispatch stamps a batch: cache hits and stale-cache
+        # answers are instant forecasts of batch size 0.
+        dispatched = [r.forecast for r in good if r.forecast.batch_size]
         submitted = len(responses)
         offered = float(sum(s.rate_qps for s in streams))
 
@@ -405,7 +267,7 @@ class GatewayLoadGenerator(_SeededLoad):
                 t["latencies"].append(r.latency)
                 t["cache_hits"] += int(r.cached)
                 t["degraded"] += int(r.status == "degraded")
-                if r.forecast is not None and not r.cached:
+                if r.forecast.batch_size:
                     t["deadline_misses"] += int(r.forecast.deadline_missed)
             elif r.status == "shed":
                 t["shed"] += 1
@@ -422,16 +284,27 @@ class GatewayLoadGenerator(_SeededLoad):
             t["latency_p99"] = (float(np.percentile(lats, 99))
                                 if len(lats) else float("nan"))
 
-        return GatewayLoadReport(
-            scenario=scenario, mode="open", requests=submitted,
+        lat = np.array([r.latency for r in good], dtype=np.float64)
+        waits = np.array([fc.queue_wait for fc in dispatched],
+                         dtype=np.float64)
+        sizes = np.array([fc.batch_size for fc in dispatched],
+                         dtype=np.float64)
+        p50, p95, p99 = (np.percentile(lat, [50, 95, 99])
+                         if len(lat) else (np.nan,) * 3)
+        return LoadReport(
+            scenario=scenario, requests=submitted,
             duration_seconds=duration,
             qps=len(good) / duration if duration > 0 else float("inf"),
             offered_qps=offered,
-            **_latency_fields([r.latency for r in good],
-                              [r.forecast for r in computed]),
+            latency_p50=float(p50), latency_p95=float(p95),
+            latency_p99=float(p99),
+            latency_mean=float(lat.mean()) if len(lat) else float("nan"),
+            latency_max=float(lat.max()) if len(lat) else float("nan"),
+            queue_wait_mean=(float(waits.mean()) if len(waits)
+                             else float("nan")),
+            mean_batch_size=float(sizes.mean()) if len(sizes) else 0.0,
             batches=batches,
-            deadline_misses=sum(
-                r.forecast.deadline_missed for r in computed),
+            deadline_misses=sum(fc.deadline_missed for fc in dispatched),
             utilization=busy / duration if duration > 0 else 0.0,
             seed=self.seed,
             goodput_qps=len(good) / duration if duration > 0 else 0.0,

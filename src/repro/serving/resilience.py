@@ -1,4 +1,4 @@
-"""Self-healing serving: health monitoring, circuit breakers, degradation.
+"""Self-healing serving: circuit breakers, fault injection, degradation.
 
 PR 5 taught *training* to survive injected faults; this module does the
 same for the gateway.  The pieces compose on the gateway's shared clock,
@@ -10,16 +10,16 @@ the request schedule that caused it:
   ``session_straggler``, ``store_corruption``) and fires them at a
   deployment's dispatch boundaries — chaos composes with
   :class:`~repro.serving.loadgen.GatewayLoadGenerator` traffic.
-- :class:`HealthMonitor` tracks consecutive dispatch failures and an
-  EWMA of per-batch service time against a baseline.
 - :class:`CircuitBreaker` is the classic closed → open → half-open
-  machine: it opens on a failure streak or an EWMA latency blowout,
-  stays open for ``reset_timeout`` clock seconds, then admits exactly
-  one probe; a healthy probe closes it, anything else re-opens it.
-  Every transition is recorded as a :class:`CircuitTransition` (the
-  chaos tests pin the full transition list bit-for-bit across reruns).
-- :class:`ResiliencePolicy` bundles the knobs, and
-  :func:`degradation_rung` is the one recovery decision, a pure function
+  machine over one deployment's health: consecutive dispatch failures
+  and an EWMA of per-batch service time against a baseline.  It opens on
+  ``FAILURE_THRESHOLD`` failures in a row or an EWMA above
+  ``LATENCY_BLOWOUT`` x baseline, stays open for ``RESET_TIMEOUT`` clock
+  seconds, then admits exactly one probe; a healthy probe closes it,
+  anything else re-opens it.  Every transition is recorded as a
+  :class:`CircuitTransition` (the chaos tests pin the full transition
+  list bit-for-bit across reruns).
+- :func:`degradation_rung` is the one recovery decision, a pure function
   the gateway executes.  A request its deployment cannot serve (circuit
   open, or its dispatch failed) walks the ladder: a stale-but-
   fingerprint-matching result-cache entry, the named fallback
@@ -29,7 +29,7 @@ the request schedule that caused it:
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable
 
 from repro.utils.errors import SessionFailure
@@ -37,42 +37,16 @@ from repro.utils.errors import SessionFailure
 #: Circuit breaker states.
 CLOSED, OPEN, HALF_OPEN = "closed", "open", "half_open"
 
-
-@dataclass(frozen=True)
-class ResiliencePolicy:
-    """Knobs for the gateway's circuit breakers.
-
-    Parameters
-    ----------
-    failure_threshold:
-        consecutive failed dispatches that open a deployment's circuit.
-    latency_blowout:
-        the circuit also opens when the EWMA batch service time exceeds
-        ``latency_blowout`` x the deployment's baseline estimate.
-    latency_alpha:
-        EWMA smoothing for the health monitor's latency track.
-    reset_timeout:
-        clock seconds an open circuit waits before admitting a probe.
-    """
-
-    failure_threshold: int = 2
-    latency_blowout: float = 4.0
-    latency_alpha: float = 0.3
-    reset_timeout: float = 0.05
-
-    def __post_init__(self):
-        if self.failure_threshold < 1:
-            raise ValueError(f"failure_threshold must be >= 1, "
-                             f"got {self.failure_threshold}")
-        if self.latency_blowout <= 1.0:
-            raise ValueError(f"latency_blowout must exceed 1.0, "
-                             f"got {self.latency_blowout}")
-        if not 0.0 < self.latency_alpha <= 1.0:
-            raise ValueError(f"latency_alpha must be in (0, 1], "
-                             f"got {self.latency_alpha}")
-        if self.reset_timeout <= 0:
-            raise ValueError(f"reset_timeout must be positive, "
-                             f"got {self.reset_timeout}")
+#: The breaker's policy.  Consecutive failed dispatches that open a
+#: deployment's circuit:
+FAILURE_THRESHOLD = 2
+#: ...or an EWMA batch service time above this multiple of the
+#: deployment's baseline estimate:
+LATENCY_BLOWOUT = 4.0
+#: EWMA smoothing for the breaker's latency track:
+LATENCY_ALPHA = 0.3
+#: Clock seconds an open circuit waits before admitting a probe:
+RESET_TIMEOUT = 0.05
 
 
 # The recovery decision is a function of plain observed values (no
@@ -107,75 +81,31 @@ class CircuitTransition:
                 "to": self.to, "at": float(self.at), "reason": self.reason}
 
 
-class HealthMonitor:
-    """Failure streaks + EWMA service latency for one deployment.
+class CircuitBreaker:
+    """Closed → open → half-open breaker for one deployment, and the
+    health it decides on: failure streaks and an EWMA of per-batch
+    service latency.
 
-    ``baseline`` anchors the latency-blowout test; it is seeded from the
-    admission controller's synthetic service-time estimate when one
-    exists, otherwise from the first observation.
+    All timing runs on the gateway clock, and probes are scheduled
+    deterministically: an open circuit flips to half-open on the first
+    request at least ``RESET_TIMEOUT`` after it opened, and half-open
+    admits exactly one in-flight probe at a time.
+
+    ``baseline`` anchors the latency-blowout test; the gateway seeds it
+    from its synthetic service-time model when it has one.  Measured
+    wall latencies are too noisy to anchor a blowout test, so a breaker
+    without a baseline never trips on latency, only on failure streaks.
     """
 
-    def __init__(self, *, alpha: float = 0.3,
+    def __init__(self, deployment: str, clock: Callable[[], float], *,
                  baseline: float | None = None):
-        self.alpha = float(alpha)
+        self.deployment = str(deployment)
+        self.clock = clock
         self.baseline = None if baseline is None else float(baseline)
         self.ewma_latency: float | None = None
         self.consecutive_failures = 0
         self.failures = 0
         self.successes = 0
-
-    def observe_latency(self, seconds: float) -> None:
-        # The baseline is only ever seeded explicitly (from a synthetic
-        # service-time model): measured wall latencies are too noisy to
-        # anchor a blowout test, so unseeded monitors never trip on
-        # latency — only on failure streaks.
-        seconds = float(seconds)
-        if self.ewma_latency is None:
-            self.ewma_latency = seconds
-        else:
-            a = self.alpha
-            self.ewma_latency = (1.0 - a) * self.ewma_latency + a * seconds
-
-    def record_success(self) -> None:
-        self.successes += 1
-        self.consecutive_failures = 0
-
-    def record_failure(self) -> None:
-        self.failures += 1
-        self.consecutive_failures += 1
-
-    def latency_blown(self, factor: float,
-                      seconds: float | None = None) -> bool:
-        """Whether ``seconds`` (default: the EWMA) exceeds ``factor`` x
-        baseline.  False until a baseline exists — never trips blind."""
-        if self.baseline is None or self.baseline <= 0:
-            return False
-        value = self.ewma_latency if seconds is None else float(seconds)
-        return value is not None and value > factor * self.baseline
-
-    def reset(self, latency: float | None = None) -> None:
-        """Fresh slate after a recovery (keeps the baseline)."""
-        self.consecutive_failures = 0
-        self.ewma_latency = None if latency is None else float(latency)
-
-
-class CircuitBreaker:
-    """Closed → open → half-open breaker for one deployment.
-
-    All timing runs on the gateway clock, and probes are scheduled
-    deterministically: an open circuit flips to half-open on the first
-    request at least ``reset_timeout`` after it opened, and half-open
-    admits exactly one in-flight probe at a time.
-    """
-
-    def __init__(self, deployment: str, policy: ResiliencePolicy,
-                 clock: Callable[[], float], *,
-                 baseline: float | None = None):
-        self.deployment = str(deployment)
-        self.policy = policy
-        self.clock = clock
-        self.monitor = HealthMonitor(alpha=policy.latency_alpha,
-                                     baseline=baseline)
         self.state = CLOSED
         self.opened_at: float | None = None
         self.probe_in_flight = False
@@ -191,13 +121,19 @@ class CircuitBreaker:
         if to != HALF_OPEN:
             self.probe_in_flight = False
 
+    def _latency_blown(self, seconds: float | None) -> bool:
+        """Whether ``seconds`` exceeds ``LATENCY_BLOWOUT`` x baseline.
+        False until a baseline exists — never trips blind."""
+        if self.baseline is None or self.baseline <= 0 or seconds is None:
+            return False
+        return seconds > LATENCY_BLOWOUT * self.baseline
+
     # ------------------------------------------------------------------
     def before_request(self, now: float | None = None) -> str:
         """The effective state for a request arriving now (applies the
         open -> half-open timeout transition)."""
         now = self.clock() if now is None else now
-        if (self.state == OPEN
-                and now - self.opened_at >= self.policy.reset_timeout):
+        if self.state == OPEN and now - self.opened_at >= RESET_TIMEOUT:
             self._move(HALF_OPEN, "timeout", now)
         return self.state
 
@@ -219,46 +155,52 @@ class CircuitBreaker:
 
         A probe only closes the circuit when its own latency is within
         the blowout bound — a straggling deployment keeps its circuit
-        open (re-probed each ``reset_timeout``) until it actually
-        recovers.
+        open (re-probed each ``RESET_TIMEOUT``) until it actually
+        recovers.  A closing probe starts a fresh slate: its latency
+        seeds the EWMA, and the baseline stays.
         """
         now = self.clock() if now is None else now
+        if batch_seconds is not None:
+            batch_seconds = float(batch_seconds)
         if self.state == HALF_OPEN:
-            if batch_seconds is not None and self.monitor.latency_blown(
-                    self.policy.latency_blowout, batch_seconds):
+            if self._latency_blown(batch_seconds):
                 self._move(OPEN, "latency", now)
                 return
-            self.monitor.reset(latency=batch_seconds)
-            self.monitor.record_success()
+            self.ewma_latency = batch_seconds
+            self.successes += 1
+            self.consecutive_failures = 0
             self._move(CLOSED, "probe_ok", now)
             return
-        self.monitor.record_success()
+        self.successes += 1
+        self.consecutive_failures = 0
         if batch_seconds is not None:
-            self.monitor.observe_latency(batch_seconds)
-        if (self.state == CLOSED
-                and self.monitor.latency_blown(self.policy.latency_blowout)):
+            self.ewma_latency = (
+                batch_seconds if self.ewma_latency is None else
+                (1.0 - LATENCY_ALPHA) * self.ewma_latency
+                + LATENCY_ALPHA * batch_seconds)
+        if self.state == CLOSED and self._latency_blown(self.ewma_latency):
             self._move(OPEN, "latency", now)
 
     def record_failure(self, now: float | None = None) -> None:
         """A dispatch failed; may open the circuit."""
         now = self.clock() if now is None else now
-        self.monitor.record_failure()
+        self.failures += 1
+        self.consecutive_failures += 1
         if self.state == HALF_OPEN:
             self._move(OPEN, "probe_failed", now)
         elif (self.state == CLOSED
-              and self.monitor.consecutive_failures
-              >= self.policy.failure_threshold):
+              and self.consecutive_failures >= FAILURE_THRESHOLD):
             self._move(OPEN, "failures", now)
 
     # ------------------------------------------------------------------
     def describe(self) -> dict:
         return {"state": self.state,
                 "transitions": len(self.transitions),
-                "consecutive_failures": self.monitor.consecutive_failures,
-                "failures": self.monitor.failures,
-                "successes": self.monitor.successes,
-                "ewma_latency": self.monitor.ewma_latency,
-                "baseline_latency": self.monitor.baseline,
+                "consecutive_failures": self.consecutive_failures,
+                "failures": self.failures,
+                "successes": self.successes,
+                "ewma_latency": self.ewma_latency,
+                "baseline_latency": self.baseline,
                 "probe_in_flight": self.probe_in_flight}
 
 
@@ -343,13 +285,11 @@ class DeploymentFaultInjector:
 class GatewayResilience:
     """Per-gateway resilience state: breakers, injectors, counters.
 
-    Every gateway owns one (the default :class:`ResiliencePolicy` when
-    none is given); deployments register lazily.
+    Every gateway owns one; each deployment registers once, when the
+    gateway adds it.
     """
 
-    def __init__(self, policy: ResiliencePolicy,
-                 clock: Callable[[], float], *, fault_plan=None):
-        self.policy = policy
+    def __init__(self, clock: Callable[[], float], *, fault_plan=None):
         self.clock = clock
         self.fault_plan = fault_plan
         self.breakers: dict[str, CircuitBreaker] = {}
@@ -364,23 +304,15 @@ class GatewayResilience:
         """Create the deployment's breaker (and injector, when the fault
         plan schedules events for it)."""
         deployment = str(deployment)
-        if deployment not in self.breakers:
-            self.breakers[deployment] = CircuitBreaker(
-                deployment, self.policy, self.clock, baseline=baseline)
-        elif baseline is not None:
-            monitor = self.breakers[deployment].monitor
-            if monitor.baseline is None:
-                monitor.baseline = float(baseline)
-        if (self.fault_plan is not None and deployment not in self.injectors
+        self.breakers[deployment] = CircuitBreaker(
+            deployment, self.clock, baseline=baseline)
+        if (self.fault_plan is not None
                 and self.fault_plan.gateway_events(deployment)):
             self.injectors[deployment] = DeploymentFaultInjector(
                 deployment, self.fault_plan)
 
     def breaker(self, deployment: str) -> CircuitBreaker:
-        deployment = str(deployment)
-        if deployment not in self.breakers:
-            self.register(deployment)
-        return self.breakers[deployment]
+        return self.breakers[str(deployment)]
 
     def injector(self, deployment: str) -> DeploymentFaultInjector | None:
         return self.injectors.get(str(deployment))
@@ -399,7 +331,6 @@ class GatewayResilience:
 
     def describe(self) -> dict:
         return {
-            "policy": asdict(self.policy),
             "breakers": {n: b.describe()
                          for n, b in sorted(self.breakers.items())},
             "injectors": {n: i.describe()

@@ -111,10 +111,10 @@ class ForecastService:
         inside the batched dispatch, and a ``nan`` one would be answered
         and cached as a forecast.
 
-        A window is checked once per service: :meth:`submit` and
-        :meth:`forecast` check here, and the gateway checks once at its
-        own door, then queues on the service directly (a fallback
-        re-route checks again, against the fallback's model)."""
+        A window is checked once: :meth:`submit` and :meth:`forecast`
+        check here, and the gateway checks once at its own door, then
+        queues on the service directly (a fallback takes the primary's
+        window shape, so a re-route is not checked again)."""
         if window is None:
             return None
         window = np.asarray(window)

@@ -24,9 +24,9 @@ from repro.runtime import FaultPlan
 from repro.serving import (
     GatewayLoadGenerator,
     ManualClock,
-    ResiliencePolicy,
     TenantStream,
 )
+from repro.serving.resilience import RESET_TIMEOUT
 from repro.utils.errors import SessionFailure
 
 SPEC = dict(dataset="pems-bay", model="pgt-dcrnn", batching="index",
@@ -49,8 +49,8 @@ def service_time(n: int) -> float:
     return 1e-3 + 1e-4 * n
 
 
-def make_gw(trained, *, fault_plan=None, resilience=None, fallback=True,
-            cache_ttl=None, **kw):
+def make_gw(trained, *, fault_plan=None, fallback=True, cache_ttl=None,
+            **kw):
     sources = {"bay": trained}
     if fallback:
         sources["standby"] = trained
@@ -59,7 +59,7 @@ def make_gw(trained, *, fault_plan=None, resilience=None, fallback=True,
         clock=ManualClock(), max_batch=4,
         service_time=service_time, cache_ttl=cache_ttl,
         fallbacks={"bay": "standby"} if fallback else None,
-        fault_plan=fault_plan, resilience=resilience, **kw)
+        fault_plan=fault_plan, **kw)
 
 
 def reasons(gw, deployment=None):
@@ -93,7 +93,7 @@ class TestSessionCrashChaos:
 
         # Past the reset timeout the probe restarts the dead session and
         # the recovered answer is a normal, bitwise-identical compute.
-        gw.clock.advance(ResiliencePolicy().reset_timeout)
+        gw.clock.advance(RESET_TIMEOUT)
         r2 = gw.request("key-ops", "bay", pool[2])
         assert r2.status == "ok"
         np.testing.assert_array_equal(r2.forecast.predictions, refs[2])

@@ -36,6 +36,9 @@ EXPECTED_LINES = {
     # snapshot is that rank's replica of the one model.
     "distributed_training":
         "forked vs sim fixed-seed curves bitwise identical: True",
+    # Each load run answers every request it sends.
+    "online_serving": "answered 40/40, failed 0",
+    "gateway": "answered 60/60, failed 0",
 }
 
 TIMEOUT_SECONDS = 120

@@ -11,6 +11,7 @@ The load-bearing guarantees:
 - blue-green swaps drain every in-flight request (zero drops).
 """
 
+import inspect
 import time
 
 import numpy as np
@@ -24,6 +25,7 @@ from repro.serving import (
     FeatureStore,
     Gateway,
     GatewayLoadGenerator,
+    LoadReport,
     ManualClock,
     MicroBatchQueue,
     ModelSession,
@@ -36,7 +38,10 @@ from repro.serving.gateway import (
     cache_key,
     window_fingerprint,
 )
+from repro.serving.gateway.admission import MAX_QUEUE_DEPTH
+from repro.serving.gateway.tenancy import BURST
 from repro.utils.errors import ShapeError
+from tests.test_resilience import H, N, F, ToySession
 
 SPEC = dict(dataset="pems-bay", model="pgt-dcrnn", batching="index",
             scale="tiny", seed=0, epochs=1)
@@ -52,6 +57,24 @@ def pool(trained):
     test = trained.artifacts.loaders.test
     xb, _ = test.batch_at(np.arange(min(test.num_snapshots, 32)))
     return xb.copy()
+
+
+def toy_gateway(**kw):
+    """A gateway over one deterministic toy deployment, ``toy``, and one
+    tenant, ``ops``: load-generator cases that need no trained model."""
+    gw = Gateway(clock=ManualClock(), max_batch=4,
+                 service_time=lambda n: 4e-4 + 2e-4 * n, **kw)
+    gw.add_deployment("toy", ToySession())
+    gw.add_tenant("ops")
+    return gw
+
+
+def toy_pool(n=4):
+    return np.random.default_rng(0).normal(size=(n, H, N, F))
+
+
+def toy_stream(**kw):
+    return TenantStream(api_key="key-ops", deployment="toy", **kw)
 
 
 def make_gateway(trained, **kw):
@@ -151,13 +174,20 @@ class TestTenancy:
     def test_token_bucket_is_deterministic(self):
         clock = ManualClock()
         mgr = TenantManager(clock)
-        tenant = mgr.register("ops", rate_qps=10.0, burst=2)
-        # burst drains, then refills at exactly rate_qps.
-        assert tenant.try_spend_token(clock())
-        assert tenant.try_spend_token(clock())
+        tenant = mgr.register("ops", rate_qps=10.0)
+        # BURST drains, then refills at exactly rate_qps.
+        assert all(tenant.try_spend_token(clock()) for _ in range(BURST))
         assert not tenant.try_spend_token(clock())
         clock.advance(0.1)                      # one token back at 10 qps
         assert tenant.try_spend_token(clock())
+        assert not tenant.try_spend_token(clock())
+
+    def test_bucket_refills_only_up_to_burst(self):
+        clock = ManualClock()
+        tenant = TenantManager(clock).register("ops", rate_qps=10.0)
+        assert tenant.try_spend_token(clock())
+        clock.advance(100.0)                    # 1,000 tokens' worth idle
+        assert all(tenant.try_spend_token(clock()) for _ in range(BURST))
         assert not tenant.try_spend_token(clock())
 
     def test_unlimited_tenant_never_rejected(self):
@@ -170,10 +200,10 @@ class TestTenancy:
 # Admission control
 # ---------------------------------------------------------------------------
 class TestAdmission:
-    def make(self, **kw):
+    def make(self):
         clock = ManualClock()
         queue = MicroBatchQueue(max_batch=4, clock=clock)
-        return clock, queue, AdmissionController(clock, **kw)
+        return clock, queue, AdmissionController(clock)
 
     def test_no_estimate_sheds_only_the_already_late(self):
         """Before any dispatch the service-time prior is 0 and nothing is
@@ -217,8 +247,11 @@ class TestAdmission:
         assert adm.shed_by_reason() == {"deadline": 1}
 
     def test_capacity_shed_ignores_deadline(self):
-        clock, queue, adm = self.make(max_queue_depth=2)
-        queue.submit(np.zeros(1))
+        clock, queue, adm = self.make()
+        for _ in range(MAX_QUEUE_DEPTH - 1):
+            queue.submit(np.zeros(1))
+        assert adm.admit(queue, tenant="t", deployment="d",
+                         deadline=None) is None
         queue.submit(np.zeros(1))
         decision = adm.admit(queue, tenant="t", deployment="d",
                              deadline=None)
@@ -341,10 +374,12 @@ class TestGateway:
 
     def test_quota_rejection_status(self, trained, pool):
         gw = make_gateway(trained, tenants=[
-            {"tenant_id": "ops", "rate_qps": 1.0, "burst": 1}])
+            {"tenant_id": "ops", "rate_qps": 1.0}])
         first = gw.request("key-ops", "bay", pool[0])
-        second = gw.submit("key-ops", "bay", pool[0])
-        assert first.ok and second.status == "rejected_quota"
+        rest = [gw.submit("key-ops", "bay", pool[0]) for _ in range(BURST)]
+        assert first.ok
+        assert [r.status for r in rest] == \
+            ["admitted"] * (BURST - 1) + ["rejected_quota"]
         assert gw.stats.quota_rejected == 1
 
     def test_cache_hit_bitwise_and_cross_tenant(self, trained, pool):
@@ -376,12 +411,6 @@ class TestGateway:
         with pytest.raises(RuntimeError, match="streamed nothing"):
             gw.request("key-research", "bay")
         assert gw.request("key-ops", "bay").ok
-
-    def test_tenant_store_below_horizon_is_refused(self, trained):
-        gw = make_gateway(trained, store_capacity=3)
-        ds = trained.artifacts.dataset
-        with pytest.raises(ValueError, match="capacity 3 .*horizon 4"):
-            gw.ingest("key-ops", "bay", ds.signals[0], timestamp_minutes=0.0)
 
     def test_sheds_on_hopeless_deadline(self, trained, pool):
         gw = make_gateway(trained)
@@ -587,9 +616,9 @@ class TestRequestPathPaysOnce:
 
     def test_fallback_reroute_checks_the_fallbacks_shape(self, trained,
                                                          pool):
-        """Nothing but the fallback's own check validates a re-routed
-        window: one the fallback cannot take is refused, and nothing is
-        left pending."""
+        """A fallback whose model interface is not its primary's is not
+        ready: a window it cannot take is answered ``failed``, and
+        nothing is left pending."""
         big = run(RunSpec(**{**SPEC, "scale": "small"}))
         gw = build_gateway(
             {"bay": trained, "big": big}, tenants=["ops"],
@@ -599,8 +628,8 @@ class TestRequestPathPaysOnce:
             fault_plan=FaultPlan().session_crash("bay", at_dispatch=0))
         key = gw.tenants.get("ops").api_key
         assert gw.submit(key, "bay", pool[0]).status == "admitted"
-        with pytest.raises(ShapeError, match=r"\(12, 24, 2\)"):
-            gw.flush()
+        (done,) = gw.flush()
+        assert (done.status, done.reason) == ("failed", "session_failure")
         assert not gw._pending
         assert not any(d.in_flight for d in gw.deployments.values())
 
@@ -660,9 +689,9 @@ class TestGatewayAPI:
                         spec=trained.spec,
                         scaler=trained.artifacts.loaders.scaler)
         gw = build_gateway({"bay": path}, clock=ManualClock(),
-                           states={"bay": "cold"}, versions={"bay": "v7"})
+                           states={"bay": "cold"})
         dep = gw.deployments.get("bay")
-        assert dep.state == "cold" and dep.version == "v7"
+        assert dep.state == "cold" and dep.version == "v1"
         resp = gw.request("key-default", "bay", pool[0])   # warms lazily
         assert resp.ok and dep.state == "warm"
 
@@ -675,6 +704,24 @@ class TestGatewayAPI:
                           num_shardz=3)
         with pytest.raises(TypeError, match="num_shardz"):
             session_source(trained, num_shardz=3)
+
+    def test_only_the_knobs_callers_set(self):
+        """Each option a gateway takes is one a caller outside the tests
+        sets; the breaker's policy, the depth cap, the quota burst and
+        the store length are constants, and every deployment starts at
+        ``v1``."""
+        def params(fn):
+            return [p for p in inspect.signature(fn).parameters
+                    if p != "self"]
+
+        assert params(Gateway.__init__) == [
+            "clock", "max_batch", "service_time", "cache_ttl", "fault_plan"]
+        assert params(build_gateway) == [
+            "sources", "tenants", "clock", "max_batch", "max_wait",
+            "service_time", "cache_ttl", "states", "fallbacks",
+            "fault_plan"]
+        assert params(Gateway.add_tenant) == [
+            "tenant_id", "api_key", "rate_qps"]
 
     def test_build_gateway_needs_sources(self):
         with pytest.raises(ValueError, match="at least one"):
@@ -748,7 +795,7 @@ class TestGatewayLoadGenerator:
         stats = gw.deployments.get("bay").service.stats
         assert stats.batches > 20 and stats.failed_batches == 0
         assert len(observed) == stats.batches
-        assert gw.resilience.breaker("bay").monitor.successes == stats.batches
+        assert gw.resilience.breaker("bay").successes == stats.batches
         assert max(observed) == pytest.approx(2e-3)     # 4e-4 + 2e-4 * 8
         assert gw.admission.estimate("bay") == pytest.approx(2e-3)
 
@@ -765,10 +812,97 @@ class TestGatewayLoadGenerator:
         with pytest.raises(TypeError, match="ManualClock"):
             GatewayLoadGenerator(gw, pool)
 
+    def test_uniform_schedule_ignores_the_seed(self):
+        """A uniform schedule draws nothing: the seed only picks windows,
+        which a synthetic service time does not see."""
+        stream = toy_stream(rate_qps=2000.0, requests=40, arrival="uniform")
+        a, b = (GatewayLoadGenerator(toy_gateway(), toy_pool(), seed=seed)
+                .open_loop([stream]).to_dict() for seed in (0, 1))
+        assert a.pop("seed") == 0 and b.pop("seed") == 1
+        assert a == b
+
+    def test_poisson_schedule_follows_the_seed(self):
+        stream = toy_stream(rate_qps=2000.0, requests=40)
+        a, b = (GatewayLoadGenerator(toy_gateway(), toy_pool(), seed=seed)
+                .open_loop([stream]) for seed in (0, 1))
+        assert a.duration_seconds != b.duration_seconds
+
+    def test_open_loop_respects_offered_rate(self):
+        report = GatewayLoadGenerator(toy_gateway(), toy_pool()).open_loop(
+            [toy_stream(rate_qps=800.0, requests=200, arrival="uniform")])
+        assert report.requests == 200 and report.offered_qps == 800.0
+        # Served throughput tracks the offered rate when under capacity.
+        assert report.qps == pytest.approx(800.0, rel=0.1)
+
+    def test_report_dict_rebuilds_the_report(self):
+        report = GatewayLoadGenerator(toy_gateway(), toy_pool(),
+                                      seed=2).open_loop(
+            [toy_stream(rate_qps=2000.0, requests=16)])
+        assert LoadReport(**report.to_dict()) == report
+
+    def test_rejects_bad_pool(self):
+        with pytest.raises(ShapeError):
+            GatewayLoadGenerator(toy_gateway(), np.zeros((4, 8, 2)))
+
+    def test_needs_a_stream(self):
+        gen = GatewayLoadGenerator(toy_gateway(), toy_pool())
+        with pytest.raises(ValueError, match="TenantStream"):
+            gen.open_loop([])
+
+    def test_per_tenant_breakdown_counts_quota(self):
+        gw = toy_gateway()
+        gw.add_tenant("metered", rate_qps=100.0)
+        report = GatewayLoadGenerator(gw, toy_pool()).open_loop([
+            toy_stream(rate_qps=1000.0, requests=50),
+            TenantStream(api_key="key-metered", deployment="toy",
+                         rate_qps=1000.0, requests=100,
+                         arrival="uniform")])
+        metered = report.per_tenant["metered"]
+        assert metered["requests"] == 100 and metered["quota_rejected"] > 0
+        assert metered["completed"] + metered["quota_rejected"] == 100
+        assert report.per_tenant["ops"]["completed"] == 50
+
+    def test_deadline_misses_counted(self):
+        """Admission promises from the estimate of a healthy batch; a
+        straggling session serves what it admitted late, and the report
+        counts those misses."""
+        gw = toy_gateway(fault_plan=FaultPlan().session_straggler(
+            "toy", 3.0, start_dispatch=0, end_dispatch=50))
+        report = GatewayLoadGenerator(gw, toy_pool()).open_loop(
+            [toy_stream(rate_qps=1000.0, requests=50, deadline=0.0015)])
+        assert report.deadline_misses > 0
+
+    def test_stale_answers_are_not_dispatches(self):
+        """Batch size, queue wait and deadline misses describe dispatches:
+        a stale-cache answer is good, but an instant forecast of batch
+        size 0, so the report's mean batch size is the one over the
+        dispatched responses."""
+        gw = toy_gateway(cache_ttl=0.002, fault_plan=FaultPlan()
+                         .session_crash("toy", at_dispatch=10))
+        seen = []
+
+        def recording(call):
+            def wrapped():
+                out = call()
+                seen.extend(out)
+                return out
+            return wrapped
+
+        gw.poll, gw.flush = recording(gw.poll), recording(gw.flush)
+        report = GatewayLoadGenerator(gw, toy_pool(3), seed=1).open_loop(
+            [toy_stream(rate_qps=2000.0, requests=200)])
+        assert report.degraded > 0                  # stale answers happened
+        sizes = [r.forecast.batch_size for r in seen if r.status == "ok"]
+        assert report.mean_batch_size == np.mean(sizes)
+        assert report.mean_batch_size >= 1.0
+
     def test_stream_validation(self):
         with pytest.raises(ValueError, match="rate_qps"):
             TenantStream(api_key="k", deployment="d", rate_qps=0.0,
                          requests=1)
+        with pytest.raises(ValueError, match="requests"):
+            TenantStream(api_key="k", deployment="d", rate_qps=1.0,
+                         requests=0)
         with pytest.raises(ValueError, match="arrival"):
             TenantStream(api_key="k", deployment="d", rate_qps=1.0,
                          requests=1, arrival="bursty")

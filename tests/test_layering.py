@@ -215,7 +215,7 @@ def test_every_module_is_single_threaded():
 #: bespoke record type per subsystem, where one observability registry
 #: should serve them all.  The ceiling only ever comes down.
 REPORT_CLASS = re.compile(r"class \w+(Stats|Report|Event|Record)")
-REPORT_CLASS_CEILING = 14
+REPORT_CLASS_CEILING = 13
 
 
 def report_classes(src: Path):

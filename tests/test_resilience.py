@@ -7,8 +7,6 @@ dispatch has one recovery path, the degradation ladder; the circuit
 breaker alone decides when a deployment is probed again.
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,14 +15,14 @@ from repro.api import build_gateway
 from repro.runtime.faults import FaultPlan
 from repro.serving.gateway import Gateway
 from repro.serving.gateway.result_cache import ResultCache, cache_key
+from repro.serving import resilience
 from repro.serving.resilience import (
     CLOSED,
     DeploymentFaultInjector,
     HALF_OPEN,
-    HealthMonitor,
     OPEN,
+    RESET_TIMEOUT,
     CircuitBreaker,
-    ResiliencePolicy,
 )
 from repro.serving.resilience import degradation_rung
 from repro.serving.service import ManualClock
@@ -49,12 +47,13 @@ class ToySession:
     fallback/stale degradation tests pin.
     """
 
-    def __init__(self, *, scale: float = 2.0, max_batch: int = 8):
-        self.horizon, self.num_nodes, self.in_features = H, N, F
+    def __init__(self, *, scale: float = 2.0, max_batch: int = 8,
+                 nodes: int = N):
+        self.horizon, self.num_nodes, self.in_features = H, nodes, F
         self.max_batch = max_batch
         self.scaler = None
         self.scale = float(scale)
-        self._staging = np.zeros((max_batch, H, N, F))
+        self._staging = np.zeros((max_batch, H, nodes, F))
         self.predicts = 0
 
     def stage(self, n):
@@ -114,7 +113,7 @@ def make_windows(n, seed=0):
 KEY = "k-ops"
 
 
-def make_gw(*, fallback=False, scale=2.0, **kw):
+def make_gw(*, fallback=False, scale=2.0, fallback_nodes=N, **kw):
     kw.setdefault("clock", ManualClock())
     kw.setdefault("max_batch", 4)
     kw.setdefault("service_time", service_time)
@@ -122,7 +121,7 @@ def make_gw(*, fallback=False, scale=2.0, **kw):
     gw.add_deployment("a", ToySession(scale=scale),
                       fallback="b" if fallback else None)
     if fallback:
-        gw.add_deployment("b", ToySession(scale=scale))
+        gw.add_deployment("b", ToySession(scale=scale, nodes=fallback_nodes))
     gw.add_tenant("ops", api_key=KEY)
     return gw
 
@@ -132,27 +131,11 @@ def reasons(gw, deployment=None):
 
 
 # ======================================================================
-class TestResiliencePolicy:
-    def test_defaults_are_valid(self):
-        p = ResiliencePolicy()
-        assert p.failure_threshold == 2
-        assert [f.name for f in dataclasses.fields(p)] == [
-            "failure_threshold", "latency_blowout", "latency_alpha",
-            "reset_timeout"]
-
-    @pytest.mark.parametrize("kw", [
-        dict(failure_threshold=0),
-        dict(latency_blowout=1.0),
-        dict(latency_alpha=0.0),
-        dict(latency_alpha=1.5),
-        dict(reset_timeout=0.0),
-        dict(failure_threshold=-1),
-        dict(latency_blowout=0.5),
-        dict(reset_timeout=-1.0),
-    ])
-    def test_rejects_bad_knobs(self, kw):
-        with pytest.raises(ValueError):
-            ResiliencePolicy(**kw)
+class TestBreakerPolicy:
+    def test_policy_is_four_constants(self):
+        assert (resilience.FAILURE_THRESHOLD, resilience.LATENCY_BLOWOUT,
+                resilience.LATENCY_ALPHA, resilience.RESET_TIMEOUT) == (
+            2, 4.0, 0.3, 0.05)
 
 
 class TestRecoveryPolicy:
@@ -174,46 +157,48 @@ class TestRecoveryPolicy:
                                 fallback_admitted=admitted) == rung
 
 
-class TestHealthMonitor:
-    def test_ewma(self):
-        m = HealthMonitor(alpha=0.5)
-        m.observe_latency(1.0)
-        m.observe_latency(2.0)
-        assert m.ewma_latency == pytest.approx(1.5)
-
-    def test_never_trips_without_baseline(self):
-        m = HealthMonitor(alpha=0.5)
-        m.observe_latency(1e9)
-        assert not m.latency_blown(2.0)
-
-    def test_blowout_against_baseline(self):
-        m = HealthMonitor(alpha=1.0, baseline=1.0)
-        m.observe_latency(5.0)
-        assert m.latency_blown(4.0)
-        assert not m.latency_blown(6.0)
-        assert m.latency_blown(4.0, seconds=4.1)
-        assert not m.latency_blown(4.0, seconds=3.9)
-
-    def test_streaks_and_reset(self):
-        m = HealthMonitor(baseline=1.0)
-        m.record_failure()
-        m.record_failure()
-        assert m.consecutive_failures == 2 and m.failures == 2
-        m.record_success()
-        assert m.consecutive_failures == 0 and m.successes == 1
-        m.observe_latency(9.0)
-        m.reset(latency=1.0)
-        assert m.ewma_latency == 1.0 and m.baseline == 1.0
-
-
 # ======================================================================
 class TestCircuitBreaker:
-    def make(self, **pol):
-        pol.setdefault("failure_threshold", 2)
-        pol.setdefault("reset_timeout", 0.05)
+    def make(self, baseline=1.0):
         clock = ManualClock()
-        b = CircuitBreaker("a", ResiliencePolicy(**pol), clock, baseline=1.0)
-        return b, clock
+        return CircuitBreaker("a", clock, baseline=baseline), clock
+
+    def test_ewma(self):
+        b, _ = self.make(baseline=None)
+        b.record_success(1.0)
+        assert b.ewma_latency == 1.0               # first sample seeds it
+        b.record_success(2.0)
+        assert b.ewma_latency == pytest.approx(0.7 * 1.0 + 0.3 * 2.0)
+
+    def test_blowout_against_baseline(self):
+        """Closed, the EWMA is tested against 4x the baseline; a probe's
+        own latency is."""
+        b, _ = self.make()
+        b.record_success(3.9)
+        assert b.state == CLOSED
+        b, _ = self.make()
+        b.record_success(5.0)
+        assert b.state == OPEN
+        for probe, state in ((4.1, OPEN), (3.9, CLOSED)):
+            b, clock = self.make()
+            b.record_failure(), b.record_failure()
+            clock.advance(RESET_TIMEOUT)
+            b.before_request(), b.try_probe()
+            b.record_success(probe)
+            assert b.state == state
+
+    def test_streaks_and_reset(self):
+        b, clock = self.make()
+        b.record_failure()
+        b.record_failure()
+        assert b.consecutive_failures == 2 and b.failures == 2
+        b.record_success()
+        assert b.consecutive_failures == 0 and b.successes == 1
+        b.record_success(3.0)
+        clock.advance(RESET_TIMEOUT)
+        b.before_request(), b.try_probe()
+        b.record_success(1.0)                      # the probe: fresh slate
+        assert b.ewma_latency == 1.0 and b.baseline == 1.0
 
     def test_opens_on_failure_streak(self):
         b, clock = self.make()
@@ -223,7 +208,7 @@ class TestCircuitBreaker:
         assert b.state == OPEN
         assert [t.reason for t in b.transitions] == ["failures"]
         assert b.before_request() == OPEN          # timeout not yet served
-        clock.advance(0.05)
+        clock.advance(RESET_TIMEOUT)
         assert b.before_request() == HALF_OPEN
         assert [t.reason for t in b.transitions] == ["failures", "timeout"]
 
@@ -237,7 +222,7 @@ class TestCircuitBreaker:
     def test_probe_slot_is_single(self):
         b, clock = self.make()
         b.record_failure(), b.record_failure()
-        clock.advance(0.05)
+        clock.advance(RESET_TIMEOUT)
         assert b.before_request() == HALF_OPEN
         assert b.try_probe()
         assert not b.try_probe()                   # one probe at a time
@@ -247,41 +232,57 @@ class TestCircuitBreaker:
     def test_probe_success_closes(self):
         b, clock = self.make()
         b.record_failure(), b.record_failure()
-        clock.advance(0.05)
+        clock.advance(RESET_TIMEOUT)
         b.before_request(), b.try_probe()
         b.record_success(0.5)
         assert b.state == CLOSED
-        assert b.monitor.ewma_latency == 0.5       # fresh slate post-recovery
-        assert b.monitor.consecutive_failures == 0
+        assert b.ewma_latency == 0.5               # fresh slate post-recovery
+        assert b.consecutive_failures == 0
         assert [t.reason for t in b.transitions][-1] == "probe_ok"
 
     def test_probe_failure_reopens(self):
         b, clock = self.make()
         b.record_failure(), b.record_failure()
-        clock.advance(0.05)
+        clock.advance(RESET_TIMEOUT)
         b.before_request(), b.try_probe()
         b.record_failure()
         assert b.state == OPEN
         assert [t.reason for t in b.transitions][-1] == "probe_failed"
 
     def test_straggling_probe_reopens(self):
-        b, clock = self.make(latency_blowout=4.0)
+        b, clock = self.make()
         b.record_failure(), b.record_failure()
-        clock.advance(0.05)
+        clock.advance(RESET_TIMEOUT)
         b.before_request(), b.try_probe()
         b.record_success(10.0)                     # 10x the 1.0 baseline
         assert b.state == OPEN
         assert [t.reason for t in b.transitions][-1] == "latency"
 
     def test_latency_blowout_opens_closed_circuit(self):
-        b, _ = self.make(latency_blowout=4.0)
+        b, _ = self.make()
         b.record_success(10.0)
         assert b.state == OPEN
         assert [t.reason for t in b.transitions] == ["latency"]
 
+    def test_failures_while_open_add_no_transition(self):
+        b, _ = self.make()
+        for _ in range(4):
+            b.record_failure()
+        assert b.state == OPEN and b.failures == 4
+        assert [t.reason for t in b.transitions] == ["failures"]
+
+    def test_describe_reports_its_own_health(self):
+        b, _ = self.make()
+        b.record_success(0.5)
+        b.record_failure()
+        d = b.describe()
+        assert (d["state"], d["failures"], d["successes"],
+                d["consecutive_failures"], d["ewma_latency"],
+                d["baseline_latency"]) == (CLOSED, 1, 1, 1, 0.5, 1.0)
+
     def test_no_baseline_means_no_latency_trip(self):
-        clock = ManualClock()
-        b = CircuitBreaker("a", ResiliencePolicy(), clock)   # no baseline
+        b, _ = self.make(baseline=None)
+        b.record_success(1e9)
         for _ in range(5):
             b.record_success(100.0)
         assert b.state == CLOSED
@@ -371,9 +372,8 @@ class TestStaleCache:
 # ======================================================================
 class TestSelfHealingGateway:
     def test_crash_fails_each_request_once_then_probe_recovery(self):
-        policy = ResiliencePolicy(failure_threshold=2, reset_timeout=0.01)
         plan = FaultPlan().session_crash("a", at_dispatch=0)
-        gw = make_gw(resilience=policy, fault_plan=plan)
+        gw = make_gw(fault_plan=plan)
         clock = gw.clock
         w0, w1, w2 = make_windows(3)
 
@@ -391,7 +391,7 @@ class TestSelfHealingGateway:
         assert gw.deployments["a"].service.stats.failed_batches == 2
         assert clock() == pytest.approx(2 * service_time(1))
 
-        clock.advance(0.02)                        # past reset_timeout
+        clock.advance(2 * RESET_TIMEOUT)           # past the reset timeout
         r2 = gw.request(KEY, "a", w2)
         assert r2.status == "ok"
         np.testing.assert_array_equal(r2.forecast.predictions,
@@ -402,18 +402,20 @@ class TestSelfHealingGateway:
         assert gw.resilience.breaker("a").state == CLOSED
 
     def test_stale_cache_degradation_is_bitwise(self):
-        policy = ResiliencePolicy(failure_threshold=1, reset_timeout=100.0)
         plan = FaultPlan().session_crash("a", at_dispatch=1)
-        gw = make_gw(resilience=policy, fault_plan=plan, cache_ttl=0.5)
-        w0, w1 = make_windows(2)
+        # Each dispatch charges 1.1 ms, so w0's entry, put after the
+        # first, has expired by the third: no clock advance is needed,
+        # and the circuit stays inside its reset timeout.
+        gw = make_gw(fault_plan=plan, cache_ttl=0.002)
+        w0, w1, w2 = make_windows(3)
 
         r1 = gw.request(KEY, "a", w0)              # dispatch 0: healthy
         assert r1.status == "ok"
         r2 = gw.request(KEY, "a", w1)              # dispatch 1: crash
         assert r2.status == "failed"               # no stale entry for w1
+        assert gw.request(KEY, "a", w2).status == "failed"
         assert gw.resilience.breaker("a").state == OPEN
 
-        gw.clock.advance(1.0)                      # w0's entry expires
         r3 = gw.submit(KEY, "a", w0)
         assert r3.status == "degraded"
         assert r3.degraded_source == "stale_cache"
@@ -425,9 +427,8 @@ class TestSelfHealingGateway:
         assert gw.stats.degraded == 1
 
     def test_fallback_reroute_keeps_the_ticket(self):
-        policy = ResiliencePolicy(failure_threshold=1)
         plan = FaultPlan().session_crash("a", at_dispatch=0)
-        gw = make_gw(fallback=True, resilience=policy, fault_plan=plan)
+        gw = make_gw(fallback=True, fault_plan=plan)
         (w,) = make_windows(1)
 
         r = gw.request(KEY, "a", w)
@@ -441,13 +442,13 @@ class TestSelfHealingGateway:
         assert gw.stats.failed == 0                # the ladder answered
 
     def test_open_circuit_degrades_at_submit(self):
-        policy = ResiliencePolicy(failure_threshold=1, reset_timeout=100.0)
         plan = FaultPlan().session_crash("a", at_dispatch=0)
-        gw = make_gw(fallback=True, resilience=policy, fault_plan=plan)
-        w0, w1 = make_windows(2)
+        gw = make_gw(fallback=True, fault_plan=plan)
+        w0, w1, w2 = make_windows(3)
 
-        r1 = gw.request(KEY, "a", w0)              # trips the circuit
-        assert r1.status == "degraded"
+        for w in (w0, w2):                         # two failures trip it
+            assert gw.request(KEY, "a", w).status == "degraded"
+        assert gw.resilience.breaker("a").state == OPEN
         r2 = gw.submit(KEY, "a", w1)               # open: routed at the door
         assert r2.status == "admitted"
         assert r2.deployment == "b"
@@ -456,12 +457,11 @@ class TestSelfHealingGateway:
         assert done.status == "degraded"
         np.testing.assert_array_equal(done.forecast.predictions,
                                       expected(w1)[..., 0])
-        assert gw.resilience.degraded_fallback == 2
+        assert gw.resilience.degraded_fallback == 3
 
     def test_exhausted_ladder_fails_explicitly(self):
-        policy = ResiliencePolicy(failure_threshold=1)
         plan = FaultPlan().session_crash("a", at_dispatch=0)
-        gw = make_gw(resilience=policy, fault_plan=plan)
+        gw = make_gw(fault_plan=plan)
         (w,) = make_windows(1)
         r = gw.request(KEY, "a", w)
         assert r.status == "failed"
@@ -470,33 +470,72 @@ class TestSelfHealingGateway:
         assert gw.stats.requests == 1
         assert not gw._pending
 
+    def test_fallback_of_another_shape_fails_explicitly(self):
+        """A fallback that cannot take the primary's windows is not
+        ready: each request of the failed batch is answered ``failed``,
+        and none is stranded pending."""
+        plan = FaultPlan().session_crash("a", at_dispatch=0)
+        gw = make_gw(fallback=True, fallback_nodes=5, fault_plan=plan)
+        for w in make_windows(3):
+            assert gw.submit(KEY, "a", w).status == "admitted"
+        done = gw.flush()
+        assert [(r.status, r.reason) for r in done] == \
+            [("failed", "session_failure")] * 3
+        assert not gw._pending and gw.flush() == []
+        assert gw.stats.failed == 3 and gw.stats.admitted == 3
+
+    def test_open_circuit_with_another_shape_fails_at_submit(self):
+        plan = FaultPlan().session_crash("a", at_dispatch=0)
+        gw = make_gw(fallback=True, fallback_nodes=5, fault_plan=plan)
+        w0, w1, w2 = make_windows(3)
+        for w in (w0, w1):                         # two failures trip it
+            assert gw.request(KEY, "a", w).status == "failed"
+        r = gw.submit(KEY, "a", w2)
+        assert (r.status, r.reason) == ("failed", "circuit_open")
+        assert gw.resilience.breaker("b").transitions == []
+        assert gw.deployments["b"].service.stats.batches == 0
+
+    def test_fallback_reroute_checks_the_window_once(self, monkeypatch):
+        """A fallback takes its primary's windows, so the one check at
+        submit covers a re-route."""
+        from repro.serving.service import ForecastService
+
+        checked = []
+        check = ForecastService.check_window
+        monkeypatch.setattr(ForecastService, "check_window",
+                            lambda svc, w: checked.append(w) or check(svc, w))
+        plan = FaultPlan().session_crash("a", at_dispatch=0)
+        gw = make_gw(fallback=True, fault_plan=plan)
+        (w,) = make_windows(1)
+        r = gw.request(KEY, "a", w)
+        assert r.degraded_source == "fallback:b"
+        assert len(checked) == 1
+
     def test_straggler_opens_circuit_then_recovers(self):
-        policy = ResiliencePolicy(reset_timeout=0.01)
         plan = FaultPlan().session_straggler("a", 10.0, start_dispatch=0,
                                              end_dispatch=1)
-        gw = make_gw(resilience=policy, fault_plan=plan)
+        gw = make_gw(fault_plan=plan)
         w0, w1 = make_windows(2)
         r1 = gw.request(KEY, "a", w0)
         assert r1.status == "ok"                   # slow, not wrong
         assert gw.resilience.breaker("a").state == OPEN
         assert reasons(gw) == ["latency"]
-        gw.clock.advance(0.02)
+        gw.clock.advance(2 * RESET_TIMEOUT)
         r2 = gw.request(KEY, "a", w1)              # probe: straggle is over
         assert r2.status == "ok"
         assert reasons(gw) == ["latency", "timeout", "probe_ok"]
 
     def test_straggling_probe_keeps_circuit_open(self):
-        policy = ResiliencePolicy(reset_timeout=0.01)
         plan = FaultPlan().session_straggler("a", 10.0, start_dispatch=0,
                                              end_dispatch=2)
-        gw = make_gw(resilience=policy, fault_plan=plan)
+        gw = make_gw(fault_plan=plan)
         w = make_windows(3)
         gw.request(KEY, "a", w[0])                 # trips on latency
-        gw.clock.advance(0.02)
+        gw.clock.advance(2 * RESET_TIMEOUT)
         gw.request(KEY, "a", w[1])                 # probe still straggling
         assert reasons(gw) == ["latency", "timeout", "latency"]
         assert gw.resilience.breaker("a").state == OPEN
-        gw.clock.advance(0.02)
+        gw.clock.advance(2 * RESET_TIMEOUT)
         gw.request(KEY, "a", w[2])                 # healthy probe
         assert reasons(gw) == ["latency", "timeout", "latency",
                                "timeout", "probe_ok"]
@@ -504,15 +543,13 @@ class TestSelfHealingGateway:
 
     def test_transitions_deterministic_under_fixed_plan(self):
         def run():
-            policy = ResiliencePolicy(failure_threshold=2,
-                                      reset_timeout=0.01)
             plan = (FaultPlan().session_crash("a", at_dispatch=0)
                     .session_straggler("a", 10.0, start_dispatch=3,
                                        end_dispatch=4))
-            gw = make_gw(resilience=policy, fault_plan=plan)
+            gw = make_gw(fault_plan=plan)
             for w in make_windows(5, seed=42):
                 gw.request(KEY, "a", w)
-                gw.clock.advance(0.02)
+                gw.clock.advance(2 * RESET_TIMEOUT)
             return gw.resilience.transitions()
 
         first, second = run(), run()
@@ -520,12 +557,12 @@ class TestSelfHealingGateway:
         assert len(first) >= 3
 
     def test_probe_in_flight_degrades_second_request(self):
-        policy = ResiliencePolicy(failure_threshold=1, reset_timeout=0.01)
         plan = FaultPlan().session_crash("a", at_dispatch=0)
-        gw = make_gw(resilience=policy, fault_plan=plan)
+        gw = make_gw(fault_plan=plan)
         w0, w1, w2 = make_windows(3)
-        assert gw.request(KEY, "a", w0).status == "failed"
-        gw.clock.advance(0.02)
+        for w in (w0, w0):                         # two failures trip it
+            assert gw.request(KEY, "a", w).status == "failed"
+        gw.clock.advance(2 * RESET_TIMEOUT)
         s1 = gw.submit(KEY, "a", w1)               # claims the probe slot
         assert s1.status == "admitted"
         s2 = gw.submit(KEY, "a", w2)               # slot taken: walk ladder
@@ -535,12 +572,12 @@ class TestSelfHealingGateway:
         assert gw.resilience.breaker("a").state == CLOSED
 
     def test_shed_probe_releases_the_slot(self):
-        policy = ResiliencePolicy(failure_threshold=1, reset_timeout=0.01)
         plan = FaultPlan().session_crash("a", at_dispatch=0)
-        gw = make_gw(resilience=policy, fault_plan=plan)
+        gw = make_gw(fault_plan=plan)
         w0, w1, w2 = make_windows(3)
         gw.request(KEY, "a", w0)
-        gw.clock.advance(0.02)
+        gw.request(KEY, "a", w0)                   # two failures trip it
+        gw.clock.advance(2 * RESET_TIMEOUT)
         # a probe with no deadline budget is shed by admission control...
         s1 = gw.submit(KEY, "a", w1, deadline=gw.clock())
         assert s1.status == "shed"
@@ -626,7 +663,7 @@ class TestNeverSilentlyDropped:
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), fallback=st.booleans(), cache=st.booleans(),
-           threshold=st.integers(1, 3),
+           mismatched_fallback=st.booleans(),
            crashes=st.lists(st.tuples(st.sampled_from("ab"),
                                       st.integers(0, 5)), max_size=3),
            stragglers=st.lists(st.tuples(st.sampled_from("ab"),
@@ -635,7 +672,8 @@ class TestNeverSilentlyDropped:
                                          st.sampled_from([2.0, 10.0])),
                                max_size=2))
     def test_every_admitted_ticket_returns_once(
-            self, data, fallback, cache, threshold, crashes, stragglers):
+            self, data, fallback, cache, mismatched_fallback, crashes,
+            stragglers):
         plan = FaultPlan()
         for dep, at in crashes:
             plan = plan.session_crash(dep, at_dispatch=at)
@@ -643,9 +681,8 @@ class TestNeverSilentlyDropped:
             plan = plan.session_straggler(dep, slowdown, start_dispatch=start,
                                           end_dispatch=start + length)
         gw = make_gw(fallback=fallback, fault_plan=plan,
-                     cache_ttl=0.004 if cache else None,
-                     resilience=ResiliencePolicy(failure_threshold=threshold,
-                                                 reset_timeout=0.01))
+                     fallback_nodes=N + 2 if mismatched_fallback else N,
+                     cache_ttl=0.004 if cache else None)
         windows = make_windows(4, seed=3)
         sent = {}           # admitted ticket -> window index
         answers = []        # (terminal response, window index)
@@ -662,8 +699,9 @@ class TestNeverSilentlyDropped:
                     answers.append((resp, i))
             returned += (gw.flush() if data.draw(st.booleans(), label="flush")
                          else gw.poll())
-            gw.clock.advance(data.draw(st.sampled_from([0.0, 0.005, 0.02]),
-                                       label="advance"))
+            gw.clock.advance(data.draw(
+                st.sampled_from([0.0, 0.005, 2 * RESET_TIMEOUT]),
+                label="advance"))
         returned += gw.flush()
         tickets = [(r.deployment, r.request_id) for r in returned]
         assert sorted(tickets) == sorted(sent)          # each exactly once
@@ -684,15 +722,14 @@ class TestBuildGatewayResilience:
             {"a": ToySession(), "b": ToySession()}, tenants=["ops"],
             clock=ManualClock(), max_batch=4, service_time=service_time,
             fallbacks={"a": "b"},
-            resilience=ResiliencePolicy(failure_threshold=1),
             fault_plan=FaultPlan().session_crash("a", at_dispatch=0))
         key = gw.tenants.get("ops").api_key
-        (w,) = make_windows(1)
-        r = gw.request(key, "a", w)
-        assert r.status == "degraded"
-        assert r.degraded_source == "fallback:b"
+        for w in make_windows(2):                  # two failures trip it
+            r = gw.request(key, "a", w)
+            assert r.status == "degraded"
+            assert r.degraded_source == "fallback:b"
         desc = gw.describe()["resilience"]
-        assert desc["degraded_fallback"] == 1
+        assert desc["degraded_fallback"] == 2
         assert desc["breakers"]["a"]["state"] == OPEN
 
     def test_rejects_unknown_fallback(self):

@@ -6,8 +6,8 @@ The load-bearing guarantees:
   batching layer is pure plumbing);
 - the streaming feature store reproduces the offline preprocessing
   pipeline bitwise;
-- load-generator runs are deterministic given a seed and a synthetic
-  service-time model.
+- the queue is work-conserving: whatever is due shares one forward, and
+  nothing waits on an idle server.
 """
 
 import heapq
@@ -24,8 +24,6 @@ from repro.api import RunSpec, run, serve
 from repro.preprocessing.index_batching import IndexDataset
 from repro.serving import (
     FeatureStore,
-    LoadGenerator,
-    LoadReport,
     ManualClock,
     MicroBatchQueue,
     ModelSession,
@@ -583,107 +581,6 @@ def test_max_batch_is_set_only_on_the_queue_side():
                       "ForecastService", "MicroBatchQueue"}
 
 
-def synthetic_service(trained, **kw):
-    kw.setdefault("max_batch", 8)
-    return serve(trained, service_time=lambda n: 0.0005 + 0.0001 * n, **kw)
-
-
-class TestLoadGenerator:
-    def test_open_loop_deterministic(self, trained, pool):
-        """Acceptance: fixed seed + synthetic service time => identical
-        reports, down to the last percentile."""
-        reports = []
-        for _ in range(2):
-            gen = LoadGenerator(synthetic_service(trained), pool, seed=7)
-            reports.append(gen.open_loop(requests=150, rate_qps=1500.0))
-        assert reports[0].to_dict() == reports[1].to_dict()
-
-    def test_closed_loop_deterministic(self, trained, pool):
-        reports = []
-        for _ in range(2):
-            gen = LoadGenerator(synthetic_service(trained), pool, seed=3)
-            reports.append(gen.closed_loop(requests=100, concurrency=8))
-        assert reports[0].to_dict() == reports[1].to_dict()
-
-    def test_closed_loop_completes_exactly(self, trained, pool):
-        gen = LoadGenerator(synthetic_service(trained), pool, seed=0)
-        report = gen.closed_loop(requests=64, concurrency=4)
-        assert report.requests == 64
-        assert report.qps > 0
-        assert 1.0 <= report.mean_batch_size <= 8.0
-        assert report.mode == "closed" and report.offered_qps is None
-
-    def test_open_loop_respects_offered_rate(self, trained, pool):
-        gen = LoadGenerator(synthetic_service(trained), pool, seed=0)
-        report = gen.open_loop(requests=200, rate_qps=800.0,
-                               arrival="uniform")
-        assert report.requests == 200
-        # Served throughput tracks the offered rate when under capacity.
-        assert report.qps == pytest.approx(800.0, rel=0.1)
-
-    def test_deadlines_counted(self, trained, pool):
-        svc = serve(trained, max_batch=8, service_time=lambda n: 0.005)
-        gen = LoadGenerator(svc, pool, seed=0)
-        report = gen.open_loop(requests=50, rate_qps=1000.0, deadline=0.004)
-        assert report.deadline_misses > 0
-
-    def test_requires_manual_clock(self, trained, pool):
-        import time
-        svc = serve(trained, clock=time.perf_counter)
-        with pytest.raises(TypeError, match="ManualClock"):
-            LoadGenerator(svc, pool)
-
-    def test_rejects_bad_pool(self, trained):
-        with pytest.raises(ShapeError):
-            LoadGenerator(synthetic_service(trained), np.zeros((4, 8, 2)))
-
-    def test_service_report_carries_no_gateway_fields(self, trained, pool):
-        report = LoadGenerator(synthetic_service(trained), pool,
-                               seed=0).closed_loop(requests=8)
-        assert type(report) is LoadReport
-        assert not hasattr(report, "goodput_qps")
-        assert "goodput" not in report.summary()
-
-    def test_unknown_arrival_rejected(self):
-        gen = LoadGenerator(toy_service(), toy_pool())
-        with pytest.raises(ValueError, match="'poisson' or 'uniform'"):
-            gen.open_loop(requests=4, rate_qps=100.0, arrival="bursty")
-
-    def test_open_loop_validates_knobs(self):
-        gen = LoadGenerator(toy_service(), toy_pool())
-        with pytest.raises(ValueError, match="requests"):
-            gen.open_loop(requests=0, rate_qps=100.0)
-        with pytest.raises(ValueError, match="rate_qps"):
-            gen.open_loop(requests=4, rate_qps=0.0)
-
-    def test_closed_loop_validates_knobs(self):
-        gen = LoadGenerator(toy_service(), toy_pool())
-        for kw in (dict(requests=0), dict(requests=4, concurrency=0)):
-            with pytest.raises(ValueError, match="concurrency"):
-                gen.closed_loop(**kw)
-
-    def test_uniform_schedule_ignores_the_seed(self):
-        """A uniform schedule draws nothing: the seed only picks windows,
-        which a synthetic service time does not see."""
-        a, b = (LoadGenerator(toy_service(), toy_pool(), seed=seed)
-                .open_loop(requests=40, rate_qps=2000.0, arrival="uniform")
-                .to_dict() for seed in (0, 1))
-        assert a.pop("seed") == 0 and b.pop("seed") == 1
-        assert a == b
-
-    def test_poisson_schedule_follows_the_seed(self):
-        a, b = (LoadGenerator(toy_service(), toy_pool(), seed=seed)
-                .open_loop(requests=40, rate_qps=2000.0)
-                for seed in (0, 1))
-        assert a.duration_seconds != b.duration_seconds
-
-    def test_report_dict_rebuilds_the_report(self):
-        report = LoadGenerator(toy_service(), toy_pool(),
-                               seed=2).closed_loop(requests=16,
-                                                   concurrency=4)
-        assert LoadReport(**report.to_dict()) == report
-
-
 # ---------------------------------------------------------------------------
 # The batching policy, as properties
 # ---------------------------------------------------------------------------
@@ -811,16 +708,19 @@ class TestWorkConservingPolicy:
         assert svc.flush() == [] and session.predicts == 3
 
     def test_closed_loop_fills_the_batch(self):
-        """8 clients against ``max_batch=8``: they start together and each
+        """8 clients against ``max_batch=8``: they submit together and each
         round's completions free all 8 at once, so every batch is full
-        from the first round on."""
+        and none waits on an idle server."""
         svc = ForecastService(ToySession(max_batch=8), max_batch=8,
                               service_time=batch_cost)
-        gen = LoadGenerator(svc, np.zeros((4, H, N, F)), seed=0)
-        report = gen.closed_loop(requests=64, concurrency=8)
-        assert report.requests == 64 and report.batches == 8
-        assert report.mean_batch_size == 8.0
-        assert report.queue_wait_mean == 0.0
+        done = []
+        for _ in range(8):
+            for _ in range(8):
+                svc.submit(np.zeros((H, N, F)))
+            done += svc.poll()
+        assert len(done) == 64 and svc.stats.batches == 8
+        assert [fc.batch_size for fc in done] == [8] * 64
+        assert [fc.queue_wait for fc in done] == [0.0] * 64
 
 
 class TestServiceFailurePath:
