@@ -412,6 +412,49 @@ class TestGateway:
             gw.request("key-research", "bay")
         assert gw.request("key-ops", "bay").ok
 
+    def test_tenant_store_is_four_horizons_long(self, trained):
+        """A tenant's private store is the session's default: four model
+        horizons, so a long stream keeps only its latest rows."""
+        gw = make_gateway(trained)
+        ds = trained.artifacts.dataset
+        horizon = gw.deployments.get("bay").session.horizon
+        for t in range(5 * horizon):
+            gw.ingest("key-ops", "bay", ds.signals[t],
+                      timestamp_minutes=5.0 * t)
+        store = gw.tenants.get("ops").stores["bay"]
+        assert store.capacity == 4 * horizon
+        assert store.size == 4 * horizon
+
+    def test_request_without_deadline_sheds_only_at_depth(self):
+        """A request without a deadline never sheds on the projection,
+        however deep the backlog; the depth cap alone refuses it."""
+        gw = toy_gateway()
+        (w,) = toy_pool(1)
+        for _ in range(8):
+            assert gw.submit("key-ops", "toy", w).status == "admitted"
+        hurried = gw.submit("key-ops", "toy", w, deadline=gw.clock() + 1e-3)
+        assert (hurried.status, hurried.reason) == ("shed", "deadline")
+        for _ in range(MAX_QUEUE_DEPTH - 8):
+            assert gw.submit("key-ops", "toy", w).status == "admitted"
+        over = gw.submit("key-ops", "toy", w)
+        assert (over.status, over.reason) == ("shed", "capacity")
+        assert len(gw.flush()) == MAX_QUEUE_DEPTH
+        assert gw.admission.shed_by_reason() == {"deadline": 1,
+                                                 "capacity": 1}
+
+    def test_synthetic_service_time_seeds_admission_and_breaker(self):
+        """A service-time model prices a full batch before any dispatch:
+        admission projects from it and the breaker measures blowouts
+        against it.  A measured deployment starts with neither."""
+        gw = toy_gateway()
+        full = 4e-4 + 2e-4 * gw.max_batch
+        assert gw.admission.estimate("toy") == pytest.approx(full)
+        assert gw.resilience.breaker("toy").baseline == pytest.approx(full)
+        measured = Gateway(clock=ManualClock(), max_batch=4)
+        measured.add_deployment("toy", ToySession())
+        assert measured.admission.estimate("toy") == 0.0
+        assert measured.resilience.breaker("toy").baseline is None
+
     def test_sheds_on_hopeless_deadline(self, trained, pool):
         gw = make_gateway(trained)
         resp = gw.submit("key-ops", "bay", pool[0],
@@ -895,6 +938,72 @@ class TestGatewayLoadGenerator:
         sizes = [r.forecast.batch_size for r in seen if r.status == "ok"]
         assert report.mean_batch_size == np.mean(sizes)
         assert report.mean_batch_size >= 1.0
+
+    def test_utilization_is_busy_over_duration(self):
+        """Under capacity on a uniform schedule every request is a batch
+        of one, served on arrival: the model is busy 0.6 ms of each
+        1.25 ms period."""
+        report = GatewayLoadGenerator(toy_gateway(), toy_pool()).open_loop(
+            [toy_stream(rate_qps=800.0, requests=200, arrival="uniform")])
+        assert report.batches == 200 and report.mean_batch_size == 1.0
+        assert report.queue_wait_mean == 0.0
+        assert report.latency_max == pytest.approx(6e-4)
+        assert report.duration_seconds == pytest.approx(200 / 800.0 + 6e-4)
+        assert report.utilization == pytest.approx(
+            200 * 6e-4 / report.duration_seconds)
+
+    def test_second_run_reports_only_its_own_work(self):
+        """A generator run twice reports each run's batches, busy time
+        and clock span, not the gateway's running totals."""
+        gen = GatewayLoadGenerator(toy_gateway(), toy_pool())
+        stream = toy_stream(rate_qps=800.0, requests=50, arrival="uniform")
+        first, second = gen.open_loop([stream]), gen.open_loop([stream])
+        assert first.batches == second.batches == 50
+        assert second.requests == 50
+        assert second.duration_seconds == pytest.approx(
+            first.duration_seconds)
+        assert second.utilization == pytest.approx(first.utilization)
+
+    def test_simultaneous_arrivals_keep_stream_order(self):
+        """Two streams on one schedule arrive together: each instant
+        submits them in stream order, and both share one forward."""
+        gw = toy_gateway()
+        gw.add_tenant("research")
+        order = []
+        submit = gw.submit
+
+        def recording(api_key, *args, **kw):
+            order.append(api_key)
+            return submit(api_key, *args, **kw)
+
+        gw.submit = recording
+        report = GatewayLoadGenerator(gw, toy_pool()).open_loop([
+            toy_stream(rate_qps=500.0, requests=3, arrival="uniform"),
+            TenantStream(api_key="key-research", deployment="toy",
+                         rate_qps=500.0, requests=3, arrival="uniform")])
+        assert order == ["key-ops", "key-research"] * 3
+        assert report.batches == 3 and report.mean_batch_size == 2.0
+
+    def test_deadlines_anchor_at_the_scheduled_arrival(self):
+        """Past capacity, dispatches carry the clock beyond the schedule;
+        a late arrival's deadline is still its scheduled time plus the
+        stream's budget, so part of that budget is already spent."""
+        gw = toy_gateway()
+        seen = []
+        submit = gw.submit
+
+        def recording(*args, deadline=None):
+            seen.append((gw.clock(), deadline))
+            return submit(*args, deadline=deadline)
+
+        gw.submit = recording
+        rate, budget = 10000.0, 0.01
+        GatewayLoadGenerator(gw, toy_pool()).open_loop([toy_stream(
+            rate_qps=rate, requests=100, arrival="uniform", deadline=budget)])
+        scheduled = np.cumsum(np.full(100, 1.0 / rate))
+        assert [d for _, d in seen] == pytest.approx(
+            list(scheduled + budget))
+        assert any(now > t for (now, _), t in zip(seen, scheduled))
 
     def test_stream_validation(self):
         with pytest.raises(ValueError, match="rate_qps"):

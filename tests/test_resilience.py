@@ -264,6 +264,22 @@ class TestCircuitBreaker:
         assert b.state == OPEN
         assert [t.reason for t in b.transitions] == ["latency"]
 
+    def test_reopened_circuit_restarts_its_timer(self):
+        """A failed probe re-opens the circuit at the probe's time: the
+        next probe waits out ``RESET_TIMEOUT`` from there, not from the
+        first opening."""
+        b, clock = self.make()
+        b.record_failure(), b.record_failure()
+        clock.advance(RESET_TIMEOUT)
+        b.before_request(), b.try_probe()
+        clock.advance(RESET_TIMEOUT / 2)
+        b.record_failure()                         # the probe failed
+        assert b.opened_at == clock()
+        clock.advance(RESET_TIMEOUT / 2)
+        assert b.before_request() == OPEN          # first opening long past
+        clock.advance(RESET_TIMEOUT)
+        assert b.before_request() == HALF_OPEN
+
     def test_failures_while_open_add_no_transition(self):
         b, _ = self.make()
         for _ in range(4):
@@ -279,6 +295,14 @@ class TestCircuitBreaker:
         assert (d["state"], d["failures"], d["successes"],
                 d["consecutive_failures"], d["ewma_latency"],
                 d["baseline_latency"]) == (CLOSED, 1, 1, 1, 0.5, 1.0)
+
+    def test_zero_baseline_never_trips_on_latency(self):
+        """A service-time model that prices a batch at nothing gives the
+        breaker no scale to measure a blowout against."""
+        b, _ = self.make(baseline=0.0)
+        for _ in range(5):
+            b.record_success(100.0)
+        assert b.state == CLOSED and b.transitions == []
 
     def test_no_baseline_means_no_latency_trip(self):
         b, _ = self.make(baseline=None)
