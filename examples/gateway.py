@@ -31,6 +31,12 @@ from repro.utils.seeding import seed_everything
 
 
 def main(scale: str = "tiny", epochs: int = 2, requests: int = 200) -> None:
+    # The checkpoint lives only as long as the demo.
+    with tempfile.TemporaryDirectory(prefix="repro-gw-") as ckpt_dir:
+        demo(ckpt_dir, scale, epochs, requests)
+
+
+def demo(ckpt_dir: str, scale: str, epochs: int, requests: int) -> None:
     seed_everything(0)
 
     # 1. Two models, one gateway.  A synthetic service-time model keeps
@@ -55,7 +61,7 @@ def main(scale: str = "tiny", epochs: int = 2, requests: int = 200) -> None:
 
     # v2 for the swap later: a self-describing checkpoint of the same
     # model (in production: tomorrow's retrain).
-    ckpt = os.path.join(tempfile.mkdtemp(prefix="repro-gw-"), "bay-v2.npz")
+    ckpt = os.path.join(ckpt_dir, "bay-v2.npz")
     save_checkpoint(ckpt, result_a.artifacts.model,
                     epoch=result_a.epochs_run, spec=spec_a,
                     scaler=result_a.artifacts.loaders.scaler)

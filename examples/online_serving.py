@@ -29,6 +29,12 @@ from repro.utils.seeding import seed_everything
 
 
 def main(scale: str = "tiny", epochs: int = 2, requests: int = 200) -> None:
+    # The checkpoint lives only as long as the demo.
+    with tempfile.TemporaryDirectory(prefix="repro-serve-") as ckpt_dir:
+        demo(ckpt_dir, scale, epochs, requests)
+
+
+def demo(ckpt_dir: str, scale: str, epochs: int, requests: int) -> None:
     seed_everything(0)
 
     # 1. Train declaratively.
@@ -39,7 +45,7 @@ def main(scale: str = "tiny", epochs: int = 2, requests: int = 200) -> None:
           f"{result.best_val_mae:.2f} mph")
 
     # 2. Self-describing checkpoint: spec + scaler travel with the weights.
-    ckpt = os.path.join(tempfile.mkdtemp(prefix="repro-serve-"), "model.npz")
+    ckpt = os.path.join(ckpt_dir, "model.npz")
     save_checkpoint(ckpt, result.artifacts.model,
                     epoch=result.epochs_run, spec=spec,
                     scaler=result.artifacts.loaders.scaler)

@@ -1,9 +1,10 @@
 """The NumPy/SciPy kernels: the reference numerics of the hot path.
 
 The CSR product and the diffusion hop/backward chains run scipy's
-``csr_matvecs`` C kernel into caller buffers with rotating ping/pong hop
-scratch, one product per hop for all stacked supports; every fixed-seed
-curve is pinned to its row order (``test_kernels.py::TestCsrRowOrder``).
+``csr_matvecs`` C kernel into caller buffers (one hop-major buffer
+forward, rotating ping/pong backward), one product per hop for all
+stacked supports; every fixed-seed curve is pinned to its row order
+(``test_kernels.py::TestCsrRowOrder``).
 The chains are *bound*: operands are checked and flattened once per
 bind, and the returned closure runs at every step of a recurrence.
 
@@ -75,33 +76,38 @@ class NumpyBackend:
         return out
 
     # -- diffusion conv -------------------------------------------------
-    def bind_hops(self, first, nxt, x0: np.ndarray, ping: np.ndarray,
-                  pong: np.ndarray, k: int, identity: bool = True):
-        """``hops(cat)``: ``x0`` into ``cat[:, :, :f]`` when ``identity``,
-        then the hops ``P_s^1..P_s^k x0`` into the rest of ``cat``, by
-        support.
+    def bind_hops(self, first, nxt, x0: np.ndarray, hops: np.ndarray,
+                  k: int, identity: bool = True):
+        """``run(cat)``: ``x0`` into ``cat[:, :f]`` when ``identity``, then
+        the hops ``P_s^1..P_s^k x0`` into the rest of the flat hop block
+        ``cat`` (``[n*b, m*f]``), by support.
 
-        ``first``/``nxt`` come from ``stacked_csr``; ``ping``/``pong`` are
-        rotating ``[S, n, b, f]`` scratch for node-major ``x0 [n, b, f]``.
+        ``first``/``nxt`` come from ``stacked_csr``; ``hops`` is hop-major
+        ``[>= k, S, n, b, f]`` scratch for node-major ``x0 [n, b, f]``: hop
+        ``j`` lands in ``hops[j - 1]``, all ``k`` cleared by one ``fill``
+        and moved into ``cat`` by one transposing copy.  The two targets
+        in ``cat`` are sliced once per new ``cat``.
         """
         n, b, f = x0.shape
-        bufs = _operands(first, x0, ping, pong)
-        seq = [bufs[0]] + [bufs[1 + j % 2] for j in range(k)]  # x0, hops
-        chain = [(_args(nxt if j else first, b * f), seq[j], seq[j + 1],
-                  (ping, pong)[j % 2].transpose(1, 2, 0, 3))
+        buf = hops[:k]
+        seq = _operands(first, x0, *buf)                  # x0, hops
+        chain = [(_args(nxt if j else first, b * f), seq[j], seq[j + 1])
                  for j in range(k)]
-        shape, lead = (n, b, len(ping), k, f), f if identity else 0
+        ident, view = x0.reshape(n * b, f), buf.transpose(2, 3, 1, 0, 4)
+        shape, lead = (n, b, hops.shape[1], k, f), f if identity else 0
+        last = [None, None, None]       # the last cat and its two targets
 
-        def hops(cat: np.ndarray) -> None:
+        def run(cat: np.ndarray) -> None:
+            if cat is not last[0]:
+                last[:] = cat, cat[:, :f], cat[:, lead:].reshape(shape)
             if identity:
-                cat[:, :, :f] = x0
-            out = cat[:, :, lead:].reshape(shape)
-            for j, (args, src, dst, hop) in enumerate(chain):
-                dst.fill(0)
+                np.copyto(last[1], ident)
+            buf.fill(0)
+            for args, src, dst in chain:
                 _st.csr_matvecs(*args, src, dst)
-                out[:, :, :, j] = hop
+            np.copyto(last[2], view)
 
-        return hops
+        return run
 
     def bind_hops_backward(self, nxt_t, gcat: np.ndarray, gx: np.ndarray,
                            ping: np.ndarray, pong: np.ndarray, k: int,

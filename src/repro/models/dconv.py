@@ -15,13 +15,15 @@ is ``S = K = 1`` with no identity block.
 The layer works **node-major**: ``[nodes, batch, F]`` is the layout in
 which one CSR product covers the whole batch and the hop block is a plain
 2-D GEMM operand, so the work lives in a node-major core (``_bind`` /
-``_bind_backward``) that writes hops straight into slices of one
-``[nodes, batch, num_matrices * in_dim]`` block, one sparse product per
-hop for all supports (the cached operators of ``stacked_csr``, shared by
-every layer over the same support set) into scratch that persists.  The
-core is *bound*: it resolves the operators, the hop chain's flat operands
-(through ``repro.kernels``) and the weight arrays once, and returns a
-closure a caller runs once or once per recurrence step.  It has two thin
+``_bind_backward``).  The forward core fills one ``[nodes*batch,
+num_matrices * in_dim]`` hop block: one sparse product per hop for all
+supports (the cached operators of ``stacked_csr``, shared by every layer
+over the same support set) into one hop-major ``[k, S, nodes, batch,
+in_dim]`` scratch buffer that persists, cleared by one ``fill`` and moved
+into the block by one transposing copy; the caller runs the GEMM.  The
+core is *bound*: it resolves the operators and the hop chain's flat
+operands (through ``repro.kernels``) once, and returns a closure a caller
+runs once or once per recurrence step.  It has two thin
 entry points: :meth:`DiffusionConv.forward` (batch-major in and out, one
 transposed copy each way, one bind and one autograd node per call; DCRNN's
 cells) and :meth:`repro.models.dcrnn.DCGRUCell.sequence` (already
@@ -57,13 +59,13 @@ from repro.utils.seeding import new_rng
 class _Scratch:
     """Per-(batch, dtype) persistent buffers for one DiffusionConv."""
 
-    __slots__ = ("x0", "ping", "pong", "gout", "gcat", "gx", "gw", "gb",
-                 "cat_eval")
+    __slots__ = ("x0", "hops", "gout", "gcat", "gx", "gw", "gb", "cat_eval")
 
-    def __init__(self, n: int, b: int, f: int, s: int, m: int, o: int, dtype):
+    def __init__(self, n: int, b: int, f: int, s: int, k: int, m: int, o: int,
+                 dtype):
         self.x0 = np.empty((n, b, f), dtype)      # hop-0 input, node-major
-        self.ping = np.empty((s, n, b, f), dtype)  # rotating hop buffers
-        self.pong = np.empty((s, n, b, f), dtype)
+        # Hop-major forward hops; [0] and [1] are backward's ping/pong.
+        self.hops = np.empty((max(k, 2), s, n, b, f), dtype)
         self.gout = np.empty((n, b, o), dtype)    # transposed output grad
         self.gcat = np.empty((n, b, m * f), dtype)
         self.gx = np.empty((n, b, f), dtype)      # accumulated input grad
@@ -115,41 +117,22 @@ class DiffusionConv(Module):
         return cached_scratch(
             self._scratch, b, dtype,
             lambda: _Scratch(self.num_nodes, b, self.in_dim,
-                             len(self.supports), self.num_matrices,
-                             self.out_dim, dtype))
+                             len(self.supports), self.k_hops,
+                             self.num_matrices, self.out_dim, dtype))
 
-    def _bind(self, scr: _Scratch, x0: np.ndarray, own_cat: bool):
-        """Node-major core, forward, bound once: returns ``run()``.
+    def _bind(self, scr: _Scratch, x0: np.ndarray):
+        """Node-major core, forward, bound once: returns ``hops(cat2)``.
 
         ``x0`` is the contiguous ``[nodes, batch, in_dim]`` hop-0 input
-        (filled by the caller before each ``run``).  ``run()`` returns the
-        flattened hop block and the freshly allocated ``[nodes*batch,
-        out_dim]`` output of hops + one GEMM + bias.  The hop block is the
-        GEMM input whose transpose yields the weight gradient, so each
-        ``run`` owns a new one when backward will run (``own_cat``);
-        without gradients one persistent block is reused.
+        (filled by the caller before each call); ``hops`` writes its hop
+        block into ``cat2`` (``[nodes*batch, num_matrices*in_dim]``), and
+        the caller runs the GEMM ``cat2 @ W + b``.  The hop block is the
+        GEMM input whose transpose yields the weight gradient, so a caller
+        that will run backward passes a new one each time.
         """
-        n, b, f = x0.shape
-        m, o = self.num_matrices, self.out_dim
-        dtype = x0.dtype
-        hops = kernels.active_backend().bind_hops(
-            *stacked_csr(self.supports, dtype), x0, scr.ping, scr.pong,
+        return kernels.active_backend().bind_hops(
+            *stacked_csr(self.supports, x0.dtype), x0, scr.hops,
             self.k_hops, self.identity)
-        weight, bias = self.weight.data, self.bias.data
-        if not own_cat and scr.cat_eval is None:
-            scr.cat_eval = np.empty((n, b, m * f), dtype)
-        cat_eval = scr.cat_eval
-
-        def run() -> tuple[np.ndarray, np.ndarray]:
-            cat = np.empty((n, b, m * f), dtype) if own_cat else cat_eval
-            hops(cat)
-            cat2 = cat.reshape(n * b, m * f)
-            out2 = np.empty((n * b, o), dtype)
-            np.matmul(cat2, weight, out=out2)
-            out2 += bias
-            return cat2, out2
-
-        return run
 
     def _bind_backward(self, scr: _Scratch):
         """Node-major core, backward, bound once: returns
@@ -166,7 +149,7 @@ class DiffusionConv(Module):
         gcat2 = scr.gcat.reshape(-1, scr.gcat.shape[-1])
         chain = kernels.active_backend().bind_hops_backward(
             stacked_csr(self.supports, gx.dtype)[1].T, scr.gcat, gx,
-            scr.ping, scr.pong, self.k_hops, self.identity)
+            *scr.hops[:2], self.k_hops, self.identity)
 
         def run(cat2: np.ndarray, g2: np.ndarray,
                 input_grad: bool) -> np.ndarray | None:
@@ -194,7 +177,13 @@ class DiffusionConv(Module):
                                     self.weight.requires_grad or
                                     self.bias.requires_grad)
         np.copyto(scr.x0, x.data.transpose(1, 0, 2))
-        cat2, out2 = self._bind(scr, scr.x0, rg)()
+        shape = (n * b, self.num_matrices * self.in_dim)
+        if not rg and scr.cat_eval is None:     # one persistent block
+            scr.cat_eval = np.empty(shape, x.dtype)
+        cat2 = np.empty(shape, x.dtype) if rg else scr.cat_eval
+        self._bind(scr, scr.x0)(cat2)
+        out2 = cat2 @ self.weight.data
+        out2 += self.bias.data
         out = x._make(out2.reshape(n, b, -1).transpose(1, 0, 2),
                       (x, self.weight, self.bias))
         if out.requires_grad:

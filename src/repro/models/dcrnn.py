@@ -15,22 +15,32 @@ decays with global step) and feeds back its own predictions at inference.
 - ``sequence(xs, hb)`` runs all ``T`` steps **node-major**: the state is
   ``[N, B, H]`` because that is the layout
   :class:`~repro.models.dconv.DiffusionConv` computes in, so the
-  recurrence needs no concat, no transposed copies and no slice
-  scatters.  It binds the stacked operators, flat ``csr_matvecs``
-  operands, scratch and weight arrays once per forward, and returns the
-  backward of the whole sequence for one autograd node: PGT-DCRNN's
-  (states and projection) and A3T-GCN's (states only).  T-GCN is this
-  cell over one support, one hop and no identity block.
+  recurrence needs no concat and no slice scatters.  It binds the stacked
+  operators, flat ``csr_matvecs`` operands, scratch and weight arrays once
+  per forward, writes the states into one node-major ``[T+1, N, B, H]``
+  slab (``h_{-1} = 0`` first) copied batch-major into the caller's ``hb``
+  once, and returns the backward of the whole sequence for one autograd
+  node: PGT-DCRNN's (states and projection) and A3T-GCN's (states only).
+  T-GCN is this cell over one support, one hop and no identity block.
 
-What that backward keeps, per step: the two hop blocks (GEMM inputs), the
-gate activations ``s = [r | u]`` and the candidate ``c`` (each the
-in-place result on a GEMM output allocated for that step), and the
-previous state.  ``1 - u`` and ``1 - c*c`` are recomputed.  Without
-gradients nothing is kept.
-Everything else is per-``(batch, dtype)`` scratch on the cell and its two
-convolutions, used only while one call runs, never handed to a caller, and
-never module-global -- forked ranks and ``deepcopy``'d deployments each
-have their own.
+At ``t = 0`` the state is ``+0`` and the reset gate ``r`` lies in
+``[0, 1]``, so the candidate's input ``[x_0 | r*(+0)]`` is the gates'
+``[x_0 | +0]``: the step reuses the gates' hop block, byte for byte
+(``tests/test_kernels.py::TestZeroStateHopBlock``; only a NaN gate, which
+only a NaN or overflowing window makes, would tell the two apart).
+
+What the backward keeps, per step: the two hop blocks (GEMM inputs; one
+at ``t = 0``), the gate activations ``s = [r | u]`` and the candidate
+``c`` (each in place on a GEMM output allocated for that step) and the
+previous state (in the slab).  ``1 - u`` and ``1 - c*c`` are recomputed.
+Without gradients nothing is kept: one hop block (the candidate's
+overwrites the gates' once their GEMM has read it) and the GEMM outputs
+are per-``(batch, dtype)`` scratch on the cell, built once, with views
+taken once per forward (a ``deepcopy`` copies each array on its own, so
+scratch holds no views).  Everything else is per-``(batch, dtype)``
+scratch on the cell and its two convolutions.  Scratch is used only
+while one call runs, never handed to a caller, and never module-global
+-- forked ranks and ``deepcopy``'d deployments each have their own.
 
 **Accumulation-order contract.**  Float addition does not associate, and
 the fixed-seed curves (``tests/test_fabric.py::PINNED_2EP`` and every
@@ -64,14 +74,25 @@ from repro.utils.seeding import new_rng
 
 
 class _StepScratch:
-    """Per-(batch, dtype) temporaries of :meth:`DCGRUCell.sequence`."""
+    """Per-(batch, dtype) temporaries of :meth:`DCGRUCell.sequence`; the
+    no-grad step's hop block and GEMM outputs (``step``) are built by its
+    first call without gradients."""
 
-    __slots__ = ("t", "den", "tmp")
+    __slots__ = ("t", "den", "tmp", "step")
 
     def __init__(self, n: int, b: int, hid: int, dtype):
         self.t = np.empty((n, b, 2 * hid), dtype)
         self.den = np.empty((n, b, 2 * hid), dtype)
         self.tmp = np.empty((n, b, hid), dtype)
+        self.step = None
+
+
+def _step_views(cat_g, s, cat_c, c) -> tuple:
+    """One step's ``(cat_g, s2, s, r, u, cat_c, c2, c)`` over the GEMM
+    outputs ``s [n, b, 2H]`` and ``c [n, b, H]``."""
+    hid = c.shape[-1]
+    return (cat_g, s.reshape(-1, 2 * hid), s, s[:, :, :hid], s[:, :, hid:],
+            cat_c, c.reshape(-1, hid), c)
 
 
 def _sigmoid_(x: np.ndarray, t: np.ndarray, den: np.ndarray) -> None:
@@ -118,10 +139,10 @@ class DCGRUCell(Module):
         """Run the node-major recurrence over ``xs`` from a zero state.
 
         ``xs`` is a contiguous ``[T, N, B, in]`` array (no gradient flows
-        to it); each ``h_t`` is copied batch-major into ``hb[t]``
-        (``[T, B, N, H]``, any strides).  Returns ``None`` when no
-        gradient is recorded, else ``walk(readout)``: the backward of all
-        ``T`` steps, where ``readout(t, out)`` sets the node-major
+        to it); after the last step the states are copied batch-major
+        into ``hb`` (``[T, B, N, H]``, any strides).  Returns ``None``
+        when no gradient is recorded, else ``walk(readout)``: the backward
+        of all ``T`` steps, where ``readout(t, out)`` sets the node-major
         ``[N, B, H]`` buffer ``out`` to the readout's gradient into
         ``h_t``.
         """
@@ -138,33 +159,56 @@ class DCGRUCell(Module):
                                       gates.bias))
         x0, tmp = sg.x0, scr.tmp
         x_in, x_h = x0[:, :, :fin], x0[:, :, fin:]
-        run_g, run_c = gates._bind(sg, x0, keep), cand._bind(sc, x0, keep)
+        hops_g, hops_c = gates._bind(sg, x0), cand._bind(sc, x0)
+        wg, bg = gates.weight.data, gates.bias.data
+        wc, bc = cand.weight.data, cand.bias.data
+        hm = (n * b, gates.num_matrices * (fin + hid))   # one hop block
+        hs = np.empty((steps + 1, n, b, hid), dtype)     # h_{-1} = 0, h_t
+        hs[0] = 0
         kept = []
-        hd = np.zeros((n, b, hid), dtype)
-        for t in range(steps):
+
+        def fresh():   # with grad: each step's own blocks and outputs, kept
+            for t in range(steps):
+                cat_g = np.empty(hm, dtype)
+                kept.append(_step_views(
+                    cat_g, np.empty((n, b, 2 * hid), dtype),
+                    np.empty(hm, dtype) if t else cat_g,
+                    np.empty((n, b, hid), dtype)))
+                yield kept[t]
+
+        if keep:
+            per_step = fresh()
+        else:       # one block: the candidate's overwrites the gates'
+            if scr.step is None:     # bases only: a deepcopy keeps no view
+                scr.step = (np.empty(hm, dtype),
+                            np.empty((n, b, 2 * hid), dtype),
+                            np.empty((n, b, hid), dtype))
+            cat, s, c = scr.step
+            per_step = [_step_views(cat, s, cat, c)] * steps
+        for t, (cat_g, s2, s, r, u, cat_c, c2, c) in enumerate(per_step):
+            hd, h = hs[t], hs[t + 1]
             # [x_t | h] -> gates; sigmoid in place on the GEMM output.
             x_in[...] = xs[t]
             x_h[...] = hd
-            cat_g, s2 = run_g()
-            s = s2.reshape(n, b, 2 * hid)
+            hops_g(cat_g)
+            np.matmul(cat_g, wg, out=s2)
+            s2 += bg
             _sigmoid_(s, scr.t, scr.den)
-            r, u = s[:, :, :hid], s[:, :, hid:]
 
             # [x_t | r*h] -> candidate (same input buffer); tanh in place.
-            np.multiply(r, hd, out=x_h)
-            cat_c, c2 = run_c()
-            c = c2.reshape(n, b, hid)
+            # At t = 0 that is [x_0 | +0]: cat_c is cat_g, already filled.
+            if t:
+                np.multiply(r, hd, out=x_h)
+                hops_c(cat_c)
+            np.matmul(cat_c, wc, out=c2)
+            c2 += bc
             np.tanh(c, out=c)
 
-            h_new = np.empty((n, b, hid), dtype)
-            np.multiply(u, hd, out=h_new)
+            np.multiply(u, hd, out=h)
             np.subtract(1.0, u, out=tmp)
             tmp *= c
-            h_new += tmp
-            hb[t] = h_new.transpose(1, 0, 2)
-            if keep:
-                kept.append((cat_g, s, r, u, cat_c, c, hd))
-            hd = h_new
+            h += tmp
+        hb[...] = hs[1:].transpose(0, 2, 1, 3)
         if not keep:
             return None
 
@@ -176,7 +220,8 @@ class DCGRUCell(Module):
             G, G_prev = np.empty((2, n, b, hid), dtype)  # d h_t, d h_{t-1}
             readout(steps - 1, G)
             for t in range(steps - 1, -1, -1):
-                cat_g, s, r, u, cat_c, c, hd = kept[t]
+                cat_g, _, s, r, u, cat_c, _, c = kept[t]
+                hd = hs[t]
                 if t:                             # readout's term first
                     readout(t - 1, G_prev)
                 np.multiply(G, hd, out=dpre_u)    # d u = G*h - G*c

@@ -40,7 +40,7 @@ class LoadReport:
     scenario: str
     requests: int
     duration_seconds: float      # simulated clock span of the run
-    qps: float                   # answered requests / duration
+    goodput_qps: float           # good answers (computed or cached) / duration
     offered_qps: float           # the streams' summed arrival rates
     latency_p50: float           # seconds, on the gateway clock
     latency_p95: float
@@ -53,7 +53,6 @@ class LoadReport:
     deadline_misses: int
     utilization: float           # model-busy seconds / duration
     seed: int
-    goodput_qps: float           # good answers (computed or cached) / duration
     shed_rate: float             # admission-shed / submitted
     per_tenant: dict             # tenant -> breakdown
     degraded: int                # stale-cache / fallback answers
@@ -66,12 +65,12 @@ class LoadReport:
     def summary(self) -> str:
         return (f"{self.scenario}: {self.requests} reqs in "
                 f"{self.duration_seconds * 1e3:.1f} ms -> "
-                f"{self.qps:.0f} qps (offered {self.offered_qps:.0f} qps), "
+                f"goodput {self.goodput_qps:.0f} qps (offered "
+                f"{self.offered_qps:.0f} qps), "
                 f"latency p50/p95/p99 "
                 f"{self.latency_p50 * 1e3:.2f}/{self.latency_p95 * 1e3:.2f}/"
                 f"{self.latency_p99 * 1e3:.2f} ms, mean batch "
                 f"{self.mean_batch_size:.1f}, misses {self.deadline_misses}, "
-                f"goodput {self.goodput_qps:.0f} qps, "
                 f"shed {self.shed_rate:.1%}")
 
 
@@ -294,7 +293,7 @@ class GatewayLoadGenerator:
         return LoadReport(
             scenario=scenario, requests=submitted,
             duration_seconds=duration,
-            qps=len(good) / duration if duration > 0 else float("inf"),
+            goodput_qps=len(good) / duration if duration > 0 else 0.0,
             offered_qps=offered,
             latency_p50=float(p50), latency_p95=float(p95),
             latency_p99=float(p99),
@@ -307,7 +306,6 @@ class GatewayLoadGenerator:
             deadline_misses=sum(fc.deadline_missed for fc in dispatched),
             utilization=busy / duration if duration > 0 else 0.0,
             seed=self.seed,
-            goodput_qps=len(good) / duration if duration > 0 else 0.0,
             shed_rate=len(shed) / submitted if submitted else 0.0,
             per_tenant=per_tenant,
             degraded=len(degraded), failed=len(failed))

@@ -8,6 +8,7 @@ refactors cannot silently break (or stall) the documented entry points.
 import importlib.util
 import signal
 import sys
+import tempfile
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -104,14 +105,22 @@ def test_max_wait_lives_only_in_build_gateway():
     assert stray == []
 
 
+def _temp_dirs() -> set:
+    """The ``repro-*`` entries of the temp directory (checkpoint dirs)."""
+    return set(Path(tempfile.gettempdir()).glob("repro-*"))
+
+
 @pytest.mark.parametrize("name", sorted(EXAMPLE_ARGS))
 def test_example_runs(name, capsys):
     module = _load_example(name)
+    before = _temp_dirs()
     with alarm(TIMEOUT_SECONDS, name):
         module.main(**EXAMPLE_ARGS[name])
     out = capsys.readouterr().out
     assert out.strip(), f"example {name!r} printed nothing"
     assert EXPECTED_LINES.get(name, "") in out
+    # Whatever an example writes to disk goes when it returns.
+    assert _temp_dirs() - before == set()
 
 
 def test_readme_gateway_snippet_runs(tmp_path, monkeypatch, capsys):

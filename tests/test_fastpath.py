@@ -117,7 +117,8 @@ class TestStackedHopsParity:
         x0 = rng.standard_normal((n, b, f)).astype(dtype)
         g2 = rng.standard_normal((n * b, 7)).astype(dtype)
         scr = conv._get_scratch(b, np.dtype(dtype))
-        cat2, _ = conv._bind(scr, x0, True)()
+        cat2 = np.empty((n * b, conv.num_matrices * f), dtype)
+        conv._bind(scr, x0)(cat2)
         gx = conv._bind_backward(scr)(cat2, g2, True)
         return conv, x0, g2, cat2, gx, scr.gcat  # d hop block, left intact
 
@@ -404,6 +405,49 @@ class TestDCGRUStepParity:
             out = model(x)
         assert out._backward is None and out._parents == ()
         assert not out.requires_grad
+
+    @staticmethod
+    def _scratch_arrays(model) -> list:
+        """Every array the cell and its two convolutions keep as scratch."""
+        cell = model.cell
+        found = []
+        for holder in (*cell._scratch.values(),
+                       *cell.gates._scratch.values(),
+                       *cell.candidate._scratch.values()):
+            for name in holder.__slots__:
+                value = getattr(holder, name)
+                found += value if isinstance(value, tuple) else [value]
+        return [a for a in found if isinstance(a, np.ndarray)]
+
+    def test_no_grad_outputs_never_alias_scratch(self):
+        """No-grad forwards at batch 8, 1, 8 reuse the step's scratch; no
+        returned array is part of it, the first keeps its bytes, and a
+        deepcopy (as a deployment might make) owns scratch of its own and
+        forecasts the same bytes."""
+        import copy
+
+        from repro.autograd import no_grad
+
+        model, _ = self._models(24, 12, 16, 2)
+        rng = np.random.default_rng(7)
+        x8, x1 = (rng.standard_normal((b, 12, 24, 2)).astype(np.float32)
+                  for b in (8, 1))
+        with no_grad():
+            first = model(Tensor(x8)).data
+            kept = first.tobytes()
+            outs = [first, model(Tensor(x1)).data, model(Tensor(x8)).data]
+        assert first.tobytes() == kept == outs[2].tobytes()
+        scratch = self._scratch_arrays(model)
+        assert len(model.cell._scratch) == 2 and len(scratch) > 20
+        assert not any(np.shares_memory(out, a)
+                       for out in outs for a in scratch)
+
+        clone = copy.deepcopy(model)
+        assert not any(np.shares_memory(a, b) for a in scratch
+                       for b in self._scratch_arrays(clone))
+        with no_grad():
+            again = clone(Tensor(x8)).data
+        assert again.tobytes() == kept and first.tobytes() == kept
 
     def test_input_gradient_is_refused(self):
         step, _ = self._models(8, 4, 8, 2)

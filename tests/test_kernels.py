@@ -273,6 +273,53 @@ class TestFlatSlices:
 
 
 # ---------------------------------------------------------------------------
+# The zero-state hop block (DCGRUCell.sequence reuses the gates' at t = 0)
+# ---------------------------------------------------------------------------
+class TestZeroStateHopBlock:
+    """The candidate's first input ``[x | r*(+0)]``, with ``r`` from
+    ``_sigmoid_`` (exact 0 and 1 gates included), has the hop block of the
+    gates' ``[x | +0]``, byte for byte, over stacked supports with
+    non-negative entries and with some negative ones."""
+
+    @staticmethod
+    def _block(conv, x0: np.ndarray) -> np.ndarray:
+        n, b, f = x0.shape
+        scr = conv._get_scratch(b, x0.dtype)
+        scr.x0[...] = x0
+        cat = np.empty((n * b, conv.num_matrices * f), x0.dtype)
+        conv._bind(scr, scr.x0)(cat)
+        return cat
+
+    @pytest.mark.parametrize("negative", [False, True])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_reset_times_zero_state_has_the_zero_state_block(self, negative,
+                                                             seed):
+        from repro.models.dconv import DiffusionConv
+        from repro.models.dcrnn import _sigmoid_
+
+        rng = np.random.default_rng(seed)
+        supports = dual_random_walk_supports(
+            random_sensor_network(12, seed=seed).weights)
+        if negative:                    # flip the sign of about half
+            for s in supports:
+                s.data *= rng.choice([-1.0, 1.0], s.nnz)
+            assert all((s.data < 0).any() for s in supports)
+        n, b, fin, hid = 12, 3, 2, 4
+        conv = DiffusionConv(supports, fin + hid, hid, k_hops=2)
+        x = rng.standard_normal((n, b, fin)).astype(np.float32)
+        r = (60 * rng.standard_normal((n, b, hid))).astype(np.float32)
+        _sigmoid_(r, np.empty_like(r), np.empty_like(r))
+        assert r.min() == 0.0 and r.max() == 1.0
+        zero = np.zeros((n, b, hid), np.float32)
+        gates = self._block(conv, np.concatenate([x, zero], axis=-1))
+        cand = self._block(conv, np.concatenate([x, r * zero], axis=-1))
+        assert cand.tobytes() == gates.tobytes()
+        # A negative gate would make -0, which the identity block keeps.
+        minus = self._block(conv, np.concatenate([x, -1.0 * zero], axis=-1))
+        assert minus.tobytes() != gates.tobytes()
+
+
+# ---------------------------------------------------------------------------
 # Mixed-precision storage: f16 store -> f32 compute round-trip bounds
 # ---------------------------------------------------------------------------
 @pytest.fixture(scope="module")
